@@ -82,10 +82,10 @@ func reportFleetMetrics(server string) error {
 	}
 	fmt.Println()
 	fmt.Println("server-side repair histograms (merged fleet view):")
-	fmt.Printf("%-36s %8s  %12s  %12s  %12s  %12s\n", "series", "count", "mean", "p50", "p99", "p999")
+	fmt.Printf("%-48s %8s  %12s  %12s  %12s  %12s\n", "series", "count", "mean", "p50", "p99", "p999")
 	for _, key := range keys {
 		h := merged.Histograms[key]
-		fmt.Printf("%-36s %8d  %12s  %12s  %12s  %12s\n", key, h.Count,
+		fmt.Printf("%-48s %8d  %12s  %12s  %12s  %12s\n", key, h.Count,
 			time.Duration(h.Mean()),
 			time.Duration(h.Quantile(0.50)),
 			time.Duration(h.Quantile(0.99)),

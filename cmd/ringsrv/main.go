@@ -103,7 +103,7 @@ func main() {
 	defer shard.Close()
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newServer(shard.Engine, nil, shard.Handler(), *enablePprof),
+		Handler:           newServer(shard, *enablePprof),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 

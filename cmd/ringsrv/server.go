@@ -9,39 +9,29 @@ import (
 	"net/http/pprof"
 
 	"debruijnring/engine"
+	"debruijnring/fleet"
 	"debruijnring/internal/broadcast"
-	"debruijnring/session"
 	"debruijnring/topology"
 )
 
-// server wires the embedding engine and the session manager to the
-// HTTP/JSON surface.
+// server fronts a fleet shard with the one-shot embedding endpoints.
 type server struct {
 	eng *engine.Engine
 	mux *http.ServeMux
 }
 
-// newServer mounts the one-shot embedding endpoints next to the
-// session/fleet surface.  shardH — a fleet Shard's handler — takes
-// precedence for the session, replica and replication routes, carrying
-// the shard's split-brain fence and control plane; a bare sessions
-// manager (tests) mounts the session API directly.  enablePprof mounts
+// newServer mounts the one-shot embedding endpoints on the shard's
+// engine, next to the shard's own handler, which serves the session,
+// replica and replication routes (with the shard's split-brain fence
+// and control plane), stats, metrics and health.  enablePprof mounts
 // net/http/pprof under /debug/pprof/ (opt-in: the profiles leak
 // internals, so production deployments keep it off unless diagnosing).
-func newServer(eng *engine.Engine, sessions *session.Manager, shardH http.Handler, enablePprof bool) *server {
-	s := &server{eng: eng, mux: http.NewServeMux()}
+func newServer(shard *fleet.Shard, enablePprof bool) *server {
+	s := &server{eng: shard.Engine, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/embed", s.handleEmbed)
 	s.mux.HandleFunc("POST /v1/verify", s.handleVerify)
 	s.mux.HandleFunc("POST /v1/disjoint-cycles", s.handleDisjointCycles)
 	s.mux.HandleFunc("POST /v1/broadcast", s.handleBroadcast)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.Handle("GET /metrics", eng.Registry().Handler())
-	s.mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, eng.Registry().Snapshot())
-	})
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
 	if enablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -49,15 +39,12 @@ func newServer(eng *engine.Engine, sessions *session.Manager, shardH http.Handle
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	switch {
-	case shardH != nil:
-		for _, p := range []string{"/v1/sessions", "/v1/sessions/", "/v1/replica/", "/v1/replication", "/v1/replication/"} {
-			s.mux.Handle(p, shardH)
-		}
-	case sessions != nil:
-		h := session.Handler(sessions)
-		s.mux.Handle("/v1/sessions", h)
-		s.mux.Handle("/v1/sessions/", h)
+	shardH := shard.Handler()
+	for _, p := range []string{
+		"/v1/sessions", "/v1/sessions/", "/v1/replica/", "/v1/replication", "/v1/replication/",
+		"GET /v1/stats", "GET /metrics", "GET /v1/metrics", "GET /healthz",
+	} {
+		s.mux.Handle(p, shardH)
 	}
 	return s
 }
@@ -248,10 +235,6 @@ func (s *server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 		TimeUnits:   res.TimeUnits,
 		MaxLinkLoad: res.MaxLinkLoad,
 	})
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.eng.Stats())
 }
 
 func labels(net topology.Network, nodes []int) []string {

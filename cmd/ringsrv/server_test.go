@@ -9,24 +9,29 @@ import (
 	"strings"
 	"testing"
 
-	"debruijnring/engine"
+	"debruijnring/fleet"
 	"debruijnring/obs"
 	"debruijnring/session"
 )
 
-func newTestServer(t *testing.T) *httptest.Server {
+func newTestServer(t *testing.T, enablePprof bool) *httptest.Server {
 	t.Helper()
-	eng := engine.New(engine.Options{})
-	sessions := session.NewManager(eng, session.Options{})
-	ts := httptest.NewServer(newServer(eng, sessions, nil, false))
-	t.Cleanup(ts.Close)
+	shard, err := fleet.NewShard(fleet.ShardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(shard, enablePprof))
+	t.Cleanup(func() {
+		ts.Close()
+		shard.Close()
+	})
 	return ts
 }
 
 // TestSessionEndpointsMounted drives one session through the mounted
 // /v1/sessions surface and checks the repair counters reach /v1/stats.
 func TestSessionEndpointsMounted(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, false)
 	c := &session.Client{Base: ts.URL}
 	ctx := context.Background()
 	st, err := c.Create(ctx, session.CreateRequest{Name: "s", Topology: "debruijn(2,6)"})
@@ -44,7 +49,7 @@ func TestSessionEndpointsMounted(t *testing.T) {
 		t.Errorf("repair kind %q", res.Event.Repair)
 	}
 
-	var stats engine.EngineStats
+	var stats fleet.Stats
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +79,7 @@ func postJSON(t *testing.T, url, body string, dst any) int {
 }
 
 func TestEmbedEndpointAndCache(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, false)
 	var out embedResponse
 	code := postJSON(t, ts.URL+"/v1/embed",
 		`{"topology":"debruijn(3,3)","node_faults":["020","112"]}`, &out)
@@ -99,7 +104,7 @@ func TestEmbedEndpointAndCache(t *testing.T) {
 		t.Errorf("repeat: status %d, cache hit %v", code, out.Stats.CacheHit)
 	}
 
-	var stats engine.EngineStats
+	var stats fleet.Stats
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +125,7 @@ func TestEmbedEndpointAndCache(t *testing.T) {
 }
 
 func TestEmbedEndpointEdgeFaultsAndErrors(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, false)
 	var out embedResponse
 	code := postJSON(t, ts.URL+"/v1/embed",
 		`{"topology":"butterfly(3,2)","edge_faults":[{"from":"(0,00)","to":"(1,00)"}]}`, &out)
@@ -152,7 +157,7 @@ func TestEmbedEndpointEdgeFaultsAndErrors(t *testing.T) {
 }
 
 func TestVerifyEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, false)
 	var emb embedResponse
 	postJSON(t, ts.URL+"/v1/embed", `{"topology":"debruijn(3,3)","node_faults":["020"]}`, &emb)
 
@@ -188,7 +193,7 @@ func TestVerifyEndpoint(t *testing.T) {
 }
 
 func TestDisjointCyclesEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, false)
 	var out disjointCyclesResponse
 	code := postJSON(t, ts.URL+"/v1/disjoint-cycles",
 		`{"topology":"debruijn(4,2)","max_cycles":2}`, &out)
@@ -206,7 +211,7 @@ func TestDisjointCyclesEndpoint(t *testing.T) {
 }
 
 func TestBroadcastEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, false)
 	var single, multi broadcastResponse
 	if code := postJSON(t, ts.URL+"/v1/broadcast",
 		`{"topology":"debruijn(4,2)","message_size":12,"rings":1}`, &single); code != http.StatusOK {
@@ -225,7 +230,7 @@ func TestBroadcastEndpoint(t *testing.T) {
 // Prometheus text with the engine families, /v1/metrics the JSON
 // snapshot, and /debug/pprof/ is absent unless opted in.
 func TestMetricsEndpoints(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, false)
 	postJSON(t, ts.URL+"/v1/embed", `{"topology":"debruijn(3,3)","node_faults":["020"]}`, nil)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -272,9 +277,7 @@ func TestMetricsEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/debug/pprof/ without -pprof: status %d, want 404", resp.StatusCode)
 	}
-	eng := engine.New(engine.Options{})
-	pts := httptest.NewServer(newServer(eng, nil, nil, true))
-	defer pts.Close()
+	pts := newTestServer(t, true)
 	resp, err = http.Get(pts.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +289,7 @@ func TestMetricsEndpoints(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	ts := newTestServer(t)
+	ts := newTestServer(t, false)
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

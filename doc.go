@@ -66,9 +66,9 @@
 // holds a named topology, its current ring and a live FaultSet with a
 // bidirectional lifecycle:
 //
-//	mgr := session.NewManager(eng, session.Options{Dir: "/var/lib/rings"})
+//	mgr := session.NewManager(eng.Registry(), session.Options{Dir: "/var/lib/rings"})
 //	s, _ := mgr.Create("prod", "debruijn(2,10)", topology.FaultSet{})
-//	ev, _ := s.AddFaults(topology.NodeFaults(x))      // ev.Repair: "local" | "reembed" | "noop"
+//	ev, _ := s.AddFaults(topology.NodeFaults(x))      // ev.Repair: "local" | "splice" | "reembed" | "noop" | "rejected"
 //	ev, _ = s.RemoveFaults(topology.NodeFaults(x))    // heal: the ring grows back
 //
 // Both directions attempt a local repair first (package
@@ -85,8 +85,10 @@
 // f ≤ n tolerance is exceeded.  Every transition is appended to a
 // journal ("fault" and "heal" events with ring hashes, periodic
 // snapshots), so a killed server restores each session to a
-// bit-identical ring; the engine's stats report the patch hit rate and
-// the heal-direction unpatch hit rate.
+// bit-identical ring.  The manager counts every outcome by direction
+// and tier in the registry it is given, and session.TotalsFrom turns a
+// snapshot of it into the patch hit rate and the heal-direction
+// unpatch hit rate.
 //
 // Over HTTP, ringsrv serves /v1/sessions (CRUD), …/faults (POST
 // absorbs a fault batch, DELETE re-admits a repaired one) and …/watch

@@ -35,8 +35,8 @@ type Options struct {
 	// bounds how many embeds run concurrently.
 	EmbedWorkers int
 	// Registry receives the engine's metrics (request latency
-	// histogram, per-tier repair histograms, cache counters).  Nil
-	// creates a private registry, reachable via Engine.Registry.
+	// histogram, cache counters).  Nil creates a private registry,
+	// reachable via Engine.Registry.
 	Registry *obs.Registry
 }
 
@@ -51,12 +51,6 @@ type Engine struct {
 
 	reg     *obs.Registry
 	latHist *obs.Histogram // engine_request_ns
-	// Per-tier repair latency histograms and outcome counters, indexed
-	// by RepairKind; resolved once so the record path is lock-free on
-	// the registry side.
-	repairNs    [numRepairKinds]*obs.Histogram
-	repairTotal [numRepairKinds]*obs.Counter
-	journalErrs *obs.Counter // session_journal_errors_total
 
 	mu       sync.Mutex
 	cache    *lruCache
@@ -64,7 +58,6 @@ type Engine struct {
 	hits     int64
 	misses   int64
 	evicted  int64
-	sessions SessionStats
 }
 
 // flight is one in-progress embedding; duplicate concurrent requests for
@@ -95,30 +88,19 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{workers: workers, embedWorkers: opts.EmbedWorkers, cache: cache, inflight: make(map[string]*flight), reg: reg}
 	reg.SetHelp("engine_request_ns", "embed request latency (cache hits included, failures excluded)")
-	reg.SetHelp("session_repair_ns", "session fault-event latency by resolving repair tier")
-	reg.SetHelp("session_repair_total", "session fault events by resolving repair tier")
 	e.latHist = reg.Histogram("engine_request_ns")
-	for kind := RepairKind(0); kind < numRepairKinds; kind++ {
-		e.repairNs[kind] = reg.Histogram("session_repair_ns", "tier", kind.String())
-		e.repairTotal[kind] = reg.Counter("session_repair_total", "tier", kind.String())
-	}
-	reg.SetHelp("session_journal_errors_total", "session journal appends that failed (session degraded to memory-only durability)")
-	e.journalErrs = reg.Counter("session_journal_errors_total")
-	// Cache and replication counters live under the engine mutex; a
-	// collector mirrors them into the registry at scrape time.
+	// Cache counters live under the engine mutex; a collector mirrors
+	// them into the registry at scrape time.
 	reg.SetHelp("engine_cache_hits_total", "embed cache hits (in-flight collapses included)")
 	reg.SetHelp("engine_cache_entries", "live embed cache entries")
 	reg.AddCollector(func(r *obs.Registry) {
 		e.mu.Lock()
 		cs := e.cacheStatsLocked()
-		repl := e.sessions
 		e.mu.Unlock()
 		r.Counter("engine_cache_hits_total").Set(cs.Hits)
 		r.Counter("engine_cache_misses_total").Set(cs.Misses)
 		r.Counter("engine_cache_evicted_total").Set(cs.Evicted)
 		r.Gauge("engine_cache_entries").Set(int64(cs.Entries))
-		r.Counter("fleet_replica_appends_total").Set(repl.ReplicaAppends)
-		r.Counter("fleet_replica_errors_total").Set(repl.ReplicaErrors)
 	})
 	return e
 }
@@ -301,168 +283,17 @@ func (e *Engine) cacheStatsLocked() CacheStats {
 	return s
 }
 
-// RepairKind classifies how one session fault event was served, for the
-// engine's session-aware statistics.
-type RepairKind int
-
-const (
-	// RepairLocal: the fault batch was absorbed by a local ring patch.
-	RepairLocal RepairKind = iota
-	// RepairReembed: local repair declined (or was out of tolerance) and
-	// the session fell back to a full re-embed.
-	RepairReembed
-	// RepairNoop: the faults did not touch the session's ring.
-	RepairNoop
-	// RepairRejected: neither repair nor re-embed could absorb the
-	// faults; the session kept its previous state.
-	RepairRejected
-	// RepairHealLocal: a heal batch (shrinking fault set) was absorbed
-	// by a local un-patch — the ring grew back without a re-embed.
-	RepairHealLocal
-	// RepairHealReembed: the local un-patch declined and the session
-	// re-embedded around the reduced fault set.
-	RepairHealReembed
-	// RepairSplice: the structural tier declined the fault batch but the
-	// generic splice tier absorbed it by local bypass surgery — the
-	// middle rung of the repair ladder, still no re-embed.
-	RepairSplice
-	// RepairSpliceHeal: the heal-direction analogue — the splice tier
-	// re-inserted the healed components after the structural tier
-	// declined.
-	RepairSpliceHeal
-
-	numRepairKinds
-)
-
-// String returns the tier label used in metrics and chaos reports.
-func (k RepairKind) String() string {
-	switch k {
-	case RepairLocal:
-		return "local"
-	case RepairReembed:
-		return "reembed"
-	case RepairNoop:
-		return "noop"
-	case RepairRejected:
-		return "rejected"
-	case RepairHealLocal:
-		return "heal_local"
-	case RepairHealReembed:
-		return "heal_reembed"
-	case RepairSplice:
-		return "splice"
-	case RepairSpliceHeal:
-		return "splice_heal"
-	}
-	return "unknown"
-}
-
-// SessionStats aggregates fault-event outcomes across every session
-// feeding this engine: how often incremental repair beat the full
-// re-embed path, in both lifecycle directions.
-type SessionStats struct {
-	LocalRepairs int64 `json:"local_repairs"`
-	Reembeds     int64 `json:"reembeds"`
-	Noops        int64 `json:"noops"`
-	Rejected     int64 `json:"rejected"`
-	LocalHeals   int64 `json:"local_heals"`
-	HealReembeds int64 `json:"heal_reembeds"`
-	// SpliceRepairs / SpliceHeals count the middle rung of the repair
-	// ladder: batches the structural tier declined but the generic
-	// splice tier absorbed by local bypass surgery, per direction.
-	SpliceRepairs int64 `json:"splice_repairs"`
-	SpliceHeals   int64 `json:"splice_heals"`
-	// PatchHitRate is (LocalRepairs + SpliceRepairs) / (LocalRepairs +
-	// SpliceRepairs + Reembeds): the fraction of ring-changing fault
-	// events served without a full re-embed, by either local tier.
-	PatchHitRate float64 `json:"patch_hit_rate"`
-	// UnpatchHitRate is the heal-direction analogue, (LocalHeals +
-	// SpliceHeals) / (LocalHeals + SpliceHeals + HealReembeds).
-	UnpatchHitRate float64 `json:"unpatch_hit_rate"`
-	// ReplicaAppends / ReplicaErrors count journal events shipped to
-	// this shard's replica by the fleet's replicated store, and the
-	// appends that failed (the shard degrades to local-only journaling
-	// for those events: they survive a shard restart but not a shard
-	// loss).  Zero on unreplicated processes.
-	ReplicaAppends int64 `json:"replica_appends,omitempty"`
-	ReplicaErrors  int64 `json:"replica_errors,omitempty"`
-	// SpliceHitRate is (SpliceRepairs + SpliceHeals) / (SpliceRepairs +
-	// SpliceHeals + Reembeds + HealReembeds): the fraction of
-	// ring-changing events beyond the structural tier that the splice
-	// tier caught before the re-embed cliff.  The denominator counts
-	// every re-embed this engine saw — including over-tolerance batches
-	// never offered to a patcher and sessions on topologies with no
-	// structural tier — so a low rate is a lead, not proof, of the
-	// chain degenerating to re-embed-only; the authoritative gate is a
-	// controlled stream (chaos -min-splice, as the nightly soak runs).
-	SpliceHitRate float64 `json:"splice_hit_rate"`
-}
-
-// RecordRepair accounts one session fault event and its end-to-end
-// latency.  The session subsystem calls it for every absorbed fault
-// batch so /v1/stats surfaces repair-vs-recompute behavior next to the
-// cache counters, and the per-tier histograms feed /metrics.
-func (e *Engine) RecordRepair(kind RepairKind, elapsed time.Duration) {
-	if kind >= 0 && kind < numRepairKinds {
-		e.repairNs[kind].Observe(int64(elapsed))
-		e.repairTotal[kind].Inc()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch kind {
-	case RepairLocal:
-		e.sessions.LocalRepairs++
-	case RepairReembed:
-		e.sessions.Reembeds++
-	case RepairNoop:
-		e.sessions.Noops++
-	case RepairRejected:
-		e.sessions.Rejected++
-	case RepairHealLocal:
-		e.sessions.LocalHeals++
-	case RepairHealReembed:
-		e.sessions.HealReembeds++
-	case RepairSplice:
-		e.sessions.SpliceRepairs++
-	case RepairSpliceHeal:
-		e.sessions.SpliceHeals++
-	}
-}
-
-// RecordJournalError accounts one failed local journal append.  The
-// session keeps serving from memory (the in-memory state machine is
-// authoritative for a live session), but the lost durability must be
-// visible: the counter feeds /metrics so operators can see a session
-// silently degrading before a restart loses its tail.
-func (e *Engine) RecordJournalError() {
-	e.journalErrs.Inc()
-}
-
-// RecordReplication accounts one replica journal append by the fleet's
-// replicated store, so /v1/stats surfaces replication health (appends
-// vs errors) next to the repair counters.
-func (e *Engine) RecordReplication(ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sessions.ReplicaAppends++
-	if !ok {
-		e.sessions.ReplicaErrors++
-	}
-}
-
-// EngineStats is the observability snapshot served by the stats
-// endpoint: cache counters (flattened), the cache hit rate, latency
-// percentiles over every served request, and the session subsystem's
-// repair-vs-re-embed counters.
+// EngineStats is the engine's observability snapshot: cache counters
+// (flattened), the cache hit rate and latency percentiles over every
+// served request.
 type EngineStats struct {
 	CacheStats
-	Requests       int64        `json:"requests"`
-	HitRate        float64      `json:"hit_rate"`
-	LatencyP50Ns   int64        `json:"latency_p50_ns"`
-	LatencyP99Ns   int64        `json:"latency_p99_ns"`
-	LatencyP999Ns  int64        `json:"latency_p999_ns"`
-	LatencySamples int64        `json:"latency_samples"`
-	Sessions       SessionStats `json:"sessions"`
+	Requests       int64   `json:"requests"`
+	HitRate        float64 `json:"hit_rate"`
+	LatencyP50Ns   int64   `json:"latency_p50_ns"`
+	LatencyP99Ns   int64   `json:"latency_p99_ns"`
+	LatencyP999Ns  int64   `json:"latency_p999_ns"`
+	LatencySamples int64   `json:"latency_samples"`
 }
 
 // Stats returns a snapshot of the engine's cache and latency behavior.
@@ -473,20 +304,7 @@ type EngineStats struct {
 // Misses but contribute no latency sample, so LatencySamples can trail
 // Requests).
 func (e *Engine) Stats() EngineStats {
-	e.mu.Lock()
-	s := EngineStats{CacheStats: e.cacheStatsLocked(), Sessions: e.sessions}
-	e.mu.Unlock()
-	if ringChanging := s.Sessions.LocalRepairs + s.Sessions.SpliceRepairs + s.Sessions.Reembeds; ringChanging > 0 {
-		s.Sessions.PatchHitRate = float64(s.Sessions.LocalRepairs+s.Sessions.SpliceRepairs) / float64(ringChanging)
-	}
-	if healing := s.Sessions.LocalHeals + s.Sessions.SpliceHeals + s.Sessions.HealReembeds; healing > 0 {
-		s.Sessions.UnpatchHitRate = float64(s.Sessions.LocalHeals+s.Sessions.SpliceHeals) / float64(healing)
-	}
-	if spliceable := s.Sessions.SpliceRepairs + s.Sessions.SpliceHeals +
-		s.Sessions.Reembeds + s.Sessions.HealReembeds; spliceable > 0 {
-		s.Sessions.SpliceHitRate = float64(s.Sessions.SpliceRepairs+s.Sessions.SpliceHeals) / float64(spliceable)
-	}
-
+	s := EngineStats{CacheStats: e.CacheStats()}
 	s.Requests = s.Hits + s.Misses
 	if s.Requests > 0 {
 		s.HitRate = float64(s.Hits) / float64(s.Requests)

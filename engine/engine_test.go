@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"debruijnring/topology"
 )
@@ -208,74 +207,6 @@ func TestEmbedBatchMidflightCancellation(t *testing.T) {
 	}
 }
 
-func TestSessionRepairStats(t *testing.T) {
-	eng := New(Options{})
-	eng.RecordRepair(RepairLocal, time.Microsecond)
-	eng.RecordRepair(RepairLocal, time.Microsecond)
-	eng.RecordRepair(RepairLocal, time.Microsecond)
-	eng.RecordRepair(RepairReembed, time.Microsecond)
-	eng.RecordRepair(RepairNoop, time.Microsecond)
-	eng.RecordRepair(RepairRejected, time.Microsecond)
-	s := eng.Stats().Sessions
-	if s.LocalRepairs != 3 || s.Reembeds != 1 || s.Noops != 1 || s.Rejected != 1 {
-		t.Errorf("session stats = %+v", s)
-	}
-	if s.PatchHitRate != 0.75 {
-		t.Errorf("patch hit rate = %v, want 0.75", s.PatchHitRate)
-	}
-}
-
-// TestSessionHealStats covers the heal direction: LocalHeals and
-// HealReembeds feed unpatch_hit_rate without disturbing the fault-side
-// patch hit rate.
-func TestSessionHealStats(t *testing.T) {
-	eng := New(Options{})
-	eng.RecordRepair(RepairHealLocal, time.Microsecond)
-	eng.RecordRepair(RepairHealLocal, time.Microsecond)
-	eng.RecordRepair(RepairHealLocal, time.Microsecond)
-	eng.RecordRepair(RepairHealLocal, time.Microsecond)
-	eng.RecordRepair(RepairHealReembed, time.Microsecond)
-	eng.RecordRepair(RepairLocal, time.Microsecond)
-	eng.RecordRepair(RepairReembed, time.Microsecond)
-	s := eng.Stats().Sessions
-	if s.LocalHeals != 4 || s.HealReembeds != 1 {
-		t.Errorf("heal stats = %+v", s)
-	}
-	if s.UnpatchHitRate != 0.8 {
-		t.Errorf("unpatch hit rate = %v, want 0.8", s.UnpatchHitRate)
-	}
-	if s.PatchHitRate != 0.5 {
-		t.Errorf("patch hit rate = %v, want 0.5 (heals must not dilute it)", s.PatchHitRate)
-	}
-}
-
-// TestSessionSpliceStats covers the middle rung: splice-tier
-// resolutions count toward patch/unpatch hit rates and feed
-// splice_hit_rate — the fraction of FFC-declined ring-changing events
-// the splice tier caught before the re-embed cliff.
-func TestSessionSpliceStats(t *testing.T) {
-	eng := New(Options{})
-	eng.RecordRepair(RepairSplice, time.Microsecond)
-	eng.RecordRepair(RepairSplice, time.Microsecond)
-	eng.RecordRepair(RepairReembed, time.Microsecond)
-	eng.RecordRepair(RepairSpliceHeal, time.Microsecond)
-	eng.RecordRepair(RepairHealReembed, time.Microsecond)
-	eng.RecordRepair(RepairLocal, time.Microsecond)
-	s := eng.Stats().Sessions
-	if s.SpliceRepairs != 2 || s.SpliceHeals != 1 {
-		t.Errorf("splice stats = %+v", s)
-	}
-	if s.PatchHitRate != 0.75 { // (1 local + 2 splice) / 4 ring-changing fault events
-		t.Errorf("patch hit rate = %v, want 0.75", s.PatchHitRate)
-	}
-	if s.UnpatchHitRate != 0.5 { // 1 splice heal / 2 ring-changing heal events
-		t.Errorf("unpatch hit rate = %v, want 0.5", s.UnpatchHitRate)
-	}
-	if s.SpliceHitRate != 0.6 { // 3 splice / (3 splice + 2 reembed)
-		t.Errorf("splice hit rate = %v, want 0.6", s.SpliceHitRate)
-	}
-}
-
 func TestEmbedRingErrorsAreNotCached(t *testing.T) {
 	eng := New(Options{})
 	ctx := context.Background()
@@ -424,21 +355,6 @@ func TestEngineStats(t *testing.T) {
 	}
 	if got := snap.Counters["engine_cache_hits_total"]; got != 3 {
 		t.Errorf("engine_cache_hits_total = %d, want 3", got)
-	}
-}
-
-func TestRecordRepairFeedsRegistry(t *testing.T) {
-	eng := New(Options{})
-	eng.RecordRepair(RepairLocal, 5*time.Microsecond)
-	eng.RecordRepair(RepairLocal, 7*time.Microsecond)
-	eng.RecordRepair(RepairReembed, time.Millisecond)
-	snap := eng.Registry().Snapshot()
-	local := snap.Histograms[`session_repair_ns{tier="local"}`]
-	if local.Count != 2 {
-		t.Errorf("local repair histogram count = %d, want 2", local.Count)
-	}
-	if got := snap.Counters[`session_repair_total{tier="reembed"}`]; got != 1 {
-		t.Errorf("reembed counter = %d, want 1", got)
 	}
 }
 

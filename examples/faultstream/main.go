@@ -26,7 +26,7 @@ import (
 	"math/rand/v2"
 	"os"
 
-	"debruijnring/engine"
+	"debruijnring/obs"
 	"debruijnring/session"
 	"debruijnring/topology"
 )
@@ -38,10 +38,10 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// The session manager journals every transition under dir and feeds
-	// repair outcomes into the engine's /v1/stats counters.
-	eng := engine.New(engine.Options{})
-	mgr := session.NewManager(eng, session.Options{Dir: dir})
+	// The session manager journals every transition under dir and counts
+	// repair outcomes in the metrics registry.
+	reg := obs.NewRegistry()
+	mgr := session.NewManager(reg, session.Options{Dir: dir})
 	s, err := mgr.Create("demo", "debruijn(2,10)", topology.FaultSet{})
 	if err != nil {
 		log.Fatal(err)
@@ -77,7 +77,7 @@ func main() {
 			i+1, net.Label(x), ev.Repair, ev.RingLength, ev.LowerBound, len(ev.Added))
 	}
 
-	stats := eng.Stats().Sessions
+	stats := session.TotalsFrom(reg.Snapshot())
 	fmt.Printf("=> %d local repairs, %d re-embeds (patch hit rate %.0f%%); %d local heals (unpatch hit rate %.0f%%)\n",
 		stats.LocalRepairs, stats.Reembeds, 100*stats.PatchHitRate,
 		stats.LocalHeals, 100*stats.UnpatchHitRate)
@@ -85,7 +85,7 @@ func main() {
 	// Kill-and-restore: a second manager pointed at the same journal
 	// directory replays the stream to the identical ring.
 	mgr.Close()
-	mgr2 := session.NewManager(engine.New(engine.Options{}), session.Options{Dir: dir})
+	mgr2 := session.NewManager(nil, session.Options{Dir: dir})
 	restored, errs := mgr2.Restore()
 	if len(errs) > 0 {
 		log.Fatal(errs[0])

@@ -92,13 +92,13 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	var store session.Store
 	if cfg.JournalDir != "" {
 		local = session.NewDirStore(cfg.JournalDir)
-		repl = NewReplicatedStore(local, cfg.ReplicateTo, eng, logf)
+		repl = NewReplicatedStore(local, cfg.ReplicateTo, eng.Registry(), logf)
 		store = repl
 	} else if cfg.ReplicateTo != "" {
 		return nil, errors.New("fleet: -replicate-to requires a journal directory (replication streams the journal)")
 	}
 
-	mgr := session.NewManager(eng, session.Options{
+	mgr := session.NewManager(eng.Registry(), session.Options{
 		Store:         store,
 		SnapshotEvery: cfg.SnapshotEvery,
 		EventBuffer:   cfg.EventBuffer,
@@ -220,11 +220,19 @@ func (s *Shard) wipeJournals() {
 	}
 }
 
+// Stats is the GET /v1/stats payload: the engine's cache and latency
+// snapshot, plus the repair and replication totals of the shard's
+// sessions.
+type Stats struct {
+	engine.EngineStats
+	Sessions session.RepairTotals `json:"sessions"`
+}
+
 // Handler serves the shard's session API (fenced while a stale
 // ex-primary is demoting), replication endpoints, stats, metrics
 // (Prometheus text at /metrics, JSON snapshot at /v1/metrics) and health —
 // everything the router and a peer primary need.  (The ringsrv binary
-// serves a superset: these plus the one-shot embedding endpoints.)
+// mounts it next to the one-shot embedding endpoints.)
 func (s *Shard) Handler() http.Handler {
 	mux := http.NewServeMux()
 	h := s.SessionHandler()
@@ -235,7 +243,10 @@ func (s *Shard) Handler() http.Handler {
 	mux.Handle("/v1/replication", rh)
 	mux.Handle("/v1/replication/", rh)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeReplicaJSON(w, s.Engine.Stats())
+		writeReplicaJSON(w, Stats{
+			EngineStats: s.Engine.Stats(),
+			Sessions:    session.TotalsFrom(s.Engine.Registry().Snapshot()),
+		})
 	})
 	mux.Handle("GET /metrics", s.Engine.Registry().Handler())
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"debruijnring/engine"
+	"debruijnring/obs"
 	"debruijnring/session"
 )
 
@@ -69,9 +69,10 @@ type ReplicationStatus struct {
 // Reads (Load, Names) and Restore never touch the replica — the local
 // journal is authoritative for this process's own lifetime.
 type ReplicatedStore struct {
-	local session.Store
-	eng   *engine.Engine // replication counters; may be nil
-	logf  func(string, ...any)
+	local   session.Store
+	appends *obs.Counter // fleet_replica_appends_total
+	errs    *obs.Counter // fleet_replica_errors_total
+	logf    func(string, ...any)
 
 	// OnFenced is invoked (once, on its own goroutine) when the replica
 	// refuses ingest because it has been promoted.  Set before use.
@@ -95,19 +96,21 @@ type ReplicatedStore struct {
 
 // NewReplicatedStore wraps local so every append is also shipped to the
 // target replica ("" starts with replication off; SetTarget can assign
-// one later).  eng (optional) receives RecordReplication counts; logf
-// (optional) receives degraded-mode complaints.
-func NewReplicatedStore(local session.Store, target string, eng *engine.Engine, logf func(string, ...any)) *ReplicatedStore {
+// one later).  reg (optional) receives the fleet_replica_appends_total
+// and fleet_replica_errors_total counters; logf (optional) receives
+// degraded-mode complaints.
+func NewReplicatedStore(local session.Store, target string, reg *obs.Registry, logf func(string, ...any)) *ReplicatedStore {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	s := &ReplicatedStore{
-		local: local,
-		eng:   eng,
-		logf:  logf,
-		state: ReplicaOff,
-		dirty: make(map[string]bool),
-		stopc: make(chan struct{}),
+		local:   local,
+		appends: reg.Counter("fleet_replica_appends_total"),
+		errs:    reg.Counter("fleet_replica_errors_total"),
+		logf:    logf,
+		state:   ReplicaOff,
+		dirty:   make(map[string]bool),
+		stopc:   make(chan struct{}),
 	}
 	if target != "" {
 		s.target = target
@@ -247,10 +250,11 @@ func (s *ReplicatedStore) Remove(name string) error {
 	return s.local.Remove(name)
 }
 
-// record feeds the engine's replication counters.
+// record counts one replica append and whether it failed.
 func (s *ReplicatedStore) record(ok bool) {
-	if s.eng != nil {
-		s.eng.RecordReplication(ok)
+	s.appends.Inc()
+	if !ok {
+		s.errs.Inc()
 	}
 }
 

@@ -82,7 +82,8 @@ func (g *Gauge) Value() int64 {
 
 // Registry holds named metrics.  Metric identity is the family name
 // plus an optional ordered list of label pairs; the rendered key is
-// the Prometheus sample name, e.g. `session_repair_ns{tier="local"}`.
+// the Prometheus sample name, e.g.
+// `session_repair_ns{dir="fault",tier="local"}`.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter

@@ -9,12 +9,12 @@ import (
 	"testing"
 	"time"
 
-	"debruijnring/engine"
+	"debruijnring/obs"
 )
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Manager) {
 	t.Helper()
-	m := NewManager(engine.New(engine.Options{}), opts)
+	m := NewManager(obs.NewRegistry(), opts)
 	ts := httptest.NewServer(Handler(m))
 	t.Cleanup(func() {
 		ts.Close()

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"debruijnring/engine"
 	"debruijnring/internal/repair"
+	"debruijnring/obs"
 	"debruijnring/topology"
 )
 
@@ -38,18 +38,19 @@ type Options struct {
 
 // Manager owns the live sessions of one process and their journals.
 type Manager struct {
-	eng   *engine.Engine // session-stats sink; may be nil
-	opts  Options
-	store Store // nil when persistence is off
+	opts    Options
+	store   Store // nil when persistence is off
+	metrics repairMetrics
 
 	mu       sync.Mutex
 	closed   bool
 	sessions map[string]*Session
 }
 
-// NewManager returns a Manager recording repair outcomes into eng (nil
-// disables the engine coupling).
-func NewManager(eng *engine.Engine, opts Options) *Manager {
+// NewManager returns a Manager recording its sessions' repair outcomes
+// into reg as session_repair_ns{dir,tier} / session_repair_total{dir,tier}
+// (nil disables the metrics).
+func NewManager(reg *obs.Registry, opts Options) *Manager {
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = 32
 	}
@@ -63,7 +64,7 @@ func NewManager(eng *engine.Engine, opts Options) *Manager {
 	if store == nil && opts.Dir != "" {
 		store = NewDirStore(opts.Dir)
 	}
-	return &Manager{eng: eng, opts: opts, store: store, sessions: make(map[string]*Session)}
+	return &Manager{opts: opts, store: store, metrics: newRepairMetrics(reg), sessions: make(map[string]*Session)}
 }
 
 // Store returns the manager's persistence backend (nil when sessions
@@ -138,8 +139,8 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		FaultNodes: faults.Nodes, FaultEdges: encodeEdges(faults.Edges),
 	})
 	// The initial embed is not a repair decision; it is journaled and
-	// published for watchers but stays out of the engine's
-	// repair-vs-re-embed counters.
+	// published for watchers but stays out of the repair-vs-re-embed
+	// counters.
 	embedEv := Event{
 		Kind:       "embed",
 		Repair:     "reembed",
@@ -422,16 +423,14 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			s.seq = ev.Seq
 			s.stats.Events++
 		case "fault", "heal":
-			batch := topology.FaultSet{Nodes: ev.AddNodes, Edges: decodeEdges(ev.AddEdges)}
-			apply := s.applyFaultsLocked
+			dir, batch := dirFault, topology.FaultSet{Nodes: ev.AddNodes, Edges: decodeEdges(ev.AddEdges)}
 			if ev.Kind == "heal" {
-				batch = topology.FaultSet{Nodes: ev.RemoveNodes, Edges: decodeEdges(ev.RemoveEdges)}
-				apply = s.applyHealLocked
+				dir, batch = dirHeal, topology.FaultSet{Nodes: ev.RemoveNodes, Edges: decodeEdges(ev.RemoveEdges)}
 			}
 			if err := batch.Validate(net); err != nil {
 				return nil, fmt.Errorf("seq %d: corrupt %s batch: %w", ev.Seq, ev.Kind, err)
 			}
-			got, err := apply(batch, false)
+			got, err := s.applyLocked(dir, batch, false)
 			if ev.Repair == "rejected" {
 				if err == nil {
 					return nil, fmt.Errorf("seq %d: journaled rejection replayed as %s%s", ev.Seq, got.Repair, semHint)

@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"debruijnring/engine"
 	"debruijnring/internal/repair"
 	"debruijnring/topology"
 )
@@ -250,17 +249,7 @@ func (s *Session) withinToleranceLocked(combined topology.FaultSet) bool {
 // previous ring and fault set (the event is still journaled as rejected
 // so replay stays faithful).
 func (s *Session) AddFaults(add topology.FaultSet) (*Event, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("session %q: %w", s.name, ErrClosed)
-	}
-	if err := add.Validate(s.net); err != nil {
-		return nil, err
-	}
-	ev, err := s.applyFaultsLocked(add, true)
-	s.maybeSnapshotLocked(ev)
-	return ev, err
+	return s.apply(dirFault, add)
 }
 
 // RemoveFaults re-admits one batch of repaired components, shrinking
@@ -273,90 +262,104 @@ func (s *Session) AddFaults(add topology.FaultSet) (*Event, error) {
 // previous ring and fault set (the event is still journaled as rejected
 // so replay stays faithful).
 func (s *Session) RemoveFaults(remove topology.FaultSet) (*Event, error) {
+	return s.apply(dirHeal, remove)
+}
+
+// apply validates and runs one live batch, then writes a journal
+// snapshot when the event cadence is due.
+func (s *Session) apply(dir direction, batch topology.FaultSet) (*Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, fmt.Errorf("session %q: %w", s.name, ErrClosed)
 	}
-	if err := remove.Validate(s.net); err != nil {
+	if err := batch.Validate(s.net); err != nil {
 		return nil, err
 	}
-	ev, err := s.applyHealLocked(remove, true)
-	s.maybeSnapshotLocked(ev)
+	ev, err := s.applyLocked(dir, batch, true)
+	if s.journal != nil && s.sinceSnap >= s.mgr.opts.SnapshotEvery {
+		s.writeSnapshotLocked()
+	}
 	return ev, err
 }
 
-// maybeSnapshotLocked writes a journal snapshot when the event cadence
-// is due.
-func (s *Session) maybeSnapshotLocked(ev *Event) {
-	if ev != nil && s.journal != nil && s.sinceSnap >= s.mgr.opts.SnapshotEvery {
-		s.writeSnapshotLocked()
-	}
-}
-
-// applyFaultsLocked runs the repair lifecycle for one validated fault
-// batch.  With record=false (journal replay) nothing is written and the
-// engine's counters stay untouched; the decision path is deterministic,
+// applyLocked runs the repair ladder for one validated fault or heal
+// batch: a batch that changes no fault is a noop; otherwise, within
+// tolerance, the patcher's local tiers (Patch for faults, Unpatch for
+// heals) get the first try, and a full re-embed serves whatever they
+// decline.  If the re-embed fails too the event is a rejection and the
+// session keeps its state.  With record=false (journal replay) nothing
+// is journaled and no metric moves; the decision path is deterministic,
 // so replay reproduces the live rings exactly.
-func (s *Session) applyFaultsLocked(add topology.FaultSet, record bool) (*Event, error) {
+func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record bool) (*Event, error) {
 	start := time.Now()
-	add = add.Canonical()
-	newOnly := add.Minus(s.faults)
-	combined := s.faults.Union(add)
-
-	ev := &Event{
-		Kind:       "fault",
-		AddNodes:   append([]int(nil), add.Nodes...),
-		AddEdges:   encodeEdges(add.Edges),
-		FaultCount: len(combined.Nodes) + len(combined.Edges),
+	batch = batch.Canonical()
+	ev := &Event{Kind: dirNames[dir]}
+	// next is the fault set after the event; changed is the part of the
+	// batch that actually moves it.
+	var next, changed topology.FaultSet
+	if dir == dirFault {
+		next, changed = s.faults.Union(batch), batch.Minus(s.faults)
+		ev.AddNodes, ev.AddEdges = append([]int(nil), batch.Nodes...), encodeEdges(batch.Edges)
+	} else {
+		next = s.faults.Minus(batch)
+		changed = s.faults.Minus(next)
+		ev.RemoveNodes, ev.RemoveEdges = append([]int(nil), batch.Nodes...), encodeEdges(batch.Edges)
 	}
+	ev.FaultCount = len(next.Nodes) + len(next.Edges)
 
+	o := outcome{dir: dir, tier: tierNoop}
 	var ring []int
 	var embedErr error
-	switch {
-	case newOnly.IsEmpty():
-		ev.Repair = "noop"
-	default:
-		if s.withinToleranceLocked(combined) {
-			r, outcome := s.patcher.Patch(newOnly)
+	if !changed.IsEmpty() {
+		o.tier = tierReembed
+		if s.withinToleranceLocked(next) {
+			var r []int
+			var out repair.Outcome
+			if dir == dirFault {
+				r, out = s.patcher.Patch(changed)
+			} else {
+				r, out = s.patcher.Unpatch(changed)
+			}
 			ev.Tiers = tierTraces(s.patcher)
-			if outcome == repair.Noop {
-				ev.Repair = "noop"
-			} else if (outcome == repair.Patched || outcome == repair.Reordered || outcome == repair.Spliced) &&
-				topology.VerifyRing(s.net, r, combined) &&
-				len(r) >= s.lowerBoundFor(combined) {
-				ev.Repair = "local"
-				if outcome == repair.Spliced {
-					ev.Repair = "splice"
+			// Every other outcome changes the ring: Patch answers only
+			// Patched, Reordered or Spliced, Unpatch only Readmitted or
+			// Spliced.
+			switch {
+			case out == repair.Noop:
+				o.tier = tierNoop
+			case out != repair.Unsupported && topology.VerifyRing(s.net, r, next) && len(r) >= s.lowerBoundFor(next):
+				o.tier = tierLocal
+				if out == repair.Spliced {
+					o.tier = tierSplice
 				}
 				ring = r
 			}
 		}
-		if ev.Repair == "" {
+		if o.tier == tierReembed {
 			embedStart := time.Now()
-			r, info, err := s.patcher.Embed(combined)
+			r, info, err := s.patcher.Embed(next)
 			step := TierTrace{Tier: "reembed", Outcome: "ok", ElapsedNs: time.Since(embedStart).Nanoseconds()}
 			if err != nil {
 				embedErr = err
 				step.Outcome = "error"
+				o.tier = tierRejected
 			} else {
-				ev.Repair = "reembed"
 				ring = r
 				s.rounds = info.Rounds
 			}
 			ev.Tiers = append(ev.Tiers, step)
 		}
 	}
+	ev.Repair = o.String()
 
 	if embedErr != nil {
-		// Neither patch nor re-embed absorbed the batch: keep the old
-		// state, journal the rejection (replay must take the same path).
-		ev.Repair = "rejected"
+		// Nothing absorbed the batch: keep the old state, journal the
+		// rejection (replay must take the same path).
 		ev.Error = embedErr.Error()
 		ev.RingLength = len(s.ring)
 		ev.RingHash = ringHash(s.ring)
-		s.finishEventLocked(ev, start, record, engine.RepairRejected)
-		s.stats.Rejected++
+		s.finishEventLocked(ev, start, record, o)
 		return ev, embedErr
 	}
 
@@ -364,121 +367,11 @@ func (s *Session) applyFaultsLocked(add topology.FaultSet, record bool) (*Event,
 		ev.Removed, ev.Added, ev.DeltaTruncated = ringDelta(s.ring, ring)
 		s.ring = ring
 	}
-	s.faults = combined
+	s.faults = next
 	ev.RingLength = len(s.ring)
-	ev.LowerBound = s.lowerBoundFor(combined)
+	ev.LowerBound = s.lowerBoundFor(next)
 	ev.RingHash = ringHash(s.ring)
-
-	var kind engine.RepairKind
-	switch ev.Repair {
-	case "local":
-		kind = engine.RepairLocal
-		s.stats.LocalRepairs++
-	case "splice":
-		kind = engine.RepairSplice
-		s.stats.SpliceRepairs++
-	case "reembed":
-		kind = engine.RepairReembed
-		s.stats.Reembeds++
-	default:
-		kind = engine.RepairNoop
-		s.stats.Noops++
-	}
-	s.finishEventLocked(ev, start, record, kind)
-	return ev, nil
-}
-
-// applyHealLocked runs the repair lifecycle for one validated heal
-// batch — the inverse of applyFaultsLocked.  With record=false (journal
-// replay) nothing is written and the engine's counters stay untouched;
-// the decision path is deterministic, so replay reproduces the live
-// rings exactly.
-func (s *Session) applyHealLocked(remove topology.FaultSet, record bool) (*Event, error) {
-	start := time.Now()
-	remove = remove.Canonical()
-	reduced := s.faults.Minus(remove)
-	healed := s.faults.Minus(reduced) // the part of remove actually faulty
-	ev := &Event{
-		Kind:        "heal",
-		RemoveNodes: append([]int(nil), remove.Nodes...),
-		RemoveEdges: encodeEdges(remove.Edges),
-		FaultCount:  len(reduced.Nodes) + len(reduced.Edges),
-	}
-
-	var ring []int
-	var embedErr error
-	switch {
-	case healed.IsEmpty():
-		ev.Repair = "noop"
-	default:
-		if s.withinToleranceLocked(reduced) {
-			r, outcome := s.patcher.Unpatch(healed)
-			ev.Tiers = tierTraces(s.patcher)
-			if outcome == repair.Noop {
-				ev.Repair = "noop"
-			} else if (outcome == repair.Readmitted || outcome == repair.Spliced) &&
-				topology.VerifyRing(s.net, r, reduced) &&
-				len(r) >= s.lowerBoundFor(reduced) {
-				ev.Repair = "local"
-				if outcome == repair.Spliced {
-					ev.Repair = "splice"
-				}
-				ring = r
-			}
-		}
-		if ev.Repair == "" {
-			embedStart := time.Now()
-			r, info, err := s.patcher.Embed(reduced)
-			step := TierTrace{Tier: "reembed", Outcome: "ok", ElapsedNs: time.Since(embedStart).Nanoseconds()}
-			if err != nil {
-				embedErr = err
-				step.Outcome = "error"
-			} else {
-				ev.Repair = "reembed"
-				ring = r
-				s.rounds = info.Rounds
-			}
-			ev.Tiers = append(ev.Tiers, step)
-		}
-	}
-
-	if embedErr != nil {
-		// Neither un-patch nor re-embed absorbed the heal: keep the old
-		// state, journal the rejection (replay must take the same path).
-		ev.Repair = "rejected"
-		ev.Error = embedErr.Error()
-		ev.RingLength = len(s.ring)
-		ev.RingHash = ringHash(s.ring)
-		s.finishEventLocked(ev, start, record, engine.RepairRejected)
-		s.stats.Rejected++
-		return ev, embedErr
-	}
-
-	if ring != nil {
-		ev.Removed, ev.Added, ev.DeltaTruncated = ringDelta(s.ring, ring)
-		s.ring = ring
-	}
-	s.faults = reduced
-	ev.RingLength = len(s.ring)
-	ev.LowerBound = s.lowerBoundFor(reduced)
-	ev.RingHash = ringHash(s.ring)
-
-	var kind engine.RepairKind
-	switch ev.Repair {
-	case "local":
-		kind = engine.RepairHealLocal
-		s.stats.LocalHeals++
-	case "splice":
-		kind = engine.RepairSpliceHeal
-		s.stats.SpliceHeals++
-	case "reembed":
-		kind = engine.RepairHealReembed
-		s.stats.HealReembeds++
-	default:
-		kind = engine.RepairNoop
-		s.stats.Noops++
-	}
-	s.finishEventLocked(ev, start, record, kind)
+	s.finishEventLocked(ev, start, record, o)
 	return ev, nil
 }
 
@@ -497,38 +390,37 @@ func (s *Session) lowerBoundFor(f topology.FaultSet) int {
 	return b
 }
 
-// finishEventLocked stamps, sequences, publishes and (when record is
-// set) journals one event, retains its repair trace and feeds the
-// engine's session counters and per-tier latency histograms.
-func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, kind engine.RepairKind) {
+// finishEventLocked stamps, sequences, counts and publishes one event
+// and, when record is set, retains its repair trace, journals it and
+// feeds the manager's per-outcome metrics.
+func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, o outcome) {
 	s.seq++
 	ev.Seq = s.seq
 	ev.Time = time.Now().UTC()
 	ev.ElapsedNs = time.Since(start).Nanoseconds()
 	s.stats.Events++
+	*s.stats.count(o)++
 	s.sinceSnap++
 	s.publishLocked(*ev)
 	if record {
 		s.recordTraceLocked(ev)
 		s.appendJournal(*ev)
-		if s.mgr != nil && s.mgr.eng != nil {
-			s.mgr.eng.RecordRepair(kind, time.Duration(ev.ElapsedNs))
-		}
+		s.mgr.metrics.record(o, ev.ElapsedNs)
 	}
 }
 
 // appendJournal writes one event through the store's journal writer.
 // Append errors do not fail the event — the in-memory state machine is
 // authoritative for a live session and degrading to memory-only beats
-// rejecting traffic — but the lost durability is counted in the
-// engine's session_journal_errors_total so a degrading session is
-// visible on /metrics before a restart loses its tail.
+// rejecting traffic — but the lost durability is counted in
+// session_journal_errors_total so a degrading session is visible on
+// /metrics before a restart loses its tail.
 func (s *Session) appendJournal(ev Event) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.Append(ev); err != nil && s.mgr != nil && s.mgr.eng != nil {
-		s.mgr.eng.RecordJournalError()
+	if err := s.journal.Append(ev); err != nil {
+		s.mgr.metrics.journalErrs.Inc()
 	}
 }
 

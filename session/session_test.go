@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"debruijnring/engine"
+	"debruijnring/obs"
 	"debruijnring/topology"
 )
 
@@ -22,8 +22,8 @@ import (
 func TestChaosTraceDeBruijn(t *testing.T) {
 	const d, n = 2, 10
 	dir := t.TempDir()
-	eng := engine.New(engine.Options{})
-	m := NewManager(eng, Options{Dir: dir})
+	reg := obs.NewRegistry()
+	m := NewManager(reg, Options{Dir: dir})
 	s, err := m.Create("chaos", "debruijn(2,10)", topology.FaultSet{})
 	if err != nil {
 		t.Fatal(err)
@@ -68,10 +68,10 @@ func TestChaosTraceDeBruijn(t *testing.T) {
 	}
 	t.Logf("chaos trace: %d local, %d re-embeds", local, reembeds)
 
-	// Engine-side session stats reflect the trace.
-	es := eng.Stats().Sessions
+	// The manager's repair totals reflect the trace.
+	es := TotalsFrom(reg.Snapshot())
 	if es.LocalRepairs+es.SpliceRepairs+es.Noops+es.Reembeds != int64(n) {
-		t.Errorf("engine session stats %+v do not cover %d events", es, n)
+		t.Errorf("repair totals %+v do not cover %d events", es, n)
 	}
 
 	wantRing := s.Ring()
@@ -79,7 +79,7 @@ func TestChaosTraceDeBruijn(t *testing.T) {
 
 	// Kill: no Close, no final snapshot — the journal alone carries the
 	// history.  A fresh manager must replay to the identical ring.
-	m2 := NewManager(engine.New(engine.Options{}), Options{Dir: dir})
+	m2 := NewManager(obs.NewRegistry(), Options{Dir: dir})
 	restored, errs := m2.Restore()
 	for _, e := range errs {
 		t.Errorf("restore: %v", e)
