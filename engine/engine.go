@@ -94,9 +94,7 @@ func New(opts Options) *Engine {
 	reg.SetHelp("engine_cache_hits_total", "embed cache hits (in-flight collapses included)")
 	reg.SetHelp("engine_cache_entries", "live embed cache entries")
 	reg.AddCollector(func(r *obs.Registry) {
-		e.mu.Lock()
-		cs := e.cacheStatsLocked()
-		e.mu.Unlock()
+		cs := e.CacheStats()
 		r.Counter("engine_cache_hits_total").Set(cs.Hits)
 		r.Counter("engine_cache_misses_total").Set(cs.Misses)
 		r.Counter("engine_cache_evicted_total").Set(cs.Evicted)
