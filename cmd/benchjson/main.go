@@ -9,9 +9,10 @@
 //	benchjson -pkg ./... -bench . -count 3
 //	benchjson -bench 'Table21|Table22' -compare BENCH_dense.json -tolerance 0.25
 //
-// The output records, per benchmark, iterations, ns/op, B/op, allocs/op
-// and MB/s when reported, plus the environment header (goos, goarch, cpu)
-// so two artifacts can be compared meaningfully.
+// The output records, per benchmark, iterations, ns/op, B/op, allocs/op,
+// MB/s when reported and the GOMAXPROCS suffix of the result line, plus
+// the environment header (goos, goarch, cpu) so two artifacts can be
+// compared meaningfully.
 //
 // With -compare, the fresh run is checked against a baseline artifact:
 // any benchmark present in both whose ns/op regressed by more than
@@ -47,6 +48,9 @@ type Benchmark struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	MBPerS      float64 `json:"mb_per_s,omitempty"`
+	// Procs is the GOMAXPROCS suffix of the result line (the host's
+	// core count unless overridden); 0 when the line carries none.
+	Procs int `json:"procs,omitempty"`
 }
 
 // Report is the full JSON artifact.
@@ -74,7 +78,7 @@ type Report struct {
 // and the -benchmem columns don't silently drop them from the artifact.
 var (
 	benchLine = regexp.MustCompile(
-		`^(Benchmark[^\s]+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op`)
+		`^(Benchmark[^\s]+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op`)
 	mbLine     = regexp.MustCompile(`\s([\d.]+) MB/s`)
 	bytesLine  = regexp.MustCompile(`\s(\d+) B/op`)
 	allocsLine = regexp.MustCompile(`\s(\d+) allocs/op`)
@@ -130,8 +134,9 @@ func main() {
 			continue
 		}
 		b := Benchmark{Name: strings.TrimPrefix(m[1], "Benchmark")}
-		b.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		b.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
+		b.Procs, _ = strconv.Atoi(m[2])
+		b.Iterations, _ = strconv.ParseInt(m[3], 10, 64)
+		b.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
 		if mm := mbLine.FindStringSubmatch(line); mm != nil {
 			b.MBPerS, _ = strconv.ParseFloat(mm[1], 64)
 		}

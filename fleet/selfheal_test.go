@@ -459,7 +459,7 @@ func TestReplicationCatchupReconnect(t *testing.T) {
 	// replica for good.
 	flaky.down.Store(true)
 	for i := 0; i < 2; i++ {
-		if _, err := c.AddFaults(ctx, "cr", session.FaultsRequest{NodeFaults: []string{st.Ring[3 + 2*i]}}); err != nil {
+		if _, err := c.AddFaults(ctx, "cr", session.FaultsRequest{NodeFaults: []string{st.Ring[3+2*i]}}); err != nil {
 			t.Fatalf("append during replica outage: %v", err)
 		}
 	}

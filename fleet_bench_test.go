@@ -5,11 +5,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"debruijnring/fleet"
 	"debruijnring/obs"
 	"debruijnring/session"
+	"debruijnring/topology"
 )
 
 // TestFleetShardProcess is the shard subprocess body for the fleet
@@ -241,4 +244,44 @@ func BenchmarkFleetRebalance(b *testing.B) {
 	}
 	drains := c.Metrics.Snapshot().Counters[obs.Key("session_client_retries_total", "kind", "drain")]
 	b.ReportMetric(float64(drains)/float64(b.N), "drainretries/op")
+}
+
+// BenchmarkSessionEventLarge prices one journaled session event on a
+// large ring, in process: a B(2,16) session on a DirStore journal
+// absorbing a seeded stream of single-node faults and heals with at
+// most four live faults.  One op is one event.  At this size the
+// local repair itself is a small share of the event; the rest is the
+// session's O(dⁿ) bookkeeping around it (ring copy, verification,
+// hash, delta, periodic snapshots), which this benchmark keeps priced.
+func BenchmarkSessionEventLarge(b *testing.B) {
+	m := session.NewManager(nil, session.Options{Dir: b.TempDir()})
+	s, err := m.Create("large", "debruijn(2,16)", topology.FaultSet{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := s.Network().Nodes()
+	rng := rand.New(rand.NewSource(1))
+	var live []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(live) == 4 || (len(live) > 0 && rng.Intn(2) == 0) {
+			j := rng.Intn(len(live))
+			if _, err := s.RemoveFaults(topology.NodeFaults(live[j])); err != nil {
+				b.Fatal(err)
+			}
+			live = append(live[:j], live[j+1:]...)
+			continue
+		}
+		x := rng.Intn(nodes)
+		for slices.Contains(live, x) {
+			x = rng.Intn(nodes)
+		}
+		// A rejected batch leaves the fault set unchanged.
+		if _, err := s.AddFaults(topology.NodeFaults(x)); err == nil {
+			live = append(live, x)
+		}
+	}
+	b.StopTimer() // the closing snapshot is not an event
+	m.Close()
 }

@@ -64,7 +64,7 @@ type Ints struct {
 func (m *Ints) Reset(n int) {
 	if len(m.stamp) < n {
 		m.stamp = make([]uint32, n) //ringlint:allow alloc grow-once resize; steady-state resets are stamp bumps
-		m.val = make([]int32, n) //ringlint:allow alloc grow-once resize; steady-state resets are stamp bumps
+		m.val = make([]int32, n)    //ringlint:allow alloc grow-once resize; steady-state resets are stamp bumps
 		m.epoch = 1
 		return
 	}

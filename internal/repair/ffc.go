@@ -52,7 +52,10 @@ type ffcPatcher struct {
 	faulty    map[int]bool // faulty necklace representatives
 	tree      map[int]ffc.TreeEdge
 	stars     map[int]*star // edge label w → star T_w
-	overrides map[int]int   // Step-3 successor overrides
+	// succ holds the Step-3 successor overrides densely, one slot per
+	// node: succ[x] ≥ 0 redirects x's ring successor, −1 means "follow
+	// the left rotation".  The ring walk reads it once per hop.
+	succ []int32
 
 	// Cumulative raw fault components, maintained so Unpatch can tell
 	// when a necklace is fully healed and star closures can avoid
@@ -124,9 +127,10 @@ func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.Embe
 	for c, e := range res.Tree {
 		p.tree[c] = e
 	}
-	p.overrides = make(map[int]int, len(res.Overrides))
+	p.resetSucc()
+	//ringlint:allow maporder one table slot per key: the fill is order-insensitive
 	for o, i := range res.Overrides {
-		p.overrides[o] = i
+		p.succ[o] = int32(i)
 	}
 	p.nodeFaults = make(map[int]bool, len(f.Nodes))
 	p.necklaceFaults = make(map[int]int, len(f.Nodes))
@@ -219,10 +223,21 @@ func (p *ffcPatcher) member(rep int) bool {
 // ringSuccessor is the Step-3 rule: the override if one exists, the left
 // rotation otherwise.
 func (p *ffcPatcher) ringSuccessor(x int) int {
-	if nx, ok := p.overrides[x]; ok {
-		return nx
+	if nx := p.succ[x]; nx >= 0 {
+		return int(nx)
 	}
 	return p.g.RotL(x)
+}
+
+// resetSucc clears every successor override, allocating the table on
+// first use.
+func (p *ffcPatcher) resetSucc() {
+	if p.succ == nil {
+		p.succ = make([]int32, p.g.Size)
+	}
+	for i := range p.succ {
+		p.succ[i] = -1
+	}
 }
 
 func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
@@ -532,14 +547,14 @@ func starMembers(s *star) []int {
 func (p *ffcPatcher) clearStar(s *star, w int) {
 	for _, m := range starMembers(s) {
 		if out := ffc.SuffixNode(p.g, m, w); out >= 0 {
-			delete(p.overrides, out)
+			p.succ[out] = -1
 		}
 	}
 }
 
 // closeStar re-derives the star's overrides from a fresh plan.  The
 // plan is resolved before any write, so a failed closure leaves the
-// override map untouched (reattach retries other labels after a
+// successor table untouched (reattach retries other labels after a
 // failure).
 func (p *ffcPatcher) closeStar(s *star, w int) bool {
 	pairs := p.planStar(starMembers(s), w)
@@ -547,7 +562,7 @@ func (p *ffcPatcher) closeStar(s *star, w int) bool {
 		return false
 	}
 	for _, pr := range pairs {
-		p.overrides[pr[0]] = pr[1]
+		p.succ[pr[0]] = int32(pr[1])
 	}
 	p.touched++
 	return true
@@ -681,8 +696,8 @@ func (p *ffcPatcher) absorbTraversed() (changed, ok bool) {
 // the only option when the necklace is the root's.
 func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 	w := p.g.Suffix(e.From)
-	if next, ok := p.overrides[e.From]; ok {
-		if next != e.To {
+	if next := p.succ[e.From]; next >= 0 {
+		if int(next) != e.To {
 			return false // defensive: caller checked the ring hop
 		}
 		s := p.stars[w]
@@ -692,7 +707,7 @@ func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 		if pairs := p.planStar(starMembers(s), w); pairs != nil {
 			p.clearStar(s, w)
 			for _, pr := range pairs {
-				p.overrides[pr[0]] = pr[1]
+				p.succ[pr[0]] = int32(pr[1])
 			}
 			return true
 		}
@@ -843,7 +858,7 @@ func (p *ffcPatcher) rehang(c, w, center int) bool {
 		delete(p.stars, old.W)
 	} else {
 		for _, pr := range planOld {
-			p.overrides[pr[0]] = pr[1]
+			p.succ[pr[0]] = int32(pr[1])
 		}
 	}
 	if sNew == nil {
@@ -855,7 +870,7 @@ func (p *ffcPatcher) rehang(c, w, center int) bool {
 	sNew.children = insertSorted(sNew.children, c)
 	p.tree[c] = ffc.TreeEdge{Parent: center, W: w}
 	for _, pr := range planNew {
-		p.overrides[pr[0]] = pr[1]
+		p.succ[pr[0]] = int32(pr[1])
 	}
 	return true
 }
@@ -909,10 +924,11 @@ func (p *ffcPatcher) Snapshot() ([]byte, error) {
 		st.Tree = append(st.Tree, [3]int{c, e.Parent, e.W})
 	}
 	sort.Slice(st.Tree, func(i, j int) bool { return st.Tree[i][0] < st.Tree[j][0] })
-	for o, i := range p.overrides {
-		st.Overrides = append(st.Overrides, [2]int{o, i})
+	for o, i := range p.succ {
+		if i >= 0 {
+			st.Overrides = append(st.Overrides, [2]int{o, int(i)})
+		}
 	}
-	sort.Slice(st.Overrides, func(i, j int) bool { return st.Overrides[i][0] < st.Overrides[j][0] })
 	return json.Marshal(st)
 }
 
@@ -951,12 +967,12 @@ func (p *ffcPatcher) Restore(state []byte, ring []int, f topology.FaultSet) erro
 		}
 		p.tree[e[0]] = ffc.TreeEdge{Parent: e[1], W: e[2]}
 	}
-	p.overrides = make(map[int]int, len(st.Overrides))
+	p.resetSucc()
 	for _, o := range st.Overrides {
 		if o[0] < 0 || o[0] >= p.g.Size || o[1] < 0 || o[1] >= p.g.Size {
 			return fmt.Errorf("repair: snapshot override %v out of range", o)
 		}
-		p.overrides[o[0]] = o[1]
+		p.succ[o[0]] = int32(o[1])
 	}
 	f = f.Canonical()
 	p.nodeFaults = make(map[int]bool, len(f.Nodes))

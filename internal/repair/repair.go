@@ -54,7 +54,7 @@ import (
 // touched (stars re-closed for the FFC tier, arcs/insertions spliced
 // for the splice tier) and how long it took.
 type TierStep struct {
-	Tier    string        // "ffc" or "splice"
+	Tier    string // "ffc" or "splice"
 	Outcome Outcome
 	Touched int
 	Elapsed time.Duration

@@ -68,16 +68,16 @@ type FaultsRequest struct {
 // StateJSON is the HTTP rendering of a session's state.  Ring nodes are
 // labels (like every other endpoint); events carry raw node ids.
 type StateJSON struct {
-	Name       string   `json:"name"`
-	Topology   string   `json:"topology"`
-	Seq        uint64   `json:"seq"`
-	Ring       []string `json:"ring,omitempty"`
-	RingLength int      `json:"ring_length"`
-	LowerBound int      `json:"lower_bound"`
-	RingHash   string   `json:"ring_hash"`
-	NodeFaults []string `json:"node_faults,omitempty"`
+	Name       string     `json:"name"`
+	Topology   string     `json:"topology"`
+	Seq        uint64     `json:"seq"`
+	Ring       []string   `json:"ring,omitempty"`
+	RingLength int        `json:"ring_length"`
+	LowerBound int        `json:"lower_bound"`
+	RingHash   string     `json:"ring_hash"`
+	NodeFaults []string   `json:"node_faults,omitempty"`
 	EdgeFaults []EdgeJSON `json:"edge_faults,omitempty"`
-	Stats      Stats    `json:"stats"`
+	Stats      Stats      `json:"stats"`
 }
 
 // FaultsResponse pairs the absorbed event with the resulting summary.

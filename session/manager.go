@@ -123,7 +123,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		return nil, err
 	}
 	s.faults = faults
-	s.ring = append([]int(nil), ring...)
+	s.setRing(append([]int(nil), ring...))
 	s.rounds = info.Rounds
 
 	if m.store != nil {
@@ -147,7 +147,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		RingLength: len(s.ring),
 		LowerBound: s.lowerBoundFor(faults),
 		FaultCount: len(faults.Nodes) + len(faults.Edges),
-		RingHash:   ringHash(s.ring),
+		RingHash:   s.hash,
 	}
 	s.mu.Lock()
 	s.seq++
@@ -383,14 +383,17 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 				break
 			}
 		}
+		// The snapshot ring is adopted only if it is the ring the journal
+		// hashed and a valid ring around the snapshot's faults: with an
+		// empty patcher state nothing downstream would check it.
+		snapOK = snapOK && ringHash(ev.Ring) == ev.RingHash && topology.VerifyRing(net, ev.Ring, faults)
 		if !snapOK {
-			// Corrupt snapshot payload (out-of-range components): fall
-			// back to replay from creation rather than feed garbage to
-			// the patcher.
+			// Corrupt snapshot payload: fall back to replay from creation
+			// rather than feed garbage to the patcher.
 			snap = -1
 		} else if err := s.patcher.Restore(ev.Patcher, ev.Ring, faults); err == nil {
 			s.faults = faults
-			s.ring = append([]int(nil), ev.Ring...)
+			s.setRing(append([]int(nil), ev.Ring...))
 			s.seq = ev.Seq
 			if ev.Stats != nil {
 				s.stats = *ev.Stats
@@ -408,7 +411,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			return nil, fmt.Errorf("initial embed replay: %w", err)
 		}
 		s.faults = faults
-		s.ring = append([]int(nil), ring...)
+		s.setRing(append([]int(nil), ring...))
 		s.rounds = info.Rounds
 		start = 1
 	}
@@ -417,8 +420,8 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 	for _, ev := range events[start:] {
 		switch ev.Kind {
 		case "embed":
-			if got := ringHash(s.ring); ev.RingHash != "" && got != ev.RingHash {
-				return nil, fmt.Errorf("seq %d: replayed embed hash %s != journaled %s%s", ev.Seq, got, ev.RingHash, semHint)
+			if ev.RingHash != "" && s.hash != ev.RingHash {
+				return nil, fmt.Errorf("seq %d: replayed embed hash %s != journaled %s%s", ev.Seq, s.hash, ev.RingHash, semHint)
 			}
 			s.seq = ev.Seq
 			s.stats.Events++

@@ -19,8 +19,14 @@
 // ring hash — and periodic snapshots capture the full state, so a
 // Manager pointed at the same directory after a crash resumes every
 // session with an identical ring (replay is deterministic and verified
-// hash-by-hash).  Watchers stream the same events over long-poll or
-// SSE via the HTTP handler in this package.
+// hash-by-hash; a snapshot is adopted only when its ring matches its
+// hash and passes topology.VerifyRing, otherwise replay starts from
+// creation).  Watchers stream the same events over long-poll or SSE via
+// the HTTP handler in this package.
+//
+// Per event, the ring delta is a diff of two session-owned node bitsets
+// (no per-event maps), and the ring is hashed once, when it changes;
+// events, state reads and snapshots read the cached hash.
 package session
 
 import (
@@ -137,11 +143,15 @@ type Session struct {
 	net  topology.RingEmbedder
 	mgr  *Manager
 
-	mu        sync.Mutex
-	patcher   repair.Patcher
-	faults    topology.FaultSet
-	ring      []int
-	rounds    int // broadcast rounds of the last full embed
+	mu      sync.Mutex
+	patcher repair.Patcher
+	faults  topology.FaultSet
+	ring    []int
+	// hash is ringHash(ring), computed once per ring change by setRing
+	// and read by every event, state snapshot and journal snapshot.
+	hash      string
+	delta     ringDiff // bitsets reused by every event's ring diff
+	rounds    int      // broadcast rounds of the last full embed
 	seq       uint64
 	stats     Stats
 	journal   JournalWriter // nil when persistence is off
@@ -192,7 +202,7 @@ func (s *Session) StateSnapshot(includeRing bool) State {
 		Seq:        s.seq,
 		RingLength: len(s.ring),
 		LowerBound: s.lowerBoundLocked(),
-		RingHash:   ringHash(s.ring),
+		RingHash:   s.hash,
 		FaultNodes: append([]int(nil), s.faults.Nodes...),
 		FaultEdges: encodeEdges(s.faults.Edges),
 		Stats:      s.stats,
@@ -358,19 +368,19 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 		// rejection (replay must take the same path).
 		ev.Error = embedErr.Error()
 		ev.RingLength = len(s.ring)
-		ev.RingHash = ringHash(s.ring)
+		ev.RingHash = s.hash
 		s.finishEventLocked(ev, start, record, o)
 		return ev, embedErr
 	}
 
 	if ring != nil {
-		ev.Removed, ev.Added, ev.DeltaTruncated = ringDelta(s.ring, ring)
-		s.ring = ring
+		ev.Removed, ev.Added, ev.DeltaTruncated = s.delta.diff(s.net.Nodes(), s.ring, ring)
+		s.setRing(ring)
 	}
 	s.faults = next
 	ev.RingLength = len(s.ring)
 	ev.LowerBound = s.lowerBoundFor(next)
-	ev.RingHash = ringHash(s.ring)
+	ev.RingHash = s.hash
 	s.finishEventLocked(ev, start, record, o)
 	return ev, nil
 }
@@ -490,7 +500,7 @@ func (s *Session) writeSnapshotLocked() {
 		Seq:        s.seq,
 		Time:       time.Now().UTC(),
 		Kind:       "snapshot",
-		RingHash:   ringHash(s.ring),
+		RingHash:   s.hash,
 		RingLength: len(s.ring),
 		Ring:       s.ring,
 		FaultNodes: s.faults.Nodes,
@@ -519,6 +529,13 @@ func (s *Session) closeLocked(snapshot bool) {
 	s.notify = make(chan struct{})
 }
 
+// setRing installs ring as the session's ring and caches its hash.
+// Every assignment of s.ring goes through here so the cached hash never
+// goes stale.
+func (s *Session) setRing(ring []int) {
+	s.ring, s.hash = ring, ringHash(ring)
+}
+
 // ringHash is an FNV-64a digest of the ring's node sequence, rendered in
 // hex; journal replay verifies restored rings against it.
 func ringHash(ring []int) string {
@@ -531,28 +548,45 @@ func ringHash(ring []int) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// ringDelta diffs two rings as node sets, truncating large deltas.
-func ringDelta(old, cur []int) (removed, added []int, truncated bool) {
-	inOld := make(map[int]bool, len(old))
-	for _, v := range old {
-		inOld[v] = true
+// ringDiff holds the two node-membership bitsets a session reuses to
+// diff its old and new rings: one bit per node, so dⁿ/64 words each.
+type ringDiff struct {
+	inOld, inCur []uint64
+}
+
+// diff lists the nodes of old missing from cur (removed, in old's ring
+// order) and the nodes of cur missing from old (added, in cur's ring
+// order), over node ids below nodes.  Deltas of more than deltaLimit
+// nodes are reported as truncated, with no lists.
+func (d *ringDiff) diff(nodes int, old, cur []int) (removed, added []int, truncated bool) {
+	words := (nodes + 63) / 64
+	if len(d.inOld) < words {
+		d.inOld, d.inCur = make([]uint64, words), make([]uint64, words)
 	}
-	inNew := make(map[int]bool, len(cur))
+	inOld, inCur := d.inOld[:words], d.inCur[:words]
+	clear(inOld)
+	clear(inCur)
+	for _, v := range old {
+		inOld[v>>6] |= 1 << (v & 63)
+	}
 	for _, v := range cur {
-		inNew[v] = true
+		inCur[v>>6] |= 1 << (v & 63)
 	}
 	for _, v := range old {
-		if !inNew[v] {
+		if inCur[v>>6]&(1<<(v&63)) == 0 {
+			if len(removed) == deltaLimit {
+				return nil, nil, true
+			}
 			removed = append(removed, v)
 		}
 	}
 	for _, v := range cur {
-		if !inOld[v] {
+		if inOld[v>>6]&(1<<(v&63)) == 0 {
+			if len(removed)+len(added) == deltaLimit {
+				return nil, nil, true
+			}
 			added = append(added, v)
 		}
-	}
-	if len(removed)+len(added) > deltaLimit {
-		return nil, nil, true
 	}
 	return removed, added, false
 }
