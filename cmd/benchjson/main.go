@@ -17,7 +17,8 @@
 // With -compare, the fresh run is checked against a baseline artifact:
 // any benchmark present in both whose ns/op regressed by more than
 // -tolerance (a fraction; 0.25 = +25%) fails the run with exit status 1
-// — the regression gate of the CI bench job.  Allocation counts are
+// — the regression gate of the CI bench job — and so does any benchmark
+// the run measured that has no baseline entry.  Allocation counts are
 // machine-independent and gated strictly at the same tolerance; bytes
 // per op are gated at the separate, looser -bytes-tolerance (short CI
 // runs amortize one-time pool growth over fewer iterations, so B/op
@@ -176,7 +177,7 @@ func main() {
 			os.Exit(1)
 		}
 		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) beyond %.0f%% vs %s:\n",
+			fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) beyond %.0f%% or missing baselines vs %s:\n",
 				len(regressions), *tolerance*100, *compare)
 			for _, r := range regressions {
 				fmt.Fprintln(os.Stderr, "  "+r)
@@ -190,8 +191,10 @@ func main() {
 // compareBaseline gates the fresh report against a baseline artifact:
 // benchmarks present in both must not regress in ns/op or allocs/op by
 // more than the tolerance fraction, nor in bytes/op by more than the
-// (looser) bytesTolerance fraction.  Benchmarks that exist on only one
-// side are ignored (the bench suite may grow or shrink between commits).
+// (looser) bytesTolerance fraction.  A benchmark the run measured but
+// the baseline lacks is a failure too, named in the result, so a gated
+// run can never pass a benchmark silently: record its baseline first.
+// Baseline entries the run did not measure are ignored.
 func compareBaseline(path string, report Report, tolerance, bytesTolerance float64) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -210,6 +213,7 @@ func compareBaseline(path string, report Report, tolerance, bytesTolerance float
 	for _, b := range report.Benchmarks {
 		ref, ok := baseline[b.Name]
 		if !ok {
+			regressions = append(regressions, fmt.Sprintf("%s: no baseline entry in %s", b.Name, path))
 			continue
 		}
 		matched++

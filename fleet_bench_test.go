@@ -251,11 +251,26 @@ func BenchmarkFleetRebalance(b *testing.B) {
 // absorbing a seeded stream of single-node faults and heals with at
 // most four live faults.  One op is one event.  At this size the
 // local repair itself is a small share of the event; the rest is the
-// session's O(dⁿ) bookkeeping around it (ring copy, verification,
-// hash, delta, periodic snapshots), which this benchmark keeps priced.
+// session's bookkeeping around it (delta application, hash, periodic
+// audited snapshots), which this benchmark keeps priced.
 func BenchmarkSessionEventLarge(b *testing.B) {
+	benchSessionEvents(b, 16)
+}
+
+// BenchmarkSessionEventScaling runs the BenchmarkSessionEventLarge
+// stream on B(2,n) for n = 10, 14 and 16: the per-event cost's growth
+// with dⁿ is the O(dⁿ) work left in an event (PERF.md).
+func BenchmarkSessionEventScaling(b *testing.B) {
+	for _, n := range []int{10, 14, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchSessionEvents(b, n) })
+	}
+}
+
+// benchSessionEvents times b.N events of the seeded fault/heal stream
+// on a journaled B(2,n) session.
+func benchSessionEvents(b *testing.B, n int) {
 	m := session.NewManager(nil, session.Options{Dir: b.TempDir()})
-	s, err := m.Create("large", "debruijn(2,16)", topology.FaultSet{})
+	s, err := m.Create("large", fmt.Sprintf("debruijn(2,%d)", n), topology.FaultSet{})
 	if err != nil {
 		b.Fatal(err)
 	}

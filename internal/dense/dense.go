@@ -102,3 +102,91 @@ func (m *Ints) Has(i int) bool { return m.stamp[i] == m.epoch }
 //
 //ringlint:noalloc
 func (m *Ints) At(i int) int32 { return m.val[i] }
+
+// Sparse is a small open-addressing map from non-negative int keys to
+// int32 values, for working sets of a few entries over a large key
+// range: its memory and its Reset cost follow the most entries it has
+// held, not the key range, where Ints would cost O(range) per owner.
+// The zero value is an empty map.
+type Sparse struct {
+	slots []sparseSlot // power-of-two table, linear probing
+	n     int
+}
+
+// sparseSlot stores key+1, so the zero slot is empty.
+type sparseSlot struct {
+	key1 int
+	val  int32
+}
+
+// Reset empties the map, keeping its table.
+//
+//ringlint:noalloc
+func (m *Sparse) Reset() {
+	if m.n > 0 {
+		clear(m.slots)
+		m.n = 0
+	}
+}
+
+// find returns the slot holding k, or the empty slot where k belongs.
+//
+//ringlint:noalloc
+func (m *Sparse) find(k int) *sparseSlot {
+	mask := len(m.slots) - 1
+	for i := (k * 0x9E3779B1) & mask; ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.key1 == 0 || s.key1 == k+1 {
+			return s
+		}
+	}
+}
+
+// Get returns the value at k and whether it is present.
+//
+//ringlint:noalloc
+func (m *Sparse) Get(k int) (int32, bool) {
+	if m.n == 0 {
+		return 0, false
+	}
+	s := m.find(k)
+	return s.val, s.key1 != 0
+}
+
+// Has reports whether k is present.
+//
+//ringlint:noalloc
+func (m *Sparse) Has(k int) bool {
+	_, ok := m.Get(k)
+	return ok
+}
+
+// Set stores v at k, reporting whether k was newly added.  The table
+// doubles when it would pass half full.
+//
+//ringlint:noalloc
+func (m *Sparse) Set(k int, v int32) bool {
+	if 2*(m.n+1) > len(m.slots) {
+		m.grow()
+	}
+	s := m.find(k)
+	added := s.key1 == 0
+	if added {
+		s.key1 = k + 1
+		m.n++
+	}
+	s.val = v
+	return added
+}
+
+// grow doubles the table (at least 16 slots) and reinserts every entry.
+//
+//ringlint:noalloc
+func (m *Sparse) grow() {
+	old := m.slots
+	m.slots = make([]sparseSlot, max(16, 2*len(old))) //ringlint:allow alloc grow-once doubling; steady-state resets keep the table
+	for _, s := range old {
+		if s.key1 != 0 {
+			*m.find(s.key1 - 1) = s
+		}
+	}
+}

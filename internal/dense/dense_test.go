@@ -1,6 +1,9 @@
 package dense
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestSetEpochReset(t *testing.T) {
 	var s Set
@@ -68,6 +71,38 @@ func BenchmarkSetResetAdd(b *testing.B) {
 		s.Reset(1024)
 		for j := 0; j < 64; j++ {
 			s.Add(j * 16)
+		}
+	}
+}
+
+// TestSparseMatchesMap drives Sparse and a Go map through the same
+// seeded inserts, overwrites, lookups and resets, across table growth
+// and with keys spread over a large range.
+func TestSparseMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var s Sparse
+	for round := 0; round < 20; round++ {
+		ref := map[int]int32{}
+		s.Reset()
+		for i := 0; i < 1+rng.Intn(300); i++ {
+			k := rng.Intn(1 << (4 + rng.Intn(24)))
+			v := int32(rng.Intn(1000) - 500)
+			_, had := ref[k]
+			if added := s.Set(k, v); added == had {
+				t.Fatalf("round %d: Set(%d) added=%v, key present before: %v", round, k, added, had)
+			}
+			ref[k] = v
+		}
+		for k, v := range ref {
+			if got, ok := s.Get(k); !ok || got != v {
+				t.Fatalf("round %d: Get(%d) = %d, %v; want %d", round, k, got, ok, v)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			k := rng.Intn(1 << 28)
+			if _, want := ref[k]; s.Has(k) != want {
+				t.Fatalf("round %d: Has(%d) = %v", round, k, !want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package repair
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"debruijnring/topology"
@@ -23,29 +24,28 @@ import (
 // reported as Spliced so sessions can journal (and stats can count)
 // which tier resolved each event.
 //
-// The chain mirrors the live ring and cumulative fault set itself; the
-// splice tier is synchronized lazily from that mirror the first time
-// the FFC tier declines.  Once the splice tier has modified the ring,
-// the FFC tier's structures no longer describe it, so the chain routes
-// every later Patch/Unpatch straight to the splice tier until the next
-// successful Embed — at which point the FFC tier re-adopts the ring and
-// the ladder resets.  All decisions are deterministic, so journal
-// replay retraces the exact tier sequence.
+// The splice tier is synchronized lazily, from the caller's ring and
+// fault set, the first time the FFC tier declines.  Once the splice
+// tier has modified the ring, the FFC tier's structures no longer
+// describe it, so the chain routes every later call straight to the
+// splice tier until the next successful Embed — at which point the FFC
+// tier re-adopts the ring and the ladder resets.  All decisions are
+// deterministic, so journal replay retraces the exact tier sequence.
 type chainPatcher struct {
 	ffc    *ffcPatcher
 	splice *genericPatcher
 
-	// Mirror of the session's live ring and cumulative canonical fault
-	// set.  De Bruijn embeddings are always dilation 1, so the mirror is
-	// sufficient to (re)build the splice tier's whole state.
-	ring   []int
-	faults topology.FaultSet
+	// standalone marks a chain built by For, whose callers use the
+	// plain Patch/Unpatch contract and hold no ring: for them the chain
+	// keeps the last ring it returned and the cumulative canonical fault
+	// set in ring/faults.  Chains built by ForRing leave both empty.
+	standalone bool
+	ring       []int32
+	faults     topology.FaultSet
 
 	// spliceOwns marks that the splice tier last modified the ring (the
-	// FFC tier is stale until the next successful Embed).  spliceSynced
-	// marks that the splice tier's internal state matches the mirror.
-	spliceOwns   bool
-	spliceSynced bool
+	// FFC tier is stale until the next successful Embed).
+	spliceOwns bool
 
 	// trace holds the tier ladder of the most recent Patch/Unpatch for
 	// LastTrace (session repair traces).
@@ -73,11 +73,21 @@ func (c *chainPatcher) Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo, e
 		// survives a rejected embed.
 		return nil, nil, err
 	}
-	c.ring = append(c.ring[:0], ring...)
-	c.faults = f.Canonical()
+	c.keep(ring, f.Canonical())
 	c.spliceOwns = false
-	c.spliceSynced = false
 	return ring, info, nil
+}
+
+// keep records the ring and fault set a standalone chain's next call
+// starts from.
+func (c *chainPatcher) keep(ring []int, f topology.FaultSet) {
+	if c.standalone {
+		c.ring = c.ring[:0]
+		for _, v := range ring {
+			c.ring = append(c.ring, int32(v))
+		}
+		c.faults = f
+	}
 }
 
 // validBatch mirrors the session's input validation: a batch with
@@ -98,93 +108,121 @@ func (c *chainPatcher) validBatch(f topology.FaultSet) bool {
 	return true
 }
 
-// syncSplice (re)builds the splice tier's state from the chain's
-// mirror.  Restore(nil, …) re-checks node distinctness, so a corrupted
-// mirror can never be spliced.
-func (c *chainPatcher) syncSplice() bool {
-	if c.spliceSynced {
-		return c.splice.valid
+// syncSplice points the splice tier at the caller's ring and fault set,
+// rebuilding its state unless it already holds exactly that pair (as it
+// does right after an accepted splice).  Comparing instead of trusting a
+// flag means a splice result the caller rejected never leaks into a
+// later event.  Restore(nil, …) re-checks node distinctness, so a
+// corrupted ring can never be spliced.
+func (c *chainPatcher) syncSplice(cur []int32, faults topology.FaultSet) bool {
+	sp := c.splice
+	same := sp.valid && len(sp.ring) == len(cur) &&
+		slices.Equal(sp.faults.Nodes, faults.Nodes) && slices.Equal(sp.faults.Edges, faults.Edges)
+	for i := 0; same && i < len(cur); i++ {
+		same = sp.ring[i] == int(cur[i])
 	}
-	if err := c.splice.Restore(nil, c.ring, c.faults); err != nil {
-		return false
+	if !same {
+		ring := make([]int, len(cur))
+		for i, v := range cur {
+			ring[i] = int(v)
+		}
+		if err := sp.Restore(nil, ring, faults); err != nil {
+			return false
+		}
 	}
-	c.spliceSynced = true
-	return c.splice.valid
+	return sp.valid
 }
 
 func (c *chainPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
-	c.trace = c.trace[:0]
-	add = add.Canonical()
-	if !c.validBatch(add) {
-		return nil, Unsupported
-	}
-	if !c.spliceOwns {
-		start := time.Now() //ringlint:allow time trace-only timing
-		r, o := c.ffc.Patch(add)
-		c.traceStep("ffc", o, c.ffc.touched, start)
-		if o != Unsupported {
-			if r != nil {
-				c.ring = append(c.ring[:0], r...)
-			}
-			c.faults = c.faults.Union(add)
-			c.spliceSynced = false
-			return r, o
-		}
-		// The FFC tier declined; its bookkeeping may not include this
-		// batch, but it is now invalid (or permanently non-spanning) and
-		// declines everything until the next Embed, so the mirror is the
-		// single source of truth for the splice tier below.
-	}
-	start := time.Now() //ringlint:allow time trace-only timing
-	if !c.syncSplice() {
-		c.traceStep("splice", Unsupported, 0, start)
-		return nil, Unsupported
-	}
-	r, o := c.splice.Patch(add)
-	c.traceStep("splice", o, c.splice.touched, start)
-	switch o {
-	case Patched:
-		c.ring = append(c.ring[:0], r...)
-		c.faults = c.faults.Union(add)
-		c.spliceOwns = true
-		return r, Spliced
-	case Noop:
-		c.faults = c.faults.Union(add)
-		return nil, Noop
-	}
-	// The splice tier mutated nothing on Unsupported beyond its own
-	// validity; force a resync from the mirror before its next use.
-	c.spliceSynced = false
-	return nil, Unsupported
+	return c.standaloneStep(add, false)
 }
 
 func (c *chainPatcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
+	return c.standaloneStep(remove, true)
+}
+
+// standaloneStep serves the plain Patch/Unpatch contract from the
+// chain's own ring copy, materializing the FFC tier's result by walking
+// the successor rule.
+func (c *chainPatcher) standaloneStep(batch topology.FaultSet, heal bool) ([]int, Outcome) {
+	ch, o := c.run(c.ring, c.faults, batch, heal, true)
+	if o == Unsupported {
+		return nil, o
+	}
+	if heal {
+		c.faults = c.faults.Minus(batch)
+	} else {
+		c.faults = c.faults.Union(batch)
+	}
+	if ch.Ring != nil {
+		c.keep(ch.Ring, c.faults)
+	}
+	return ch.Ring, o
+}
+
+// PatchRing implements RingPatcher: the FFC tier answers with a Delta.
+func (c *chainPatcher) PatchRing(cur []int32, faults, add topology.FaultSet) (Change, Outcome) {
+	return c.run(cur, faults, add, false, false)
+}
+
+// UnpatchRing implements RingPatcher, like PatchRing.
+func (c *chainPatcher) UnpatchRing(cur []int32, faults, remove topology.FaultSet) (Change, Outcome) {
+	return c.run(cur, faults, remove, true, false)
+}
+
+// run descends the ladder for one fault (heal=false) or heal batch on
+// top of the ring cur and the cumulative faults.  walk selects how an
+// FFC result is reported: the walked ring, or a Delta against cur.
+func (c *chainPatcher) run(cur []int32, faults, batch topology.FaultSet, heal, walk bool) (Change, Outcome) {
 	c.trace = c.trace[:0]
-	remove = remove.Canonical()
-	if !c.validBatch(remove) {
-		return nil, Unsupported
+	batch = batch.Canonical()
+	if !c.validBatch(batch) {
+		return Change{}, Unsupported
 	}
 	if !c.spliceOwns {
 		start := time.Now() //ringlint:allow time trace-only timing
-		r, o := c.ffc.Unpatch(remove)
+		var o Outcome
+		if heal {
+			o = c.ffc.unpatch(batch)
+		} else {
+			o = c.ffc.patch(batch)
+		}
+		var ch Change
+		switch {
+		case o == Noop || o == Unsupported:
+		case walk:
+			ch.Ring, o = c.ffc.materialize(o)
+		default:
+			ch.Delta = c.ffc.delta()
+		}
 		c.traceStep("ffc", o, c.ffc.touched, start)
 		if o != Unsupported {
-			if r != nil {
-				c.ring = append(c.ring[:0], r...)
-			}
-			c.faults = c.faults.Minus(remove)
-			c.spliceSynced = false
-			return r, o
+			return ch, o
 		}
+		// The FFC tier declined; its bookkeeping may not include this
+		// batch, but it is now invalid (or permanently non-spanning) and
+		// declines everything until the next Embed, so (cur, faults) is
+		// the single source of truth for the splice tier below.
 	}
 	start := time.Now() //ringlint:allow time trace-only timing
-	if !c.syncSplice() {
+	if !c.syncSplice(cur, faults) {
 		c.traceStep("splice", Unsupported, 0, start)
-		return nil, Unsupported
+		return Change{}, Unsupported
 	}
-	reduced := c.faults.Minus(remove)
-	healed := c.faults.Minus(reduced)
-	r, o := c.splice.Unpatch(remove)
+	if !heal {
+		r, o := c.splice.Patch(batch)
+		c.traceStep("splice", o, c.splice.touched, start)
+		switch o {
+		case Patched:
+			c.spliceOwns = true
+			return Change{Ring: r}, Spliced
+		case Noop:
+			return Change{}, Noop
+		}
+		return Change{}, Unsupported
+	}
+	healed := faults.Minus(faults.Minus(batch)) // the part of batch actually present
+	r, o := c.splice.Unpatch(batch)
 	c.traceStep("splice", o, c.splice.touched, start)
 	switch o {
 	case Readmitted:
@@ -196,26 +234,20 @@ func (c *chainPatcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
 		// costs no allocation (validBatch already range-checked v).
 		for _, v := range healed.Nodes {
 			if !c.splice.onRingHas(v) {
-				c.spliceSynced = false // the splice tier mutated; resync before reuse
-				return nil, Unsupported
+				return Change{}, Unsupported
 			}
 		}
-		c.ring = append(c.ring[:0], r...)
-		c.faults = reduced
 		c.spliceOwns = true
-		return r, Spliced
+		return Change{Ring: r}, Spliced
 	case Noop:
 		if len(healed.Nodes) > 0 {
 			// Healed processors found no insertion slot: decline so the
 			// session re-embeds and the ring grows back.
-			c.spliceSynced = false
-			return nil, Unsupported
+			return Change{}, Unsupported
 		}
-		c.faults = reduced
-		return nil, Noop
+		return Change{}, Noop
 	}
-	c.spliceSynced = false
-	return nil, Unsupported
+	return Change{}, Unsupported
 }
 
 // chainState wraps the owning tier's snapshot so Restore rebuilds the
@@ -243,10 +275,8 @@ func (c *chainPatcher) Snapshot() ([]byte, error) {
 
 func (c *chainPatcher) Restore(state []byte, ring []int, f topology.FaultSet) error {
 	f = f.Canonical()
-	c.ring = append(c.ring[:0], ring...)
-	c.faults = f
+	c.keep(ring, f)
 	c.spliceOwns = false
-	c.spliceSynced = false
 	if len(state) == 0 {
 		// Both tiers stale: the FFC tier declines until the next Embed
 		// and the splice tier resyncs lazily from (ring, faults) — the
@@ -267,7 +297,6 @@ func (c *chainPatcher) Restore(state []byte, ring []int, f topology.FaultSet) er
 			return fmt.Errorf("repair: splice snapshot restored to an unsplicable ring")
 		}
 		c.spliceOwns = true
-		c.spliceSynced = true
 		return nil
 	case "ffc":
 		return c.ffc.Restore(st.State, ring, f)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"debruijnring/internal/debruijn"
+	"debruijnring/internal/dense"
 	"debruijnring/internal/ffc"
 	"debruijnring/topology"
 )
@@ -70,6 +71,17 @@ type ffcPatcher struct {
 	// Patch/Unpatch call — the "O(touched stars)" of the structural
 	// tier, surfaced in session repair traces.
 	touched int
+
+	// The edit log of the current Patch/Unpatch call, from which delta
+	// builds the call's Delta.  Every override write goes through
+	// setSucc, which records the node once (edited marks, edits lists);
+	// leave and join collect the members of the necklaces the call
+	// drops from or re-admits to the ring.  All pooled across calls.
+	edited dense.Sparse
+	edits  []int32
+	leave  []int
+	join   []int
+	out    Delta
 }
 
 // star is one same-label edge class T_w: every tree edge labeled w hangs
@@ -240,10 +252,98 @@ func (p *ffcPatcher) resetSucc() {
 	}
 }
 
+// resetLog empties the edit log; Patch and Unpatch start with it.
+//
+//ringlint:noalloc
+func (p *ffcPatcher) resetLog() {
+	p.edited.Reset()
+	p.edits, p.leave, p.join = p.edits[:0], p.leave[:0], p.join[:0]
+}
+
+// setSucc writes x's successor override (−1 = follow the rotation) and
+// logs x as edited.  Every surgery write goes through it; only the
+// table's initialization (resetSucc and the Embed/Restore fills) does
+// not.
+//
+//ringlint:noalloc
+func (p *ffcPatcher) setSucc(x int, v int32) {
+	p.succ[x] = v
+	if p.edited.Set(x, 0) {
+		p.edits = append(p.edits, int32(x)) //ringlint:allow alloc pooled edit log; growth amortizes to zero
+	}
+}
+
+// logNecklace appends the members of necklace rep to list, for the
+// leave and join logs.
+//
+//ringlint:noalloc
+func (p *ffcPatcher) logNecklace(list []int, rep int) []int {
+	for y := rep; ; {
+		list = append(list, y) //ringlint:allow alloc pooled edit log; growth amortizes to zero
+		if y = p.g.RotL(y); y == rep {
+			return list
+		}
+	}
+}
+
+// delta expresses the current call's surgery as a Delta against the
+// ring before the call: every logged node still on the ring, and every
+// joining node, with its new successor.  Logged nodes off the ring are
+// leaving (or belong to necklaces that were never on it) and need no
+// successor.  The result is pooled: valid until the next call.
+//
+//ringlint:noalloc
+func (p *ffcPatcher) delta() *Delta {
+	d := &p.out
+	for _, x := range p.join {
+		if p.edited.Set(x, 0) {
+			p.edits = append(p.edits, int32(x)) //ringlint:allow alloc pooled edit log; growth amortizes to zero
+		}
+	}
+	d.Start, d.Length = p.root, p.nodes
+	d.Nodes, d.Succ = d.Nodes[:0], d.Succ[:0]
+	for _, x32 := range p.edits {
+		x := int(x32)
+		if !p.member(p.em.Rep(x)) {
+			continue
+		}
+		d.Nodes = append(d.Nodes, x)                //ringlint:allow alloc pooled delta; growth amortizes to zero
+		d.Succ = append(d.Succ, p.ringSuccessor(x)) //ringlint:allow alloc pooled delta; growth amortizes to zero
+	}
+	d.Leave, d.Join = p.leave, p.join
+	return d
+}
+
 func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
-	p.touched = 0
-	if !p.valid || !p.spanning() {
+	return p.materialize(p.patch(add))
+}
+
+func (p *ffcPatcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
+	return p.materialize(p.unpatch(remove))
+}
+
+// materialize reads the ring off the successor rule after a
+// ring-changing outcome: the plain Patch/Unpatch result, and the
+// reference the chain's Delta path is tested against.
+func (p *ffcPatcher) materialize(o Outcome) ([]int, Outcome) {
+	if o == Noop || o == Unsupported {
+		return nil, o
+	}
+	ring, ok := p.walk()
+	if !ok {
+		p.valid = false
 		return nil, Unsupported
+	}
+	return ring, o
+}
+
+// patch runs the surgery for one fault batch, leaving the ring in the
+// successor table and the edit log (see delta).
+func (p *ffcPatcher) patch(add topology.FaultSet) Outcome {
+	p.touched = 0
+	p.resetLog()
+	if !p.valid || !p.spanning() {
+		return Unsupported
 	}
 	// Out-of-range coordinates reject the whole batch BEFORE any state
 	// is mutated, and without invalidating: a healthy patcher fed one
@@ -252,12 +352,12 @@ func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
 	add = add.Canonical()
 	for _, x := range add.Nodes {
 		if x < 0 || x >= p.g.Size {
-			return nil, Unsupported
+			return Unsupported
 		}
 	}
 	for _, e := range add.Edges {
 		if e.From < 0 || e.From >= p.g.Size || e.To < 0 || e.To >= p.g.Size {
-			return nil, Unsupported
+			return Unsupported
 		}
 	}
 
@@ -278,14 +378,14 @@ func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
 			// Losing the distinguished node's necklace needs a new root
 			// and broadcast; fall back to the full algorithm.
 			p.valid = false
-			return nil, Unsupported
+			return Unsupported
 		}
 		if _, ok := p.tree[rep]; !ok {
 			continue // outside the embedded component: ring untouched
 		}
 		if !p.removeNecklace(rep) {
 			p.valid = false
-			return nil, Unsupported
+			return Unsupported
 		}
 		removed = true
 	}
@@ -300,21 +400,16 @@ func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
 	reordered, ok := p.absorbTraversed()
 	if !ok {
 		p.valid = false
-		return nil, Unsupported
+		return Unsupported
 	}
 
-	if !removed && !reordered {
-		return nil, Noop
+	switch {
+	case removed:
+		return Patched
+	case reordered:
+		return Reordered
 	}
-	ring, ok := p.walk()
-	if !ok {
-		p.valid = false
-		return nil, Unsupported
-	}
-	if removed {
-		return ring, Patched
-	}
-	return ring, Reordered
+	return Noop
 }
 
 // spanning reports whether the tree covers every surviving necklace.
@@ -325,16 +420,18 @@ func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
 // session re-embeds instead.
 func (p *ffcPatcher) spanning() bool { return p.nodes == p.survivors }
 
-// Unpatch re-admits healed components: a repaired necklace is
+// unpatch re-admits healed components: a repaired necklace is
 // re-expanded into the tree (reversing removeNecklace via reattach and
 // the star closures), and healed link faults are dropped from the
 // avoidance set.  The inverse surgery costs O(touched stars · n) like
 // Patch, and grows the ring back toward dⁿ, so the dⁿ − nf bound holds
-// with the REDUCED fault count after every local heal.
-func (p *ffcPatcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
+// with the REDUCED fault count after every local heal.  Like patch, it
+// leaves the ring in the successor table and the edit log.
+func (p *ffcPatcher) unpatch(remove topology.FaultSet) Outcome {
 	p.touched = 0
+	p.resetLog()
 	if !p.valid || !p.spanning() {
-		return nil, Unsupported
+		return Unsupported
 	}
 	remove = remove.Canonical()
 	for _, e := range remove.Edges {
@@ -361,32 +458,28 @@ func (p *ffcPatcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
 			// faults force a re-embed), so this state means the root
 			// moved; re-synchronize via the full algorithm.
 			p.valid = false
-			return nil, Unsupported
+			return Unsupported
 		}
 		delete(p.faulty, rep)
 		p.survivors += p.g.Period(rep)
 		if !p.reattach(rep) {
 			p.valid = false
-			return nil, Unsupported
+			return Unsupported
 		}
 		p.nodes += p.g.Period(rep)
+		p.join = p.logNecklace(p.join, rep)
 		changed = true
 	}
 	// A re-admitted necklace brings its rotation hops back onto the
 	// ring; any that cross a still-faulty wire are rerouted in place.
 	if _, ok := p.absorbTraversed(); !ok {
 		p.valid = false
-		return nil, Unsupported
+		return Unsupported
 	}
 	if !changed {
-		return nil, Noop
+		return Noop
 	}
-	ring, ok := p.walk()
-	if !ok {
-		p.valid = false
-		return nil, Unsupported
-	}
-	return ring, Readmitted
+	return Readmitted
 }
 
 // necklaceStillFaulty reports whether any cumulative node fault still
@@ -406,6 +499,7 @@ func (p *ffcPatcher) removeNecklace(rep int) bool {
 	e := p.tree[rep]
 	delete(p.tree, rep)
 	p.nodes -= p.g.Period(rep)
+	p.leave = p.logNecklace(p.leave, rep)
 
 	// 1. Detach rep from its parent star and re-close the w-cycle.
 	s := p.stars[e.W]
@@ -547,7 +641,7 @@ func starMembers(s *star) []int {
 func (p *ffcPatcher) clearStar(s *star, w int) {
 	for _, m := range starMembers(s) {
 		if out := ffc.SuffixNode(p.g, m, w); out >= 0 {
-			p.succ[out] = -1
+			p.setSucc(out, -1)
 		}
 	}
 }
@@ -562,7 +656,7 @@ func (p *ffcPatcher) closeStar(s *star, w int) bool {
 		return false
 	}
 	for _, pr := range pairs {
-		p.succ[pr[0]] = int32(pr[1])
+		p.setSucc(pr[0], int32(pr[1]))
 	}
 	p.touched++
 	return true
@@ -707,7 +801,7 @@ func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 		if pairs := p.planStar(starMembers(s), w); pairs != nil {
 			p.clearStar(s, w)
 			for _, pr := range pairs {
-				p.succ[pr[0]] = int32(pr[1])
+				p.setSucc(pr[0], int32(pr[1]))
 			}
 			return true
 		}
@@ -858,7 +952,7 @@ func (p *ffcPatcher) rehang(c, w, center int) bool {
 		delete(p.stars, old.W)
 	} else {
 		for _, pr := range planOld {
-			p.succ[pr[0]] = int32(pr[1])
+			p.setSucc(pr[0], int32(pr[1]))
 		}
 	}
 	if sNew == nil {
@@ -870,7 +964,7 @@ func (p *ffcPatcher) rehang(c, w, center int) bool {
 	sNew.children = insertSorted(sNew.children, c)
 	p.tree[c] = ffc.TreeEdge{Parent: center, W: w}
 	for _, pr := range planNew {
-		p.succ[pr[0]] = int32(pr[1])
+		p.setSucc(pr[0], int32(pr[1]))
 	}
 	return true
 }

@@ -37,6 +37,18 @@
 // Spliced results still need topology.VerifyRing by the caller, and any
 // Unsupported outcome (or failed verification) must be followed by
 // Embed to re-synchronize the patcher's state with a full re-embed.
+//
+// Sessions use the delta entry point instead (ForRing, RingPatcher):
+// PatchRing and UnpatchRing run the same ladder against the ring and
+// fault set the caller owns, and the FFC tier answers with a Delta — its
+// successor edits, the nodes leaving and joining the ring, the new
+// length — rather than a fresh ring, so a structural repair costs
+// O(stars touched) instead of a walk over dⁿ nodes.  The caller applies
+// the Delta to its ring and checks only the seams it touched (package
+// session); splice-tier results and re-embeds stay full replacements.
+// The patcher keeps no copy of the caller's ring: the splice tier
+// resyncs from the ring passed in, so a result the caller rejected can
+// never leak into a later event.
 package repair
 
 import (
@@ -167,10 +179,61 @@ type Patcher interface {
 	Restore(state []byte, ring []int, f topology.FaultSet) error
 }
 
+// Delta is a structural-tier repair expressed as successor edits
+// against the ring before the call (Proposition 2.1: the ring is the
+// successor rule, and a repair rewrites only the Step-3 overrides of
+// the stars it touches).  Read from Start, the new ring follows the old
+// ring's successor everywhere except at Nodes[i], whose successor is
+// now Succ[i]; the nodes in Leave drop off the ring, the nodes in Join
+// come onto it (each is also listed in Nodes), and the result has
+// Length nodes.  A Delta is owned by the patcher that produced it and
+// is valid only until its next call.
+type Delta struct {
+	Start  int
+	Length int
+	Nodes  []int
+	Succ   []int
+	Leave  []int
+	Join   []int
+}
+
+// Change is the ring-changing part of one PatchRing/UnpatchRing result:
+// a Delta from the structural tier, or a full replacement Ring from the
+// splice tier.  Both are nil on Noop and Unsupported.
+type Change struct {
+	Delta *Delta
+	Ring  []int
+}
+
+// RingPatcher is the session's entry point into the repair ladder.
+// PatchRing and UnpatchRing are Patch and Unpatch run against the
+// caller's current ring (node ids as int32, the session's sequence
+// type) and cumulative canonical fault set, which the caller owns and
+// updates itself once it accepts a Change; Embed, Snapshot and Restore
+// are as for Patcher.
+type RingPatcher interface {
+	Patcher
+	PatchRing(cur []int32, faults, add topology.FaultSet) (Change, Outcome)
+	UnpatchRing(cur []int32, faults, remove topology.FaultSet) (Change, Outcome)
+}
+
 // For returns the patcher suited to net: the FFC-structural/splice
 // repair chain for De Bruijn networks, the generic splice patcher alone
-// otherwise.
+// otherwise.  Its callers hold no ring of their own, so the chain keeps
+// a copy of the last ring it returned for the splice tier.
 func For(net topology.RingEmbedder) Patcher {
+	if db, ok := net.(*topology.DeBruijn); ok {
+		c := newChainPatcher(db)
+		c.standalone = true
+		return c
+	}
+	return &genericPatcher{net: net}
+}
+
+// ForRing returns the patcher For would, for a caller that keeps the
+// ring itself and drives it through PatchRing/UnpatchRing: the chain
+// holds no copy of the ring.
+func ForRing(net topology.RingEmbedder) RingPatcher {
 	if db, ok := net.(*topology.DeBruijn); ok {
 		return newChainPatcher(db)
 	}
@@ -440,6 +503,19 @@ func (p *genericPatcher) patch(add topology.FaultSet) ([]int, Outcome) {
 	p.onRingOK = true
 	p.faults = combined
 	return append([]int(nil), newRing...), Patched
+}
+
+// PatchRing implements RingPatcher.  The splice patcher works on its
+// own copy of the ring, so cur and faults are not needed.
+func (p *genericPatcher) PatchRing(_ []int32, _, add topology.FaultSet) (Change, Outcome) {
+	r, o := p.Patch(add)
+	return Change{Ring: r}, o
+}
+
+// UnpatchRing implements RingPatcher, like PatchRing.
+func (p *genericPatcher) UnpatchRing(_ []int32, _, remove topology.FaultSet) (Change, Outcome) {
+	r, o := p.Unpatch(remove)
+	return Change{Ring: r}, o
 }
 
 // closeSeg ends the currently open arc, if any, at len(segFlat).

@@ -115,7 +115,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		spec:    spec,
 		net:     net,
 		mgr:     m,
-		patcher: repair.For(net),
+		patcher: repair.ForRing(net),
 		notify:  make(chan struct{}),
 	}
 	ring, info, err := s.patcher.Embed(faults)
@@ -123,7 +123,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		return nil, err
 	}
 	s.faults = faults
-	s.setRing(append([]int(nil), ring...))
+	s.setRing(ring)
 	s.rounds = info.Rounds
 
 	if m.store != nil {
@@ -144,7 +144,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 	embedEv := Event{
 		Kind:       "embed",
 		Repair:     "reembed",
-		RingLength: len(s.ring),
+		RingLength: len(s.ring.seq),
 		LowerBound: s.lowerBoundFor(faults),
 		FaultCount: len(faults.Nodes) + len(faults.Edges),
 		RingHash:   s.hash,
@@ -360,7 +360,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 		spec:    created.Spec,
 		net:     net,
 		mgr:     m,
-		patcher: repair.For(net),
+		patcher: repair.ForRing(net),
 		notify:  make(chan struct{}),
 	}
 
@@ -393,7 +393,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			snap = -1
 		} else if err := s.patcher.Restore(ev.Patcher, ev.Ring, faults); err == nil {
 			s.faults = faults
-			s.setRing(append([]int(nil), ev.Ring...))
+			s.setRing(ev.Ring)
 			s.seq = ev.Seq
 			if ev.Stats != nil {
 				s.stats = *ev.Stats
@@ -411,7 +411,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			return nil, fmt.Errorf("initial embed replay: %w", err)
 		}
 		s.faults = faults
-		s.setRing(append([]int(nil), ring...))
+		s.setRing(ring)
 		s.rounds = info.Rounds
 		start = 1
 	}

@@ -60,6 +60,9 @@ type repairMetrics struct {
 	ns          [numDirs][numTiers]*obs.Histogram // session_repair_ns{dir,tier}
 	total       [numDirs][numTiers]*obs.Counter   // session_repair_total{dir,tier}
 	journalErrs *obs.Counter                      // session_journal_errors_total
+	// auditFailures counts snapshots skipped because the ring failed
+	// the full VerifyRing audit: session_ring_audit_failures_total.
+	auditFailures *obs.Counter
 }
 
 // newRepairMetrics resolves the metrics in reg; a nil reg leaves them
@@ -75,7 +78,9 @@ func newRepairMetrics(reg *obs.Registry) repairMetrics {
 			m.total[d][t] = reg.Counter("session_repair_total", "dir", dirNames[d], "tier", tierNames[t])
 		}
 	}
+	reg.SetHelp("session_ring_audit_failures_total", "session snapshots skipped because the ring failed the full VerifyRing audit")
 	m.journalErrs = reg.Counter("session_journal_errors_total")
+	m.auditFailures = reg.Counter("session_ring_audit_failures_total")
 	return m
 }
 

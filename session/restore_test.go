@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"debruijnring/obs"
 	"debruijnring/topology"
 )
 
@@ -120,5 +121,63 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 					got.RingHash, ringHash(ring), got.Seq, want.RingHash, want.Seq)
 			}
 		})
+	}
+}
+
+// TestSnapshotAuditSkipsCorruptRing injects a corrupt ring into a live
+// session: the periodic full-VerifyRing audit must refuse to snapshot
+// it, count the failure, and leave the journal's older snapshot as the
+// restore point.
+func TestSnapshotAuditSkipsCorruptRing(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	m := NewManager(reg, Options{Dir: dir, SnapshotEvery: 1})
+	s, err := m.Create("audit", "debruijn(2,6)", topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := s.AddFaults(topology.NodeFaults(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failures := func() int64 {
+		return reg.Snapshot().Counters["session_ring_audit_failures_total"]
+	}
+	snapshots := func() (n int, lastSeq uint64) {
+		events, err := readJournal(journalPath(dir, "audit"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			if e.Kind == "snapshot" {
+				n, lastSeq = n+1, e.Seq
+			}
+		}
+		return n, lastSeq
+	}
+	if n, seq := snapshots(); n != 1 || seq != ev.Seq || failures() != 0 {
+		t.Fatalf("valid ring: %d snapshots (last at seq %d, want %d), %d audit failures", n, seq, ev.Seq, failures())
+	}
+
+	s.mu.Lock()
+	ring := s.ring.seq
+	ring[1], ring[len(ring)/2] = ring[len(ring)/2], ring[1]
+	s.hash = ringHash(ring)
+	s.seq++ // as if an event had produced the corrupt ring
+	s.writeSnapshotLocked()
+	s.mu.Unlock()
+	if n, seq := snapshots(); n != 1 || seq != ev.Seq {
+		t.Fatalf("corrupt ring was snapshotted: %d snapshots, last at seq %d", n, seq)
+	}
+	if got := failures(); got != 1 {
+		t.Fatalf("session_ring_audit_failures_total = %d, want 1", got)
+	}
+	m.Close()
+	restored, errs := NewManager(nil, Options{Dir: dir}).Restore()
+	if len(errs) > 0 || len(restored) != 1 {
+		t.Fatalf("restore: %v", errs)
+	}
+	if st := restored[0].StateSnapshot(true); st.RingHash != ev.RingHash || !topology.VerifyRing(s.Network(), st.Ring, topology.NodeFaults(21)) {
+		t.Fatal("restore did not come back to the last audited ring")
 	}
 }

@@ -24,17 +24,29 @@
 // creation).  Watchers stream the same events over long-poll or SSE via
 // the HTTP handler in this package.
 //
-// Per event, the ring delta is a diff of two session-owned node bitsets
-// (no per-event maps), and the ring is hashed once, when it changes;
-// events, state reads and snapshots read the cached hash.
+// Per event, the work follows what the repair touched.  The session
+// owns one ring (a node sequence, a dense position index and a spare
+// buffer).  A structural (FFC-tier) repair arrives as a repair.Delta —
+// successor edits plus the nodes leaving and joining — and is applied
+// to that ring by block-copying the unchanged arcs between the edited
+// nodes; the result is proven a valid ring from its seams alone (every
+// edited hop is a surviving link, every old arc is used once, the walk
+// closes at the promised length, no new fault stays on the ring, the
+// length meets dⁿ − nf) and the Removed/Added lists fall out of the
+// same walk.  Splice-tier results and re-embeds are full replacements:
+// verified whole with topology.VerifyRing and diffed against the old
+// ring with two node bitsets.  The ring is hashed once per change and
+// events, state reads and snapshots read the cached hash.  Since no
+// event verifies the whole ring any more, every journal snapshot first
+// audits it with the full VerifyRing; a ring that fails is not
+// snapshotted (Restore replays from an older point) and the failure is
+// counted in session_ring_audit_failures_total.
 package session
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"sync"
 	"time"
@@ -144,11 +156,11 @@ type Session struct {
 	mgr  *Manager
 
 	mu      sync.Mutex
-	patcher repair.Patcher
+	patcher repair.RingPatcher
 	faults  topology.FaultSet
-	ring    []int
-	// hash is ringHash(ring), computed once per ring change by setRing
-	// and read by every event, state snapshot and journal snapshot.
+	ring    liveRing
+	// hash is ringHash(ring.seq), computed once per ring change and read
+	// by every event, state snapshot and journal snapshot.
 	hash      string
 	delta     ringDiff // bitsets reused by every event's ring diff
 	rounds    int      // broadcast rounds of the last full embed
@@ -200,7 +212,7 @@ func (s *Session) StateSnapshot(includeRing bool) State {
 		Name:       s.name,
 		Spec:       s.spec,
 		Seq:        s.seq,
-		RingLength: len(s.ring),
+		RingLength: len(s.ring.seq),
 		LowerBound: s.lowerBoundLocked(),
 		RingHash:   s.hash,
 		FaultNodes: append([]int(nil), s.faults.Nodes...),
@@ -208,7 +220,7 @@ func (s *Session) StateSnapshot(includeRing bool) State {
 		Stats:      s.stats,
 	}
 	if includeRing {
-		st.Ring = append([]int(nil), s.ring...)
+		st.Ring = s.ring.ints()
 	}
 	return st
 }
@@ -226,7 +238,7 @@ func (s *Session) IsClosed() bool {
 func (s *Session) Ring() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int(nil), s.ring...)
+	return s.ring.ints()
 }
 
 // Faults returns the cumulative canonical fault set.
@@ -319,31 +331,42 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 	ev.FaultCount = len(next.Nodes) + len(next.Edges)
 
 	o := outcome{dir: dir, tier: tierNoop}
-	var ring []int
+	var ring []int // a full replacement ring, installed below
 	var embedErr error
 	if !changed.IsEmpty() {
 		o.tier = tierReembed
 		if s.withinToleranceLocked(next) {
-			var r []int
+			var ch repair.Change
 			var out repair.Outcome
+			var fresh topology.FaultSet // faults a delta must keep off the ring
 			if dir == dirFault {
-				r, out = s.patcher.Patch(changed)
+				ch, out = s.patcher.PatchRing(s.ring.seq, s.faults, changed)
+				fresh = changed
 			} else {
-				r, out = s.patcher.Unpatch(changed)
+				ch, out = s.patcher.UnpatchRing(s.ring.seq, s.faults, changed)
 			}
 			ev.Tiers = tierTraces(s.patcher)
+			local := tierLocal
+			if out == repair.Spliced {
+				local = tierSplice
+			}
 			// Every other outcome changes the ring: Patch answers only
 			// Patched, Reordered or Spliced, Unpatch only Readmitted or
-			// Spliced.
+			// Spliced.  A Delta is applied in place, checked at its seams;
+			// a replacement ring is verified whole.
 			switch {
 			case out == repair.Noop:
 				o.tier = tierNoop
-			case out != repair.Unsupported && topology.VerifyRing(s.net, r, next) && len(r) >= s.lowerBoundFor(next):
-				o.tier = tierLocal
-				if out == repair.Spliced {
-					o.tier = tierSplice
+			case out == repair.Unsupported:
+			case ch.Delta != nil:
+				if rem, add, trunc, ok := s.ring.apply(s.net, ch.Delta, next, fresh, s.lowerBoundFor(next)); ok {
+					o.tier = local
+					ev.Removed, ev.Added, ev.DeltaTruncated = rem, add, trunc
+					s.hash = ringHash(s.ring.seq)
 				}
-				ring = r
+			case topology.VerifyRing(s.net, ch.Ring, next) && len(ch.Ring) >= s.lowerBoundFor(next):
+				o.tier = local
+				ring = ch.Ring
 			}
 		}
 		if o.tier == tierReembed {
@@ -367,18 +390,18 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 		// Nothing absorbed the batch: keep the old state, journal the
 		// rejection (replay must take the same path).
 		ev.Error = embedErr.Error()
-		ev.RingLength = len(s.ring)
+		ev.RingLength = len(s.ring.seq)
 		ev.RingHash = s.hash
 		s.finishEventLocked(ev, start, record, o)
 		return ev, embedErr
 	}
 
 	if ring != nil {
-		ev.Removed, ev.Added, ev.DeltaTruncated = s.delta.diff(s.net.Nodes(), s.ring, ring)
+		ev.Removed, ev.Added, ev.DeltaTruncated = diffRings(&s.delta, s.net.Nodes(), s.ring.seq, ring)
 		s.setRing(ring)
 	}
 	s.faults = next
-	ev.RingLength = len(s.ring)
+	ev.RingLength = len(s.ring.seq)
 	ev.LowerBound = s.lowerBoundFor(next)
 	ev.RingHash = s.hash
 	s.finishEventLocked(ev, start, record, o)
@@ -486,9 +509,19 @@ func (s *Session) EventsSince(after uint64, wait time.Duration, cancel <-chan st
 
 // writeSnapshotLocked appends a journal-only snapshot event capturing
 // the full session state (ring, faults, patcher structure), resetting
-// the replay horizon.
+// the replay horizon.  It first audits the ring with the full
+// topology.VerifyRing — events check only the seams they touch — and
+// writes no snapshot of a ring that fails, so Restore replays from an
+// older point; the failure is counted in
+// session_ring_audit_failures_total.
 func (s *Session) writeSnapshotLocked() {
 	if s.journal == nil {
+		return
+	}
+	ring := s.ring.ints()
+	if !topology.VerifyRing(s.net, ring, s.faults) {
+		s.mgr.metrics.auditFailures.Inc()
+		s.sinceSnap = 0
 		return
 	}
 	state, err := s.patcher.Snapshot()
@@ -501,8 +534,8 @@ func (s *Session) writeSnapshotLocked() {
 		Time:       time.Now().UTC(),
 		Kind:       "snapshot",
 		RingHash:   s.hash,
-		RingLength: len(s.ring),
-		Ring:       s.ring,
+		RingLength: len(s.ring.seq),
+		Ring:       ring,
 		FaultNodes: s.faults.Nodes,
 		FaultEdges: encodeEdges(s.faults.Edges),
 		Patcher:    state,
@@ -529,23 +562,40 @@ func (s *Session) closeLocked(snapshot bool) {
 	s.notify = make(chan struct{})
 }
 
-// setRing installs ring as the session's ring and caches its hash.
-// Every assignment of s.ring goes through here so the cached hash never
-// goes stale.
+// setRing installs a copy of a full replacement ring and caches its
+// hash; applyLocked rehashes after applying a delta the same way.
 func (s *Session) setRing(ring []int) {
-	s.ring, s.hash = ring, ringHash(ring)
+	s.ring.reset(s.net.Nodes(), ring)
+	s.hash = ringHash(s.ring.seq)
 }
 
-// ringHash is an FNV-64a digest of the ring's node sequence, rendered in
-// hex; journal replay verifies restored rings against it.
-func ringHash(ring []int) string {
-	h := fnv.New64a()
-	var b [8]byte
+// FNV-64a parameters, and the prime raised to the sixth power (mod 2⁶⁴):
+// hashing a zero byte is a bare multiply by the prime, so the six high
+// zero bytes of a node id below 2¹⁶ cost one multiply.
+const (
+	fnvOffset64  = 14695981039346656037
+	fnvPrime64   = 1099511628211
+	fnvPrime64x6 = 0xdc966432edf1c639
+)
+
+// ringHash is an FNV-64a digest of the ring's node sequence, each node
+// an 8-byte little-endian word, rendered in hex; journal replay verifies
+// restored rings against it.
+func ringHash[T int | int32](ring []T) string {
+	h := uint64(fnvOffset64)
 	for _, v := range ring {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:]) //ringlint:allow journal hash.Hash writes never return an error
+		u := uint64(v)
+		if u < 1<<16 {
+			h = (h ^ u&0xff) * fnvPrime64
+			h = (h ^ u>>8) * fnvPrime64
+			h *= fnvPrime64x6
+			continue
+		}
+		for i := 0; i < 8; i++ {
+			h = (h ^ u>>(8*i)&0xff) * fnvPrime64
+		}
 	}
-	return strconv.FormatUint(h.Sum64(), 16)
+	return strconv.FormatUint(h, 16)
 }
 
 // ringDiff holds the two node-membership bitsets a session reuses to
@@ -559,6 +609,12 @@ type ringDiff struct {
 // order), over node ids below nodes.  Deltas of more than deltaLimit
 // nodes are reported as truncated, with no lists.
 func (d *ringDiff) diff(nodes int, old, cur []int) (removed, added []int, truncated bool) {
+	return diffRings(d, nodes, old, cur)
+}
+
+// diffRings is ringDiff.diff for an old ring of either id width: the
+// session diffs its int32 sequence against a replacement ring.
+func diffRings[T int | int32](d *ringDiff, nodes int, old []T, cur []int) (removed, added []int, truncated bool) {
 	words := (nodes + 63) / 64
 	if len(d.inOld) < words {
 		d.inOld, d.inCur = make([]uint64, words), make([]uint64, words)
@@ -577,7 +633,7 @@ func (d *ringDiff) diff(nodes int, old, cur []int) (removed, added []int, trunca
 			if len(removed) == deltaLimit {
 				return nil, nil, true
 			}
-			removed = append(removed, v)
+			removed = append(removed, int(v))
 		}
 	}
 	for _, v := range cur {
