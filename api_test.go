@@ -30,6 +30,9 @@ func TestNodeLabelRoundTrip(t *testing.T) {
 	if g.Label(id) != "020" {
 		t.Errorf("Label = %q", g.Label(id))
 	}
+	if got := g.AppendLabel([]byte("x"), id); string(got) != "x020" {
+		t.Errorf("AppendLabel = %q", got)
+	}
 	if _, err := g.Node("99"); err == nil {
 		t.Error("bad label should fail")
 	}
@@ -237,6 +240,9 @@ func TestButterflyAPI(t *testing.T) {
 	}
 	if f.Label(f.Node(0, 0)) != "(0,000)" {
 		t.Errorf("Label = %q", f.Label(f.Node(0, 0)))
+	}
+	if got := f.AppendLabel([]byte("x"), f.Node(2, 6)); string(got) != "x(2,110)" {
+		t.Errorf("AppendLabel = %q", got)
 	}
 	// Edge-fault embedding with one faulty link.
 	u := f.Node(0, 3)

@@ -37,7 +37,10 @@ func (f *Butterfly) Node(level, column int) int { return f.b.Node(level, column)
 func (f *Butterfly) Split(node int) (level, column int) { return f.b.Split(node) }
 
 // Label renders a processor as "(level,column-word)".
-func (f *Butterfly) Label(node int) string { return f.b.String(node) }
+func (f *Butterfly) Label(node int) string { return f.net.Label(node) }
+
+// AppendLabel appends a processor's "(level,column-word)" label to dst.
+func (f *Butterfly) AppendLabel(dst []byte, node int) []byte { return f.net.AppendLabel(dst, node) }
 
 // EmbedRingEdgeFaults finds a Hamiltonian ring of F(d,n) avoiding the
 // given faulty links, tolerating up to MaxTolerableEdgeFaults(d) failures

@@ -11,6 +11,7 @@ import (
 	"debruijnring/engine"
 	"debruijnring/fleet"
 	"debruijnring/internal/broadcast"
+	"debruijnring/session"
 	"debruijnring/topology"
 )
 
@@ -81,11 +82,8 @@ func (f *faultsJSON) resolve() (topology.RingEmbedder, topology.FaultSet, error)
 	return net, fs, nil
 }
 
-type embedResponse struct {
-	Ring  []string     `json:"ring"`
-	Stats engine.Stats `json:"stats"`
-}
-
+// handleEmbed answers {"ring":[labels…],"stats":{…}}, the ring written
+// label by label through session.WriteRing.
 func (s *server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	var req faultsJSON
 	if !decode(w, r, &req) {
@@ -105,12 +103,18 @@ func (s *server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
-	writeJSON(w, embedResponse{Ring: labels(net, res.Ring), Stats: res.Stats})
+	stats, err := json.Marshal(res.Stats)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	tail := append(append([]byte(`,"stats":`), stats...), "}\n"...)
+	session.WriteRing(w, http.StatusOK, []byte(`{"ring":`), net, res.Ring, tail)
 }
 
 type verifyRequest struct {
 	faultsJSON
-	Ring []string `json:"ring"`
+	Ring session.Labels `json:"ring"`
 }
 
 type verifyResponse struct {
@@ -147,9 +151,9 @@ type disjointCyclesRequest struct {
 }
 
 type disjointCyclesResponse struct {
-	Count  int        `json:"count"`
-	Length int        `json:"length"`
-	Cycles [][]string `json:"cycles"`
+	Count  int               `json:"count"`
+	Length int               `json:"length"`
+	Cycles []json.RawMessage `json:"cycles"` // label arrays from session.AppendLabels
 }
 
 func (s *server) handleDisjointCycles(w http.ResponseWriter, r *http.Request) {
@@ -182,7 +186,7 @@ func (s *server) handleDisjointCycles(w http.ResponseWriter, r *http.Request) {
 		limit = req.MaxCycles
 	}
 	for _, c := range cycles[:limit] {
-		resp.Cycles = append(resp.Cycles, labels(net, c))
+		resp.Cycles = append(resp.Cycles, session.AppendLabels(nil, net, c))
 	}
 	writeJSON(w, resp)
 }
@@ -235,14 +239,6 @@ func (s *server) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 		TimeUnits:   res.TimeUnits,
 		MaxLinkLoad: res.MaxLinkLoad,
 	})
-}
-
-func labels(net topology.Network, nodes []int) []string {
-	out := make([]string, len(nodes))
-	for i, v := range nodes {
-		out[i] = net.Label(v)
-	}
-	return out
 }
 
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {

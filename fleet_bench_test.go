@@ -3,6 +3,7 @@ package debruijnring
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -299,4 +300,60 @@ func benchSessionEvents(b *testing.B, n int) {
 	}
 	b.StopTimer() // the closing snapshot is not an event
 	m.Close()
+}
+
+// BenchmarkSessionStateRead prices one ring read of a B(2,16) session
+// with 3 node faults, split at the wire: render is the GET handler
+// writing the ~1.2 MB state body, decode is a client's json.Unmarshal
+// of that body into a session.StateJSON.  A read is the two together.
+func BenchmarkSessionStateRead(b *testing.B) {
+	m := session.NewManager(nil, session.Options{})
+	defer m.Close()
+	if _, err := m.Create("read", "debruijn(2,16)", topology.NodeFaults(1000, 20000, 40000)); err != nil {
+		b.Fatal(err)
+	}
+	h := session.Handler(m)
+	req := httptest.NewRequest(http.MethodGet, "/v1/sessions/read", nil)
+	w := &bodyWriter{header: http.Header{}}
+	h.ServeHTTP(w, req)
+	if w.status != http.StatusOK {
+		b.Fatalf("GET: status %d: %.200s", w.status, w.body)
+	}
+	body := w.body
+	b.Run("render", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.ServeHTTP(w, req)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var st session.StateJSON
+			if err := json.Unmarshal(body, &st); err != nil || len(st.Ring) != st.RingLength {
+				b.Fatalf("decode: %v, %d labels for ring_length %d", err, len(st.Ring), st.RingLength)
+			}
+		}
+	})
+}
+
+// bodyWriter is a ResponseWriter keeping the last body written whole,
+// without the growing buffer an httptest.ResponseRecorder would add to
+// the render's allocations.
+type bodyWriter struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (w *bodyWriter) Header() http.Header { return w.header }
+
+func (w *bodyWriter) WriteHeader(status int) { w.status = status }
+
+func (w *bodyWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	w.body = p
+	return len(p), nil
 }

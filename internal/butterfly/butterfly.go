@@ -8,6 +8,7 @@ package butterfly
 
 import (
 	"fmt"
+	"strconv"
 
 	"debruijnring/internal/debruijn"
 	"debruijnring/internal/hamilton"
@@ -45,9 +46,13 @@ func (g *Graph) Split(v int) (level, col int) {
 }
 
 // String renders a node as "(k,x₁…xₙ)".
-func (g *Graph) String(v int) string {
+func (g *Graph) String(v int) string { return string(g.AppendString(nil, v)) }
+
+// AppendString appends a node's "(k,x₁…xₙ)" label to dst.
+func (g *Graph) AppendString(dst []byte, v int) []byte {
 	k, x := g.Split(v)
-	return fmt.Sprintf("(%d,%s)", k, g.Cols.String(x))
+	dst = strconv.AppendInt(append(dst, '('), int64(k), 10)
+	return append(g.Cols.AppendString(append(dst, ','), x), ')')
 }
 
 // Successors appends the d successors of v: level k+1, column x with digit

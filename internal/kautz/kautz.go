@@ -16,7 +16,9 @@ package kautz
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+
+	"debruijnring/internal/word"
 )
 
 // Graph is the Kautz digraph K(d,n): degree d, alphabet size d+1.
@@ -69,17 +71,19 @@ func (g *Graph) Digit(id, i int) int {
 }
 
 // String renders a node's word.
-func (g *Graph) String(id int) string {
-	var b strings.Builder
-	for i := 1; i <= g.N; i++ {
-		v := g.Digit(id, i)
-		if v < 10 {
-			b.WriteByte(byte('0' + v))
-		} else {
-			b.WriteByte(byte('a' + v - 10))
-		}
+func (g *Graph) String(id int) string { return string(g.AppendString(nil, id)) }
+
+// AppendString appends a node's word to dst, peeling letters from the
+// right of its packed base-(d+1) code.
+func (g *Graph) AppendString(dst []byte, id int) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, g.N)[:start+g.N]
+	w := g.nodes[id]
+	for i := len(dst) - 1; i >= start; i-- {
+		dst[i] = word.DigitChar(w % (g.D + 1))
+		w /= g.D + 1
 	}
-	return b.String()
+	return dst
 }
 
 // Parse converts a word string to a node id.

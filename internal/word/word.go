@@ -14,7 +14,8 @@ package word
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"sync"
 )
 
 // Space describes the set of d-ary n-tuples.  It precomputes the powers of d
@@ -25,6 +26,14 @@ type Space struct {
 	N    int   // tuple length, n ≥ 1
 	Size int   // dⁿ, the number of tuples
 	pow  []int // pow[i] = dⁱ for 0 ≤ i ≤ n
+
+	// AppendString renders chunkLen ≤ 8 digits per division: chunks[v]
+	// is the chunkLen-digit string of v right-aligned in 8 bytes, for
+	// every v < d^chunkLen ≤ 256 (no table when d > 256).  Built on
+	// first use.
+	chunkOnce sync.Once
+	chunkLen  int
+	chunks    [][8]byte
 }
 
 // MaxSize bounds dⁿ so that node and edge codes (which need d^(n+1)) stay
@@ -111,18 +120,61 @@ func (s *Space) Parse(t string) (int, error) {
 }
 
 // String renders x as its digit string x₁…xₙ (e.g. "020" in B(3,3)).
-func (s *Space) String(x int) string {
-	var b strings.Builder
-	b.Grow(s.N)
-	for i := 1; i <= s.N; i++ {
-		v := s.Digit(x, i)
-		if v < 10 {
-			b.WriteByte(byte('0' + v))
-		} else {
-			b.WriteByte(byte('a' + v - 10))
+func (s *Space) String(x int) string { return string(s.AppendString(nil, x)) }
+
+// AppendString appends the digit string of x to dst and returns the
+// extended slice.  Digits are peeled from the right, a table chunk at a
+// time, then one by one; it allocates only when dst lacks room for n
+// bytes.
+func (s *Space) AppendString(dst []byte, x int) []byte {
+	s.chunkOnce.Do(s.buildChunks)
+	start := len(dst)
+	dst = slices.Grow(dst, s.N)[:start+s.N]
+	u, i := uint(x), len(dst)
+	if k := s.chunkLen; k > 0 {
+		base := uint(len(s.chunks))
+		// Whole 8-byte slots while they fit: the bytes a slot writes
+		// left of its chunk are rewritten by the digits that follow.
+		for ; i-start >= 8; i -= k {
+			*(*[8]byte)(dst[i-8 : i]) = s.chunks[u%base]
+			u /= base
+		}
+		for ; i-start >= k; i -= k {
+			copy(dst[i-k:i], s.chunks[u%base][8-k:])
+			u /= base
 		}
 	}
-	return b.String()
+	for d := uint(s.D); i > start; u /= d {
+		i--
+		dst[i] = DigitChar(int(u % d))
+	}
+	return dst
+}
+
+// buildChunks fills the AppendString table with the longest chunk of
+// at most n digits whose d^chunkLen strings number at most 256.
+func (s *Space) buildChunks() {
+	for s.chunkLen < s.N && s.pow[s.chunkLen+1] <= 256 {
+		s.chunkLen++
+	}
+	k := s.chunkLen
+	if k == 0 {
+		return
+	}
+	s.chunks = make([][8]byte, s.pow[k])
+	for v := range s.chunks {
+		for i, u := 7, v; i >= 8-k; i, u = i-1, u/s.D {
+			s.chunks[v][i] = DigitChar(u % s.D)
+		}
+	}
+}
+
+// DigitChar renders one digit: '0'–'9', then 'a'–'z' for 10–35.
+func DigitChar(v int) byte {
+	if v < 10 {
+		return byte('0' + v)
+	}
+	return byte('a' + v - 10)
 }
 
 // RotL returns the left rotation π(x) = x₂…xₙx₁.

@@ -53,6 +53,31 @@ func TestStringLargeAlphabet(t *testing.T) {
 	}
 }
 
+// TestAppendStringMatchesDigits checks the table-driven AppendString
+// against the digits read off one by one, after a prefix it must keep,
+// for chunk sizes from 8 digits (d = 2) down to no table (d > 256) and
+// words shorter, as long as, and longer than one 8-byte slot.
+func TestAppendStringMatchesDigits(t *testing.T) {
+	for _, tc := range []struct{ d, n int }{
+		{2, 1}, {2, 7}, {2, 8}, {2, 11}, {2, 16}, {2, 20}, {3, 6}, {3, 13},
+		{4, 9}, {7, 5}, {16, 5}, {17, 3}, {36, 3}, {256, 2}, {300, 2},
+	} {
+		s := New(tc.d, tc.n)
+		buf := []byte("pre")
+		for i := 0; i < 4096; i++ {
+			x := i * 2654435761 % s.Size
+			want := []byte("pre")
+			for j := 1; j <= s.N; j++ {
+				want = append(want, DigitChar(s.Digit(x, j)))
+			}
+			buf = s.AppendString(buf[:3], x)
+			if string(buf) != string(want) {
+				t.Fatalf("d=%d n=%d x=%d: AppendString %q, want %q", tc.d, tc.n, x, buf, want)
+			}
+		}
+	}
+}
+
 func TestRotations(t *testing.T) {
 	s := New(3, 4)
 	x, _ := s.Parse("1120")

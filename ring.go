@@ -48,7 +48,10 @@ func (g *Graph) Edges() int { return g.g.NumEdges() }
 func (g *Graph) Node(label string) (int, error) { return g.g.Parse(label) }
 
 // Label renders a node id as its d-ary word.
-func (g *Graph) Label(node int) string { return g.g.String(node) }
+func (g *Graph) Label(node int) string { return g.net.Label(node) }
+
+// AppendLabel appends a node's d-ary word to dst.
+func (g *Graph) AppendLabel(dst []byte, node int) []byte { return g.net.AppendLabel(dst, node) }
 
 // Neighbors returns the De Bruijn successors of a node.
 func (g *Graph) Neighbors(node int) []int {

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,7 +72,7 @@ type StateJSON struct {
 	Name       string     `json:"name"`
 	Topology   string     `json:"topology"`
 	Seq        uint64     `json:"seq"`
-	Ring       []string   `json:"ring,omitempty"`
+	Ring       Labels     `json:"ring,omitempty"`
 	RingLength int        `json:"ring_length"`
 	LowerBound int        `json:"lower_bound"`
 	RingHash   string     `json:"ring_hash"`
@@ -92,8 +93,9 @@ type WatchResponse struct {
 	Truncated bool    `json:"truncated,omitempty"` // refetch state; buffer evicted events
 }
 
-func (h *handler) stateJSON(s *Session, includeRing bool) StateJSON {
-	st := s.StateSnapshot(includeRing)
+// summary renders a state without its ring: a list entry, the state of
+// a fault response, and every field of a state body but the ring.
+func summary(net topology.Network, st State) StateJSON {
 	out := StateJSON{
 		Name:       st.Name,
 		Topology:   st.Spec,
@@ -103,13 +105,6 @@ func (h *handler) stateJSON(s *Session, includeRing bool) StateJSON {
 		RingHash:   st.RingHash,
 		Stats:      st.Stats,
 	}
-	net := s.Network()
-	if includeRing {
-		out.Ring = make([]string, len(st.Ring))
-		for i, v := range st.Ring {
-			out.Ring[i] = net.Label(v)
-		}
-	}
 	for _, v := range st.FaultNodes {
 		out.NodeFaults = append(out.NodeFaults, net.Label(v))
 	}
@@ -117,6 +112,33 @@ func (h *handler) stateJSON(s *Session, includeRing bool) StateJSON {
 		out.EdgeFaults = append(out.EdgeFaults, EdgeJSON{From: net.Label(e[0]), To: net.Label(e[1])})
 	}
 	return out
+}
+
+// ringKey is where the ring goes in a state body: StateJSON declares it
+// between seq and ring_length.  A quote inside an encoded string is
+// always escaped, so the first occurrence of ringKey in an encoded
+// summary is the ring_length key itself.
+var ringKey = []byte(`,"ring_length":`)
+
+// writeState writes a session's state body: byte for byte the
+// json.Encoder output of its StateJSON, ring included when includeRing.
+// Only the int32 ring and the small fields are copied under the session
+// lock; the summary is encoded by encoding/json, and the ring is
+// spliced in label by label through AppendLabels.
+func writeState(w http.ResponseWriter, status int, s *Session, includeRing bool) {
+	st, ring := s.stateRing(includeRing)
+	net := s.Network()
+	b, err := json.Marshal(summary(net, st))
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if len(ring) == 0 { // omitempty
+		writeBody(w, status, append(b, '\n'))
+		return
+	}
+	i := bytes.Index(b, ringKey)
+	WriteRing(w, status, append(b[:i:i], `,"ring":`...), net, ring, append(b[i:], '\n'))
 }
 
 func (h *handler) create(w http.ResponseWriter, r *http.Request) {
@@ -145,14 +167,14 @@ func (h *handler) create(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
-	writeJSONStatus(w, http.StatusCreated, h.stateJSON(s, true))
+	writeState(w, http.StatusCreated, s, true)
 }
 
 func (h *handler) list(w http.ResponseWriter, r *http.Request) {
 	sessions := h.m.List()
 	out := make([]StateJSON, 0, len(sessions))
 	for _, s := range sessions {
-		out = append(out, h.stateJSON(s, false))
+		out = append(out, summary(s.Network(), s.StateSnapshot(false)))
 	}
 	writeJSON(w, out)
 }
@@ -172,8 +194,7 @@ func (h *handler) get(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	includeRing := r.URL.Query().Get("ring") != "false"
-	writeJSON(w, h.stateJSON(s, includeRing))
+	writeState(w, http.StatusOK, s, r.URL.Query().Get("ring") != "false")
 }
 
 func (h *handler) delete(w http.ResponseWriter, r *http.Request) {
@@ -217,10 +238,10 @@ func (h *handler) applyFaults(w http.ResponseWriter, r *http.Request, apply func
 		}
 		// The batch was rejected (journaled); report it with the error.
 		writeJSONStatus(w, http.StatusUnprocessableEntity,
-			FaultsResponse{Event: *ev, State: h.stateJSON(s, false)})
+			FaultsResponse{Event: *ev, State: summary(s.Network(), s.StateSnapshot(false))})
 		return
 	}
-	writeJSON(w, FaultsResponse{Event: *ev, State: h.stateJSON(s, false)})
+	writeJSON(w, FaultsResponse{Event: *ev, State: summary(s.Network(), s.StateSnapshot(false))})
 }
 
 // TraceResponse is the GET /v1/sessions/{name}/trace payload: the
@@ -263,12 +284,20 @@ func (h *handler) watch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
+	var after uint64
+	if v := q.Get("after"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad after %q", v))
+			return
+		}
+		after = n
+	}
 	wait := 25 * time.Second
 	if v := q.Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: %w", v, err))
+		if err != nil || d < 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q", v))
 			return
 		}
 		wait = d

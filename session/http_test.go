@@ -195,6 +195,37 @@ func TestHTTPWatchLongPoll(t *testing.T) {
 	}
 }
 
+// TestHTTPWatchBadQuery: a malformed after or a malformed or negative
+// wait is answered 400 instead of replaying the buffer from 0.
+func TestHTTPWatchBadQuery(t *testing.T) {
+	ts, _ := newTestServer(t, Options{})
+	c := &Client{Base: ts.URL}
+	if _, err := c.Create(context.Background(), CreateRequest{Name: "q", Topology: "debruijn(2,6)"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"after=abc&wait=0s", http.StatusBadRequest},
+		{"after=-1&wait=0s", http.StatusBadRequest},
+		{"after=1.5&wait=0s", http.StatusBadRequest},
+		{"after=0&wait=-1s", http.StatusBadRequest},
+		{"after=0&wait=soon", http.StatusBadRequest},
+		{"after=0&wait=0s", http.StatusOK},
+		{"wait=0s", http.StatusOK},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/sessions/q/watch?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("watch?%s: status %d, want %d", tc.query, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 func TestHTTPWatchSSE(t *testing.T) {
 	ts, m := newTestServer(t, Options{})
 	c := &Client{Base: ts.URL}

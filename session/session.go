@@ -41,12 +41,20 @@
 // audits it with the full VerifyRing; a ring that fails is not
 // snapshotted (Restore replays from an older point) and the failure is
 // counted in session_ring_audit_failures_total.
+//
+// A ring read costs about one pass over its body at each end of the
+// wire.  The handler copies only the int32 ring under the session lock
+// and appends the labels into one buffer through
+// topology.Network.AppendLabel (WriteRing); the client decodes the
+// array as Labels, one string sliced into every label.  The bytes are
+// exactly those encoding/json writes for StateJSON.
 package session
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -208,7 +216,29 @@ type State struct {
 func (s *Session) StateSnapshot(includeRing bool) State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := State{
+	st := s.stateLocked()
+	if includeRing {
+		st.Ring = s.ring.ints()
+	}
+	return st
+}
+
+// stateRing is StateSnapshot for the HTTP state body: the State without
+// its Ring, and (when includeRing) a copy of the ring's int32 node ids —
+// the narrowest copy that can leave the lock.
+func (s *Session) stateRing(includeRing bool) (State, []int32) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ring []int32
+	if includeRing {
+		ring = slices.Clone(s.ring.seq)
+	}
+	return s.stateLocked(), ring
+}
+
+// stateLocked returns the session's state without its ring.
+func (s *Session) stateLocked() State {
+	return State{
 		Name:       s.name,
 		Spec:       s.spec,
 		Seq:        s.seq,
@@ -219,10 +249,6 @@ func (s *Session) StateSnapshot(includeRing bool) State {
 		FaultEdges: encodeEdges(s.faults.Edges),
 		Stats:      s.stats,
 	}
-	if includeRing {
-		st.Ring = s.ring.ints()
-	}
-	return st
 }
 
 // IsClosed reports whether the session has been deleted or shut down;

@@ -47,7 +47,10 @@ func (t *Butterfly) IsEdge(u, v int) bool {
 }
 
 // Label implements Network.
-func (t *Butterfly) Label(x int) string { return t.b.String(x) }
+func (t *Butterfly) Label(x int) string { return string(t.AppendLabel(nil, x)) }
+
+// AppendLabel implements Network.
+func (t *Butterfly) AppendLabel(dst []byte, x int) []byte { return t.b.AppendString(dst, x) }
 
 // Parse implements Network: the inverse of Label, accepting
 // "(level,word)" with or without the parentheses.

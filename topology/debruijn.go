@@ -70,7 +70,10 @@ func (t *DeBruijn) Successors(x int, dst []int) []int { return t.g.Successors(x,
 func (t *DeBruijn) IsEdge(u, v int) bool { return t.g.IsEdge(u, v) }
 
 // Label implements Network.
-func (t *DeBruijn) Label(x int) string { return t.g.String(x) }
+func (t *DeBruijn) Label(x int) string { return string(t.AppendLabel(nil, x)) }
+
+// AppendLabel implements Network.
+func (t *DeBruijn) AppendLabel(dst []byte, x int) []byte { return t.g.AppendString(dst, x) }
 
 // Parse implements Network.
 func (t *DeBruijn) Parse(label string) (int, error) { return t.g.Parse(label) }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"debruijnring/internal/hypercube"
@@ -51,12 +52,17 @@ func (t *Hypercube) IsEdge(u, v int) bool {
 }
 
 // Label implements Network: the n-bit binary word, MSB first.
-func (t *Hypercube) Label(x int) string {
-	b := make([]byte, t.n)
-	for i := 0; i < t.n; i++ {
-		b[i] = byte('0' + (x>>(t.n-1-i))&1)
+func (t *Hypercube) Label(x int) string { return string(t.AppendLabel(nil, x)) }
+
+// AppendLabel implements Network, peeling bits from the right.
+func (t *Hypercube) AppendLabel(dst []byte, x int) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, t.n)[:start+t.n]
+	for i := len(dst) - 1; i >= start; i-- {
+		dst[i] = byte('0' + x&1)
+		x >>= 1
 	}
-	return string(b)
+	return dst
 }
 
 // Parse implements Network.

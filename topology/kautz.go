@@ -48,7 +48,10 @@ func (t *Kautz) IsEdge(u, v int) bool {
 }
 
 // Label implements Network.
-func (t *Kautz) Label(x int) string { return t.g.String(x) }
+func (t *Kautz) Label(x int) string { return string(t.AppendLabel(nil, x)) }
+
+// AppendLabel implements Network.
+func (t *Kautz) AppendLabel(dst []byte, x int) []byte { return t.g.AppendString(dst, x) }
 
 // Parse implements Network.
 func (t *Kautz) Parse(label string) (int, error) { return t.g.Parse(label) }

@@ -43,7 +43,10 @@ func (t *ShuffleExchange) IsEdge(u, v int) bool {
 }
 
 // Label implements Network.
-func (t *ShuffleExchange) Label(x int) string { return t.g.String(x) }
+func (t *ShuffleExchange) Label(x int) string { return string(t.AppendLabel(nil, x)) }
+
+// AppendLabel implements Network.
+func (t *ShuffleExchange) AppendLabel(dst []byte, x int) []byte { return t.g.AppendString(dst, x) }
 
 // Parse implements Network.
 func (t *ShuffleExchange) Parse(label string) (int, error) { return t.g.Parse(label) }

@@ -34,8 +34,12 @@ type Network interface {
 	Successors(x int, dst []int) []int
 	// IsEdge reports whether (u, v) is a network link.
 	IsEdge(u, v int) bool
-	// Label renders a node id as its human-readable processor label.
+	// Label renders a node id as its human-readable processor label;
+	// it is string(AppendLabel(nil, x)).
 	Label(x int) string
+	// AppendLabel appends the label of x to dst and returns the
+	// extended slice, allocating only when dst lacks the room.
+	AppendLabel(dst []byte, x int) []byte
 	// Parse is the inverse of Label.
 	Parse(label string) (int, error)
 }
