@@ -2,6 +2,7 @@ package repair
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"debruijnring/topology"
@@ -96,32 +97,77 @@ func TestChainDeclinesToReembedWhenSpliceExhausted(t *testing.T) {
 
 // TestChainBadBatchDoesNotPoison is the poisoning regression: an
 // out-of-range batch must reject without invalidating, so the very next
-// well-formed fault still patches locally instead of re-embedding.
+// well-formed fault still patches locally instead of re-embedding.  The
+// range check sits in the Patcher, so every topology's ladder rejects
+// such a batch without touching its ring or fault set.
 func TestChainBadBatchDoesNotPoison(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 8)
-	for name, p := range map[string]Patcher{"chain": For(net), "ffc": newFFCPatcher(net)} {
-		ring, _, err := p.Embed(topology.FaultSet{})
-		if err != nil {
-			t.Fatal(err)
+	p := For(net)
+	ring, _, err := p.Embed(topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, o := p.Patch(topology.NodeFaults(-1)); o != Unsupported {
+		t.Fatalf("bad node batch outcome %v, want Unsupported", o)
+	}
+	if _, o := p.Patch(topology.EdgeFaults(topology.Edge{From: 3, To: net.Nodes()})); o != Unsupported {
+		t.Fatalf("bad edge batch outcome %v, want Unsupported", o)
+	}
+	if _, o := p.Unpatch(topology.NodeFaults(net.Nodes() + 7)); o != Unsupported && o != Noop {
+		t.Fatalf("bad heal batch outcome %v", o)
+	}
+	// A rejected Embed must not poison either.
+	if _, _, err := p.Embed(topology.NodeFaults(-5)); err == nil {
+		t.Fatal("Embed accepted an out-of-range fault")
+	}
+	if _, o := p.Patch(topology.NodeFaults(ring[len(ring)/2])); o != Patched {
+		t.Errorf("patcher poisoned: post-rejection outcome %v, want Patched", o)
+	}
+
+	// The splice tier alone: a fresh Hamiltonian ring has no spares to
+	// bypass through, so the check is that the bad batch leaves ring and
+	// fault set exactly as they were, and a later heal still readmits.
+	cube, _ := topology.NewHypercube(6)
+	kautz, _ := topology.NewKautz(2, 4)
+	for name, tc := range map[string]struct {
+		net  topology.RingEmbedder
+		good topology.FaultSet // a batch the embedder serves
+	}{
+		"hypercube": {cube, topology.NodeFaults(5)},
+		"kautz":     {kautz, topology.EdgeFaults(topology.Edge{From: 0, To: firstSucc(kautz, 0)})},
+	} {
+		p := For(tc.net)
+		if _, _, err := p.Embed(tc.good); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if _, o := p.Patch(topology.NodeFaults(-1)); o != Unsupported {
-			t.Fatalf("%s: bad node batch outcome %v, want Unsupported", name, o)
+		ring, faults := p.RingInts(), p.Faults()
+		size := tc.net.Nodes()
+		for _, bad := range []topology.FaultSet{
+			topology.NodeFaults(-5, 1<<20),
+			topology.NodeFaults(size),
+			topology.EdgeFaults(topology.Edge{From: -1, To: 0}),
+		} {
+			if _, o := p.Patch(bad); o != Unsupported {
+				t.Errorf("%s: out-of-range batch %v answered %v, want Unsupported", name, bad, o)
+			}
+			if _, o := p.Unpatch(bad); o != Unsupported {
+				t.Errorf("%s: out-of-range heal %v answered %v, want Unsupported", name, bad, o)
+			}
 		}
-		if _, o := p.Patch(topology.EdgeFaults(topology.Edge{From: 3, To: net.Nodes()})); o != Unsupported {
-			t.Fatalf("%s: bad edge batch outcome %v, want Unsupported", name, o)
+		if got := p.Faults(); !slices.Equal(got.Nodes, faults.Nodes) || !slices.Equal(got.Edges, faults.Edges) {
+			t.Errorf("%s: rejected batches moved the fault set to %v", name, got)
 		}
-		if _, o := p.Unpatch(topology.NodeFaults(net.Nodes() + 7)); o != Unsupported && o != Noop {
-			t.Fatalf("%s: bad heal batch outcome %v", name, o)
+		if !slices.Equal(p.RingInts(), ring) {
+			t.Errorf("%s: rejected batches changed the ring", name)
 		}
-		// A rejected Embed must not poison either.
-		if _, _, err := p.Embed(topology.NodeFaults(-5)); err == nil {
-			t.Fatalf("%s: Embed accepted an out-of-range fault", name)
-		}
-		if _, o := p.Patch(topology.NodeFaults(ring[len(ring)/2])); o != Patched {
-			t.Errorf("%s: patcher poisoned: post-rejection outcome %v, want Patched", name, o)
+		if _, o := p.Unpatch(tc.good); o == Unsupported {
+			t.Errorf("%s: patcher poisoned: heal answered %v", name, o)
 		}
 	}
 }
+
+// firstSucc is one successor of v, for picking a link of net.
+func firstSucc(net topology.Network, v int) int { return net.Successors(v, nil)[0] }
 
 // TestGenericRestorePersistsSplicability is the dilation regression: a
 // snapshot of an unsplicable embedding (dilation-2 closed walk) must
@@ -144,7 +190,7 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 		t.Fatalf("snapshot %q does not persist splicability", state)
 	}
 
-	q := &genericPatcher{net: net}
+	q := For(net)
 	if err := q.Restore(state, ring, topology.FaultSet{}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +199,7 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 	}
 
 	// The legacy path (no snapshot) still restores splicable rings.
-	q2 := &genericPatcher{net: net}
+	q2 := For(net)
 	if err := q2.Restore(nil, ring, topology.FaultSet{}); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +211,7 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 	p2 := &genericPatcher{net: net}
 	p2.reset(ring, topology.FaultSet{}, 1)
 	st2, _ := p2.Snapshot()
-	q3 := &genericPatcher{net: net}
+	q3 := For(net)
 	if err := q3.Restore(st2, ring, topology.FaultSet{}); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +229,7 @@ func TestGenericMultiHopHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &genericPatcher{net: net}
+	p := For(net)
 	// 4-ring 0-1-3-2 with node 5 faulty; 4, 6, 7 are off-ring spares.
 	if err := p.Restore(nil, []int{0, 1, 3, 2}, topology.NodeFaults(5)); err != nil {
 		t.Fatal(err)
@@ -258,7 +304,7 @@ func TestChainSnapshotRestoreSpliceTier(t *testing.T) {
 // into the FFC tier (and legacy bare-ffcState snapshots still restore).
 func TestChainSnapshotRestoreFFCTier(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 8)
-	p := For(net).(*chainPatcher)
+	p := For(net)
 	ring, _, err := p.Embed(topology.FaultSet{})
 	if err != nil {
 		t.Fatal(err)

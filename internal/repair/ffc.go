@@ -32,7 +32,7 @@ import (
 // re-embed, and removes exactly the faulty necklace (≤ n nodes), so the
 // paper's dⁿ − nf length bound survives every local patch.
 //
-// The surgery is bidirectional.  Unpatch re-admits a repaired necklace
+// The surgery is bidirectional.  unpatch re-admits a repaired necklace
 // by reversing the removal — reattach it along any surviving window,
 // re-close only the touched star — growing the ring back toward dⁿ.
 // And a faulted ring LINK between healthy endpoints no longer forces a
@@ -58,7 +58,7 @@ type ffcPatcher struct {
 	// the left rotation".  The ring walk reads it once per hop.
 	succ []int32
 
-	// Cumulative raw fault components, maintained so Unpatch can tell
+	// Cumulative raw fault components, maintained so unpatch can tell
 	// when a necklace is fully healed and star closures can avoid
 	// still-faulty wires.  necklaceFaults keeps the live node-fault
 	// count per necklace representative, so full-heal detection is O(1)
@@ -68,12 +68,12 @@ type ffcPatcher struct {
 	necklaceFaults map[int]int
 
 	// touched counts star re-closures performed by the most recent
-	// Patch/Unpatch call — the "O(touched stars)" of the structural
+	// patch/unpatch call — the "O(touched stars)" of the structural
 	// tier, surfaced in session repair traces.
 	touched int
 
-	// The edit log of the current Patch/Unpatch call, from which delta
-	// builds the call's Delta.  Every override write goes through
+	// The edit log of the current patch/unpatch call, from which emit
+	// builds the call's delta.  Every override write goes through
 	// setSucc, which records the node once (edited marks, edits lists);
 	// leave and join collect the members of the necklaces the call
 	// drops from or re-admits to the ring.  All pooled across calls.
@@ -81,7 +81,7 @@ type ffcPatcher struct {
 	edits  []int32
 	leave  []int
 	join   []int
-	out    Delta
+	out    delta
 }
 
 // star is one same-label edge class T_w: every tree edge labeled w hangs
@@ -177,22 +177,12 @@ func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.Embe
 
 	info := &topology.EmbedInfo{
 		RingLength: len(ring),
-		LowerBound: p.lowerBound(f),
+		LowerBound: LowerBound(p.t, f),
 		Rounds:     res.Eccentricity,
 		Survivors:  res.BStarSize,
 		Dilation:   1,
 	}
 	return ring, info, nil
-}
-
-// lowerBound is the paper's dⁿ − nf guarantee over the deduplicated node
-// fault count, clamped at 0 when vacuous (mirrors topology's bound).
-func (p *ffcPatcher) lowerBound(f topology.FaultSet) int {
-	b := p.g.Size - p.g.N*len(f.Canonical().Nodes)
-	if b < 0 {
-		return 0
-	}
-	return b
 }
 
 // rebuildStars regroups the tree's edges into their same-label stars,
@@ -252,7 +242,7 @@ func (p *ffcPatcher) resetSucc() {
 	}
 }
 
-// resetLog empties the edit log; Patch and Unpatch start with it.
+// resetLog empties the edit log; patch and unpatch start with it.
 //
 //ringlint:noalloc
 func (p *ffcPatcher) resetLog() {
@@ -286,14 +276,14 @@ func (p *ffcPatcher) logNecklace(list []int, rep int) []int {
 	}
 }
 
-// delta expresses the current call's surgery as a Delta against the
+// emit expresses the current call's surgery as a delta against the
 // ring before the call: every logged node still on the ring, and every
 // joining node, with its new successor.  Logged nodes off the ring are
 // leaving (or belong to necklaces that were never on it) and need no
 // successor.  The result is pooled: valid until the next call.
 //
 //ringlint:noalloc
-func (p *ffcPatcher) delta() *Delta {
+func (p *ffcPatcher) emit() *delta {
 	d := &p.out
 	for _, x := range p.join {
 		if p.edited.Set(x, 0) {
@@ -314,52 +304,16 @@ func (p *ffcPatcher) delta() *Delta {
 	return d
 }
 
-func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
-	return p.materialize(p.patch(add))
-}
-
-func (p *ffcPatcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
-	return p.materialize(p.unpatch(remove))
-}
-
-// materialize reads the ring off the successor rule after a
-// ring-changing outcome: the plain Patch/Unpatch result, and the
-// reference the chain's Delta path is tested against.
-func (p *ffcPatcher) materialize(o Outcome) ([]int, Outcome) {
-	if o == Noop || o == Unsupported {
-		return nil, o
-	}
-	ring, ok := p.walk()
-	if !ok {
-		p.valid = false
-		return nil, Unsupported
-	}
-	return ring, o
-}
-
 // patch runs the surgery for one fault batch, leaving the ring in the
-// successor table and the edit log (see delta).
+// successor table and the edit log (see emit).
 func (p *ffcPatcher) patch(add topology.FaultSet) Outcome {
 	p.touched = 0
 	p.resetLog()
 	if !p.valid || !p.spanning() {
 		return Unsupported
 	}
-	// Out-of-range coordinates reject the whole batch BEFORE any state
-	// is mutated, and without invalidating: a healthy patcher fed one
-	// bad input used to be poisoned permanently (every later fault
-	// re-embedded even though its incremental state was still exact).
+	// The owning Patcher has range-checked every coordinate.
 	add = add.Canonical()
-	for _, x := range add.Nodes {
-		if x < 0 || x >= p.g.Size {
-			return Unsupported
-		}
-	}
-	for _, e := range add.Edges {
-		if e.From < 0 || e.From >= p.g.Size || e.To < 0 || e.To >= p.g.Size {
-			return Unsupported
-		}
-	}
 
 	removed := false
 	for _, x := range add.Nodes {
@@ -416,7 +370,7 @@ func (p *ffcPatcher) patch(add topology.FaultSet) Outcome {
 // When it does not (the survivor necklace graph was disconnected at the
 // last embed), local surgery could silently diverge from what a cold
 // re-embed of the same fault set would build — the full algorithm picks
-// the largest component afresh — so Patch and Unpatch decline and the
+// the largest component afresh — so patch and unpatch decline and the
 // session re-embeds instead.
 func (p *ffcPatcher) spanning() bool { return p.nodes == p.survivors }
 
@@ -424,7 +378,7 @@ func (p *ffcPatcher) spanning() bool { return p.nodes == p.survivors }
 // re-expanded into the tree (reversing removeNecklace via reattach and
 // the star closures), and healed link faults are dropped from the
 // avoidance set.  The inverse surgery costs O(touched stars · n) like
-// Patch, and grows the ring back toward dⁿ, so the dⁿ − nf bound holds
+// patch, and grows the ring back toward dⁿ, so the dⁿ − nf bound holds
 // with the REDUCED fault count after every local heal.  Like patch, it
 // leaves the ring in the successor table and the edit log.
 func (p *ffcPatcher) unpatch(remove topology.FaultSet) Outcome {
@@ -440,7 +394,7 @@ func (p *ffcPatcher) unpatch(remove topology.FaultSet) Outcome {
 	rootRep := p.g.NecklaceRep(p.root)
 	changed := false
 	for _, x := range remove.Nodes {
-		if x < 0 || x >= p.g.Size || !p.nodeFaults[x] {
+		if !p.nodeFaults[x] {
 			continue // healing a non-fault is bookkeeping only
 		}
 		delete(p.nodeFaults, x)
@@ -484,7 +438,7 @@ func (p *ffcPatcher) unpatch(remove topology.FaultSet) Outcome {
 
 // necklaceStillFaulty reports whether any cumulative node fault still
 // maps onto the necklace rep.  The per-necklace counter is maintained
-// by Embed/Patch/Unpatch/Restore, so a heal costs O(1) here instead of
+// by Embed/patch/unpatch/Restore, so a heal costs O(1) here instead of
 // rescanning the whole cumulative fault set per healed node (which made
 // dense-fault heals O(|faults|·period)).
 func (p *ffcPatcher) necklaceStillFaulty(rep int) bool {

@@ -71,7 +71,7 @@ func TestFFCPatcherUnpatchPartialNecklace(t *testing.T) {
 	// Find a non-loop node whose necklace removal patches locally (some
 	// removals legitimately fall back, e.g. ones orphaning a period-1
 	// neighbor).
-	var p Patcher
+	var p *Patcher
 	var x, rot int
 	patched := false
 	for cand := 1; cand < net.Nodes() && !patched; cand++ {

@@ -1,0 +1,389 @@
+package repair
+
+import (
+	"encoding/json"
+	"fmt"
+	"slices"
+	"time"
+
+	"debruijnring/topology"
+)
+
+// Patcher owns one ring and the repair ladder that keeps it valid while
+// faults come and go.  For De Bruijn networks the ladder is a chain: the
+// FFC structural tier first, and whenever it returns Unsupported —
+// root-necklace loss (including the root-fault and root-necklace-exit-
+// link cases that used to always recompute), non-spanning survivor
+// graphs, unreorderable stars, failed reattach — the generic splice tier
+// attempts a local bypass repair of the live ring before the caller pays
+// for a cold re-embed:
+//
+//	FFC surgery (~O(touched stars)) → splice bypass (~O(ring)) → re-embed (O(dⁿ))
+//
+// Splice-tier results on the chain are reported as Spliced so sessions
+// can journal (and stats can count) which tier resolved each event.
+// Every other topology runs the splice tier alone, reporting Patched and
+// Readmitted.
+//
+// Either tier answers with a delta, which the Patcher applies to its
+// Ring in place and proves valid from the seams it touched (Ring.apply).
+// A batch changes the ring only when its delta passes; on any other
+// outcome the ring and fault set are untouched, and the caller re-embeds
+// with Embed.
+//
+// On the chain the splice tier is synchronized lazily, from the owned
+// ring and fault set, the first time the FFC tier declines.  Once the
+// splice tier has modified the ring, the FFC tier's structures no longer
+// describe it, so every later batch goes straight to the splice tier
+// until the next successful Embed — at which point the FFC tier
+// re-adopts the ring and the ladder resets.  All decisions are
+// deterministic, so journal replay retraces the exact tier sequence.
+type Patcher struct {
+	net    topology.RingEmbedder
+	ffc    *ffcPatcher // nil off De Bruijn: the splice tier runs alone
+	splice *genericPatcher
+
+	// spliceOwns marks that the splice tier last modified a chain's ring
+	// (the FFC tier is stale until the next successful Embed).
+	spliceOwns bool
+
+	ring   Ring
+	faults topology.FaultSet
+	diff   Diff
+
+	// trace holds the tier ladder of the most recent Step for LastTrace.
+	trace []TierStep
+}
+
+// For returns the Patcher suited to net: the FFC-structural/splice
+// chain for De Bruijn networks, the splice tier alone otherwise.  Embed
+// (or Restore) installs its first ring.
+func For(net topology.RingEmbedder) *Patcher {
+	p := &Patcher{net: net, splice: &genericPatcher{net: net}}
+	if db, ok := net.(*topology.DeBruijn); ok {
+		p.ffc = newFFCPatcher(db)
+	}
+	return p
+}
+
+// LowerBound is the paper's dⁿ − nf guarantee for a De Bruijn network
+// under the canonical fault set f (f counts deduplicated node faults),
+// clamped at 0 when vacuous.  Other topologies guarantee no length here
+// (their bounds live on their own embed info), so it is 0 for them.
+func LowerBound(net topology.Network, f topology.FaultSet) int {
+	db, ok := net.(*topology.DeBruijn)
+	if !ok {
+		return 0
+	}
+	return max(db.Nodes()-db.WordLen()*len(f.Nodes), 0)
+}
+
+// Ring returns the owned ring.  The slice is read-only and valid until
+// the next Step, Patch, Unpatch, Embed or Restore.
+func (p *Patcher) Ring() []int32 { return p.ring.seq }
+
+// RingInts returns a copy of the owned ring as []int.
+func (p *Patcher) RingInts() []int { return p.ring.ints() }
+
+// Faults returns the cumulative canonical fault set the ring avoids.
+func (p *Patcher) Faults() topology.FaultSet { return p.faults }
+
+// Diff reports the nodes the most recent Step or Embed removed from the
+// ring and added to it (empty when that call left the ring unchanged).
+func (p *Patcher) Diff() Diff { return p.diff }
+
+// LastTrace returns the tier steps of the most recent Step, in descent
+// order.  The slice is owned by the Patcher and valid until its next
+// call.
+func (p *Patcher) LastTrace() []TierStep { return p.trace }
+
+// traceStep appends one tier attempt to the current call's trace.
+func (p *Patcher) traceStep(tier string, o Outcome, touched int, start time.Time) {
+	//ringlint:allow time trace-only timing; Elapsed is diagnostic, never replayed or hashed
+	p.trace = append(p.trace, TierStep{Tier: tier, Outcome: o, Touched: touched, Elapsed: time.Since(start)})
+}
+
+// Embed performs a full re-embed for the cumulative fault set f and
+// installs the ring as a full replacement, resetting the ladder; Diff
+// then reports what changed against the previous ring.  It is also the
+// initial embedding of a session.  A rejected fault set mutates nothing:
+// the previous ring, fault set and tier state stay patchable.
+func (p *Patcher) Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo, error) {
+	var ring []int
+	var info *topology.EmbedInfo
+	var err error
+	if p.ffc != nil {
+		ring, info, err = p.ffc.Embed(f)
+	} else {
+		ring, info, err = p.splice.Embed(f)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	p.spliceOwns = false
+	p.diff = p.ring.replace(p.net.Nodes(), ring)
+	p.faults = f.Canonical()
+	return ring, info, nil
+}
+
+// Patch absorbs a batch of newly failed components by local repair: Step
+// plus a copy of the ring.  On Patched, Reordered or Spliced the
+// returned ring is the repaired one; on Noop (ring unchanged) and
+// Unsupported (re-Embed) it is nil.
+func (p *Patcher) Patch(add topology.FaultSet) ([]int, Outcome) {
+	return p.stepCopy(false, add, p.faults.Union(add))
+}
+
+// Unpatch absorbs a batch of healed components — faults leaving the
+// cumulative set — by local repair, growing the ring back toward the
+// fault-free embedding; like Patch, with Readmitted or Spliced as the
+// ring-changing outcomes.
+func (p *Patcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
+	return p.stepCopy(true, remove, p.faults.Minus(remove))
+}
+
+func (p *Patcher) stepCopy(heal bool, batch, next topology.FaultSet) ([]int, Outcome) {
+	o := p.Step(heal, batch, next)
+	if o == Noop || o == Unsupported {
+		return nil, o
+	}
+	return p.ring.ints(), o
+}
+
+// Step runs the ladder for one fault (heal false) or heal batch.  next
+// is the cumulative fault set after it: Faults() plus batch for a fault,
+// minus batch for a heal.  On a ring-changing outcome the ring was
+// changed in place and Diff reports how; on Noop only the fault set
+// moved to next; on Unsupported nothing changed and the caller must
+// Embed(next).  A batch with out-of-range coordinates is Unsupported
+// before any tier sees it, so bad input never poisons tier state.
+func (p *Patcher) Step(heal bool, batch, next topology.FaultSet) Outcome {
+	p.trace = p.trace[:0]
+	p.diff = Diff{}
+	batch = batch.Canonical()
+	if !p.validBatch(batch) {
+		return Unsupported
+	}
+	var fresh topology.FaultSet // faults the new ring must avoid that the old one did not
+	if !heal {
+		fresh = batch
+	}
+	o := p.ladder(heal, batch, next, fresh)
+	if o != Unsupported {
+		p.faults = next
+	}
+	return o
+}
+
+// validBatch reports whether every coordinate of f names a node of the
+// network.
+func (p *Patcher) validBatch(f topology.FaultSet) bool {
+	size := p.net.Nodes()
+	for _, x := range f.Nodes {
+		if x < 0 || x >= size {
+			return false
+		}
+	}
+	for _, e := range f.Edges {
+		if e.From < 0 || e.From >= size || e.To < 0 || e.To >= size {
+			return false
+		}
+	}
+	return true
+}
+
+// ladder descends the tiers for one batch and applies the first delta
+// a tier produces.
+func (p *Patcher) ladder(heal bool, batch, next, fresh topology.FaultSet) Outcome {
+	minLen := LowerBound(p.net, next)
+	if p.ffc != nil && !p.spliceOwns {
+		start := time.Now() //ringlint:allow time trace-only timing
+		var o Outcome
+		if heal {
+			o = p.ffc.unpatch(batch)
+		} else {
+			o = p.ffc.patch(batch)
+		}
+		p.traceStep("ffc", o, p.ffc.touched, start)
+		switch o {
+		case Noop:
+			return Noop
+		case Unsupported:
+			// The FFC tier declined; its bookkeeping may not include this
+			// batch, but it is now invalid (or permanently non-spanning)
+			// and declines everything until the next Embed, so the owned
+			// (ring, faults) is the single source of truth for the splice
+			// tier below.
+		default:
+			if p.apply(p.ffc.emit(), next, fresh, minLen) {
+				return o
+			}
+			p.ffc.valid = false
+			return Unsupported
+		}
+	}
+
+	start := time.Now() //ringlint:allow time trace-only timing
+	sp := p.splice
+	if p.ffc != nil && !p.syncSplice() {
+		p.traceStep("splice", Unsupported, 0, start)
+		return Unsupported
+	}
+	var o Outcome
+	if heal {
+		o = sp.unpatch(batch)
+	} else {
+		o = sp.patch(batch)
+	}
+	p.traceStep("splice", o, sp.touched, start)
+	if p.ffc != nil {
+		o = p.chainOutcome(heal, o)
+	}
+	if o == Noop || o == Unsupported {
+		return o
+	}
+	if !p.apply(sp.emit(), next, fresh, minLen) {
+		sp.valid = false
+		return Unsupported
+	}
+	p.spliceOwns = p.ffc != nil
+	return o
+}
+
+// chainOutcome maps a splice-tier outcome to the chain's.  Ring changes
+// become Spliced.  Heals are accepted only when complete: a splice heal
+// that leaves healed processors off the ring would silently freeze the
+// ring short of what a re-embed restores, so a partial heal — or a Noop
+// that healed processors but re-inserted none — declines and lets the
+// caller regrow the ring via Embed.  The splice tier's pooled membership
+// set is current right after its unpatch, so the check costs no
+// allocation (validBatch already range-checked every node).
+func (p *Patcher) chainOutcome(heal bool, o Outcome) Outcome {
+	switch {
+	case o == Patched:
+		return Spliced
+	case o == Readmitted:
+		for _, v := range p.splice.healed {
+			if !p.splice.onRingHas(v) {
+				return Unsupported
+			}
+		}
+		return Spliced
+	case o == Noop && heal && len(p.splice.healed) > 0:
+		return Unsupported
+	}
+	return o
+}
+
+// apply applies a tier's delta to the owned ring, recording its Diff.
+func (p *Patcher) apply(d *delta, next, fresh topology.FaultSet, minLen int) bool {
+	diff, ok := p.ring.apply(p.net, d, next, fresh, minLen)
+	if ok {
+		p.diff = diff
+	}
+	return ok
+}
+
+// syncSplice points a chain's splice tier at the owned ring and fault
+// set, rebuilding its state unless it already holds exactly that pair
+// (as it does right after an accepted splice).  Comparing instead of
+// trusting a flag means a splice result the ring rejected never leaks
+// into a later batch.  Restore(nil, …) re-checks node distinctness, so a
+// corrupted ring can never be spliced.
+func (p *Patcher) syncSplice() bool {
+	sp, cur := p.splice, p.ring.seq
+	same := sp.valid && len(sp.ring) == len(cur) &&
+		slices.Equal(sp.faults.Nodes, p.faults.Nodes) && slices.Equal(sp.faults.Edges, p.faults.Edges)
+	for i := 0; same && i < len(cur); i++ {
+		same = sp.ring[i] == int(cur[i])
+	}
+	if !same {
+		if err := sp.Restore(nil, p.ring.ints(), p.faults); err != nil {
+			return false
+		}
+	}
+	return sp.valid
+}
+
+// chainState wraps the owning tier's snapshot so Restore rebuilds the
+// right tier.  Journals from before the chain carry a bare ffcState (no
+// "tier" key) and restore as the FFC tier.
+type chainState struct {
+	Tier  string          `json:"tier"`
+	State json.RawMessage `json:"state,omitempty"`
+}
+
+// Snapshot serializes the incremental state needed to resume patching
+// after a restart (the caller persists the ring and faults itself).  A
+// nil snapshot is valid: Restore(nil, …) rebuilds only what (ring,
+// faults) alone support — the chain can still splice via its lazily
+// resynced bypass tier, while structural surgery declines until the
+// next Embed.
+func (p *Patcher) Snapshot() ([]byte, error) {
+	if p.ffc == nil {
+		return p.splice.Snapshot()
+	}
+	if p.spliceOwns {
+		st, err := p.splice.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(chainState{Tier: "splice", State: st})
+	}
+	st, err := p.ffc.Snapshot()
+	if err != nil || st == nil {
+		return nil, err
+	}
+	return json.Marshal(chainState{Tier: "ffc", State: st})
+}
+
+// Restore reinstates a snapshot taken at the given ring and cumulative
+// fault set, and installs both.  On error nothing is installed.
+func (p *Patcher) Restore(state []byte, ring []int, f topology.FaultSet) error {
+	f = f.Canonical()
+	var err error
+	if p.ffc == nil {
+		err = p.splice.Restore(state, ring, f)
+	} else {
+		err = p.restoreChain(state, ring, f)
+	}
+	if err != nil {
+		return err
+	}
+	p.ring.reset(p.net.Nodes(), ring)
+	p.faults = f
+	return nil
+}
+
+func (p *Patcher) restoreChain(state []byte, ring []int, f topology.FaultSet) error {
+	p.spliceOwns = false
+	if len(state) == 0 {
+		// Both tiers stale: the FFC tier declines until the next Embed
+		// and the splice tier resyncs lazily from (ring, faults) — the
+		// same state a live chain is in right after the FFC tier
+		// invalidates.
+		p.ffc.valid = false
+		return nil
+	}
+	var st chainState
+	if err := json.Unmarshal(state, &st); err != nil {
+		return fmt.Errorf("repair: bad chain snapshot: %w", err)
+	}
+	switch st.Tier {
+	case "splice":
+		if err := p.splice.Restore(st.State, ring, f); err != nil {
+			return err
+		}
+		if !p.splice.valid {
+			return fmt.Errorf("repair: splice snapshot restored to an unsplicable ring")
+		}
+		p.spliceOwns = true
+		return nil
+	case "ffc":
+		return p.ffc.Restore(st.State, ring, f)
+	case "":
+		// Legacy snapshot: a bare ffcState recorded before the chain.
+		return p.ffc.Restore(state, ring, f)
+	}
+	return fmt.Errorf("repair: unknown chain snapshot tier %q", st.Tier)
+}

@@ -25,30 +25,32 @@
 // directly between adjacent ring neighbors or via a multi-hop bypass
 // path on one side.
 //
-// For(net) wires the tiers per topology.  De Bruijn sessions get the
-// chain (see chainPatcher): the FFC tier first, and on any of its
-// Unsupported exits — root-necklace loss, non-spanning survivor graphs,
-// unreorderable stars, failed reattach — the splice tier attempts a
-// local bypass repair of the live ring before the caller pays for a
-// cold re-embed.  Every other topology gets the splice tier alone.
+// For(net) is the one entry point.  It returns a Patcher that owns the
+// ring and its cumulative fault set and runs the per-topology ladder:
+// De Bruijn networks get the chain — the FFC tier first, and on any of
+// its Unsupported exits (root-necklace loss, non-spanning survivor
+// graphs, unreorderable stars, failed reattach) the splice tier attempts
+// a local bypass repair before the caller pays for a cold re-embed —
+// and every other topology gets the splice tier alone.
 //
-// A patcher is a stateful, single-goroutine object owned by one session.
-// Patch and Unpatch are best-effort: Patched/Reordered/Readmitted/
-// Spliced results still need topology.VerifyRing by the caller, and any
-// Unsupported outcome (or failed verification) must be followed by
-// Embed to re-synchronize the patcher's state with a full re-embed.
+// Both tiers report a repair in one change format, a successor-edit
+// delta: the nodes whose ring successor changed with their new
+// successors, the nodes leaving and joining the ring, and the new length
+// (Proposition 2.1: the ring is a successor rule, and a repair rewrites
+// only the successors of the nodes it touches).  The Patcher applies the
+// delta to its Ring by block-copying the unchanged arcs, and accepts it
+// only if the seams prove a valid ring: every edited hop a surviving
+// link, every old arc used once, the walk closing at the promised
+// length, no new fault left on the ring, the length at least dⁿ − nf
+// (LowerBound).  A structural repair thus costs O(stars touched) plus
+// the arc copies, never a walk over dⁿ nodes, and a rejected delta
+// leaves the ring untouched.  Step is the session's entry point; Patch
+// and Unpatch are Step plus a copy of the ring; Embed and Restore
+// install a full ring, and re-embeds report their Removed/Added through
+// a bitset diff.
 //
-// Sessions use the delta entry point instead (ForRing, RingPatcher):
-// PatchRing and UnpatchRing run the same ladder against the ring and
-// fault set the caller owns, and the FFC tier answers with a Delta — its
-// successor edits, the nodes leaving and joining the ring, the new
-// length — rather than a fresh ring, so a structural repair costs
-// O(stars touched) instead of a walk over dⁿ nodes.  The caller applies
-// the Delta to its ring and checks only the seams it touched (package
-// session); splice-tier results and re-embeds stay full replacements.
-// The patcher keeps no copy of the caller's ring: the splice tier
-// resyncs from the ring passed in, so a result the caller rejected can
-// never leak into a later event.
+// Any Unsupported outcome must be followed by Embed to re-synchronize
+// the ladder with a full re-embed.
 package repair
 
 import (
@@ -61,10 +63,10 @@ import (
 	"debruijnring/topology"
 )
 
-// TierStep records one repair tier's attempt during a single Patch or
-// Unpatch call: which tier ran, how it answered, how much structure it
-// touched (stars re-closed for the FFC tier, arcs/insertions spliced
-// for the splice tier) and how long it took.
+// TierStep records one repair tier's attempt during a single Step: which
+// tier ran, how it answered, how much structure it touched (stars
+// re-closed for the FFC tier, arcs/insertions spliced for the splice
+// tier) and how long it took.
 type TierStep struct {
 	Tier    string // "ffc" or "splice"
 	Outcome Outcome
@@ -72,42 +74,30 @@ type TierStep struct {
 	Elapsed time.Duration
 }
 
-// Tracer is implemented by patchers that record the tier ladder each
-// Patch/Unpatch call descended.  LastTrace returns the steps of the
-// most recent call; the slice is owned by the patcher and only valid
-// until the next Patch/Unpatch/Embed.
-type Tracer interface {
-	LastTrace() []TierStep
-}
-
-// Outcome classifies one Patch attempt.
+// Outcome classifies one Step.
 type Outcome int
 
 const (
-	// Unsupported means the patcher cannot absorb the faults locally;
-	// the caller must fall back to Embed (full re-embed).  The patcher's
-	// incremental state is invalid until Embed succeeds.
+	// Unsupported means the ladder cannot absorb the batch locally; the
+	// ring is unchanged and the caller must fall back to Embed (full
+	// re-embed), until which the tiers' incremental state is invalid.
 	Unsupported Outcome = iota
-	// Noop means the faults do not touch the current ring (off-component
+	// Noop means the batch does not touch the current ring (off-component
 	// nodes, already-faulty necklaces, links the ring does not use); the
 	// ring is unchanged.
 	Noop
-	// Patched means the ring was locally repaired; the returned ring
-	// replaces the old one pending the caller's verification.
+	// Patched means the ring was locally repaired.
 	Patched
 	// Reordered means an on-ring link fault was absorbed without
 	// removing any necklace, by reordering window choices within the
-	// touched stars; the returned ring replaces the old one pending
-	// verification.
+	// touched stars.
 	Reordered
-	// Readmitted means Unpatch re-admitted repaired components locally
-	// (the ring grew back); the returned ring replaces the old one
-	// pending verification.
+	// Readmitted means a heal re-admitted repaired components locally
+	// (the ring grew back).
 	Readmitted
 	// Spliced means the structural tier declined but the generic splice
 	// tier absorbed the batch by local bypass surgery on the live ring
-	// (chain patchers only); the returned ring replaces the old one
-	// pending verification.
+	// (De Bruijn chains only).
 	Spliced
 )
 
@@ -148,104 +138,16 @@ func ParseOutcome(s string) (Outcome, bool) {
 	return Unsupported, false
 }
 
-// Patcher maintains the incremental-repair state of one ring.
-type Patcher interface {
-	// Embed performs a full re-embed for the cumulative fault set f,
-	// resetting the patcher's incremental state.  It is also the initial
-	// embedding of a session.
-	Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo, error)
-	// Patch attempts to absorb the newly added faults (on top of every
-	// fault previously passed to Embed/Patch) by local repair.  On
-	// Patched or Reordered the returned ring is the candidate
-	// replacement; on Noop the ring is unchanged; on Unsupported the
-	// caller must re-Embed.
-	Patch(add topology.FaultSet) ([]int, Outcome)
-	// Unpatch attempts to absorb a batch of healed components — faults
-	// leaving the cumulative set — by local repair, growing the ring
-	// back toward the fault-free embedding.  On Readmitted the returned
-	// ring is the candidate replacement; on Noop the ring is unchanged
-	// (the heal was pure bookkeeping); on Unsupported the caller must
-	// re-Embed with the reduced fault set.
-	Unpatch(remove topology.FaultSet) ([]int, Outcome)
-	// Snapshot serializes the incremental state needed to resume
-	// patching after a restart (the session persists ring and faults
-	// itself).  A nil snapshot is valid: Restore(nil, …) rebuilds only
-	// what (ring, faults) alone support — the chain patcher can still
-	// splice via its lazily resynced bypass tier, while structural
-	// surgery declines until the next Embed.
-	Snapshot() ([]byte, error)
-	// Restore reinstates a snapshot taken at the given ring and
-	// cumulative fault set.
-	Restore(state []byte, ring []int, f topology.FaultSet) error
-}
-
-// Delta is a structural-tier repair expressed as successor edits
-// against the ring before the call (Proposition 2.1: the ring is the
-// successor rule, and a repair rewrites only the Step-3 overrides of
-// the stars it touches).  Read from Start, the new ring follows the old
-// ring's successor everywhere except at Nodes[i], whose successor is
-// now Succ[i]; the nodes in Leave drop off the ring, the nodes in Join
-// come onto it (each is also listed in Nodes), and the result has
-// Length nodes.  A Delta is owned by the patcher that produced it and
-// is valid only until its next call.
-type Delta struct {
-	Start  int
-	Length int
-	Nodes  []int
-	Succ   []int
-	Leave  []int
-	Join   []int
-}
-
-// Change is the ring-changing part of one PatchRing/UnpatchRing result:
-// a Delta from the structural tier, or a full replacement Ring from the
-// splice tier.  Both are nil on Noop and Unsupported.
-type Change struct {
-	Delta *Delta
-	Ring  []int
-}
-
-// RingPatcher is the session's entry point into the repair ladder.
-// PatchRing and UnpatchRing are Patch and Unpatch run against the
-// caller's current ring (node ids as int32, the session's sequence
-// type) and cumulative canonical fault set, which the caller owns and
-// updates itself once it accepts a Change; Embed, Snapshot and Restore
-// are as for Patcher.
-type RingPatcher interface {
-	Patcher
-	PatchRing(cur []int32, faults, add topology.FaultSet) (Change, Outcome)
-	UnpatchRing(cur []int32, faults, remove topology.FaultSet) (Change, Outcome)
-}
-
-// For returns the patcher suited to net: the FFC-structural/splice
-// repair chain for De Bruijn networks, the generic splice patcher alone
-// otherwise.  Its callers hold no ring of their own, so the chain keeps
-// a copy of the last ring it returned for the splice tier.
-func For(net topology.RingEmbedder) Patcher {
-	if db, ok := net.(*topology.DeBruijn); ok {
-		c := newChainPatcher(db)
-		c.standalone = true
-		return c
-	}
-	return &genericPatcher{net: net}
-}
-
-// ForRing returns the patcher For would, for a caller that keeps the
-// ring itself and drives it through PatchRing/UnpatchRing: the chain
-// holds no copy of the ring.
-func ForRing(net topology.RingEmbedder) RingPatcher {
-	if db, ok := net.(*topology.DeBruijn); ok {
-		return newChainPatcher(db)
-	}
-	return &genericPatcher{net: net}
-}
-
 // genericPatcher repairs rings on any unit-dilation topology by cutting
 // out the faulted components and re-splicing the surviving arcs.  Bypass
 // paths run through off-ring survivors only, so it shines once faults
 // have already shrunk the ring below the network size and degrades to
 // Unsupported (→ full re-embed) on a fresh Hamiltonian ring whose cut
 // ends are not directly linked.
+//
+// The tier works on a private copy of the ring, whose membership its
+// partial-heal check reads, and reports each ring change as a delta
+// against the ring before it (emit), which the owning Patcher applies.
 type genericPatcher struct {
 	net    topology.RingEmbedder
 	valid  bool
@@ -253,14 +155,26 @@ type genericPatcher struct {
 	faults topology.FaultSet
 
 	// touched counts the splice operations of the most recent
-	// Patch/Unpatch (arcs reconnected, processors re-inserted); trace
-	// holds that call's TierStep for LastTrace.
+	// patch/unpatch (arcs reconnected, processors re-inserted); healed
+	// lists the processors the most recent unpatch took off the fault
+	// set.
 	touched int
-	trace   []TierStep
+	healed  []int
 
-	// Pooled dense scratch, reused across every Patch/Unpatch/bypass so
-	// a steady-state splice event allocates only the ring copy it hands
-	// back.  All sets are epoch-stamped (O(1) reset, internal/dense).
+	// The edit log of the current patch/unpatch, from which emit builds
+	// its delta.  setSucc records each node whose successor changed once
+	// (succ holds the latest successor, edited the first-write order);
+	// leave and join collect the nodes dropping off and coming onto the
+	// ring.  All pooled across calls.
+	succ   dense.Sparse
+	edited []int
+	leave  []int
+	join   []int
+	out    delta
+
+	// Pooled dense scratch, reused across every patch/unpatch/bypass so
+	// a steady-state splice event allocates no ring-sized buffer.  All
+	// sets are epoch-stamped (O(1) reset, internal/dense).
 	//
 	// onRing is *incremental* ring-membership state: it stays valid
 	// across heal events (insertAfter registers new members) and is only
@@ -280,19 +194,6 @@ type genericPatcher struct {
 	segFlat  []int // surviving arcs, flattened
 	segEnds  []int // exclusive end offsets into segFlat, one per arc
 	ringNext []int // patch result double-buffer, swapped with ring
-}
-
-// LastTrace implements Tracer for the standalone splice patcher.
-func (p *genericPatcher) LastTrace() []TierStep { return p.trace }
-
-// traceCall records the single splice-tier step of one Patch/Unpatch.
-func (p *genericPatcher) traceCall(o Outcome, start time.Time) {
-	p.trace = append(p.trace[:0], TierStep{
-		Tier:    "splice",
-		Outcome: o,
-		Touched: p.touched,
-		Elapsed: time.Since(start), //ringlint:allow time trace-only timing; Elapsed is diagnostic, never replayed or hashed
-	})
 }
 
 // maxBypassLen bounds the length of one bypass path: twice the diameter
@@ -316,7 +217,7 @@ func (p *genericPatcher) Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo,
 
 // reset installs a freshly embedded ring.  Dilation-2 closed walks
 // revisit nodes, so splice surgery does not apply to them; the patcher
-// stays invalid and every Patch reports Unsupported.
+// stays invalid and every patch reports Unsupported.
 func (p *genericPatcher) reset(ring []int, f topology.FaultSet, dilation int) {
 	p.ring = append(p.ring[:0], ring...)
 	p.faults = f.Canonical()
@@ -339,7 +240,7 @@ func (p *genericPatcher) ensureOnRing() {
 }
 
 // onRingHas reports ring membership from the pooled incremental set.
-// v must be in [0, Nodes()) and the patcher valid — the chain patcher
+// v must be in [0, Nodes()) and the patcher valid — the owning Patcher
 // range-checks every batch before either tier sees it.
 func (p *genericPatcher) onRingHas(v int) bool {
 	p.ensureOnRing()
@@ -394,17 +295,52 @@ func (p *genericPatcher) Restore(state []byte, ring []int, f topology.FaultSet) 
 	return nil
 }
 
-func (p *genericPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
-	start := time.Now() //ringlint:allow time trace-only timing
+// resetLog empties the edit log; patch and unpatch start with it.
+//
+//ringlint:noalloc
+func (p *genericPatcher) resetLog() {
 	p.touched = 0
-	r, o := p.patch(add)
-	p.traceCall(o, start)
-	return r, o
+	p.succ.Reset()
+	p.edited, p.leave, p.join = p.edited[:0], p.leave[:0], p.join[:0]
 }
 
-func (p *genericPatcher) patch(add topology.FaultSet) ([]int, Outcome) {
+// setSucc logs v as x's new ring successor; a later write for the same
+// x (a second insertion into the same hop) keeps only the final one.
+//
+//ringlint:noalloc
+func (p *genericPatcher) setSucc(x, v int) {
+	if p.succ.Set(x, int32(v)) {
+		p.edited = append(p.edited, x) //ringlint:allow alloc pooled edit log; growth amortizes to zero
+	}
+}
+
+// emit expresses the current call's surgery as a delta against the ring
+// before the call.  The new ring is read from p.ring[0]: the first
+// surviving arc's head after a patch, the unchanged first node after a
+// heal.  The result is pooled: valid until the next call.
+//
+//ringlint:noalloc
+func (p *genericPatcher) emit() *delta {
+	d := &p.out
+	d.Start, d.Length = p.ring[0], len(p.ring)
+	d.Nodes, d.Succ = d.Nodes[:0], d.Succ[:0]
+	for _, x := range p.edited {
+		v, _ := p.succ.Get(x)
+		d.Nodes = append(d.Nodes, x)    //ringlint:allow alloc pooled delta; growth amortizes to zero
+		d.Succ = append(d.Succ, int(v)) //ringlint:allow alloc pooled delta; growth amortizes to zero
+	}
+	d.Leave, d.Join = p.leave, p.join
+	return d
+}
+
+// patch cuts one fault batch out of the ring, reconnecting the surviving
+// arcs, and logs the cut for emit: each arc tail and bypass interior
+// with its new successor, the bypass interiors as joining, the faulty
+// ring nodes as leaving.
+func (p *genericPatcher) patch(add topology.FaultSet) Outcome {
+	p.resetLog()
 	if !p.valid || len(p.ring) == 0 {
-		return nil, Unsupported
+		return Unsupported
 	}
 	combined := p.faults.Union(add)
 	undirected := topology.Undirected(p.net)
@@ -427,7 +363,7 @@ func (p *genericPatcher) patch(add topology.FaultSet) ([]int, Outcome) {
 	}
 	if !hit {
 		p.faults = combined
-		return nil, Noop
+		return Noop
 	}
 
 	// Cut the ring into surviving arcs, flattened into the pooled
@@ -447,6 +383,7 @@ func (p *genericPatcher) patch(add topology.FaultSet) ([]int, Outcome) {
 	for j := 0; j < k; j++ {
 		v := p.ring[(s+j)%k]
 		if badNode[v] {
+			p.leave = append(p.leave, v)
 			p.closeSeg()
 			continue
 		}
@@ -459,7 +396,7 @@ func (p *genericPatcher) patch(add topology.FaultSet) ([]int, Outcome) {
 	nseg := len(p.segEnds)
 	if nseg == 0 {
 		p.valid = false
-		return nil, Unsupported
+		return Unsupported
 	}
 
 	// Reconnect consecutive arcs in ring order: a direct surviving link,
@@ -484,15 +421,20 @@ func (p *genericPatcher) patch(add topology.FaultSet) ([]int, Outcome) {
 		if ni > 0 {
 			nlo = p.segEnds[ni-1]
 		}
-		path, ok := p.bypass(seg[len(seg)-1], p.segFlat[nlo], badNode, edgeCut, &p.used)
+		tail, head := seg[len(seg)-1], p.segFlat[nlo]
+		path, ok := p.bypass(tail, head, badNode, edgeCut, &p.used)
 		if !ok {
 			p.valid = false
-			return nil, Unsupported
+			return Unsupported
 		}
 		p.touched++
 		for _, x := range path {
 			p.used.Add(x)
+			p.setSucc(tail, x)
+			tail = x
 		}
+		p.setSucc(tail, head)
+		p.join = append(p.join, path...)
 		newRing = append(newRing, path...)
 	}
 	p.ringNext = p.ring
@@ -502,20 +444,7 @@ func (p *genericPatcher) patch(add topology.FaultSet) ([]int, Outcome) {
 	p.used, p.onRing = p.onRing, p.used
 	p.onRingOK = true
 	p.faults = combined
-	return append([]int(nil), newRing...), Patched
-}
-
-// PatchRing implements RingPatcher.  The splice patcher works on its
-// own copy of the ring, so cur and faults are not needed.
-func (p *genericPatcher) PatchRing(_ []int32, _, add topology.FaultSet) (Change, Outcome) {
-	r, o := p.Patch(add)
-	return Change{Ring: r}, o
-}
-
-// UnpatchRing implements RingPatcher, like PatchRing.
-func (p *genericPatcher) UnpatchRing(_ []int32, _, remove topology.FaultSet) (Change, Outcome) {
-	r, o := p.Unpatch(remove)
-	return Change{Ring: r}, o
+	return Patched
 }
 
 // closeSeg ends the currently open arc, if any, at len(segFlat).
@@ -527,7 +456,7 @@ func (p *genericPatcher) closeSeg() {
 	}
 }
 
-// Unpatch absorbs healed components.  Healed links are pure
+// unpatch absorbs healed components.  Healed links are pure
 // bookkeeping (the ring never traverses a faulty wire, so nothing needs
 // rerouting — but dropping them from the fault set lets later bypasses
 // use the restored wire again).  Each healed processor is re-inserted
@@ -537,25 +466,20 @@ func (p *genericPatcher) closeSeg() {
 // fault-free survivors on one side, which pulls those survivors back
 // onto the ring with it.  A healed node with no insertion slot at all
 // stays off-ring (the ring remains valid; a later Embed re-balances),
-// so Unpatch never reports Unsupported for slotless heals alone.
-func (p *genericPatcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
-	start := time.Now() //ringlint:allow time trace-only timing
-	p.touched = 0
-	r, o := p.unpatch(remove)
-	p.traceCall(o, start)
-	return r, o
-}
-
-func (p *genericPatcher) unpatch(remove topology.FaultSet) ([]int, Outcome) {
+// so unpatch never reports Unsupported for slotless heals alone.
+func (p *genericPatcher) unpatch(remove topology.FaultSet) Outcome {
+	p.resetLog()
+	p.healed = p.healed[:0]
 	if !p.valid || len(p.ring) == 0 {
-		return nil, Unsupported
+		return Unsupported
 	}
 	remove = remove.Canonical()
 	reduced := p.faults.Minus(remove)
 	healed := p.faults.Minus(reduced) // the part of remove actually present
 	p.faults = reduced
+	p.healed = append(p.healed, healed.Nodes...)
 	if len(healed.Nodes) == 0 {
-		return nil, Noop
+		return Noop
 	}
 
 	undirected := topology.Undirected(p.net)
@@ -571,13 +495,10 @@ func (p *genericPatcher) unpatch(remove topology.FaultSet) ([]int, Outcome) {
 	// ring has not been replaced since; otherwise one rebuild here.
 	p.ensureOnRing()
 
-	n := p.net.Nodes()
 	changed := false
 	for _, v := range healed.Nodes {
-		if v < 0 || v >= n || p.onRing.Has(v) {
-			// Out-of-range heals can never join a ring (defensive: the
-			// standalone patcher accepts unvalidated batches); on-ring
-			// heals are defensive too — a faulty node is never on the ring.
+		if p.onRing.Has(v) {
+			// Defensive: a faulty node is never on the ring.
 			continue
 		}
 		if p.insertHealed(v, badNode, edgeCut) {
@@ -586,9 +507,9 @@ func (p *genericPatcher) unpatch(remove topology.FaultSet) ([]int, Outcome) {
 		}
 	}
 	if !changed {
-		return nil, Noop
+		return Noop
 	}
-	return append([]int(nil), p.ring...), Readmitted
+	return Readmitted
 }
 
 // insertHealed re-inserts one healed processor v into the ring.  The
@@ -630,19 +551,25 @@ func (p *genericPatcher) insertHealed(v int, badNode map[int]bool, edgeCut func(
 	return false
 }
 
-// insertAfter splices seq into the ring after position i, registering
-// the new members in the incremental onRing set (which thereby stays
-// valid across consecutive heal events).
+// insertAfter splices seq into the ring after position i — the hop
+// u → w becomes u → seq… → w — logging the new successors and joining
+// nodes for emit and registering the new members in the incremental
+// onRing set (which thereby stays valid across consecutive heal events).
 //
 //ringlint:noalloc
 func (p *genericPatcher) insertAfter(i int, seq []int) {
 	old := len(p.ring)
+	u, w := p.ring[i], p.ring[(i+1)%old]
 	p.ring = append(p.ring, seq...) //ringlint:allow alloc pooled ring buffer; bounded by node count
 	copy(p.ring[i+1+len(seq):], p.ring[i+1:old])
 	copy(p.ring[i+1:i+1+len(seq)], seq)
 	for _, x := range seq {
 		p.onRing.Add(x)
+		p.setSucc(u, x)
+		u = x
 	}
+	p.setSucc(u, w)
+	p.join = append(p.join, seq...) //ringlint:allow alloc pooled edit log; growth amortizes to zero
 }
 
 // bypass finds a path from tail to head whose interior avoids faulty and

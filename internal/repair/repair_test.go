@@ -213,8 +213,8 @@ func TestGenericPatcherBypassSplice(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := For(net)
-	if _, ok := p.(*genericPatcher); !ok {
-		t.Fatal("expected the generic patcher for the hypercube")
+	if p.ffc != nil {
+		t.Fatal("expected the splice tier alone for the hypercube")
 	}
 	ring := []int{0, 1, 3, 7, 5, 4} // spares: 2 and 6
 	if err := p.Restore(nil, ring, topology.FaultSet{}); err != nil {
@@ -309,7 +309,7 @@ func TestGenericPatcherFallbackOnHamiltonian(t *testing.T) {
 // TestPatcherSelection pins the For dispatch.
 func TestPatcherSelection(t *testing.T) {
 	db, _ := topology.NewDeBruijn(2, 4)
-	if _, ok := For(db).(*chainPatcher); !ok {
+	if For(db).ffc == nil {
 		t.Error("De Bruijn did not get the structural/splice repair chain")
 	}
 	se, err := topology.NewShuffleExchange(2, 4)
@@ -317,8 +317,8 @@ func TestPatcherSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := For(se)
-	if _, ok := p.(*genericPatcher); !ok {
-		t.Error("shuffle-exchange did not get the generic patcher")
+	if p.ffc != nil {
+		t.Error("shuffle-exchange did not get the splice tier alone")
 	}
 	// Dilation-2 closed walks are not splicable: every patch re-embeds.
 	if _, _, err := p.Embed(topology.FaultSet{}); err != nil {

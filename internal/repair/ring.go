@@ -1,22 +1,51 @@
-package session
+package repair
 
 import (
 	"math/bits"
 
 	"debruijnring/internal/dense"
-	"debruijnring/internal/repair"
 	"debruijnring/topology"
 )
 
-// liveRing is a session's ring: the node sequence, a dense position
+// deltaLimit bounds the Removed/Added lists a Diff carries; larger
+// changes report Truncated only.
+const deltaLimit = 128
+
+// Diff lists the nodes one ring change removed (in the old ring's
+// order) and added (in the new ring's order), or only Truncated when
+// more than deltaLimit nodes changed.  Both lists are fresh per change,
+// so callers may retain them.
+type Diff struct {
+	Removed, Added []int
+	Truncated      bool
+}
+
+// delta is a local repair expressed as successor edits against the
+// ring before the call (Proposition 2.1: the ring is the successor
+// rule, and a repair rewrites only the successors of the nodes it
+// touches).  Read from Start, the new ring follows the old ring's
+// successor everywhere except at Nodes[i], whose successor is now
+// Succ[i]; the nodes in Leave drop off the ring, the nodes in Join come
+// onto it (each is also listed in Nodes), and the result has Length
+// nodes.  A delta is owned by the tier that produced it and is valid
+// only until that tier's next call.
+type delta struct {
+	Start  int
+	Length int
+	Nodes  []int
+	Succ   []int
+	Leave  []int
+	Join   []int
+}
+
+// Ring is the ring a Patcher owns: the node sequence, a dense position
 // index (pos[v] is v's index in seq, −1 off the ring) and a spare
-// buffer the next sequence is built into.  A structural repair arrives
-// as a repair.Delta and is applied in place by apply, which checks only
-// the seams the delta touched; full replacements go through reset.
-// Node ids and positions are int32, which halves the two sequence
-// buffers and the arc copies; ints widens the sequence where an []int
-// is needed.
-type liveRing struct {
+// buffer the next sequence is built into.  A local repair arrives as a
+// delta and is applied in place by apply, which checks only the seams
+// the delta touched; full replacements go through replace.  Node ids
+// and positions are int32, which halves the two sequence buffers and
+// the arc copies; ints widens the sequence where an []int is needed.
+type Ring struct {
 	seq   []int32
 	pos   []int32
 	spare []int32
@@ -31,12 +60,23 @@ type liveRing struct {
 	cuts   []uint64
 	cutAt  []int32
 	joins  []int
+
+	// diff holds the bitsets replace diffs the old and new rings with.
+	diff ringDiff
+}
+
+// replace installs a copy of a full replacement sequence, rebuilds the
+// index and reports what changed against the previous sequence.
+func (r *Ring) replace(nodes int, seq []int) Diff {
+	d := r.diff.diff(nodes, r.seq, seq)
+	r.reset(nodes, seq)
+	return d
 }
 
 // reset installs a copy of a full replacement sequence and rebuilds the
 // index.  Both sequence buffers are sized to the node count here, so
 // apply never grows them.
-func (r *liveRing) reset(nodes int, seq []int) {
+func (r *Ring) reset(nodes int, seq []int) {
 	if len(r.pos) != nodes {
 		r.pos = make([]int32, nodes)
 		r.cuts = make([]uint64, (nodes+63)/64)
@@ -60,7 +100,7 @@ func buffer(b []int32, n int) []int32 {
 }
 
 // ints returns a copy of the sequence as []int.
-func (r *liveRing) ints() []int {
+func (r *Ring) ints() []int {
 	out := make([]int, len(r.seq))
 	for i, v := range r.seq {
 		out[i] = int(v)
@@ -86,25 +126,23 @@ func (r *liveRing) ints() []int {
 //   - no node or link in fresh stays on the ring;
 //   - the length is at least minLen.
 //
-// On success it returns the removed nodes in old-ring order and the
-// added ones in new-ring order, or truncated with no lists when more
-// than deltaLimit nodes changed — exactly what ringDiff.diff reports
+// On success it returns the Diff — exactly what ringDiff.diff reports
 // for the same pair of rings.  On failure the ring is left untouched.
 //
 //ringlint:noalloc
-func (r *liveRing) apply(net topology.Network, d *repair.Delta, f, fresh topology.FaultSet, minLen int) (removed, added []int, truncated, ok bool) {
+func (r *Ring) apply(net topology.Network, d *delta, f, fresh topology.FaultSet, minLen int) (diff Diff, ok bool) {
 	if !r.build(net, d, f, fresh, minLen) {
 		r.clearCuts()
-		return nil, nil, false, false
+		return Diff{}, false
 	}
 	if len(d.Leave)+len(r.joins) <= deltaLimit {
-		removed = r.leavingInOrder(len(d.Leave))
+		diff.Removed = r.leavingInOrder(len(d.Leave))
 		if len(r.joins) > 0 {
-			added = make([]int, len(r.joins)) //ringlint:allow alloc fresh per event: the watch buffer and journal retain Event.Added
-			copy(added, r.joins)
+			diff.Added = make([]int, len(r.joins)) //ringlint:allow alloc fresh per change: callers retain Diff.Added
+			copy(diff.Added, r.joins)
 		}
 	} else {
-		truncated = true
+		diff.Truncated = true
 	}
 	r.clearCuts()
 	for _, x := range d.Leave {
@@ -114,7 +152,7 @@ func (r *liveRing) apply(net topology.Network, d *repair.Delta, f, fresh topolog
 	for i, v := range r.seq {
 		r.pos[v] = int32(i)
 	}
-	return removed, added, truncated, true
+	return diff, true
 }
 
 // build checks d against the current ring and writes the new sequence
@@ -122,7 +160,7 @@ func (r *liveRing) apply(net topology.Network, d *repair.Delta, f, fresh topolog
 // It marks the arc ends in r.cuts, which the caller clears either way.
 //
 //ringlint:noalloc
-func (r *liveRing) build(net topology.Network, d *repair.Delta, f, fresh topology.FaultSet, minLen int) bool {
+func (r *Ring) build(net topology.Network, d *delta, f, fresh topology.FaultSet, minLen int) bool {
 	nodes := net.Nodes() //ringlint:allow alloc adapter Nodes is a field read on every in-tree topology
 	old := r.seq
 	k := len(old)
@@ -239,7 +277,7 @@ func (r *liveRing) build(net topology.Network, d *repair.Delta, f, fresh topolog
 // the ring once.
 //
 //ringlint:noalloc
-func (r *liveRing) nextCut(i int) (int, bool) {
+func (r *Ring) nextCut(i int) (int, bool) {
 	k := len(r.seq)
 	words := (k + 63) / 64
 	w := i >> 6
@@ -262,7 +300,7 @@ func (r *liveRing) nextCut(i int) (int, bool) {
 // (valid until the index is updated).
 //
 //ringlint:noalloc
-func (r *liveRing) onNewRing(v int) bool {
+func (r *Ring) onNewRing(v int) bool {
 	if v < 0 || v >= len(r.pos) {
 		return false
 	}
@@ -277,7 +315,7 @@ func (r *liveRing) onNewRing(v int) bool {
 // is not on it.
 //
 //ringlint:noalloc
-func (r *liveRing) newSucc(v int) int {
+func (r *Ring) newSucc(v int) int {
 	if !r.onNewRing(v) {
 		return -1
 	}
@@ -291,11 +329,11 @@ func (r *liveRing) newSucc(v int) int {
 // the cut bits (every leaving node's position is cut).
 //
 //ringlint:noalloc
-func (r *liveRing) leavingInOrder(n int) []int {
+func (r *Ring) leavingInOrder(n int) []int {
 	if n == 0 {
 		return nil
 	}
-	out := make([]int, 0, n) //ringlint:allow alloc fresh per event: the watch buffer and journal retain Event.Removed
+	out := make([]int, 0, n) //ringlint:allow alloc fresh per change: callers retain Diff.Removed
 	for w, word := range r.cuts {
 		for ; word != 0; word &= word - 1 {
 			v := int(r.seq[w<<6+bits.TrailingZeros64(word)])
@@ -310,7 +348,7 @@ func (r *liveRing) leavingInOrder(n int) []int {
 // cut marks the old position of x, if it has one, as an arc end.
 //
 //ringlint:noalloc
-func (r *liveRing) cut(x int) {
+func (r *Ring) cut(x int) {
 	if p := r.pos[x]; p >= 0 {
 		r.cuts[p>>6] |= 1 << (p & 63)
 		r.cutAt = append(r.cutAt, p) //ringlint:allow alloc pooled cut list; growth amortizes to zero
@@ -320,7 +358,7 @@ func (r *liveRing) cut(x int) {
 // clearCuts unsets every cut bit, in O(delta).
 //
 //ringlint:noalloc
-func (r *liveRing) clearCuts() {
+func (r *Ring) clearCuts() {
 	for _, p := range r.cutAt {
 		r.cuts[p>>6] &^= 1 << (p & 63)
 	}
@@ -358,4 +396,48 @@ func hasEdge(f topology.FaultSet, u, w int) bool {
 		}
 	}
 	return lo < len(f.Edges) && f.Edges[lo] == topology.Edge{From: u, To: w}
+}
+
+// ringDiff holds the two node-membership bitsets replace diffs the old
+// and new rings with: one bit per node, so dⁿ/64 words each.
+type ringDiff struct {
+	inOld, inCur []uint64
+}
+
+// diff lists the nodes of old missing from cur (removed, in old's ring
+// order) and the nodes of cur missing from old (added, in cur's ring
+// order), over node ids below nodes.  Changes of more than deltaLimit
+// nodes are reported as truncated, with no lists.
+func (d *ringDiff) diff(nodes int, old []int32, cur []int) Diff {
+	words := (nodes + 63) / 64
+	if len(d.inOld) < words {
+		d.inOld, d.inCur = make([]uint64, words), make([]uint64, words)
+	}
+	inOld, inCur := d.inOld[:words], d.inCur[:words]
+	clear(inOld)
+	clear(inCur)
+	for _, v := range old {
+		inOld[v>>6] |= 1 << (v & 63)
+	}
+	for _, v := range cur {
+		inCur[v>>6] |= 1 << (v & 63)
+	}
+	var out Diff
+	for _, v := range old {
+		if inCur[v>>6]&(1<<(v&63)) == 0 {
+			if len(out.Removed) == deltaLimit {
+				return Diff{Truncated: true}
+			}
+			out.Removed = append(out.Removed, int(v))
+		}
+	}
+	for _, v := range cur {
+		if inOld[v>>6]&(1<<(v&63)) == 0 {
+			if len(out.Removed)+len(out.Added) == deltaLimit {
+				return Diff{Truncated: true}
+			}
+			out.Added = append(out.Added, v)
+		}
+	}
+	return out
 }

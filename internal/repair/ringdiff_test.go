@@ -1,4 +1,4 @@
-package session
+package repair
 
 import (
 	"math/rand"
@@ -53,10 +53,10 @@ func TestRingDiffMatchesMap(t *testing.T) {
 	var d ringDiff
 	check := func(nodes int, old, cur []int) {
 		t.Helper()
-		r1, a1, t1 := d.diff(nodes, old, cur)
+		got := d.diff(nodes, narrow(old), cur)
 		r2, a2, t2 := ringDeltaMap(old, cur)
-		if !slices.Equal(r1, r2) || !slices.Equal(a1, a2) || t1 != t2 {
-			t.Fatalf("nodes %d: bitset (%v, %v, %v) != map (%v, %v, %v)", nodes, r1, a1, t1, r2, a2, t2)
+		if !slices.Equal(got.Removed, r2) || !slices.Equal(got.Added, a2) || got.Truncated != t2 {
+			t.Fatalf("nodes %d: bitset %+v != map (%v, %v, %v)", nodes, got, r2, a2, t2)
 		}
 	}
 	for i := 0; i < 500; i++ {
@@ -79,8 +79,8 @@ func TestRingDiffMatchesMap(t *testing.T) {
 	} {
 		old, cur := ringPair(rng, 1024, tc.remove, tc.add)
 		check(1024, old, cur)
-		if _, _, truncated := d.diff(1024, old, cur); truncated != tc.truncated {
-			t.Errorf("remove %d, add %d: truncated = %v, want %v", tc.remove, tc.add, truncated, tc.truncated)
+		if got := d.diff(1024, narrow(old), cur); got.Truncated != tc.truncated {
+			t.Errorf("remove %d, add %d: truncated = %v, want %v", tc.remove, tc.add, got.Truncated, tc.truncated)
 		}
 	}
 }

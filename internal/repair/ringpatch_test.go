@@ -7,32 +7,33 @@ import (
 	"debruijnring/topology"
 )
 
-// TestPatchRingDeltaMatchesWalk pins the FFC tier's two reports of one
-// surgery: PatchRing/UnpatchRing hand back a Delta against the caller's
-// ring, and the ring that Delta describes is the one the plain path
-// walks off the successor rule.  The delta is followed with a map, so
-// this checks the patcher's edit log independently of the session's
-// apply.
+// TestPatchRingDeltaMatchesWalk pins the FFC tier's delta against the
+// walk oracle: the ring the Patcher holds after applying the delta is
+// the one the FFC tier alone walks off its successor rule, and the delta
+// followed with a map gives the same ring — so this checks the tier's
+// edit log independently of Ring.apply.
 func TestPatchRingDeltaMatchesWalk(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 8)
-	rp := ForRing(net)
+	p := For(net)
 	ref := newFFCPatcher(net)
-	ring, _, err := rp.Embed(topology.FaultSet{})
+	ring, _, err := p.Embed(topology.FaultSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ref.Embed(topology.FaultSet{}); err != nil {
 		t.Fatal(err)
 	}
-	var faults topology.FaultSet
 	for i, x := range []int{ring[40], ring[90], ring[150]} {
 		batch := topology.NodeFaults(x)
-		ch, o := rp.PatchRing(narrow(ring), faults, batch)
+		got, o := p.Patch(batch)
 		want, wo := ref.Patch(batch)
-		if o != Patched || wo != Patched || ch.Delta == nil {
-			t.Fatalf("fault %d: outcomes %v/%v, delta %v", i, o, wo, ch.Delta != nil)
+		if o != Patched || wo != Patched {
+			t.Fatalf("fault %d: outcomes %v/%v", i, o, wo)
 		}
-		d := ch.Delta
+		if !slices.Equal(got, want) {
+			t.Fatalf("fault %d: owned ring of %d nodes differs from the walked ring of %d", i, len(got), len(want))
+		}
+		d := &p.ffc.out
 		succ := make(map[int]int, len(ring))
 		for j, v := range ring {
 			succ[v] = ring[(j+1)%len(ring)]
@@ -40,58 +41,51 @@ func TestPatchRingDeltaMatchesWalk(t *testing.T) {
 		for j, v := range d.Nodes {
 			succ[v] = d.Succ[j]
 		}
-		got := []int{d.Start}
-		for v := succ[d.Start]; v != d.Start && len(got) <= d.Length; v = succ[v] {
-			got = append(got, v)
+		followed := []int{d.Start}
+		for v := succ[d.Start]; v != d.Start && len(followed) <= d.Length; v = succ[v] {
+			followed = append(followed, v)
 		}
-		if !slices.Equal(got, want) || len(got) != d.Length {
-			t.Fatalf("fault %d: delta ring of %d nodes differs from the walked ring of %d", i, len(got), len(want))
+		if !slices.Equal(followed, want) || len(followed) != d.Length {
+			t.Fatalf("fault %d: delta ring of %d nodes differs from the walked ring of %d", i, len(followed), len(want))
 		}
 		if len(d.Leave) != len(ring)-len(want) || len(d.Join) != 0 {
 			t.Fatalf("fault %d: %d leaving, %d joining; ring shrank by %d", i, len(d.Leave), len(d.Join), len(ring)-len(want))
 		}
-		ring, faults = want, faults.Union(batch)
+		ring = want
 	}
 }
 
-// TestChainRingResyncsFromCallerRing: the chain keeps no ring of its
-// own for PatchRing callers, so a splice result the caller rejected
-// (and never re-embedded over) cannot leak into the next event — the
-// splice tier resyncs from the ring the caller still holds.
+// TestChainRingResyncsFromCallerRing: the splice tier keeps a private
+// copy of the ring, but the Patcher's ring is the single source of
+// truth.  A splice result the ring never accepted (here the private
+// copy is cut behind the Patcher's back) must not leak into the next
+// batch — the splice tier resyncs from the owned ring.
 func TestChainRingResyncsFromCallerRing(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 8)
-	rp := ForRing(net)
-	ring, _, err := rp.Embed(topology.FaultSet{})
+	p := For(net)
+	ring, _, err := p.Embed(topology.FaultSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := ring[0]
 	// The root's necklace is beyond the FFC tier: the splice tier cuts
-	// it out.  The caller rejects that ring and keeps its own.
-	ch, o := rp.PatchRing(narrow(ring), topology.FaultSet{}, topology.NodeFaults(root))
-	if o != Spliced || slices.Contains(ch.Ring, root) {
+	// it out, and owns the ring from now on.
+	r, o := p.Patch(topology.NodeFaults(root))
+	if o != Spliced || slices.Contains(r, root) {
 		t.Fatalf("root fault: outcome %v, want Spliced without the root", o)
 	}
-	// 1ⁿ, like the root 0ⁿ, has a self-loop, so a full ring can drop it
-	// by a direct link.
+	// 1ⁿ, like the root 0ⁿ, has a self-loop, so the ring can drop it by
+	// a direct link.  Cut it from the splice tier's copy only: a result
+	// the owned ring never took.
 	x := net.Nodes() - 1
-	ch, o = rp.PatchRing(narrow(ring), topology.FaultSet{}, topology.NodeFaults(x))
+	if o := p.splice.patch(topology.NodeFaults(x)); o != Patched {
+		t.Fatalf("private cut: outcome %v, want Patched", o)
+	}
+	r, o = p.Patch(topology.NodeFaults(x))
 	if o != Spliced {
-		t.Fatalf("second fault: outcome %v, want Spliced", o)
+		t.Fatalf("second fault: outcome %v, want Spliced (the rejected cut leaked into the splice tier)", o)
 	}
-	if !slices.Contains(ch.Ring, root) || !topology.VerifyRing(net, ch.Ring, topology.NodeFaults(x)) {
-		t.Fatal("the splice tier patched the rejected ring instead of the caller's")
+	if len(r) != len(ring)-2 || !topology.VerifyRing(net, r, topology.NodeFaults(root, x)) {
+		t.Fatalf("ring of %d after cutting two nodes from %d, or invalid", len(r), len(ring))
 	}
-	if len(ch.Ring) != len(ring)-1 {
-		t.Fatalf("ring of %d after cutting one node from %d", len(ch.Ring), len(ring))
-	}
-}
-
-// narrow converts a ring to the int32 ids PatchRing takes.
-func narrow(ring []int) []int32 {
-	out := make([]int32, len(ring))
-	for i, v := range ring {
-		out[i] = int32(v)
-	}
-	return out
 }

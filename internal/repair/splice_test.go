@@ -25,7 +25,7 @@ func TestGenericPatcherMultiCutBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := For(net).(*genericPatcher)
+	p := For(net)
 	ring := []int{0, 1, 3, 2, 6, 7, 5, 4} // Gray cycle; spares 8..15
 	if err := p.Restore(nil, ring, topology.FaultSet{}); err != nil {
 		t.Fatal(err)
@@ -35,8 +35,8 @@ func TestGenericPatcherMultiCutBatch(t *testing.T) {
 	if outcome != Patched {
 		t.Fatalf("outcome %v, want Patched", outcome)
 	}
-	if p.touched != 2 {
-		t.Errorf("touched = %d, want 2 (two independent cut edges)", p.touched)
+	if p.splice.touched != 2 {
+		t.Errorf("touched = %d, want 2 (two independent cut edges)", p.splice.touched)
 	}
 	if !topology.VerifyRing(net, got, faults) {
 		t.Fatalf("patched ring %v fails verification", got)
@@ -78,15 +78,16 @@ func TestGenericPatcherMultiCutEdgeBatch(t *testing.T) {
 	}
 }
 
-// ringMembership asserts the pooled incremental onRing set is marked
-// valid and matches the live ring exactly.
-func ringMembership(t *testing.T, p *genericPatcher) {
+// ringMembership asserts the splice tier's pooled incremental onRing
+// set is marked valid and matches the owned ring exactly.
+func ringMembership(t *testing.T, owner *Patcher) {
 	t.Helper()
+	p := owner.splice
 	if !p.onRingOK {
 		t.Fatal("onRing not marked valid after a splice event")
 	}
-	want := make(map[int]bool, len(p.ring))
-	for _, v := range p.ring {
+	want := make(map[int]bool, len(owner.Ring()))
+	for _, v := range owner.RingInts() {
 		want[v] = true
 	}
 	for v := 0; v < p.net.Nodes(); v++ {
@@ -105,7 +106,7 @@ func TestOnRingIncrementalState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := For(net).(*genericPatcher)
+	p := For(net)
 	ring := []int{0, 1, 3, 2, 6, 7, 5, 4}
 	// 8 and 10 start as healed-later faults, off-ring as faults must be.
 	if err := p.Restore(nil, ring, topology.NodeFaults(8, 10)); err != nil {
@@ -125,15 +126,15 @@ func TestOnRingIncrementalState(t *testing.T) {
 
 	// A second consecutive heal event must see current state without a
 	// rebuild (onRingOK survived the previous Unpatch).
-	if !p.onRingOK {
+	if !p.splice.onRingOK {
 		t.Fatal("membership state invalidated between consecutive heal events")
 	}
 	if _, o := p.Unpatch(topology.NodeFaults(10)); o != Readmitted {
 		t.Fatalf("heal 10 outcome %v", o)
 	}
 	ringMembership(t, p)
-	if !topology.VerifyRing(net, p.ring, topology.NodeFaults(7)) {
-		t.Fatalf("ring %v fails verification after the heal sequence", p.ring)
+	if !topology.VerifyRing(net, p.RingInts(), topology.NodeFaults(7)) {
+		t.Fatalf("ring %v fails verification after the heal sequence", p.RingInts())
 	}
 
 	// Re-healing an already-healed node is pure bookkeeping.

@@ -115,15 +115,14 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		spec:    spec,
 		net:     net,
 		mgr:     m,
-		patcher: repair.ForRing(net),
+		patcher: repair.For(net),
 		notify:  make(chan struct{}),
 	}
-	ring, info, err := s.patcher.Embed(faults)
+	_, info, err := s.patcher.Embed(faults)
 	if err != nil {
 		return nil, err
 	}
-	s.faults = faults
-	s.setRing(ring)
+	s.hash = ringHash(s.patcher.Ring())
 	s.rounds = info.Rounds
 
 	if m.store != nil {
@@ -144,8 +143,8 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 	embedEv := Event{
 		Kind:       "embed",
 		Repair:     "reembed",
-		RingLength: len(s.ring.seq),
-		LowerBound: s.lowerBoundFor(faults),
+		RingLength: len(s.patcher.Ring()),
+		LowerBound: repair.LowerBound(net, faults),
 		FaultCount: len(faults.Nodes) + len(faults.Edges),
 		RingHash:   s.hash,
 	}
@@ -360,7 +359,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 		spec:    created.Spec,
 		net:     net,
 		mgr:     m,
-		patcher: repair.ForRing(net),
+		patcher: repair.For(net),
 		notify:  make(chan struct{}),
 	}
 
@@ -392,8 +391,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			// rather than feed garbage to the patcher.
 			snap = -1
 		} else if err := s.patcher.Restore(ev.Patcher, ev.Ring, faults); err == nil {
-			s.faults = faults
-			s.setRing(ev.Ring)
+			s.hash = ringHash(s.patcher.Ring())
 			s.seq = ev.Seq
 			if ev.Stats != nil {
 				s.stats = *ev.Stats
@@ -406,12 +404,11 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 	if snap < 0 {
 		// Replay from creation: re-run the initial embed.
 		faults := topology.FaultSet{Nodes: created.FaultNodes, Edges: decodeEdges(created.FaultEdges)}.Canonical()
-		ring, info, err := s.patcher.Embed(faults)
+		_, info, err := s.patcher.Embed(faults)
 		if err != nil {
 			return nil, fmt.Errorf("initial embed replay: %w", err)
 		}
-		s.faults = faults
-		s.setRing(ring)
+		s.hash = ringHash(s.patcher.Ring())
 		s.rounds = info.Rounds
 		start = 1
 	}

@@ -160,7 +160,7 @@ func TestSnapshotAuditSkipsCorruptRing(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	ring := s.ring.seq
+	ring := s.patcher.Ring()
 	ring[1], ring[len(ring)/2] = ring[len(ring)/2], ring[1]
 	s.hash = ringHash(ring)
 	s.seq++ // as if an event had produced the corrupt ring

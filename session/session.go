@@ -24,21 +24,16 @@
 // creation).  Watchers stream the same events over long-poll or SSE via
 // the HTTP handler in this package.
 //
-// Per event, the work follows what the repair touched.  The session
-// owns one ring (a node sequence, a dense position index and a spare
-// buffer).  A structural (FFC-tier) repair arrives as a repair.Delta —
-// successor edits plus the nodes leaving and joining — and is applied
-// to that ring by block-copying the unchanged arcs between the edited
-// nodes; the result is proven a valid ring from its seams alone (every
-// edited hop is a surviving link, every old arc is used once, the walk
-// closes at the promised length, no new fault stays on the ring, the
-// length meets dⁿ − nf) and the Removed/Added lists fall out of the
-// same walk.  Splice-tier results and re-embeds are full replacements:
-// verified whole with topology.VerifyRing and diffed against the old
-// ring with two node bitsets.  The ring is hashed once per change and
+// Per event, the work follows what the repair touched.  The session's
+// repair.Patcher owns the ring and the cumulative fault set: every
+// local repair, from either tier, reaches the ring as a successor-edit
+// delta that the Patcher applies in place and proves valid from its
+// seams alone, and the Removed/Added lists fall out of the same walk.
+// Re-embeds replace the ring whole and are diffed against the old one
+// with two node bitsets.  The ring is hashed once per change and
 // events, state reads and snapshots read the cached hash.  Since no
-// event verifies the whole ring any more, every journal snapshot first
-// audits it with the full VerifyRing; a ring that fails is not
+// event verifies the whole ring, every journal snapshot first audits it
+// with the full topology.VerifyRing; a ring that fails is not
 // snapshotted (Restore replays from an older point) and the failure is
 // counted in session_ring_audit_failures_total.
 //
@@ -110,8 +105,8 @@ type Event struct {
 	RingHash   string `json:"ring_hash,omitempty"`
 	ElapsedNs  int64  `json:"elapsed_ns,omitempty"`
 
-	// Ring delta: nodes that left and (re-embeds only) rejoined the
-	// ring.  Omitted when larger than deltaLimit, flagged by
+	// Ring delta: nodes that left and joined the ring (repair.Diff).
+	// Omitted when more than 128 nodes changed, flagged by
 	// DeltaTruncated.
 	Removed        []int `json:"removed,omitempty"`
 	Added          []int `json:"added,omitempty"`
@@ -124,10 +119,6 @@ type Event struct {
 	Patcher    json.RawMessage `json:"patcher,omitempty"`
 	Stats      *Stats          `json:"stats,omitempty"`
 }
-
-// deltaLimit bounds the Removed/Added lists carried on events; larger
-// deltas report lengths only.
-const deltaLimit = 128
 
 // repairSemVer identifies the current repair-decision semantics.  Bump
 // it whenever the deterministic repair path changes shape (which ring a
@@ -163,15 +154,13 @@ type Session struct {
 	net  topology.RingEmbedder
 	mgr  *Manager
 
-	mu      sync.Mutex
-	patcher repair.RingPatcher
-	faults  topology.FaultSet
-	ring    liveRing
-	// hash is ringHash(ring.seq), computed once per ring change and read
-	// by every event, state snapshot and journal snapshot.
+	mu sync.Mutex
+	// patcher owns the ring and the cumulative fault set.
+	patcher *repair.Patcher
+	// hash is ringHash(patcher.Ring()), computed once per ring change
+	// and read by every event, state snapshot and journal snapshot.
 	hash      string
-	delta     ringDiff // bitsets reused by every event's ring diff
-	rounds    int      // broadcast rounds of the last full embed
+	rounds    int // broadcast rounds of the last full embed
 	seq       uint64
 	stats     Stats
 	journal   JournalWriter // nil when persistence is off
@@ -218,7 +207,7 @@ func (s *Session) StateSnapshot(includeRing bool) State {
 	defer s.mu.Unlock()
 	st := s.stateLocked()
 	if includeRing {
-		st.Ring = s.ring.ints()
+		st.Ring = s.patcher.RingInts()
 	}
 	return st
 }
@@ -231,22 +220,23 @@ func (s *Session) stateRing(includeRing bool) (State, []int32) {
 	defer s.mu.Unlock()
 	var ring []int32
 	if includeRing {
-		ring = slices.Clone(s.ring.seq)
+		ring = slices.Clone(s.patcher.Ring())
 	}
 	return s.stateLocked(), ring
 }
 
 // stateLocked returns the session's state without its ring.
 func (s *Session) stateLocked() State {
+	faults := s.patcher.Faults()
 	return State{
 		Name:       s.name,
 		Spec:       s.spec,
 		Seq:        s.seq,
-		RingLength: len(s.ring.seq),
-		LowerBound: s.lowerBoundLocked(),
+		RingLength: len(s.patcher.Ring()),
+		LowerBound: repair.LowerBound(s.net, faults),
 		RingHash:   s.hash,
-		FaultNodes: append([]int(nil), s.faults.Nodes...),
-		FaultEdges: encodeEdges(s.faults.Edges),
+		FaultNodes: append([]int(nil), faults.Nodes...),
+		FaultEdges: encodeEdges(faults.Edges),
 		Stats:      s.stats,
 	}
 }
@@ -264,19 +254,15 @@ func (s *Session) IsClosed() bool {
 func (s *Session) Ring() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ring.ints()
+	return s.patcher.RingInts()
 }
 
 // Faults returns the cumulative canonical fault set.
 func (s *Session) Faults() topology.FaultSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.faults
+	return s.patcher.Faults()
 }
-
-// lowerBoundLocked is the guaranteed minimum ring length under the
-// current fault load; see lowerBoundFor.
-func (s *Session) lowerBoundLocked() int { return s.lowerBoundFor(s.faults) }
 
 // withinToleranceLocked gates local repair on the paper's f ≤ n bound
 // for De Bruijn sessions (beyond it the dⁿ − nf guarantee degrades and
@@ -333,78 +319,56 @@ func (s *Session) apply(dir direction, batch topology.FaultSet) (*Event, error) 
 
 // applyLocked runs the repair ladder for one validated fault or heal
 // batch: a batch that changes no fault is a noop; otherwise, within
-// tolerance, the patcher's local tiers (Patch for faults, Unpatch for
-// heals) get the first try, and a full re-embed serves whatever they
-// decline.  If the re-embed fails too the event is a rejection and the
-// session keeps its state.  With record=false (journal replay) nothing
-// is journaled and no metric moves; the decision path is deterministic,
-// so replay reproduces the live rings exactly.
+// tolerance, the patcher's local tiers (Patcher.Step) get the first
+// try, and a full re-embed serves whatever they decline.  If the
+// re-embed fails too the event is a rejection and the session keeps its
+// state.  With record=false (journal replay) nothing is journaled and no
+// metric moves; the decision path is deterministic, so replay
+// reproduces the live rings exactly.
 func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record bool) (*Event, error) {
 	start := time.Now()
 	batch = batch.Canonical()
 	ev := &Event{Kind: dirNames[dir]}
 	// next is the fault set after the event; changed is the part of the
 	// batch that actually moves it.
+	faults := s.patcher.Faults()
 	var next, changed topology.FaultSet
 	if dir == dirFault {
-		next, changed = s.faults.Union(batch), batch.Minus(s.faults)
+		next, changed = faults.Union(batch), batch.Minus(faults)
 		ev.AddNodes, ev.AddEdges = append([]int(nil), batch.Nodes...), encodeEdges(batch.Edges)
 	} else {
-		next = s.faults.Minus(batch)
-		changed = s.faults.Minus(next)
+		next = faults.Minus(batch)
+		changed = faults.Minus(next)
 		ev.RemoveNodes, ev.RemoveEdges = append([]int(nil), batch.Nodes...), encodeEdges(batch.Edges)
 	}
 	ev.FaultCount = len(next.Nodes) + len(next.Edges)
 
 	o := outcome{dir: dir, tier: tierNoop}
-	var ring []int // a full replacement ring, installed below
 	var embedErr error
 	if !changed.IsEmpty() {
 		o.tier = tierReembed
 		if s.withinToleranceLocked(next) {
-			var ch repair.Change
-			var out repair.Outcome
-			var fresh topology.FaultSet // faults a delta must keep off the ring
-			if dir == dirFault {
-				ch, out = s.patcher.PatchRing(s.ring.seq, s.faults, changed)
-				fresh = changed
-			} else {
-				ch, out = s.patcher.UnpatchRing(s.ring.seq, s.faults, changed)
-			}
-			ev.Tiers = tierTraces(s.patcher)
-			local := tierLocal
-			if out == repair.Spliced {
-				local = tierSplice
-			}
-			// Every other outcome changes the ring: Patch answers only
-			// Patched, Reordered or Spliced, Unpatch only Readmitted or
-			// Spliced.  A Delta is applied in place, checked at its seams;
-			// a replacement ring is verified whole.
-			switch {
-			case out == repair.Noop:
+			out := s.patcher.Step(dir == dirHeal, changed, next)
+			ev.Tiers = tierTraces(s.patcher.LastTrace())
+			switch out {
+			case repair.Noop:
 				o.tier = tierNoop
-			case out == repair.Unsupported:
-			case ch.Delta != nil:
-				if rem, add, trunc, ok := s.ring.apply(s.net, ch.Delta, next, fresh, s.lowerBoundFor(next)); ok {
-					o.tier = local
-					ev.Removed, ev.Added, ev.DeltaTruncated = rem, add, trunc
-					s.hash = ringHash(s.ring.seq)
-				}
-			case topology.VerifyRing(s.net, ch.Ring, next) && len(ch.Ring) >= s.lowerBoundFor(next):
-				o.tier = local
-				ring = ch.Ring
+			case repair.Spliced:
+				o.tier = tierSplice
+			case repair.Unsupported:
+			default:
+				o.tier = tierLocal
 			}
 		}
 		if o.tier == tierReembed {
 			embedStart := time.Now()
-			r, info, err := s.patcher.Embed(next)
+			_, info, err := s.patcher.Embed(next)
 			step := TierTrace{Tier: "reembed", Outcome: "ok", ElapsedNs: time.Since(embedStart).Nanoseconds()}
 			if err != nil {
 				embedErr = err
 				step.Outcome = "error"
 				o.tier = tierRejected
 			} else {
-				ring = r
 				s.rounds = info.Rounds
 			}
 			ev.Tiers = append(ev.Tiers, step)
@@ -416,37 +380,22 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 		// Nothing absorbed the batch: keep the old state, journal the
 		// rejection (replay must take the same path).
 		ev.Error = embedErr.Error()
-		ev.RingLength = len(s.ring.seq)
+		ev.RingLength = len(s.patcher.Ring())
 		ev.RingHash = s.hash
 		s.finishEventLocked(ev, start, record, o)
 		return ev, embedErr
 	}
 
-	if ring != nil {
-		ev.Removed, ev.Added, ev.DeltaTruncated = diffRings(&s.delta, s.net.Nodes(), s.ring.seq, ring)
-		s.setRing(ring)
+	if o.tier != tierNoop {
+		d := s.patcher.Diff()
+		ev.Removed, ev.Added, ev.DeltaTruncated = d.Removed, d.Added, d.Truncated
+		s.hash = ringHash(s.patcher.Ring())
 	}
-	s.faults = next
-	ev.RingLength = len(s.ring.seq)
-	ev.LowerBound = s.lowerBoundFor(next)
+	ev.RingLength = len(s.patcher.Ring())
+	ev.LowerBound = repair.LowerBound(s.net, next)
 	ev.RingHash = s.hash
 	s.finishEventLocked(ev, start, record, o)
 	return ev, nil
-}
-
-// lowerBoundFor computes the De Bruijn dⁿ − nf bound for a prospective
-// fault set (0 for other topologies or when vacuous; other topologies'
-// bounds live on their own embed info).
-func (s *Session) lowerBoundFor(f topology.FaultSet) int {
-	db, ok := s.net.(*topology.DeBruijn)
-	if !ok {
-		return 0
-	}
-	b := db.Nodes() - db.WordLen()*len(f.Nodes)
-	if b < 0 {
-		return 0
-	}
-	return b
 }
 
 // finishEventLocked stamps, sequences, counts and publishes one event
@@ -544,8 +493,9 @@ func (s *Session) writeSnapshotLocked() {
 	if s.journal == nil {
 		return
 	}
-	ring := s.ring.ints()
-	if !topology.VerifyRing(s.net, ring, s.faults) {
+	ring := s.patcher.RingInts()
+	faults := s.patcher.Faults()
+	if !topology.VerifyRing(s.net, ring, faults) {
 		s.mgr.metrics.auditFailures.Inc()
 		s.sinceSnap = 0
 		return
@@ -560,10 +510,10 @@ func (s *Session) writeSnapshotLocked() {
 		Time:       time.Now().UTC(),
 		Kind:       "snapshot",
 		RingHash:   s.hash,
-		RingLength: len(s.ring.seq),
+		RingLength: len(ring),
 		Ring:       ring,
-		FaultNodes: s.faults.Nodes,
-		FaultEdges: encodeEdges(s.faults.Edges),
+		FaultNodes: faults.Nodes,
+		FaultEdges: encodeEdges(faults.Edges),
 		Patcher:    state,
 		Stats:      &stats,
 	})
@@ -586,13 +536,6 @@ func (s *Session) closeLocked(snapshot bool) {
 	s.closed = true
 	close(s.notify)
 	s.notify = make(chan struct{})
-}
-
-// setRing installs a copy of a full replacement ring and caches its
-// hash; applyLocked rehashes after applying a delta the same way.
-func (s *Session) setRing(ring []int) {
-	s.ring.reset(s.net.Nodes(), ring)
-	s.hash = ringHash(s.ring.seq)
 }
 
 // FNV-64a parameters, and the prime raised to the sixth power (mod 2⁶⁴):
@@ -622,55 +565,6 @@ func ringHash[T int | int32](ring []T) string {
 		}
 	}
 	return strconv.FormatUint(h, 16)
-}
-
-// ringDiff holds the two node-membership bitsets a session reuses to
-// diff its old and new rings: one bit per node, so dⁿ/64 words each.
-type ringDiff struct {
-	inOld, inCur []uint64
-}
-
-// diff lists the nodes of old missing from cur (removed, in old's ring
-// order) and the nodes of cur missing from old (added, in cur's ring
-// order), over node ids below nodes.  Deltas of more than deltaLimit
-// nodes are reported as truncated, with no lists.
-func (d *ringDiff) diff(nodes int, old, cur []int) (removed, added []int, truncated bool) {
-	return diffRings(d, nodes, old, cur)
-}
-
-// diffRings is ringDiff.diff for an old ring of either id width: the
-// session diffs its int32 sequence against a replacement ring.
-func diffRings[T int | int32](d *ringDiff, nodes int, old []T, cur []int) (removed, added []int, truncated bool) {
-	words := (nodes + 63) / 64
-	if len(d.inOld) < words {
-		d.inOld, d.inCur = make([]uint64, words), make([]uint64, words)
-	}
-	inOld, inCur := d.inOld[:words], d.inCur[:words]
-	clear(inOld)
-	clear(inCur)
-	for _, v := range old {
-		inOld[v>>6] |= 1 << (v & 63)
-	}
-	for _, v := range cur {
-		inCur[v>>6] |= 1 << (v & 63)
-	}
-	for _, v := range old {
-		if inCur[v>>6]&(1<<(v&63)) == 0 {
-			if len(removed) == deltaLimit {
-				return nil, nil, true
-			}
-			removed = append(removed, int(v))
-		}
-	}
-	for _, v := range cur {
-		if inOld[v>>6]&(1<<(v&63)) == 0 {
-			if len(removed)+len(added) == deltaLimit {
-				return nil, nil, true
-			}
-			added = append(added, v)
-		}
-	}
-	return removed, added, false
 }
 
 func encodeEdges(edges []topology.Edge) [][2]int {

@@ -19,15 +19,9 @@ type TierTrace struct {
 	ElapsedNs int64  `json:"elapsed_ns"`
 }
 
-// tierTraces converts the patcher's last tier ladder, when the patcher
-// records one.  Must be called immediately after Patch/Unpatch — the
-// next patcher call invalidates the underlying steps.
-func tierTraces(p repair.Patcher) []TierTrace {
-	tr, ok := p.(repair.Tracer)
-	if !ok {
-		return nil
-	}
-	steps := tr.LastTrace()
+// tierTraces converts the patcher's last tier ladder.  steps is
+// Patcher.LastTrace, which the next patcher call invalidates.
+func tierTraces(steps []repair.TierStep) []TierTrace {
 	if len(steps) == 0 {
 		return nil
 	}
