@@ -1,11 +1,10 @@
 package ffc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"debruijnring/internal/debruijn"
 	"debruijnring/internal/dense"
@@ -22,44 +21,30 @@ import (
 // own (topology.DeBruijn keeps a sync.Pool of them).  The one-shot Embed
 // function remains the convenience front-end.
 type Embedder struct {
-	g    *debruijn.Graph
-	reps []int32 // necklace representative per node
+	g *debruijn.Graph
+	s survivors
 
-	// Workers bounds the frontier parallelism of the Step 1.1 broadcast
-	// BFS: 1 (or negative) keeps the level scan serial, 0 uses
-	// GOMAXPROCS, anything else is the worker count.  Output is
-	// bit-identical for every setting — workers scan disjoint frontier
-	// segments and their candidate buffers are merged in segment order,
-	// which reproduces the serial discovery order exactly (the Simulate
-	// determinism recipe) — so Workers is purely a latency knob.
+	// Workers bounds the frontier parallelism of the component BFS, whose
+	// run from R is the Step 1.1 broadcast: 1 (or negative) keeps the
+	// level scan serial, 0 uses GOMAXPROCS, anything else is the worker
+	// count.  Output is bit-identical for every setting — workers scan
+	// disjoint frontier segments and their candidate buffers are merged
+	// in segment order, which reproduces the serial discovery order
+	// exactly (the Simulate determinism recipe) — so Workers is purely a
+	// latency knob.
 	Workers int
 
-	faultRep  dense.Set  // faulty necklace representatives
-	comp      dense.Ints // component id per node
-	compSizes []int32
-	compMins  []int32
-	stack     []int32
-	dist      dense.Ints // broadcast distance per node
-	order     []int32    // BFS visit order (level order)
-	scanBufs  [][]int32  // per-worker next-frontier candidate buffers
-	earliest  dense.Ints // necklace rep → earliest-informed node Y
-	repList   []int32    // surviving necklace reps in ascending order
-	ov        dense.Ints // Step-3 successor overrides, node → node
-	stars     []starEdge
-	members   []int
+	earliest dense.Ints // necklace rep → earliest-informed node Y
+	repList  []int32    // surviving necklace reps in ascending order
+	ov       dense.Ints // Step-3 successor overrides, node → node
+	stars    []starEdge
+	members  []int
 
 	// parallelFrontier overrides the frontier size at which a level is
 	// worth sharding; 0 means defaultParallelFrontier.  Tests lower it
 	// to drive the worker pool on small instances.
 	parallelFrontier int
 }
-
-// defaultParallelFrontier is the frontier size below which a level is
-// scanned inline: sharding a few hundred nodes costs more in goroutine
-// handoff than the scan itself, and small instances (every B(d,n) under
-// ~64k nodes never grows a frontier this large) stay on the exact serial
-// fast path at any Workers setting.
-const defaultParallelFrontier = 2048
 
 // starEdge is one tree edge flattened for Step-2 grouping by label.
 type starEdge struct{ w, child, parent int32 }
@@ -68,7 +53,7 @@ type starEdge struct{ w, child, parent int32 }
 // pass to tabulate necklace representatives; everything else is lazily
 // sized on first use.
 func NewEmbedder(g *debruijn.Graph) *Embedder {
-	return &Embedder{g: g, reps: necklaceReps(g)}
+	return &Embedder{g: g, s: survivors{g: g, reps: necklaceReps(g)}}
 }
 
 // necklaceReps tabulates NecklaceRep for every node in O(dⁿ) total: an
@@ -97,99 +82,59 @@ func necklaceReps(g *debruijn.Graph) []int32 {
 
 // Rep returns the necklace representative of x from the precomputed
 // table.
-func (e *Embedder) Rep(x int) int { return int(e.reps[x]) }
+func (e *Embedder) Rep(x int) int { return int(e.s.reps[x]) }
 
 // Embed runs the FFC algorithm for the given faulty nodes, equivalent to
 // the package-level Embed but reusing the receiver's scratch arrays.
 func (e *Embedder) Embed(faults []int) (*Result, error) {
 	g := e.g
+	s := &e.s
 	d := g.D
 	pivot := g.Pow(g.N - 1) // leading-digit stride for predecessor arithmetic
 
 	// Step 0: mark faulty necklaces.
-	e.faultRep.Reset(g.Size)
-	res := &Result{FaultyNecklaces: make(map[int]bool, len(faults))}
+	s.faultRep.Reset(g.Size)
+	res := &Result{FaultyNecklaces: make([]int, 0, len(faults))}
 	for _, f := range faults {
 		if f < 0 || f >= g.Size {
 			panic(fmt.Sprintf("ffc: fault %d out of range", f))
 		}
-		rep := int(e.reps[f])
-		if e.faultRep.Add(rep) {
-			res.FaultyNecklaces[rep] = true
+		rep := int(s.reps[f])
+		if s.faultRep.Add(rep) {
+			res.FaultyNecklaces = append(res.FaultyNecklaces, rep)
 			res.FaultyNodeCount += g.Period(rep)
 		}
 	}
-	alive := func(x int) bool { return !e.faultRep.Has(int(e.reps[x])) }
+	slices.Sort(res.FaultyNecklaces)
 
-	// Largest surviving component (both edge directions; weak = strong
-	// connectivity because whole necklaces are removed).
-	e.comp.Reset(g.Size)
-	e.compSizes = e.compSizes[:0]
-	e.compMins = e.compMins[:0]
-	for x := 0; x < g.Size; x++ {
-		if !alive(x) || e.comp.Has(x) {
-			continue
-		}
-		id := int32(len(e.compSizes))
-		e.compSizes = append(e.compSizes, 0)
-		e.compMins = append(e.compMins, int32(x))
-		e.stack = append(e.stack[:0], int32(x))
-		e.comp.Set(x, id)
-		for len(e.stack) > 0 {
-			v := int(e.stack[len(e.stack)-1])
-			e.stack = e.stack[:len(e.stack)-1]
-			e.compSizes[id]++
-			base := g.Suffix(v) * d
-			pre := v / d
-			for a := 0; a < d; a++ {
-				if w := base + a; alive(w) && !e.comp.Has(w) {
-					e.comp.Set(w, id)
-					e.stack = append(e.stack, int32(w))
-				}
-			}
-			for a := 0; a < d; a++ {
-				if w := a*pivot + pre; alive(w) && !e.comp.Has(w) {
-					e.comp.Set(w, id)
-					e.stack = append(e.stack, int32(w))
-				}
-			}
-		}
-	}
-	if len(e.compSizes) == 0 {
+	// Step 1.1, fused with component labeling: one BFS per surviving
+	// component, each from its minimal node.  The largest component is
+	// B*, its root is R, and its BFS segment is exactly the broadcast
+	// from R — the same discovery order, distances and eccentricity.
+	s.setWorkers(e.Workers, e.parallelFrontier)
+	s.label()
+	best := s.largest()
+	if best < 0 {
 		return nil, errors.New("ffc: every necklace is faulty; no component survives")
 	}
-	best := 0
-	for id := 1; id < len(e.compSizes); id++ {
-		if e.compSizes[id] > e.compSizes[best] {
-			best = id
-		}
-	}
-	bestID := int32(best)
-	root := int(e.compMins[best])
-	want := int(e.compSizes[best])
+	root := int(s.roots[best])
+	want := int(s.sizes[best])
 	res.Root = root
 	res.BStarSize = want
-
-	// Step 1.1: broadcast from R.  Level-synchronous BFS along directed
-	// edges within B*; the visit order doubles as the node list for the
-	// passes below.  Large frontiers are sharded across a worker pool
-	// (see broadcastLevel); the eccentricity is the depth of the last
-	// non-empty level, tracked explicitly so no frontier reordering can
-	// silently misreport it.
-	res.Eccentricity = e.broadcast(root, bestID)
+	res.Eccentricity = int(s.eccs[best])
 
 	// parentOf mirrors the Step 1.1 tie-break: the minimal predecessor
 	// one level closer to R.  Computed on demand — only the
 	// earliest-informed node of each necklace needs its parent.
 	parentOf := func(x int) int {
-		dx, ok := e.dist.Get(x)
+		dx, ok := s.dist.Get(x)
 		if !ok {
 			return -1
 		}
 		pre := x / d
 		for a := 0; a < d; a++ {
 			p := a*pivot + pre
-			if dp, ok := e.dist.Get(p); ok && dp == dx-1 {
+			if dp, ok := s.dist.Get(p); ok && dp == dx-1 {
 				return p
 			}
 		}
@@ -199,27 +144,27 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 	// Step 1.2: the necklace spanning tree T.  An ascending scan over B*
 	// meets each necklace first at its representative, so repList comes
 	// out sorted; the earliest-informed node Y minimizes (dist, node).
-	if int(e.reps[root]) != root {
+	if int(s.reps[root]) != root {
 		return nil, fmt.Errorf("ffc: root %s is not a necklace representative", g.String(root))
 	}
 	e.earliest.Reset(g.Size)
 	e.repList = e.repList[:0]
 	for x := 0; x < g.Size; x++ {
-		if id, ok := e.comp.Get(x); !ok || id != bestID {
+		if id, ok := s.comp.Get(x); !ok || id != best {
 			continue
 		}
-		rep := int(e.reps[x])
+		rep := int(s.reps[x])
 		y, ok := e.earliest.Get(rep)
 		if !ok {
 			e.earliest.Set(rep, int32(x))
 			e.repList = append(e.repList, int32(rep))
 			continue
 		}
-		if distOrZero(&e.dist, x) < distOrZero(&e.dist, int(y)) {
+		if distOrZero(&s.dist, x) < distOrZero(&s.dist, int(y)) {
 			e.earliest.Set(rep, int32(x))
 		}
 	}
-	tree := make(map[int]TreeEdge, len(e.repList)-1)
+	res.Tree = make([]TreeLink, 0, len(e.repList)-1)
 	e.stars = e.stars[:0]
 	for _, rep32 := range e.repList {
 		rep := int(rep32)
@@ -232,26 +177,32 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 			return nil, fmt.Errorf("ffc: earliest node %s of necklace [%s] has no broadcast parent", g.String(y), g.String(rep))
 		}
 		w := g.Prefix(y) // Y = wα ⇒ label is Y's leading n−1 digits
-		parentRep := int(e.reps[p])
+		parentRep := int(s.reps[p])
 		if parentRep == rep {
 			return nil, fmt.Errorf("ffc: necklace [%s] would parent itself", g.String(rep))
 		}
-		tree[rep] = TreeEdge{Parent: parentRep, W: w}
+		res.Tree = append(res.Tree, TreeLink{Child: rep32, Parent: int32(parentRep), W: int32(w)})
 		e.stars = append(e.stars, starEdge{w: int32(w), child: rep32, parent: int32(parentRep)})
 	}
-	res.Tree = tree
 
 	// Step 2: close each star T_w into a w-cycle ordered by necklace
 	// representative; record the successor overrides densely for the walk
-	// and as a map for the Result.
-	sort.Slice(e.stars, func(i, j int) bool {
-		if e.stars[i].w != e.stars[j].w {
-			return e.stars[i].w < e.stars[j].w
+	// and as out/in pairs for the Result.  A star of k children closes
+	// k+1 members, so the pairs number len(stars) plus the star count.
+	slices.SortFunc(e.stars, func(a, b starEdge) int {
+		if c := cmp.Compare(a.w, b.w); c != 0 {
+			return c
 		}
-		return e.stars[i].child < e.stars[j].child
+		return cmp.Compare(a.child, b.child)
 	})
+	nOverrides := len(e.stars)
+	for i := range e.stars {
+		if i == 0 || e.stars[i].w != e.stars[i-1].w {
+			nOverrides++
+		}
+	}
 	e.ov.Reset(g.Size)
-	overrides := make(map[int]int, 2*len(e.stars))
+	res.Overrides = make([]Override, 0, nOverrides)
 	for i := 0; i < len(e.stars); {
 		j := i
 		for j < len(e.stars) && e.stars[j].w == e.stars[i].w {
@@ -263,7 +214,7 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 			e.members = append(e.members, int(e.stars[k].child))
 		}
 		e.members = append(e.members, int(e.stars[i].parent))
-		sort.Ints(e.members)
+		slices.Sort(e.members)
 		k := len(e.members)
 		for idx, rep := range e.members {
 			next := e.members[(idx+1)%k]
@@ -274,11 +225,10 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 					g.String(rep), fmt.Sprint(w)))
 			}
 			e.ov.Set(out, int32(in))
-			overrides[out] = in
+			res.Overrides = append(res.Overrides, Override{Out: int32(out), In: int32(in)})
 		}
 		i = j
 	}
-	res.Overrides = overrides
 
 	// Step 3: read off the cycle from the dense successor rule.
 	cycle := make([]int, 0, want)
@@ -304,126 +254,6 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 	}
 	res.Cycle = cycle
 	return res, nil
-}
-
-// broadcast runs the Step 1.1 level-order BFS from root inside component
-// bestID, filling e.dist and e.order, and returns the eccentricity (the
-// depth of the deepest level).  Levels whose frontier reaches the
-// parallel threshold are sharded across the worker pool: each worker
-// scans a contiguous frontier segment and appends every in-component,
-// not-yet-stamped successor to its own candidate buffer — a read-only
-// pass over comp/dist, so the workers never race — and a sequential
-// merge then stamps first occurrences in segment order.  Concatenating
-// the segment buffers in order replays the exact candidate stream the
-// serial loop would see, so dist, order, and every downstream tie-break
-// are bit-identical at any worker count.
-func (e *Embedder) broadcast(root int, bestID int32) int {
-	g := e.g
-	d := g.D
-	e.dist.Reset(g.Size)
-	e.dist.Set(root, 0)
-	e.order = append(e.order[:0], int32(root))
-
-	workers := e.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	threshold := e.parallelFrontier
-	if threshold <= 0 {
-		threshold = defaultParallelFrontier
-	}
-
-	ecc := 0
-	for head, depth := 0, 0; head < len(e.order); depth++ {
-		levelEnd := len(e.order)
-		if workers > 1 && levelEnd-head >= threshold {
-			e.broadcastLevel(head, levelEnd, depth, bestID, workers)
-		} else {
-			for ; head < levelEnd; head++ {
-				v := int(e.order[head])
-				base := g.Suffix(v) * d
-				for a := 0; a < d; a++ {
-					w := base + a
-					if w == v {
-						continue
-					}
-					if id, ok := e.comp.Get(w); !ok || id != bestID {
-						continue
-					}
-					if !e.dist.Has(w) {
-						e.dist.Set(w, int32(depth+1))
-						e.order = append(e.order, int32(w))
-					}
-				}
-			}
-		}
-		head = levelEnd
-		if len(e.order) > levelEnd {
-			ecc = depth + 1
-		}
-	}
-	return ecc
-}
-
-// broadcastLevel shards one BFS level (e.order[head:levelEnd]) across
-// nw workers and merges their candidate buffers sequentially.  Workers
-// only read comp and dist and write their private buffer; all stamping
-// happens after the WaitGroup barrier, on one goroutine.
-func (e *Embedder) broadcastLevel(head, levelEnd, depth int, bestID int32, nw int) {
-	g := e.g
-	d := g.D
-	size := levelEnd - head
-	if nw > size {
-		nw = size
-	}
-	for len(e.scanBufs) < nw {
-		e.scanBufs = append(e.scanBufs, nil)
-	}
-
-	var wg sync.WaitGroup
-	chunk := (size + nw - 1) / nw
-	for wi := 0; wi < nw; wi++ {
-		lo := head + wi*chunk
-		hi := lo + chunk
-		if hi > levelEnd {
-			hi = levelEnd
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			buf := e.scanBufs[wi][:0]
-			for i := lo; i < hi; i++ {
-				v := int(e.order[i])
-				base := g.Suffix(v) * d
-				for a := 0; a < d; a++ {
-					w := base + a
-					if w == v {
-						continue
-					}
-					if id, ok := e.comp.Get(w); !ok || id != bestID {
-						continue
-					}
-					if !e.dist.Has(w) {
-						buf = append(buf, int32(w))
-					}
-				}
-			}
-			e.scanBufs[wi] = buf
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-
-	// Sequential merge in segment order: first occurrence wins, exactly
-	// as the serial loop's stamp-on-discovery dedup would have chosen.
-	d32 := int32(depth + 1)
-	for wi := 0; wi < nw; wi++ {
-		for _, w32 := range e.scanBufs[wi] {
-			if w := int(w32); !e.dist.Has(w) {
-				e.dist.Set(w, d32)
-				e.order = append(e.order, w32)
-			}
-		}
-	}
 }
 
 // distOrZero mirrors the legacy map semantics dist[x] (0 when absent),

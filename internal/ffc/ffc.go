@@ -24,47 +24,64 @@
 // epoch-stamped scratch arrays — distances, component ids, visited
 // stamps, successor overrides — that reset in O(1) between runs, plus a
 // precomputed necklace-representative table that turns the alive test
-// into one array load.  Simulate shards its Monte-Carlo trials across a
-// worker pool; each trial draws from an independent PCG stream derived
-// from (seed, fault count, trial index) and the per-row statistics merge
-// with commutative integer reductions, so tables are bit-identical for a
-// fixed seed at any worker count.  The pre-rewrite map-based kernels are
-// preserved in legacy_test.go and pinned against the dense ones by
-// equivalence tests.
+// into one array load.  Because whole necklaces are removed, weak and
+// strong connectivity coincide in the surviving graph, so one forward
+// level-order BFS per component both labels the components and, for
+// the largest, is the Step 1.1 broadcast from R: a cold embed makes one
+// pass over the graph, and a warm one allocates only its Result, whose
+// collections are flat slices.  Simulate shards its Monte-Carlo trials
+// across a worker pool; each trial draws from an independent PCG stream
+// derived from (seed, fault count, trial index) and the per-row
+// statistics merge with commutative integer reductions, so tables are
+// bit-identical for a fixed seed at any worker count.  The pre-rewrite
+// map-based kernels are preserved in legacy_test.go and pinned against
+// the dense ones by equivalence tests.
 package ffc
 
 import (
-	"errors"
 	"fmt"
 
 	"debruijnring/internal/debruijn"
 )
 
-// Result reports an embedding produced by Embed.
+// Result reports an embedding produced by Embed.  Its collections are
+// flat slices in canonical orders, so a Result compares and hashes
+// directly.
 type Result struct {
-	Cycle           []int        // Hamiltonian cycle of B*, starting at Root
-	Root            int          // the distinguished node R (minimal node of B*)
-	BStarSize       int          // |B*|
-	Eccentricity    int          // eccentricity of Root in B* (broadcast rounds, Step 1.1)
-	FaultyNecklaces map[int]bool // representatives of removed necklaces
-	FaultyNodeCount int          // total nodes in faulty necklaces (N_F of §2.5)
+	Cycle           []int // Hamiltonian cycle of B*, starting at Root
+	Root            int   // the distinguished node R (minimal node of B*)
+	BStarSize       int   // |B*|
+	Eccentricity    int   // eccentricity of Root in B* (broadcast rounds, Step 1.1)
+	FaultyNecklaces []int // representatives of removed necklaces, ascending
+	FaultyNodeCount int   // total nodes in faulty necklaces (N_F of §2.5)
 
-	// Tree is the spanning tree T of N* built in Step 1: for each non-root
-	// necklace representative, its parent representative and edge label w.
-	Tree map[int]TreeEdge
-	// Overrides is the Step-3 successor map derived from the modified tree
-	// D: for every outgoing node, the entry node of the next necklace on
-	// its w-cycle.  Nodes absent from the map follow their necklace
-	// successor (left rotation).
-	Overrides map[int]int
+	// Tree is the spanning tree T of N* built in Step 1: one edge per
+	// non-root necklace of B*, in ascending Child order.
+	Tree []TreeLink
+	// Overrides is the Step-3 successor rule derived from the modified
+	// tree D: for every outgoing node Out, the entry node In of the next
+	// necklace on its w-cycle, grouped by star in ascending label order.
+	// Nodes without an override follow their necklace successor (left
+	// rotation).
+	Overrides []Override
 }
 
-// TreeEdge is one edge of the necklace spanning tree T: the child necklace
-// hangs from Parent with label W (an (n−1)-digit code).
+// TreeEdge is one edge of the necklace spanning tree T as seen from its
+// child necklace: the child hangs from Parent with label W (an
+// (n−1)-digit code).  It is the value type of child-keyed tree maps.
 type TreeEdge struct {
 	Parent int // parent necklace representative
 	W      int // edge label, an (n−1)-tuple code
 }
+
+// TreeLink is one record of Result.Tree: necklace Child hangs from
+// Parent with label W.  Node codes are int32 like the dense kernels'
+// (every graph they index has fewer than 2³¹ nodes), which halves the
+// tree and override records a cold embed hands back.
+type TreeLink struct{ Child, Parent, W int32 }
+
+// Override redirects the ring successor of node Out to node In.
+type Override struct{ Out, In int32 }
 
 // Embed runs the FFC algorithm on B(d,n) with the given faulty nodes and
 // returns the fault-free ring.  It fails only when no nonfaulty necklace
@@ -87,75 +104,6 @@ func FaultyNecklaces(g *debruijn.Graph, faults []int) map[int]bool {
 		reps[g.NecklaceRep(f)] = true
 	}
 	return reps
-}
-
-// Component is a connected component of the surviving subgraph.  Because
-// whole necklaces are removed, weak and strong connectivity coincide
-// (every inter-necklace edge αw → wβ has a directed return path through the
-// two necklaces via βw → wα), so Nodes is exactly the set reachable from
-// MinNode along directed edges.
-type Component struct {
-	Nodes   []int
-	MinNode int
-	Member  func(int) bool
-}
-
-// LargestComponent returns the largest component of the subgraph induced by
-// alive nodes, breaking ties toward the component with the smallest node.
-func LargestComponent(g *debruijn.Graph, alive func(int) bool) (*Component, error) {
-	compID := make([]int, g.Size)
-	for i := range compID {
-		compID[i] = -1
-	}
-	var sizes []int
-	var minNodes []int
-	var stack, buf []int
-	for x := 0; x < g.Size; x++ {
-		if !alive(x) || compID[x] != -1 {
-			continue
-		}
-		id := len(sizes)
-		sizes = append(sizes, 0)
-		minNodes = append(minNodes, x)
-		stack = append(stack[:0], x)
-		compID[x] = id
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			sizes[id]++
-			buf = g.Successors(v, buf)
-			for _, w := range buf {
-				if alive(w) && compID[w] == -1 {
-					compID[w] = id
-					stack = append(stack, w)
-				}
-			}
-			buf = g.Predecessors(v, buf)
-			for _, w := range buf {
-				if alive(w) && compID[w] == -1 {
-					compID[w] = id
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	if len(sizes) == 0 {
-		return nil, errors.New("ffc: every necklace is faulty; no component survives")
-	}
-	best := 0
-	for id := 1; id < len(sizes); id++ {
-		if sizes[id] > sizes[best] {
-			best = id
-		}
-	}
-	nodes := make([]int, 0, sizes[best])
-	for x := 0; x < g.Size; x++ {
-		if compID[x] == best {
-			nodes = append(nodes, x)
-		}
-	}
-	member := func(x int) bool { return x >= 0 && x < g.Size && compID[x] == best }
-	return &Component{Nodes: nodes, MinNode: minNodes[best], Member: member}, nil
 }
 
 // SuffixNode returns the node of the necklace [rep] whose trailing n−1
@@ -197,38 +145,4 @@ func prefixNode(g *debruijn.Graph, rep, w int) int {
 			return -1
 		}
 	}
-}
-
-// NecklaceAdjacency builds the necklace adjacency graph N* of the surviving
-// component (Definition, §2.2): nodes are necklace representatives; a
-// w-labeled edge joins [x] and [y] when αw ∈ [x] and βw ∈ [y] for α ≠ β.
-// The result maps each representative to its edge set, each edge giving the
-// label and the two endpoints.  Antiparallel pairs are reported once per
-// direction.
-func NecklaceAdjacency(g *debruijn.Graph, comp *Component) map[int][]AdjEdge {
-	adj := make(map[int][]AdjEdge)
-	for _, x := range comp.Nodes {
-		rep := g.NecklaceRep(x)
-		w := g.Suffix(x) // x = αw is the outgoing node for label w
-		// Successors wβ of x in other surviving necklaces yield w-edges.
-		base := w * g.D
-		for beta := 0; beta < g.D; beta++ {
-			y := base + beta
-			if !comp.Member(y) {
-				continue
-			}
-			yrep := g.NecklaceRep(y)
-			if yrep == rep {
-				continue
-			}
-			adj[rep] = append(adj[rep], AdjEdge{W: w, From: rep, To: yrep})
-		}
-	}
-	return adj
-}
-
-// AdjEdge is a directed labeled edge of N*.
-type AdjEdge struct {
-	W        int
-	From, To int
 }

@@ -1,6 +1,7 @@
 package ffc
 
 import (
+	"slices"
 	"testing"
 
 	"debruijnring/internal/debruijn"
@@ -13,6 +14,13 @@ func parse(t *testing.T, g *debruijn.Graph, s string) int {
 		t.Fatalf("parse %q: %v", s, err)
 	}
 	return x
+}
+
+// isFaulty reports whether rep is one of res's faulty necklaces; the
+// binary search relies on FaultyNecklaces being ascending.
+func isFaulty(res *Result, rep int) bool {
+	_, ok := slices.BinarySearch(res.FaultyNecklaces, rep)
+	return ok
 }
 
 func parseAll(t *testing.T, g *debruijn.Graph, ss ...string) []int {
@@ -79,9 +87,13 @@ func TestExample21Tree(t *testing.T) {
 	if len(res.Tree) != len(want) {
 		t.Fatalf("tree has %d edges, want %d", len(res.Tree), len(want))
 	}
+	tree := make(map[int]TreeEdge, len(res.Tree))
+	for _, l := range res.Tree {
+		tree[int(l.Child)] = TreeEdge{Parent: int(l.Parent), W: int(l.W)}
+	}
 	wspace := debruijn.New(3, 2)
 	for child, exp := range want {
-		edge, ok := res.Tree[parse(t, g, child)]
+		edge, ok := tree[parse(t, g, child)]
 		if !ok {
 			t.Errorf("necklace [%s] missing from tree", child)
 			continue
@@ -265,7 +277,7 @@ func TestProp22Guarantee(t *testing.T) {
 				t.Errorf("B(%d,%d) faults %v: eccentricity %d > 2n", tc.d, tc.n, fs, res.Eccentricity)
 			}
 			for _, x := range res.Cycle {
-				if res.FaultyNecklaces[g.NecklaceRep(x)] {
+				if isFaulty(res, g.NecklaceRep(x)) {
 					t.Fatalf("cycle visits faulty necklace node %s", g.String(x))
 				}
 			}
@@ -297,7 +309,7 @@ func TestEmbedManyRandomFaults(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		for _, x := range res.Cycle {
-			if res.FaultyNecklaces[g.NecklaceRep(x)] {
+			if isFaulty(res, g.NecklaceRep(x)) {
 				t.Fatalf("trial %d: faulty node on cycle", trial)
 			}
 			if seen[x] {
@@ -526,4 +538,38 @@ func BenchmarkEmbedB46TwoFaults(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// NecklaceAdjacency builds the necklace adjacency graph N* of the surviving
+// component (Definition, §2.2): nodes are necklace representatives; a
+// w-labeled edge joins [x] and [y] when αw ∈ [x] and βw ∈ [y] for α ≠ β.
+// The result maps each representative to its edge set, each edge giving the
+// label and the two endpoints.  Antiparallel pairs are reported once per
+// direction.
+func NecklaceAdjacency(g *debruijn.Graph, comp *Component) map[int][]AdjEdge {
+	adj := make(map[int][]AdjEdge)
+	for _, x := range comp.Nodes {
+		rep := g.NecklaceRep(x)
+		w := g.Suffix(x) // x = αw is the outgoing node for label w
+		// Successors wβ of x in other surviving necklaces yield w-edges.
+		base := w * g.D
+		for beta := 0; beta < g.D; beta++ {
+			y := base + beta
+			if !comp.Member(y) {
+				continue
+			}
+			yrep := g.NecklaceRep(y)
+			if yrep == rep {
+				continue
+			}
+			adj[rep] = append(adj[rep], AdjEdge{W: w, From: rep, To: yrep})
+		}
+	}
+	return adj
+}
+
+// AdjEdge is a directed labeled edge of N*.
+type AdjEdge struct {
+	W        int
+	From, To int
 }

@@ -8,7 +8,9 @@ package ffc
 // (d, n, f, seed) grids.
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -16,9 +18,21 @@ import (
 	"debruijnring/internal/debruijn"
 )
 
+// legacyResult is the pre-rewrite Result, with its map-valued fields.
+type legacyResult struct {
+	Cycle           []int
+	Root            int
+	BStarSize       int
+	Eccentricity    int
+	FaultyNecklaces map[int]bool
+	FaultyNodeCount int
+	Tree            map[int]TreeEdge
+	Overrides       map[int]int
+}
+
 // embedLegacy is the pre-rewrite Embed: map-based broadcast, tree
 // derivation, override table and successor walk.
-func embedLegacy(g *debruijn.Graph, faults []int) (*Result, error) {
+func embedLegacy(g *debruijn.Graph, faults []int) (*legacyResult, error) {
 	faultyReps := FaultyNecklaces(g, faults)
 	alive := func(x int) bool { return !faultyReps[g.NecklaceRep(x)] }
 
@@ -28,7 +42,7 @@ func embedLegacy(g *debruijn.Graph, faults []int) (*Result, error) {
 	}
 	root := comp.MinNode
 
-	res := &Result{
+	res := &legacyResult{
 		Root:            root,
 		BStarSize:       len(comp.Nodes),
 		FaultyNecklaces: faultyReps,
@@ -54,6 +68,75 @@ func embedLegacy(g *debruijn.Graph, faults []int) (*Result, error) {
 	}
 	res.Cycle = cycle
 	return res, nil
+}
+
+// Component is a connected component of the surviving subgraph.  Because
+// whole necklaces are removed, weak and strong connectivity coincide
+// (every inter-necklace edge αw → wβ has a directed return path through the
+// two necklaces via βw → wα), so Nodes is exactly the set reachable from
+// MinNode along directed edges.
+type Component struct {
+	Nodes   []int
+	MinNode int
+	Member  func(int) bool
+}
+
+// LargestComponent returns the largest component of the subgraph induced by
+// alive nodes, breaking ties toward the component with the smallest node.
+func LargestComponent(g *debruijn.Graph, alive func(int) bool) (*Component, error) {
+	compID := make([]int, g.Size)
+	for i := range compID {
+		compID[i] = -1
+	}
+	var sizes []int
+	var minNodes []int
+	var stack, buf []int
+	for x := 0; x < g.Size; x++ {
+		if !alive(x) || compID[x] != -1 {
+			continue
+		}
+		id := len(sizes)
+		sizes = append(sizes, 0)
+		minNodes = append(minNodes, x)
+		stack = append(stack[:0], x)
+		compID[x] = id
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			sizes[id]++
+			buf = g.Successors(v, buf)
+			for _, w := range buf {
+				if alive(w) && compID[w] == -1 {
+					compID[w] = id
+					stack = append(stack, w)
+				}
+			}
+			buf = g.Predecessors(v, buf)
+			for _, w := range buf {
+				if alive(w) && compID[w] == -1 {
+					compID[w] = id
+					stack = append(stack, w)
+				}
+			}
+		}
+	}
+	if len(sizes) == 0 {
+		return nil, errors.New("ffc: every necklace is faulty; no component survives")
+	}
+	best := 0
+	for id := 1; id < len(sizes); id++ {
+		if sizes[id] > sizes[best] {
+			best = id
+		}
+	}
+	nodes := make([]int, 0, sizes[best])
+	for x := 0; x < g.Size; x++ {
+		if compID[x] == best {
+			nodes = append(nodes, x)
+		}
+	}
+	member := func(x int) bool { return x >= 0 && x < g.Size && compID[x] == best }
+	return &Component{Nodes: nodes, MinNode: minNodes[best], Member: member}, nil
 }
 
 func broadcastTreeLegacy(g *debruijn.Graph, root int, member func(int) bool) (dist map[int]int, parent map[int]int, ecc int) {
@@ -353,8 +436,11 @@ func simulateLegacy(d, n int, faultCounts []int, trials int, seed uint64) []SimR
 	return rows
 }
 
-// equalResults compares every exported field of two embeddings.
-func equalResults(a, b *Result) bool {
+// equalResults compares every field of a legacy and a dense embedding,
+// converting the dense slices to the legacy maps.  The dense slices must
+// also be canonical: FaultyNecklaces and Tree ascending without repeats,
+// and Overrides naming each outgoing node once.
+func equalResults(a *legacyResult, b *Result) bool {
 	if a.Root != b.Root || a.BStarSize != b.BStarSize || a.Eccentricity != b.Eccentricity ||
 		a.FaultyNodeCount != b.FaultyNodeCount {
 		return false
@@ -367,41 +453,43 @@ func equalResults(a, b *Result) bool {
 			return false
 		}
 	}
-	if len(a.FaultyNecklaces) != len(b.FaultyNecklaces) {
-		return false
-	}
-	for k, v := range a.FaultyNecklaces {
-		if b.FaultyNecklaces[k] != v {
+	faulty := make(map[int]bool, len(b.FaultyNecklaces))
+	for i, rep := range b.FaultyNecklaces {
+		if i > 0 && rep <= b.FaultyNecklaces[i-1] {
 			return false
 		}
+		faulty[rep] = true
 	}
-	if len(a.Tree) != len(b.Tree) {
-		return false
-	}
-	for k, v := range a.Tree {
-		if b.Tree[k] != v {
+	tree := make(map[int]TreeEdge, len(b.Tree))
+	for i, l := range b.Tree {
+		if i > 0 && l.Child <= b.Tree[i-1].Child {
 			return false
 		}
+		tree[int(l.Child)] = TreeEdge{Parent: int(l.Parent), W: int(l.W)}
 	}
-	if len(a.Overrides) != len(b.Overrides) {
+	overrides := make(map[int]int, len(b.Overrides))
+	for _, o := range b.Overrides {
+		overrides[int(o.Out)] = int(o.In)
+	}
+	if len(overrides) != len(b.Overrides) {
 		return false
 	}
-	for k, v := range a.Overrides {
-		if b.Overrides[k] != v {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(a.FaultyNecklaces, faulty) && maps.Equal(a.Tree, tree) &&
+		maps.Equal(a.Overrides, overrides)
 }
 
 // TestDenseEmbedMatchesLegacy sweeps randomized (d, n, f, seed) grids and
 // asserts the dense Embedder reproduces the legacy map implementation
-// field for field, including the reuse of one Embedder across runs.
+// field for field, including the reuse of one Embedder across runs.  The
+// sweep ends with manyFaultSets, where the fused labeling/broadcast BFS
+// meets several components per embed; it counts the sets whose largest
+// component is not the first one discovered — the broadcast segment is
+// not the first of the visit order — and requires some.
 func TestDenseEmbedMatchesLegacy(t *testing.T) {
+	var cases []faultCase
 	grids := []struct{ d, n int }{{2, 6}, {2, 8}, {3, 4}, {4, 3}, {5, 2}}
 	for _, gr := range grids {
 		g := debruijn.New(gr.d, gr.n)
-		em := NewEmbedder(g) // reused across every case on this graph
 		for f := 0; f <= 4; f++ {
 			for seed := int64(0); seed < 6; seed++ {
 				rng := newTestRNG(seed*1000 + int64(f))
@@ -409,26 +497,77 @@ func TestDenseEmbedMatchesLegacy(t *testing.T) {
 				for i := range faults {
 					faults[i] = rng.IntN(g.Size)
 				}
-				want, wantErr := embedLegacy(g, faults)
-				got, gotErr := em.Embed(faults)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("B(%d,%d) faults %v: legacy err %v, dense err %v",
-						gr.d, gr.n, faults, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					if wantErr.Error() != gotErr.Error() {
-						t.Fatalf("B(%d,%d) faults %v: error mismatch %q vs %q",
-							gr.d, gr.n, faults, wantErr, gotErr)
-					}
-					continue
-				}
-				if !equalResults(want, got) {
-					t.Fatalf("B(%d,%d) faults %v: dense result diverges\nlegacy: %+v\ndense:  %+v",
-						gr.d, gr.n, faults, want, got)
-				}
+				cases = append(cases, faultCase{g, faults})
 			}
 		}
 	}
+	cases = append(cases, manyFaultSets()...)
+
+	ems := map[*debruijn.Graph]*Embedder{} // one reused across every case on a graph
+	notFirst := 0
+	for _, c := range cases {
+		g, faults := c.g, c.faults
+		em := ems[g]
+		if em == nil {
+			em = NewEmbedder(g)
+			ems[g] = em
+		}
+		want, wantErr := embedLegacy(g, faults)
+		got, gotErr := em.Embed(faults)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("B(%d,%d) faults %v: legacy err %v, dense err %v",
+				g.D, g.N, faults, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("B(%d,%d) faults %v: error mismatch %q vs %q",
+					g.D, g.N, faults, wantErr, gotErr)
+			}
+			continue
+		}
+		if !equalResults(want, got) {
+			t.Fatalf("B(%d,%d) faults %v: dense result diverges\nlegacy: %+v\ndense:  %+v",
+				g.D, g.N, faults, want, got)
+		}
+		if em.s.largest() != 0 {
+			notFirst++
+		}
+	}
+	if notFirst == 0 {
+		t.Fatal("no fault set put B* after another component")
+	}
+}
+
+// faultCase is one fault set with the graph it applies to.
+type faultCase struct {
+	g      *debruijn.Graph
+	faults []int
+}
+
+// manyFaultSets returns seeded fault sets on binary graphs, far beyond
+// the d−2 guarantee, under which the surviving graph splits: 0ⁿ is
+// stranded once N(0…01) is faulty, and (01)^(n/2) once both of its
+// neighbouring necklaces are.
+func manyFaultSets() []faultCase {
+	var sets []faultCase
+	grids := []struct {
+		n  int
+		fs []int
+	}{{6, []int{4, 8, 12}}, {8, []int{8, 16, 32}}, {10, []int{16, 32, 64}}}
+	for _, gr := range grids {
+		g := debruijn.New(2, gr.n)
+		for _, f := range gr.fs {
+			for seed := int64(0); seed < 10; seed++ {
+				rng := newTestRNG(seed*7919 + int64(gr.n*1000+f))
+				faults := make([]int, f)
+				for i := range faults {
+					faults[i] = rng.IntN(g.Size)
+				}
+				sets = append(sets, faultCase{g, faults})
+			}
+		}
+	}
+	return sets
 }
 
 // TestDenseTrialMatchesLegacy asserts the dense trial kernel consumes the
@@ -438,7 +577,7 @@ func TestDenseTrialMatchesLegacy(t *testing.T) {
 	for _, gr := range grids {
 		g := debruijn.New(gr.d, gr.n)
 		r := g.Successor(g.Repeat(0), 1)
-		sc := &simScratch{g: g, reps: necklaceReps(g)}
+		sc := newSimScratch(g, necklaceReps(g))
 		for f := 0; f <= 12; f += 3 {
 			for seed := uint64(0); seed < 5; seed++ {
 				rngA := rand.New(rand.NewPCG(seed, 42))

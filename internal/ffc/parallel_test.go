@@ -12,7 +12,6 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"reflect"
-	"sort"
 	"testing"
 
 	"debruijnring/internal/debruijn"
@@ -34,22 +33,11 @@ func resultHash(res *Result) uint64 {
 	}
 	wr(res.Root, res.BStarSize, res.Eccentricity, len(res.Cycle))
 	wr(res.Cycle...)
-	reps := make([]int, 0, len(res.Tree))
-	for rep := range res.Tree {
-		reps = append(reps, rep)
+	for _, l := range res.Tree {
+		wr(int(l.Child), int(l.Parent), int(l.W))
 	}
-	sort.Ints(reps)
-	for _, rep := range reps {
-		e := res.Tree[rep]
-		wr(rep, e.Parent, e.W)
-	}
-	outs := make([]int, 0, len(res.Overrides))
-	for o := range res.Overrides {
-		outs = append(outs, o)
-	}
-	sort.Ints(outs)
-	for _, o := range outs {
-		wr(o, res.Overrides[o])
+	for _, o := range res.Overrides {
+		wr(int(o.Out), int(o.In))
 	}
 	return h.Sum64()
 }
@@ -68,37 +56,49 @@ func TestEmbedParallelDeterminism(t *testing.T) {
 		g := debruijn.New(tc.d, tc.n)
 		rng := rand.New(rand.NewPCG(uint64(tc.d), uint64(tc.n)))
 		for trial := 0; trial < 4; trial++ {
-			faults := randomFaults(rng, g.Size, trial)
+			checkParallelDeterminism(t, g, randomFaults(rng, g.Size, trial))
+		}
+	}
+	// The many-fault binary sets split the surviving graph, so every
+	// component's BFS — not only the broadcast from R — goes through the
+	// worker pool.
+	for _, c := range manyFaultSets() {
+		checkParallelDeterminism(t, c.g, c.faults)
+	}
+}
 
-			serial := NewEmbedder(g)
-			serial.Workers = 1
-			want, wantErr := serial.Embed(faults)
+// checkParallelDeterminism embeds faults serially and then at every
+// worker count with the parallel threshold forced down, and requires the
+// serial output exactly.
+func checkParallelDeterminism(t *testing.T, g *debruijn.Graph, faults []int) {
+	t.Helper()
+	serial := NewEmbedder(g)
+	serial.Workers = 1
+	want, wantErr := serial.Embed(faults)
 
-			// Threshold 1 puts every level through the worker pool;
-			// threshold 8 mixes serial shallow levels with parallel deep
-			// ones — both must replay the serial output exactly.
-			for _, threshold := range []int{1, 8} {
-				for _, w := range []int{1, 2, 4, 8} {
-					em := NewEmbedder(g)
-					em.Workers = w
-					em.parallelFrontier = threshold
-					got, err := em.Embed(faults)
-					if (err != nil) != (wantErr != nil) {
-						t.Fatalf("B(%d,%d) faults=%v workers=%d threshold=%d: err=%v, serial err=%v",
-							tc.d, tc.n, faults, w, threshold, err, wantErr)
-					}
-					if err != nil {
-						continue
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("B(%d,%d) faults=%v workers=%d threshold=%d: result diverges from serial",
-							tc.d, tc.n, faults, w, threshold)
-					}
-					if resultHash(got) != resultHash(want) {
-						t.Fatalf("B(%d,%d) faults=%v workers=%d threshold=%d: hash diverges from serial",
-							tc.d, tc.n, faults, w, threshold)
-					}
-				}
+	// Threshold 1 puts every level through the worker pool; threshold 8
+	// mixes serial shallow levels with parallel deep ones — both must
+	// replay the serial output exactly.
+	for _, threshold := range []int{1, 8} {
+		for _, w := range []int{1, 2, 4, 8} {
+			em := NewEmbedder(g)
+			em.Workers = w
+			em.parallelFrontier = threshold
+			got, err := em.Embed(faults)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("B(%d,%d) faults=%v workers=%d threshold=%d: err=%v, serial err=%v",
+					g.D, g.N, faults, w, threshold, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("B(%d,%d) faults=%v workers=%d threshold=%d: result diverges from serial",
+					g.D, g.N, faults, w, threshold)
+			}
+			if resultHash(got) != resultHash(want) {
+				t.Fatalf("B(%d,%d) faults=%v workers=%d threshold=%d: hash diverges from serial",
+					g.D, g.N, faults, w, threshold)
 			}
 		}
 	}
@@ -160,5 +160,27 @@ func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
 					tc.d, tc.n, faults, res.Eccentricity, ecc)
 			}
 		}
+	}
+}
+
+// TestEmbedAllocs pins a warm serial Embed to its Result: the Result
+// itself, Cycle, Tree, Overrides and FaultyNecklaces.  Every other
+// structure is pooled scratch, so a map or a per-run buffer creeping
+// back into the kernel fails here before any benchmark gate.
+func TestEmbedAllocs(t *testing.T) {
+	g := debruijn.New(2, 12)
+	em := NewEmbedder(g)
+	em.Workers = 1
+	faults := []int{5, 1234, 4000}
+	if _, err := em.Embed(faults); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := em.Embed(faults); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("warm Embed made %v allocations, want at most 5", allocs)
 	}
 }

@@ -27,7 +27,7 @@ func TestPropertyEmbedInvariants(t *testing.T) {
 			return false
 		}
 		for _, x := range res.Cycle {
-			if res.FaultyNecklaces[g.NecklaceRep(x)] {
+			if isFaulty(res, g.NecklaceRep(x)) {
 				return false
 			}
 		}

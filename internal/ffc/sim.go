@@ -89,7 +89,7 @@ func SimulateWorkers(d, n int, faultCounts []int, trials int, seed uint64, worke
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &simScratch{g: g, reps: reps}
+			sc := newSimScratch(g, reps)
 			pcg := rand.NewPCG(0, 0)
 			rng := rand.New(pcg)
 			for {
@@ -185,127 +185,61 @@ func splitmix64(x uint64) uint64 {
 // dense sets and arrays reset in O(1) between trials, so a trial's only
 // costs are the graph traversals themselves.
 type simScratch struct {
-	g    *debruijn.Graph
-	reps []int32 // necklace representative per node (shared, read-only)
-
-	drawn    dense.Set  // distinct fault draws
-	faultRep dense.Set  // faulty necklace representatives
-	comp     dense.Ints // component id per node
-	sizes    []int32
-	stack    []int32
+	s        survivors // serial: trials, not frontiers, are the parallel unit
+	drawn    dense.Set // distinct fault draws
 	seen     dense.Set // nearest-component BFS visited
-	vis      dense.Set // eccentricity BFS visited
 	frontier []int32
 	next     []int32
+}
+
+func newSimScratch(g *debruijn.Graph, reps []int32) *simScratch {
+	return &simScratch{s: survivors{g: g, reps: reps, workers: 1}}
 }
 
 // oneTrial removes the necklaces of f random distinct faults and returns
 // the size of the source component, the source's eccentricity in it, and
 // the number of processors lost with faulty necklaces.
 func (sc *simScratch) oneTrial(r, f int, rng *rand.Rand) (size, ecc, dead int) {
-	g := sc.g
-	d := g.D
-	pivot := g.Pow(g.N - 1)
+	s := &sc.s
+	g := s.g
 
 	sc.drawn.Reset(g.Size)
-	sc.faultRep.Reset(g.Size)
+	s.faultRep.Reset(g.Size)
 	for drawn := 0; drawn < f; {
 		x := rng.IntN(g.Size)
 		if !sc.drawn.Add(x) {
 			continue
 		}
 		drawn++
-		if rep := int(sc.reps[x]); sc.faultRep.Add(rep) {
+		if rep := int(s.reps[x]); s.faultRep.Add(rep) {
 			dead += g.Period(rep)
 		}
 	}
-	alive := func(x int) bool { return !sc.faultRep.Has(int(sc.reps[x])) }
-
-	// Label all components of the surviving graph (both edge directions;
-	// weak = strong connectivity here).
-	sc.comp.Reset(g.Size)
-	sc.sizes = sc.sizes[:0]
-	for x := 0; x < g.Size; x++ {
-		if !alive(x) || sc.comp.Has(x) {
-			continue
-		}
-		id := int32(len(sc.sizes))
-		sc.sizes = append(sc.sizes, 0)
-		sc.stack = append(sc.stack[:0], int32(x))
-		sc.comp.Set(x, id)
-		for len(sc.stack) > 0 {
-			v := int(sc.stack[len(sc.stack)-1])
-			sc.stack = sc.stack[:len(sc.stack)-1]
-			sc.sizes[id]++
-			base := g.Suffix(v) * d
-			pre := v / d
-			for a := 0; a < d; a++ {
-				if w := base + a; alive(w) && !sc.comp.Has(w) {
-					sc.comp.Set(w, id)
-					sc.stack = append(sc.stack, int32(w))
-				}
-			}
-			for a := 0; a < d; a++ {
-				if w := a*pivot + pre; alive(w) && !sc.comp.Has(w) {
-					sc.comp.Set(w, id)
-					sc.stack = append(sc.stack, int32(w))
-				}
-			}
-		}
-	}
-	if len(sc.sizes) == 0 {
-		return 0, 0, dead
-	}
 
 	src := r
-	if !alive(src) {
+	if !s.alive(src) {
 		// The paper: "If R was in a faulty necklace, a neighboring node was
 		// used instead."  Its tables never record a stranded source, so the
 		// replacement is taken as the node of the largest surviving
 		// component nearest to R (avoiding, e.g., the single node 0ⁿ that
 		// is isolated exactly when N(0…01) itself fails — Proposition 2.3).
-		largest := 0
-		for id, s := range sc.sizes {
-			if s > sc.sizes[largest] {
-				largest = id
-			}
+		// Only this case needs every component labeled.
+		s.label()
+		largest := s.largest()
+		if largest < 0 {
+			return 0, 0, dead
 		}
-		src = sc.nearestInComponent(r, int32(largest))
+		src = sc.nearestInComponent(r, largest)
 		if src < 0 {
 			return 0, 0, dead
 		}
 	}
 
-	// Eccentricity of src: directed BFS within its component.
-	id := sc.comp.At(src)
-	sc.vis.Reset(g.Size)
-	sc.vis.Add(src)
-	sc.frontier = append(sc.frontier[:0], int32(src))
-	depth := 0
-	for len(sc.frontier) > 0 {
-		sc.next = sc.next[:0]
-		for _, v32 := range sc.frontier {
-			v := int(v32)
-			base := g.Suffix(v) * d
-			for a := 0; a < d; a++ {
-				w := base + a
-				if w == v {
-					continue
-				}
-				if cv, ok := sc.comp.Get(w); !ok || cv != id {
-					continue
-				}
-				if sc.vis.Add(w) {
-					sc.next = append(sc.next, int32(w))
-				}
-			}
-		}
-		if len(sc.next) > 0 {
-			depth++
-		}
-		sc.frontier, sc.next = sc.next, sc.frontier
-	}
-	return int(sc.sizes[id]), depth, dead
+	// A forward BFS from src visits exactly its component (weak = strong
+	// connectivity here), giving both the size and the eccentricity.
+	s.clear()
+	id := s.visit(src)
+	return int(s.sizes[id]), int(s.eccs[id]), dead
 }
 
 // nearestInComponent returns the node of the given component closest to r
@@ -313,12 +247,12 @@ func (sc *simScratch) oneTrial(r, f int, rng *rand.Rand) (size, ecc, dead int) {
 // included as transit), ties broken toward smaller node values; −1 when the
 // component is empty.
 func (sc *simScratch) nearestInComponent(r int, id int32) int {
-	g := sc.g
+	g := sc.s.g
 	d := g.D
 	pivot := g.Pow(g.N - 1)
 	sc.seen.Reset(g.Size)
 	sc.seen.Add(r)
-	if v, ok := sc.comp.Get(r); ok && v == id {
+	if v, ok := sc.s.comp.Get(r); ok && v == id {
 		return r
 	}
 	sc.frontier = append(sc.frontier[:0], int32(r))
@@ -326,7 +260,7 @@ func (sc *simScratch) nearestInComponent(r int, id int32) int {
 		sc.next = sc.next[:0]
 		best := -1
 		consider := func(w int) {
-			if cv, ok := sc.comp.Get(w); ok && cv == id && (best == -1 || w < best) {
+			if cv, ok := sc.s.comp.Get(w); ok && cv == id && (best == -1 || w < best) {
 				best = w
 			}
 		}

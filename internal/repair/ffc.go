@@ -132,17 +132,16 @@ func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.Embe
 	p.nodes = res.BStarSize
 	p.survivors = p.g.Size - res.FaultyNodeCount
 	p.faulty = make(map[int]bool, len(res.FaultyNecklaces))
-	for rep := range res.FaultyNecklaces {
+	for _, rep := range res.FaultyNecklaces {
 		p.faulty[rep] = true
 	}
 	p.tree = make(map[int]ffc.TreeEdge, len(res.Tree))
-	for c, e := range res.Tree {
-		p.tree[c] = e
+	for _, l := range res.Tree {
+		p.tree[int(l.Child)] = ffc.TreeEdge{Parent: int(l.Parent), W: int(l.W)}
 	}
 	p.resetSucc()
-	//ringlint:allow maporder one table slot per key: the fill is order-insensitive
-	for o, i := range res.Overrides {
-		p.succ[o] = int32(i)
+	for _, o := range res.Overrides {
+		p.succ[o.Out] = o.In
 	}
 	p.nodeFaults = make(map[int]bool, len(f.Nodes))
 	p.necklaceFaults = make(map[int]int, len(f.Nodes))
