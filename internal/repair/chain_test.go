@@ -2,6 +2,7 @@ package repair
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
 	"testing"
 
@@ -182,12 +183,9 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 	ring := []int{0, 1, 3, 2} // distinct nodes: the heuristic alone would splice it
 	p := &genericPatcher{net: net}
 	p.reset(ring, topology.FaultSet{}, 2) // a dilation-2 embedding
-	state, err := p.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(state) == 0 || !bytes.Contains(state, []byte("splicable")) {
-		t.Fatalf("snapshot %q does not persist splicability", state)
+	state := &State{TierState: TierState{SpliceState: p.snapshot()}}
+	if b, err := json.Marshal(state); err != nil || string(b) != `{"splicable":false}` {
+		t.Fatalf("snapshot %s (%v) does not persist splicability", b, err)
 	}
 
 	q := For(net)
@@ -210,7 +208,7 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 	// And a splicable snapshot round-trips splicable.
 	p2 := &genericPatcher{net: net}
 	p2.reset(ring, topology.FaultSet{}, 1)
-	st2, _ := p2.Snapshot()
+	st2 := &State{TierState: TierState{SpliceState: p2.snapshot()}}
 	q3 := For(net)
 	if err := q3.Restore(st2, ring, topology.FaultSet{}); err != nil {
 		t.Fatal(err)
@@ -273,12 +271,12 @@ func TestChainSnapshotRestoreSpliceTier(t *testing.T) {
 	if o != Spliced {
 		t.Fatalf("root fault outcome %v, want Spliced", o)
 	}
-	state, err := p.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	state, regen := p.Snapshot()
+	if b, _ := json.Marshal(state); regen || !bytes.HasPrefix(b, []byte(`{"tier":"splice","state":{"splicable":true}}`)) {
+		t.Fatalf("snapshot %s (regenerates %v) does not record the splice tier with its ring", b, regen)
 	}
-	if !bytes.Contains(state, []byte(`"tier":"splice"`)) {
-		t.Fatalf("snapshot %q does not record the splice tier", state)
+	if err := For(net).Restore(state, nil, faults); err == nil {
+		t.Error("a splice snapshot restored without its ring")
 	}
 
 	q := For(net)
@@ -292,7 +290,7 @@ func TestChainSnapshotRestoreSpliceTier(t *testing.T) {
 	if o1 != o2 || o1 != Spliced {
 		t.Fatalf("outcomes diverge after restore: %v vs %v (want Spliced)", o1, o2)
 	}
-	if !equalInts(r1, r2) {
+	if !slices.Equal(r1, r2) {
 		t.Error("spliced rings diverge after restore")
 	}
 	if len(r2) != net.Nodes() || !topology.VerifyRing(net, r2, topology.FaultSet{}) {
@@ -301,7 +299,8 @@ func TestChainSnapshotRestoreSpliceTier(t *testing.T) {
 }
 
 // TestChainSnapshotRestoreFFCTier: an FFC-owned chain snapshot restores
-// into the FFC tier (and legacy bare-ffcState snapshots still restore).
+// into the FFC tier, with the ring or regenerating it, and legacy
+// bare-FFC-state snapshots still restore.
 func TestChainSnapshotRestoreFFCTier(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 8)
 	p := For(net)
@@ -314,12 +313,9 @@ func TestChainSnapshotRestoreFFCTier(t *testing.T) {
 	if o != Patched {
 		t.Fatalf("outcome %v, want Patched", o)
 	}
-	state, err := p.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(state, []byte(`"tier":"ffc"`)) {
-		t.Fatalf("snapshot %q does not record the ffc tier", state)
+	state, regen := p.Snapshot()
+	if b, _ := json.Marshal(state); !regen || !bytes.HasPrefix(b, []byte(`{"tier":"ffc","state":{"root":`)) {
+		t.Fatalf("snapshot %s (regenerates %v) does not record the ffc tier", b, regen)
 	}
 	q := For(net)
 	if err := q.Restore(state, r, faults); err != nil {
@@ -329,14 +325,28 @@ func TestChainSnapshotRestoreFFCTier(t *testing.T) {
 		t.Errorf("restored chain patch outcome %v, want Patched", o)
 	}
 
+	// Without the ring, the FFC tier walks it, rotation included, and
+	// the hash matches.
+	q3 := For(net)
+	if err := q3.Restore(state, nil, faults); err != nil {
+		t.Fatalf("Restore without the ring: %v", err)
+	}
+	if !slices.Equal(q3.RingInts(), r) || q3.RingHash() != p.RingHash() {
+		t.Error("regenerated ring or hash differs from the live one")
+	}
+
 	// Legacy journals persisted the bare FFC state; the chain must still
 	// accept it.
-	legacy, err := p.ffc.Snapshot()
+	raw, err := json.Marshal(p.ffc.snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var legacy State
+	if err := json.Unmarshal(raw, &legacy); err != nil {
+		t.Fatal(err)
+	}
 	q2 := For(net)
-	if err := q2.Restore(legacy, r, faults); err != nil {
+	if err := q2.Restore(&legacy, r, faults); err != nil {
 		t.Fatalf("legacy restore: %v", err)
 	}
 }

@@ -1,8 +1,8 @@
 package repair
 
 import (
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"debruijnring/internal/debruijn"
@@ -948,9 +948,11 @@ func (p *ffcPatcher) walk() ([]int, bool) {
 	return ring, true
 }
 
-// ffcState is the JSON form of the patcher's incremental state, persisted
-// in session snapshots.
-type ffcState struct {
+// FFCState is the FFC tier's snapshot: the distinguished node, the
+// ring length, the faulty necklaces, the necklace tree and the Step-3
+// successor overrides.  The successor rule they define is the ring
+// (Proposition 2.1), so a snapshot regenerates its ring.
+type FFCState struct {
 	Root      int      `json:"root"`
 	Nodes     int      `json:"nodes"`
 	Faulty    []int    `json:"faulty,omitempty"`
@@ -958,11 +960,12 @@ type ffcState struct {
 	Overrides [][2]int `json:"overrides,omitempty"` // [out, in]
 }
 
-func (p *ffcPatcher) Snapshot() ([]byte, error) {
+// snapshot returns the tier's state, nil when it is stale.
+func (p *ffcPatcher) snapshot() *FFCState {
 	if !p.valid {
-		return nil, nil
+		return nil
 	}
-	st := ffcState{Root: p.root, Nodes: p.nodes}
+	st := &FFCState{Root: p.root, Nodes: p.nodes}
 	for rep := range p.faulty {
 		st.Faulty = append(st.Faulty, rep)
 	}
@@ -976,23 +979,23 @@ func (p *ffcPatcher) Snapshot() ([]byte, error) {
 			st.Overrides = append(st.Overrides, [2]int{o, int(i)})
 		}
 	}
-	return json.Marshal(st)
+	return st
 }
 
-func (p *ffcPatcher) Restore(state []byte, ring []int, f topology.FaultSet) error {
+// restore reinstates st around the cumulative fault set f and returns
+// the ring its successor rule walks, which must equal ring unless ring
+// is empty.  A nil st leaves the tier stale (it declines until the next
+// Embed) and returns ring as it is.
+func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]int, error) {
 	p.valid = false
-	if len(state) == 0 {
-		return nil // ring survives on the session; patches re-embed
-	}
-	var st ffcState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return fmt.Errorf("repair: bad snapshot: %w", err)
+	if st == nil {
+		return ring, nil
 	}
 	if st.Root < 0 || st.Root >= p.g.Size {
-		return fmt.Errorf("repair: snapshot root %d out of range", st.Root)
+		return nil, fmt.Errorf("repair: snapshot root %d out of range", st.Root)
 	}
 	if st.Nodes < 1 || st.Nodes > p.g.Size {
-		return fmt.Errorf("repair: snapshot node count %d out of range", st.Nodes)
+		return nil, fmt.Errorf("repair: snapshot node count %d out of range", st.Nodes)
 	}
 	p.root = st.Root
 	p.nodes = st.Nodes
@@ -1000,7 +1003,7 @@ func (p *ffcPatcher) Restore(state []byte, ring []int, f topology.FaultSet) erro
 	p.faulty = make(map[int]bool, len(st.Faulty))
 	for _, rep := range st.Faulty {
 		if rep < 0 || rep >= p.g.Size {
-			return fmt.Errorf("repair: snapshot faulty necklace %d out of range", rep)
+			return nil, fmt.Errorf("repair: snapshot faulty necklace %d out of range", rep)
 		}
 		if !p.faulty[rep] {
 			p.faulty[rep] = true
@@ -1010,23 +1013,22 @@ func (p *ffcPatcher) Restore(state []byte, ring []int, f topology.FaultSet) erro
 	p.tree = make(map[int]ffc.TreeEdge, len(st.Tree))
 	for _, e := range st.Tree {
 		if e[0] < 0 || e[0] >= p.g.Size || e[1] < 0 || e[1] >= p.g.Size {
-			return fmt.Errorf("repair: snapshot tree edge %v out of range", e)
+			return nil, fmt.Errorf("repair: snapshot tree edge %v out of range", e)
 		}
 		p.tree[e[0]] = ffc.TreeEdge{Parent: e[1], W: e[2]}
 	}
 	p.resetSucc()
 	for _, o := range st.Overrides {
 		if o[0] < 0 || o[0] >= p.g.Size || o[1] < 0 || o[1] >= p.g.Size {
-			return fmt.Errorf("repair: snapshot override %v out of range", o)
+			return nil, fmt.Errorf("repair: snapshot override %v out of range", o)
 		}
 		p.succ[o[0]] = int32(o[1])
 	}
-	f = f.Canonical()
 	p.nodeFaults = make(map[int]bool, len(f.Nodes))
 	p.necklaceFaults = make(map[int]int, len(f.Nodes))
 	for _, x := range f.Nodes {
 		if x < 0 || x >= p.g.Size {
-			return fmt.Errorf("repair: snapshot fault node %d out of range", x)
+			return nil, fmt.Errorf("repair: snapshot fault node %d out of range", x)
 		}
 		p.nodeFaults[x] = true
 		p.necklaceFaults[p.em.Rep(x)]++
@@ -1036,26 +1038,72 @@ func (p *ffcPatcher) Restore(state []byte, ring []int, f topology.FaultSet) erro
 		p.edgeFaults[e] = true
 	}
 	if err := p.rebuildStars(); err != nil {
-		return err
+		return nil, err
+	}
+	if err := p.audit(); err != nil {
+		return nil, err
 	}
 	got, ok := p.walk()
-	if !ok || !equalInts(got, ring) {
-		return fmt.Errorf("repair: snapshot state does not reproduce the session ring")
+	if !ok || (len(ring) > 0 && !slices.Equal(got, ring)) {
+		return nil, fmt.Errorf("repair: snapshot state does not reproduce the session ring")
 	}
 	p.valid = true
-	return nil
+	return got, nil
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// audit checks that the restored tree and overrides are one FFC
+// structure, as patch and unpatch maintain it: the root is a live
+// necklace representative, every tree child is a live necklace whose
+// parent chain reaches the root's, the ring length is the total period
+// of those necklaces, every star T_w closes its members into one
+// w-cycle through their w-nodes (αw → wβ), and no override lies outside
+// a star.  The ring walk alone cannot tell a tampered tree from a
+// sound one whenever the overrides still close; later surgery would.
+func (p *ffcPatcher) audit() error {
+	bad := func(what string) error { return fmt.Errorf("repair: snapshot %s", what) }
+	rootRep := p.g.NecklaceRep(p.root)
+	if p.root != rootRep || p.faulty[rootRep] {
+		return bad("root is not a live necklace representative")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	total := p.g.Period(rootRep)
+	//ringlint:allow maporder every check is per entry; only which bad entry is found first can vary
+	for c := range p.tree {
+		if c == rootRep || c != p.g.NecklaceRep(c) || p.faulty[c] || !p.connectedToRoot(c, -1) {
+			return bad("tree does not hang live necklaces from the root")
+		}
+		total += p.g.Period(c)
+	}
+	if total != p.nodes {
+		return bad("node count is not the tree's")
+	}
+	overrides := 0
+	for _, v := range p.succ {
+		if v >= 0 {
+			overrides++
 		}
 	}
-	return true
+	//ringlint:allow maporder every check is per star; only which bad star is found first can vary
+	for w, s := range p.stars {
+		members := starMembers(s)
+		cur := members[0]
+		for step := 1; step <= len(members); step++ {
+			out := ffc.SuffixNode(p.g, cur, w)
+			if out < 0 || p.succ[out] < 0 {
+				return bad("star member lacks its override")
+			}
+			in := int(p.succ[out])
+			cur = p.em.Rep(in)
+			if _, found := slices.BinarySearch(members, cur); !found || ffc.PrefixNode(p.g, cur, w) != in ||
+				(cur == members[0]) != (step == len(members)) {
+				return bad("star overrides do not close one cycle of its members")
+			}
+		}
+		overrides -= len(members)
+	}
+	if overrides != 0 {
+		return bad("holds overrides outside every star")
+	}
+	return nil
 }
 
 // removeSorted deletes v from the sorted slice s (if present).

@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"time"
@@ -84,6 +83,13 @@ func (p *Patcher) Ring() []int32 { return p.ring.seq }
 
 // RingInts returns a copy of the owned ring as []int.
 func (p *Patcher) RingInts() []int { return p.ring.ints() }
+
+// RingHash returns the owned ring's hash: the sum mod 2⁶⁴ of a
+// SplitMix64-mixed hash of each directed hop v → succ(v).  It does not
+// depend on where the sequence starts.  Embed and Restore compute it in
+// one pass over the ring; a local repair moves it by the hops its delta
+// rewrote.
+func (p *Patcher) RingHash() uint64 { return p.ring.hash }
 
 // Faults returns the cumulative canonical fault set the ring avoids.
 func (p *Patcher) Faults() topology.FaultSet { return p.faults }
@@ -288,7 +294,7 @@ func (p *Patcher) apply(d *delta, next, fresh topology.FaultSet, minLen int) boo
 // set, rebuilding its state unless it already holds exactly that pair
 // (as it does right after an accepted splice).  Comparing instead of
 // trusting a flag means a splice result the ring rejected never leaks
-// into a later batch.  Restore(nil, …) re-checks node distinctness, so a
+// into a later batch.  restore(nil, …) re-checks node distinctness, so a
 // corrupted ring can never be spliced.
 func (p *Patcher) syncSplice() bool {
 	sp, cur := p.splice, p.ring.seq
@@ -298,92 +304,109 @@ func (p *Patcher) syncSplice() bool {
 		same = sp.ring[i] == int(cur[i])
 	}
 	if !same {
-		if err := sp.Restore(nil, p.ring.ints(), p.faults); err != nil {
-			return false
-		}
+		sp.restore(nil, p.ring.ints(), p.faults)
 	}
 	return sp.valid
 }
 
-// chainState wraps the owning tier's snapshot so Restore rebuilds the
-// right tier.  Journals from before the chain carry a bare ffcState (no
-// "tier" key) and restore as the FFC tier.
-type chainState struct {
-	Tier  string          `json:"tier"`
-	State json.RawMessage `json:"state,omitempty"`
+// State is a Patcher snapshot in the form journals carry it.  A chain
+// names the tier that owns the ring, "ffc" or "splice", and nests that
+// tier's state under State; the splice tier alone (off De Bruijn) is
+// stored bare, as were FFC snapshots from before the chain.  State has
+// no MarshalJSON, so a journal line encodes it in the same pass as the
+// rest of its event.
+type State struct {
+	Tier  string     `json:"tier,omitempty"`
+	State *TierState `json:"state,omitempty"`
+	TierState
 }
 
-// Snapshot serializes the incremental state needed to resume patching
-// after a restart (the caller persists the ring and faults itself).  A
-// nil snapshot is valid: Restore(nil, …) rebuilds only what (ring,
-// faults) alone support — the chain can still splice via its lazily
-// resynced bypass tier, while structural surgery declines until the
-// next Embed.
-func (p *Patcher) Snapshot() ([]byte, error) {
+// TierState is one tier's snapshot: at most one of the two is set.
+type TierState struct {
+	*FFCState
+	*SpliceState
+}
+
+// Snapshot returns the state needed to resume patching after a
+// restart, and whether Restore can regenerate the ring from it alone.
+// Only a valid FFC tier can — its successor rule is the ring — so for a
+// splice-owned chain, a chain whose FFC tier is stale and every other
+// topology the caller must persist the ring too.  A nil State is
+// valid: Restore(nil, ring, …) rebuilds only what (ring, faults) alone
+// support — the chain can still splice via its lazily resynced bypass
+// tier, while structural surgery declines until the next Embed.
+func (p *Patcher) Snapshot() (st *State, regenerates bool) {
 	if p.ffc == nil {
-		return p.splice.Snapshot()
+		return &State{TierState: TierState{SpliceState: p.splice.snapshot()}}, false
 	}
 	if p.spliceOwns {
-		st, err := p.splice.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(chainState{Tier: "splice", State: st})
+		return &State{Tier: "splice", State: &TierState{SpliceState: p.splice.snapshot()}}, false
 	}
-	st, err := p.ffc.Snapshot()
-	if err != nil || st == nil {
-		return nil, err
+	if f := p.ffc.snapshot(); f != nil {
+		return &State{Tier: "ffc", State: &TierState{FFCState: f}}, true
 	}
-	return json.Marshal(chainState{Tier: "ffc", State: st})
+	return nil, false
 }
 
-// Restore reinstates a snapshot taken at the given ring and cumulative
-// fault set, and installs both.  On error nothing is installed.
-func (p *Patcher) Restore(state []byte, ring []int, f topology.FaultSet) error {
+// Restore reinstates a snapshot taken at the cumulative fault set f,
+// and installs the ring and f.  ring is the ring the snapshot was taken
+// at; an empty one asks the FFC tier to regenerate it from st, with one
+// walk of its successor rule after auditing its tree and overrides.  On
+// error neither the ring nor the fault set is installed.
+func (p *Patcher) Restore(st *State, ring []int, f topology.FaultSet) error {
 	f = f.Canonical()
-	var err error
+	nodes := p.net.Nodes()
+	for _, v := range ring {
+		if v < 0 || v >= nodes {
+			return fmt.Errorf("repair: restored ring node %d out of range", v)
+		}
+	}
 	if p.ffc == nil {
-		err = p.splice.Restore(state, ring, f)
+		var sp *SpliceState
+		if st != nil {
+			sp = st.SpliceState
+		}
+		p.splice.restore(sp, ring, f)
 	} else {
-		err = p.restoreChain(state, ring, f)
+		var err error
+		if ring, err = p.restoreChain(st, ring, f); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return err
+	if len(ring) == 0 {
+		return fmt.Errorf("repair: snapshot holds no ring and no FFC state to regenerate one")
 	}
-	p.ring.reset(p.net.Nodes(), ring)
+	p.ring.reset(nodes, ring)
 	p.faults = f
 	return nil
 }
 
-func (p *Patcher) restoreChain(state []byte, ring []int, f topology.FaultSet) error {
+// restoreChain restores a chain's owning tier and returns the ring to
+// install: ring itself, or the FFC tier's walk when ring is empty.
+func (p *Patcher) restoreChain(st *State, ring []int, f topology.FaultSet) ([]int, error) {
 	p.spliceOwns = false
-	if len(state) == 0 {
+	if st == nil {
 		// Both tiers stale: the FFC tier declines until the next Embed
 		// and the splice tier resyncs lazily from (ring, faults) — the
 		// same state a live chain is in right after the FFC tier
 		// invalidates.
 		p.ffc.valid = false
-		return nil
+		return ring, nil
 	}
-	var st chainState
-	if err := json.Unmarshal(state, &st); err != nil {
-		return fmt.Errorf("repair: bad chain snapshot: %w", err)
+	ts := st.TierState // a legacy snapshot: the bare FFC state recorded before the chain
+	if st.Tier != "" && st.State != nil {
+		ts = *st.State
 	}
 	switch st.Tier {
 	case "splice":
-		if err := p.splice.Restore(st.State, ring, f); err != nil {
-			return err
-		}
+		p.splice.restore(ts.SpliceState, ring, f)
 		if !p.splice.valid {
-			return fmt.Errorf("repair: splice snapshot restored to an unsplicable ring")
+			return nil, fmt.Errorf("repair: splice snapshot restored to an unsplicable ring")
 		}
 		p.spliceOwns = true
-		return nil
-	case "ffc":
-		return p.ffc.Restore(st.State, ring, f)
-	case "":
-		// Legacy snapshot: a bare ffcState recorded before the chain.
-		return p.ffc.Restore(state, ring, f)
+		return ring, nil
+	case "ffc", "":
+		return p.ffc.restore(ts.FFCState, ring, f)
 	}
-	return fmt.Errorf("repair: unknown chain snapshot tier %q", st.Tier)
+	return nil, fmt.Errorf("repair: unknown chain snapshot tier %q", st.Tier)
 }

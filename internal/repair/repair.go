@@ -54,8 +54,6 @@
 package repair
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/bits"
 	"time"
 
@@ -247,35 +245,31 @@ func (p *genericPatcher) onRingHas(v int) bool {
 	return p.onRing.Has(v)
 }
 
-// genericState persists the one bit of incremental state the session's
-// (ring, faults) pair cannot reconstruct: whether the embedding was
-// splicable (dilation ≤ 1).  Before this was persisted, Restore trusted
-// node distinctness alone, and a restored dilation-2 closed walk with
-// coincidentally distinct nodes would have been spliced illegally.
-type genericState struct {
+// SpliceState is the splice tier's snapshot: the one bit of incremental
+// state the session's (ring, faults) pair cannot reconstruct, whether
+// the embedding was splicable (dilation ≤ 1).  Before this was
+// persisted, Restore trusted node distinctness alone, and a restored
+// dilation-2 closed walk with coincidentally distinct nodes would have
+// been spliced illegally.
+type SpliceState struct {
 	Splicable bool `json:"splicable"`
 }
 
-func (p *genericPatcher) Snapshot() ([]byte, error) {
-	return json.Marshal(genericState{Splicable: p.valid})
+func (p *genericPatcher) snapshot() *SpliceState {
+	return &SpliceState{Splicable: p.valid}
 }
 
-func (p *genericPatcher) Restore(state []byte, ring []int, f topology.FaultSet) error {
+// restore installs ring and f under the snapshot st.
+func (p *genericPatcher) restore(st *SpliceState, ring []int, f topology.FaultSet) {
 	dilation := 1
-	if len(state) > 0 {
-		var st genericState
-		if err := json.Unmarshal(state, &st); err != nil {
-			return fmt.Errorf("repair: bad splice snapshot: %w", err)
-		}
-		if !st.Splicable {
-			// The snapshot records an unsplicable embedding (a dilation-2
-			// closed walk): stay invalid even when the walk's nodes happen
-			// to be distinct.
-			dilation = 2
-		}
+	if st != nil && !st.Splicable {
+		// The snapshot records an unsplicable embedding (a dilation-2
+		// closed walk): stay invalid even when the walk's nodes happen
+		// to be distinct.
+		dilation = 2
 	}
 	// Journals from before the splicability bit carry no snapshot; for
-	// them (state == nil) the distinct-node check below is the only
+	// them (st == nil) the distinct-node check below is the only
 	// available gate.
 	p.reset(ring, f, dilation)
 	if p.valid {
@@ -292,7 +286,6 @@ func (p *genericPatcher) Restore(state []byte, ring []int, f topology.FaultSet) 
 		}
 		p.onRingOK = p.valid
 	}
-	return nil
 }
 
 // resetLog empties the edit log; patch and unpatch start with it.

@@ -39,16 +39,22 @@ type delta struct {
 }
 
 // Ring is the ring a Patcher owns: the node sequence, a dense position
-// index (pos[v] is v's index in seq, −1 off the ring) and a spare
-// buffer the next sequence is built into.  A local repair arrives as a
-// delta and is applied in place by apply, which checks only the seams
-// the delta touched; full replacements go through replace.  Node ids
-// and positions are int32, which halves the two sequence buffers and
-// the arc copies; ints widens the sequence where an []int is needed.
+// index (pos[v] is v's index in seq, −1 off the ring), a spare buffer
+// the next sequence is built into, and the ring's hash.  A local repair
+// arrives as a delta and is applied in place by apply, which checks
+// only the seams the delta touched and updates the hash by the hops it
+// changed; full replacements go through replace.  Node ids and
+// positions are int32, which halves the two sequence buffers and the
+// arc copies; ints widens the sequence where an []int is needed.
 type Ring struct {
 	seq   []int32
 	pos   []int32
 	spare []int32
+
+	// hash is the sum mod 2⁶⁴ of edgeHash over the ring's hops (see
+	// edgeHash); next is the hash of the sequence build is writing,
+	// committed by apply only when the delta passes.
+	hash, next uint64
 
 	// apply scratch, all pooled: succ maps each edited or joining node
 	// to its new successor (−1 for leaving nodes), placed marks the
@@ -85,10 +91,27 @@ func (r *Ring) reset(nodes int, seq []int) {
 		r.pos[i] = -1
 	}
 	r.seq, r.spare = buffer(r.spare, nodes), buffer(r.seq, nodes)
+	r.hash = 0
 	for i, v := range seq {
 		r.seq = append(r.seq, int32(v))
 		r.pos[v] = int32(i)
+		r.hash += edgeHash(int32(v), int32(seq[(i+1)%len(seq)]))
 	}
+}
+
+// edgeHash mixes the directed hop v→s with the SplitMix64 generator's
+// step and finalizer.  A ring's hash is the sum mod 2⁶⁴ of its hops'
+// hashes: by Proposition 2.1 the ring is its successor rule, so the
+// hash does not depend on where the sequence starts, and a delta
+// updates it by taking out the hops it rewrites and adding the new
+// ones.
+//
+//ringlint:noalloc
+func edgeHash(v, s int32) uint64 {
+	z := (uint64(uint32(v))<<32 | uint64(uint32(s))) + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // buffer returns b emptied, or a new buffer when b cannot hold n nodes.
@@ -127,7 +150,8 @@ func (r *Ring) ints() []int {
 //   - the length is at least minLen.
 //
 // On success it returns the Diff — exactly what ringDiff.diff reports
-// for the same pair of rings.  On failure the ring is left untouched.
+// for the same pair of rings — and the hash has moved by the delta's
+// hops alone.  On failure the ring and its hash are left untouched.
 //
 //ringlint:noalloc
 func (r *Ring) apply(net topology.Network, d *delta, f, fresh topology.FaultSet, minLen int) (diff Diff, ok bool) {
@@ -148,6 +172,7 @@ func (r *Ring) apply(net topology.Network, d *delta, f, fresh topology.FaultSet,
 	for _, x := range d.Leave {
 		r.pos[x] = -1
 	}
+	r.hash = r.next
 	r.seq, r.spare = r.spare, r.seq
 	for i, v := range r.seq {
 		r.pos[v] = int32(i)
@@ -156,8 +181,11 @@ func (r *Ring) apply(net topology.Network, d *delta, f, fresh topology.FaultSet,
 }
 
 // build checks d against the current ring and writes the new sequence
-// into r.spare, reporting whether every seam check of apply passed.
-// It marks the arc ends in r.cuts, which the caller clears either way.
+// into r.spare and its hash into r.next, reporting whether every seam
+// check of apply passed.  It marks the arc ends in r.cuts, which the
+// caller clears either way.  Every node whose successor changes is an
+// arc end (cut), and the walk places each arc end once, so next is the
+// old hash minus the cut nodes' old hops plus their new ones.
 //
 //ringlint:noalloc
 func (r *Ring) build(net topology.Network, d *delta, f, fresh topology.FaultSet, minLen int) bool {
@@ -170,6 +198,7 @@ func (r *Ring) build(net topology.Network, d *delta, f, fresh topology.FaultSet,
 	}
 	undirected := topology.Undirected(net)
 	r.succ.Reset()
+	r.next = r.hash
 	for i, x := range d.Nodes {
 		s := d.Succ[i]
 		if x < 0 || x >= nodes || s < 0 || s >= nodes || r.succ.Has(x) {
@@ -219,6 +248,7 @@ func (r *Ring) build(net topology.Network, d *delta, f, fresh topology.FaultSet,
 			if r.pos[cur] < 0 {
 				r.joins = append(r.joins, cur) //ringlint:allow alloc pooled join list; growth amortizes to zero
 			}
+			r.next += edgeHash(int32(cur), s)
 			cur = int(s)
 		} else {
 			// An unchanged node: copy its old arc up to the next cut.
@@ -247,6 +277,7 @@ func (r *Ring) build(net topology.Network, d *delta, f, fresh topology.FaultSet,
 			if s < 0 || !r.placed.Set(last, 0) {
 				return false // the arc runs into a leaving node, or was used before
 			}
+			r.next += edgeHash(int32(last), s)
 			cur = int(s)
 		}
 		if cur == d.Start {
@@ -345,13 +376,15 @@ func (r *Ring) leavingInOrder(n int) []int {
 	return out
 }
 
-// cut marks the old position of x, if it has one, as an arc end.
+// cut marks the old position of x, if it has one, as an arc end, and
+// takes x's old hop out of the pending hash.
 //
 //ringlint:noalloc
 func (r *Ring) cut(x int) {
 	if p := r.pos[x]; p >= 0 {
 		r.cuts[p>>6] |= 1 << (p & 63)
 		r.cutAt = append(r.cutAt, p) //ringlint:allow alloc pooled cut list; growth amortizes to zero
+		r.next -= edgeHash(int32(x), r.seq[(int(p)+1)%len(r.seq)])
 	}
 }
 

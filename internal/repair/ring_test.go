@@ -41,11 +41,17 @@ type applied struct {
 // share of the node faults hits the FFC root's necklace, which the FFC
 // tier declines, so the stream exercises both tiers.  Every delta a
 // tier builds must apply, and leave the owned ring equal, element for
-// element and rotation included, to the ring the tier built; visit
-// sees each one.
+// element and rotation included, to the ring the tier built, and its
+// hash equal to a from-scratch recompute; visit sees each one.  The
+// hash is checked after every Embed and Restore too.
 func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spliceDeltas int) {
 	t.Helper()
 	p := For(st.net)
+	defer func() {
+		if !t.Failed() {
+			checkHash(t, p, "end of stream")
+		}
+	}()
 	if st.start != nil {
 		if err := p.Restore(nil, st.start, topology.FaultSet{}); err != nil {
 			t.Fatal(err)
@@ -55,6 +61,7 @@ func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spl
 	}
 	rng := rand.New(rand.NewSource(st.seed))
 	for i := 0; i < st.events; i++ {
+		checkHash(t, p, "before an event")
 		faults, old := p.Faults(), p.RingInts()
 		if st.start != nil && 4*len(old) > 5*len(st.start) {
 			// Bypasses and heals have used up most spares: start over.
@@ -142,10 +149,65 @@ func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spl
 			if got := p.RingInts(); !slices.Equal(got, a.want) {
 				t.Fatalf("%s event %d (%v): owned ring differs from the tier's ring:\n%v\n%v", st.net.Name(), i, o, got, a.want)
 			}
+			checkHash(t, p, o.String())
 			visit(a)
 		}
 	}
 	return ffcDeltas, spliceDeltas
+}
+
+// hopSum is the ring hash recomputed from scratch: the sum of edgeHash
+// over every hop, the closing one included.
+func hopSum[T int | int32](ring []T) uint64 {
+	var h uint64
+	for i, v := range ring {
+		h += edgeHash(int32(v), int32(ring[(i+1)%len(ring)]))
+	}
+	return h
+}
+
+// checkHash fails unless the Patcher's ring hash equals hopSum of its
+// ring.
+func checkHash(t *testing.T, p *Patcher, when string) {
+	t.Helper()
+	if got, want := p.RingHash(), hopSum(p.Ring()); got != want {
+		t.Fatalf("%s: ring hash %x, recomputed %x", when, got, want)
+	}
+}
+
+// TestRingHashTracksDeltas drives seeded fault/heal streams through
+// Patcher.Step and Embed — B(2,6) to B(2,12) through both chain tiers,
+// and Kautz(2,4) through the splice tier alone — and checks after every
+// ring change (deltaStream's checkHash) that the hash apply moved by
+// the delta's hops alone equals a from-scratch recompute.  Most deltas
+// must change the hash, or the stream tests little.
+func TestRingHashTracksDeltas(t *testing.T) {
+	kautz, _ := topology.NewKautz(2, 4)
+	cases := map[string]stream{
+		"kautz(2,4)": {net: kautz, events: 300, seed: 7, nodes: 3, start: spareRing(t, kautz, kautz.Nodes()/2)},
+	}
+	for n := 6; n <= 12; n++ {
+		net, err := topology.NewDeBruijn(2, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[net.Name()] = stream{net: net, events: 150, seed: int64(n), nodes: n}
+	}
+	for name, st := range cases {
+		t.Run(name, func(t *testing.T) {
+			changed := 0
+			ffcDeltas, spliceDeltas := deltaStream(t, st, func(a applied) {
+				if hopSum(a.old) != hopSum(a.want) {
+					changed++
+				}
+			})
+			_, isDB := st.net.(*topology.DeBruijn)
+			if spliceDeltas == 0 || (isDB && ffcDeltas == 0) || 2*changed < ffcDeltas+spliceDeltas {
+				t.Fatalf("stream produced %d FFC and %d splice deltas, %d changing the hash; too few to test",
+					ffcDeltas, spliceDeltas, changed)
+			}
+		})
+	}
 }
 
 // spareRing finds, by depth-first search, a simple cycle of exactly
@@ -230,6 +292,9 @@ func TestRingDeltaMatchesWalk(t *testing.T) {
 				if !ok {
 					t.Fatal("apply rejected a delta its tier built")
 				}
+				if r.hash != hopSum(a.want) {
+					t.Fatalf("applied ring hash %x, recomputed %x", r.hash, hopSum(a.want))
+				}
 				if !slices.Equal(r.ints(), a.want) {
 					t.Fatalf("applied ring differs from the tier's ring:\n%v\n%v", r.seq, a.want)
 				}
@@ -267,8 +332,8 @@ func cloneDelta(d *delta) *delta {
 
 // TestRingApplyRejectsCorruptDeltas hand-corrupts real deltas of both
 // tiers and checks that apply rejects each one and leaves the ring, its
-// index and its scratch untouched (the intact delta still applies
-// afterwards).
+// index, its hash and its scratch untouched (the intact delta still
+// applies afterwards).
 func TestRingApplyRejectsCorruptDeltas(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 8)
 	type corruption struct {
@@ -385,6 +450,9 @@ func TestRingApplyRejectsCorruptDeltas(t *testing.T) {
 			}
 			if !slices.Equal(r.ints(), a.old) {
 				t.Fatalf("%s: rejected delta mutated the ring", tc.name)
+			}
+			if r.hash != hopSum(a.old) {
+				t.Fatalf("%s: rejected delta moved the ring hash", tc.name)
 			}
 			for i, v := range r.seq {
 				if r.pos[v] != int32(i) {

@@ -55,10 +55,19 @@ func fuzzJournalBytes(tb testing.TB) []byte {
 // either reproduces a consistent session — the replayed ring passes
 // VerifyRing against the replayed fault set, hash chain verified — or
 // rejects the journal cleanly.  It must never panic and never accept a
-// corrupted ring.
+// corrupted ring.  The corpus holds both journal formats: a fresh v4
+// journal and the v3 fixture journals, renamed to the session the fuzz
+// body restores.
 func FuzzJournalReplay(f *testing.F) {
 	seed := fuzzJournalBytes(f)
 	f.Add(seed)
+	for _, path := range []string{"b28-seed74", "b28-seed107"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "journals", path+journalExt))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.ReplaceAll(raw, []byte(`"name":"`+path+`"`), []byte(`"name":"fz"`)))
+	}
 	// A truncated journal (torn final write) must restore cleanly.
 	if i := bytes.LastIndexByte(seed[:len(seed)-1], '\n'); i > 0 {
 		f.Add(seed[:i+5])
@@ -90,9 +99,10 @@ func FuzzJournalReplay(f *testing.F) {
 					len(ring), faults.Key())
 			}
 			// The restored state must be internally consistent enough to
-			// keep serving: a snapshot of it round-trips.
+			// keep serving: a snapshot of it round-trips, its hash the one
+			// the journal's own version computes.
 			st := s.StateSnapshot(true)
-			if st.RingLength != len(ring) || st.RingHash != ringHash(ring) {
+			if st.RingLength != len(ring) || st.RingHash != journalHash(t, s, ring) {
 				t.Fatalf("restored state snapshot disagrees with the session ring")
 			}
 		}

@@ -122,7 +122,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 	if err != nil {
 		return nil, err
 	}
-	s.hash = ringHash(s.patcher.Ring())
+	s.rehashLocked()
 	s.rounds = info.Rounds
 
 	if m.store != nil {
@@ -153,8 +153,8 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 	embedEv.Seq = s.seq
 	embedEv.Time = now
 	s.stats.Events++
-	s.publishLocked(embedEv)
 	s.appendJournal(embedEv)
+	s.publishLocked(embedEv)
 	s.mu.Unlock()
 	return s, nil
 }
@@ -300,10 +300,13 @@ func (m *Manager) Close() {
 
 // Restore loads every journal in the manager's store, resuming each
 // session at its exact pre-crash state: jump to the latest snapshot
-// (ring + faults + patcher structure), then deterministically replay
-// the fault events after it, verifying each recorded ring hash.  It
-// returns the sessions restored; journals that fail to restore are
-// reported in errs by session name and left untouched in the store.
+// (patcher structure + faults, and the ring unless the structure
+// regenerates it), then deterministically replay the fault events after
+// it, verifying each recorded ring hash.  A snapshot that fails to
+// restore is counted in session_restore_snapshot_fallbacks_total and
+// replay starts from creation instead.  It returns the sessions
+// restored; journals that fail to restore are reported in errs by
+// session name and left untouched in the store.
 func (m *Manager) Restore() (restored []*Session, errs []error) {
 	if m.store == nil {
 		return nil, nil
@@ -346,7 +349,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 	// version on any divergence so the failure is actionable instead of
 	// a bare hash mismatch.
 	semHint := ""
-	if created.RepairVer != repairSemVer {
+	if created.RepairVer < decisionSemVer || created.RepairVer > repairSemVer {
 		semHint = fmt.Sprintf(" (journal recorded under repair semantics v%d, this build replays v%d: re-create the session, or replay with the recording build and snapshot)",
 			created.RepairVer, repairSemVer)
 	}
@@ -361,54 +364,30 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 		mgr:     m,
 		patcher: repair.For(net),
 		notify:  make(chan struct{}),
+		fnvHash: created.RepairVer < edgeHashSemVer,
 	}
 
-	// Find the most recent snapshot to resume from; fall back to the
-	// initial embed if a snapshot fails to restore.
+	// Resume from the most recent snapshot; when it fails to restore,
+	// count the fallback and replay from the initial embed.
 	start := 0
-	snap := -1
 	for i, ev := range events {
 		if ev.Kind == "snapshot" {
-			snap = i
+			start = i
 		}
 	}
-	if snap >= 0 {
-		ev := events[snap]
-		faults := topology.FaultSet{Nodes: ev.FaultNodes, Edges: decodeEdges(ev.FaultEdges)}.Canonical()
-		snapOK := faults.Validate(net) == nil
-		for _, v := range ev.Ring {
-			if v < 0 || v >= net.Nodes() {
-				snapOK = false
-				break
-			}
+	if start > 0 && s.restoreSnapshotLocked(events[start]) {
+		start++
+	} else {
+		if start > 0 {
+			m.metrics.snapshotFallbacks.Inc()
+			s.patcher = repair.For(net)
 		}
-		// The snapshot ring is adopted only if it is the ring the journal
-		// hashed and a valid ring around the snapshot's faults: with an
-		// empty patcher state nothing downstream would check it.
-		snapOK = snapOK && ringHash(ev.Ring) == ev.RingHash && topology.VerifyRing(net, ev.Ring, faults)
-		if !snapOK {
-			// Corrupt snapshot payload: fall back to replay from creation
-			// rather than feed garbage to the patcher.
-			snap = -1
-		} else if err := s.patcher.Restore(ev.Patcher, ev.Ring, faults); err == nil {
-			s.hash = ringHash(s.patcher.Ring())
-			s.seq = ev.Seq
-			if ev.Stats != nil {
-				s.stats = *ev.Stats
-			}
-			start = snap + 1
-		} else {
-			snap = -1
-		}
-	}
-	if snap < 0 {
-		// Replay from creation: re-run the initial embed.
 		faults := topology.FaultSet{Nodes: created.FaultNodes, Edges: decodeEdges(created.FaultEdges)}.Canonical()
 		_, info, err := s.patcher.Embed(faults)
 		if err != nil {
 			return nil, fmt.Errorf("initial embed replay: %w", err)
 		}
-		s.hash = ringHash(s.patcher.Ring())
+		s.rehashLocked()
 		s.rounds = info.Rounds
 		start = 1
 	}

@@ -63,6 +63,10 @@ type repairMetrics struct {
 	// auditFailures counts snapshots skipped because the ring failed
 	// the full VerifyRing audit: session_ring_audit_failures_total.
 	auditFailures *obs.Counter
+	// snapshotFallbacks counts restores whose latest journal snapshot
+	// failed to restore, so the session replayed from creation:
+	// session_restore_snapshot_fallbacks_total.
+	snapshotFallbacks *obs.Counter
 }
 
 // newRepairMetrics resolves the metrics in reg; a nil reg leaves them
@@ -81,6 +85,8 @@ func newRepairMetrics(reg *obs.Registry) repairMetrics {
 	reg.SetHelp("session_ring_audit_failures_total", "session snapshots skipped because the ring failed the full VerifyRing audit")
 	m.journalErrs = reg.Counter("session_journal_errors_total")
 	m.auditFailures = reg.Counter("session_ring_audit_failures_total")
+	reg.SetHelp("session_restore_snapshot_fallbacks_total", "session restores that replayed from creation because the latest journal snapshot failed to restore")
+	m.snapshotFallbacks = reg.Counter("session_restore_snapshot_fallbacks_total")
 	return m
 }
 

@@ -14,15 +14,20 @@
 // splice tier (local bypass surgery on the live ring, for the fault
 // sets the FFC machinery rejects) — falling back to a full re-embed
 // only when every tier declines or the paper's f ≤ n fault bound is
-// exceeded.  Every transition appends an event to the
-// session's journal — fault or heal batch, repair kind, ring delta,
-// ring hash — and periodic snapshots capture the full state, so a
-// Manager pointed at the same directory after a crash resumes every
-// session with an identical ring (replay is deterministic and verified
-// hash-by-hash; a snapshot is adopted only when its ring matches its
-// hash and passes topology.VerifyRing, otherwise replay starts from
-// creation).  Watchers stream the same events over long-poll or SSE via
-// the HTTP handler in this package.
+// exceeded.  Every transition appends an event to the session's
+// journal — fault or heal batch, repair kind, ring delta, ring hash —
+// before watchers see it, and periodic snapshots capture the state, so
+// a Manager pointed at the same directory after a crash resumes every
+// session with an identical ring.  Replay is deterministic and verified
+// hash by hash.  A journal v4 snapshot holds the patcher state, the
+// ring hash, the faults and the stats, and the ring itself only when
+// the patcher state cannot regenerate it (the FFC tier's successor rule
+// is the ring; splice-owned rings and other topologies store it).  A
+// snapshot is adopted only when its ring matches its hash and passes
+// topology.VerifyRing; otherwise replay starts from creation and
+// session_restore_snapshot_fallbacks_total counts it.  Watchers stream
+// the same events over long-poll or SSE via the HTTP handler in this
+// package.
 //
 // Per event, the work follows what the repair touched.  The session's
 // repair.Patcher owns the ring and the cumulative fault set: every
@@ -30,8 +35,11 @@
 // delta that the Patcher applies in place and proves valid from its
 // seams alone, and the Removed/Added lists fall out of the same walk.
 // Re-embeds replace the ring whole and are diffed against the old one
-// with two node bitsets.  The ring is hashed once per change and
-// events, state reads and snapshots read the cached hash.  Since no
+// with two node bitsets.  The ring hash (journal v4) is the sum mod
+// 2⁶⁴ of a SplitMix64 hash of every directed ring hop, which the
+// Patcher moves by the hops a delta rewrote, so no event hashes the
+// whole ring; a session restored from an older journal keeps that
+// journal's FNV hash of the node sequence.  Since no
 // event verifies the whole ring, every journal snapshot first audits it
 // with the full topology.VerifyRing; a ring that fails is not
 // snapshotted (Restore replays from an older point) and the failure is
@@ -46,7 +54,6 @@
 package session
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -97,8 +104,10 @@ type Event struct {
 	Tiers []TierTrace `json:"tiers,omitempty"`
 
 	// Ring bookkeeping after the event: length, the paper's lower bound,
-	// cumulative deduplicated fault count, and an FNV-64a hash of the
-	// ring used to verify deterministic journal replay.
+	// cumulative deduplicated fault count, and the ring hash journal
+	// replay verifies, in hex: since journal v4 the sum mod 2⁶⁴ of a
+	// SplitMix64 hash of each directed ring hop (repair.Patcher.RingHash),
+	// and in older journals an FNV-64a hash of the node sequence.
 	RingLength int    `json:"ring_length,omitempty"`
 	LowerBound int    `json:"lower_bound,omitempty"`
 	FaultCount int    `json:"fault_count,omitempty"`
@@ -112,21 +121,34 @@ type Event struct {
 	Added          []int `json:"added,omitempty"`
 	DeltaTruncated bool  `json:"delta_truncated,omitempty"`
 
-	// snapshot events (journal-only): the full state to resume from.
-	Ring       []int           `json:"ring,omitempty"`
-	FaultNodes []int           `json:"fault_nodes,omitempty"`
-	FaultEdges [][2]int        `json:"fault_edges,omitempty"`
-	Patcher    json.RawMessage `json:"patcher,omitempty"`
-	Stats      *Stats          `json:"stats,omitempty"`
+	// snapshot events (journal-only): the state to resume from.  Ring
+	// is omitted when the patcher state regenerates it (an FFC-owned
+	// De Bruijn ring); builds before journal v4 always wrote it.
+	Ring       []int         `json:"ring,omitempty"`
+	FaultNodes []int         `json:"fault_nodes,omitempty"`
+	FaultEdges [][2]int      `json:"fault_edges,omitempty"`
+	Patcher    *repair.State `json:"patcher,omitempty"`
+	Stats      *Stats        `json:"stats,omitempty"`
 }
 
-// repairSemVer identifies the current repair-decision semantics.  Bump
-// it whenever the deterministic repair path changes shape (which ring a
-// given fault history produces): 2 = the bidirectional lifecycle with
-// star-reorder link absorption; 3 = the layered repair chain (splice
-// tier between structural repair and re-embed, multi-hop bypass heal);
-// journals without a stamp predate the versioning.
-const repairSemVer = 3
+// repairSemVer identifies the journal's repair-decision semantics and
+// format.  Bump it whenever the deterministic repair path changes shape
+// (which ring a given fault history produces) or the journal format
+// does: 2 = the bidirectional lifecycle with star-reorder link
+// absorption; 3 = the layered repair chain (splice tier between
+// structural repair and re-embed, multi-hop bypass heal); 4 = journal
+// v4, the same decisions as 3 with the edge-sum ring hash and snapshots
+// that omit a ring the patcher state regenerates.  Journals without a
+// stamp predate the versioning.
+const repairSemVer = 4
+
+// decisionSemVer is the repairSemVer that last changed repair
+// decisions: journals stamped from it up to repairSemVer replay exactly.
+const decisionSemVer = 3
+
+// edgeHashSemVer is the first repairSemVer whose journals carry the
+// edge-sum ring hash; older journals keep FNV (ringHash).
+const edgeHashSemVer = 4
 
 // Stats counts a session's fault and heal events by outcome.
 // LocalRepairs/SpliceRepairs/Reembeds cover fault batches;
@@ -157,9 +179,12 @@ type Session struct {
 	mu sync.Mutex
 	// patcher owns the ring and the cumulative fault set.
 	patcher *repair.Patcher
-	// hash is ringHash(patcher.Ring()), computed once per ring change
-	// and read by every event, state snapshot and journal snapshot.
+	// hash is the ring hash in hex, set by rehashLocked once per ring
+	// change and read by every event, state snapshot and journal
+	// snapshot.  fnvHash marks a session restored from a journal older
+	// than v4, which keeps hashing its journal with ringHash.
 	hash      string
+	fnvHash   bool
 	rounds    int // broadcast rounds of the last full embed
 	seq       uint64
 	stats     Stats
@@ -389,7 +414,7 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 	if o.tier != tierNoop {
 		d := s.patcher.Diff()
 		ev.Removed, ev.Added, ev.DeltaTruncated = d.Removed, d.Added, d.Truncated
-		s.hash = ringHash(s.patcher.Ring())
+		s.rehashLocked()
 	}
 	ev.RingLength = len(s.patcher.Ring())
 	ev.LowerBound = repair.LowerBound(s.net, next)
@@ -398,9 +423,11 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 	return ev, nil
 }
 
-// finishEventLocked stamps, sequences, counts and publishes one event
-// and, when record is set, retains its repair trace, journals it and
-// feeds the manager's per-outcome metrics.
+// finishEventLocked stamps, sequences and counts one event, journals it
+// when record is set, and then publishes it, so no watcher sees an
+// event the journal does not hold yet.  With record set it also
+// retains the event's repair trace and feeds the manager's per-outcome
+// metrics.
 func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, o outcome) {
 	s.seq++
 	ev.Seq = s.seq
@@ -409,12 +436,12 @@ func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, o o
 	s.stats.Events++
 	*s.stats.count(o)++
 	s.sinceSnap++
-	s.publishLocked(*ev)
 	if record {
 		s.recordTraceLocked(ev)
 		s.appendJournal(*ev)
 		s.mgr.metrics.record(o, ev.ElapsedNs)
 	}
+	s.publishLocked(*ev)
 }
 
 // appendJournal writes one event through the store's journal writer.
@@ -451,14 +478,7 @@ func (s *Session) EventsSince(after uint64, wait time.Duration, cancel <-chan st
 	deadline := time.Now().Add(wait)
 	for {
 		s.mu.Lock()
-		if len(s.events) > 0 && s.events[0].Seq > after+1 {
-			truncated = true
-		}
-		for _, ev := range s.events {
-			if ev.Seq > after {
-				evs = append(evs, ev)
-			}
-		}
+		evs, truncated = s.eventsSinceLocked(after)
 		notify := s.notify
 		closed := s.closed
 		s.mu.Unlock()
@@ -482,9 +502,24 @@ func (s *Session) EventsSince(after uint64, wait time.Duration, cancel <-chan st
 	}
 }
 
+// eventsSinceLocked returns the buffered events with Seq > after, and
+// whether older events have been evicted from the buffer.
+func (s *Session) eventsSinceLocked(after uint64) (evs []Event, truncated bool) {
+	if len(s.events) > 0 && s.events[0].Seq > after+1 {
+		truncated = true
+	}
+	for _, ev := range s.events {
+		if ev.Seq > after {
+			evs = append(evs, ev)
+		}
+	}
+	return evs, truncated
+}
+
 // writeSnapshotLocked appends a journal-only snapshot event capturing
-// the full session state (ring, faults, patcher structure), resetting
-// the replay horizon.  It first audits the ring with the full
+// the session state (patcher state, ring hash, faults, stats), resetting
+// the replay horizon.  The ring itself is written only when the patcher
+// state cannot regenerate it.  It first audits the ring with the full
 // topology.VerifyRing — events check only the seams they touch — and
 // writes no snapshot of a ring that fails, so Restore replays from an
 // older point; the failure is counted in
@@ -500,24 +535,46 @@ func (s *Session) writeSnapshotLocked() {
 		s.sinceSnap = 0
 		return
 	}
-	state, err := s.patcher.Snapshot()
-	if err != nil {
-		state = nil
-	}
+	state, regenerates := s.patcher.Snapshot()
 	stats := s.stats
-	s.appendJournal(Event{
+	ev := Event{
 		Seq:        s.seq,
 		Time:       time.Now().UTC(),
 		Kind:       "snapshot",
 		RingHash:   s.hash,
 		RingLength: len(ring),
-		Ring:       ring,
 		FaultNodes: faults.Nodes,
 		FaultEdges: encodeEdges(faults.Edges),
 		Patcher:    state,
 		Stats:      &stats,
-	})
+	}
+	if !regenerates {
+		ev.Ring = ring
+	}
+	s.appendJournal(ev)
 	s.sinceSnap = 0
+}
+
+// restoreSnapshotLocked adopts a journal snapshot event: the patcher
+// state with the snapshot's ring, or with the ring the FFC tier
+// regenerates when the snapshot omits it, plus the faults, sequence and
+// stats.  The ring is adopted only if it hashes to the snapshot's hash
+// and passes the full topology.VerifyRing around the snapshot's faults;
+// on false the session must be rebuilt, its patcher is spent.
+func (s *Session) restoreSnapshotLocked(ev Event) bool {
+	faults := topology.FaultSet{Nodes: ev.FaultNodes, Edges: decodeEdges(ev.FaultEdges)}.Canonical()
+	if faults.Validate(s.net) != nil || s.patcher.Restore(ev.Patcher, ev.Ring, faults) != nil {
+		return false
+	}
+	s.rehashLocked()
+	if s.hash != ev.RingHash || !topology.VerifyRing(s.net, s.patcher.RingInts(), faults) {
+		return false
+	}
+	s.seq = ev.Seq
+	if ev.Stats != nil {
+		s.stats = *ev.Stats
+	}
+	return true
 }
 
 // closeLocked marks the session closed, optionally writing a final
@@ -538,6 +595,17 @@ func (s *Session) closeLocked(snapshot bool) {
 	s.notify = make(chan struct{})
 }
 
+// rehashLocked sets hash from the patcher's ring: the patcher's
+// edge-sum hash, kept up to date by every ring change, or for a session
+// of a journal older than v4 a full ringHash pass.
+func (s *Session) rehashLocked() {
+	if s.fnvHash {
+		s.hash = ringHash(s.patcher.Ring())
+		return
+	}
+	s.hash = strconv.FormatUint(s.patcher.RingHash(), 16)
+}
+
 // FNV-64a parameters, and the prime raised to the sixth power (mod 2⁶⁴):
 // hashing a zero byte is a bare multiply by the prime, so the six high
 // zero bytes of a node id below 2¹⁶ cost one multiply.
@@ -548,8 +616,8 @@ const (
 )
 
 // ringHash is an FNV-64a digest of the ring's node sequence, each node
-// an 8-byte little-endian word, rendered in hex; journal replay verifies
-// restored rings against it.
+// an 8-byte little-endian word, rendered in hex: the ring hash of
+// journals older than v4, which replay still verifies against it.
 func ringHash[T int | int32](ring []T) string {
 	h := uint64(fnvOffset64)
 	for _, v := range ring {

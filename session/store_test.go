@@ -167,3 +167,64 @@ func (w *countingWriter) Append(ev Event) error {
 	w.store.appends++
 	return w.JournalWriter.Append(ev)
 }
+
+// TestJournalBeforePublish checks that every fault and heal event
+// reaches the journal before watchers can see it: the store's Append
+// runs under the session lock, so it reads the watch buffer the way
+// EventsSince(seq-1, 0, nil) does and must not find the event there yet.
+func TestJournalBeforePublish(t *testing.T) {
+	ps := &publishCheckStore{Store: NewDirStore(t.TempDir()), t: t}
+	ps.m = NewManager(nil, Options{Store: ps})
+	s, err := ps.m.Create("order", "debruijn(2,6)", topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := s.Ring()
+	for _, x := range []int{ring[5], ring[20], ring[40]} {
+		if _, err := s.AddFaults(topology.NodeFaults(x)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RemoveFaults(topology.NodeFaults(x)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ps.checked != 6 {
+		t.Fatalf("checked %d appends, want 6", ps.checked)
+	}
+	if evs, _ := s.EventsSince(1, 0, nil); len(evs) != 6 {
+		t.Fatalf("watchers see %d events after the appends, want 6", len(evs))
+	}
+}
+
+// publishCheckStore wraps a Store whose writers, on every fault or heal
+// event, check that the manager's session has not published it yet.
+type publishCheckStore struct {
+	Store
+	m       *Manager
+	t       *testing.T
+	checked int
+}
+
+func (ps *publishCheckStore) Create(name string) (JournalWriter, error) {
+	w, err := ps.Store.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &publishCheckWriter{JournalWriter: w, store: ps, name: name}, nil
+}
+
+type publishCheckWriter struct {
+	JournalWriter
+	store *publishCheckStore
+	name  string
+}
+
+func (w *publishCheckWriter) Append(ev Event) error {
+	if s, ok := w.store.m.Get(w.name); ok && (ev.Kind == "fault" || ev.Kind == "heal") {
+		w.store.checked++
+		if evs, _ := s.eventsSinceLocked(ev.Seq - 1); len(evs) > 0 {
+			w.store.t.Errorf("seq %d: watchers see the event before the journal holds it", ev.Seq)
+		}
+	}
+	return w.JournalWriter.Append(ev)
+}
