@@ -7,6 +7,7 @@
 //	benchjson                                  # Table 2.1/2.2 benchmarks → stdout
 //	benchjson -bench 'Table21|Table22' -benchtime 5x -label dense -out BENCH_dense.json
 //	benchjson -pkg ./... -bench . -count 3
+//	benchjson -pkg '. ./internal/repair' -bench 'SessionEventLarge|RingApply'
 //	benchjson -bench 'Table21|Table22' -compare BENCH_dense.json -tolerance 0.25
 //
 // The output records, per benchmark, iterations, ns/op, B/op, allocs/op,
@@ -89,7 +90,7 @@ func main() {
 	bench := flag.String("bench", "Table21|Table22", "benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "", "go test -benchtime value (e.g. 1x, 5x, 2s); empty = default")
 	count := flag.Int("count", 1, "go test -count value")
-	pkg := flag.String("pkg", ".", "package pattern to benchmark")
+	pkg := flag.String("pkg", ".", "package patterns to benchmark, separated by spaces")
 	out := flag.String("out", "", "output file (empty = stdout)")
 	label := flag.String("label", "", "free-form label recorded in the artifact (e.g. baseline, dense)")
 	compare := flag.String("compare", "", "baseline artifact to gate against (exit 1 on regression)")
@@ -101,7 +102,7 @@ func main() {
 	if *benchtime != "" {
 		args = append(args, "-benchtime", *benchtime)
 	}
-	args = append(args, *pkg)
+	args = append(args, strings.Fields(*pkg)...)
 
 	cmd := exec.Command("go", args...)
 	var buf bytes.Buffer

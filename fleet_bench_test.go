@@ -252,15 +252,17 @@ func BenchmarkFleetRebalance(b *testing.B) {
 // absorbing a seeded stream of single-node faults and heals with at
 // most four live faults.  One op is one event.  At this size the
 // local repair itself is a small share of the event; the rest is the
-// session's bookkeeping around it (delta application, hash, periodic
-// audited snapshots), which this benchmark keeps priced.
+// session's bookkeeping around it (delta application, journal line,
+// periodic audited snapshots), which this benchmark keeps priced.
 func BenchmarkSessionEventLarge(b *testing.B) {
 	benchSessionEvents(b, 16)
 }
 
 // BenchmarkSessionEventScaling runs the BenchmarkSessionEventLarge
-// stream on B(2,n) for n = 10, 14 and 16: the per-event cost's growth
-// with dⁿ is the O(dⁿ) work left in an event (PERF.md).
+// stream on B(2,n) for n = 10, 14 and 16.  The per-event cost's growth
+// with dⁿ is amortized O(dⁿ) work: the audited journal snapshot every
+// 32 events (the full VerifyRing and the FFC state), and the session
+// ring's flatten every few dozen events (PERF.md "Piece-table ring").
 func BenchmarkSessionEventScaling(b *testing.B) {
 	for _, n := range []int{10, 14, 16} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchSessionEvents(b, n) })

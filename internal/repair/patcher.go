@@ -77,9 +77,12 @@ func LowerBound(net topology.Network, f topology.FaultSet) int {
 	return max(db.Nodes()-db.WordLen()*len(f.Nodes), 0)
 }
 
-// Ring returns the owned ring.  The slice is read-only and valid until
-// the next Step, Patch, Unpatch, Embed or Restore.
-func (p *Patcher) Ring() []int32 { return p.ring.seq }
+// RingLen returns the owned ring's length.
+func (p *Patcher) RingLen() int { return p.ring.k }
+
+// AppendRing appends the owned ring's node ids to dst, in ring order,
+// in one pass.
+func (p *Patcher) AppendRing(dst []int32) []int32 { return p.ring.appendTo(dst) }
 
 // RingInts returns a copy of the owned ring as []int.
 func (p *Patcher) RingInts() []int { return p.ring.ints() }
@@ -297,12 +300,9 @@ func (p *Patcher) apply(d *delta, next, fresh topology.FaultSet, minLen int) boo
 // into a later batch.  restore(nil, …) re-checks node distinctness, so a
 // corrupted ring can never be spliced.
 func (p *Patcher) syncSplice() bool {
-	sp, cur := p.splice, p.ring.seq
-	same := sp.valid && len(sp.ring) == len(cur) &&
-		slices.Equal(sp.faults.Nodes, p.faults.Nodes) && slices.Equal(sp.faults.Edges, p.faults.Edges)
-	for i := 0; same && i < len(cur); i++ {
-		same = sp.ring[i] == int(cur[i])
-	}
+	sp := p.splice
+	same := sp.valid && slices.Equal(sp.faults.Nodes, p.faults.Nodes) &&
+		slices.Equal(sp.faults.Edges, p.faults.Edges) && p.ring.equal(sp.ring)
 	if !same {
 		sp.restore(nil, p.ring.ints(), p.faults)
 	}

@@ -37,14 +37,17 @@
 // delta: the nodes whose ring successor changed with their new
 // successors, the nodes leaving and joining the ring, and the new length
 // (Proposition 2.1: the ring is a successor rule, and a repair rewrites
-// only the successors of the nodes it touches).  The Patcher applies the
-// delta to its Ring by block-copying the unchanged arcs, and accepts it
+// only the successors of the nodes it touches).  The Patcher's Ring is a
+// piece table, runs of an append-only node buffer in ring order, and
+// applies a delta by slicing its piece list at the edited nodes: the
+// unchanged arcs are neither copied nor reindexed.  It accepts a delta
 // only if the seams prove a valid ring: every edited hop a surviving
 // link, every old arc used once, the walk closing at the promised
 // length, no new fault left on the ring, the length at least dⁿ − nf
 // (LowerBound).  A structural repair thus costs O(stars touched) plus
-// the arc copies, never a walk over dⁿ nodes, and a rejected delta
-// leaves the ring untouched.  Step is the session's entry point; Patch
+// O(pieces + delta · log pieces) in the ring, never a pass over dⁿ
+// nodes (the ring is flattened back to one piece now and then), and a
+// rejected delta leaves the ring untouched.  Step is the session's entry point; Patch
 // and Unpatch are Step plus a copy of the ring; Embed and Restore
 // install a full ring, and re-embeds report their Removed/Added through
 // a bitset diff.

@@ -20,6 +20,10 @@ type stream struct {
 	// topologies whose embedders leave no off-ring spares to splice
 	// through.
 	start []int
+	// nodeOnly limits the stream to node faults drawn from the ring and
+	// node heals, the shape of a session's stream: its FFC deltas carry
+	// for long runs between re-embeds.
+	nodeOnly bool
 }
 
 // applied is one delta a Patcher applied during a stream: the ring
@@ -79,12 +83,12 @@ func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spl
 			heal, batch = true, topology.NodeFaults(faults.Nodes[rng.Intn(len(faults.Nodes))], faults.Nodes[rng.Intn(len(faults.Nodes))])
 		case c < 4 && len(faults.Edges) > 0:
 			heal, batch = true, topology.EdgeFaults(faults.Edges[rng.Intn(len(faults.Edges))])
-		case c < 6:
+		case c < 6 && !st.nodeOnly:
 			j := rng.Intn(len(old))
 			batch = topology.EdgeFaults(topology.Edge{From: old[j], To: old[(j+1)%len(old)]})
 		case len(faults.Nodes) >= st.nodes:
 			continue
-		case c < 7 && p.ffc != nil:
+		case c < 7 && p.ffc != nil && !st.nodeOnly:
 			x := p.ffc.root
 			for k := rng.Intn(p.ffc.g.N); k > 0; k-- {
 				x = p.ffc.g.RotL(x)
@@ -170,7 +174,7 @@ func hopSum[T int | int32](ring []T) uint64 {
 // ring.
 func checkHash(t *testing.T, p *Patcher, when string) {
 	t.Helper()
-	if got, want := p.RingHash(), hopSum(p.Ring()); got != want {
+	if got, want := p.RingHash(), hopSum(p.RingInts()); got != want {
 		t.Fatalf("%s: ring hash %x, recomputed %x", when, got, want)
 	}
 }
@@ -251,8 +255,9 @@ func spareRing(t *testing.T, net topology.Network, size int) []int {
 }
 
 // streams are the differential streams: De Bruijn networks through the
-// chain, and the splice tier alone on spare-leaving rings of the other
-// topologies.
+// chain (one of them session-shaped, whose deltas carry for long runs
+// between re-embeds), and the splice tier alone on spare-leaving rings
+// of the other topologies.
 func streams(t *testing.T) map[string]stream {
 	db := func(d, n, events int) stream {
 		net, err := topology.NewDeBruijn(d, n)
@@ -267,8 +272,10 @@ func streams(t *testing.T) map[string]stream {
 	spare := func(net topology.RingEmbedder) stream {
 		return stream{net: net, events: 300, seed: 11, nodes: 3, start: spareRing(t, net, net.Nodes()/2)}
 	}
+	nodeFaults := db(2, 12, 400)
+	nodeFaults.nodes, nodeFaults.nodeOnly = 4, true
 	return map[string]stream{
-		"B(2,8)": db(2, 8, 300), "B(3,4)": db(3, 4, 300), "B(2,12)": db(2, 12, 120),
+		"B(2,8)": db(2, 8, 300), "B(3,4)": db(3, 4, 300), "B(2,12)": db(2, 12, 120), "B(2,12) node faults": nodeFaults,
 		"hypercube(5)": spare(cube), "kautz(2,4)": spare(kautz), "shuffleexchange(2,5)": spare(se),
 	}
 }
@@ -277,49 +284,141 @@ func streams(t *testing.T) map[string]stream {
 // on every delta of seeded fault/heal/link-fault streams, on De Bruijn
 // networks through both tiers and on the other topologies through the
 // splice tier, applying the delta to the ring before it gives the ring
-// the tier built by itself element for element, passes the full
-// VerifyRing, and carries exactly the Diff that ringDiff.diff reports
-// for the same pair of rings.
+// the tier built by itself element for element (checkApplied).  Each
+// delta is applied twice: to a ring freshly reset to one piece, and to
+// one Ring that carries the whole stream, so pieces, departed nodes'
+// slots and joined nodes in the buffer's append region build up between
+// flattens.  The carried ring is replaced by the stream's ring only
+// where the stream re-embedded or restarted (as the Patcher is on Embed
+// and Restore).  It must carry most of a De Bruijn stream's deltas, and
+// flatten at least twice on the session-shaped stream; the spare-ring
+// streams restart every few events by design (their rings of 12 to 24
+// nodes run out of spares), so they need only carry some.
 func TestRingDeltaMatchesWalk(t *testing.T) {
 	for name, st := range streams(t) {
 		t.Run(name, func(t *testing.T) {
-			var r Ring
+			var flat, carried Ring
 			var diff ringDiff
-			nodes, kinds := st.net.Nodes(), 0
+			kinds, kept, replaced := 0, 0, 0
 			ffcDeltas, spliceDeltas := deltaStream(t, st, func(a applied) {
-				r.reset(nodes, a.old)
-				got, ok := r.apply(st.net, a.d, a.next, a.fresh, LowerBound(st.net, a.next))
-				if !ok {
-					t.Fatal("apply rejected a delta its tier built")
-				}
-				if r.hash != hopSum(a.want) {
-					t.Fatalf("applied ring hash %x, recomputed %x", r.hash, hopSum(a.want))
-				}
-				if !slices.Equal(r.ints(), a.want) {
-					t.Fatalf("applied ring differs from the tier's ring:\n%v\n%v", r.seq, a.want)
-				}
-				if !topology.VerifyRing(st.net, r.ints(), a.next) {
-					t.Fatal("applied ring fails VerifyRing")
-				}
-				want := diff.diff(nodes, narrow(a.old), a.want)
-				if !slices.Equal(got.Removed, want.Removed) || !slices.Equal(got.Added, want.Added) || got.Truncated != want.Truncated {
-					t.Fatalf("delta %+v, ringDiff %+v", got, want)
-				}
-				for i, v := range r.seq {
-					if r.pos[v] != int32(i) {
-						t.Fatalf("position index of %d is %d, want %d", v, r.pos[v], i)
-					}
-				}
-				if len(got.Removed) > 0 || len(got.Added) > 0 {
+				flat.reset(st.net.Nodes(), a.old)
+				if checkApplied(t, &flat, &diff, st.net, a) {
 					kinds++
 				}
+				if carried.equal(a.old) {
+					kept++
+				} else {
+					carried.replace(st.net.Nodes(), a.old)
+					replaced++
+				}
+				checkApplied(t, &carried, &diff, st.net, a)
 			})
 			_, isDB := st.net.(*topology.DeBruijn)
-			if ffcDeltas+spliceDeltas < st.events/10 || kinds == 0 || spliceDeltas == 0 || (isDB && ffcDeltas < st.events/4) {
+			if ffcDeltas+spliceDeltas < st.events/10 || kinds == 0 || (spliceDeltas == 0 && !st.nodeOnly) || (isDB && ffcDeltas < st.events/4) {
 				t.Fatalf("stream produced %d FFC and %d splice deltas (%d changing membership); too few to test",
 					ffcDeltas, spliceDeltas, kinds)
 			}
+			if kept == 0 || (isDB && kept < 2*replaced) || (st.nodeOnly && carried.rebases < 2) {
+				t.Fatalf("%d deltas carried, %d after a replacement, %d flattens; too few to test", kept, replaced, carried.rebases)
+			}
 		})
+	}
+}
+
+// checkApplied applies a's delta to r, which must hold a.old, and fails
+// unless it is accepted and leaves r holding a.want — element for
+// element, rotation included — with the hash a from-scratch recompute
+// gives, a ring that passes the full VerifyRing, the Diff ringDiff.diff
+// reports for the same pair of rings, and consistent pieces.  It
+// reports whether the delta changed ring membership.
+func checkApplied(t *testing.T, r *Ring, diff *ringDiff, net topology.Network, a applied) bool {
+	t.Helper()
+	got, ok := r.apply(net, a.d, a.next, a.fresh, LowerBound(net, a.next))
+	if !ok {
+		t.Fatal("apply rejected a delta its tier built")
+	}
+	if r.hash != hopSum(a.want) {
+		t.Fatalf("applied ring hash %x, recomputed %x", r.hash, hopSum(a.want))
+	}
+	if seq := r.ints(); !slices.Equal(seq, a.want) {
+		t.Fatalf("applied ring differs from the tier's ring:\n%v\n%v", seq, a.want)
+	}
+	if !topology.VerifyRing(net, r.ints(), a.next) {
+		t.Fatal("applied ring fails VerifyRing")
+	}
+	want := diff.diff(net.Nodes(), narrow(a.old), a.want)
+	if !slices.Equal(got.Removed, want.Removed) || !slices.Equal(got.Added, want.Added) || got.Truncated != want.Truncated {
+		t.Fatalf("delta %+v, ringDiff %+v", got, want)
+	}
+	checkPieces(t, r)
+	return len(got.Removed) > 0 || len(got.Added) > 0
+}
+
+// checkPieces fails unless r's piece table is consistent: ranks start
+// at 0 and rise, the start index lists every piece once in start order,
+// every node is located at its rank with its ring neighbours around it,
+// exactly the ring's nodes have slots, the buffer keeps room for every off-ring node, the
+// piece count is within maxPieces and no cut is left over.
+func checkPieces(t *testing.T, r *Ring) {
+	t.Helper()
+	if len(r.pieces) == 0 || r.pieces[0].rank != 0 || len(r.pieces) > maxPieces || len(r.byStart) != len(r.pieces) || len(r.cuts) != 0 {
+		t.Fatalf("%d pieces (first at rank %d), %d indexed, %d cuts left", len(r.pieces), r.pieces[0].rank, len(r.byStart), len(r.cuts))
+	}
+	seen := make([]bool, len(r.pieces))
+	for i, e := range r.byStart {
+		p := int(uint32(e))
+		if seen[p] || int64(e>>32) != int64(r.pieces[p].start) || (i > 0 && e>>32 <= r.byStart[i-1]>>32) {
+			t.Fatalf("start index entry %d (%x) is out of order or names piece %d twice", i, e, p)
+		}
+		seen[p] = true
+	}
+	for i := 1; i < len(r.pieces); i++ {
+		if r.pieces[i].rank <= r.pieces[i-1].rank || int(r.pieces[i].rank) >= r.k {
+			t.Fatalf("piece %d starts at rank %d after %d (ring of %d)", i, r.pieces[i].rank, r.pieces[i-1].rank, r.k)
+		}
+	}
+	seq := r.appendTo(nil)
+	for i, v := range seq {
+		if r.loc[v] < 0 {
+			t.Fatalf("node %d at rank %d has no slot", v, i)
+		}
+		p, rank := r.locate(int(v))
+		if rank != i || r.after(p, int(r.loc[v])) != int(seq[(i+1)%len(seq)]) || r.before(p, int(r.loc[v])) != int(seq[(i+len(seq)-1)%len(seq)]) {
+			t.Fatalf("node %d at rank %d: located at rank %d, or its neighbours are wrong", v, i, rank)
+		}
+	}
+	on := 0
+	for _, b := range r.loc {
+		if b >= 0 {
+			on++
+		}
+	}
+	if on != r.k || len(seq) != r.k || len(r.buf)+len(r.loc)-r.k > cap(r.buf) {
+		t.Fatalf("%d nodes with slots, %d materialized, ring of %d, buffer %d of %d", on, len(seq), r.k, len(r.buf), cap(r.buf))
+	}
+}
+
+// TestRingRejoinTakesBackSlots checks that a node rejoining the ring
+// takes back the buffer slot it left: after a node fault and the heal
+// of the same node, the buffer holds no more slots than the ring, so
+// heals do not grow it toward a flatten.
+func TestRingRejoinTakesBackSlots(t *testing.T) {
+	net, _ := topology.NewDeBruijn(2, 10)
+	p := For(net)
+	if _, _, err := p.Embed(topology.FaultSet{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []int{5, 77, 300, 513, 1000} {
+		f := topology.NodeFaults(x)
+		if o := p.Step(false, f, p.Faults().Union(f)); o != Patched {
+			t.Fatalf("fault %d: %v, want Patched", x, o)
+		}
+		if o := p.Step(true, f, p.Faults().Minus(f)); o != Readmitted {
+			t.Fatalf("heal %d: %v, want Readmitted", x, o)
+		}
+		if len(p.ring.buf) != p.ring.k {
+			t.Fatalf("node %d left and rejoined: the buffer holds %d slots for a ring of %d", x, len(p.ring.buf), p.ring.k)
+		}
 	}
 }
 
@@ -332,8 +431,9 @@ func cloneDelta(d *delta) *delta {
 
 // TestRingApplyRejectsCorruptDeltas hand-corrupts real deltas of both
 // tiers and checks that apply rejects each one and leaves the ring, its
-// index, its hash and its scratch untouched (the intact delta still
-// applies afterwards).
+// pieces, buffer, slot index, hash and cut list untouched (the intact
+// delta still applies afterwards), on a freshly reset ring and on one
+// fragmented by the stream so far.
 func TestRingApplyRejectsCorruptDeltas(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 8)
 	type corruption struct {
@@ -431,42 +531,50 @@ func TestRingApplyRejectsCorruptDeltas(t *testing.T) {
 		{"splice: length one long", true, lengthOff(1)},
 		{"splice: length one short", true, lengthOff(-1)},
 	}
+	// Each delta is corrupted against two rings holding the same old
+	// ring: one reset to a single piece, and one that has carried the
+	// stream, with its pieces, departed slots and joined nodes.
 	tried := make(map[string]int)
+	var carried Ring
+	fragmented, base, flattens := 0, 0, 0 // base: the buffer's length at the last flatten
 	deltaStream(t, stream{net: net, events: 300, seed: 5, nodes: 8}, func(a applied) {
-		var r Ring
-		r.reset(net.Nodes(), a.old)
-		for _, tc := range cases {
-			if tc.splice && !a.splice {
-				continue
-			}
-			bad := cloneDelta(a.d)
-			badNext, badFresh := a.next, a.fresh
-			if !tc.corrupt(bad, a.old, a.want, &badNext, &badFresh) {
-				continue
-			}
-			tried[tc.name]++
-			if _, ok := r.apply(net, bad, badNext, badFresh, LowerBound(net, a.next)); ok {
-				t.Fatalf("%s: apply accepted the corrupt delta", tc.name)
-			}
-			if !slices.Equal(r.ints(), a.old) {
-				t.Fatalf("%s: rejected delta mutated the ring", tc.name)
-			}
-			if r.hash != hopSum(a.old) {
-				t.Fatalf("%s: rejected delta moved the ring hash", tc.name)
-			}
-			for i, v := range r.seq {
-				if r.pos[v] != int32(i) {
-					t.Fatalf("%s: rejected delta mutated the position index", tc.name)
-				}
-			}
-			for _, w := range r.cuts {
-				if w != 0 {
-					t.Fatalf("%s: rejected delta left cut bits set", tc.name)
-				}
-			}
+		var flat Ring
+		flat.reset(net.Nodes(), a.old)
+		if !carried.equal(a.old) {
+			carried.replace(net.Nodes(), a.old)
+			base = len(carried.buf)
 		}
-		if _, ok := r.apply(net, a.d, a.next, a.fresh, LowerBound(net, a.next)); !ok || !slices.Equal(r.ints(), a.want) {
-			t.Fatal("intact delta no longer applies after the rejections")
+		if flattens != carried.rebases {
+			flattens, base = carried.rebases, len(carried.buf)
+		}
+		if len(carried.pieces) >= 8 && slices.ContainsFunc(carried.pieces, func(p piece) bool { return int(p.start) >= base }) {
+			fragmented++
+		}
+		for _, r := range []*Ring{&flat, &carried} {
+			before := ringState(r)
+			for _, tc := range cases {
+				if tc.splice && !a.splice {
+					continue
+				}
+				bad := cloneDelta(a.d)
+				badNext, badFresh := a.next, a.fresh
+				if !tc.corrupt(bad, a.old, a.want, &badNext, &badFresh) {
+					continue
+				}
+				tried[tc.name]++
+				if _, ok := r.apply(net, bad, badNext, badFresh, LowerBound(net, a.next)); ok {
+					t.Fatalf("%s: apply accepted the corrupt delta", tc.name)
+				}
+				if after := ringState(r); !after.equal(before) {
+					t.Fatalf("%s: rejected delta changed the ring state:\n%+v\n%+v", tc.name, before, after)
+				}
+				if !slices.Equal(r.ints(), a.old) || r.hash != hopSum(a.old) {
+					t.Fatalf("%s: rejected delta mutated the ring or moved its hash", tc.name)
+				}
+			}
+			if _, ok := r.apply(net, a.d, a.next, a.fresh, LowerBound(net, a.next)); !ok || !slices.Equal(r.ints(), a.want) {
+				t.Fatal("intact delta no longer applies after the rejections")
+			}
 		}
 	})
 	for _, tc := range cases {
@@ -474,6 +582,32 @@ func TestRingApplyRejectsCorruptDeltas(t *testing.T) {
 			t.Errorf("%s: no delta in the stream could be corrupted this way", tc.name)
 		}
 	}
+	if fragmented == 0 || carried.rebases == 0 {
+		t.Errorf("corruptions met a fragmented ring with joined nodes past its flattened part %d times, across %d flattens; want both > 0",
+			fragmented, carried.rebases)
+	}
+}
+
+// pieceState is everything apply may change in a Ring.
+type pieceState struct {
+	pieces   []piece
+	byStart  []uint64
+	buf, loc []int32
+	k        int
+	hash     uint64
+	cuts     int
+	rebases  int
+}
+
+// ringState copies r's piece state.
+func ringState(r *Ring) pieceState {
+	return pieceState{slices.Clone(r.pieces), slices.Clone(r.byStart), slices.Clone(r.buf), slices.Clone(r.loc),
+		r.k, r.hash, len(r.cuts), r.rebases}
+}
+
+func (s pieceState) equal(o pieceState) bool {
+	return slices.Equal(s.pieces, o.pieces) && slices.Equal(s.byStart, o.byStart) && slices.Equal(s.buf, o.buf) &&
+		slices.Equal(s.loc, o.loc) && s.k == o.k && s.hash == o.hash && s.cuts == o.cuts && s.rebases == o.rebases
 }
 
 // TestRingApplyAllocs pins apply's allocation budget: pooled scratch

@@ -86,7 +86,7 @@ func ringMembership(t *testing.T, owner *Patcher) {
 	if !p.onRingOK {
 		t.Fatal("onRing not marked valid after a splice event")
 	}
-	want := make(map[int]bool, len(owner.Ring()))
+	want := make(map[int]bool, owner.RingLen())
 	for _, v := range owner.RingInts() {
 		want[v] = true
 	}

@@ -143,7 +143,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 	embedEv := Event{
 		Kind:       "embed",
 		Repair:     "reembed",
-		RingLength: len(s.patcher.Ring()),
+		RingLength: s.patcher.RingLen(),
 		LowerBound: repair.LowerBound(net, faults),
 		FaultCount: len(faults.Nodes) + len(faults.Edges),
 		RingHash:   s.hash,

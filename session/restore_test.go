@@ -171,9 +171,12 @@ func TestSnapshotAuditSkipsCorruptRing(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	ring := s.patcher.Ring()
+	ring := s.patcher.RingInts()
 	ring[1], ring[len(ring)/2] = ring[len(ring)/2], ring[1]
-	s.hash = edgeHashHex(t, s.Network(), s.patcher.RingInts())
+	if err := s.patcher.Restore(nil, ring, s.patcher.Faults()); err != nil {
+		t.Fatal(err)
+	}
+	s.hash = edgeHashHex(t, s.Network(), ring)
 	s.seq++ // as if an event had produced the corrupt ring
 	s.writeSnapshotLocked()
 	s.mu.Unlock()

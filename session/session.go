@@ -56,7 +56,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -182,9 +181,11 @@ type Session struct {
 	// hash is the ring hash in hex, set by rehashLocked once per ring
 	// change and read by every event, state snapshot and journal
 	// snapshot.  fnvHash marks a session restored from a journal older
-	// than v4, which keeps hashing its journal with ringHash.
+	// than v4, which keeps hashing its journal with ringHash over the
+	// ring materialized into fnvRing.
 	hash      string
 	fnvHash   bool
+	fnvRing   []int32
 	rounds    int // broadcast rounds of the last full embed
 	seq       uint64
 	stats     Stats
@@ -238,14 +239,15 @@ func (s *Session) StateSnapshot(includeRing bool) State {
 }
 
 // stateRing is StateSnapshot for the HTTP state body: the State without
-// its Ring, and (when includeRing) a copy of the ring's int32 node ids —
-// the narrowest copy that can leave the lock.
+// its Ring, and (when includeRing) the ring's int32 node ids, written in
+// one pass over the patcher's pieces into a fresh slice — the narrowest
+// copy that can leave the lock.
 func (s *Session) stateRing(includeRing bool) (State, []int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ring []int32
 	if includeRing {
-		ring = slices.Clone(s.patcher.Ring())
+		ring = s.patcher.AppendRing(make([]int32, 0, s.patcher.RingLen()))
 	}
 	return s.stateLocked(), ring
 }
@@ -257,7 +259,7 @@ func (s *Session) stateLocked() State {
 		Name:       s.name,
 		Spec:       s.spec,
 		Seq:        s.seq,
-		RingLength: len(s.patcher.Ring()),
+		RingLength: s.patcher.RingLen(),
 		LowerBound: repair.LowerBound(s.net, faults),
 		RingHash:   s.hash,
 		FaultNodes: append([]int(nil), faults.Nodes...),
@@ -405,7 +407,7 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 		// Nothing absorbed the batch: keep the old state, journal the
 		// rejection (replay must take the same path).
 		ev.Error = embedErr.Error()
-		ev.RingLength = len(s.patcher.Ring())
+		ev.RingLength = s.patcher.RingLen()
 		ev.RingHash = s.hash
 		s.finishEventLocked(ev, start, record, o)
 		return ev, embedErr
@@ -416,7 +418,7 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 		ev.Removed, ev.Added, ev.DeltaTruncated = d.Removed, d.Added, d.Truncated
 		s.rehashLocked()
 	}
-	ev.RingLength = len(s.patcher.Ring())
+	ev.RingLength = s.patcher.RingLen()
 	ev.LowerBound = repair.LowerBound(s.net, next)
 	ev.RingHash = s.hash
 	s.finishEventLocked(ev, start, record, o)
@@ -600,7 +602,8 @@ func (s *Session) closeLocked(snapshot bool) {
 // of a journal older than v4 a full ringHash pass.
 func (s *Session) rehashLocked() {
 	if s.fnvHash {
-		s.hash = ringHash(s.patcher.Ring())
+		s.fnvRing = s.patcher.AppendRing(s.fnvRing[:0])
+		s.hash = ringHash(s.fnvRing)
 		return
 	}
 	s.hash = strconv.FormatUint(s.patcher.RingHash(), 16)
