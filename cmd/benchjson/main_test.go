@@ -44,3 +44,22 @@ func TestCompareBaselineNamesMissingEntries(t *testing.T) {
 		t.Fatalf("compareBaseline =\n%q\nwant\n%q", got, want)
 	}
 }
+
+// TestBestOfMergesRepeatedSamples: the samples -count repeats merge into
+// one entry per benchmark, in first-seen order, each field its best.
+func TestBestOfMergesRepeatedSamples(t *testing.T) {
+	got := bestOf([]Benchmark{
+		{Name: "A", Iterations: 10, NsPerOp: 300, BytesPerOp: 40, AllocsPerOp: 3, Procs: 2},
+		{Name: "B/n=1", Iterations: 5, NsPerOp: 7, MBPerS: 1.5},
+		{Name: "A", Iterations: 12, NsPerOp: 250, BytesPerOp: 48, AllocsPerOp: 2, Procs: 2},
+		{Name: "A", Iterations: 11, NsPerOp: 280, BytesPerOp: 36, AllocsPerOp: 3, Procs: 2},
+		{Name: "B/n=1", Iterations: 4, NsPerOp: 9, MBPerS: 2.5},
+	})
+	want := []Benchmark{
+		{Name: "A", Iterations: 12, NsPerOp: 250, BytesPerOp: 36, AllocsPerOp: 2, Procs: 2},
+		{Name: "B/n=1", Iterations: 5, NsPerOp: 7, MBPerS: 2.5},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("bestOf =\n%+v\nwant\n%+v", got, want)
+	}
+}

@@ -180,9 +180,8 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := []int{0, 1, 3, 2} // distinct nodes: the heuristic alone would splice it
-	p := &genericPatcher{net: net}
-	p.reset(ring, topology.FaultSet{}, 2) // a dilation-2 embedding
+	ring := []int{0, 1, 3, 2}      // distinct nodes: the heuristic alone would splice it
+	p := &genericPatcher{net: net} // a dilation-2 embedding: not splicable
 	state := &State{TierState: TierState{SpliceState: p.snapshot()}}
 	if b, err := json.Marshal(state); err != nil || string(b) != `{"splicable":false}` {
 		t.Fatalf("snapshot %s (%v) does not persist splicability", b, err)
@@ -206,8 +205,7 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 	}
 
 	// And a splicable snapshot round-trips splicable.
-	p2 := &genericPatcher{net: net}
-	p2.reset(ring, topology.FaultSet{}, 1)
+	p2 := &genericPatcher{net: net, valid: true}
 	st2 := &State{TierState: TierState{SpliceState: p2.snapshot()}}
 	q3 := For(net)
 	if err := q3.Restore(st2, ring, topology.FaultSet{}); err != nil {
@@ -215,6 +213,80 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 	}
 	if _, o := q3.Patch(topology.NodeFaults(1)); o != Patched {
 		t.Errorf("splicable snapshot restore: outcome %v, want Patched", o)
+	}
+}
+
+// TestRestoreRejectsRepeatedNode: a ring that repeats a node is no
+// ring to splice, so Restore refuses it on every topology — with no
+// snapshot, with a splicable one and, on a chain, with a splice-owned or
+// an FFC snapshot — and leaves the previous ring and faults installed.
+// Only the snapshot of an unsplicable embedding may carry one: a
+// shuffle-exchange dilation-2 closed walk revisits nodes by design.
+func TestRestoreRejectsRepeatedNode(t *testing.T) {
+	db, _ := topology.NewDeBruijn(2, 6)
+	kautz, _ := topology.NewKautz(2, 4)
+	cube, _ := topology.NewHypercube(5)
+	bf, _ := topology.NewButterfly(2, 3)
+	se, _ := topology.NewShuffleExchange(2, 4)
+	link := func(net topology.Network) topology.FaultSet {
+		return topology.EdgeFaults(topology.Edge{From: 1, To: firstSucc(net, 1)})
+	}
+	for _, tc := range []struct {
+		net    topology.RingEmbedder
+		faults topology.FaultSet // a fault set the embedder serves
+	}{
+		{db, topology.NodeFaults(21)},
+		{kautz, link(kautz)},
+		{cube, topology.NodeFaults(5)},
+		{bf, link(bf)},
+		{se, topology.NodeFaults(5)},
+	} {
+		t.Run(tc.net.Name(), func(t *testing.T) {
+			p := For(tc.net)
+			ring, _, err := p.Embed(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash, faults := p.RingHash(), p.Faults()
+			bad := slices.Clone(ring)
+			bad[len(bad)/2] = bad[0]
+			splicable := &SpliceState{Splicable: true}
+			states := map[string]*State{
+				"no snapshot":        nil,
+				"splicable snapshot": {TierState: TierState{SpliceState: splicable}},
+			}
+			if _, ok := tc.net.(*topology.DeBruijn); ok {
+				ffc, regenerates := p.Snapshot()
+				if !regenerates {
+					t.Fatal("a fresh chain embed does not snapshot its FFC tier")
+				}
+				states["FFC snapshot"] = ffc
+				states["splice snapshot"] = &State{Tier: "splice", State: &TierState{SpliceState: splicable}}
+			}
+			for name, st := range states {
+				if err := p.Restore(st, bad, topology.FaultSet{}); err == nil {
+					t.Errorf("%s: Restore accepted a ring repeating node %d", name, bad[0])
+				}
+				if !slices.Equal(p.RingInts(), ring) || p.RingHash() != hash ||
+					!slices.Equal(p.Faults().Nodes, faults.Nodes) || !slices.Equal(p.Faults().Edges, faults.Edges) {
+					t.Fatalf("%s: a refused Restore changed the installed ring or faults", name)
+				}
+			}
+			if _, ok := tc.net.(*topology.ShuffleExchange); ok {
+				st, _ := p.Snapshot()
+				seen, repeats := make(map[int]bool), false
+				for _, v := range ring {
+					repeats = repeats || seen[v]
+					seen[v] = true
+				}
+				if st.SpliceState == nil || st.SpliceState.Splicable || !repeats {
+					t.Fatalf("shuffle-exchange embed is not a walk revisiting nodes under an unsplicable snapshot: %v", ring)
+				}
+				if err := p.Restore(st, ring, faults); err != nil {
+					t.Fatalf("the unsplicable walk's own snapshot does not restore: %v", err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package repair
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"debruijnring/topology"
@@ -30,13 +29,13 @@ import (
 // outcome the ring and fault set are untouched, and the caller re-embeds
 // with Embed.
 //
-// On the chain the splice tier is synchronized lazily, from the owned
-// ring and fault set, the first time the FFC tier declines.  Once the
-// splice tier has modified the ring, the FFC tier's structures no longer
-// describe it, so every later batch goes straight to the splice tier
-// until the next successful Embed — at which point the FFC tier
-// re-adopts the ring and the ladder resets.  All decisions are
-// deterministic, so journal replay retraces the exact tier sequence.
+// The Patcher's ring and fault set are the only copies: the splice tier
+// keeps neither, and reads both on every call.  Once the splice tier has
+// modified a chain's ring, the FFC tier's structures no longer describe
+// it, so every later batch goes straight to the splice tier until the
+// next successful Embed — at which point the FFC tier re-adopts the ring
+// and the ladder resets.  All decisions are deterministic, so journal
+// replay retraces the exact tier sequence.
 type Patcher struct {
 	net    topology.RingEmbedder
 	ffc    *ffcPatcher // nil off De Bruijn: the splice tier runs alone
@@ -124,11 +123,14 @@ func (p *Patcher) Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo, error)
 	if p.ffc != nil {
 		ring, info, err = p.ffc.Embed(f)
 	} else {
-		ring, info, err = p.splice.Embed(f)
+		ring, info, err = p.net.EmbedRing(f)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
+	// Dilation-2 closed walks revisit nodes, so splice surgery does not
+	// apply to them.
+	p.splice.valid = info.Dilation <= 1 && len(ring) <= p.net.Nodes()
 	p.spliceOwns = false
 	p.diff = p.ring.replace(p.net.Nodes(), ring)
 	p.faults = f.Canonical()
@@ -234,15 +236,19 @@ func (p *Patcher) ladder(heal bool, batch, next, fresh topology.FaultSet) Outcom
 
 	start := time.Now() //ringlint:allow time trace-only timing
 	sp := p.splice
-	if p.ffc != nil && !p.syncSplice() {
-		p.traceStep("splice", Unsupported, 0, start)
-		return Unsupported
+	if p.ffc != nil {
+		// A chain's ring is always a simple cycle (an FFC embed, a
+		// restore checked for repeats, or an applied delta), and a batch
+		// the splice tier declined left it untouched, so the tier may
+		// splice it again.  Its bit, cleared by that decline, is what a
+		// snapshot taken before the next attempt records.
+		sp.valid = true
 	}
 	var o Outcome
 	if heal {
-		o = sp.unpatch(batch)
+		o = sp.unpatch(&p.ring, p.faults, next)
 	} else {
-		o = sp.patch(batch)
+		o = sp.patch(&p.ring, next)
 	}
 	p.traceStep("splice", o, sp.touched, start)
 	if p.ffc != nil {
@@ -264,16 +270,15 @@ func (p *Patcher) ladder(heal bool, batch, next, fresh topology.FaultSet) Outcom
 // that leaves healed processors off the ring would silently freeze the
 // ring short of what a re-embed restores, so a partial heal — or a Noop
 // that healed processors but re-inserted none — declines and lets the
-// caller regrow the ring via Embed.  The splice tier's pooled membership
-// set is current right after its unpatch, so the check costs no
-// allocation (validBatch already range-checked every node).
+// caller regrow the ring via Embed.  A healed processor was faulty, so
+// off the ring: it is back on exactly when the heal gave it a successor.
 func (p *Patcher) chainOutcome(heal bool, o Outcome) Outcome {
 	switch {
 	case o == Patched:
 		return Spliced
 	case o == Readmitted:
 		for _, v := range p.splice.healed {
-			if !p.splice.onRingHas(v) {
+			if !p.splice.succ.Has(v) {
 				return Unsupported
 			}
 		}
@@ -291,22 +296,6 @@ func (p *Patcher) apply(d *delta, next, fresh topology.FaultSet, minLen int) boo
 		p.diff = diff
 	}
 	return ok
-}
-
-// syncSplice points a chain's splice tier at the owned ring and fault
-// set, rebuilding its state unless it already holds exactly that pair
-// (as it does right after an accepted splice).  Comparing instead of
-// trusting a flag means a splice result the ring rejected never leaks
-// into a later batch.  restore(nil, …) re-checks node distinctness, so a
-// corrupted ring can never be spliced.
-func (p *Patcher) syncSplice() bool {
-	sp := p.splice
-	same := sp.valid && slices.Equal(sp.faults.Nodes, p.faults.Nodes) &&
-		slices.Equal(sp.faults.Edges, p.faults.Edges) && p.ring.equal(sp.ring)
-	if !same {
-		sp.restore(nil, p.ring.ints(), p.faults)
-	}
-	return sp.valid
 }
 
 // State is a Patcher snapshot in the form journals carry it.  A chain
@@ -333,8 +322,8 @@ type TierState struct {
 // splice-owned chain, a chain whose FFC tier is stale and every other
 // topology the caller must persist the ring too.  A nil State is
 // valid: Restore(nil, ring, …) rebuilds only what (ring, faults) alone
-// support — the chain can still splice via its lazily resynced bypass
-// tier, while structural surgery declines until the next Embed.
+// support — the chain can still splice the restored ring, while
+// structural surgery declines until the next Embed.
 func (p *Patcher) Snapshot() (st *State, regenerates bool) {
 	if p.ffc == nil {
 		return &State{TierState: TierState{SpliceState: p.splice.snapshot()}}, false
@@ -351,23 +340,25 @@ func (p *Patcher) Snapshot() (st *State, regenerates bool) {
 // Restore reinstates a snapshot taken at the cumulative fault set f,
 // and installs the ring and f.  ring is the ring the snapshot was taken
 // at; an empty one asks the FFC tier to regenerate it from st, with one
-// walk of its successor rule after auditing its tree and overrides.  On
-// error neither the ring nor the fault set is installed.
+// walk of its successor rule after auditing its tree and overrides.
+// Every node must be in range, and unless st records an unsplicable
+// embedding (a dilation-2 closed walk, which revisits nodes) no node may
+// repeat.  On error neither the ring nor the fault set is installed.
 func (p *Patcher) Restore(st *State, ring []int, f topology.FaultSet) error {
 	f = f.Canonical()
 	nodes := p.net.Nodes()
+	splicable := st.tier().splicable()
+	seen := make([]uint64, (nodes+63)/64)
 	for _, v := range ring {
 		if v < 0 || v >= nodes {
 			return fmt.Errorf("repair: restored ring node %d out of range", v)
 		}
-	}
-	if p.ffc == nil {
-		var sp *SpliceState
-		if st != nil {
-			sp = st.SpliceState
+		if splicable && seen[v>>6]&(1<<(v&63)) != 0 {
+			return fmt.Errorf("repair: restored ring repeats node %d", v)
 		}
-		p.splice.restore(sp, ring, f)
-	} else {
+		seen[v>>6] |= 1 << (v & 63)
+	}
+	if p.ffc != nil {
 		var err error
 		if ring, err = p.restoreChain(st, ring, f); err != nil {
 			return err
@@ -378,7 +369,27 @@ func (p *Patcher) Restore(st *State, ring []int, f topology.FaultSet) error {
 	}
 	p.ring.reset(nodes, ring)
 	p.faults = f
+	p.splice.valid = splicable
 	return nil
+}
+
+// tier returns the tier state st carries: nested under State on a
+// chain, bare for the splice tier alone and for FFC snapshots recorded
+// before the chain.
+func (st *State) tier() TierState {
+	if st == nil {
+		return TierState{}
+	}
+	if st.Tier != "" && st.State != nil {
+		return *st.State
+	}
+	return st.TierState
+}
+
+// splicable reports whether the state allows splicing: all but a splice
+// snapshot of a dilation-2 walk do.
+func (ts TierState) splicable() bool {
+	return ts.SpliceState == nil || ts.SpliceState.Splicable
 }
 
 // restoreChain restores a chain's owning tier and returns the ring to
@@ -386,21 +397,16 @@ func (p *Patcher) Restore(st *State, ring []int, f topology.FaultSet) error {
 func (p *Patcher) restoreChain(st *State, ring []int, f topology.FaultSet) ([]int, error) {
 	p.spliceOwns = false
 	if st == nil {
-		// Both tiers stale: the FFC tier declines until the next Embed
-		// and the splice tier resyncs lazily from (ring, faults) — the
-		// same state a live chain is in right after the FFC tier
-		// invalidates.
+		// The FFC tier is stale and declines until the next Embed; the
+		// splice tier needs only (ring, faults) — the same state a live
+		// chain is in right after the FFC tier invalidates.
 		p.ffc.valid = false
 		return ring, nil
 	}
-	ts := st.TierState // a legacy snapshot: the bare FFC state recorded before the chain
-	if st.Tier != "" && st.State != nil {
-		ts = *st.State
-	}
+	ts := st.tier()
 	switch st.Tier {
 	case "splice":
-		p.splice.restore(ts.SpliceState, ring, f)
-		if !p.splice.valid {
+		if !ts.splicable() {
 			return nil, fmt.Errorf("repair: splice snapshot restored to an unsplicable ring")
 		}
 		p.spliceOwns = true

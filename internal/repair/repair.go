@@ -23,7 +23,9 @@
 // through direct links or bounded-BFS bypass paths over off-ring
 // survivors, and on heal re-inserts the repaired processors either
 // directly between adjacent ring neighbors or via a multi-hop bypass
-// path on one side.
+// path on one side.  It keeps no ring of its own: each call reads the
+// Patcher's ring once and answers with the same change format as the
+// structural tier.
 //
 // For(net) is the one entry point.  It returns a Patcher that owns the
 // ring and its cumulative fault set and runs the per-topology ladder:
@@ -46,8 +48,9 @@
 // length, no new fault left on the ring, the length at least dⁿ − nf
 // (LowerBound).  A structural repair thus costs O(stars touched) plus
 // O(pieces + delta · log pieces) in the ring, never a pass over dⁿ
-// nodes (the ring is flattened back to one piece now and then), and a
-// rejected delta leaves the ring untouched.  Step is the session's entry point; Patch
+// nodes (the ring is flattened back to one piece now and then); a
+// splice repair still reads and scans the whole ring.  A rejected delta
+// leaves the ring untouched.  Step is the session's entry point; Patch
 // and Unpatch are Step plus a copy of the ring; Embed and Restore
 // install a full ring, and re-embeds report their Removed/Added through
 // a bitset diff.
@@ -146,14 +149,20 @@ func ParseOutcome(s string) (Outcome, bool) {
 // Unsupported (→ full re-embed) on a fresh Hamiltonian ring whose cut
 // ends are not directly linked.
 //
-// The tier works on a private copy of the ring, whose membership its
-// partial-heal check reads, and reports each ring change as a delta
-// against the ring before it (emit), which the owning Patcher applies.
+// The tier keeps no ring and no fault set.  Each patch or unpatch reads
+// the ring the Patcher owns, materialized once into pooled scratch, and
+// the fault sets Step hands it, and reports the ring change as a delta
+// against that ring (emit), which the Patcher applies.  Between calls it
+// keeps only the splicable bit.
 type genericPatcher struct {
-	net    topology.RingEmbedder
-	valid  bool
-	ring   []int
-	faults topology.FaultSet
+	net topology.RingEmbedder
+
+	// valid is the splicable bit: the Patcher's ring is a simple cycle
+	// (dilation ≤ 1) the tier may cut and splice.  Embed and Restore set
+	// it; a batch the tier cannot splice, or a delta the ring rejects,
+	// clears it.  The tier alone then declines until the next Embed or
+	// Restore; on the chain the ladder sets it again before every attempt.
+	valid bool
 
 	// touched counts the splice operations of the most recent
 	// patch/unpatch (arcs reconnected, processors re-inserted); healed
@@ -166,35 +175,25 @@ type genericPatcher struct {
 	// its delta.  setSucc records each node whose successor changed once
 	// (succ holds the latest successor, edited the first-write order);
 	// leave and join collect the nodes dropping off and coming onto the
-	// ring.  All pooled across calls.
+	// ring.  succ doubles as the call's membership record: a node is on
+	// the ring being built if it is on the Patcher's ring or has an entry
+	// in succ (taken).  All pooled across calls.
 	succ   dense.Sparse
 	edited []int
 	leave  []int
 	join   []int
 	out    delta
 
-	// Pooled dense scratch, reused across every patch/unpatch/bypass so
-	// a steady-state splice event allocates no ring-sized buffer.  All
-	// sets are epoch-stamped (O(1) reset, internal/dense).
-	//
-	// onRing is *incremental* ring-membership state: it stays valid
-	// across heal events (insertAfter registers new members) and is only
-	// rebuilt — lazily, via ensureOnRing — after a ring replacement that
-	// bypassed it (onRingOK false).  A successful patch refreshes it for
-	// free by swapping in the used set, whose members are by then exactly
-	// the new ring.
-	used     dense.Set  // patch: surviving arcs + committed bypass interiors
-	onRing   dense.Set  // incremental ring membership (see onRingOK)
-	onRingOK bool       // onRing matches p.ring
+	// Pooled per-call scratch, reused across every patch/unpatch/bypass
+	// so a steady-state splice event allocates no ring-sized buffer.
+	cur      []int32    // the Patcher's ring, read once per call; heals insert into it
+	arcs     []int      // patch: each surviving arc's first and last position in cur
 	prev     dense.Ints // bypass BFS parent pointers, epoch-reset per attempt
 	frontier []int32    // bypass BFS frontier double-buffer
 	nextF    []int32
 	succBuf  []int // topology.Successors scratch
 	pathBuf  []int // bypass path reconstruction (returned; valid until next bypass)
 	seqBuf   []int // insertHealed splice sequence
-	segFlat  []int // surviving arcs, flattened
-	segEnds  []int // exclusive end offsets into segFlat, one per arc
-	ringNext []int // patch result double-buffer, swapped with ring
 }
 
 // maxBypassLen bounds the length of one bypass path: twice the diameter
@@ -202,50 +201,6 @@ type genericPatcher struct {
 // diameters are n, the hypercube's is log₂ size, the butterfly's Θ(n)).
 func (p *genericPatcher) maxBypassLen() int {
 	return 2*bits.Len(uint(p.net.Nodes())) + 2 //ringlint:allow alloc adapter Nodes is a field read on every in-tree topology
-}
-
-func (p *genericPatcher) Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo, error) {
-	ring, info, err := p.net.EmbedRing(f)
-	if err != nil {
-		// Nothing was mutated: a rejected fault set (out-of-range
-		// coordinates, over-tolerance batch) must not poison a healthy
-		// patcher — the previous ring state stays patchable.
-		return nil, nil, err
-	}
-	p.reset(ring, f, info.Dilation)
-	return ring, info, nil
-}
-
-// reset installs a freshly embedded ring.  Dilation-2 closed walks
-// revisit nodes, so splice surgery does not apply to them; the patcher
-// stays invalid and every patch reports Unsupported.
-func (p *genericPatcher) reset(ring []int, f topology.FaultSet, dilation int) {
-	p.ring = append(p.ring[:0], ring...)
-	p.faults = f.Canonical()
-	p.valid = dilation <= 1 && len(ring) <= p.net.Nodes()
-	p.onRingOK = false
-}
-
-// ensureOnRing rebuilds the pooled ring-membership set if (and only if)
-// the ring was replaced since it was last valid.  Callers must hold
-// p.valid, which guarantees every ring node is in [0, Nodes()).
-func (p *genericPatcher) ensureOnRing() {
-	if p.onRingOK {
-		return
-	}
-	p.onRing.Reset(p.net.Nodes())
-	for _, v := range p.ring {
-		p.onRing.Add(v)
-	}
-	p.onRingOK = true
-}
-
-// onRingHas reports ring membership from the pooled incremental set.
-// v must be in [0, Nodes()) and the patcher valid — the owning Patcher
-// range-checks every batch before either tier sees it.
-func (p *genericPatcher) onRingHas(v int) bool {
-	p.ensureOnRing()
-	return p.onRing.Has(v)
 }
 
 // SpliceState is the splice tier's snapshot: the one bit of incremental
@@ -260,35 +215,6 @@ type SpliceState struct {
 
 func (p *genericPatcher) snapshot() *SpliceState {
 	return &SpliceState{Splicable: p.valid}
-}
-
-// restore installs ring and f under the snapshot st.
-func (p *genericPatcher) restore(st *SpliceState, ring []int, f topology.FaultSet) {
-	dilation := 1
-	if st != nil && !st.Splicable {
-		// The snapshot records an unsplicable embedding (a dilation-2
-		// closed walk): stay invalid even when the walk's nodes happen
-		// to be distinct.
-		dilation = 2
-	}
-	// Journals from before the splicability bit carry no snapshot; for
-	// them (st == nil) the distinct-node check below is the only
-	// available gate.
-	p.reset(ring, f, dilation)
-	if p.valid {
-		// The distinctness scan doubles as the onRing build.  Restored
-		// rings come from journals, so range-check before dense indexing:
-		// a corrupt ring must invalidate the patcher, not panic it.
-		n := p.net.Nodes()
-		p.onRing.Reset(n)
-		for _, v := range ring {
-			if v < 0 || v >= n || !p.onRing.Add(v) {
-				p.valid = false
-				break
-			}
-		}
-		p.onRingOK = p.valid
-	}
 }
 
 // resetLog empties the edit log; patch and unpatch start with it.
@@ -310,15 +236,25 @@ func (p *genericPatcher) setSucc(x, v int) {
 	}
 }
 
-// emit expresses the current call's surgery as a delta against the ring
-// before the call.  The new ring is read from p.ring[0]: the first
-// surviving arc's head after a patch, the unchanged first node after a
-// heal.  The result is pooled: valid until the next call.
+// taken reports whether v already has a place on the ring the current
+// call builds: on the Patcher's ring r, or given a successor by this
+// call (a bypass interior or a re-inserted processor).  Faulty nodes are
+// screened separately, so for a patch this is exactly the surviving arcs
+// plus the committed bypass interiors, and for a heal the ring plus the
+// call's insertions.
+//
+//ringlint:noalloc
+func (p *genericPatcher) taken(r *Ring, v int) bool {
+	return r.loc[v] >= 0 || p.succ.Has(v)
+}
+
+// emit expresses the current call's surgery as a delta against the
+// Patcher's ring; patch and unpatch have set its Start and Length.  The
+// result is pooled: valid until the next call.
 //
 //ringlint:noalloc
 func (p *genericPatcher) emit() *delta {
 	d := &p.out
-	d.Start, d.Length = p.ring[0], len(p.ring)
 	d.Nodes, d.Succ = d.Nodes[:0], d.Succ[:0]
 	for _, x := range p.edited {
 		v, _ := p.succ.Get(x)
@@ -329,175 +265,143 @@ func (p *genericPatcher) emit() *delta {
 	return d
 }
 
-// patch cuts one fault batch out of the ring, reconnecting the surviving
-// arcs, and logs the cut for emit: each arc tail and bypass interior
-// with its new successor, the bypass interiors as joining, the faulty
-// ring nodes as leaving.
-func (p *genericPatcher) patch(add topology.FaultSet) Outcome {
-	p.resetLog()
-	if !p.valid || len(p.ring) == 0 {
-		return Unsupported
-	}
-	combined := p.faults.Union(add)
+// edgeCut returns the link test for the fault set f: whether u→v is a
+// faulty link, in either orientation on an undirected network.
+func (p *genericPatcher) edgeCut(f topology.FaultSet) func(u, v int) bool {
 	undirected := topology.Undirected(p.net)
-	badNode := combined.NodeSet()
-	badEdge := combined.EdgeSet()
-	edgeCut := func(u, v int) bool {
+	badEdge := f.EdgeSet()
+	return func(u, v int) bool {
 		if badEdge[topology.Edge{From: u, To: v}] {
 			return true
 		}
 		return undirected && badEdge[topology.Edge{From: v, To: u}]
 	}
+}
 
-	k := len(p.ring)
+// patch cuts a fault batch out of the Patcher's ring r, where next is
+// the fault set after the batch, reconnecting the surviving arcs, and
+// logs the cut for emit: each arc tail and bypass interior with its new
+// successor, the bypass interiors as joining, the faulty ring nodes as
+// leaving.  The new ring starts at the first surviving arc's head.
+func (p *genericPatcher) patch(r *Ring, next topology.FaultSet) Outcome {
+	p.resetLog()
+	if !p.valid || r.k == 0 {
+		return Unsupported
+	}
+	badNode := next.NodeSet()
+	edgeCut := p.edgeCut(next)
+
+	ring := r.appendTo(p.cur[:0])
+	p.cur = ring
+	k := len(ring)
 	hit := false
-	for i, v := range p.ring {
-		if badNode[v] || edgeCut(v, p.ring[(i+1)%k]) {
+	for i, v := range ring {
+		if badNode[int(v)] || edgeCut(int(v), int(ring[(i+1)%k])) {
 			hit = true
 			break
 		}
 	}
 	if !hit {
-		p.faults = combined
 		return Noop
 	}
 
-	// Cut the ring into surviving arcs, flattened into the pooled
-	// segFlat/segEnds pair (segment i is segFlat[segEnds[i-1]:segEnds[i]]).
-	// Start the scan just past a severed hop so segments never straddle
-	// the wrap-around.
+	// Cut the ring into surviving arcs, each kept as the positions of its
+	// first and last node.  Start the scan just past a severed hop so
+	// arcs never straddle the wrap-around.
 	s := 0
 	for i := 0; i < k; i++ {
-		prev := p.ring[(i-1+k)%k]
-		if badNode[prev] || edgeCut(prev, p.ring[i]) {
+		prev := int(ring[(i-1+k)%k])
+		if badNode[prev] || edgeCut(prev, int(ring[i])) {
 			s = i
 			break
 		}
 	}
-	p.segFlat = p.segFlat[:0]
-	p.segEnds = p.segEnds[:0]
+	p.arcs = p.arcs[:0]
+	first := -1 // the open arc's first position
 	for j := 0; j < k; j++ {
-		v := p.ring[(s+j)%k]
+		i := (s + j) % k
+		v := int(ring[i])
 		if badNode[v] {
 			p.leave = append(p.leave, v)
-			p.closeSeg()
+			if first >= 0 {
+				p.arcs = append(p.arcs, first, (i-1+k)%k)
+				first = -1
+			}
 			continue
 		}
-		p.segFlat = append(p.segFlat, v)
-		if next := p.ring[(s+j+1)%k]; !badNode[next] && edgeCut(v, next) {
-			p.segEnds = append(p.segEnds, len(p.segFlat))
+		if first < 0 {
+			first = i
+		}
+		if w := int(ring[(i+1)%k]); !badNode[w] && edgeCut(v, w) {
+			p.arcs = append(p.arcs, first, i)
+			first = -1
 		}
 	}
-	p.closeSeg()
-	nseg := len(p.segEnds)
-	if nseg == 0 {
+	if first >= 0 {
+		p.arcs = append(p.arcs, first, (s+k-1)%k)
+	}
+	if len(p.arcs) == 0 {
 		p.valid = false
 		return Unsupported
 	}
 
 	// Reconnect consecutive arcs in ring order: a direct surviving link,
-	// or a bypass path through fault-free nodes not already in use.
-	// bypass never marks candidates itself — only paths actually woven
-	// into the ring are committed to used, so a failed attempt for one
-	// cut edge cannot shrink the search space of the next.
-	p.used.Reset(p.net.Nodes())
-	for _, v := range p.segFlat {
-		p.used.Add(v)
-	}
-	newRing := p.ringNext[:0]
-	for gi := 0; gi < nseg; gi++ {
-		lo := 0
-		if gi > 0 {
-			lo = p.segEnds[gi-1]
-		}
-		seg := p.segFlat[lo:p.segEnds[gi]]
-		newRing = append(newRing, seg...)
-		ni := (gi + 1) % nseg
-		nlo := 0
-		if ni > 0 {
-			nlo = p.segEnds[ni-1]
-		}
-		tail, head := seg[len(seg)-1], p.segFlat[nlo]
-		path, ok := p.bypass(tail, head, badNode, edgeCut, &p.used)
+	// or a bypass path through fault-free nodes not already taken.
+	// bypass never marks candidates itself: only paths actually woven
+	// into the ring enter the edit log, so a failed attempt for one cut
+	// edge cannot shrink the search space of the next.
+	for a := 0; a < len(p.arcs); a += 2 {
+		tail, head := int(ring[p.arcs[a+1]]), int(ring[p.arcs[(a+2)%len(p.arcs)]])
+		path, ok := p.bypass(r, tail, head, badNode, edgeCut)
 		if !ok {
 			p.valid = false
 			return Unsupported
 		}
 		p.touched++
 		for _, x := range path {
-			p.used.Add(x)
 			p.setSucc(tail, x)
 			tail = x
 		}
 		p.setSucc(tail, head)
 		p.join = append(p.join, path...)
-		newRing = append(newRing, path...)
 	}
-	p.ringNext = p.ring
-	p.ring = newRing
-	// used now holds exactly the new ring's membership (arcs + committed
-	// interiors): swap it in as the incremental onRing state for free.
-	p.used, p.onRing = p.onRing, p.used
-	p.onRingOK = true
-	p.faults = combined
+	p.out.Start, p.out.Length = int(ring[p.arcs[0]]), k-len(p.leave)+len(p.join)
 	return Patched
 }
 
-// closeSeg ends the currently open arc, if any, at len(segFlat).
-//
-//ringlint:noalloc
-func (p *genericPatcher) closeSeg() {
-	if n := len(p.segFlat); n > 0 && (len(p.segEnds) == 0 || p.segEnds[len(p.segEnds)-1] < n) {
-		p.segEnds = append(p.segEnds, n) //ringlint:allow alloc pooled segment index; growth amortizes to zero
-	}
-}
-
-// unpatch absorbs healed components.  Healed links are pure
-// bookkeeping (the ring never traverses a faulty wire, so nothing needs
-// rerouting — but dropping them from the fault set lets later bypasses
-// use the restored wire again).  Each healed processor is re-inserted
-// between a pair of adjacent ring neighbors: directly when it links
-// both — reversing the cut-and-bypass of the original fault — or, the
-// multi-hop heal, via a bounded-BFS bypass path through off-ring
-// fault-free survivors on one side, which pulls those survivors back
-// onto the ring with it.  A healed node with no insertion slot at all
-// stays off-ring (the ring remains valid; a later Embed re-balances),
-// so unpatch never reports Unsupported for slotless heals alone.
-func (p *genericPatcher) unpatch(remove topology.FaultSet) Outcome {
+// unpatch absorbs healed components: old is the fault set before the
+// batch, next the one after.  Healed links are pure bookkeeping (the
+// ring never traverses a faulty wire, so nothing needs rerouting — but
+// dropping them from the fault set lets later bypasses use the restored
+// wire again).  Each healed processor is re-inserted between a pair of
+// adjacent ring neighbors: directly when it links both — reversing the
+// cut-and-bypass of the original fault — or, the multi-hop heal, via a
+// bounded-BFS bypass path through off-ring fault-free survivors on one
+// side, which pulls those survivors back onto the ring with it.  A
+// healed node with no insertion slot at all stays off-ring (the ring
+// remains valid; a later Embed re-balances), so unpatch never reports
+// Unsupported for slotless heals alone.  The ring keeps its first node.
+func (p *genericPatcher) unpatch(r *Ring, old, next topology.FaultSet) Outcome {
 	p.resetLog()
 	p.healed = p.healed[:0]
-	if !p.valid || len(p.ring) == 0 {
+	if !p.valid || r.k == 0 {
 		return Unsupported
 	}
-	remove = remove.Canonical()
-	reduced := p.faults.Minus(remove)
-	healed := p.faults.Minus(reduced) // the part of remove actually present
-	p.faults = reduced
-	p.healed = append(p.healed, healed.Nodes...)
-	if len(healed.Nodes) == 0 {
+	p.healed = append(p.healed, old.Minus(next).Nodes...)
+	if len(p.healed) == 0 {
 		return Noop
 	}
+	badNode := next.NodeSet()
+	edgeCut := p.edgeCut(next)
 
-	undirected := topology.Undirected(p.net)
-	badEdge := reduced.EdgeSet()
-	edgeCut := func(u, v int) bool {
-		if badEdge[topology.Edge{From: u, To: v}] {
-			return true
-		}
-		return undirected && badEdge[topology.Edge{From: v, To: u}]
-	}
-	badNode := reduced.NodeSet()
-	// The pooled membership set survives from the last event when the
-	// ring has not been replaced since; otherwise one rebuild here.
-	p.ensureOnRing()
-
+	p.cur = r.appendTo(p.cur[:0])
 	changed := false
-	for _, v := range healed.Nodes {
-		if p.onRing.Has(v) {
+	for _, v := range p.healed {
+		if p.taken(r, v) {
 			// Defensive: a faulty node is never on the ring.
 			continue
 		}
-		if p.insertHealed(v, badNode, edgeCut) {
+		if p.insertHealed(r, v, badNode, edgeCut) {
 			changed = true
 			p.touched++
 		}
@@ -505,30 +409,31 @@ func (p *genericPatcher) unpatch(remove topology.FaultSet) Outcome {
 	if !changed {
 		return Noop
 	}
+	p.out.Start, p.out.Length = int(p.cur[0]), len(p.cur)
 	return Readmitted
 }
 
-// insertHealed re-inserts one healed processor v into the ring.  The
-// direct slot — a ring hop u→w with surviving wires u→v→w — is the
+// insertHealed re-inserts one healed processor v into the ring in cur.
+// The direct slot — a ring hop u→w with surviving wires u→v→w — is the
 // exact inverse of a node-fault splice and is tried first.  Failing
 // that, the multi-hop heal opens one ring hop u→w into u → v → … → w
 // (or u → … → v → w) with the longer side running through off-ring
 // fault-free survivors found by the same bounded BFS the fault
 // direction uses for bypasses.
-func (p *genericPatcher) insertHealed(v int, badNode map[int]bool, edgeCut func(int, int) bool) bool {
-	k := len(p.ring)
-	for i, u := range p.ring {
-		w := p.ring[(i+1)%k]
+func (p *genericPatcher) insertHealed(r *Ring, v int, badNode map[int]bool, edgeCut func(int, int) bool) bool {
+	k := len(p.cur)
+	for i, u32 := range p.cur {
+		u, w := int(u32), int(p.cur[(i+1)%k])
 		if p.net.IsEdge(u, v) && p.net.IsEdge(v, w) && !edgeCut(u, v) && !edgeCut(v, w) {
 			p.seqBuf = append(p.seqBuf[:0], v)
 			p.insertAfter(i, p.seqBuf)
 			return true
 		}
 	}
-	for i, u := range p.ring {
-		w := p.ring[(i+1)%k]
+	for i, u32 := range p.cur {
+		u, w := int(u32), int(p.cur[(i+1)%k])
 		if p.net.IsEdge(u, v) && !edgeCut(u, v) {
-			if path, ok := p.bypass(v, w, badNode, edgeCut, &p.onRing); ok {
+			if path, ok := p.bypass(r, v, w, badNode, edgeCut); ok {
 				p.seqBuf = append(p.seqBuf[:0], v)
 				p.seqBuf = append(p.seqBuf, path...)
 				p.insertAfter(i, p.seqBuf)
@@ -536,7 +441,7 @@ func (p *genericPatcher) insertHealed(v int, badNode map[int]bool, edgeCut func(
 			}
 		}
 		if p.net.IsEdge(v, w) && !edgeCut(v, w) {
-			if path, ok := p.bypass(u, v, badNode, edgeCut, &p.onRing); ok {
+			if path, ok := p.bypass(r, u, v, badNode, edgeCut); ok {
 				p.seqBuf = append(p.seqBuf[:0], path...)
 				p.seqBuf = append(p.seqBuf, v)
 				p.insertAfter(i, p.seqBuf)
@@ -547,20 +452,20 @@ func (p *genericPatcher) insertHealed(v int, badNode map[int]bool, edgeCut func(
 	return false
 }
 
-// insertAfter splices seq into the ring after position i — the hop
-// u → w becomes u → seq… → w — logging the new successors and joining
-// nodes for emit and registering the new members in the incremental
-// onRing set (which thereby stays valid across consecutive heal events).
+// insertAfter splices seq into cur after position i — the hop u → w
+// becomes u → seq… → w — logging the new successors and joining nodes
+// for emit.
 //
 //ringlint:noalloc
 func (p *genericPatcher) insertAfter(i int, seq []int) {
-	old := len(p.ring)
-	u, w := p.ring[i], p.ring[(i+1)%old]
-	p.ring = append(p.ring, seq...) //ringlint:allow alloc pooled ring buffer; bounded by node count
-	copy(p.ring[i+1+len(seq):], p.ring[i+1:old])
-	copy(p.ring[i+1:i+1+len(seq)], seq)
+	k := len(p.cur)
+	u, w := int(p.cur[i]), int(p.cur[(i+1)%k])
 	for _, x := range seq {
-		p.onRing.Add(x)
+		p.cur = append(p.cur, int32(x)) //ringlint:allow alloc pooled scratch; bounded by node count
+	}
+	copy(p.cur[i+1+len(seq):], p.cur[i+1:k])
+	for j, x := range seq {
+		p.cur[i+1+j] = int32(x)
 		p.setSucc(u, x)
 		u = x
 	}
@@ -569,15 +474,14 @@ func (p *genericPatcher) insertAfter(i int, seq []int) {
 }
 
 // bypass finds a path from tail to head whose interior avoids faulty and
-// already-used nodes, shorter than maxBypassLen hops.  It returns the
-// interior nodes (empty for a direct link), valid only until the next
-// bypass call.  The search runs entirely on pooled epoch-stamped
-// scratch, reset per attempt, and never mutates used — the caller
-// commits accepted paths, so one attempt's candidate marks cannot leak
-// into the next.
+// taken nodes, shorter than maxBypassLen hops.  It returns the interior
+// nodes (empty for a direct link), valid only until the next bypass
+// call.  The search runs entirely on pooled epoch-stamped scratch, reset
+// per attempt, and marks nothing taken — the caller commits accepted
+// paths, so one attempt's candidate marks cannot leak into the next.
 //
 //ringlint:noalloc
-func (p *genericPatcher) bypass(tail, head int, badNode map[int]bool, edgeCut func(int, int) bool, used *dense.Set) ([]int, bool) {
+func (p *genericPatcher) bypass(r *Ring, tail, head int, badNode map[int]bool, edgeCut func(int, int) bool) ([]int, bool) {
 	if tail == head {
 		// A single one-node segment closing on itself needs a self-loop,
 		// which no adapter's verification accepts as a ring.
@@ -615,7 +519,7 @@ func (p *genericPatcher) bypass(tail, head int, badNode map[int]bool, edgeCut fu
 					p.pathBuf = path
 					return path, true
 				}
-				if badNode[w] || used.Has(w) || p.prev.Has(w) {
+				if badNode[w] || p.taken(r, w) || p.prev.Has(w) {
 					continue
 				}
 				p.prev.Set(w, int32(u))

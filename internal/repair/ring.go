@@ -213,21 +213,6 @@ func (r *Ring) ints() []int {
 	return out
 }
 
-// equal reports whether the ring, read from rank 0, is seq.
-func (r *Ring) equal(seq []int) bool {
-	if len(seq) != r.k {
-		return false
-	}
-	for i, p := range r.pieces {
-		for j, v := range r.run(i) {
-			if seq[int(p.rank)+j] != int(v) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // pieceOf returns the piece holding buffer slot b, which must be on the
 // ring.
 //

@@ -115,3 +115,66 @@ func BenchmarkRingApply(b *testing.B) {
 		})
 	}
 }
+
+// spliceEvent is one event of a recorded fault/heal stream: the batch
+// and the fault set after it.
+type spliceEvent struct {
+	heal        bool
+	batch, next topology.FaultSet
+}
+
+// BenchmarkSpliceEventScaling prices Patcher.Step on the splice tier
+// alone, on hypercube(n) for n = 10, 14 and 16: one op is one event of a
+// seeded stream of single-node faults and heals, at most two live, that
+// ends fault-free and repeats.  No hypercube node fault is spliced (a
+// bipartite ring must drop two nodes, and a one-node bypass cannot), so
+// the faults decline and re-embed, off the clock; the heals splice the
+// healed node back in.  Both kinds scan the ring, so the op cost follows
+// the ring's length.
+func BenchmarkSpliceEventScaling(b *testing.B) {
+	for _, n := range []int{10, 14, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			net, err := topology.NewHypercube(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			var events []spliceEvent
+			var live []int
+			var faults topology.FaultSet
+			for len(events) < 256 || len(live) > 0 {
+				heal := len(live) == 2 || len(events) >= 256 || (len(live) > 0 && rng.Intn(2) == 0)
+				ev := spliceEvent{heal: heal}
+				if heal {
+					j := rng.Intn(len(live))
+					ev.batch, ev.next = topology.NodeFaults(live[j]), faults.Minus(topology.NodeFaults(live[j]))
+					live = append(live[:j], live[j+1:]...)
+				} else {
+					x := rng.Intn(net.Nodes())
+					for slices.Contains(live, x) {
+						x = rng.Intn(net.Nodes())
+					}
+					ev.batch, ev.next = topology.NodeFaults(x), faults.Union(topology.NodeFaults(x))
+					live = append(live, x)
+				}
+				events, faults = append(events, ev), ev.next
+			}
+			p := For(net)
+			if _, _, err := p.Embed(topology.FaultSet{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := events[i%len(events)]
+				if p.Step(ev.heal, ev.batch, ev.next) == Unsupported {
+					b.StopTimer()
+					if _, _, err := p.Embed(ev.next); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}

@@ -28,8 +28,10 @@ type stream struct {
 
 // applied is one delta a Patcher applied during a stream: the ring
 // before it, the fault sets Step checked it against, and want, the ring
-// its tier built by itself — the FFC tier's successor walk, or the
-// splice tier's private copy.
+// after it — the FFC tier's successor walk, built by the tier itself, or
+// for the splice tier, which keeps no ring, the Patcher's ring read
+// through AppendRing (TestSpliceMatchesOracle pins that ring against an
+// independent copy).
 type applied struct {
 	old         []int
 	d           *delta
@@ -44,10 +46,11 @@ type applied struct {
 // (spare-ring streams drop the batch instead).  On De Bruijn networks a
 // share of the node faults hits the FFC root's necklace, which the FFC
 // tier declines, so the stream exercises both tiers.  Every delta a
-// tier builds must apply, and leave the owned ring equal, element for
-// element and rotation included, to the ring the tier built, and its
-// hash equal to a from-scratch recompute; visit sees each one.  The
-// hash is checked after every Embed and Restore too.
+// tier builds must apply; an FFC delta must leave the owned ring equal,
+// element for element and rotation included, to the ring the tier
+// walks, and every ring's hash must equal a from-scratch recompute;
+// visit sees each delta.  The hash is checked after every Embed and
+// Restore too.
 func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spliceDeltas int) {
 	t.Helper()
 	p := For(st.net)
@@ -121,7 +124,7 @@ func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spl
 			// splice tier valid), by a ring short of dⁿ − nf, or by apply
 			// rejecting the tier's own delta — a bug.
 			if tr := p.LastTrace(); len(tr) > 0 {
-				last, length := tr[len(tr)-1], len(p.splice.ring)
+				last, length := tr[len(tr)-1], p.splice.out.Length
 				if last.Tier == "ffc" {
 					length = p.ffc.nodes
 				}
@@ -140,7 +143,10 @@ func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spl
 		default:
 			a := applied{old: old, next: next, fresh: fresh, splice: p.ffc == nil || o == Spliced}
 			if a.splice {
-				a.d, a.want = &p.splice.out, slices.Clone(p.splice.ring)
+				a.d = &p.splice.out
+				for _, v := range p.AppendRing(nil) {
+					a.want = append(a.want, int(v))
+				}
 				spliceDeltas++
 			} else {
 				var ok bool
@@ -158,6 +164,21 @@ func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spl
 		}
 	}
 	return ffcDeltas, spliceDeltas
+}
+
+// equal reports whether the ring, read from rank 0, is seq.
+func (r *Ring) equal(seq []int) bool {
+	if len(seq) != r.k {
+		return false
+	}
+	for i, p := range r.pieces {
+		for j, v := range r.run(i) {
+			if seq[int(p.rank)+j] != int(v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // hopSum is the ring hash recomputed from scratch: the sum of edgeHash

@@ -55,11 +55,10 @@ func TestPatchRingDeltaMatchesWalk(t *testing.T) {
 	}
 }
 
-// TestChainRingResyncsFromCallerRing: the splice tier keeps a private
-// copy of the ring, but the Patcher's ring is the single source of
-// truth.  A splice result the ring never accepted (here the private
-// copy is cut behind the Patcher's back) must not leak into the next
-// batch — the splice tier resyncs from the owned ring.
+// TestChainRingResyncsFromCallerRing: the Patcher's ring is the only
+// copy, and the splice tier reads it on every call.  A splice delta the
+// ring rejects (here one promising a node too many) leaves the ring as
+// it was, and the next batch splices from that ring.
 func TestChainRingResyncsFromCallerRing(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 8)
 	p := For(net)
@@ -75,15 +74,24 @@ func TestChainRingResyncsFromCallerRing(t *testing.T) {
 		t.Fatalf("root fault: outcome %v, want Spliced without the root", o)
 	}
 	// 1ⁿ, like the root 0ⁿ, has a self-loop, so the ring can drop it by
-	// a direct link.  Cut it from the splice tier's copy only: a result
-	// the owned ring never took.
+	// a direct link.  Cut it with the splice tier directly, and hand the
+	// ring a corrupted copy of the delta.
 	x := net.Nodes() - 1
-	if o := p.splice.patch(topology.NodeFaults(x)); o != Patched {
-		t.Fatalf("private cut: outcome %v, want Patched", o)
+	next := p.Faults().Union(topology.NodeFaults(x))
+	if o := p.splice.patch(&p.ring, next); o != Patched {
+		t.Fatalf("direct cut: outcome %v, want Patched", o)
+	}
+	d := p.splice.emit()
+	d.Length++
+	if p.apply(d, next, topology.NodeFaults(x), LowerBound(net, next)) {
+		t.Fatal("the ring accepted a delta promising a node too many")
+	}
+	if !slices.Equal(p.RingInts(), r) {
+		t.Fatal("a rejected delta changed the ring")
 	}
 	r, o = p.Patch(topology.NodeFaults(x))
 	if o != Spliced {
-		t.Fatalf("second fault: outcome %v, want Spliced (the rejected cut leaked into the splice tier)", o)
+		t.Fatalf("second fault: outcome %v, want Spliced", o)
 	}
 	if len(r) != len(ring)-2 || !topology.VerifyRing(net, r, topology.NodeFaults(root, x)) {
 		t.Fatalf("ring of %d after cutting two nodes from %d, or invalid", len(r), len(ring))
