@@ -8,6 +8,7 @@ package debruijn
 
 import (
 	"fmt"
+	"sync"
 
 	"debruijnring/internal/word"
 )
@@ -18,10 +19,41 @@ import (
 // concurrent use.
 type Graph struct {
 	*word.Space
+
+	// reps is the NecklaceReps table, built on first use.
+	repsOnce sync.Once
+	reps     []int32
 }
 
 // New returns B(d,n).
 func New(d, n int) *Graph { return &Graph{Space: word.New(d, n)} }
+
+// NecklaceReps returns the necklace representative of every node,
+// indexed by node.  The table is built once per Graph, on first use, in
+// O(dⁿ): an ascending scan meets each necklace first at its minimal
+// member, the representative of the whole rotation orbit.  Every caller
+// shares the one slice, so it must not be modified.
+func (g *Graph) NecklaceReps() []int32 {
+	g.repsOnce.Do(func() {
+		reps := make([]int32, g.Size)
+		for i := range reps {
+			reps[i] = -1
+		}
+		for x := 0; x < g.Size; x++ {
+			if reps[x] >= 0 {
+				continue
+			}
+			for y := x; ; {
+				reps[y] = int32(x)
+				if y = g.RotL(y); y == x {
+					break
+				}
+			}
+		}
+		g.reps = reps
+	})
+	return g.reps
+}
 
 // Successors appends the d successors of x to dst (including the loop when
 // x = αⁿ) and returns the slice.

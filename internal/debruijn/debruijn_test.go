@@ -323,3 +323,19 @@ func TestUndirectedDegreeAllocFree(t *testing.T) {
 		t.Errorf("UndirectedDegree allocates %.1f times per census pass, want 0", allocs)
 	}
 }
+
+// TestNecklaceReps checks the per-graph table against NecklaceRep and
+// that every call returns the one shared slice.
+func TestNecklaceReps(t *testing.T) {
+	for _, g := range []*Graph{New(2, 1), New(2, 9), New(3, 5), New(5, 3)} {
+		reps := g.NecklaceReps()
+		for x := 0; x < g.Size; x++ {
+			if int(reps[x]) != g.NecklaceRep(x) {
+				t.Fatalf("B(%d,%d): table rep of %d = %d, NecklaceRep says %d", g.D, g.N, x, reps[x], g.NecklaceRep(x))
+			}
+		}
+		if again := g.NecklaceReps(); &again[0] != &reps[0] {
+			t.Fatalf("B(%d,%d): NecklaceReps rebuilt its table", g.D, g.N)
+		}
+	}
+}

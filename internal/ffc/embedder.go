@@ -1,21 +1,23 @@
 package ffc
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"debruijnring/internal/debruijn"
-	"debruijnring/internal/dense"
 )
 
 // Embedder runs the FFC algorithm on one graph with reusable dense
-// scratch: all per-run bookkeeping (visited stamps, distances, component
-// ids, successor overrides) lives in flat epoch-stamped arrays sized by
-// g.Size, so repeated embeddings allocate only their Result.  The
-// necklace representative of every node is precomputed once, turning the
-// alive-necklace test from an O(n) rotation scan into one array load.
+// scratch, so repeated embeddings allocate only their Result.  Every
+// per-node step is O(1) with no integer division: the faulty-necklace,
+// visited and override tests are bit tests, rotations and suffixes
+// divide by dⁿ⁻¹ with a multiply and a shift, Step 1.2 scans only B*'s
+// BFS segment, and Step 2 reads each star member's w-nodes off its
+// tree edge.  The necklace-representative table is the graph's own
+// (debruijn.Graph.NecklaceReps), built once and shared by every
+// Embedder on that graph.
 //
 // An Embedder is NOT safe for concurrent use; give each goroutine its
 // own (topology.DeBruijn keeps a sync.Pool of them).  The one-shot Embed
@@ -34,11 +36,14 @@ type Embedder struct {
 	// latency knob.
 	Workers int
 
-	earliest dense.Ints // necklace rep → earliest-informed node Y
-	repList  []int32    // surviving necklace reps in ascending order
-	ov       dense.Ints // Step-3 successor overrides, node → node
+	earliest []int32  // necklace rep → its earliest-informed node Y
+	repSeen  []uint64 // bit rep: met in B*'s segment; emptied as repList is read off
+	repList  []int32  // necklaces of B*, ascending
+	ovSet    []uint64 // bit x: Step 3 overrides x's successor; emptied after the walk
+	ovTo     []int32  // the overriding successor, valid where ovSet
 	stars    []starEdge
-	members  []int
+	starsTmp []starEdge
+	members  []closure
 
 	// parallelFrontier overrides the frontier size at which a level is
 	// worth sharding; 0 means defaultParallelFrontier.  Tests lower it
@@ -46,38 +51,20 @@ type Embedder struct {
 	parallelFrontier int
 }
 
-// starEdge is one tree edge flattened for Step-2 grouping by label.
-type starEdge struct{ w, child, parent int32 }
+// starEdge is one tree edge flattened for Step-2 grouping by label: the
+// child necklace's earliest-informed node y = wα and its broadcast
+// parent p = βw on the parent necklace.
+type starEdge struct{ w, child, parent, y, p int32 }
 
-// NewEmbedder returns an Embedder for g.  Construction costs one O(dⁿ)
-// pass to tabulate necklace representatives; everything else is lazily
-// sized on first use.
+// closure is one member of a w-cycle: its outgoing node αw and its
+// incoming node wβ.
+type closure struct{ out, in int32 }
+
+// NewEmbedder returns an Embedder for g.  The graph's necklace table is
+// built on the first Embedder (or other caller) of g; everything else
+// is lazily sized on first use.
 func NewEmbedder(g *debruijn.Graph) *Embedder {
-	return &Embedder{g: g, s: survivors{g: g, reps: necklaceReps(g)}}
-}
-
-// necklaceReps tabulates NecklaceRep for every node in O(dⁿ) total: an
-// ascending scan meets each necklace first at its minimal member, which
-// is the representative of the whole rotation orbit.
-func necklaceReps(g *debruijn.Graph) []int32 {
-	reps := make([]int32, g.Size)
-	for i := range reps {
-		reps[i] = -1
-	}
-	for x := 0; x < g.Size; x++ {
-		if reps[x] >= 0 {
-			continue
-		}
-		y := x
-		for {
-			reps[y] = int32(x)
-			y = g.RotL(y)
-			if y == x {
-				break
-			}
-		}
-	}
-	return reps
+	return &Embedder{g: g, s: newSurvivors(g, 0)}
 }
 
 // Rep returns the necklace representative of x from the precomputed
@@ -89,20 +76,20 @@ func (e *Embedder) Rep(x int) int { return int(e.s.reps[x]) }
 func (e *Embedder) Embed(faults []int) (*Result, error) {
 	g := e.g
 	s := &e.s
-	d := g.D
-	pivot := g.Pow(g.N - 1) // leading-digit stride for predecessor arithmetic
+	d, pivot := g.D, s.div.p // pivot = dⁿ⁻¹, the leading-digit stride
+	e.grow()
 
 	// Step 0: mark faulty necklaces.
-	s.faultRep.Reset(g.Size)
+	s.resetFaults()
 	res := &Result{FaultyNecklaces: make([]int, 0, len(faults))}
 	for _, f := range faults {
 		if f < 0 || f >= g.Size {
 			panic(fmt.Sprintf("ffc: fault %d out of range", f))
 		}
 		rep := int(s.reps[f])
-		if s.faultRep.Add(rep) {
+		if period := s.kill(rep); period > 0 {
 			res.FaultyNecklaces = append(res.FaultyNecklaces, rep)
-			res.FaultyNodeCount += g.Period(rep)
+			res.FaultyNodeCount += period
 		}
 	}
 	slices.Sort(res.FaultyNecklaces)
@@ -117,53 +104,39 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 	if best < 0 {
 		return nil, errors.New("ffc: every necklace is faulty; no component survives")
 	}
-	root := int(s.roots[best])
-	want := int(s.sizes[best])
+	bstar := s.comps[best]
+	root := int(bstar.root)
+	want := int(bstar.size)
 	res.Root = root
 	res.BStarSize = want
-	res.Eccentricity = int(s.eccs[best])
+	res.Eccentricity = int(bstar.ecc)
 
-	// parentOf mirrors the Step 1.1 tie-break: the minimal predecessor
-	// one level closer to R.  Computed on demand — only the
-	// earliest-informed node of each necklace needs its parent.
-	parentOf := func(x int) int {
-		dx, ok := s.dist.Get(x)
-		if !ok {
-			return -1
-		}
-		pre := x / d
-		for a := 0; a < d; a++ {
-			p := a*pivot + pre
-			if dp, ok := s.dist.Get(p); ok && dp == dx-1 {
-				return p
-			}
-		}
-		return -1
-	}
-
-	// Step 1.2: the necklace spanning tree T.  An ascending scan over B*
-	// meets each necklace first at its representative, so repList comes
-	// out sorted; the earliest-informed node Y minimizes (dist, node).
+	// Step 1.2: the necklace spanning tree T.  A necklace lies wholly in
+	// one component, so B*'s BFS segment holds exactly its necklaces.  In
+	// level order it meets each necklace first at a node of minimum
+	// depth; a later node replaces it only when smaller and on the same
+	// level, so Y minimizes (dist, node).  repList is then read off the
+	// rep bitset in ascending order.
 	if int(s.reps[root]) != root {
 		return nil, fmt.Errorf("ffc: root %s is not a necklace representative", g.String(root))
 	}
-	e.earliest.Reset(g.Size)
-	e.repList = e.repList[:0]
-	for x := 0; x < g.Size; x++ {
-		if id, ok := s.comp.Get(x); !ok || id != best {
-			continue
-		}
-		rep := int(s.reps[x])
-		y, ok := e.earliest.Get(rep)
-		if !ok {
-			e.earliest.Set(rep, int32(x))
-			e.repList = append(e.repList, int32(rep))
-			continue
-		}
-		if distOrZero(&s.dist, x) < distOrZero(&s.dist, int(y)) {
-			e.earliest.Set(rep, int32(x))
+	for _, x := range s.segment(best) {
+		rep := s.reps[x]
+		if e.repSeen[rep>>6]&(1<<(rep&63)) == 0 {
+			e.repSeen[rep>>6] |= 1 << (rep & 63)
+			e.earliest[rep] = x
+		} else if y := e.earliest[rep]; x < y && s.dist[x] == s.dist[y] {
+			e.earliest[rep] = x
 		}
 	}
+	e.repList = e.repList[:0]
+	for i, word := range e.repSeen {
+		for ; word != 0; word &= word - 1 {
+			e.repList = append(e.repList, int32(i*64+bits.TrailingZeros64(word)))
+		}
+		e.repSeen[i] = 0
+	}
+
 	res.Tree = make([]TreeLink, 0, len(e.repList)-1)
 	e.stars = e.stars[:0]
 	for _, rep32 := range e.repList {
@@ -171,75 +144,107 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 		if rep == root {
 			continue
 		}
-		y := int(e.earliest.At(rep))
-		p := parentOf(y)
+		y := int(e.earliest[rep])
+		w := g.Prefix(y) // Y = wα ⇒ label is Y's leading n−1 digits
+		// The broadcast parent: Step 1.1's tie-break, the minimal
+		// predecessor βw one level closer to R.
+		p, dp := -1, s.dist[y]-1
+		for q := w; q < g.Size; q += pivot {
+			if s.seen[q>>6]&(1<<(q&63)) != 0 && s.dist[q] == dp {
+				p = q
+				break
+			}
+		}
 		if p < 0 {
 			return nil, fmt.Errorf("ffc: earliest node %s of necklace [%s] has no broadcast parent", g.String(y), g.String(rep))
 		}
-		w := g.Prefix(y) // Y = wα ⇒ label is Y's leading n−1 digits
-		parentRep := int(s.reps[p])
-		if parentRep == rep {
+		parentRep := s.reps[p]
+		if int(parentRep) == rep {
 			return nil, fmt.Errorf("ffc: necklace [%s] would parent itself", g.String(rep))
 		}
-		res.Tree = append(res.Tree, TreeLink{Child: rep32, Parent: int32(parentRep), W: int32(w)})
-		e.stars = append(e.stars, starEdge{w: int32(w), child: rep32, parent: int32(parentRep)})
+		res.Tree = append(res.Tree, TreeLink{Child: rep32, Parent: parentRep, W: int32(w)})
+		e.stars = append(e.stars, starEdge{w: int32(w), child: rep32, parent: parentRep, y: int32(y), p: int32(p)})
 	}
 
 	// Step 2: close each star T_w into a w-cycle ordered by necklace
 	// representative; record the successor overrides densely for the walk
 	// and as out/in pairs for the Result.  A star of k children closes
 	// k+1 members, so the pairs number len(stars) plus the star count.
-	slices.SortFunc(e.stars, func(a, b starEdge) int {
-		if c := cmp.Compare(a.w, b.w); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.child, b.child)
-	})
+	//
+	// Each member's w-nodes come off the tree edge.  A child hangs from
+	// the centre by p = βw → Y = wα, so its in-node is Y and its out-node
+	// RotR(Y) = αw; the centre's out-node is p and its in-node RotL(p) =
+	// wβ.  They are the only such nodes: rotations αw and α′w of one word
+	// share a digit multiset, so α = α′ (and likewise for wβ).  Every edge
+	// of a star shares its centre's unique out-node p.
+	e.sortStars()
 	nOverrides := len(e.stars)
 	for i := range e.stars {
 		if i == 0 || e.stars[i].w != e.stars[i-1].w {
 			nOverrides++
 		}
 	}
-	e.ov.Reset(g.Size)
 	res.Overrides = make([]Override, 0, nOverrides)
 	for i := 0; i < len(e.stars); {
-		j := i
-		for j < len(e.stars) && e.stars[j].w == e.stars[i].w {
-			j++
+		star := e.stars[i:]
+		w := int(star[0].w)
+		k := 1
+		for k < len(star) && int(star[k].w) == w {
+			k++
 		}
-		w := int(e.stars[i].w)
+		star = star[:k]
+		// Children are in ascending order; the centre joins at its rank.
+		centre := closure{out: star[0].p, in: int32(s.rotL(int(star[0].p)))}
+		placed := false
 		e.members = e.members[:0]
-		for k := i; k < j; k++ {
-			e.members = append(e.members, int(e.stars[k].child))
-		}
-		e.members = append(e.members, int(e.stars[i].parent))
-		slices.Sort(e.members)
-		k := len(e.members)
-		for idx, rep := range e.members {
-			next := e.members[(idx+1)%k]
-			out := suffixNode(g, rep, w)
-			in := prefixNode(g, next, w)
-			if out < 0 || in < 0 {
-				panic(fmt.Sprintf("ffc: star member [%s] lacks a w-node for w=%s (unreachable)",
-					g.String(rep), fmt.Sprint(w)))
+		for _, c := range star {
+			if !placed && star[0].parent < c.child {
+				e.members = append(e.members, centre)
+				placed = true
 			}
-			e.ov.Set(out, int32(in))
-			res.Overrides = append(res.Overrides, Override{Out: int32(out), In: int32(in)})
+			alpha := int(c.y) - w*d
+			e.members = append(e.members, closure{out: int32(alpha*pivot + w), in: c.y})
 		}
-		i = j
+		if !placed {
+			e.members = append(e.members, centre)
+		}
+		for j, m := range e.members {
+			next := e.members[0]
+			if j+1 < len(e.members) {
+				next = e.members[j+1]
+			}
+			e.ovSet[m.out>>6] |= 1 << (m.out & 63)
+			e.ovTo[m.out] = next.in
+			res.Overrides = append(res.Overrides, Override{Out: m.out, In: next.in})
+		}
+		i += k
 	}
 
 	// Step 3: read off the cycle from the dense successor rule.
+	cycle, err := e.walk(root, want)
+	for _, o := range res.Overrides {
+		e.ovSet[o.Out>>6] &^= 1 << (o.Out & 63)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Cycle = cycle
+	return res, nil
+}
+
+// walk follows the successor rule from root: the override where Step 2
+// set one, else the necklace successor RotL.
+func (e *Embedder) walk(root, want int) ([]int, error) {
+	d, div := e.g.D, e.s.div
 	cycle := make([]int, 0, want)
-	x := root
-	for {
+	for x := root; ; {
 		cycle = append(cycle, x)
 		var next int
-		if v, ok := e.ov.Get(x); ok {
-			next = int(v)
+		if e.ovSet[x>>6]&(1<<(x&63)) != 0 {
+			next = int(e.ovTo[x])
 		} else {
-			next = g.RotL(x)
+			q, r := div.split(x)
+			next = r*d + q
 		}
 		if next == root {
 			break
@@ -252,13 +257,42 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 	if len(cycle) != want {
 		return nil, fmt.Errorf("ffc: walk closed after %d nodes, want %d (cycle not Hamiltonian in B*)", len(cycle), want)
 	}
-	res.Cycle = cycle
-	return res, nil
+	return cycle, nil
 }
 
-// distOrZero mirrors the legacy map semantics dist[x] (0 when absent),
-// relevant only in unreachable-node corner cases.
-func distOrZero(m *dense.Ints, x int) int32 {
-	v, _ := m.Get(x)
-	return v
+// grow sizes the per-node scratch once; later runs reuse it.
+func (e *Embedder) grow() {
+	if size := e.g.Size; len(e.ovTo) < size {
+		words := (size + 63) / 64
+		e.earliest = make([]int32, size)
+		e.repSeen = make([]uint64, words)
+		e.ovSet = make([]uint64, words)
+		e.ovTo = make([]int32, size)
+	}
+}
+
+// sortStars orders the stars by label with a stable LSD radix sort, a
+// byte of w per pass.  The stars come in ascending child order, so the
+// result is in (w, child) order.
+func (e *Embedder) sortStars() {
+	if cap(e.starsTmp) < len(e.stars) {
+		e.starsTmp = make([]starEdge, len(e.stars))
+	}
+	src, dst := e.stars, e.starsTmp[:len(e.stars)]
+	for shift := 0; (e.s.div.p-1)>>shift > 0; shift += 8 {
+		var count [257]int
+		for _, st := range src {
+			count[(st.w>>shift)&0xff+1]++
+		}
+		for b := 1; b < len(count); b++ {
+			count[b] += count[b-1]
+		}
+		for _, st := range src {
+			b := (st.w >> shift) & 0xff
+			dst[count[b]] = st
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	e.stars, e.starsTmp = src, dst[:cap(dst)]
 }

@@ -20,22 +20,26 @@
 // # Dense kernels
 //
 // The embedding and simulation hot paths run on allocation-free dense
-// kernels (see PERF.md at the repo root): an Embedder carries flat
-// epoch-stamped scratch arrays — distances, component ids, visited
-// stamps, successor overrides — that reset in O(1) between runs, plus a
-// precomputed necklace-representative table that turns the alive test
-// into one array load.  Because whole necklaces are removed, weak and
-// strong connectivity coincide in the surviving graph, so one forward
-// level-order BFS per component both labels the components and, for
-// the largest, is the Step 1.1 broadcast from R: a cold embed makes one
-// pass over the graph, and a warm one allocates only its Result, whose
-// collections are flat slices.  Simulate shards its Monte-Carlo trials
-// across a worker pool; each trial draws from an independent PCG stream
-// derived from (seed, fault count, trial index) and the per-row
-// statistics merge with commutative integer reductions, so tables are
-// bit-identical for a fixed seed at any worker count.  The pre-rewrite
-// map-based kernels are preserved in legacy_test.go and pinned against
-// the dense ones by equivalence tests.
+// kernels (see PERF.md at the repo root).  An Embedder carries flat
+// scratch sized once per graph and shares the graph's necklace-
+// representative table (debruijn.Graph.NecklaceReps, built once per
+// graph).  Every per-node step is O(1) with no integer division: the
+// faulty-necklace, visited and override tests are bit tests, and
+// suffixes and rotations divide by dⁿ⁻¹ with a multiply and a shift.
+// Because whole necklaces are removed, weak and strong connectivity
+// coincide in the surviving graph, so one forward level-order BFS per
+// component both labels the components and, for the largest, is the
+// Step 1.1 broadcast from R.  Step 1.2 scans only that component's BFS
+// segment, and Step 2 reads each star member's w-nodes off its tree
+// edge: a cold embed makes one pass over the graph, and a warm one
+// allocates only its Result, whose collections are flat slices.
+// Simulate shards its Monte-Carlo trials across a worker pool; each
+// trial draws from an independent PCG stream derived from (seed, fault
+// count, trial index) and the per-row statistics merge with
+// commutative integer reductions, so tables are bit-identical for a
+// fixed seed at any worker count.  The pre-rewrite map-based kernels
+// are preserved in legacy_test.go and pinned against the dense ones by
+// equivalence tests.
 package ffc
 
 import (
@@ -106,20 +110,13 @@ func FaultyNecklaces(g *debruijn.Graph, faults []int) map[int]bool {
 	return reps
 }
 
-// SuffixNode returns the node of the necklace [rep] whose trailing n−1
-// digits equal w (the outgoing node αw of a star labeled w), or −1 if the
-// necklace carries no such window.  Exposed for the incremental ring
-// repair of internal/repair, which re-closes individual stars without
-// rerunning the full algorithm.
-func SuffixNode(g *debruijn.Graph, rep, w int) int { return suffixNode(g, rep, w) }
-
-// PrefixNode returns the node of [rep] whose leading n−1 digits equal w
-// (the incoming node wβ of a star labeled w), or −1.  See SuffixNode.
-func PrefixNode(g *debruijn.Graph, rep, w int) int { return prefixNode(g, rep, w) }
-
-// suffixNode returns the unique node of the necklace [rep] whose trailing
-// n−1 digits equal w (the outgoing node αw), or −1 if none exists.
-func suffixNode(g *debruijn.Graph, rep, w int) int {
+// SuffixNode returns the unique node of the necklace [rep] whose
+// trailing n−1 digits equal w (the outgoing node αw of a star labeled
+// w), or −1 if the necklace carries no such window.  Embed reads these
+// nodes off its tree edges; the incremental ring repair of
+// internal/repair, which re-closes individual stars without rerunning
+// the full algorithm, scans for them here.
+func SuffixNode(g *debruijn.Graph, rep, w int) int {
 	y := rep
 	for {
 		if g.Suffix(y) == w {
@@ -132,9 +129,10 @@ func suffixNode(g *debruijn.Graph, rep, w int) int {
 	}
 }
 
-// prefixNode returns the unique node of [rep] whose leading n−1 digits
-// equal w (the incoming node wβ), or −1.
-func prefixNode(g *debruijn.Graph, rep, w int) int {
+// PrefixNode returns the unique node of [rep] whose leading n−1 digits
+// equal w (the incoming node wβ of a star labeled w), or −1.  See
+// SuffixNode.
+func PrefixNode(g *debruijn.Graph, rep, w int) int {
 	y := rep
 	for {
 		if g.Prefix(y) == w {

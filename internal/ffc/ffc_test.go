@@ -182,8 +182,8 @@ func TestExample22(t *testing.T) {
 	outgoing := map[int]bool{}
 	incoming := map[int]bool{}
 	for _, w := range labels {
-		out := suffixNode(g, rep, w)
-		in := prefixNode(g, rep, w)
+		out := SuffixNode(g, rep, w)
+		in := PrefixNode(g, rep, w)
 		if out < 0 || in < 0 {
 			t.Fatalf("label %s has no node on [0122]", w3.String(w))
 		}

@@ -228,8 +228,8 @@ func modifiedTreeOverridesLegacy(g *debruijn.Graph, tree map[int]TreeEdge) map[i
 		k := len(members)
 		for i, rep := range members {
 			next := members[(i+1)%k]
-			out := suffixNode(g, rep, w)
-			in := prefixNode(g, next, w)
+			out := SuffixNode(g, rep, w)
+			in := PrefixNode(g, next, w)
 			if out < 0 || in < 0 {
 				panic("ffc: star member lacks a w-node (unreachable)")
 			}
@@ -487,7 +487,10 @@ func equalResults(a *legacyResult, b *Result) bool {
 // not the first of the visit order — and requires some.
 func TestDenseEmbedMatchesLegacy(t *testing.T) {
 	var cases []faultCase
-	grids := []struct{ d, n int }{{2, 6}, {2, 8}, {3, 4}, {4, 3}, {5, 2}}
+	grids := []struct{ d, n int }{
+		{2, 1}, {3, 1}, {5, 1}, // dⁿ⁻¹ = 1: every label is the empty word
+		{2, 6}, {2, 8}, {2, 12}, {3, 4}, {3, 6}, {4, 3}, {4, 5}, {5, 2},
+	}
 	for _, gr := range grids {
 		g := debruijn.New(gr.d, gr.n)
 		for f := 0; f <= 4; f++ {
@@ -538,6 +541,33 @@ func TestDenseEmbedMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestEmbedBStarSegmentNotFirst pins Step 1.2's scan to B*'s own BFS
+// segment when that segment does not start at order[0]: faulting the
+// necklace of 0…01 strands 0ⁿ as component 0 (for d = 3 the necklace of
+// 0…02 must go too), so B* is component 1 and starts at order[1].
+func TestEmbedBStarSegmentNotFirst(t *testing.T) {
+	for _, c := range []faultCase{
+		{debruijn.New(2, 8), []int{1}},
+		{debruijn.New(2, 10), []int{2, 333}},
+		{debruijn.New(3, 4), []int{1, 2}},
+	} {
+		em := NewEmbedder(c.g)
+		got, err := em.Embed(c.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := em.s.largest()
+		if best != 1 || em.s.comps[best].start != 1 || em.s.comps[0].root != 0 {
+			t.Fatalf("B(%d,%d) faults %v: B* is component %d starting at order[%d], want component 1 at order[1] after the stranded 0ⁿ",
+				c.g.D, c.g.N, c.faults, best, em.s.comps[best].start)
+		}
+		want, err := embedLegacy(c.g, c.faults)
+		if err != nil || !equalResults(want, got) {
+			t.Fatalf("B(%d,%d) faults %v: dense result diverges from legacy (legacy err %v)", c.g.D, c.g.N, c.faults, err)
+		}
+	}
+}
+
 // faultCase is one fault set with the graph it applies to.
 type faultCase struct {
 	g      *debruijn.Graph
@@ -577,7 +607,7 @@ func TestDenseTrialMatchesLegacy(t *testing.T) {
 	for _, gr := range grids {
 		g := debruijn.New(gr.d, gr.n)
 		r := g.Successor(g.Repeat(0), 1)
-		sc := newSimScratch(g, necklaceReps(g))
+		sc := newSimScratch(g)
 		for f := 0; f <= 12; f += 3 {
 			for seed := uint64(0); seed < 5; seed++ {
 				rngA := rand.New(rand.NewPCG(seed, 42))

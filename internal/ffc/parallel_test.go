@@ -166,7 +166,9 @@ func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
 // TestEmbedAllocs pins a warm serial Embed to its Result: the Result
 // itself, Cycle, Tree, Overrides and FaultyNecklaces.  Every other
 // structure is pooled scratch, so a map or a per-run buffer creeping
-// back into the kernel fails here before any benchmark gate.
+// back into the kernel fails here before any benchmark gate.  The
+// per-node bitsets and arrays grow on the first run and are reused,
+// not regrown, by every later one, whatever its fault set.
 func TestEmbedAllocs(t *testing.T) {
 	g := debruijn.New(2, 12)
 	em := NewEmbedder(g)
@@ -175,6 +177,10 @@ func TestEmbedAllocs(t *testing.T) {
 	if _, err := em.Embed(faults); err != nil {
 		t.Fatal(err)
 	}
+	scratch := func() []any { // addresses: any values compare their pointers
+		return []any{&em.s.dead[0], &em.s.seen[0], &em.s.dist[0], &em.repSeen[0], &em.earliest[0], &em.ovSet[0], &em.ovTo[0]}
+	}
+	grown := scratch()
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := em.Embed(faults); err != nil {
 			t.Fatal(err)
@@ -182,5 +188,30 @@ func TestEmbedAllocs(t *testing.T) {
 	})
 	if allocs > 5 {
 		t.Fatalf("warm Embed made %v allocations, want at most 5", allocs)
+	}
+	for _, f := range [][]int{nil, {0}, {1, 2, 3, 700, 2047, 4095}} {
+		if _, err := em.Embed(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range scratch() {
+		if p != grown[i] {
+			t.Fatalf("a warm Embed regrew per-node scratch array %d", i)
+		}
+	}
+}
+
+// TestEmbeddersShareNecklaceTable pins the necklace-representative
+// table to one per graph: every Embedder, and Simulate's trial scratch,
+// reads the graph's slice instead of tabulating its own.
+func TestEmbeddersShareNecklaceTable(t *testing.T) {
+	g := debruijn.New(3, 5)
+	a, b := NewEmbedder(g), NewEmbedder(g)
+	sc := newSimScratch(g)
+	if &a.s.reps[0] != &b.s.reps[0] || &a.s.reps[0] != &sc.s.reps[0] || &a.s.reps[0] != &g.NecklaceReps()[0] {
+		t.Fatal("embedders on one graph hold separate necklace tables")
+	}
+	if c := NewEmbedder(debruijn.New(3, 5)); &c.s.reps[0] == &a.s.reps[0] {
+		t.Fatal("embedders on distinct graphs share a necklace table")
 	}
 }

@@ -75,7 +75,6 @@ func SimulateWorkers(d, n int, faultCounts []int, trials int, seed uint64, worke
 		workers = total
 	}
 
-	reps := necklaceReps(g) // shared, read-only
 	parts := make([][]simAgg, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -89,7 +88,7 @@ func SimulateWorkers(d, n int, faultCounts []int, trials int, seed uint64, worke
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newSimScratch(g, reps)
+			sc := newSimScratch(g)
 			pcg := rand.NewPCG(0, 0)
 			rng := rand.New(pcg)
 			for {
@@ -181,19 +180,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// simScratch carries one worker's reusable trial state: epoch-stamped
-// dense sets and arrays reset in O(1) between trials, so a trial's only
-// costs are the graph traversals themselves.
+// simScratch carries one worker's reusable trial state: the survivors
+// bitsets and epoch-stamped dense sets reset between trials, so a
+// trial's only costs are the graph traversals themselves.
 type simScratch struct {
 	s        survivors // serial: trials, not frontiers, are the parallel unit
 	drawn    dense.Set // distinct fault draws
 	seen     dense.Set // nearest-component BFS visited
+	inComp   dense.Set // members of the component nearestInComponent seeks
 	frontier []int32
 	next     []int32
 }
 
-func newSimScratch(g *debruijn.Graph, reps []int32) *simScratch {
-	return &simScratch{s: survivors{g: g, reps: reps, workers: 1}}
+func newSimScratch(g *debruijn.Graph) *simScratch {
+	return &simScratch{s: newSurvivors(g, 1)}
 }
 
 // oneTrial removes the necklaces of f random distinct faults and returns
@@ -204,16 +204,14 @@ func (sc *simScratch) oneTrial(r, f int, rng *rand.Rand) (size, ecc, dead int) {
 	g := s.g
 
 	sc.drawn.Reset(g.Size)
-	s.faultRep.Reset(g.Size)
+	s.resetFaults()
 	for drawn := 0; drawn < f; {
 		x := rng.IntN(g.Size)
 		if !sc.drawn.Add(x) {
 			continue
 		}
 		drawn++
-		if rep := int(s.reps[x]); s.faultRep.Add(rep) {
-			dead += g.Period(rep)
-		}
+		dead += s.kill(int(s.reps[x]))
 	}
 
 	src := r
@@ -238,8 +236,8 @@ func (sc *simScratch) oneTrial(r, f int, rng *rand.Rand) (size, ecc, dead int) {
 	// A forward BFS from src visits exactly its component (weak = strong
 	// connectivity here), giving both the size and the eccentricity.
 	s.clear()
-	id := s.visit(src)
-	return int(s.sizes[id]), int(s.eccs[id]), dead
+	c := s.comps[s.visit(src)]
+	return int(c.size), int(c.ecc), dead
 }
 
 // nearestInComponent returns the node of the given component closest to r
@@ -250,9 +248,13 @@ func (sc *simScratch) nearestInComponent(r int, id int32) int {
 	g := sc.s.g
 	d := g.D
 	pivot := g.Pow(g.N - 1)
+	sc.inComp.Reset(g.Size)
+	for _, x := range sc.s.segment(id) {
+		sc.inComp.Add(int(x))
+	}
 	sc.seen.Reset(g.Size)
 	sc.seen.Add(r)
-	if v, ok := sc.s.comp.Get(r); ok && v == id {
+	if sc.inComp.Has(r) {
 		return r
 	}
 	sc.frontier = append(sc.frontier[:0], int32(r))
@@ -260,7 +262,7 @@ func (sc *simScratch) nearestInComponent(r int, id int32) int {
 		sc.next = sc.next[:0]
 		best := -1
 		consider := func(w int) {
-			if cv, ok := sc.s.comp.Get(w); ok && cv == id && (best == -1 || w < best) {
+			if sc.inComp.Has(w) && (best == -1 || w < best) {
 				best = w
 			}
 		}

@@ -218,10 +218,13 @@ func TestGenericRestorePersistsSplicability(t *testing.T) {
 
 // TestRestoreRejectsRepeatedNode: a ring that repeats a node is no
 // ring to splice, so Restore refuses it on every topology — with no
-// snapshot, with a splicable one and, on a chain, with a splice-owned or
-// an FFC snapshot — and leaves the previous ring and faults installed.
-// Only the snapshot of an unsplicable embedding may carry one: a
-// shuffle-exchange dilation-2 closed walk revisits nodes by design.
+// snapshot, with a splicable one and, on a chain, with a splice-owned
+// snapshot (its bit set or cleared) or an FFC snapshot — and leaves the
+// previous ring and faults installed.  Only the snapshot of an
+// unsplicable embedding off De Bruijn may carry one: a shuffle-exchange
+// dilation-2 closed walk revisits nodes by design.  A chain's cleared
+// bit records only a declined splice, so its snapshot of a simple ring
+// restores.
 func TestRestoreRejectsRepeatedNode(t *testing.T) {
 	db, _ := topology.NewDeBruijn(2, 6)
 	kautz, _ := topology.NewKautz(2, 4)
@@ -262,6 +265,12 @@ func TestRestoreRejectsRepeatedNode(t *testing.T) {
 				}
 				states["FFC snapshot"] = ffc
 				states["splice snapshot"] = &State{Tier: "splice", State: &TierState{SpliceState: splicable}}
+				declined := &State{Tier: "splice", State: &TierState{SpliceState: &SpliceState{}}}
+				states["declined splice snapshot"] = declined
+				q := For(tc.net)
+				if err := q.Restore(declined, ring, faults); err != nil || q.RingHash() != hash {
+					t.Fatalf("a chain's declined splice snapshot of its own ring does not restore: %v", err)
+				}
 			}
 			for name, st := range states {
 				if err := p.Restore(st, bad, topology.FaultSet{}); err == nil {

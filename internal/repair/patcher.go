@@ -341,19 +341,22 @@ func (p *Patcher) Snapshot() (st *State, regenerates bool) {
 // and installs the ring and f.  ring is the ring the snapshot was taken
 // at; an empty one asks the FFC tier to regenerate it from st, with one
 // walk of its successor rule after auditing its tree and overrides.
-// Every node must be in range, and unless st records an unsplicable
-// embedding (a dilation-2 closed walk, which revisits nodes) no node may
-// repeat.  On error neither the ring nor the fault set is installed.
+// Every node must be in range, and no node may repeat unless st records
+// an unsplicable embedding off De Bruijn (a dilation-2 closed walk,
+// which revisits nodes).  A chain's ring is always a simple cycle, so
+// there its recorded bit only says the last splice declined.  On error
+// neither the ring nor the fault set is installed.
 func (p *Patcher) Restore(st *State, ring []int, f topology.FaultSet) error {
 	f = f.Canonical()
 	nodes := p.net.Nodes()
 	splicable := st.tier().splicable()
+	simple := splicable || p.ffc != nil
 	seen := make([]uint64, (nodes+63)/64)
 	for _, v := range ring {
 		if v < 0 || v >= nodes {
 			return fmt.Errorf("repair: restored ring node %d out of range", v)
 		}
-		if splicable && seen[v>>6]&(1<<(v&63)) != 0 {
+		if simple && seen[v>>6]&(1<<(v&63)) != 0 {
 			return fmt.Errorf("repair: restored ring repeats node %d", v)
 		}
 		seen[v>>6] |= 1 << (v & 63)
@@ -403,16 +406,12 @@ func (p *Patcher) restoreChain(st *State, ring []int, f topology.FaultSet) ([]in
 		p.ffc.valid = false
 		return ring, nil
 	}
-	ts := st.tier()
 	switch st.Tier {
 	case "splice":
-		if !ts.splicable() {
-			return nil, fmt.Errorf("repair: splice snapshot restored to an unsplicable ring")
-		}
 		p.spliceOwns = true
 		return ring, nil
 	case "ffc", "":
-		return p.ffc.restore(ts.FFCState, ring, f)
+		return p.ffc.restore(st.tier().FFCState, ring, f)
 	}
 	return nil, fmt.Errorf("repair: unknown chain snapshot tier %q", st.Tier)
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -325,6 +326,102 @@ func TestRestoreSnapshotFallbacks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, n := restore(t, path, "v4", func(ev *Event) { tc.tamper(ev.Patcher.State.FFCState, ev) })
 			if got := stateJSON(t, s); n != 1 || !bytes.Equal(got, want) {
+				t.Fatalf("%d snapshot fallbacks, restored state\n got %s\nwant %s", n, got, want)
+			}
+		})
+	}
+}
+
+// TestRestoreChainDeclinedSpliceSnapshot restores b28-seed74-v4 cut
+// after its seq-41 snapshot, which a splice-owned De Bruijn chain took
+// with the splice tier's bit cleared ("splicable":false: that event's
+// splice declined and its re-embed was rejected).  The ring is still a
+// simple cycle, so the snapshot must be adopted — no fallback — and
+// restore the state a replay from creation reaches, byte for byte.  The
+// snapshot's ring, tampered, must still fall back.
+func TestRestoreChainDeclinedSpliceSnapshot(t *testing.T) {
+	const name = "b28-seed74-v4"
+	raw, err := os.ReadFile(filepath.Join("testdata", "journals", name+journalExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut []byte
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		cut = append(cut, line...)
+		if bytes.Contains(line, []byte(`"seq":41,`)) && bytes.Contains(line, []byte(`"kind":"snapshot"`)) {
+			if !bytes.Contains(line, []byte(`"tier":"splice","state":{"splicable":false}`)) {
+				t.Fatalf("seq-41 snapshot is not a declined splice snapshot: %s", line)
+			}
+			break
+		}
+	}
+	restore := func(t *testing.T, journal []byte) ([]byte, int64) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(journalPath(dir, name), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		restored, errs := NewManager(reg, Options{Dir: dir}).Restore()
+		if len(errs) > 0 || len(restored) != 1 {
+			t.Fatalf("restore: %v", errs)
+		}
+		return stateJSON(t, restored[0]), snapshotFallbacks(reg)
+	}
+	encode := func(t *testing.T, events []Event) []byte {
+		t.Helper()
+		var out []byte
+		for _, ev := range events {
+			line, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(append(out, line...), '\n')
+		}
+		return out
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir, name), cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	events, err := readJournal(journalPath(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := len(events) - 1
+	want, n := restore(t, encode(t, events[:snap]))
+	if n != 0 {
+		t.Fatalf("replay from creation counted %d snapshot fallbacks", n)
+	}
+	if got, n := restore(t, cut); n != 0 || !bytes.Equal(got, want) {
+		t.Fatalf("%d snapshot fallbacks, restored state\n got %s\nwant %s", n, got, want)
+	}
+
+	net, err := topology.NewDeBruijn(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func(ev *Event)
+	}{
+		{"swapped ring entries", func(ev *Event) {
+			ev.Ring[1], ev.Ring[len(ev.Ring)/2] = ev.Ring[len(ev.Ring)/2], ev.Ring[1]
+		}},
+		{"swapped ring entries, matching hash", func(ev *Event) {
+			ev.Ring[1], ev.Ring[len(ev.Ring)/2] = ev.Ring[len(ev.Ring)/2], ev.Ring[1]
+			ev.RingHash = edgeHashHex(t, net, ev.Ring)
+		}},
+		{"wrong hash", func(ev *Event) { ev.RingHash = "0" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tampered := slices.Clone(events)
+			ev := tampered[snap]
+			ev.Ring = slices.Clone(ev.Ring)
+			tc.tamper(&ev)
+			tampered[snap] = ev
+			if got, n := restore(t, encode(t, tampered)); n != 1 || !bytes.Equal(got, want) {
 				t.Fatalf("%d snapshot fallbacks, restored state\n got %s\nwant %s", n, got, want)
 			}
 		})
