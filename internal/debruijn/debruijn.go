@@ -23,6 +23,16 @@ type Graph struct {
 	// reps is the NecklaceReps table, built on first use.
 	repsOnce sync.Once
 	reps     []int32
+
+	// memo holds the per-graph tables of the packages layered over
+	// Graph, each built once on first use (see Memo).
+	memo sync.Map // key → *memoEntry
+}
+
+// memoEntry is one Memo slot: its value, built once.
+type memoEntry struct {
+	once sync.Once
+	v    any
 }
 
 // New returns B(d,n).
@@ -53,6 +63,23 @@ func (g *Graph) NecklaceReps() []int32 {
 		g.reps = reps
 	})
 	return g.reps
+}
+
+// Memo returns the value build makes for key on g.  build runs once per
+// Graph and key, on first use; concurrent callers wait for that one run
+// and then share its value, as every caller shares NecklaceReps.  It
+// lets a package layered over Graph keep a per-graph table without a
+// global cache (the FFC kernel keeps its fault-free embedding here).
+// key must be comparable; an unexported key type keeps the slot private
+// to its package.
+func (g *Graph) Memo(key any, build func() any) any {
+	e, ok := g.memo.Load(key)
+	if !ok {
+		e, _ = g.memo.LoadOrStore(key, new(memoEntry))
+	}
+	m := e.(*memoEntry)
+	m.once.Do(func() { m.v = build() })
+	return m.v
 }
 
 // Successors appends the d successors of x to dst (including the loop when

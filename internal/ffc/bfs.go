@@ -53,14 +53,24 @@ type component struct {
 }
 
 // newSurvivors returns the survivors scratch for g, sharing its
-// necklace-representative table.  Node codes are int32 here, so g may
-// have at most 2³¹ nodes.
+// necklace-representative table, with its per-node arrays sized once.
+// Node codes are int32 here, so g may have at most 2³¹ nodes.
 func newSurvivors(g *debruijn.Graph, workers int) survivors {
-	if g.Size > 1<<31 {
+	if g.Size > maxNodes {
 		panic(fmt.Sprintf("ffc: B(%d,%d) has more than 2³¹ nodes", g.D, g.N))
 	}
-	return survivors{g: g, reps: g.NecklaceReps(), div: newDivisor(g.Pow(g.N - 1)), workers: workers}
+	words := (g.Size + 63) / 64
+	return survivors{
+		g: g, reps: g.NecklaceReps(), div: newDivisor(g.Pow(g.N - 1)), workers: workers,
+		dead: make([]uint64, words), killed: make([]int32, 0, 64),
+		seen: make([]uint64, words), dist: make([]int32, g.Size),
+		order: make([]int32, 0, g.Size), // a node is visited at most once
+	}
 }
+
+// maxNodes bounds the graphs the dense kernels index: node codes are
+// int32.
+const maxNodes = 1 << 31
 
 // defaultParallelFrontier is the frontier size below which a level is
 // scanned inline: sharding a few hundred nodes costs more in goroutine
@@ -91,10 +101,6 @@ func (s *survivors) rotL(x int) int {
 
 // resetFaults revives every necklace killed since the last reset.
 func (s *survivors) resetFaults() {
-	if words := (s.g.Size + 63) / 64; len(s.dead) < words {
-		s.dead = make([]uint64, words)
-		s.killed = make([]int32, 0, 64)
-	}
 	for _, rep32 := range s.killed {
 		for rep, y := int(rep32), int(rep32); ; {
 			s.dead[y>>6] &^= 1 << (y & 63)
@@ -123,13 +129,7 @@ func (s *survivors) kill(rep int) int {
 
 // clear forgets every component found so far.
 func (s *survivors) clear() {
-	if words := (s.g.Size + 63) / 64; len(s.seen) < words {
-		s.seen = make([]uint64, words)
-		s.dist = make([]int32, s.g.Size)
-		s.order = make([]int32, 0, s.g.Size) // a node is visited at most once
-	} else {
-		clear(s.seen[:words])
-	}
+	clear(s.seen)
 	s.order = s.order[:0]
 	s.comps = s.comps[:0]
 }

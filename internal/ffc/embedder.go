@@ -10,14 +10,25 @@ import (
 )
 
 // Embedder runs the FFC algorithm on one graph with reusable dense
-// scratch, so repeated embeddings allocate only their Result.  Every
-// per-node step is O(1) with no integer division: the faulty-necklace,
-// visited and override tests are bit tests, rotations and suffixes
-// divide by dⁿ⁻¹ with a multiply and a shift, Step 1.2 scans only B*'s
-// BFS segment, and Step 2 reads each star member's w-nodes off its
-// tree edge.  The necklace-representative table is the graph's own
-// (debruijn.Graph.NecklaceReps), built once and shared by every
-// Embedder on that graph.
+// scratch, so repeated embeddings allocate only their Result.
+//
+// A cold embed does not rerun Steps 1.1–3 over all dⁿ nodes.  It
+// starts from the graph's fault-free embedding (its base, built once
+// per graph and shared by every Embedder on it) and recomputes only
+// what the faulty necklaces touch: the nodes whose broadcast depth
+// grows, the necklaces whose earliest-informed node moves with them,
+// the stars whose edge set changes, and the ring between the nodes
+// whose successor changes (see delta.go).  When 0ⁿ is faulty, or its
+// component might not be the largest, it runs the full algorithm
+// instead: one component BFS per survivor component, whose run from R
+// is the Step 1.1 broadcast, then Steps 1.2–3 over B*.  Both produce
+// the same Result, bit for bit.
+//
+// Every per-node step is O(1) with no integer division: the
+// faulty-necklace, re-levelled, visited and override tests are bit
+// tests, and rotations and suffixes divide by dⁿ⁻¹ with a multiply and
+// a shift.  The necklace-representative table is the graph's own
+// (debruijn.Graph.NecklaceReps).
 //
 // An Embedder is NOT safe for concurrent use; give each goroutine its
 // own (topology.DeBruijn keeps a sync.Pool of them).  The one-shot Embed
@@ -25,25 +36,51 @@ import (
 type Embedder struct {
 	g *debruijn.Graph
 	s survivors
+	b *base // the graph's fault-free base, fetched on the first delta embed
 
-	// Workers bounds the frontier parallelism of the component BFS, whose
-	// run from R is the Step 1.1 broadcast: 1 (or negative) keeps the
-	// level scan serial, 0 uses GOMAXPROCS, anything else is the worker
-	// count.  Output is bit-identical for every setting — workers scan
-	// disjoint frontier segments and their candidate buffers are merged
-	// in segment order, which reproduces the serial discovery order
-	// exactly (the Simulate determinism recipe) — so Workers is purely a
-	// latency knob.
+	// Workers bounds the frontier parallelism of the full path's
+	// component BFS, whose run from R is the Step 1.1 broadcast: 1 (or
+	// negative) keeps the level scan serial, 0 uses GOMAXPROCS, anything
+	// else is the worker count.  Output is bit-identical for every
+	// setting — workers scan disjoint frontier segments and their
+	// candidate buffers are merged in segment order, which reproduces
+	// the serial discovery order exactly (the Simulate determinism
+	// recipe) — so Workers is purely a latency knob.  The delta path is
+	// serial.
 	Workers int
 
-	earliest []int32  // necklace rep → its earliest-informed node Y
-	repSeen  []uint64 // bit rep: met in B*'s segment; emptied as repList is read off
-	repList  []int32  // necklaces of B*, ascending
 	ovSet    []uint64 // bit x: Step 3 overrides x's successor; emptied after the walk
 	ovTo     []int32  // the overriding successor, valid where ovSet
 	stars    []starEdge
 	starsTmp []starEdge
 	members  []closure
+
+	// The full path's Step 1.2 scratch, sized on its first run.
+	earliest []int32  // necklace rep → its earliest-informed node Y
+	repSeen  []uint64 // bit rep: met in B*'s segment; emptied as repList is read off
+	repList  []int32  // necklaces of B*, ascending
+
+	// The delta path's scratch (see delta.go).
+	moved   []uint64   // bit x: x is alive and deeper than in the base; emptied after each embed
+	touched []int32    // representatives of the re-levelled necklaces, ascending
+	labels  []int32    // labels of the stars whose edge set changed, ascending
+	starBuf []starEdge // one changed star's edges, ascending child order
+	newOv   []Override // the changed stars' closures, back to back
+	newEnd  []int32    // newOv[newEnd[i-1]:newEnd[i]] closes star labels[i]
+	marks   []int32    // base-cycle positions of the nodes whose successor may change
+
+	byD divisor // by d: a node's prefix x/d
+
+	// What relevel found: the number of re-levelled nodes, B*'s size and
+	// eccentricity.  delta reports whether the last embed took the
+	// delta path.
+	relevelled int
+	bstar, ecc int
+	delta      bool
+
+	// forceFull makes every embed take the full path; tests compare the
+	// two paths with it.
+	forceFull bool
 
 	// parallelFrontier overrides the frontier size at which a level is
 	// worth sharding; 0 means defaultParallelFrontier.  Tests lower it
@@ -60,11 +97,21 @@ type starEdge struct{ w, child, parent, y, p int32 }
 // incoming node wβ.
 type closure struct{ out, in int32 }
 
-// NewEmbedder returns an Embedder for g.  The graph's necklace table is
-// built on the first Embedder (or other caller) of g; everything else
-// is lazily sized on first use.
+// NewEmbedder returns an Embedder for g, its per-node scratch sized
+// once.  A graph of more than 2³¹ nodes gets an Embedder whose Embed
+// fails, with nothing dⁿ-sized allocated: the kernels' node codes are
+// int32.
 func NewEmbedder(g *debruijn.Graph) *Embedder {
-	return &Embedder{g: g, s: newSurvivors(g, 0)}
+	e := &Embedder{g: g}
+	if g.Size <= maxNodes {
+		words := (g.Size + 63) / 64
+		e.s = newSurvivors(g, 0)
+		e.ovSet = make([]uint64, words)
+		e.ovTo = make([]int32, g.Size)
+		e.moved = make([]uint64, words)
+		e.byD = newDivisor(g.D)
+	}
+	return e
 }
 
 // Rep returns the necklace representative of x from the precomputed
@@ -76,8 +123,9 @@ func (e *Embedder) Rep(x int) int { return int(e.s.reps[x]) }
 func (e *Embedder) Embed(faults []int) (*Result, error) {
 	g := e.g
 	s := &e.s
-	d, pivot := g.D, s.div.p // pivot = dⁿ⁻¹, the leading-digit stride
-	e.grow()
+	if s.reps == nil {
+		return nil, fmt.Errorf("ffc: B(%d,%d) has more than 2³¹ nodes; the FFC kernel indexes int32 node codes", g.D, g.N)
+	}
 
 	// Step 0: mark faulty necklaces.
 	s.resetFaults()
@@ -93,6 +141,29 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 		}
 	}
 	slices.Sort(res.FaultyNecklaces)
+
+	// With 0ⁿ alive and its component B*, derive the Result from the
+	// graph's fault-free base; otherwise run the full algorithm.  A 0ⁿ
+	// whose successors 1, …, d−1 are all faulty is stranded.
+	e.delta = false
+	if !e.forceFull && s.alive(0) && !e.stranded() {
+		if e.b == nil {
+			e.b = baseOf(g)
+		}
+		if e.delta = e.relevel(res.FaultyNodeCount); e.delta {
+			res, err := e.embedDelta(res)
+			e.unmark()
+			return res, err
+		}
+	}
+	return e.embedFull(res)
+}
+
+// embedFull runs Steps 1.1–3 over the whole surviving graph.
+func (e *Embedder) embedFull(res *Result) (*Result, error) {
+	g := e.g
+	s := &e.s
+	e.growFull()
 
 	// Step 1.1, fused with component labeling: one BFS per surviving
 	// component, each from its minimal node.  The largest component is
@@ -137,7 +208,6 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 		e.repSeen[i] = 0
 	}
 
-	res.Tree = make([]TreeLink, 0, len(e.repList)-1)
 	e.stars = e.stars[:0]
 	for _, rep32 := range e.repList {
 		rep := int(rep32)
@@ -145,38 +215,27 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 			continue
 		}
 		y := int(e.earliest[rep])
-		w := g.Prefix(y) // Y = wα ⇒ label is Y's leading n−1 digits
 		// The broadcast parent: Step 1.1's tie-break, the minimal
 		// predecessor βw one level closer to R.
-		p, dp := -1, s.dist[y]-1
-		for q := w; q < g.Size; q += pivot {
+		p := -1
+		for q, dp := g.Prefix(y), s.dist[y]-1; q < g.Size; q += s.div.p {
 			if s.seen[q>>6]&(1<<(q&63)) != 0 && s.dist[q] == dp {
 				p = q
 				break
 			}
 		}
-		if p < 0 {
-			return nil, fmt.Errorf("ffc: earliest node %s of necklace [%s] has no broadcast parent", g.String(y), g.String(rep))
+		if err := e.addEdge(rep, y, p); err != nil {
+			return nil, err
 		}
-		parentRep := s.reps[p]
-		if int(parentRep) == rep {
-			return nil, fmt.Errorf("ffc: necklace [%s] would parent itself", g.String(rep))
-		}
-		res.Tree = append(res.Tree, TreeLink{Child: rep32, Parent: parentRep, W: int32(w)})
-		e.stars = append(e.stars, starEdge{w: int32(w), child: rep32, parent: parentRep, y: int32(y), p: int32(p)})
+	}
+	res.Tree = make([]TreeLink, len(e.stars))
+	for i, st := range e.stars {
+		res.Tree[i] = TreeLink{Child: st.child, Parent: st.parent, W: st.w}
 	}
 
 	// Step 2: close each star T_w into a w-cycle ordered by necklace
-	// representative; record the successor overrides densely for the walk
-	// and as out/in pairs for the Result.  A star of k children closes
-	// k+1 members, so the pairs number len(stars) plus the star count.
-	//
-	// Each member's w-nodes come off the tree edge.  A child hangs from
-	// the centre by p = βw → Y = wα, so its in-node is Y and its out-node
-	// RotR(Y) = αw; the centre's out-node is p and its in-node RotL(p) =
-	// wβ.  They are the only such nodes: rotations αw and α′w of one word
-	// share a digit multiset, so α = α′ (and likewise for wβ).  Every edge
-	// of a star shares its centre's unique out-node p.
+	// representative.  A star of k children closes k+1 members, so the
+	// overrides number len(stars) plus the star count.
 	e.sortStars()
 	nOverrides := len(e.stars)
 	for i := range e.stars {
@@ -186,41 +245,19 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 	}
 	res.Overrides = make([]Override, 0, nOverrides)
 	for i := 0; i < len(e.stars); {
-		star := e.stars[i:]
-		w := int(star[0].w)
 		k := 1
-		for k < len(star) && int(star[k].w) == w {
+		for i+k < len(e.stars) && e.stars[i+k].w == e.stars[i].w {
 			k++
 		}
-		star = star[:k]
-		// Children are in ascending order; the centre joins at its rank.
-		centre := closure{out: star[0].p, in: int32(s.rotL(int(star[0].p)))}
-		placed := false
-		e.members = e.members[:0]
-		for _, c := range star {
-			if !placed && star[0].parent < c.child {
-				e.members = append(e.members, centre)
-				placed = true
-			}
-			alpha := int(c.y) - w*d
-			e.members = append(e.members, closure{out: int32(alpha*pivot + w), in: c.y})
-		}
-		if !placed {
-			e.members = append(e.members, centre)
-		}
-		for j, m := range e.members {
-			next := e.members[0]
-			if j+1 < len(e.members) {
-				next = e.members[j+1]
-			}
-			e.ovSet[m.out>>6] |= 1 << (m.out & 63)
-			e.ovTo[m.out] = next.in
-			res.Overrides = append(res.Overrides, Override{Out: m.out, In: next.in})
-		}
+		res.Overrides = e.closeStar(e.stars[i:i+k], res.Overrides)
 		i += k
 	}
 
 	// Step 3: read off the cycle from the dense successor rule.
+	for _, o := range res.Overrides {
+		e.ovSet[o.Out>>6] |= 1 << (o.Out & 63)
+		e.ovTo[o.Out] = o.In
+	}
 	cycle, err := e.walk(root, want)
 	for _, o := range res.Overrides {
 		e.ovSet[o.Out>>6] &^= 1 << (o.Out & 63)
@@ -230,6 +267,62 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 	}
 	res.Cycle = cycle
 	return res, nil
+}
+
+// addEdge hangs necklace rep from its broadcast parent p by its
+// earliest-informed node y = wα, appending the edge to e.stars.  p < 0
+// means y had no broadcast parent.
+func (e *Embedder) addEdge(rep, y, p int) error {
+	g := e.g
+	if p < 0 {
+		return fmt.Errorf("ffc: earliest node %s of necklace [%s] has no broadcast parent", g.String(y), g.String(rep))
+	}
+	parentRep := e.s.reps[p]
+	if int(parentRep) == rep {
+		return fmt.Errorf("ffc: necklace [%s] would parent itself", g.String(rep))
+	}
+	w := int32(g.Prefix(y)) // Y = wα ⇒ label is Y's leading n−1 digits
+	e.stars = append(e.stars, starEdge{w: w, child: int32(rep), parent: parentRep, y: int32(y), p: int32(p)})
+	return nil
+}
+
+// closeStar closes one star T_w, its edges in ascending child order,
+// into a w-cycle ordered by necklace representative and appends the
+// cycle's successor overrides to dst: each member's out-node to the
+// next member's in-node.
+//
+// Each member's w-nodes come off the tree edge.  A child hangs from
+// the centre by p = βw → Y = wα, so its in-node is Y and its out-node
+// RotR(Y) = αw; the centre's out-node is p and its in-node RotL(p) =
+// wβ.  They are the only such nodes: rotations αw and α′w of one word
+// share a digit multiset, so α = α′ (and likewise for wβ).  Every edge
+// of a star shares its centre's unique out-node p.
+func (e *Embedder) closeStar(star []starEdge, dst []Override) []Override {
+	d, pivot := e.g.D, e.s.div.p
+	w := int(star[0].w)
+	// Children are in ascending order; the centre joins at its rank.
+	centre := closure{out: star[0].p, in: int32(e.s.rotL(int(star[0].p)))}
+	placed := false
+	e.members = e.members[:0]
+	for _, c := range star {
+		if !placed && star[0].parent < c.child {
+			e.members = append(e.members, centre)
+			placed = true
+		}
+		alpha := int(c.y) - w*d
+		e.members = append(e.members, closure{out: int32(alpha*pivot + w), in: c.y})
+	}
+	if !placed {
+		e.members = append(e.members, centre)
+	}
+	for j, m := range e.members {
+		next := e.members[0]
+		if j+1 < len(e.members) {
+			next = e.members[j+1]
+		}
+		dst = append(dst, Override{Out: m.out, In: next.in})
+	}
+	return dst
 }
 
 // walk follows the successor rule from root: the override where Step 2
@@ -250,24 +343,30 @@ func (e *Embedder) walk(root, want int) ([]int, error) {
 			break
 		}
 		if len(cycle) > want {
-			return nil, fmt.Errorf("ffc: successor walk exceeded component size %d without closing", want)
+			return nil, errWalkExceeded(want)
 		}
 		x = next
 	}
 	if len(cycle) != want {
-		return nil, fmt.Errorf("ffc: walk closed after %d nodes, want %d (cycle not Hamiltonian in B*)", len(cycle), want)
+		return nil, errWalkClosed(len(cycle), want)
 	}
 	return cycle, nil
 }
 
-// grow sizes the per-node scratch once; later runs reuse it.
-func (e *Embedder) grow() {
-	if size := e.g.Size; len(e.ovTo) < size {
-		words := (size + 63) / 64
-		e.earliest = make([]int32, size)
-		e.repSeen = make([]uint64, words)
-		e.ovSet = make([]uint64, words)
-		e.ovTo = make([]int32, size)
+func errWalkExceeded(want int) error {
+	return fmt.Errorf("ffc: successor walk exceeded component size %d without closing", want)
+}
+
+func errWalkClosed(got, want int) error {
+	return fmt.Errorf("ffc: walk closed after %d nodes, want %d (cycle not Hamiltonian in B*)", got, want)
+}
+
+// growFull sizes the full path's Step 1.2 scratch on its first run;
+// later runs reuse it.
+func (e *Embedder) growFull() {
+	if e.earliest == nil {
+		e.earliest = make([]int32, e.g.Size)
+		e.repSeen = make([]uint64, (e.g.Size+63)/64)
 	}
 }
 

@@ -21,18 +21,32 @@
 //
 // The embedding and simulation hot paths run on allocation-free dense
 // kernels (see PERF.md at the repo root).  An Embedder carries flat
-// scratch sized once per graph and shares the graph's necklace-
-// representative table (debruijn.Graph.NecklaceReps, built once per
-// graph).  Every per-node step is O(1) with no integer division: the
-// faulty-necklace, visited and override tests are bit tests, and
-// suffixes and rotations divide by dⁿ⁻¹ with a multiply and a shift.
-// Because whole necklaces are removed, weak and strong connectivity
-// coincide in the surviving graph, so one forward level-order BFS per
-// component both labels the components and, for the largest, is the
-// Step 1.1 broadcast from R.  Step 1.2 scans only that component's BFS
-// segment, and Step 2 reads each star member's w-nodes off its tree
-// edge: a cold embed makes one pass over the graph, and a warm one
-// allocates only its Result, whose collections are flat slices.
+// scratch sized once per graph and shares two per-graph tables: the
+// necklace-representative table (debruijn.Graph.NecklaceReps) and the
+// fault-free embedding, its base (kept in debruijn.Graph.Memo).  Every
+// per-node step is O(1) with no integer division: the faulty-necklace,
+// re-levelled, visited and override tests are bit tests, and suffixes
+// and rotations divide by dⁿ⁻¹ with a multiply and a shift.
+//
+// A cold embed is a delta from the base.  Removing necklaces only
+// lengthens broadcast distances (the decremental case of Even &
+// Shiloach, JACM 1981), and in the base a node's depth is its digit
+// count, so the nodes whose depth changes are the alive descendants of
+// the faulty nodes in the prefix tree; one BFS through them alone gives
+// their new depths.  Step 1.2 is rerun only for the necklaces whose
+// representative moved, Step 2 only for the stars whose edge set
+// changed, and the Step 3 ring is copied from the base ring run by run
+// between the nodes whose successor changed.  When 0ⁿ is faulty or
+// stranded, or its component might not be the largest, the embed runs
+// the full algorithm instead: because whole necklaces are removed,
+// weak and strong connectivity coincide in the surviving graph, so one
+// forward level-order BFS per component both labels the components
+// and, for the largest, is the Step 1.1 broadcast from R; Step 1.2
+// scans only that component's BFS segment, and Step 2 reads each star
+// member's w-nodes off its tree edge.  Both paths give the same Result,
+// bit for bit, and a warm embed allocates only its Result, whose
+// collections are flat slices.
+//
 // Simulate shards its Monte-Carlo trials across a worker pool; each
 // trial draws from an independent PCG stream derived from (seed, fault
 // count, trial index) and the per-row statistics merge with
@@ -44,6 +58,7 @@ package ffc
 
 import (
 	"fmt"
+	"sync"
 
 	"debruijnring/internal/debruijn"
 )
@@ -89,13 +104,24 @@ type Override struct{ Out, In int32 }
 
 // Embed runs the FFC algorithm on B(d,n) with the given faulty nodes and
 // returns the fault-free ring.  It fails only when no nonfaulty necklace
-// survives.
+// survives, or when B(d,n) has more than 2³¹ nodes.
 //
-// Embed allocates a fresh Embedder per call; repeated embeddings on the
-// same graph should construct one Embedder (or pool them) and reuse it.
+// Embed draws its Embedder from a pool kept per graph, so repeated calls
+// on one graph reuse warm scratch; a caller that wants its own scratch
+// (or a Workers setting) constructs an Embedder.
 func Embed(g *debruijn.Graph, faults []int) (*Result, error) {
-	return NewEmbedder(g).Embed(faults)
+	pool := g.Memo(poolKey{}, func() any { return new(sync.Pool) }).(*sync.Pool)
+	em, _ := pool.Get().(*Embedder)
+	if em == nil {
+		em = NewEmbedder(g)
+	}
+	res, err := em.Embed(faults)
+	pool.Put(em)
+	return res, err
 }
+
+// poolKey is the debruijn.Graph.Memo key of Embed's embedder pool.
+type poolKey struct{}
 
 // FaultyNecklaces returns the set of necklace representatives containing at
 // least one of the given faulty nodes.

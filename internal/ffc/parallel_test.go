@@ -69,7 +69,8 @@ func TestEmbedParallelDeterminism(t *testing.T) {
 
 // checkParallelDeterminism embeds faults serially and then at every
 // worker count with the parallel threshold forced down, and requires the
-// serial output exactly.
+// serial output exactly.  The parallel embedders are forced onto the
+// full path, the one whose BFS the workers share.
 func checkParallelDeterminism(t *testing.T, g *debruijn.Graph, faults []int) {
 	t.Helper()
 	serial := NewEmbedder(g)
@@ -84,6 +85,7 @@ func checkParallelDeterminism(t *testing.T, g *debruijn.Graph, faults []int) {
 			em := NewEmbedder(g)
 			em.Workers = w
 			em.parallelFrontier = threshold
+			em.forceFull = true
 			got, err := em.Embed(faults)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("B(%d,%d) faults=%v workers=%d threshold=%d: err=%v, serial err=%v",
@@ -113,6 +115,7 @@ func TestEmbedParallelScratchReuse(t *testing.T) {
 	em := NewEmbedder(g)
 	em.Workers = 4
 	em.parallelFrontier = 1
+	em.forceFull = true
 	rng := rand.New(rand.NewPCG(7, 9))
 	for trial := 0; trial < 12; trial++ {
 		faults := randomFaults(rng, g.Size, trial%3)
@@ -141,13 +144,6 @@ func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
 		rng := rand.New(rand.NewPCG(uint64(tc.n), uint64(tc.d)))
 		for trial := 0; trial < 4; trial++ {
 			faults := randomFaults(rng, g.Size, trial)
-			em := NewEmbedder(g)
-			em.Workers = 4
-			em.parallelFrontier = 1
-			res, err := em.Embed(faults)
-			if err != nil {
-				continue
-			}
 			faultyReps := FaultyNecklaces(g, faults)
 			alive := func(x int) bool { return !faultyReps[g.NecklaceRep(x)] }
 			comp, err := LargestComponent(g, alive)
@@ -155,47 +151,66 @@ func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
 				t.Fatalf("B(%d,%d) faults=%v: %v", tc.d, tc.n, faults, err)
 			}
 			_, _, ecc := broadcastTreeLegacy(g, comp.MinNode, comp.Member)
-			if res.Eccentricity != ecc {
-				t.Errorf("B(%d,%d) faults=%v: Eccentricity=%d, legacy broadcast says %d",
-					tc.d, tc.n, faults, res.Eccentricity, ecc)
+			for _, full := range []bool{false, true} { // the delta path's depths, and the parallel BFS's
+				em := NewEmbedder(g)
+				em.Workers = 4
+				em.parallelFrontier = 1
+				em.forceFull = full
+				res, err := em.Embed(faults)
+				if err != nil {
+					t.Fatalf("B(%d,%d) faults=%v: %v", tc.d, tc.n, faults, err)
+				}
+				if res.Eccentricity != ecc {
+					t.Errorf("B(%d,%d) faults=%v full=%v: Eccentricity=%d, legacy broadcast says %d",
+						tc.d, tc.n, faults, full, res.Eccentricity, ecc)
+				}
 			}
 		}
 	}
 }
 
-// TestEmbedAllocs pins a warm serial Embed to its Result: the Result
-// itself, Cycle, Tree, Overrides and FaultyNecklaces.  Every other
-// structure is pooled scratch, so a map or a per-run buffer creeping
-// back into the kernel fails here before any benchmark gate.  The
-// per-node bitsets and arrays grow on the first run and are reused,
-// not regrown, by every later one, whatever its fault set.
+// TestEmbedAllocs pins a warm serial Embed, on either path, to its
+// Result: the Result itself, Cycle, Tree, Overrides and FaultyNecklaces.
+// Every other structure is pooled scratch, so a map or a per-run buffer
+// creeping back into the kernel fails here before any benchmark gate.
+// The per-node bitsets and arrays are sized on the first run and reused,
+// not regrown, by every later one, whatever its fault set and path.
 func TestEmbedAllocs(t *testing.T) {
 	g := debruijn.New(2, 12)
 	em := NewEmbedder(g)
 	em.Workers = 1
-	faults := []int{5, 1234, 4000}
-	if _, err := em.Embed(faults); err != nil {
-		t.Fatal(err)
-	}
 	scratch := func() []any { // addresses: any values compare their pointers
-		return []any{&em.s.dead[0], &em.s.seen[0], &em.s.dist[0], &em.repSeen[0], &em.earliest[0], &em.ovSet[0], &em.ovTo[0]}
+		return []any{&em.s.dead[0], &em.s.seen[0], &em.s.dist[0], &em.s.order[:1][0], &em.moved[0], &em.ovSet[0], &em.ovTo[0]}
 	}
 	grown := scratch()
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := em.Embed(faults); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		path   string
+		faults []int
+		delta  bool
+	}{
+		{"delta", []int{5, 1234, 4000}, true},
+		{"full", []int{1, 1234, 4000}, false}, // N(0…01) strands 0ⁿ
+	} {
+		if _, err := em.Embed(c.faults); err != nil || em.delta != c.delta {
+			t.Fatalf("%s path: err %v, delta %v", c.path, err, em.delta)
 		}
-	})
-	if allocs > 5 {
-		t.Fatalf("warm Embed made %v allocations, want at most 5", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := em.Embed(c.faults); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 5 {
+			t.Fatalf("warm %s Embed made %v allocations, want at most 5", c.path, allocs)
+		}
 	}
-	for _, f := range [][]int{nil, {0}, {1, 2, 3, 700, 2047, 4095}} {
+	full := []any{&em.earliest[0], &em.repSeen[0]}
+	for _, f := range [][]int{nil, {0}, {1}, {3}, {1, 2, 3, 700, 2047, 4095}, {77, 78, 79, 80, 81, 82, 83}} {
 		if _, err := em.Embed(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, p := range scratch() {
-		if p != grown[i] {
+	for i, p := range append(scratch(), &em.earliest[0], &em.repSeen[0]) {
+		if p != append(grown, full...)[i] {
 			t.Fatalf("a warm Embed regrew per-node scratch array %d", i)
 		}
 	}

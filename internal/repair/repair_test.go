@@ -326,3 +326,24 @@ func TestPatcherSelection(t *testing.T) {
 		t.Errorf("dilation-2 patch: outcome %v, want Unsupported", o)
 	}
 }
+
+// TestHugeDeBruijnRefusesNodeFaultEmbed pins the 2³¹-node limit of the
+// FFC kernel on B(2,32), which NewDeBruijn accepts: a node-fault embed
+// and a session's patcher both return an error instead of panicking,
+// and neither allocates anything dⁿ-sized on the way (a 2³²-entry
+// table would exhaust the test's memory).
+func TestHugeDeBruijnRefusesNodeFaultEmbed(t *testing.T) {
+	net, err := topology.NewDeBruijn(2, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := net.EmbedRing(topology.NodeFaults(1)); err == nil {
+		t.Fatal("node-fault embed on B(2,32) succeeded")
+	}
+	p := For(net)
+	for _, f := range []topology.FaultSet{{}, topology.NodeFaults(1)} {
+		if _, _, err := p.Embed(f); err == nil {
+			t.Fatalf("patcher embed of %v on B(2,32) succeeded", f)
+		}
+	}
+}

@@ -32,10 +32,11 @@ import (
 // Graph is the d-ary shuffle-exchange network SE(d,n).
 type Graph struct {
 	*word.Space
+	db *debruijn.Graph // B(d,n), whose FFC ring EmbedRing carries over
 }
 
 // New returns SE(d,n).
-func New(d, n int) *Graph { return &Graph{Space: word.New(d, n)} }
+func New(d, n int) *Graph { return &Graph{Space: word.New(d, n), db: debruijn.New(d, n)} }
 
 // Shuffle returns the shuffle neighbour: the left rotation.
 func (g *Graph) Shuffle(x int) int { return g.RotL(x) }
@@ -140,14 +141,14 @@ func (e *Embedding) Dilation() int {
 // factorization.  Every intermediate node is a rotation of a ring node and
 // hence lies on a nonfaulty necklace, so the walk never touches a faulty
 // processor; each directed SE channel carries at most one ring edge
-// (congestion 1 per channel).
-func EmbedRing(d, n int, faults []int) (*Embedding, error) {
-	db := debruijn.New(d, n)
-	res, err := ffc.Embed(db, faults)
+// (congestion 1 per channel).  The FFC kernel keeps its per-graph
+// tables on g's De Bruijn graph, so repeated calls on one Graph share
+// them.
+func (g *Graph) EmbedRing(faults []int) (*Embedding, error) {
+	res, err := ffc.Embed(g.db, faults)
 	if err != nil {
 		return nil, err
 	}
-	g := New(d, n)
 	walk := make([]int, 0, 2*len(res.Cycle))
 	k := len(res.Cycle)
 	for i, x := range res.Cycle {

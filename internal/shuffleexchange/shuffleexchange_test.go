@@ -141,11 +141,11 @@ func TestEmbedRingFaultFree(t *testing.T) {
 			}
 			faults = append(faults, x)
 		}
-		emb, err := EmbedRing(tc.d, tc.n, faults)
+		g := New(tc.d, tc.n)
+		emb, err := g.EmbedRing(faults)
 		if err != nil {
 			t.Fatalf("SE(%d,%d): %v", tc.d, tc.n, err)
 		}
-		g := New(tc.d, tc.n)
 		if emb.Dilation() > 2 {
 			t.Errorf("dilation %d > 2", emb.Dilation())
 		}
@@ -189,8 +189,9 @@ func TestEmbedRingFaultFree(t *testing.T) {
 }
 
 func BenchmarkEmbedRingSE(b *testing.B) {
+	g := New(4, 4)
 	for i := 0; i < b.N; i++ {
-		if _, err := EmbedRing(4, 4, []int{7, 99}); err != nil {
+		if _, err := g.EmbedRing([]int{7, 99}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,9 +49,10 @@ func (t *DeBruijn) Graph() *debruijn.Graph { return t.g }
 
 // SetEmbedWorkers implements EmbedWorkerSetter: it bounds the frontier
 // parallelism of the Step 1.1 broadcast BFS in every embedder this
-// adapter pools (0 = GOMAXPROCS, 1 = serial).  The output is
-// bit-identical for every setting; safe to call concurrently with
-// EmbedRing.
+// adapter pools (0 = GOMAXPROCS, 1 = serial).  Only the full FFC path
+// runs that BFS, for fault sets that fault 0ⁿ or cut it off from most
+// of the graph; the delta path every other embed takes is serial.  The output is bit-identical for
+// every setting; safe to call concurrently with EmbedRing.
 func (t *DeBruijn) SetEmbedWorkers(w int) { t.embedWorkers.Store(int32(w)) }
 
 // EmbedWorkers returns the current SetEmbedWorkers setting.

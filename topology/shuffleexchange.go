@@ -81,7 +81,7 @@ func (t *ShuffleExchange) EmbedRing(f FaultSet) ([]int, *EmbedInfo, error) {
 // EmbedWalk returns both views of the embedding: the underlying De
 // Bruijn ring processors and the SE walk realizing it.
 func (t *ShuffleExchange) EmbedWalk(faults []int) (ring, walk []int, err error) {
-	emb, err := shuffleexchange.EmbedRing(t.d, t.n, faults)
+	emb, err := t.g.EmbedRing(faults)
 	if err != nil {
 		return nil, nil, err
 	}
