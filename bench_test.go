@@ -117,35 +117,25 @@ func BenchmarkProp23(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbedParallelSerial and BenchmarkEmbedParallel measure one
-// cold FFC embed of the 65536-node B(2,16) — the large-instance class
-// the session fleet re-embeds on splice exhaustion — with Workers 1 and
-// GOMAXPROCS.  One fault leaves 0ⁿ in B*, so both time the delta path,
-// which derives the Result from the graph's fault-free base and is
-// serial at any Workers setting: the pair pins that Workers costs the
-// delta path nothing.  BenchmarkEmbedFallback prices the full path
-// with its frontier-parallel BFS (see PERF.md).
-func BenchmarkEmbedParallelSerial(b *testing.B) {
-	benchmarkEmbed(b, 1, []int{12345})
-}
-
-func BenchmarkEmbedParallel(b *testing.B) {
-	benchmarkEmbed(b, 0, []int{12345})
+// BenchmarkEmbedDelta measures one cold FFC embed of the 65536-node
+// B(2,16) — the large-instance class the session fleet re-embeds on
+// splice exhaustion.  One fault leaves 0ⁿ in B*, so it times the delta
+// path, which derives the Result from the graph's fault-free base.
+func BenchmarkEmbedDelta(b *testing.B) {
+	benchmarkEmbed(b, []int{12345})
 }
 
 // BenchmarkEmbedFallback is one cold embed of B(2,16) on the full path:
 // the fault N(0…01) strands 0ⁿ, so the Result cannot be derived from
 // the fault-free base, and the component BFS, Step 1.2 scan, star
-// closure and walk run over the whole graph, the BFS with GOMAXPROCS
-// workers.
+// closure and walk run over the whole graph.
 func BenchmarkEmbedFallback(b *testing.B) {
-	benchmarkEmbed(b, 0, []int{1})
+	benchmarkEmbed(b, []int{1})
 }
 
-func benchmarkEmbed(b *testing.B, workers int, faults []int) {
+func benchmarkEmbed(b *testing.B, faults []int) {
 	g := debruijn.New(2, 16)
 	em := ffc.NewEmbedder(g)
-	em.Workers = workers
 	// Warm the scratch and build the graph's base (one-time costs) so
 	// B/op and allocs/op reflect the steady-state embed at the CI job's
 	// tiny -benchtime, matching the repair benchmarks below.

@@ -37,28 +37,60 @@ func main() {
 		for _, tok := range strings.Split(*faultList, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil || v < 0 {
-				fmt.Fprintf(os.Stderr, "ffcsim: bad fault count %q\n", tok)
-				os.Exit(2)
+				usage("bad fault count %q", tok)
 			}
 			counts = append(counts, v)
 		}
 	}
 
-	run := func(d, n int, title string) {
-		fmt.Printf("%s (%d trials per row, seed %d)\n", title, *trials, *seed)
-		rows := ffc.SimulateWorkers(d, n, counts, *trials, *seed, *workers)
-		ffc.WriteTable(os.Stdout, d, n, rows)
-		fmt.Println()
+	if *trials < 0 {
+		usage("-trials %d is negative", *trials)
+	}
+	type config struct {
+		d, n  int
+		title string
+	}
+	configs := []config{{2, 10, "Table 2.1"}, {4, 5, "Table 2.2"}}
+	if *d != 0 {
+		if *n == 0 {
+			usage("-n required with -d")
+		}
+		if *d < 2 || *n < 1 {
+			usage("B(%d,%d) needs d ≥ 2 and n ≥ 1", *d, *n)
+		}
+		configs = []config{{*d, *n, fmt.Sprintf("B(%d,%d) simulation", *d, *n)}}
+	}
+	for _, c := range configs {
+		for _, f := range counts {
+			if exceedsNodes(f, c.d, c.n) {
+				usage("fault count %d exceeds the %d^%d nodes of B(%d,%d)", f, c.d, c.n, c.d, c.n)
+			}
+		}
 	}
 
-	if *d == 0 {
-		run(2, 10, "Table 2.1")
-		run(4, 5, "Table 2.2")
-		return
+	for _, c := range configs {
+		fmt.Printf("%s (%d trials per row, seed %d)\n", c.title, *trials, *seed)
+		rows := ffc.SimulateWorkers(c.d, c.n, counts, *trials, *seed, *workers)
+		ffc.WriteTable(os.Stdout, c.d, c.n, rows)
+		fmt.Println()
 	}
-	if *n == 0 {
-		fmt.Fprintln(os.Stderr, "ffcsim: -n required with -d")
-		os.Exit(2)
+}
+
+// usage reports a bad command line and exits with status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ffcsim: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// exceedsNodes reports whether f is more than dⁿ, the node count of
+// B(d,n), without computing dⁿ past f.
+func exceedsNodes(f, d, n int) bool {
+	size := 1
+	for i := 0; i < n; i++ {
+		if size > f/d {
+			return false
+		}
+		size *= d
 	}
-	run(*d, *n, fmt.Sprintf("B(%d,%d) simulation", *d, *n))
+	return f > size
 }

@@ -34,11 +34,10 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress the ring listing")
 	batch := flag.String("batch", "", "batch mode: JSON-lines request file, or - for stdin")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	embedWorkers := flag.Int("embed-workers", 0, "per-embed BFS worker count on adapters that shard internally (0 = GOMAXPROCS, 1 = serial; output identical)")
 	flag.Parse()
 
 	if *batch != "" {
-		if err := runBatch(*batch, *workers, *embedWorkers, *quiet); err != nil {
+		if err := runBatch(*batch, *workers, *quiet); err != nil {
 			fail(err)
 		}
 		return
@@ -48,7 +47,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	g.Network().SetEmbedWorkers(*embedWorkers)
 
 	if *edgeFaults != "" {
 		var edges []debruijnring.Edge

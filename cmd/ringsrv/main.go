@@ -74,7 +74,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "embedding worker pool size (0 = GOMAXPROCS)")
-	embedWorkers := flag.Int("embed-workers", 0, "per-embed BFS worker count on adapters that shard internally (0 = GOMAXPROCS, 1 = serial; output identical)")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "LRU entries memoized per (topology, fault set); negative disables")
 	journalDir := flag.String("journal", "", "session journal directory (empty = sessions are in-memory only)")
 	snapshotEvery := flag.Int("snapshot-every", 32, "journal snapshot cadence in fault events")
@@ -89,7 +88,6 @@ func main() {
 		Standby:       *standby,
 		SnapshotEvery: *snapshotEvery,
 		Workers:       *workers,
-		EmbedWorkers:  *embedWorkers,
 		CacheSize:     *cacheSize,
 		Logf:          log.Printf,
 	})

@@ -23,17 +23,12 @@ type topologyInfo = topology.EmbedInfo
 
 // Options configures an Engine.  The zero value picks sensible defaults.
 type Options struct {
-	// Workers bounds batch concurrency; 0 means GOMAXPROCS.
+	// Workers bounds how many embeds of a batch run concurrently; 0
+	// means GOMAXPROCS.  Each embed itself is serial.
 	Workers int
 	// CacheSize is the LRU capacity in (topology, fault set) entries;
 	// 0 means DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// EmbedWorkers bounds the *intra-embed* frontier parallelism of
-	// adapters that support it (topology.EmbedWorkerSetter — the De
-	// Bruijn FFC broadcast BFS): 0 means GOMAXPROCS, 1 serial.  Output
-	// is bit-identical at any setting.  Orthogonal to Workers, which
-	// bounds how many embeds run concurrently.
-	EmbedWorkers int
 	// Registry receives the engine's metrics (request latency
 	// histogram, cache counters).  Nil creates a private registry,
 	// reachable via Engine.Registry.
@@ -46,8 +41,7 @@ const DefaultCacheSize = 512
 // Engine embeds fault-free rings concurrently with memoization.  It is
 // safe for concurrent use.
 type Engine struct {
-	workers      int
-	embedWorkers int
+	workers int
 
 	reg     *obs.Registry
 	latHist *obs.Histogram // engine_request_ns
@@ -86,7 +80,7 @@ func New(opts Options) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	e := &Engine{workers: workers, embedWorkers: opts.EmbedWorkers, cache: cache, inflight: make(map[string]*flight), reg: reg}
+	e := &Engine{workers: workers, cache: cache, inflight: make(map[string]*flight), reg: reg}
 	reg.SetHelp("engine_request_ns", "embed request latency (cache hits included, failures excluded)")
 	e.latHist = reg.Histogram("engine_request_ns")
 	// Cache counters live under the engine mutex; a collector mirrors
@@ -327,12 +321,6 @@ func (e *Engine) resolve(req Request) (topology.RingEmbedder, error) {
 		if net, err = topology.FromSpec(req.Spec); err != nil {
 			return nil, err
 		}
-	}
-	// Propagate the intra-embed worker setting to adapters that shard
-	// internally (idempotent atomic store; FromSpec memoizes adapters, so
-	// this also covers networks resolved before the engine existed).
-	if s, ok := net.(topology.EmbedWorkerSetter); ok {
-		s.SetEmbedWorkers(e.embedWorkers)
 	}
 	return net, nil
 }

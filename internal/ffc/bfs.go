@@ -3,8 +3,6 @@ package ffc
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"debruijnring/internal/debruijn"
 )
@@ -36,13 +34,6 @@ type survivors struct {
 	order  []int32  // visit order: components back to back, each in level order
 
 	comps []component // indexed by id, in discovery order
-
-	// workers and threshold set the frontier parallelism of bfs: a level
-	// of at least threshold nodes is sharded over workers goroutines
-	// when workers > 1.  scanBufs are the per-worker candidate buffers.
-	workers   int
-	threshold int
-	scanBufs  [][]int32
 }
 
 // component is one BFS segment of order: order[start:start+size] in
@@ -55,13 +46,13 @@ type component struct {
 // newSurvivors returns the survivors scratch for g, sharing its
 // necklace-representative table, with its per-node arrays sized once.
 // Node codes are int32 here, so g may have at most 2³¹ nodes.
-func newSurvivors(g *debruijn.Graph, workers int) survivors {
+func newSurvivors(g *debruijn.Graph) survivors {
 	if g.Size > maxNodes {
 		panic(fmt.Sprintf("ffc: B(%d,%d) has more than 2³¹ nodes", g.D, g.N))
 	}
 	words := (g.Size + 63) / 64
 	return survivors{
-		g: g, reps: g.NecklaceReps(), div: newDivisor(g.Pow(g.N - 1)), workers: workers,
+		g: g, reps: g.NecklaceReps(), div: newDivisor(g.Pow(g.N - 1)),
 		dead: make([]uint64, words), killed: make([]int32, 0, 64),
 		seen: make([]uint64, words), dist: make([]int32, g.Size),
 		order: make([]int32, 0, g.Size), // a node is visited at most once
@@ -71,25 +62,6 @@ func newSurvivors(g *debruijn.Graph, workers int) survivors {
 // maxNodes bounds the graphs the dense kernels index: node codes are
 // int32.
 const maxNodes = 1 << 31
-
-// defaultParallelFrontier is the frontier size below which a level is
-// scanned inline: sharding a few hundred nodes costs more in goroutine
-// handoff than the scan itself, and small instances (every B(d,n) under
-// ~64k nodes never grows a frontier this large) stay on the exact serial
-// fast path at any Workers setting.
-const defaultParallelFrontier = 2048
-
-// setWorkers resolves a Workers setting (0 = GOMAXPROCS, ≤1 = serial)
-// and a threshold override (≤0 = defaultParallelFrontier).
-func (s *survivors) setWorkers(workers, threshold int) {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if threshold <= 0 {
-		threshold = defaultParallelFrontier
-	}
-	s.workers, s.threshold = workers, threshold
-}
 
 func (s *survivors) alive(x int) bool { return s.dead[x>>6]&(1<<(x&63)) == 0 }
 
@@ -190,10 +162,9 @@ func (s *survivors) visit(root int) int32 {
 
 // bfs is the Step 1.1 broadcast: a level-synchronous BFS from root along
 // directed edges (successors in digit order) through surviving nodes no
-// BFS has reached, marking seen, dist and order.  A self-loop needs no test of its own: its target is
-// already seen.  bfs returns the eccentricity, the depth of the last
-// non-empty level, tracked explicitly so no frontier reordering can
-// misreport it.
+// BFS has reached, marking seen, dist and order.  A self-loop needs no
+// test of its own: its target is already seen.  bfs returns the
+// eccentricity, the depth of the last non-empty level.
 func (s *survivors) bfs(root int) int {
 	d, p := s.g.D, s.div.p
 	s.mark(root, 0)
@@ -201,21 +172,16 @@ func (s *survivors) bfs(root int) int {
 	ecc := 0
 	for head, depth := len(s.order)-1, 0; head < len(s.order); depth++ {
 		levelEnd := len(s.order)
-		if s.workers > 1 && levelEnd-head >= s.threshold {
-			s.bfsLevel(head, levelEnd, depth)
-		} else {
-			d32 := int32(depth + 1)
-			for ; head < levelEnd; head++ {
-				v := int(s.order[head])
-				base := (v - s.div.quo(v)*p) * d
-				for w := base; w < base+d; w++ {
-					if (s.dead[w>>6]|s.seen[w>>6])&(1<<(w&63)) == 0 {
-						s.mark(w, d32)
-					}
+		d32 := int32(depth + 1)
+		for ; head < levelEnd; head++ {
+			v := int(s.order[head])
+			base := (v - s.div.quo(v)*p) * d
+			for w := base; w < base+d; w++ {
+				if (s.dead[w>>6]|s.seen[w>>6])&(1<<(w&63)) == 0 {
+					s.mark(w, d32)
 				}
 			}
 		}
-		head = levelEnd
 		if len(s.order) > levelEnd {
 			ecc = depth + 1
 		}
@@ -228,61 +194,4 @@ func (s *survivors) mark(x int, dist int32) {
 	s.seen[x>>6] |= 1 << (x & 63)
 	s.dist[x] = dist
 	s.order = append(s.order, int32(x))
-}
-
-// bfsLevel shards one BFS level (order[head:levelEnd]) across the worker
-// pool.  Each worker scans a contiguous frontier segment and appends
-// every surviving, not-yet-seen successor to its own candidate buffer —
-// a read-only pass over dead and seen, so the workers never race — and
-// a sequential merge then marks first occurrences in segment order.
-// Concatenating the segment buffers in order replays the exact
-// candidate stream the serial loop would see, so seen, dist, order and
-// every downstream tie-break are bit-identical at any worker count.
-func (s *survivors) bfsLevel(head, levelEnd, depth int) {
-	d, p := s.g.D, s.div.p
-	size := levelEnd - head
-	nw := s.workers
-	if nw > size {
-		nw = size
-	}
-	for len(s.scanBufs) < nw {
-		s.scanBufs = append(s.scanBufs, nil)
-	}
-
-	var wg sync.WaitGroup
-	chunk := (size + nw - 1) / nw
-	for wi := 0; wi < nw; wi++ {
-		lo := head + wi*chunk
-		hi := lo + chunk
-		if hi > levelEnd {
-			hi = levelEnd
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			buf := s.scanBufs[wi][:0]
-			for i := lo; i < hi; i++ {
-				v := int(s.order[i])
-				base := (v - s.div.quo(v)*p) * d
-				for w := base; w < base+d; w++ {
-					if (s.dead[w>>6]|s.seen[w>>6])&(1<<(w&63)) == 0 {
-						buf = append(buf, int32(w))
-					}
-				}
-			}
-			s.scanBufs[wi] = buf
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-
-	// Sequential merge in segment order: first occurrence wins, exactly
-	// as the serial loop's mark-on-discovery dedup would have chosen.
-	d32 := int32(depth + 1)
-	for wi := 0; wi < nw; wi++ {
-		for _, w32 := range s.scanBufs[wi] {
-			if w := int(w32); s.seen[w>>6]&(1<<(w&63)) == 0 {
-				s.mark(w, d32)
-			}
-		}
-	}
 }

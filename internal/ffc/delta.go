@@ -40,7 +40,6 @@ func baseOf(g *debruijn.Graph) *base {
 func newBase(g *debruijn.Graph) *base {
 	baseBuilds.Add(1)
 	em := NewEmbedder(g)
-	em.Workers = 1
 	em.forceFull = true
 	res, err := em.Embed(nil)
 	if err != nil {

@@ -43,7 +43,6 @@ type pair struct{ delta, full *Embedder }
 
 func newPair(g *debruijn.Graph) pair {
 	p := pair{NewEmbedder(g), NewEmbedder(g)}
-	p.delta.Workers, p.full.Workers = 1, 1
 	p.full.forceFull = true
 	return p
 }
@@ -106,7 +105,9 @@ func TestDeltaMatchesFullNecklaceSets(t *testing.T) {
 
 // TestDeltaMatchesFullRandom tries seeded random node sets of every size
 // up to dⁿ/2 on one embedder pair per graph, so the scratch of one embed
-// is what the next one reuses.
+// is what the next one reuses.  It ends with a few small sets per graph
+// and with manyFaultSets, whose splits send most embeds down the full
+// path on both embedders.
 func TestDeltaMatchesFullRandom(t *testing.T) {
 	grids := []struct{ d, n int }{{2, 6}, {2, 9}, {2, 12}, {3, 5}, {3, 7}, {4, 4}, {5, 3}, {7, 2}}
 	for _, gr := range grids {
@@ -130,6 +131,23 @@ func TestDeltaMatchesFullRandom(t *testing.T) {
 		if deltas == 0 {
 			t.Fatalf("B(%d,%d): no random set took the delta path", gr.d, gr.n)
 		}
+	}
+	for _, gr := range []struct{ d, n int }{{2, 6}, {2, 8}, {2, 10}, {3, 5}, {4, 4}} {
+		g := debruijn.New(gr.d, gr.n)
+		p := newPair(g)
+		rng := rand.New(rand.NewPCG(uint64(gr.d), uint64(gr.n)))
+		for f := 0; f < 4; f++ {
+			p.check(t, randomFaults(rng, g.Size, f))
+		}
+	}
+	pairs := map[*debruijn.Graph]pair{}
+	for _, c := range manyFaultSets() {
+		p, ok := pairs[c.g]
+		if !ok {
+			p = newPair(c.g)
+			pairs[c.g] = p
+		}
+		p.check(t, c.faults)
 	}
 }
 
@@ -209,7 +227,6 @@ func TestBaseShape(t *testing.T) {
 		g := debruijn.New(gr.d, gr.n)
 		b := baseOf(g)
 		em := NewEmbedder(g)
-		em.Workers = 1
 		em.s.resetFaults()
 		em.s.label()
 		reps := g.NecklaceReps()

@@ -38,17 +38,6 @@ type Embedder struct {
 	s survivors
 	b *base // the graph's fault-free base, fetched on the first delta embed
 
-	// Workers bounds the frontier parallelism of the full path's
-	// component BFS, whose run from R is the Step 1.1 broadcast: 1 (or
-	// negative) keeps the level scan serial, 0 uses GOMAXPROCS, anything
-	// else is the worker count.  Output is bit-identical for every
-	// setting — workers scan disjoint frontier segments and their
-	// candidate buffers are merged in segment order, which reproduces
-	// the serial discovery order exactly (the Simulate determinism
-	// recipe) — so Workers is purely a latency knob.  The delta path is
-	// serial.
-	Workers int
-
 	ovSet    []uint64 // bit x: Step 3 overrides x's successor; emptied after the walk
 	ovTo     []int32  // the overriding successor, valid where ovSet
 	stars    []starEdge
@@ -81,11 +70,6 @@ type Embedder struct {
 	// forceFull makes every embed take the full path; tests compare the
 	// two paths with it.
 	forceFull bool
-
-	// parallelFrontier overrides the frontier size at which a level is
-	// worth sharding; 0 means defaultParallelFrontier.  Tests lower it
-	// to drive the worker pool on small instances.
-	parallelFrontier int
 }
 
 // starEdge is one tree edge flattened for Step-2 grouping by label: the
@@ -105,7 +89,7 @@ func NewEmbedder(g *debruijn.Graph) *Embedder {
 	e := &Embedder{g: g}
 	if g.Size <= maxNodes {
 		words := (g.Size + 63) / 64
-		e.s = newSurvivors(g, 0)
+		e.s = newSurvivors(g)
 		e.ovSet = make([]uint64, words)
 		e.ovTo = make([]int32, g.Size)
 		e.moved = make([]uint64, words)
@@ -169,7 +153,6 @@ func (e *Embedder) embedFull(res *Result) (*Result, error) {
 	// component, each from its minimal node.  The largest component is
 	// B*, its root is R, and its BFS segment is exactly the broadcast
 	// from R — the same discovery order, distances and eccentricity.
-	s.setWorkers(e.Workers, e.parallelFrontier)
 	s.label()
 	best := s.largest()
 	if best < 0 {

@@ -108,7 +108,7 @@ type Override struct{ Out, In int32 }
 //
 // Embed draws its Embedder from a pool kept per graph, so repeated calls
 // on one graph reuse warm scratch; a caller that wants its own scratch
-// (or a Workers setting) constructs an Embedder.
+// constructs an Embedder.
 func Embed(g *debruijn.Graph, faults []int) (*Result, error) {
 	pool := g.Memo(poolKey{}, func() any { return new(sync.Pool) }).(*sync.Pool)
 	em, _ := pool.Get().(*Embedder)

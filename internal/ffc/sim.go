@@ -50,6 +50,8 @@ func Simulate(d, n int, faultCounts []int, trials int, seed uint64) []SimRow {
 }
 
 // SimulateWorkers is Simulate with an explicit worker count (0 = GOMAXPROCS).
+// It panics on a negative trial count or on a fault count outside
+// 0..dⁿ: a trial draws that many distinct nodes.
 //
 // Every trial owns an independent PCG stream derived from (seed, fault
 // count, trial index), and the per-fault-count statistics are merged with
@@ -58,6 +60,14 @@ func Simulate(d, n int, faultCounts []int, trials int, seed uint64) []SimRow {
 // onto workers.
 func SimulateWorkers(d, n int, faultCounts []int, trials int, seed uint64, workers int) []SimRow {
 	g := debruijn.New(d, n)
+	if trials < 0 {
+		panic(fmt.Sprintf("ffc: negative trial count %d", trials))
+	}
+	for _, f := range faultCounts {
+		if f < 0 || f > g.Size {
+			panic(fmt.Sprintf("ffc: fault count %d outside 0..%d, the node count of B(%d,%d)", f, g.Size, d, n))
+		}
+	}
 	r := g.Successor(g.Repeat(0), 1) // R = 0…01
 
 	rows := make([]SimRow, len(faultCounts))
@@ -193,7 +203,7 @@ type simScratch struct {
 }
 
 func newSimScratch(g *debruijn.Graph) *simScratch {
-	return &simScratch{s: newSurvivors(g, 1)}
+	return &simScratch{s: newSurvivors(g)}
 }
 
 // oneTrial removes the necklaces of f random distinct faults and returns

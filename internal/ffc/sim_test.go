@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
+	"time"
 )
 
 // newTestRNG gives tests a deterministic source.
@@ -107,6 +108,39 @@ func TestSimulateDeterministic(t *testing.T) {
 	c := Simulate(2, 8, []int{3}, 50, 100)
 	if a[0] == c[0] {
 		t.Error("different seeds should give different trials")
+	}
+}
+
+// TestSimulateRejectsImpossibleInput pins SimulateWorkers to a panic
+// that names the bad input: a trial cannot draw more than dⁿ distinct
+// faulty nodes.  Each call runs on its own goroutine so a hang fails
+// the test instead of stalling it.
+func TestSimulateRejectsImpossibleInput(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		counts []int
+		trials int
+		want   string
+	}{
+		{"faults above dⁿ", []int{0, 9}, 1, "fault count 9 outside 0..8"},
+		{"negative trials", []int{1}, -1, "negative trial count -1"},
+	} {
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			SimulateWorkers(2, 3, c.counts, c.trials, 1, 1)
+		}()
+		select {
+		case r := <-got:
+			if msg, _ := r.(string); !strings.Contains(msg, c.want) {
+				t.Errorf("%s: panic %v, want one naming %q", c.name, r, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: SimulateWorkers still running after 5s", c.name)
+		}
+	}
+	if rows := SimulateWorkers(2, 3, []int{8}, 2, 1, 1); rows[0].MaxSize != 0 {
+		t.Errorf("every node faulty: component of size %d", rows[0].MaxSize)
 	}
 }
 

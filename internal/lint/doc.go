@@ -12,9 +12,9 @@
 //     time.Now/time.Since and draws from the global math/rand source
 //     are forbidden; module-wide, `range` over a map must be provably
 //     order-insensitive (see below) or annotated.  Guards: the
-//     hash-verified journal replay (PR 3/6) and bit-identical
-//     frontier-parallel embeds (PR 9), plus byte-stable /v1/fleet,
-//     /v1/stats and /metrics output.
+//     hash-verified journal replay and Simulate tables bit-identical
+//     at any worker count, plus byte-stable /v1/fleet, /v1/stats and
+//     /metrics output.
 //
 //   - noalloc — functions marked //ringlint:noalloc (obs counters and
 //     histograms, the dense epoch-scratch paths, the splice tier's
@@ -30,8 +30,9 @@
 //     function must never be read or written plainly anywhere in the
 //     module, and values of the atomic.* cell types must not be copied
 //     (assignment, argument, return) — go vet's copylocks does not
-//     cover them.  Guards: -race cleanliness of the SetEmbedWorkers
-//     plumbing and the obs counters.
+//     cover them.  Guards: -race cleanliness of the obs counters and
+//     of the other lock-free state (Simulate's trial cursor, the fleet
+//     router's routing view, the fleet and client retry counters).
 //
 //   - journal — in the session and fleet packages every error from a
 //     Write/Append/Sync call must be checked; bare-statement calls,

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"debruijnring/internal/debruijn"
 	"debruijnring/internal/ffc"
@@ -22,11 +21,6 @@ type DeBruijn struct {
 	// EmbedRing calls, so the engine's worker loop reuses traversal
 	// buffers instead of reallocating them per request.
 	embedders sync.Pool
-
-	// embedWorkers is the ffc.Embedder.Workers setting applied to every
-	// pooled embedder (0 = GOMAXPROCS, 1 = serial).  Atomic because
-	// FromSpec memoizes adapters across goroutines.
-	embedWorkers atomic.Int32
 }
 
 // NewDeBruijn returns the B(d,n) adapter; d ≥ 2, n ≥ 1.
@@ -47,16 +41,10 @@ func (t *DeBruijn) WordLen() int { return t.n }
 // full §3.1 cycle/sequence toolkit.
 func (t *DeBruijn) Graph() *debruijn.Graph { return t.g }
 
-// SetEmbedWorkers implements EmbedWorkerSetter: it bounds the frontier
-// parallelism of the Step 1.1 broadcast BFS in every embedder this
-// adapter pools (0 = GOMAXPROCS, 1 = serial).  Only the full FFC path
-// runs that BFS, for fault sets that fault 0ⁿ or cut it off from most
-// of the graph; the delta path every other embed takes is serial.  The output is bit-identical for
-// every setting; safe to call concurrently with EmbedRing.
-func (t *DeBruijn) SetEmbedWorkers(w int) { t.embedWorkers.Store(int32(w)) }
-
-// EmbedWorkers returns the current SetEmbedWorkers setting.
-func (t *DeBruijn) EmbedWorkers() int { return int(t.embedWorkers.Load()) }
+// SetEmbedWorkers does nothing: the FFC embed is serial.
+//
+// Deprecated: there is no per-embed worker count to set.
+func (t *DeBruijn) SetEmbedWorkers(int) {}
 
 // Name implements Network.
 func (t *DeBruijn) Name() string { return fmt.Sprintf("debruijn(%d,%d)", t.d, t.n) }
@@ -97,7 +85,6 @@ func (t *DeBruijn) EmbedRing(f FaultSet) ([]int, *EmbedInfo, error) {
 	if em == nil {
 		em = ffc.NewEmbedder(t.g)
 	}
-	em.Workers = int(t.embedWorkers.Load())
 	res, err := em.Embed(f.Nodes)
 	t.embedders.Put(em)
 	if err != nil {

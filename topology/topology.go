@@ -87,15 +87,6 @@ type RingEmbedder interface {
 	EmbedRing(f FaultSet) ([]int, *EmbedInfo, error)
 }
 
-// EmbedWorkerSetter is implemented by adapters whose EmbedRing can
-// shard work across a worker pool without changing its output (the
-// De Bruijn FFC broadcast).  0 means GOMAXPROCS, 1 serial; engines
-// apply their configured worker count through this interface and
-// adapters without internal parallelism simply don't implement it.
-type EmbedWorkerSetter interface {
-	SetEmbedWorkers(workers int)
-}
-
 // CycleFamily is a Network carrying a family of pairwise edge-disjoint
 // Hamiltonian cycles.
 type CycleFamily interface {
