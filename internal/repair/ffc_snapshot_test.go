@@ -109,7 +109,9 @@ func snapshotStream(t *testing.T, d, n int, seed int64, steps int) []string {
 }
 
 // TestFFCSnapshotGolden pins the patcher's Snapshot JSON byte for byte
-// across seeded patch/unpatch/link-fault streams on B(2,8) and B(3,4).
+// across seeded patch/unpatch/link-fault streams on B(2,8), B(3,4) and
+// B(4,3); B(4,3)'s stars have up to three children, so their member
+// order is pinned too.
 // The golden was recorded when the Step-3 overrides lived in a map whose
 // keys Snapshot sorted; the dense successor table must emit exactly the
 // same bytes, since session snapshots embed them.
@@ -118,7 +120,7 @@ func TestFFCSnapshotGolden(t *testing.T) {
 	for _, tc := range []struct {
 		d, n int
 		seed int64
-	}{{2, 8, 11}, {3, 4, 12}} {
+	}{{2, 8, 11}, {3, 4, 12}, {4, 3, 13}} {
 		got = append(got, snapshotStream(t, tc.d, tc.n, tc.seed, 160)...)
 	}
 	// The stream must exercise every patcher exit, or the golden pins

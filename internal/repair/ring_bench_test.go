@@ -116,11 +116,39 @@ func BenchmarkRingApply(b *testing.B) {
 	}
 }
 
-// spliceEvent is one event of a recorded fault/heal stream: the batch
+// nodeEvent is one event of a recorded fault/heal stream: the batch
 // and the fault set after it.
-type spliceEvent struct {
+type nodeEvent struct {
 	heal        bool
 	batch, next topology.FaultSet
+}
+
+// nodeEventStream draws a seeded stream of 256 single-node faults and
+// heals over nodes nodes, at most maxLive faults live at once, then
+// heals what is left so the stream ends fault-free and can repeat.
+func nodeEventStream(nodes, maxLive int) []nodeEvent {
+	rng := rand.New(rand.NewSource(1))
+	var events []nodeEvent
+	var live []int
+	var faults topology.FaultSet
+	for len(events) < 256 || len(live) > 0 {
+		heal := len(live) == maxLive || len(events) >= 256 || (len(live) > 0 && rng.Intn(2) == 0)
+		ev := nodeEvent{heal: heal}
+		if heal {
+			j := rng.Intn(len(live))
+			ev.batch, ev.next = topology.NodeFaults(live[j]), faults.Minus(topology.NodeFaults(live[j]))
+			live = append(live[:j], live[j+1:]...)
+		} else {
+			x := rng.Intn(nodes)
+			for slices.Contains(live, x) {
+				x = rng.Intn(nodes)
+			}
+			ev.batch, ev.next = topology.NodeFaults(x), faults.Union(topology.NodeFaults(x))
+			live = append(live, x)
+		}
+		events, faults = append(events, ev), ev.next
+	}
+	return events
 }
 
 // BenchmarkSpliceEventScaling prices Patcher.Step on the splice tier
@@ -138,27 +166,7 @@ func BenchmarkSpliceEventScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(1))
-			var events []spliceEvent
-			var live []int
-			var faults topology.FaultSet
-			for len(events) < 256 || len(live) > 0 {
-				heal := len(live) == 2 || len(events) >= 256 || (len(live) > 0 && rng.Intn(2) == 0)
-				ev := spliceEvent{heal: heal}
-				if heal {
-					j := rng.Intn(len(live))
-					ev.batch, ev.next = topology.NodeFaults(live[j]), faults.Minus(topology.NodeFaults(live[j]))
-					live = append(live[:j], live[j+1:]...)
-				} else {
-					x := rng.Intn(net.Nodes())
-					for slices.Contains(live, x) {
-						x = rng.Intn(net.Nodes())
-					}
-					ev.batch, ev.next = topology.NodeFaults(x), faults.Union(topology.NodeFaults(x))
-					live = append(live, x)
-				}
-				events, faults = append(events, ev), ev.next
-			}
+			events := nodeEventStream(net.Nodes(), 2)
 			p := For(net)
 			if _, _, err := p.Embed(topology.FaultSet{}); err != nil {
 				b.Fatal(err)
@@ -168,6 +176,42 @@ func BenchmarkSpliceEventScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ev := events[i%len(events)]
 				if p.Step(ev.heal, ev.batch, ev.next) == Unsupported {
+					b.StopTimer()
+					if _, _, err := p.Embed(ev.next); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFFCEventScaling prices Patcher.Step on the FFC tier, on
+// B(2,n) for n = 10, 14 and 16: one op is one event of a seeded stream
+// of single-node faults and heals, at most four live, that ends
+// fault-free and repeats.  A step the FFC tier declines re-embeds off
+// the clock, as does one the splice tier absorbed (the splice tier would
+// own the ring until the next embed, and its events are not the ones
+// priced here).  A structural repair touches a few stars, so the op
+// cost should barely follow the ring's length.
+func BenchmarkFFCEventScaling(b *testing.B) {
+	for _, n := range []int{10, 14, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			net, err := topology.NewDeBruijn(2, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events := nodeEventStream(net.Nodes(), 4)
+			p := For(net)
+			if _, _, err := p.Embed(topology.FaultSet{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := events[i%len(events)]
+				if o := p.Step(ev.heal, ev.batch, ev.next); o == Unsupported || o == Spliced {
 					b.StopTimer()
 					if _, _, err := p.Embed(ev.next); err != nil {
 						b.Fatal(err)
