@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,14 +24,36 @@ import (
 	"debruijnring/internal/ffc"
 )
 
+// maxNodes is the largest B(d,n) the FFC kernels index: their node
+// codes are int32.
+const maxNodes = 1 << 31
+
 func main() {
-	d := flag.Int("d", 0, "arity (0 = run both paper configurations)")
-	n := flag.Int("n", 0, "word length")
-	trials := flag.Int("trials", 1000, "trials per fault count")
-	seed := flag.Uint64("seed", 1991, "RNG seed")
-	workers := flag.Int("workers", 0, "simulation worker count (0 = GOMAXPROCS); results are identical for any value")
-	faultList := flag.String("faults", "", "comma-separated fault counts (default: the paper's column)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run checks the command line args, prints the tables to stdout and
+// returns the exit status: 2, with a usage line on stderr and nothing
+// printed, for a command line it cannot run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ffcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	d := fs.Int("d", 0, "arity (0 = run both paper configurations)")
+	n := fs.Int("n", 0, "word length (with -d)")
+	trials := fs.Int("trials", 1000, "trials per fault count")
+	seed := fs.Uint64("seed", 1991, "RNG seed")
+	workers := fs.Int("workers", 0, "simulation worker count (0 = GOMAXPROCS); results are identical for any value")
+	faultList := fs.String("faults", "", "comma-separated fault counts (default: the paper's column)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "ffcsim: "+format+"\n", args...)
+		return 2
+	}
 
 	counts := ffc.DefaultFaultCounts
 	if *faultList != "" {
@@ -37,49 +61,49 @@ func main() {
 		for _, tok := range strings.Split(*faultList, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil || v < 0 {
-				usage("bad fault count %q", tok)
+				return usage("bad fault count %q", tok)
 			}
 			counts = append(counts, v)
 		}
 	}
 
 	if *trials < 0 {
-		usage("-trials %d is negative", *trials)
+		return usage("-trials %d is negative", *trials)
 	}
 	type config struct {
 		d, n  int
 		title string
 	}
 	configs := []config{{2, 10, "Table 2.1"}, {4, 5, "Table 2.2"}}
-	if *d != 0 {
-		if *n == 0 {
-			usage("-n required with -d")
-		}
+	switch {
+	case *d != 0 && *n == 0:
+		return usage("-n required with -d")
+	case *d == 0 && *n != 0:
+		return usage("-n needs -d")
+	case *d != 0:
 		if *d < 2 || *n < 1 {
-			usage("B(%d,%d) needs d ≥ 2 and n ≥ 1", *d, *n)
+			return usage("B(%d,%d) needs d ≥ 2 and n ≥ 1", *d, *n)
+		}
+		if !exceedsNodes(maxNodes+1, *d, *n) { // dⁿ > maxNodes
+			return usage("B(%d,%d) has more than the 2^31 nodes the FFC kernels index", *d, *n)
 		}
 		configs = []config{{*d, *n, fmt.Sprintf("B(%d,%d) simulation", *d, *n)}}
 	}
 	for _, c := range configs {
 		for _, f := range counts {
 			if exceedsNodes(f, c.d, c.n) {
-				usage("fault count %d exceeds the %d^%d nodes of B(%d,%d)", f, c.d, c.n, c.d, c.n)
+				return usage("fault count %d exceeds the %d^%d nodes of B(%d,%d)", f, c.d, c.n, c.d, c.n)
 			}
 		}
 	}
 
 	for _, c := range configs {
-		fmt.Printf("%s (%d trials per row, seed %d)\n", c.title, *trials, *seed)
+		fmt.Fprintf(stdout, "%s (%d trials per row, seed %d)\n", c.title, *trials, *seed)
 		rows := ffc.SimulateWorkers(c.d, c.n, counts, *trials, *seed, *workers)
-		ffc.WriteTable(os.Stdout, c.d, c.n, rows)
-		fmt.Println()
+		ffc.WriteTable(stdout, c.d, c.n, rows)
+		fmt.Fprintln(stdout)
 	}
-}
-
-// usage reports a bad command line and exits with status 2.
-func usage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ffcsim: "+format+"\n", args...)
-	os.Exit(2)
+	return 0
 }
 
 // exceedsNodes reports whether f is more than dⁿ, the node count of

@@ -85,14 +85,6 @@ type Result struct {
 	Overrides []Override
 }
 
-// TreeEdge is one edge of the necklace spanning tree T as seen from its
-// child necklace: the child hangs from Parent with label W (an
-// (n−1)-digit code).  It is the value type of child-keyed tree maps.
-type TreeEdge struct {
-	Parent int // parent necklace representative
-	W      int // edge label, an (n−1)-tuple code
-}
-
 // TreeLink is one record of Result.Tree: necklace Child hangs from
 // Parent with label W.  Node codes are int32 like the dense kernels'
 // (every graph they index has fewer than 2³¹ nodes), which halves the

@@ -30,6 +30,15 @@ type legacyResult struct {
 	Overrides       map[int]int
 }
 
+// TreeEdge is one edge of the necklace spanning tree T as seen from its
+// child necklace: the child hangs from Parent with label W (an
+// (n−1)-digit code).  It is the value type of the legacy kernels'
+// child-keyed tree maps.
+type TreeEdge struct {
+	Parent int // parent necklace representative
+	W      int // edge label, an (n−1)-tuple code
+}
+
 // embedLegacy is the pre-rewrite Embed: map-based broadcast, tree
 // derivation, override table and successor walk.
 func embedLegacy(g *debruijn.Graph, faults []int) (*legacyResult, error) {

@@ -418,7 +418,7 @@ func TestChainSnapshotRestoreFFCTier(t *testing.T) {
 
 	// Legacy journals persisted the bare FFC state; the chain must still
 	// accept it.
-	raw, err := json.Marshal(p.ffc.snapshot())
+	raw, err := json.Marshal(p.ffc.snapshot(p.Faults()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,5 +429,34 @@ func TestChainSnapshotRestoreFFCTier(t *testing.T) {
 	q2 := For(net)
 	if err := q2.Restore(&legacy, r, faults); err != nil {
 		t.Fatalf("legacy restore: %v", err)
+	}
+}
+
+// TestChainNonSpanningSnapshotRestore: on B(2,8) a fault on node 1
+// strands node 0, so the FFC tree does not span the survivors and the
+// tier declines every batch until the next Embed.  Faulting the
+// stranded node is then a splice noop, which leaves a faulty necklace
+// the tree does not know; the snapshot must not let a restore count the
+// tree spanning again.  Both chains must serve the next fault alike.
+func TestChainNonSpanningSnapshotRestore(t *testing.T) {
+	net, _ := topology.NewDeBruijn(2, 8)
+	p := For(net)
+	if _, _, err := p.Embed(topology.NodeFaults(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, o := p.Patch(topology.NodeFaults(0)); o != Noop {
+		t.Fatalf("fault on the stranded node: outcome %v, want Noop", o)
+	}
+	state, _ := p.Snapshot()
+	q := For(net)
+	if err := q.Restore(state, p.RingInts(), p.Faults()); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	x := p.RingInts()[100]
+	r1, o1 := p.Patch(topology.NodeFaults(x))
+	r2, o2 := q.Patch(topology.NodeFaults(x))
+	if o1 != o2 || !slices.Equal(r1, r2) || !slices.EqualFunc(p.LastTrace(), q.LastTrace(),
+		func(a, b TierStep) bool { return a.Tier == b.Tier && a.Outcome == b.Outcome }) {
+		t.Fatalf("restored chain diverges: %v via %v, live %v via %v", o2, q.LastTrace(), o1, p.LastTrace())
 	}
 }

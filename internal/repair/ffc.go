@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -22,7 +23,7 @@ import (
 //
 //  1. detach it from the star it hangs in and re-close that w-cycle
 //     without it;
-//  2. for every star it centered, re-parent the orphaned child
+//  2. for every star it centres, re-parent the orphaned child
 //     necklaces along any other shared window w′ whose owning necklace
 //     is still connected to the root, re-closing only the touched
 //     stars;
@@ -41,31 +42,44 @@ import (
 // window choices (or re-hangs the touched necklace onto the star whose
 // label lets it detour) until no override or rotation hop crosses a
 // faulty wire.
+//
+// The tier's state is the tree and its overrides, nothing else.  The
+// tree is two dense tables: every member of a star T_w owns one of the d
+// nodes αw, so the label each necklace hangs by and the centre of each
+// star determine every star's members, and a necklace's own stars lie
+// among its ≤ n windows.  The faults are the Patcher's: each call reads
+// its canonical fault sets, and a necklace is faulty exactly when it is
+// off the tree and not the root's.
 type ffcPatcher struct {
 	t  *topology.DeBruijn
 	g  *debruijn.Graph
 	em *ffc.Embedder
 
-	valid     bool
-	root      int          // distinguished node R; also its necklace representative
-	nodes     int          // node count of the ring (Σ surviving member periods)
-	survivors int          // nodes in ALL non-faulty necklaces (== nodes when the tree spans every survivor)
-	faulty    map[int]bool // faulty necklace representatives
-	tree      map[int]ffc.TreeEdge
-	stars     map[int]*star // edge label w → star T_w
+	valid bool
+	// spanning records that the tree covered every surviving necklace at
+	// the last Embed or Restore.  When it did not (the survivor necklace
+	// graph was disconnected), local surgery could silently diverge from
+	// what a cold re-embed of the same fault set would build — the full
+	// algorithm picks the largest component afresh — so patch and unpatch
+	// decline and the session re-embeds instead.
+	spanning bool
+	root     int // distinguished node R; also its necklace representative
+	nodes    int // node count of the ring (Σ tree member periods)
+
+	// label[c] is the label w by which non-root necklace c hangs from its
+	// parent, −1 off the tree; centre[w] is the centre of star T_w, −1
+	// when no tree edge is labelled w.  The parent of c is
+	// centre[label[c]].  Both are allocated once per patcher, like succ.
+	label  []int32
+	centre []int32
 	// succ holds the Step-3 successor overrides densely, one slot per
 	// node: succ[x] ≥ 0 redirects x's ring successor, −1 means "follow
 	// the left rotation".  The ring walk reads it once per hop.
 	succ []int32
 
-	// Cumulative raw fault components, maintained so unpatch can tell
-	// when a necklace is fully healed and star closures can avoid
-	// still-faulty wires.  necklaceFaults keeps the live node-fault
-	// count per necklace representative, so full-heal detection is O(1)
-	// instead of a rescan of the whole cumulative fault set.
-	nodeFaults     map[int]bool
-	edgeFaults     map[topology.Edge]bool
-	necklaceFaults map[int]int
+	// avoid is the canonical list of link faults the current call's star
+	// plans keep off: a slice of the Patcher's fault set, never modified.
+	avoid []topology.Edge
 
 	// touched counts star re-closures performed by the most recent
 	// patch/unpatch call — the "O(touched stars)" of the structural
@@ -82,13 +96,6 @@ type ffcPatcher struct {
 	leave  []int
 	join   []int
 	out    delta
-}
-
-// star is one same-label edge class T_w: every tree edge labeled w hangs
-// a child necklace from the shared center (the height-one property).
-type star struct {
-	center   int
-	children []int // sorted ascending
 }
 
 func newFFCPatcher(t *topology.DeBruijn) *ffcPatcher {
@@ -118,9 +125,9 @@ func (p *ffcPatcher) Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo, err
 	return p.embedStructural(f)
 }
 
-// embedStructural runs the FFC algorithm for f's node faults, installs
-// the patcher's incremental structures, and reroutes the ring off any
-// faulty link it traverses by star surgery.
+// embedStructural runs the FFC algorithm for the canonical fault set
+// f's node faults, installs the tree and overrides, and reroutes the
+// ring off any faulty link it traverses by star surgery.
 func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.EmbedInfo, error) {
 	p.valid = false
 	res, err := p.em.Embed(f.Nodes)
@@ -130,35 +137,19 @@ func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.Embe
 
 	p.root = res.Root
 	p.nodes = res.BStarSize
-	p.survivors = p.g.Size - res.FaultyNodeCount
-	p.faulty = make(map[int]bool, len(res.FaultyNecklaces))
-	for _, rep := range res.FaultyNecklaces {
-		p.faulty[rep] = true
-	}
-	p.tree = make(map[int]ffc.TreeEdge, len(res.Tree))
+	p.spanning = res.BStarSize == p.g.Size-res.FaultyNodeCount
+	p.resetTables()
 	for _, l := range res.Tree {
-		p.tree[int(l.Child)] = ffc.TreeEdge{Parent: int(l.Parent), W: int(l.W)}
+		p.label[l.Child] = l.W
+		p.centre[l.W] = l.Parent
 	}
-	p.resetSucc()
 	for _, o := range res.Overrides {
 		p.succ[o.Out] = o.In
-	}
-	p.nodeFaults = make(map[int]bool, len(f.Nodes))
-	p.necklaceFaults = make(map[int]int, len(f.Nodes))
-	for _, x := range f.Nodes {
-		p.nodeFaults[x] = true
-		p.necklaceFaults[p.em.Rep(x)]++
-	}
-	p.edgeFaults = make(map[topology.Edge]bool, len(f.Edges))
-	for _, e := range f.Edges {
-		p.edgeFaults[e] = true
-	}
-	if err := p.rebuildStars(); err != nil {
-		return nil, nil, err
 	}
 
 	ring := res.Cycle
 	if len(f.Edges) > 0 {
+		p.avoid = f.Edges
 		if _, ok := p.absorbTraversed(); !ok {
 			return nil, nil, fmt.Errorf(
 				"repair: %s: FFC ring around %d node faults traverses a faulty link no star reorder avoids",
@@ -184,41 +175,10 @@ func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.Embe
 	return ring, info, nil
 }
 
-// rebuildStars regroups the tree's edges into their same-label stars,
-// verifying the height-one property (all edges labeled w share a
-// center).
-func (p *ffcPatcher) rebuildStars() error {
-	p.stars = make(map[int]*star)
-	//ringlint:allow maporder children are sorted below; only the duplicate-center error text (an invariant violation) can vary
-	for c, e := range p.tree {
-		s, ok := p.stars[e.W]
-		if !ok {
-			s = &star{center: e.Parent}
-			p.stars[e.W] = s
-		} else if s.center != e.Parent {
-			return fmt.Errorf("repair: label %d edges have two centers [%s] and [%s]",
-				e.W, p.g.String(s.center), p.g.String(e.Parent))
-		}
-		s.children = append(s.children, c)
-	}
-	//ringlint:allow maporder each star's child list is sorted independently
-	for _, s := range p.stars {
-		sort.Ints(s.children)
-	}
-	return nil
-}
-
 // member reports whether necklace rep is part of the embedded component
 // (and hence of the ring).
 func (p *ffcPatcher) member(rep int) bool {
-	if p.faulty[rep] {
-		return false
-	}
-	if rep == p.g.NecklaceRep(p.root) {
-		return true
-	}
-	_, ok := p.tree[rep]
-	return ok
+	return rep == p.root || p.label[rep] >= 0
 }
 
 // ringSuccessor is the Step-3 rule: the override if one exists, the left
@@ -230,14 +190,18 @@ func (p *ffcPatcher) ringSuccessor(x int) int {
 	return p.g.RotL(x)
 }
 
-// resetSucc clears every successor override, allocating the table on
-// first use.
-func (p *ffcPatcher) resetSucc() {
+// resetTables empties the tree and clears every successor override,
+// allocating the tables on first use.
+func (p *ffcPatcher) resetTables() {
 	if p.succ == nil {
 		p.succ = make([]int32, p.g.Size)
+		p.label = make([]int32, p.g.Size)
+		p.centre = make([]int32, p.g.Pow(p.g.N-1))
 	}
-	for i := range p.succ {
-		p.succ[i] = -1
+	for _, t := range [][]int32{p.succ, p.label, p.centre} {
+		for i := range t {
+			t[i] = -1
+		}
 	}
 }
 
@@ -251,7 +215,7 @@ func (p *ffcPatcher) resetLog() {
 
 // setSucc writes x's successor override (−1 = follow the rotation) and
 // logs x as edited.  Every surgery write goes through it; only the
-// table's initialization (resetSucc and the Embed/Restore fills) does
+// table's initialization (resetTables and the Embed/Restore fills) does
 // not.
 //
 //ringlint:noalloc
@@ -303,38 +267,49 @@ func (p *ffcPatcher) emit() *delta {
 	return d
 }
 
-// patch runs the surgery for one fault batch, leaving the ring in the
-// successor table and the edit log (see emit).
-func (p *ffcPatcher) patch(add topology.FaultSet) Outcome {
+// patch runs the surgery for one fault batch add, where old and next
+// are the Patcher's canonical cumulative fault sets before and after it,
+// leaving the ring in the successor table and the edit log (see emit).
+func (p *ffcPatcher) patch(add, old, next topology.FaultSet) Outcome {
 	p.touched = 0
 	p.resetLog()
-	if !p.valid || !p.spanning() {
+	if !p.valid {
 		return Unsupported
 	}
 	// The owning Patcher has range-checked every coordinate.
 	add = add.Canonical()
+	if !p.spanning {
+		// The tier declines and keeps its tree.  If the splice tier finds
+		// the batch a noop, the faults move on without the tier; once they
+		// fault a necklace the tree leaves out, they no longer describe it
+		// (restore derives the faulty necklaces from them), so it goes
+		// stale.  A heal needs no such check: the chain turns a splice
+		// noop that heals a processor into a re-embed (chainOutcome).
+		for _, x := range add.Nodes {
+			if !p.faultyIn(p.em.Rep(x), old.Nodes) {
+				p.valid = false
+			}
+		}
+		return Unsupported
+	}
 
+	// Star plans of the node loop avoid the links that were already
+	// faulty; the batch's own links join from the absorption pass on.
+	p.avoid = old.Edges
 	removed := false
 	for _, x := range add.Nodes {
-		if p.nodeFaults[x] {
+		if has(old.Nodes, x) {
 			continue // duplicate fault
 		}
-		p.nodeFaults[x] = true
 		rep := p.em.Rep(x)
-		p.necklaceFaults[rep]++
-		if p.faulty[rep] {
-			continue // necklace already removed
-		}
-		p.faulty[rep] = true
-		p.survivors -= p.g.Period(rep)
-		if rep == p.g.NecklaceRep(p.root) {
+		if rep == p.root {
 			// Losing the distinguished node's necklace needs a new root
 			// and broadcast; fall back to the full algorithm.
 			p.valid = false
 			return Unsupported
 		}
-		if _, ok := p.tree[rep]; !ok {
-			continue // outside the embedded component: ring untouched
+		if p.label[rep] < 0 {
+			continue // necklace already removed
 		}
 		if !p.removeNecklace(rep) {
 			p.valid = false
@@ -347,9 +322,7 @@ func (p *ffcPatcher) patch(add topology.FaultSet) Outcome {
 	// it does traverse is rerouted by reordering window choices within
 	// the touched stars (node removal above can also re-expose an older
 	// link fault, which the same pass absorbs).
-	for _, e := range add.Edges {
-		p.edgeFaults[e] = true
-	}
+	p.avoid = next.Edges
 	reordered, ok := p.absorbTraversed()
 	if !ok {
 		p.valid = false
@@ -365,56 +338,39 @@ func (p *ffcPatcher) patch(add topology.FaultSet) Outcome {
 	return Noop
 }
 
-// spanning reports whether the tree covers every surviving necklace.
-// When it does not (the survivor necklace graph was disconnected at the
-// last embed), local surgery could silently diverge from what a cold
-// re-embed of the same fault set would build — the full algorithm picks
-// the largest component afresh — so patch and unpatch decline and the
-// session re-embeds instead.
-func (p *ffcPatcher) spanning() bool { return p.nodes == p.survivors }
-
-// unpatch re-admits healed components: a repaired necklace is
-// re-expanded into the tree (reversing removeNecklace via reattach and
-// the star closures), and healed link faults are dropped from the
+// unpatch re-admits healed components, where old and next are the
+// Patcher's canonical cumulative fault sets before and after the heal
+// batch remove: a repaired necklace is re-expanded into the tree
+// (reversing removeNecklace via reattach and the star closures) at its
+// last healed fault in batch order, and healed link faults leave the
 // avoidance set.  The inverse surgery costs O(touched stars · n) like
 // patch, and grows the ring back toward dⁿ, so the dⁿ − nf bound holds
 // with the REDUCED fault count after every local heal.  Like patch, it
 // leaves the ring in the successor table and the edit log.
-func (p *ffcPatcher) unpatch(remove topology.FaultSet) Outcome {
+func (p *ffcPatcher) unpatch(remove, old, next topology.FaultSet) Outcome {
 	p.touched = 0
 	p.resetLog()
-	if !p.valid || !p.spanning() {
+	if !p.valid || !p.spanning {
 		return Unsupported
 	}
 	remove = remove.Canonical()
-	for _, e := range remove.Edges {
-		delete(p.edgeFaults, e)
-	}
-	rootRep := p.g.NecklaceRep(p.root)
+	p.avoid = next.Edges
 	changed := false
 	for _, x := range remove.Nodes {
-		if !p.nodeFaults[x] {
+		if !has(old.Nodes, x) {
 			continue // healing a non-fault is bookkeeping only
 		}
-		delete(p.nodeFaults, x)
 		rep := p.em.Rep(x)
-		if p.necklaceFaults[rep] <= 1 {
-			delete(p.necklaceFaults, rep)
-		} else {
-			p.necklaceFaults[rep]--
-		}
-		if !p.faulty[rep] || p.necklaceStillFaulty(rep) {
+		if p.keepsFault(rep, x, old.Nodes, next.Nodes) {
 			continue // another processor of the necklace is still down
 		}
-		if rep == rootRep {
+		if rep == p.root {
 			// The root's necklace never left by local surgery (root
 			// faults force a re-embed), so this state means the root
 			// moved; re-synchronize via the full algorithm.
 			p.valid = false
 			return Unsupported
 		}
-		delete(p.faulty, rep)
-		p.survivors += p.g.Period(rep)
 		if !p.reattach(rep) {
 			p.valid = false
 			return Unsupported
@@ -435,13 +391,31 @@ func (p *ffcPatcher) unpatch(remove topology.FaultSet) Outcome {
 	return Readmitted
 }
 
-// necklaceStillFaulty reports whether any cumulative node fault still
-// maps onto the necklace rep.  The per-necklace counter is maintained
-// by Embed/patch/unpatch/Restore, so a heal costs O(1) here instead of
-// rescanning the whole cumulative fault set per healed node (which made
-// dense-fault heals O(|faults|·period)).
-func (p *ffcPatcher) necklaceStillFaulty(rep int) bool {
-	return p.necklaceFaults[rep] > 0
+// faultyIn reports whether a node of necklace rep is in the canonical
+// node list faults.
+func (p *ffcPatcher) faultyIn(rep int, faults []int) bool {
+	for y := rep; ; {
+		if has(faults, y) {
+			return true
+		}
+		if y = p.g.RotL(y); y == rep {
+			return false
+		}
+	}
+}
+
+// keepsFault reports whether necklace rep is still faulty once a heal
+// going from old to next has reached its node x: a node of it stays
+// faulty, or is healed later in the batch.
+func (p *ffcPatcher) keepsFault(rep, x int, old, next []int) bool {
+	for y := rep; ; {
+		if has(old, y) && (y > x || has(next, y)) {
+			return true
+		}
+		if y = p.g.RotL(y); y == rep {
+			return false
+		}
+	}
 }
 
 // removeNecklace performs the tree surgery for one newly faulty necklace
@@ -449,47 +423,41 @@ func (p *ffcPatcher) necklaceStillFaulty(rep int) bool {
 // cannot be re-parented — the surviving component may have split, which
 // only the full algorithm can resolve.
 func (p *ffcPatcher) removeNecklace(rep int) bool {
-	e := p.tree[rep]
-	delete(p.tree, rep)
+	w := int(p.label[rep])
 	p.nodes -= p.g.Period(rep)
 	p.leave = p.logNecklace(p.leave, rep)
 
 	// 1. Detach rep from its parent star and re-close the w-cycle.
-	s := p.stars[e.W]
-	if s == nil {
-		return false
-	}
-	p.clearStar(s, e.W)
-	s.children = removeSorted(s.children, rep)
-	if len(s.children) == 0 {
-		delete(p.stars, e.W)
-	} else if !p.closeStar(s, e.W) {
+	members := p.starMembers(w)
+	p.clearStar(members, w)
+	p.label[rep] = -1
+	if members = removeSorted(members, rep); len(members) == 1 {
+		p.centre[w] = -1
+	} else if !p.closeStar(members, w) {
 		return false
 	}
 
-	// 2. Dissolve every star rep centered, collecting the orphans.
-	var labels []int
-	for w, st := range p.stars {
-		if st.center == rep {
-			labels = append(labels, w)
-		}
-	}
-	sort.Ints(labels)
+	// 2. Dissolve every star rep centres, collecting the orphans.
 	var orphans []int
-	for _, w := range labels {
-		st := p.stars[w]
-		p.clearStar(st, w)
-		delete(p.stars, w)
-		for _, c := range st.children {
-			delete(p.tree, c) // detach now; reattach below
-			orphans = append(orphans, c)
+	for _, w := range p.windows(rep) {
+		if int(p.centre[w]) != rep {
+			continue
+		}
+		members := p.starMembers(w)
+		p.clearStar(members, w)
+		p.centre[w] = -1
+		for _, c := range members {
+			if c != rep {
+				p.label[c] = -1 // detach now; reattach below
+				orphans = append(orphans, c)
+			}
 		}
 	}
 
 	// 3. Re-parent each orphan (with its intact subtree) along another
 	// shared window.  Earlier reattachments can serve as parents for
 	// later ones; connectivity to the root is checked per candidate.
-	sort.Ints(orphans)
+	slices.Sort(orphans)
 	for _, c := range orphans {
 		if !p.reattach(c) {
 			return false
@@ -500,38 +468,33 @@ func (p *ffcPatcher) removeNecklace(rep int) bool {
 
 // reattach hangs the detached necklace c back onto the tree via some
 // window w′ of c, preserving the height-one star property: join the
-// existing star T_w′ if one exists (its center becomes c's parent), or
-// open a new star centered at any root-connected necklace that carries
+// existing star T_w′ if one exists (its centre becomes c's parent), or
+// open a new star centred at any root-connected necklace that carries
 // the window.
 func (p *ffcPatcher) reattach(c int) bool {
 	for _, w := range p.windows(c) {
-		if s, ok := p.stars[w]; ok {
-			q := s.center
+		if q := int(p.centre[w]); q >= 0 {
 			if q == c || !p.connectedToRoot(q, c) {
 				continue
 			}
-			p.clearStar(s, w)
-			s.children = insertSorted(s.children, c)
-			if !p.closeStar(s, w) {
-				return false
-			}
-			p.tree[c] = ffc.TreeEdge{Parent: q, W: w}
-			return true
+			members := p.starMembers(w)
+			p.clearStar(members, w)
+			p.label[c] = int32(w)
+			return p.closeStar(insertSorted(members, c), w)
 		}
-		// Candidate centers are the necklaces owning a node with suffix
-		// w: the d nodes {αw : α ∈ Z_d}.
-		pivot := p.g.Pow(p.g.N - 1)
+		// Candidate centres are the necklaces owning a node with suffix
+		// w: the d nodes {αw : α ∈ Z_d}.  A faulty one is off the tree,
+		// so not connected to the root.
 		for a := 0; a < p.g.D; a++ {
-			q := p.g.NecklaceRep(a*pivot + w)
-			if q == c || p.faulty[q] || !p.connectedToRoot(q, c) {
+			q := p.em.Rep(a*len(p.centre) + w)
+			if q == c || !p.connectedToRoot(q, c) {
 				continue
 			}
-			s := &star{center: q, children: []int{c}}
-			if !p.closeStar(s, w) {
+			if !p.closeStar(insertSorted([]int{q}, c), w) {
 				continue
 			}
-			p.stars[w] = s
-			p.tree[c] = ffc.TreeEdge{Parent: q, W: w}
+			p.centre[w] = int32(q)
+			p.label[c] = int32(w)
 			return true
 		}
 	}
@@ -539,9 +502,10 @@ func (p *ffcPatcher) reattach(c int) bool {
 }
 
 // windows returns the distinct (n−1)-digit circular windows of necklace
-// rep in ascending order: the labels by which it can join a star.
+// rep in ascending order: the labels by which it can join a star, and
+// the only ones a star it centres can carry.
 func (p *ffcPatcher) windows(rep int) []int {
-	var ws []int
+	ws := make([]int, 0, p.g.N)
 	y := rep
 	for {
 		ws = append(ws, p.g.Suffix(y))
@@ -550,69 +514,77 @@ func (p *ffcPatcher) windows(rep int) []int {
 			break
 		}
 	}
-	sort.Ints(ws)
-	out := ws[:0]
-	for i, w := range ws {
-		if i == 0 || w != ws[i-1] {
-			out = append(out, w)
-		}
-	}
-	return out
+	slices.Sort(ws)
+	return slices.Compact(ws)
 }
 
 // connectedToRoot reports whether q's parent chain reaches the root
 // without passing through the detached necklace c (which would create a
 // cycle: q lies in c's subtree, or in another still-orphaned subtree).
+// A chain without a cycle meets each label at most once, which bounds
+// the walk.
 func (p *ffcPatcher) connectedToRoot(q, c int) bool {
-	rootRep := p.g.NecklaceRep(p.root)
-	for steps := 0; steps <= len(p.tree)+1; steps++ {
+	for steps := 0; steps <= len(p.centre); steps++ {
 		if q == c {
 			return false
 		}
-		if q == rootRep {
+		if q == p.root {
 			return true
 		}
-		e, ok := p.tree[q]
-		if !ok {
+		w := p.label[q]
+		if w < 0 {
 			return false
 		}
-		q = e.Parent
+		q = int(p.centre[w])
 	}
 	return false // defensive: cycle in the tree
 }
 
-// starMembers lists the star's necklaces — children plus center — in
-// ascending order, the Step-2 cycle order.
-func starMembers(s *star) []int {
-	members := make([]int, 0, len(s.children)+1)
-	members = append(members, s.children...)
-	members = insertSorted(members, s.center)
+// starMembers lists the necklaces of star T_w — its centre and the
+// necklaces hanging from it by label w — in ascending order, the Step-2
+// cycle order.  Every member owns one of the d nodes αw, and each of
+// those nodes lies on a different necklace (their digit counts differ),
+// so the members are read off those owners.
+func (p *ffcPatcher) starMembers(w int) []int {
+	members := make([]int, 0, p.g.D)
+	for a := 0; a < p.g.D; a++ {
+		q := p.em.Rep(a*len(p.centre) + w)
+		if q == int(p.centre[w]) || int(p.label[q]) == w {
+			members = append(members, q)
+		}
+	}
+	slices.Sort(members)
 	return members
 }
 
-// clearStar deletes the star's successor overrides (one per member).
-func (p *ffcPatcher) clearStar(s *star, w int) {
-	for _, m := range starMembers(s) {
+// clearStar deletes the overrides of a star's members (one per member).
+func (p *ffcPatcher) clearStar(members []int, w int) {
+	for _, m := range members {
 		if out := ffc.SuffixNode(p.g, m, w); out >= 0 {
 			p.setSucc(out, -1)
 		}
 	}
 }
 
-// closeStar re-derives the star's overrides from a fresh plan.  The
-// plan is resolved before any write, so a failed closure leaves the
-// successor table untouched (reattach retries other labels after a
-// failure).
-func (p *ffcPatcher) closeStar(s *star, w int) bool {
-	pairs := p.planStar(starMembers(s), w)
+// closeStar writes the overrides of a fresh plan closing members into
+// one w-cycle.  The plan is resolved before any write, so a failed
+// closure leaves the successor table untouched (reattach retries other
+// labels after a failure).
+func (p *ffcPatcher) closeStar(members []int, w int) bool {
+	pairs := p.planStar(members, w)
 	if pairs == nil {
 		return false
 	}
+	p.setPairs(pairs)
+	p.touched++
+	return true
+}
+
+// setPairs writes a star plan's overrides.
+func (p *ffcPatcher) setPairs(pairs [][2]int) {
 	for _, pr := range pairs {
 		p.setSucc(pr[0], int32(pr[1]))
 	}
-	p.touched++
-	return true
 }
 
 // planStar computes the override pairs that close the given star
@@ -640,7 +612,8 @@ func (p *ffcPatcher) planStar(members []int, w int) [][2]int {
 		}
 	}
 	order := cycleOrder(k, func(i, j int) bool {
-		return !p.edgeFaults[topology.Edge{From: outs[i], To: ins[j]}]
+		_, faulty := slices.BinarySearchFunc(p.avoid, topology.Edge{From: outs[i], To: ins[j]}, compareEdges)
+		return !faulty
 	})
 	if order == nil {
 		return nil
@@ -686,38 +659,19 @@ func cycleOrder(k int, allowed func(i, j int) bool) []int {
 	return order
 }
 
-// sortedEdgeFaults snapshots the cumulative link faults in canonical
-// order, so every absorption pass visits them deterministically
-// (journal replay must retrace the exact surgery).
-func (p *ffcPatcher) sortedEdgeFaults() []topology.Edge {
-	edges := make([]topology.Edge, 0, len(p.edgeFaults))
-	for e := range p.edgeFaults {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	return edges
-}
-
 // absorbTraversed reroutes the ring off every faulty link it currently
-// traverses, star by star, until a fixpoint.  Surgery on one star can
-// re-expose an older detoured wire (a re-hung necklace loses the
-// override that bypassed it), so the scan repeats, bounded by the link
-// fault count — each successful pass permanently reroutes at least one
-// wire, and a pass that reroutes nothing terminates the loop.
+// traverses, star by star, until a fixpoint.  The links are visited in
+// canonical order, so journal replay retraces the exact surgery.
+// Surgery on one star can re-expose an older detoured wire (a re-hung
+// necklace loses the override that bypassed it), so the scan repeats,
+// bounded by the link fault count — each successful pass permanently
+// reroutes at least one wire, and a pass that reroutes nothing
+// terminates the loop.
 func (p *ffcPatcher) absorbTraversed() (changed, ok bool) {
-	if len(p.edgeFaults) == 0 {
-		return false, true
-	}
-	edges := p.sortedEdgeFaults()
-	for pass := 0; pass <= len(edges); pass++ {
+	for pass := 0; pass <= len(p.avoid); pass++ {
 		again := false
-		for _, e := range edges {
-			if !p.member(p.g.NecklaceRep(e.From)) || p.ringSuccessor(e.From) != e.To {
+		for _, e := range p.avoid {
+			if !p.member(p.em.Rep(e.From)) || p.ringSuccessor(e.From) != e.To {
 				continue
 			}
 			if !p.absorbEdge(e) {
@@ -736,34 +690,29 @@ func (p *ffcPatcher) absorbTraversed() (changed, ok bool) {
 // override hop (e.From is the outgoing w-node of a star) is absorbed by
 // re-closing that star under a different single-cycle member order.  A
 // rotation hop αw → wα needs αw to gain an override, which means its
-// necklace must become a member of the star labeled w = Suffix(e.From):
-// re-hang the necklace as a child of that star's center (or of a
+// necklace must become a member of the star labelled w = Suffix(e.From):
+// re-hang the necklace as a child of that star's centre (or of a
 // sibling window owner when the star does not exist yet), or pull a
-// sibling necklace under it to open the star with itself as center —
+// sibling necklace under it to open the star with itself as centre —
 // the only option when the necklace is the root's.
 func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 	w := p.g.Suffix(e.From)
 	if next := p.succ[e.From]; next >= 0 {
-		if int(next) != e.To {
-			return false // defensive: caller checked the ring hop
+		if int(next) != e.To || p.centre[w] < 0 {
+			return false // defensive: the caller checked the ring hop, and overrides belong to stars
 		}
-		s := p.stars[w]
-		if s == nil {
-			return false // defensive: overrides always belong to a star
-		}
-		if pairs := p.planStar(starMembers(s), w); pairs != nil {
-			p.clearStar(s, w)
-			for _, pr := range pairs {
-				p.setSucc(pr[0], int32(pr[1]))
-			}
+		members := p.starMembers(w)
+		if pairs := p.planStar(members, w); pairs != nil {
+			p.clearStar(members, w)
+			p.setPairs(pairs)
 			return true
 		}
 		// No single-cycle order avoids the wire — for d = 2 every star
 		// has exactly two members, so there never is one.  Shrink the
 		// star instead: re-hang one of its children along another
 		// window, deleting the faulty pair outright.
-		for _, c := range append([]int(nil), s.children...) {
-			if p.rehangAnywhere(c, w) {
+		for _, c := range members {
+			if c != int(p.centre[w]) && p.rehangAnywhere(c, w) {
 				return true
 			}
 		}
@@ -776,26 +725,22 @@ func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 		// would attach there, not at e.From.
 		return false
 	}
-	if s, ok := p.stars[w]; ok {
-		if s.center == rep {
-			return false // defensive: a center's w-node is overridden
+	if q := int(p.centre[w]); q >= 0 {
+		if q == rep {
+			return false // defensive: a centre's w-node is overridden
 		}
-		return p.rehang(rep, w, s.center)
+		return p.rehang(rep, w, q)
 	}
-	// No star labeled w yet: the candidate partners are the other
+	// No star labelled w yet: the candidate partners are the other
 	// owners of the window, the necklaces of {αw : α ∈ Z_d}.
-	pivot := p.g.Pow(p.g.N - 1)
 	for a := 0; a < p.g.D; a++ {
-		q := p.g.NecklaceRep(a*pivot + w)
-		if q == rep || p.faulty[q] {
-			continue
-		}
-		if _, inTree := p.tree[q]; !inTree && q != p.g.NecklaceRep(p.root) {
+		q := p.em.Rep(a*len(p.centre) + w)
+		if q == rep || !p.member(q) {
 			continue
 		}
 		// Hang rep under q, or — when rep cannot move (it is the
 		// root's necklace, or q sits in rep's subtree) — pull q under
-		// rep so rep centers the new star.
+		// rep so rep centres the new star.
 		if p.rehang(rep, w, q) || p.rehang(q, w, rep) {
 			return true
 		}
@@ -807,29 +752,21 @@ func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 // reattach's search, for a necklace currently in the tree.  Candidates
 // are explored in the same deterministic order as reattach: join the
 // existing star of each window first, then open a new star under a
-// root-connected owner of the window.
+// tree member owning the window.
 func (p *ffcPatcher) rehangAnywhere(c, except int) bool {
-	rootRep := p.g.NecklaceRep(p.root)
-	pivot := p.g.Pow(p.g.N - 1)
 	for _, w := range p.windows(c) {
 		if w == except {
 			continue
 		}
-		if s, ok := p.stars[w]; ok {
-			if p.rehang(c, w, s.center) {
+		if q := int(p.centre[w]); q >= 0 {
+			if p.rehang(c, w, q) {
 				return true
 			}
 			continue
 		}
 		for a := 0; a < p.g.D; a++ {
-			q := p.g.NecklaceRep(a*pivot + w)
-			if q == c || p.faulty[q] {
-				continue
-			}
-			if _, inTree := p.tree[q]; !inTree && q != rootRep {
-				continue
-			}
-			if p.rehang(c, w, q) {
+			q := p.em.Rep(a*len(p.centre) + w)
+			if q != c && p.member(q) && p.rehang(c, w, q) {
 				return true
 			}
 		}
@@ -838,88 +775,76 @@ func (p *ffcPatcher) rehangAnywhere(c, except int) bool {
 }
 
 // rehang moves necklace c from its current tree edge to a new one
-// {parent: center, label: w}, joining (or opening) the star T_w and
+// {parent: centre, label: w}, joining (or opening) the star T_w and
 // re-closing both touched stars.  Both closures are planned before any
 // state is written, so a false return leaves the patcher untouched and
 // the caller can try another candidate.
-func (p *ffcPatcher) rehang(c, w, center int) bool {
-	if c == center || c == p.g.NecklaceRep(p.root) {
+func (p *ffcPatcher) rehang(c, w, centre int) bool {
+	if c == centre || c == p.root {
 		return false
 	}
-	old, ok := p.tree[c]
-	if !ok || old.W == w {
+	old := int(p.label[c])
+	if old < 0 || old == w {
 		return false
 	}
-	sNew := p.stars[w]
-	if sNew != nil && sNew.center != center {
-		return false // the height-one property fixes the center
+	if q := p.centre[w]; q >= 0 && int(q) != centre {
+		return false // the height-one property fixes the centre
 	}
-	if !p.connectedToRoot(center, c) {
-		return false // center hangs inside c's subtree: would cycle
-	}
-	sOld := p.stars[old.W]
-	if sOld == nil {
-		return false // defensive: tree edges always have a star
+	if !p.connectedToRoot(centre, c) {
+		return false // centre hangs inside c's subtree: would cycle
 	}
 
 	// Plan both closures up front.
+	oldMembers := p.starMembers(old)
 	var planOld [][2]int
-	dissolveOld := len(sOld.children) == 1
-	if dissolveOld && sOld.center == p.g.NecklaceRep(p.root) {
+	dissolveOld := len(oldMembers) == 2
+	if dissolveOld && int(p.centre[old]) == p.root && !p.centresAnother(p.root, old) {
 		// The root's necklace has no tree edge of its own: it is glued
-		// into the ring only by the stars it centers.  Dissolving its
+		// into the ring only by the stars it centres.  Dissolving its
 		// last one would orphan it from every w-cycle.
-		centersAnother := false
-		for w2, s2 := range p.stars {
-			if w2 != old.W && s2.center == sOld.center {
-				centersAnother = true
-				break
-			}
-		}
-		if !centersAnother {
-			return false
-		}
+		return false
 	}
 	if !dissolveOld {
-		oldMembers := starMembers(sOld)
-		planOld = p.planStar(removeSorted(append([]int(nil), oldMembers...), c), old.W)
+		planOld = p.planStar(removeSorted(slices.Clone(oldMembers), c), old)
 		if planOld == nil {
 			return false
 		}
 	}
-	var newMembers []int
-	if sNew != nil {
-		newMembers = insertSorted(append([]int(nil), starMembers(sNew)...), c)
-	} else {
-		newMembers = insertSorted([]int{center}, c)
+	newMembers := []int{centre}
+	if p.centre[w] >= 0 {
+		newMembers = p.starMembers(w)
 	}
-	planNew := p.planStar(newMembers, w)
+	planNew := p.planStar(insertSorted(slices.Clone(newMembers), c), w)
 	if planNew == nil {
 		return false
 	}
 
 	// Commit.
-	p.clearStar(sOld, old.W)
-	sOld.children = removeSorted(sOld.children, c)
+	p.clearStar(oldMembers, old)
 	if dissolveOld {
-		delete(p.stars, old.W)
+		p.centre[old] = -1
 	} else {
-		for _, pr := range planOld {
-			p.setSucc(pr[0], int32(pr[1]))
+		p.setPairs(planOld)
+	}
+	if p.centre[w] < 0 {
+		p.centre[w] = int32(centre)
+	} else {
+		p.clearStar(newMembers, w)
+	}
+	p.label[c] = int32(w)
+	p.setPairs(planNew)
+	return true
+}
+
+// centresAnother reports whether necklace q centres a star other than
+// T_except.  The stars q centres carry windows of q.
+func (p *ffcPatcher) centresAnother(q, except int) bool {
+	for _, w := range p.windows(q) {
+		if w != except && int(p.centre[w]) == q {
+			return true
 		}
 	}
-	if sNew == nil {
-		sNew = &star{center: center}
-		p.stars[w] = sNew
-	} else {
-		p.clearStar(sNew, w)
-	}
-	sNew.children = insertSorted(sNew.children, c)
-	p.tree[c] = ffc.TreeEdge{Parent: center, W: w}
-	for _, pr := range planNew {
-		p.setSucc(pr[0], int32(pr[1]))
-	}
-	return true
+	return false
 }
 
 // walk reads the ring off the successor rule, verifying it closes at the
@@ -960,32 +885,42 @@ type FFCState struct {
 	Overrides [][2]int `json:"overrides,omitempty"` // [out, in]
 }
 
-// snapshot returns the tier's state, nil when it is stale.
-func (p *ffcPatcher) snapshot() *FFCState {
+// snapshot returns the tier's state at the canonical cumulative fault
+// set f, nil when it is stale.
+func (p *ffcPatcher) snapshot(f topology.FaultSet) *FFCState {
 	if !p.valid {
 		return nil
 	}
-	st := &FFCState{Root: p.root, Nodes: p.nodes}
-	for rep := range p.faulty {
-		st.Faulty = append(st.Faulty, rep)
-	}
-	sort.Ints(st.Faulty)
-	for c, e := range p.tree {
-		st.Tree = append(st.Tree, [3]int{c, e.Parent, e.W})
-	}
-	sort.Slice(st.Tree, func(i, j int) bool { return st.Tree[i][0] < st.Tree[j][0] })
-	for o, i := range p.succ {
-		if i >= 0 {
-			st.Overrides = append(st.Overrides, [2]int{o, int(i)})
+	st := &FFCState{Root: p.root, Nodes: p.nodes, Faulty: p.faultyNecklaces(f.Nodes)}
+	for x, w := range p.label {
+		if w >= 0 {
+			st.Tree = append(st.Tree, [3]int{x, int(p.centre[w]), int(w)})
+		}
+		if in := p.succ[x]; in >= 0 {
+			st.Overrides = append(st.Overrides, [2]int{x, int(in)})
 		}
 	}
 	return st
 }
 
-// restore reinstates st around the cumulative fault set f and returns
-// the ring its successor rule walks, which must equal ring unless ring
-// is empty.  A nil st leaves the tier stale (it declines until the next
-// Embed) and returns ring as it is.
+// faultyNecklaces returns the representatives of the necklaces holding
+// a node of faults, ascending.
+func (p *ffcPatcher) faultyNecklaces(faults []int) []int {
+	var reps []int
+	for _, x := range faults {
+		reps = append(reps, p.em.Rep(x))
+	}
+	slices.Sort(reps)
+	return slices.Compact(reps)
+}
+
+// restore reinstates st around the canonical cumulative fault set f and
+// returns the ring its successor rule walks, which must equal ring
+// unless ring is empty.  A nil st leaves the tier stale (it declines
+// until the next Embed) and returns ring as it is.  The snapshot is
+// input from outside the program: it must name f's faulty necklaces,
+// keep every label in range and give each star one centre, and then
+// pass audit.
 func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]int, error) {
 	p.valid = false
 	if st == nil {
@@ -997,50 +932,47 @@ func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]i
 	if st.Nodes < 1 || st.Nodes > p.g.Size {
 		return nil, fmt.Errorf("repair: snapshot node count %d out of range", st.Nodes)
 	}
+	for _, x := range f.Nodes {
+		if x < 0 || x >= p.g.Size {
+			return nil, fmt.Errorf("repair: snapshot fault node %d out of range", x)
+		}
+	}
+	faulty := p.faultyNecklaces(f.Nodes)
+	if !slices.Equal(st.Faulty, faulty) {
+		return nil, fmt.Errorf("repair: snapshot faulty necklaces %v are not the fault set's %v", st.Faulty, faulty)
+	}
 	p.root = st.Root
 	p.nodes = st.Nodes
-	p.survivors = p.g.Size
-	p.faulty = make(map[int]bool, len(st.Faulty))
-	for _, rep := range st.Faulty {
-		if rep < 0 || rep >= p.g.Size {
-			return nil, fmt.Errorf("repair: snapshot faulty necklace %d out of range", rep)
-		}
-		if !p.faulty[rep] {
-			p.faulty[rep] = true
-			p.survivors -= p.g.Period(rep)
-		}
+	survivors := p.g.Size
+	for _, rep := range faulty {
+		survivors -= p.g.Period(rep)
 	}
-	p.tree = make(map[int]ffc.TreeEdge, len(st.Tree))
+	p.spanning = p.nodes == survivors
+	p.resetTables()
 	for _, e := range st.Tree {
-		if e[0] < 0 || e[0] >= p.g.Size || e[1] < 0 || e[1] >= p.g.Size {
+		c, parent, w := e[0], e[1], e[2]
+		if c < 0 || c >= p.g.Size || parent < 0 || parent >= p.g.Size {
 			return nil, fmt.Errorf("repair: snapshot tree edge %v out of range", e)
 		}
-		p.tree[e[0]] = ffc.TreeEdge{Parent: e[1], W: e[2]}
+		if w < 0 || w >= len(p.centre) {
+			return nil, fmt.Errorf("repair: snapshot tree edge %v has label out of range", e)
+		}
+		if p.label[c] >= 0 {
+			return nil, fmt.Errorf("repair: snapshot tree hangs necklace [%s] twice", p.g.String(c))
+		}
+		if q := p.centre[w]; q >= 0 && int(q) != parent {
+			return nil, fmt.Errorf("repair: label %d edges have two centres [%s] and [%s]",
+				w, p.g.String(int(q)), p.g.String(parent))
+		}
+		p.label[c], p.centre[w] = int32(w), int32(parent)
 	}
-	p.resetSucc()
 	for _, o := range st.Overrides {
 		if o[0] < 0 || o[0] >= p.g.Size || o[1] < 0 || o[1] >= p.g.Size {
 			return nil, fmt.Errorf("repair: snapshot override %v out of range", o)
 		}
 		p.succ[o[0]] = int32(o[1])
 	}
-	p.nodeFaults = make(map[int]bool, len(f.Nodes))
-	p.necklaceFaults = make(map[int]int, len(f.Nodes))
-	for _, x := range f.Nodes {
-		if x < 0 || x >= p.g.Size {
-			return nil, fmt.Errorf("repair: snapshot fault node %d out of range", x)
-		}
-		p.nodeFaults[x] = true
-		p.necklaceFaults[p.em.Rep(x)]++
-	}
-	p.edgeFaults = make(map[topology.Edge]bool, len(f.Edges))
-	for _, e := range f.Edges {
-		p.edgeFaults[e] = true
-	}
-	if err := p.rebuildStars(); err != nil {
-		return nil, err
-	}
-	if err := p.audit(); err != nil {
+	if err := p.audit(faulty); err != nil {
 		return nil, err
 	}
 	got, ok := p.walk()
@@ -1053,22 +985,29 @@ func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]i
 
 // audit checks that the restored tree and overrides are one FFC
 // structure, as patch and unpatch maintain it: the root is a live
-// necklace representative, every tree child is a live necklace whose
-// parent chain reaches the root's, the ring length is the total period
-// of those necklaces, every star T_w closes its members into one
+// necklace representative, every tree child is a live necklace owning a
+// node of its label whose parent chain reaches the root's, the ring
+// length is the total period of those necklaces, every star centre owns
+// a node of its label and every star T_w closes its members into one
 // w-cycle through their w-nodes (αw → wβ), and no override lies outside
-// a star.  The ring walk alone cannot tell a tampered tree from a
-// sound one whenever the overrides still close; later surgery would.
-func (p *ffcPatcher) audit() error {
+// a star.  The ring walk alone cannot tell a tampered tree from a sound
+// one whenever the overrides still close; later surgery would.
+func (p *ffcPatcher) audit(faulty []int) error {
 	bad := func(what string) error { return fmt.Errorf("repair: snapshot %s", what) }
-	rootRep := p.g.NecklaceRep(p.root)
-	if p.root != rootRep || p.faulty[rootRep] {
+	if p.root != p.em.Rep(p.root) || has(faulty, p.root) {
 		return bad("root is not a live necklace representative")
 	}
-	total := p.g.Period(rootRep)
-	//ringlint:allow maporder every check is per entry; only which bad entry is found first can vary
-	for c := range p.tree {
-		if c == rootRep || c != p.g.NecklaceRep(c) || p.faulty[c] || !p.connectedToRoot(c, -1) {
+	total := p.g.Period(p.root)
+	overrides := 0
+	for c, w := range p.label {
+		if p.succ[c] >= 0 {
+			overrides++
+		}
+		if w < 0 {
+			continue
+		}
+		if c == p.root || c != p.em.Rep(c) || has(faulty, c) ||
+			ffc.SuffixNode(p.g, c, int(w)) < 0 || !p.connectedToRoot(c, -1) {
 			return bad("tree does not hang live necklaces from the root")
 		}
 		total += p.g.Period(c)
@@ -1076,15 +1015,14 @@ func (p *ffcPatcher) audit() error {
 	if total != p.nodes {
 		return bad("node count is not the tree's")
 	}
-	overrides := 0
-	for _, v := range p.succ {
-		if v >= 0 {
-			overrides++
+	for w, centre := range p.centre {
+		if centre < 0 {
+			continue
 		}
-	}
-	//ringlint:allow maporder every check is per star; only which bad star is found first can vary
-	for w, s := range p.stars {
-		members := starMembers(s)
+		members := p.starMembers(w)
+		if !slices.Contains(members, int(centre)) {
+			return bad("star centre owns no node of its label")
+		}
 		cur := members[0]
 		for step := 1; step <= len(members); step++ {
 			out := ffc.SuffixNode(p.g, cur, w)
@@ -1093,7 +1031,7 @@ func (p *ffcPatcher) audit() error {
 			}
 			in := int(p.succ[out])
 			cur = p.em.Rep(in)
-			if _, found := slices.BinarySearch(members, cur); !found || ffc.PrefixNode(p.g, cur, w) != in ||
+			if !slices.Contains(members, cur) || ffc.PrefixNode(p.g, cur, w) != in ||
 				(cur == members[0]) != (step == len(members)) {
 				return bad("star overrides do not close one cycle of its members")
 			}
@@ -1104,6 +1042,17 @@ func (p *ffcPatcher) audit() error {
 		return bad("holds overrides outside every star")
 	}
 	return nil
+}
+
+// has reports whether the ascending list s holds v.
+func has(s []int, v int) bool {
+	_, ok := slices.BinarySearch(s, v)
+	return ok
+}
+
+// compareEdges orders edges as FaultSet.Canonical does.
+func compareEdges(a, b topology.Edge) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }
 
 // removeSorted deletes v from the sorted slice s (if present).

@@ -45,6 +45,7 @@ func snapshotStream(t *testing.T, d, n int, seed int64, steps int) []string {
 		var op string
 		var out Outcome
 		prevNodes, prevEdges := slices.Clone(nodes), slices.Clone(edges)
+		prev := faults()
 		switch r := rng.Float64(); {
 		case r < 0.45 && len(nodes) < min(n, 4):
 			x := rng.Intn(size)
@@ -53,13 +54,13 @@ func snapshotStream(t *testing.T, d, n int, seed int64, steps int) []string {
 			}
 			nodes = append(nodes, x)
 			op = fmt.Sprintf("+n%d", x)
-			_, out = p.Patch(topology.NodeFaults(x))
+			_, out = p.Patch(prev, topology.NodeFaults(x))
 		case r < 0.7 && len(nodes) > 0:
 			i := rng.Intn(len(nodes))
 			x := nodes[i]
 			nodes = slices.Delete(nodes, i, i+1)
 			op = fmt.Sprintf("-n%d", x)
-			_, out = p.Unpatch(topology.NodeFaults(x))
+			_, out = p.Unpatch(prev, topology.NodeFaults(x))
 		case r < 0.88 && len(edges) < 3:
 			x := rng.Intn(size)
 			e := topology.Edge{From: x, To: (x*d + rng.Intn(d)) % size}
@@ -68,13 +69,13 @@ func snapshotStream(t *testing.T, d, n int, seed int64, steps int) []string {
 			}
 			edges = append(edges, e)
 			op = fmt.Sprintf("+e%d-%d", e.From, e.To)
-			_, out = p.Patch(topology.FaultSet{Edges: []topology.Edge{e}})
+			_, out = p.Patch(prev, topology.EdgeFaults(e))
 		case len(edges) > 0:
 			i := rng.Intn(len(edges))
 			e := edges[i]
 			edges = slices.Delete(edges, i, i+1)
 			op = fmt.Sprintf("-e%d-%d", e.From, e.To)
-			_, out = p.Unpatch(topology.FaultSet{Edges: []topology.Edge{e}})
+			_, out = p.Unpatch(prev, topology.EdgeFaults(e))
 		default:
 			continue
 		}
@@ -97,7 +98,7 @@ func snapshotStream(t *testing.T, d, n int, seed int64, steps int) []string {
 			}
 		}
 		var snap []byte // a stale tier snapshots nothing
-		if st := p.snapshot(); st != nil {
+		if st := p.snapshot(faults()); st != nil {
 			var err error
 			if snap, err = json.Marshal(st); err != nil {
 				t.Fatal(err)

@@ -211,9 +211,9 @@ func (p *Patcher) ladder(heal bool, batch, next, fresh topology.FaultSet) Outcom
 		start := time.Now() //ringlint:allow time trace-only timing
 		var o Outcome
 		if heal {
-			o = p.ffc.unpatch(batch)
+			o = p.ffc.unpatch(batch, p.faults, next)
 		} else {
-			o = p.ffc.patch(batch)
+			o = p.ffc.patch(batch, p.faults, next)
 		}
 		p.traceStep("ffc", o, p.ffc.touched, start)
 		switch o {
@@ -331,7 +331,7 @@ func (p *Patcher) Snapshot() (st *State, regenerates bool) {
 	if p.spliceOwns {
 		return &State{Tier: "splice", State: &TierState{SpliceState: p.splice.snapshot()}}, false
 	}
-	if f := p.ffc.snapshot(); f != nil {
+	if f := p.ffc.snapshot(p.faults); f != nil {
 		return &State{Tier: "ffc", State: &TierState{FFCState: f}}, true
 	}
 	return nil, false

@@ -6,26 +6,28 @@
 //
 // Two repair tiers are provided, and for De Bruijn networks they are
 // chained.  The structural tier operates on the FFC algorithm's own
-// data structures (the necklace spanning tree T, its height-one
-// same-label stars T_w and the Step-3 successor overrides of
-// Rowley–Bose §2.2): removing a faulty necklace detaches it from its
-// parent star, re-parents its orphaned children along other surviving
-// shift-edge labels, and re-closes only the affected w-cycles, so the
-// repaired ring still satisfies Proposition 2.1 and costs O(affected
-// stars) instead of O(dⁿ).  The lifecycle is bidirectional: a faulted
-// ring link whose endpoints are healthy is absorbed by reordering
-// window choices within the touched star (Proposition 2.1 holds for ANY
-// single-cycle member order), and Unpatch reverses the surgery — a
-// repaired necklace is re-expanded into the tree, growing the ring back
-// toward dⁿ.  The generic splice tier works on any unit-dilation
+// data structures (Rowley–Bose §2.2), and on nothing else: the necklace
+// spanning tree T, held as each necklace's label and each star's
+// centre, from which every height-one same-label star T_w follows, and
+// the Step-3 successor overrides.  Removing a faulty necklace detaches
+// it from its parent star, re-parents its orphaned children along other
+// surviving shift-edge labels, and re-closes only the affected
+// w-cycles, so the repaired ring still satisfies Proposition 2.1 and
+// costs O(affected stars) instead of O(dⁿ).  The lifecycle is
+// bidirectional: a faulted ring link whose endpoints are healthy is
+// absorbed by reordering window choices within the touched star
+// (Proposition 2.1 holds for ANY single-cycle member order), and
+// Unpatch reverses the surgery — a repaired necklace is re-expanded
+// into the tree, growing the ring back toward dⁿ.  The generic splice tier works on any unit-dilation
 // topology with no structural knowledge at all: it cuts the faulted
 // nodes and links out of the ring, reconnects the surviving arcs
 // through direct links or bounded-BFS bypass paths over off-ring
 // survivors, and on heal re-inserts the repaired processors either
 // directly between adjacent ring neighbors or via a multi-hop bypass
-// path on one side.  It keeps no ring of its own: each call reads the
-// Patcher's ring once and answers with the same change format as the
-// structural tier.
+// path on one side.  Neither tier keeps a fault set of its own, and the
+// splice tier keeps no ring: each call reads the Patcher's cumulative
+// fault sets before and after the batch (and the splice tier its ring),
+// and both answer in the same change format.
 //
 // For(net) is the one entry point.  It returns a Patcher that owns the
 // ring and its cumulative fault set and runs the per-topology ladder:

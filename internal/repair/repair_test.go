@@ -40,8 +40,8 @@ func TestFFCPatcherIncrementalNodeFaults(t *testing.T) {
 		for i := 0; i < tc.faults; i++ {
 			x := rng.Intn(net.Nodes())
 			add := topology.NodeFaults(x)
+			newRing, outcome := p.Patch(faults, add)
 			faults = faults.Union(add)
-			newRing, outcome := p.Patch(add)
 			switch outcome {
 			case Patched:
 				patched++
@@ -76,17 +76,19 @@ func TestFFCPatcherIncrementalNodeFaults(t *testing.T) {
 func TestFFCPatcherDuplicateAndOffComponentFaults(t *testing.T) {
 	net, _ := topology.NewDeBruijn(2, 6)
 	p := newFFCPatcher(net)
-	ring, _, err := p.Embed(topology.NodeFaults(5))
+	faults := topology.NodeFaults(5)
+	ring, _, err := p.Embed(faults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Another node of necklace(5) — 5 = 000101 rotates through 10 (001010).
 	g := net.Graph()
 	rot := g.RotL(5)
-	if _, outcome := p.Patch(topology.NodeFaults(rot)); outcome != Noop {
+	if _, outcome := p.Patch(faults, topology.NodeFaults(rot)); outcome != Noop {
 		t.Errorf("fault on already-faulty necklace: outcome %v, want Noop", outcome)
 	}
-	if _, outcome := p.Patch(topology.NodeFaults(5)); outcome != Noop {
+	faults = faults.Union(topology.NodeFaults(rot))
+	if _, outcome := p.Patch(faults, topology.NodeFaults(5)); outcome != Noop {
 		t.Errorf("duplicate fault: outcome %v, want Noop", outcome)
 	}
 	// An off-ring edge fault is absorbed; the ring it traverses is not.
@@ -109,10 +111,11 @@ func TestFFCPatcherDuplicateAndOffComponentFaults(t *testing.T) {
 	if !found {
 		t.Fatal("no off-ring edge found")
 	}
-	if _, outcome := p.Patch(topology.EdgeFaults(off)); outcome != Noop {
+	if _, outcome := p.Patch(faults, topology.EdgeFaults(off)); outcome != Noop {
 		t.Errorf("off-ring edge fault: outcome %v, want Noop", outcome)
 	}
-	if _, outcome := p.Patch(topology.EdgeFaults(topology.Edge{From: ring[0], To: onRing[ring[0]]})); outcome != Unsupported {
+	faults = faults.Union(topology.EdgeFaults(off))
+	if _, outcome := p.Patch(faults, topology.EdgeFaults(topology.Edge{From: ring[0], To: onRing[ring[0]]})); outcome != Unsupported {
 		t.Errorf("on-ring edge fault: want Unsupported (re-embed)")
 	}
 }
@@ -129,7 +132,7 @@ func TestFFCPatcherRootFaultFallsBack(t *testing.T) {
 	if ring[0] != 0 {
 		t.Fatalf("fault-free ring roots at %d, want 0", ring[0])
 	}
-	if _, outcome := p.Patch(topology.NodeFaults(0)); outcome != Unsupported {
+	if _, outcome := p.Patch(topology.FaultSet{}, topology.NodeFaults(0)); outcome != Unsupported {
 		t.Errorf("root fault: outcome %v, want Unsupported", outcome)
 	}
 	// The fallback re-embed restores patchability.
@@ -137,7 +140,7 @@ func TestFFCPatcherRootFaultFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, outcome := p.Patch(topology.NodeFaults(ring[3])); outcome != Patched {
+	if _, outcome := p.Patch(topology.NodeFaults(0), topology.NodeFaults(ring[3])); outcome != Patched {
 		t.Errorf("post-fallback patch: outcome %v, want Patched", outcome)
 	}
 }

@@ -25,8 +25,9 @@ func TestPatchRingDeltaMatchesWalk(t *testing.T) {
 	}
 	for i, x := range []int{ring[40], ring[90], ring[150]} {
 		batch := topology.NodeFaults(x)
+		prev := p.Faults()
 		got, o := p.Patch(batch)
-		want, wo := ref.Patch(batch)
+		want, wo := ref.Patch(prev, batch)
 		if o != Patched || wo != Patched {
 			t.Fatalf("fault %d: outcomes %v/%v", i, o, wo)
 		}

@@ -419,9 +419,9 @@ func (p *oraclePatcher) ladder(heal bool, batch, next, fresh topology.FaultSet) 
 		start := time.Now() //ringlint:allow time trace-only timing
 		var o Outcome
 		if heal {
-			o = p.ffc.unpatch(batch)
+			o = p.ffc.unpatch(batch, p.faults, next)
 		} else {
-			o = p.ffc.patch(batch)
+			o = p.ffc.patch(batch, p.faults, next)
 		}
 		p.traceStep("ffc", o, p.ffc.touched, start)
 		switch o {
@@ -534,7 +534,7 @@ func (p *oraclePatcher) Snapshot() (st *State, regenerates bool) {
 	if p.spliceOwns {
 		return &State{Tier: "splice", State: &TierState{SpliceState: p.splice.snapshot()}}, false
 	}
-	if f := p.ffc.snapshot(); f != nil {
+	if f := p.ffc.snapshot(p.faults); f != nil {
 		return &State{Tier: "ffc", State: &TierState{FFCState: f}}, true
 	}
 	return nil, false

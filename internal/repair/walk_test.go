@@ -2,15 +2,18 @@ package repair
 
 import "debruijnring/topology"
 
-// Patch and Unpatch drive the FFC tier alone and read the ring off its
+// Patch and Unpatch drive the FFC tier alone, where faults is the
+// cumulative fault set before the batch, and read the ring off its
 // successor rule: the walk oracle the Patcher's delta path is checked
 // against.
-func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
-	return p.materialize(p.patch(add))
+func (p *ffcPatcher) Patch(faults, add topology.FaultSet) ([]int, Outcome) {
+	faults = faults.Canonical()
+	return p.materialize(p.patch(add, faults, faults.Union(add)))
 }
 
-func (p *ffcPatcher) Unpatch(remove topology.FaultSet) ([]int, Outcome) {
-	return p.materialize(p.unpatch(remove))
+func (p *ffcPatcher) Unpatch(faults, remove topology.FaultSet) ([]int, Outcome) {
+	faults = faults.Canonical()
+	return p.materialize(p.unpatch(remove, faults, faults.Minus(remove)))
 }
 
 // materialize walks the ring after a ring-changing outcome.

@@ -227,9 +227,9 @@ func snapshotFallbacks(reg *obs.Registry) int64 {
 // journal whose final snapshot holds only the FFC state — adopt it,
 // reproduce the live state JSON byte for byte (ring array and rotation
 // included) and leave session_restore_snapshot_fallbacks_total at 0.
-// A v4 snapshot tampered in its overrides, its tree or its hash must
-// fall back to replay from creation, reach the same state and bump the
-// counter.
+// A v4 snapshot tampered in its overrides, its tree, its faulty
+// necklaces or its hash must fall back to replay from creation, reach
+// the same state and bump the counter.
 func TestRestoreSnapshotFallbacks(t *testing.T) {
 	restore := func(t *testing.T, path, name string, mutate func(ev *Event)) (*Session, int64) {
 		t.Helper()
@@ -318,6 +318,24 @@ func TestRestoreSnapshotFallbacks(t *testing.T) {
 				}
 			}
 			t.Fatal("no tree edge hangs off a non-root necklace")
+		}},
+		{"faulty list missing a necklace", func(st *repair.FFCState, _ *Event) {
+			if len(st.Faulty) == 0 {
+				t.Fatal("the snapshot names no faulty necklace")
+			}
+			st.Faulty = st.Faulty[1:]
+		}},
+		{"label out of range", func(st *repair.FFCState, _ *Event) {
+			st.Tree[0][2] = 1 << 7 // B(2,8) labels are 7-digit words
+		}},
+		{"two centres", func(st *repair.FFCState, _ *Event) {
+			for j, e := range st.Tree {
+				if e[1] != st.Tree[0][1] {
+					st.Tree[j][2] = st.Tree[0][2]
+					return
+				}
+			}
+			t.Fatal("every tree edge hangs off one necklace")
 		}},
 		{"hash", func(_ *repair.FFCState, ev *Event) {
 			ev.RingHash = map[bool]string{true: "1", false: "0"}[ev.RingHash[0] == '0'] + ev.RingHash[1:]
