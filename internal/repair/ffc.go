@@ -280,11 +280,12 @@ func (p *ffcPatcher) patch(add, old, next topology.FaultSet) Outcome {
 	add = add.Canonical()
 	if !p.spanning {
 		// The tier declines and keeps its tree.  If the splice tier finds
-		// the batch a noop, the faults move on without the tier; once they
-		// fault a necklace the tree leaves out, they no longer describe it
-		// (restore derives the faulty necklaces from them), so it goes
-		// stale.  A heal needs no such check: the chain turns a splice
-		// noop that heals a processor into a re-embed (chainOutcome).
+		// the batch a noop, the faults move on without the tier; once the
+		// batch faults a necklace that had no fault, they no longer match
+		// the tree (restore derives the faulty necklaces from them), so
+		// the tier goes stale.  A heal needs no such check: the chain
+		// turns a splice noop that heals a processor into a re-embed
+		// (chainOutcome).
 		for _, x := range add.Nodes {
 			if !p.faultyIn(p.em.Rep(x), old.Nodes) {
 				p.valid = false
