@@ -279,6 +279,38 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheCountersInRegistry scripts hits, misses and evictions
+// through a one-entry cache and checks that the registry's cache
+// families read the same counts as CacheStats.
+func TestCacheCountersInRegistry(t *testing.T) {
+	eng := New(Options{CacheSize: 1})
+	ctx := context.Background()
+	// {0} miss, {0} hit, {1} miss evicting {0}, {0} miss evicting {1},
+	// {0} hit.
+	for _, f := range []int{0, 0, 1, 0, 0} {
+		if _, err := eng.EmbedRing(ctx, Request{Spec: "debruijn(4,2)", Faults: topology.NodeFaults(f)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := eng.CacheStats()
+	if cs.Hits != 2 || cs.Misses != 3 || cs.Evicted != 2 || cs.Entries != 1 {
+		t.Errorf("cache stats = %+v, want 2 hits, 3 misses, 2 evicted, 1 entry", cs)
+	}
+	snap := eng.Registry().Snapshot()
+	for family, want := range map[string]int64{
+		"engine_cache_hits_total":    cs.Hits,
+		"engine_cache_misses_total":  cs.Misses,
+		"engine_cache_evicted_total": cs.Evicted,
+	} {
+		if got := snap.Counters[family]; got != want {
+			t.Errorf("%s = %d, CacheStats says %d", family, got, want)
+		}
+	}
+	if got := snap.Gauges["engine_cache_entries"]; got != int64(cs.Entries) {
+		t.Errorf("engine_cache_entries = %d, CacheStats says %d", got, cs.Entries)
+	}
+}
+
 func TestCacheDisabled(t *testing.T) {
 	eng := New(Options{CacheSize: -1})
 	ctx := context.Background()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"debruijnring/obs"
 	"debruijnring/session"
 )
 
@@ -248,6 +249,14 @@ func TestRouterPromotesDeadPrimary(t *testing.T) {
 	}
 	if !replica.Replica.Promoted() {
 		t.Fatal("replica shard not marked promoted")
+	}
+	gs := rt.Status()[0]
+	counters := rt.Metrics().Snapshot().Counters
+	if got := counters[obs.Key("fleet_router_promotions_total", "group", "g0")]; got != 1 || got != int64(gs.Promotions) {
+		t.Errorf("fleet_router_promotions_total = %d, GroupStatus.Promotions = %d, want both 1", got, gs.Promotions)
+	}
+	if got := counters[obs.Key("fleet_router_requests_total", "group", "g0")]; got != gs.Requests {
+		t.Errorf("fleet_router_requests_total = %d, GroupStatus.Requests = %d", got, gs.Requests)
 	}
 
 	got, err := c.State(ctx, "fo")

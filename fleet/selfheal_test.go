@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -215,6 +216,23 @@ func TestStalePrimaryFencesAndDemotes(t *testing.T) {
 			t.Fatal("demotion never completed")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	rs, err := (&ReplicaClient{Base: primaryTS.URL}).Replication()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	resp, err := http.Get(primaryTS.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["fleet_shard_demotions_total"]; got != 1 || got != rs.Demotions {
+		t.Errorf("fleet_shard_demotions_total = %d, /v1/replication demotions = %d, want both 1", got, rs.Demotions)
 	}
 	if live := primaryShard.Sessions.List(); len(live) != 0 {
 		t.Fatalf("%d sessions still live after demotion", len(live))

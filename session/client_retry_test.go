@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"debruijnring/obs"
 )
 
 // TestClientRetriesGatewayErrors checks the failover-riding behavior: a
@@ -25,7 +27,7 @@ func TestClientRetriesGatewayErrors(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{Base: ts.URL, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond}
+	c := &Client{Base: ts.URL, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond, Metrics: obs.NewRegistry()}
 	list, err := c.List(context.Background())
 	if err != nil {
 		t.Fatalf("List through flapping server: %v", err)
@@ -33,6 +35,19 @@ func TestClientRetriesGatewayErrors(t *testing.T) {
 	if list == nil || calls.Load() != 3 {
 		t.Errorf("list = %v after %d calls, want success on call 3", list, calls.Load())
 	}
+	if got := retryCounts(c.Metrics); got != [3]int64{2, 0, 0} {
+		t.Errorf("transient/drain/torn retries = %v, want [2 0 0]", got)
+	}
+}
+
+// retryCounts reads session_client_retries_total by kind: transient,
+// drain, torn.
+func retryCounts(reg *obs.Registry) [3]int64 {
+	var out [3]int64
+	for i, kind := range []string{"transient", "drain", "torn"} {
+		out[i] = reg.Counter("session_client_retries_total", "kind", kind).Value()
+	}
+	return out
 }
 
 // TestClientDoesNotRetryClientErrors: a 4xx is the server's decision,
@@ -91,13 +106,16 @@ func TestClientCountsDrainRetriesSeparately(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{Base: ts.URL, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond}
+	c := &Client{Base: ts.URL, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond, Metrics: obs.NewRegistry()}
 	st, err := c.State(context.Background(), "drained")
 	if err != nil || st.Name != "drained" {
 		t.Fatalf("State through draining window = %+v, %v", st, err)
 	}
 	if d, r := c.DrainRetries.Load(), c.Retries.Load(); d != 2 || r != 0 {
 		t.Errorf("drain/plain retries = %d/%d, want 2/0", d, r)
+	}
+	if got := retryCounts(c.Metrics); got != [3]int64{0, 2, 0} {
+		t.Errorf("transient/drain/torn retries = %v, want [0 2 0]", got)
 	}
 }
 
@@ -116,10 +134,13 @@ func TestClientRetriesTornGetResponse(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{Base: ts.URL, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond}
+	c := &Client{Base: ts.URL, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond, Metrics: obs.NewRegistry()}
 	st, err := c.State(context.Background(), "torn")
 	if err != nil || st.Name != "torn" || calls.Load() != 2 {
 		t.Fatalf("State through torn response = %+v, %v after %d calls", st, err, calls.Load())
+	}
+	if got := retryCounts(c.Metrics); got != [3]int64{0, 0, 1} {
+		t.Errorf("transient/drain/torn retries = %v, want [0 0 1]", got)
 	}
 
 	// The same tear on a mutation is not retried: the server may have

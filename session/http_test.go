@@ -375,3 +375,49 @@ func TestHTTPTraceEndpoint(t *testing.T) {
 		t.Fatalf("limited trace = %+v, %v", limited, err)
 	}
 }
+
+// TestHTTPTraceAfterRestore: a session restored from its journal serves
+// no trace records for the events its replay re-ran, only for the live
+// events that follow.
+func TestHTTPTraceAfterRestore(t *testing.T) {
+	ts, m := newTestServer(t, Options{Dir: t.TempDir(), SnapshotEvery: 2})
+	c := &Client{Base: ts.URL}
+	ctx := context.Background()
+
+	st, err := c.Create(ctx, CreateRequest{Name: "rt", Topology: "debruijn(2,6)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two faults (a snapshot follows the second), then a heal after it.
+	for _, label := range []string{st.Ring[1], st.Ring[5]} {
+		if _, err := c.AddFaults(ctx, "rt", FaultsRequest{NodeFaults: []string{label}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.RemoveFaults(ctx, "rt", FaultsRequest{NodeFaults: []string{st.Ring[1]}}); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := c.Trace(ctx, "rt", 0); err != nil || len(tr.Records) != 3 {
+		t.Fatalf("live trace = %+v, %v; want 3 records", tr, err)
+	}
+
+	if err := m.Release("rt"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RestoreNamed("rt"); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace(ctx, "rt", 0)
+	if err != nil || len(tr.Records) != 0 {
+		t.Fatalf("trace after restore = %+v, %v; want 0 records", tr, err)
+	}
+
+	res, err := c.AddFaults(ctx, "rt", FaultsRequest{NodeFaults: []string{st.Ring[9]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err = c.Trace(ctx, "rt", 0)
+	if err != nil || len(tr.Records) != 1 || tr.Records[0].Seq != res.Event.Seq {
+		t.Fatalf("trace after one live event = %+v, %v; want 1 record at seq %d", tr, err, res.Event.Seq)
+	}
+}
