@@ -245,9 +245,8 @@ func runFleet(cfg fleetConfig) error {
 	if base == "" {
 		base = fmt.Sprintf("chaos-%d", cfg.seed)
 	}
-	// One shared registry: every client mirrors its retry counters into
-	// it, so the aggregated report reads one metrics snapshot instead of
-	// scraping per-client struct fields.
+	// One shared registry: every client counts its retries in it, so
+	// the aggregated report reads one metrics snapshot.
 	metrics := obs.NewRegistry()
 	runners := make([]*runner, cfg.sessions)
 	for i := range runners {

@@ -34,7 +34,7 @@
 //
 // Usage:
 //
-//	ringsrv -addr :8080 -workers 8 -cache 1024 -journal /var/lib/ringsrv
+//	ringsrv -addr :8080 -cache 1024 -journal /var/lib/ringsrv
 //
 // With -journal set, every session transition is appended to
 // <dir>/<name>.journal and sessions are restored from their journals at
@@ -73,7 +73,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "embedding worker pool size (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "LRU entries memoized per (topology, fault set); negative disables")
 	journalDir := flag.String("journal", "", "session journal directory (empty = sessions are in-memory only)")
 	snapshotEvery := flag.Int("snapshot-every", 32, "journal snapshot cadence in fault events")
@@ -87,7 +86,6 @@ func main() {
 		ReplicateTo:   *replicateTo,
 		Standby:       *standby,
 		SnapshotEvery: *snapshotEvery,
-		Workers:       *workers,
 		CacheSize:     *cacheSize,
 		Logf:          log.Printf,
 	})

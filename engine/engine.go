@@ -45,13 +45,13 @@ type Engine struct {
 
 	reg     *obs.Registry
 	latHist *obs.Histogram // engine_request_ns
+	hits    *obs.Counter   // engine_cache_hits_total
+	misses  *obs.Counter   // engine_cache_misses_total
+	evicted *obs.Counter   // engine_cache_evicted_total
 
 	mu       sync.Mutex
 	cache    *lruCache
 	inflight map[string]*flight
-	hits     int64
-	misses   int64
-	evicted  int64
 }
 
 // flight is one in-progress embedding; duplicate concurrent requests for
@@ -80,19 +80,24 @@ func New(opts Options) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	e := &Engine{workers: workers, cache: cache, inflight: make(map[string]*flight), reg: reg}
 	reg.SetHelp("engine_request_ns", "embed request latency (cache hits included, failures excluded)")
-	e.latHist = reg.Histogram("engine_request_ns")
-	// Cache counters live under the engine mutex; a collector mirrors
-	// them into the registry at scrape time.
 	reg.SetHelp("engine_cache_hits_total", "embed cache hits (in-flight collapses included)")
 	reg.SetHelp("engine_cache_entries", "live embed cache entries")
+	e := &Engine{
+		workers:  workers,
+		cache:    cache,
+		inflight: make(map[string]*flight),
+		reg:      reg,
+		latHist:  reg.Histogram("engine_request_ns"),
+		hits:     reg.Counter("engine_cache_hits_total"),
+		misses:   reg.Counter("engine_cache_misses_total"),
+		evicted:  reg.Counter("engine_cache_evicted_total"),
+	}
 	reg.AddCollector(func(r *obs.Registry) {
-		cs := e.CacheStats()
-		r.Counter("engine_cache_hits_total").Set(cs.Hits)
-		r.Counter("engine_cache_misses_total").Set(cs.Misses)
-		r.Counter("engine_cache_evicted_total").Set(cs.Evicted)
-		r.Gauge("engine_cache_entries").Set(int64(cs.Entries))
+		e.mu.Lock()
+		n := e.cache.len()
+		e.mu.Unlock()
+		r.Gauge("engine_cache_entries").Set(int64(n))
 	})
 	return e
 }
@@ -154,24 +159,21 @@ func (e *Engine) EmbedRing(ctx context.Context, req Request) (*Result, error) {
 
 	e.mu.Lock()
 	if ent, ok := e.cache.get(key); ok {
-		e.hits++
 		e.mu.Unlock()
+		e.hits.Inc()
 		return e.result(net, ent.ring, ent.info, true, start), nil
 	}
 	if fl, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
 		select {
 		case <-fl.done:
-			e.mu.Lock()
 			if fl.err != nil {
 				// The collapsed computation failed: account the waiter
 				// as a miss so Hits+Misses still equals served requests.
-				e.misses++
-				e.mu.Unlock()
+				e.misses.Inc()
 				return nil, fl.err
 			}
-			e.hits++
-			e.mu.Unlock()
+			e.hits.Inc()
 			return e.result(net, fl.ring, fl.info, true, start), nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -190,11 +192,12 @@ func (e *Engine) EmbedRing(ctx context.Context, req Request) (*Result, error) {
 
 	e.mu.Lock()
 	delete(e.inflight, key)
-	e.misses++
-	if err == nil && e.cache.add(key, ring, *info) {
-		e.evicted++
-	}
+	evicted := err == nil && e.cache.add(key, ring, *info)
 	e.mu.Unlock()
+	e.misses.Inc()
+	if evicted {
+		e.evicted.Inc()
+	}
 
 	if err != nil {
 		return nil, err
@@ -260,15 +263,13 @@ type CacheStats struct {
 	Capacity int   `json:"capacity"`
 }
 
-// CacheStats returns a snapshot of the engine's cache counters.
+// CacheStats returns the engine's cache counters, read from its
+// registry, and the cache's current size.
 func (e *Engine) CacheStats() CacheStats {
+	s := CacheStats{Hits: e.hits.Value(), Misses: e.misses.Value(), Evicted: e.evicted.Value()}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.cacheStatsLocked()
-}
-
-func (e *Engine) cacheStatsLocked() CacheStats {
-	s := CacheStats{Hits: e.hits, Misses: e.misses, Evicted: e.evicted, Entries: e.cache.len()}
+	s.Entries = e.cache.len()
 	if e.cache != nil {
 		s.Capacity = e.cache.capacity
 	}

@@ -11,11 +11,12 @@ import (
 	"debruijnring/obs"
 )
 
-// initMetrics wires the router's own registry: per-group routing
-// counters mirrored from live routing state at scrape time, plus the
-// draining-response counter bumped on the hot path.  The fleet-wide
-// view served at /metrics and /v1/metrics merges this registry with
-// every active shard's snapshot — see FleetMetrics.
+// initMetrics wires the router's own registry: the per-group request
+// and promotion counters (resolved per group by newGroup and bumped
+// where they happen), the draining-response counter, and the per-group
+// down gauge set from live routing state at scrape time.  The
+// fleet-wide view served at /metrics and /v1/metrics merges this
+// registry with every active shard's snapshot — see FleetMetrics.
 func (rt *Router) initMetrics() {
 	rt.metrics = obs.NewRegistry()
 	rt.metrics.SetHelp("fleet_router_requests_total", "Requests proxied to each shard group.")
@@ -29,14 +30,8 @@ func (rt *Router) initMetrics() {
 			return
 		}
 		for _, name := range view.order {
-			g := view.groups[name]
-			g.mu.Lock()
-			promotions, down := g.promotions, g.down
-			g.mu.Unlock()
-			r.Counter("fleet_router_requests_total", "group", name).Set(g.requests.Load())
-			r.Counter("fleet_router_promotions_total", "group", name).Set(int64(promotions))
 			var dv int64
-			if down {
+			if view.groups[name].isDown() {
 				dv = 1
 			}
 			r.Gauge("fleet_router_group_down", "group", name).Set(dv)

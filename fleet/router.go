@@ -59,15 +59,26 @@ type RouterOptions struct {
 
 // group is one ShardGroup's live routing state.
 type group struct {
-	mu         sync.Mutex
-	cfg        ShardGroup // mutable: re-replication resets primary/replica
-	active     string     // base URL currently serving the group's keyspace
-	promoted   bool
-	promotions int  // lifetime promotions (survives full-strength resets)
-	fails      int  // consecutive health-check failures of active
-	down       bool // active failed FailAfter times and no promotion is possible
+	mu       sync.Mutex
+	cfg      ShardGroup // mutable: re-replication resets primary/replica
+	active   string     // base URL currently serving the group's keyspace
+	promoted bool
+	fails    int  // consecutive health-check failures of active
+	down     bool // active failed FailAfter times and no promotion is possible
 
-	requests atomic.Int64
+	requests   *obs.Counter // fleet_router_requests_total{group}
+	promotions *obs.Counter // fleet_router_promotions_total{group}; survives full-strength resets
+}
+
+// newGroup returns the routing state of a group serving its primary,
+// with its counters resolved in the router's registry.
+func (rt *Router) newGroup(cfg ShardGroup) *group {
+	return &group{
+		cfg:        cfg,
+		active:     cfg.Primary,
+		requests:   rt.metrics.Counter("fleet_router_requests_total", "group", cfg.Name),
+		promotions: rt.metrics.Counter("fleet_router_promotions_total", "group", cfg.Name),
+	}
 }
 
 func (g *group) activeURL() string {
@@ -190,7 +201,7 @@ func NewRouter(groups []ShardGroup, opts RouterOptions) (*Router, error) {
 		if _, dup := view.groups[cfg.Name]; dup {
 			return nil, fmt.Errorf("fleet: duplicate group name %q", cfg.Name)
 		}
-		g := &group{cfg: cfg, active: cfg.Primary}
+		g := rt.newGroup(cfg)
 		view.groups[cfg.Name] = g
 		view.proxies[cfg.Name] = rt.newProxy(g)
 		names = append(names, cfg.Name)
@@ -436,7 +447,7 @@ func (rt *Router) proxyTo(view *routing, groupName string, w http.ResponseWriter
 			fmt.Errorf("fleet: shard group %s is down (no replica to promote)", groupName))
 		return
 	}
-	g.requests.Add(1)
+	g.requests.Inc()
 	view.proxies[groupName].ServeHTTP(w, r)
 }
 
@@ -472,7 +483,11 @@ type GroupStatus struct {
 	ReplicaLag   int64  `json:"replica_lag,omitempty"`
 }
 
-func (rt *Router) serveFleetStatus(w http.ResponseWriter) {
+// Status returns the fleet-status rows, the /v1/fleet payload: each
+// group's routing state, merged with its active shard's replication
+// health (fetched in parallel, best-effort: an unreachable shard just
+// reports no replica state).
+func (rt *Router) Status() []GroupStatus {
 	view := rt.view.Load()
 	out := make([]GroupStatus, 0, len(view.order))
 	for _, name := range view.order {
@@ -484,15 +499,13 @@ func (rt *Router) serveFleetStatus(w http.ResponseWriter) {
 			Replica:    g.cfg.Replica,
 			Active:     g.active,
 			Promoted:   g.promoted,
-			Promotions: g.promotions,
+			Promotions: int(g.promotions.Value()),
 			Down:       g.down,
 			Fails:      g.fails,
-			Requests:   g.requests.Load(),
+			Requests:   g.requests.Value(),
 		})
 		g.mu.Unlock()
 	}
-	// Merge each active shard's replication health (best-effort, in
-	// parallel; an unreachable shard just reports no replica state).
 	var wg sync.WaitGroup
 	for i := range out {
 		if out[i].Down {
@@ -510,26 +523,13 @@ func (rt *Router) serveFleetStatus(w http.ResponseWriter) {
 		}(&out[i])
 	}
 	wg.Wait()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
-}
-
-// Status returns the fleet-status rows (the /v1/fleet payload).
-func (rt *Router) Status() []GroupStatus {
-	var buf bytes.Buffer
-	rw := &statusRecorder{body: &buf}
-	rt.serveFleetStatus(rw)
-	var out []GroupStatus
-	json.Unmarshal(buf.Bytes(), &out)
 	return out
 }
 
-// statusRecorder is a minimal ResponseWriter for Status.
-type statusRecorder struct{ body *bytes.Buffer }
-
-func (s *statusRecorder) Header() http.Header         { return http.Header{} }
-func (s *statusRecorder) Write(p []byte) (int, error) { return s.body.Write(p) }
-func (s *statusRecorder) WriteHeader(int)             {}
+func (rt *Router) serveFleetStatus(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(rt.Status())
+}
 
 // healthLoop drives the failure detector: every CheckInterval (or
 // immediately on a proxy-error kick) each group's active shard is
@@ -601,7 +601,7 @@ func (rt *Router) checkGroup(g *group) {
 	}
 	g.active = replica
 	g.promoted = true
-	g.promotions++
+	g.promotions.Inc()
 	g.fails = 0
 	g.down = false
 	g.mu.Unlock()
@@ -801,7 +801,7 @@ func (rt *Router) AddShard(cfg ShardGroup) error {
 	}
 
 	// Flip: copy-on-write a new routing view including the new group.
-	g := &group{cfg: cfg, active: cfg.Primary}
+	g := rt.newGroup(cfg)
 	next := &routing{
 		hash:    pending,
 		order:   order,

@@ -211,7 +211,7 @@ func TestStalePrimaryFencesAndDemotes(t *testing.T) {
 	// lifted, process serving as a clean standby.
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)
-	for primaryShard.demotions.Load() == 0 || primaryShard.repl.Fenced() {
+	for primaryShard.demotions.Value() == 0 || primaryShard.repl.Fenced() {
 		if time.Now().After(deadline) {
 			t.Fatal("demotion never completed")
 		}
@@ -270,7 +270,7 @@ func TestStalePrimaryFencesAndDemotes(t *testing.T) {
 // TestFleetRebalanceMovesOnlyStolenKeyspace grows a two-group fleet to
 // three at runtime under live write traffic.  Sessions in the moved
 // keyspace ride the drain's 503-retry choreography (counted separately
-// as DrainRetries, zero errors); sessions outside it must see no
+// as drain retries, zero errors); sessions outside it must see no
 // retries at all.  Journals land on the new owner hash-verified and are
 // forgotten by the old ones.
 func TestFleetRebalanceMovesOnlyStolenKeyspace(t *testing.T) {

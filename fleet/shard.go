@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"debruijnring/engine"
 	"debruijnring/obs"
@@ -30,11 +29,9 @@ type ShardConfig struct {
 	// journals cold until the router promotes it.  A primary restores
 	// its own journals at startup as before.
 	Standby bool
-	// SnapshotEvery / EventBuffer are passed to the session manager.
+	// SnapshotEvery is passed to the session manager.
 	SnapshotEvery int
-	EventBuffer   int
-	// Workers / CacheSize are passed to the engine.
-	Workers   int
+	// CacheSize is passed to the engine.
 	CacheSize int
 	// Logf receives operational complaints; nil discards them.
 	Logf func(string, ...any)
@@ -61,7 +58,10 @@ type Shard struct {
 	repl  *ReplicatedStore // the manager's store; nil without a journal
 	logf  func(string, ...any)
 
-	demotions atomic.Int64
+	// reg is the shard's one metrics registry: engine, sessions,
+	// replicated store and the shard's own families.
+	reg       *obs.Registry
+	demotions *obs.Counter // fleet_shard_demotions_total
 
 	// handedOff names sessions released by a rebalance hand-off whose
 	// journals are still here: a straggling request that raced the
@@ -82,24 +82,28 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	eng := engine.New(engine.Options{Workers: cfg.Workers, CacheSize: cfg.CacheSize})
+	reg := obs.NewRegistry()
+	eng := engine.New(engine.Options{CacheSize: cfg.CacheSize, Registry: reg})
 
 	var local session.Store
 	var repl *ReplicatedStore
 	var store session.Store
 	if cfg.JournalDir != "" {
 		local = session.NewDirStore(cfg.JournalDir)
-		repl = NewReplicatedStore(local, cfg.ReplicateTo, eng.Registry(), logf)
+		repl = NewReplicatedStore(local, cfg.ReplicateTo, reg, logf)
 		store = repl
 	} else if cfg.ReplicateTo != "" {
 		return nil, errors.New("fleet: -replicate-to requires a journal directory (replication streams the journal)")
 	}
 
-	mgr := session.NewManager(eng.Registry(), session.Options{
+	mgr := session.NewManager(reg, session.Options{
 		Store:         store,
 		SnapshotEvery: cfg.SnapshotEvery,
-		EventBuffer:   cfg.EventBuffer,
 	})
+	reg.SetHelp("fleet_shard_sessions", "Live sessions on this shard.")
+	reg.SetHelp("fleet_shard_demotions_total", "Times this shard fenced itself and demoted to a clean standby.")
+	reg.SetHelp("fleet_replica_lag", "Events acked locally but not yet on the replica (catch-up backlog).")
+	reg.SetHelp("fleet_replica_state", "Shards currently in each replication state (1 per shard).")
 	s := &Shard{
 		Engine:    eng,
 		Sessions:  mgr,
@@ -108,26 +112,21 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		local:     local,
 		repl:      repl,
 		logf:      logf,
+		reg:       reg,
+		demotions: reg.Counter("fleet_shard_demotions_total"),
 		handedOff: make(map[string]bool),
 	}
 	s.Replica.Gate = s.Gate
 	if repl != nil {
 		repl.OnFenced = s.demote
 	}
-	// Mirror the shard's control-plane state into the engine's registry
-	// at scrape time, so /metrics (and the router's fleet-wide merge)
-	// carries session counts, replication health and fence/demotion
-	// counts alongside the engine's own families.  Summed across shards
-	// by the router's merge: fleet_replica_state{state="ok"} then counts
-	// the shards currently in that state.
-	reg := eng.Registry()
-	reg.SetHelp("fleet_shard_sessions", "Live sessions on this shard.")
-	reg.SetHelp("fleet_shard_demotions_total", "Times this shard fenced itself and demoted to a clean standby.")
-	reg.SetHelp("fleet_replica_lag", "Events acked locally but not yet on the replica (catch-up backlog).")
-	reg.SetHelp("fleet_replica_state", "Shards currently in each replication state (1 per shard).")
+	// Set the shard's live-state gauges at scrape time, so /metrics (and
+	// the router's fleet-wide merge) carries session counts and
+	// replication health next to the counters.  Summed across shards by
+	// the router's merge: fleet_replica_state{state="ok"} then counts the
+	// shards currently in that state.
 	reg.AddCollector(func(r *obs.Registry) {
 		r.Gauge("fleet_shard_sessions").Set(int64(len(mgr.List())))
-		r.Counter("fleet_shard_demotions_total").Set(s.demotions.Load())
 		rs := s.Replication()
 		r.Gauge("fleet_replica_lag").Set(rs.Lag)
 		for _, st := range []ReplicaState{ReplicaOff, ReplicaOK, ReplicaCatchup} {
@@ -145,7 +144,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 			logf("fleet: replica %s is already promoted; starting as a clean standby instead of restoring", cfg.ReplicateTo)
 			s.wipeJournals()
 			repl.SetTarget("")
-			s.demotions.Add(1)
+			s.demotions.Inc()
 			return s, nil
 		}
 		restored, errs := mgr.Restore()
@@ -185,7 +184,7 @@ func (s *Shard) Replication() ReplicationStatus {
 // replication target is cleared, which also lifts the fence so replica
 // ingest can stream this process back into standby duty.
 func (s *Shard) demote() {
-	s.demotions.Add(1)
+	s.demotions.Inc()
 	s.logf("fleet: demoting to clean standby: closing sessions and discarding superseded journals")
 	for _, sess := range s.Sessions.List() {
 		if err := s.Sessions.Delete(sess.Name()); err != nil {
@@ -242,12 +241,12 @@ func (s *Shard) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeReplicaJSON(w, Stats{
 			EngineStats: s.Engine.Stats(),
-			Sessions:    session.TotalsFrom(s.Engine.Registry().Snapshot()),
+			Sessions:    session.TotalsFrom(s.reg.Snapshot()),
 		})
 	})
-	mux.Handle("GET /metrics", s.Engine.Registry().Handler())
+	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeReplicaJSON(w, s.Engine.Registry().Snapshot())
+		writeReplicaJSON(w, s.reg.Snapshot())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -432,7 +431,7 @@ func (s *Shard) handleReplicationStatus(w http.ResponseWriter, r *http.Request) 
 	writeReplicaJSON(w, replicationStatusResponse{
 		ReplicationStatus: s.Replication(),
 		Epoch:             s.Gate.Current(),
-		Demotions:         s.demotions.Load(),
+		Demotions:         s.demotions.Value(),
 	})
 }
 
@@ -461,7 +460,7 @@ func (s *Shard) handleTarget(w http.ResponseWriter, r *http.Request) {
 	writeReplicaJSON(w, replicationStatusResponse{
 		ReplicationStatus: s.repl.Status(),
 		Epoch:             s.Gate.Current(),
-		Demotions:         s.demotions.Load(),
+		Demotions:         s.demotions.Value(),
 	})
 }
 

@@ -120,9 +120,6 @@ func NewReplicatedStore(local session.Store, target string, reg *obs.Registry, l
 	return s
 }
 
-// Local returns the wrapped process-local store.
-func (s *ReplicatedStore) Local() session.Store { return s.local }
-
 // Status reports the replication state for /v1/replication.
 func (s *ReplicatedStore) Status() ReplicationStatus {
 	s.mu.Lock()

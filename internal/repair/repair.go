@@ -124,26 +124,6 @@ func (o Outcome) String() string {
 	return "unsupported"
 }
 
-// ParseOutcome inverts String, for journal and stats consumers that
-// round-trip outcomes through their text form.
-func ParseOutcome(s string) (Outcome, bool) {
-	switch s {
-	case "unsupported":
-		return Unsupported, true
-	case "noop":
-		return Noop, true
-	case "patched":
-		return Patched, true
-	case "reordered":
-		return Reordered, true
-	case "readmitted":
-		return Readmitted, true
-	case "spliced":
-		return Spliced, true
-	}
-	return Unsupported, false
-}
-
 // genericPatcher repairs rings on any unit-dilation topology by cutting
 // out the faulted components and re-splicing the surviving arcs.  Bypass
 // paths run through off-ring survivors only, so it shines once faults

@@ -4,6 +4,11 @@
 // merged router-side with zero re-binning error) and renders Prometheus
 // text exposition for /metrics endpoints.
 //
+// A registry is the only store of the counts it holds: components
+// resolve their counters once, increment them where the counted event
+// happens and read them back with Counter.Value; collectors only set
+// gauges of live state at scrape time.
+//
 // Hot-path cost: Counter.Add and Gauge.Set are one atomic op,
 // Histogram.Observe is three; none allocate.  Callers on hot paths
 // should resolve the metric pointer once (Registry lookups take a
@@ -17,8 +22,9 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric.  (Set exists for
-// scrape-time mirroring of externally maintained totals.)
+// Counter is a monotonically increasing metric.  It is the only store
+// of its count: a component resolves the counter once, increments it
+// where the event happens and reads it back with Value.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
@@ -34,14 +40,6 @@ func (c *Counter) Add(n int64) {
 //
 //ringlint:noalloc
 func (c *Counter) Inc() { c.Add(1) }
-
-// Set overwrites the counter; for collectors mirroring totals owned
-// elsewhere, not for hot-path use.
-func (c *Counter) Set(n int64) {
-	if c != nil {
-		c.v.Store(n)
-	}
-}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 {
@@ -208,8 +206,9 @@ func (r *Registry) SetHelp(family, text string) {
 }
 
 // AddCollector registers fn to run at every Snapshot/WriteText, for
-// mirroring state owned elsewhere (cache sizes, replication lag) into
-// the registry at scrape time.
+// setting gauges of live state owned elsewhere (cache sizes,
+// replication lag) at scrape time.  Counts belong in counters
+// incremented where they happen, not in collectors.
 func (r *Registry) AddCollector(fn func(*Registry)) {
 	if r == nil || fn == nil {
 		return

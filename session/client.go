@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"debruijnring/obs"
@@ -19,14 +18,14 @@ import (
 
 // ErrDraining marks a 503 carrying the fleet's draining marker: the
 // session is mid-handoff in a rebalance, and the retry that follows is
-// expected choreography, not a failure.  Callers (the chaos driver)
-// count these separately via the client's DrainRetries counter.
+// expected choreography, not a failure.  The client counts these
+// retries as session_client_retries_total{kind="drain"} in Metrics.
 var ErrDraining = errors.New("session: draining (fleet rebalance in progress)")
 
 // ErrTorn marks a response whose body was cut off mid-decode (e.g. the
 // old owner dropping connections as a drain flips routing).  Idempotent
 // GETs wrap their decode error in it and retry; the client counts these
-// separately via TornRetries.
+// retries as session_client_retries_total{kind="torn"} in Metrics.
 var ErrTorn = errors.New("session: torn response")
 
 // Client talks to the /v1/sessions API of a ringsrv instance or a
@@ -55,40 +54,29 @@ type Client struct {
 	// RetryCap bounds one backoff delay (default 1s).
 	RetryCap time.Duration
 
-	// Metrics, when set, mirrors the retry counters into the registry
-	// as session_client_retries_total{kind="transient"|"drain"|"torn"},
-	// so drivers and tests can read them from a metrics snapshot
-	// instead of scraping the struct fields.
+	// Metrics, when set, counts retried attempts, cumulative over the
+	// client's lifetime, as session_client_retries_total{kind}: "drain"
+	// for a fleet rebalance draining the session (ErrDraining), which
+	// is expected choreography rather than a fault; "torn" for
+	// idempotent GETs replayed after a response died mid-body
+	// (ErrTorn); "transient" for every other transport error and
+	// gateway status.  nil counts nothing.
 	Metrics *obs.Registry
-
-	// Retries counts retried attempts (transport errors and gateway
-	// statuses); DrainRetries counts the subset caused by a fleet
-	// rebalance draining the session (ErrDraining), which is expected
-	// choreography rather than a fault; TornRetries counts idempotent
-	// GETs replayed after a response died mid-body (ErrTorn).  All are
-	// cumulative over the client's lifetime.
-	Retries      atomic.Int64
-	DrainRetries atomic.Int64
-	TornRetries  atomic.Int64
 }
 
-// countRetry classifies one retried attempt into the struct counters
-// and (when wired) the metrics registry.
+// countRetry counts one retried attempt by kind in Metrics.
 func (c *Client) countRetry(err error) {
+	if c.Metrics == nil {
+		return
+	}
 	kind := "transient"
 	switch {
 	case errors.Is(err, ErrDraining):
-		c.DrainRetries.Add(1)
 		kind = "drain"
 	case errors.Is(err, ErrTorn):
-		c.TornRetries.Add(1)
 		kind = "torn"
-	default:
-		c.Retries.Add(1)
 	}
-	if c.Metrics != nil {
-		c.Metrics.Counter("session_client_retries_total", "kind", kind).Inc()
-	}
+	c.Metrics.Counter("session_client_retries_total", "kind", kind).Inc()
 }
 
 // defaultHTTP backs clients that don't bring their own http.Client.
@@ -303,8 +291,8 @@ func (c *Client) applyFaults(ctx context.Context, method, name string, req Fault
 	return &out, nil
 }
 
-// Trace fetches the session's retained repair trace records (limit <= 0
-// returns every retained record).
+// Trace fetches the session's repair trace records, one per recent live
+// fault/heal event (limit <= 0 returns all of them, at most 128).
 func (c *Client) Trace(ctx context.Context, name string, limit int) (*TraceResponse, error) {
 	path := "/v1/sessions/" + url.PathEscape(name) + "/trace"
 	if limit > 0 {

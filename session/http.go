@@ -245,13 +245,13 @@ func (h *handler) applyFaults(w http.ResponseWriter, r *http.Request, apply func
 }
 
 // TraceResponse is the GET /v1/sessions/{name}/trace payload: the
-// session's retained repair traces, oldest first.
+// session's recent repair traces, oldest first.
 type TraceResponse struct {
 	Name    string        `json:"name"`
 	Records []TraceRecord `json:"records"`
 }
 
-// trace serves the session's retained per-event repair traces: tier
+// trace serves the session's recent per-event repair traces: tier
 // descents with outcomes, touched-structure counts and latencies.
 // ?limit=N bounds the result to the N most recent records.
 func (h *handler) trace(w http.ResponseWriter, r *http.Request) {

@@ -27,13 +27,6 @@ type Options struct {
 	// Restore; between them replay re-runs the deterministic repair
 	// decisions and verifies every ring hash.
 	SnapshotEvery int
-	// EventBuffer is the per-session count of retained events served to
-	// watchers (default 256).
-	EventBuffer int
-	// TraceBuffer is the per-session count of retained repair trace
-	// records served by GET /v1/sessions/{name}/trace (default 128;
-	// negative disables trace retention).
-	TraceBuffer int
 }
 
 // Manager owns the live sessions of one process and their journals.
@@ -53,12 +46,6 @@ type Manager struct {
 func NewManager(reg *obs.Registry, opts Options) *Manager {
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = 32
-	}
-	if opts.EventBuffer <= 0 {
-		opts.EventBuffer = 256
-	}
-	if opts.TraceBuffer == 0 {
-		opts.TraceBuffer = 128
 	}
 	store := opts.Store
 	if store == nil && opts.Dir != "" {
@@ -118,12 +105,11 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		patcher: repair.For(net),
 		notify:  make(chan struct{}),
 	}
-	_, info, err := s.patcher.Embed(faults)
+	_, _, err := s.patcher.Embed(faults)
 	if err != nil {
 		return nil, err
 	}
 	s.rehashLocked()
-	s.rounds = info.Rounds
 
 	if m.store != nil {
 		s.journal, err = m.store.Create(name)
@@ -383,12 +369,10 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			s.patcher = repair.For(net)
 		}
 		faults := topology.FaultSet{Nodes: created.FaultNodes, Edges: decodeEdges(created.FaultEdges)}.Canonical()
-		_, info, err := s.patcher.Embed(faults)
-		if err != nil {
+		if _, _, err := s.patcher.Embed(faults); err != nil {
 			return nil, fmt.Errorf("initial embed replay: %w", err)
 		}
 		s.rehashLocked()
-		s.rounds = info.Rounds
 		start = 1
 	}
 
@@ -425,6 +409,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			// Stale snapshot before the resume point, or one we skipped.
 		}
 	}
+	s.replayedSeq = s.seq
 
 	s.journal, err = m.store.Open(name)
 	if err != nil {

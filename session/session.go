@@ -186,21 +186,20 @@ type Session struct {
 	hash      string
 	fnvHash   bool
 	fnvRing   []int32
-	rounds    int // broadcast rounds of the last full embed
 	seq       uint64
 	stats     Stats
 	journal   JournalWriter // nil when persistence is off
 	sinceSnap int
 	closed    bool
 
-	// events is a bounded buffer of recent events for watchers; notify
-	// is closed and replaced on every publish.
+	// events is a bounded buffer of recent events for watchers and the
+	// trace endpoint; notify is closed and replaced on every publish.
 	events []Event
 	notify chan struct{}
-
-	// traces is a bounded buffer of per-event repair traces for the
-	// trace endpoint (live events only; replay does not refill it).
-	traces []TraceRecord
+	// replayedSeq is the seq at which journal replay finished (0 for a
+	// created session): events at or below it were re-run by replay,
+	// not served live, and yield no trace record.
+	replayedSeq uint64
 }
 
 // Name returns the session's unique name.
@@ -389,14 +388,12 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 		}
 		if o.tier == tierReembed {
 			embedStart := time.Now()
-			_, info, err := s.patcher.Embed(next)
+			_, _, err := s.patcher.Embed(next)
 			step := TierTrace{Tier: "reembed", Outcome: "ok", ElapsedNs: time.Since(embedStart).Nanoseconds()}
 			if err != nil {
 				embedErr = err
 				step.Outcome = "error"
 				o.tier = tierRejected
-			} else {
-				s.rounds = info.Rounds
 			}
 			ev.Tiers = append(ev.Tiers, step)
 		}
@@ -427,9 +424,8 @@ func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record boo
 
 // finishEventLocked stamps, sequences and counts one event, journals it
 // when record is set, and then publishes it, so no watcher sees an
-// event the journal does not hold yet.  With record set it also
-// retains the event's repair trace and feeds the manager's per-outcome
-// metrics.
+// event the journal does not hold yet.  With record set it also feeds
+// the manager's per-outcome metrics.
 func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, o outcome) {
 	s.seq++
 	ev.Seq = s.seq
@@ -439,7 +435,6 @@ func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, o o
 	*s.stats.count(o)++
 	s.sinceSnap++
 	if record {
-		s.recordTraceLocked(ev)
 		s.appendJournal(*ev)
 		s.mgr.metrics.record(o, ev.ElapsedNs)
 	}
@@ -461,11 +456,15 @@ func (s *Session) appendJournal(ev Event) {
 	}
 }
 
+// eventBuffer is the per-session count of recent events retained for
+// watchers and the trace endpoint.
+const eventBuffer = 256
+
 // publishLocked appends the event to the watch buffer and wakes every
 // waiting watcher.
 func (s *Session) publishLocked(ev Event) {
-	if limit := s.mgr.opts.EventBuffer; len(s.events) >= limit {
-		s.events = append(s.events[:0], s.events[len(s.events)-limit+1:]...)
+	if len(s.events) >= eventBuffer {
+		s.events = append(s.events[:0], s.events[len(s.events)-eventBuffer+1:]...)
 	}
 	s.events = append(s.events, ev)
 	close(s.notify)

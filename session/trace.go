@@ -1,6 +1,7 @@
 package session
 
 import (
+	"slices"
 	"time"
 
 	"debruijnring/internal/repair"
@@ -37,10 +38,10 @@ func tierTraces(steps []repair.TierStep) []TierTrace {
 	return out
 }
 
-// TraceRecord is one retained per-session repair trace: the journal
-// outcome of a fault/heal event plus its tier descent.  Sessions keep
-// a bounded ring of the most recent records (Options.TraceBuffer),
-// served by GET /v1/sessions/{name}/trace.
+// TraceRecord is one per-session repair trace: the journal outcome of
+// a live fault/heal event plus its tier descent, served by
+// GET /v1/sessions/{name}/trace for the newest traceRecords live
+// events of the session's watch buffer.
 type TraceRecord struct {
 	Seq        uint64      `json:"seq"`
 	Time       time.Time   `json:"time"`
@@ -53,38 +54,40 @@ type TraceRecord struct {
 	Error      string      `json:"error,omitempty"`
 }
 
-// recordTraceLocked retains one event's trace in the session's bounded
-// buffer.  Only live events are retained (journal replay rebuilds
-// rings, not observability history).
-func (s *Session) recordTraceLocked(ev *Event) {
-	limit := s.mgr.opts.TraceBuffer
-	if limit <= 0 {
-		return
-	}
-	if len(s.traces) >= limit {
-		s.traces = append(s.traces[:0], s.traces[len(s.traces)-limit+1:]...)
-	}
-	s.traces = append(s.traces, TraceRecord{
-		Seq:        ev.Seq,
-		Time:       ev.Time,
-		Kind:       ev.Kind,
-		Repair:     ev.Repair,
-		Tiers:      ev.Tiers,
-		RingLength: ev.RingLength,
-		FaultCount: ev.FaultCount,
-		ElapsedNs:  ev.ElapsedNs,
-		Error:      ev.Error,
-	})
-}
+// traceRecords bounds the records Traces returns.
+const traceRecords = 128
 
-// Traces returns the most recent retained trace records, oldest first.
-// limit <= 0 returns every retained record.
+// Traces returns the trace records of the newest live fault/heal events
+// in the watch buffer, at most traceRecords of them, oldest first.
+// limit > 0 bounds the result to the limit newest records.  Events that
+// journal replay re-ran are not live and yield no record.
 func (s *Session) Traces(limit int) []TraceRecord {
+	if limit <= 0 || limit > traceRecords {
+		limit = traceRecords
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.traces
-	if limit > 0 && len(recs) > limit {
-		recs = recs[len(recs)-limit:]
+	var recs []TraceRecord
+	for i := len(s.events) - 1; i >= 0 && len(recs) < limit; i-- {
+		ev := &s.events[i]
+		if ev.Seq <= s.replayedSeq {
+			break
+		}
+		if ev.Kind != "fault" && ev.Kind != "heal" {
+			continue
+		}
+		recs = append(recs, TraceRecord{
+			Seq:        ev.Seq,
+			Time:       ev.Time,
+			Kind:       ev.Kind,
+			Repair:     ev.Repair,
+			Tiers:      ev.Tiers,
+			RingLength: ev.RingLength,
+			FaultCount: ev.FaultCount,
+			ElapsedNs:  ev.ElapsedNs,
+			Error:      ev.Error,
+		})
 	}
-	return append([]TraceRecord(nil), recs...)
+	slices.Reverse(recs)
+	return recs
 }
