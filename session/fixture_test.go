@@ -16,12 +16,16 @@ import (
 // under testdata/journals were recorded with.
 const fixtureSnapshotEvery = 8
 
-// The fixture journals were recorded by two seeded B(2,8) fault/heal
-// streams and are committed as recorded: they pin the repair decisions,
-// ring hashes and journal line format of the build that wrote them.
-// b28-seed74 and b28-seed107 are v3 journals (FNV ring hash, a ring in
-// every snapshot); the -v4 pair replays the same batches under journal
-// v4.  Each <name>.journal has a <name>.state.json holding the JSON of
+// The fixture journals were recorded by seeded fault/heal streams and
+// are committed as recorded: they pin the repair decisions, ring hashes
+// and journal line format of the build that wrote them.  b28-seed74 and
+// b28-seed107 are B(2,8) v3 journals (FNV ring hash, a ring in every
+// snapshot); the -v4 pair replays the same batches under journal v4.
+// q6-seed80 is a v4 hypercube(6) stream of node and link faults and
+// heals: a topology without the FFC tier, where the splice tier alone
+// serves local repairs, link faults it declines are rejected (the
+// hypercube embedder takes no link faults), and no f ≤ n gate applies.
+// Each <name>.journal has a <name>.state.json holding the JSON of
 // the live session's StateSnapshot(true) at the end of the stream.
 func fixtureJournals(t *testing.T) []string {
 	t.Helper()
