@@ -87,6 +87,7 @@ import (
 	"sync"
 	"time"
 
+	"debruijnring/internal/repair"
 	"debruijnring/obs"
 	"debruijnring/session"
 	"debruijnring/topology"
@@ -198,6 +199,7 @@ func main() {
 		check:     *check,
 		soak:      *soak,
 		minSplice: *minSplice,
+		metrics:   obs.NewRegistry(),
 	}
 	if trace != nil {
 		r.topology = trace.Topology
@@ -245,8 +247,9 @@ func runFleet(cfg fleetConfig) error {
 	if base == "" {
 		base = fmt.Sprintf("chaos-%d", cfg.seed)
 	}
-	// One shared registry: every client counts its retries in it, so
-	// the aggregated report reads one metrics snapshot.
+	// One shared registry: every client counts its retries in it and
+	// every runner its events, so the aggregated report reads one
+	// metrics snapshot.
 	metrics := obs.NewRegistry()
 	runners := make([]*runner, cfg.sessions)
 	for i := range runners {
@@ -265,6 +268,7 @@ func runFleet(cfg fleetConfig) error {
 			keep:     cfg.keep,
 			check:    cfg.check,
 			quiet:    true,
+			metrics:  metrics,
 			// Per-session clients so drain-induced retries (rebalance
 			// choreography) are countable apart from failover retries.
 			client: &session.Client{Base: cfg.server, Metrics: metrics},
@@ -313,24 +317,24 @@ func runFleet(cfg fleetConfig) error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	agg := &runner{}
+	var samples []sample
 	failed := 0
 	for i, r := range runners {
-		agg.samples = append(agg.samples, r.samples...)
+		samples = append(samples, r.samples...)
 		if errs[i] != nil {
 			failed++
 			fmt.Fprintf(os.Stderr, "chaos: session %s: %v\n", r.name, errs[i])
 		}
 	}
 	fmt.Printf("%d events across %d sessions in %s (%.0f events/s)\n",
-		len(agg.samples), cfg.sessions, elapsed.Round(time.Millisecond),
-		float64(len(agg.samples))/elapsed.Seconds())
-	retries := metrics.Snapshot()
+		len(samples), cfg.sessions, elapsed.Round(time.Millisecond),
+		float64(len(samples))/elapsed.Seconds())
+	snap := metrics.Snapshot()
 	fmt.Printf("client retries: %d failover/transient, %d drain-induced (rebalance choreography), %d torn-response\n",
-		retries.Counters[obs.Key("session_client_retries_total", "kind", "transient")],
-		retries.Counters[obs.Key("session_client_retries_total", "kind", "drain")],
-		retries.Counters[obs.Key("session_client_retries_total", "kind", "torn")])
-	spliced := agg.report()
+		snap.Counters[obs.Key("session_client_retries_total", "kind", "transient")],
+		snap.Counters[obs.Key("session_client_retries_total", "kind", "drain")],
+		snap.Counters[obs.Key("session_client_retries_total", "kind", "torn")])
+	spliced := report(snap, samples)
 	if failed > 0 {
 		return fmt.Errorf("%d of %d sessions failed", failed, cfg.sessions)
 	}
@@ -532,7 +536,6 @@ func writeTrace(path string, tr *Trace) error {
 
 // sample is one absorbed event's measurements.
 type sample struct {
-	heal       bool
 	repair     string
 	ringLen    int
 	lowerBound int
@@ -559,6 +562,9 @@ type runner struct {
 	// client, when set, is used instead of a default one — fleet runs
 	// inject per-session clients so retry counters survive the run.
 	client *session.Client
+	// metrics counts every event as the server does (record); fleet
+	// runs share one.
+	metrics *obs.Registry
 
 	events []TraceEvent // fixed trace; nil in soak mode
 	gen    *generator   // soak mode source
@@ -576,7 +582,7 @@ func (r *runner) run() error {
 	if err := r.drive(); err != nil {
 		return err
 	}
-	spliced := r.report()
+	spliced := report(r.metrics.Snapshot(), r.samples)
 	if r.check {
 		if err := reportFleetMetrics(r.server); err != nil {
 			return err
@@ -662,7 +668,7 @@ func (r *runner) step(ctx context.Context, c *session.Client, i int, ev TraceEve
 	res, err := send(ctx, r.name, ev.FaultsRequest)
 	clientNs := time.Since(start).Nanoseconds()
 	if err != nil {
-		s := sample{heal: ev.Heal, repair: "rejected", rejected: true, clientNs: clientNs}
+		s := sample{repair: "rejected", rejected: true, clientNs: clientNs}
 		if res != nil {
 			s.ringLen = res.Event.RingLength
 			s.serverNs = res.Event.ElapsedNs
@@ -672,7 +678,7 @@ func (r *runner) step(ctx context.Context, c *session.Client, i int, ev TraceEve
 		} else if !r.quiet {
 			fmt.Printf("%5d  %-5s  rejected: %v\n", i+1, kind, err)
 		}
-		r.samples = append(r.samples, s)
+		r.record(kind, s)
 		// Rejected batches end a fixed-trace run (subsequent events were
 		// generated assuming this one landed); soak runs roll the
 		// generator's bookkeeping back and keep going.
@@ -682,14 +688,13 @@ func (r *runner) step(ctx context.Context, c *session.Client, i int, ev TraceEve
 		return r.soak == 0, nil
 	}
 	s := sample{
-		heal:       ev.Heal,
 		repair:     res.Event.Repair,
 		ringLen:    res.Event.RingLength,
 		lowerBound: res.Event.LowerBound,
 		serverNs:   res.Event.ElapsedNs,
 		clientNs:   clientNs,
 	}
-	r.samples = append(r.samples, s)
+	r.record(kind, s)
 	switch s.repair {
 	case "splice":
 		r.spliceActive = true
@@ -707,6 +712,15 @@ func (r *runner) step(ctx context.Context, c *session.Client, i int, ev TraceEve
 		}
 	}
 	return false, nil
+}
+
+// record keeps one sample of a kind ("fault" or "heal") event and
+// counts it under the server's session_repair_{total,ns}{dir,tier}
+// series, which report reads back.
+func (r *runner) record(kind string, s sample) {
+	r.samples = append(r.samples, s)
+	r.metrics.Counter("session_repair_total", "dir", kind, "tier", s.repair).Inc()
+	r.metrics.Histogram("session_repair_ns", "dir", kind, "tier", s.repair).Observe(s.serverNs)
 }
 
 // verify independently checks the server's ring: fetch it, verify it
@@ -746,10 +760,10 @@ func (r *runner) verify(ctx context.Context, c *session.Client, i int) error {
 	// patcher on other topologies is documented best-effort (a healed
 	// node without a slot legitimately stays off-ring), so only De
 	// Bruijn sessions are gated at all.
-	if db, isDB := r.net.(*topology.DeBruijn); isDB {
+	if _, isDB := r.net.(*topology.DeBruijn); isDB {
 		cold, _, coldErr := r.net.EmbedRing(faults)
 		if coldErr == nil {
-			bound := db.Nodes() - db.WordLen()*len(faults.Nodes)
+			bound := repair.LowerBound(r.net, faults)
 			switch {
 			case !r.spliceActive && len(cold) != len(ring):
 				return fmt.Errorf("event %d: DIVERGENCE: repaired ring %d nodes, cold re-embed %d",
@@ -764,64 +778,53 @@ func (r *runner) verify(ctx context.Context, c *session.Client, i int) error {
 }
 
 // report prints the per-tier resolution summary (structural "local",
-// bypass "splice", "reembed"), the ladder hit rates, per-tier latency
-// and the degradation curve endpoints.  It returns the number of
-// splice-tier resolutions, for the -min-splice gate.
-func (r *runner) report() int {
-	samples := r.samples
-	byKind := map[string][]int64{}
-	counts := map[string]int{}
-	healCounts := map[string]int{}
-	for _, s := range samples {
-		key := s.repair
-		if s.heal {
-			healCounts[s.repair]++
-			key = "heal-" + s.repair
-		} else {
-			counts[s.repair]++
-		}
-		byKind[key] = append(byKind[key], s.serverNs)
-	}
+// bypass "splice", "reembed"), the ladder hit rates and per-tier
+// latency, all read from snap's session_repair_{total,ns}{dir,tier}
+// series through the formulas GET /v1/stats uses, and the degradation
+// curve endpoint from samples.  It returns the number of splice-tier
+// resolutions, for the -min-splice gate.
+func report(snap obs.Snapshot, samples []sample) int {
+	t := session.TotalsFrom(snap)
 	fmt.Println()
-	fmt.Printf("events: %d  fault[local: %d  splice: %d  reembed: %d  noop: %d  rejected: %d]  heal[local: %d  splice: %d  reembed: %d  noop: %d]\n",
-		len(samples), counts["local"], counts["splice"], counts["reembed"], counts["noop"],
-		counts["rejected"]+healCounts["rejected"],
-		healCounts["local"], healCounts["splice"], healCounts["reembed"], healCounts["noop"])
-	if changing := counts["local"] + counts["splice"] + counts["reembed"]; changing > 0 {
-		fmt.Printf("patch hit rate:   %.1f%%\n", 100*float64(counts["local"]+counts["splice"])/float64(changing))
+	fmt.Printf("events: %d  fault[local: %d  splice: %d  reembed: %d]  heal[local: %d  splice: %d  reembed: %d]  noop: %d  rejected: %d\n",
+		len(samples), t.LocalRepairs, t.SpliceRepairs, t.Reembeds,
+		t.LocalHeals, t.SpliceHeals, t.HealReembeds, t.Noops, t.Rejected)
+	if t.LocalRepairs+t.SpliceRepairs+t.Reembeds > 0 {
+		fmt.Printf("patch hit rate:   %.1f%%\n", 100*t.PatchHitRate)
 	}
-	if healing := healCounts["local"] + healCounts["splice"] + healCounts["reembed"]; healing > 0 {
-		fmt.Printf("unpatch hit rate: %.1f%%\n", 100*float64(healCounts["local"]+healCounts["splice"])/float64(healing))
+	if t.LocalHeals+t.SpliceHeals+t.HealReembeds > 0 {
+		fmt.Printf("unpatch hit rate: %.1f%%\n", 100*t.UnpatchHitRate)
 	}
-	spliced := counts["splice"] + healCounts["splice"]
-	if pastFFC := spliced + counts["reembed"] + healCounts["reembed"]; pastFFC > 0 {
+	spliced := t.SpliceRepairs + t.SpliceHeals
+	if pastFFC := spliced + t.Reembeds + t.HealReembeds; pastFFC > 0 {
 		fmt.Printf("splice hit rate:  %.1f%% (%d of %d events past the structural tier)\n",
-			100*float64(spliced)/float64(pastFFC), spliced, pastFFC)
+			100*t.SpliceHitRate, spliced, pastFFC)
 	}
 	// Per-tier latency through the same log-bucketed histograms the
 	// server exposes at /metrics (quantile error bounded by the bucket
 	// width), so this table and a fleet-wide scrape read alike.
 	header := false
-	for _, kind := range []string{"local", "splice", "reembed", "heal-local", "heal-splice", "heal-reembed"} {
-		lat := byKind[kind]
-		if len(lat) == 0 {
-			continue
+	for _, dir := range []string{"fault", "heal"} {
+		for _, tier := range []repair.Resolution{repair.ResLocal, repair.ResSplice, repair.ResReembed} {
+			h := snap.Histograms[obs.Key("session_repair_ns", "dir", dir, "tier", tier.String())]
+			if h.Count == 0 {
+				continue
+			}
+			if !header {
+				fmt.Printf("%-12s %8s  %12s  %12s  %12s  %12s\n",
+					"tier", "count", "mean", "p50", "p99", "p999")
+				header = true
+			}
+			kind := tier.String()
+			if dir == "heal" {
+				kind = "heal-" + kind
+			}
+			fmt.Printf("%-12s %8d  %12s  %12s  %12s  %12s\n", kind, h.Count,
+				time.Duration(h.Mean()),
+				time.Duration(h.Quantile(0.50)),
+				time.Duration(h.Quantile(0.99)),
+				time.Duration(h.Quantile(0.999)))
 		}
-		h := &obs.Histogram{}
-		for _, v := range lat {
-			h.Observe(v)
-		}
-		s := h.Snapshot()
-		if !header {
-			fmt.Printf("%-12s %8s  %12s  %12s  %12s  %12s\n",
-				"tier", "count", "mean", "p50", "p99", "p999")
-			header = true
-		}
-		fmt.Printf("%-12s %8d  %12s  %12s  %12s  %12s\n", kind, s.Count,
-			time.Duration(s.Mean()),
-			time.Duration(s.Quantile(0.50)),
-			time.Duration(s.Quantile(0.99)),
-			time.Duration(s.Quantile(0.999)))
 	}
 	// Degradation: how much ring the stream cost versus the guarantee.
 	var last *sample
@@ -833,5 +836,5 @@ func (r *runner) report() int {
 	if last != nil {
 		fmt.Printf("final ring: %d nodes (guaranteed ≥ %d)\n", last.ringLen, last.lowerBound)
 	}
-	return spliced
+	return int(spliced)
 }

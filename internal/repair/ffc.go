@@ -276,8 +276,8 @@ func (p *ffcPatcher) patch(add, old, next topology.FaultSet) Outcome {
 	if !p.valid {
 		return Unsupported
 	}
-	// The owning Patcher has range-checked every coordinate.
-	add = add.Canonical()
+	// The owning Patcher has canonicalized the batch and range-checked
+	// every coordinate.
 	if !p.spanning {
 		// The tier declines and keeps its tree.  If the splice tier finds
 		// the batch a noop, the faults move on without the tier; once the
@@ -354,7 +354,6 @@ func (p *ffcPatcher) unpatch(remove, old, next topology.FaultSet) Outcome {
 	if !p.valid || !p.spanning {
 		return Unsupported
 	}
-	remove = remove.Canonical()
 	p.avoid = next.Edges
 	changed := false
 	for _, x := range remove.Nodes {

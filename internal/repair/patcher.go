@@ -13,21 +13,21 @@ import (
 // root-necklace loss (including the root-fault and root-necklace-exit-
 // link cases that used to always recompute), non-spanning survivor
 // graphs, unreorderable stars, failed reattach — the generic splice tier
-// attempts a local bypass repair of the live ring before the caller pays
-// for a cold re-embed:
+// attempts a local bypass repair of the live ring before the ladder
+// pays for a cold re-embed:
 //
 //	FFC surgery (~O(touched stars)) → splice bypass (~O(ring)) → re-embed (O(dⁿ))
 //
-// Splice-tier results on the chain are reported as Spliced so sessions
-// can journal (and stats can count) which tier resolved each event.
-// Every other topology runs the splice tier alone, reporting Patched and
-// Readmitted.
+// Splice-tier results on the chain are reported as Spliced, and resolve
+// as ResSplice, so sessions can journal (and stats can count) which
+// tier resolved each event.  Every other topology runs the splice tier
+// alone, reporting Patched and Readmitted.
 //
-// Either tier answers with a delta, which the Patcher applies to its
-// Ring in place and proves valid from the seams it touched (Ring.apply).
-// A batch changes the ring only when its delta passes; on any other
-// outcome the ring and fault set are untouched, and the caller re-embeds
-// with Embed.
+// Either local tier answers with a delta, which the Patcher applies to
+// its Ring in place and proves valid from the seams it touched
+// (Ring.apply).  A batch changes the ring only when its delta passes; on
+// any other outcome the ring and fault set are untouched, and Absorb
+// re-embeds (Embed), as it does past the paper's f ≤ n bound.
 //
 // The Patcher's ring and fault set are the only copies: the splice tier
 // keeps neither, and reads both on every call.  Once the splice tier has
@@ -49,7 +49,8 @@ type Patcher struct {
 	faults topology.FaultSet
 	diff   Diff
 
-	// trace holds the tier ladder of the most recent Step for LastTrace.
+	// trace holds the tier ladder of the most recent Absorb or Step for
+	// LastTrace.
 	trace []TierStep
 }
 
@@ -76,6 +77,14 @@ func LowerBound(net topology.Network, f topology.FaultSet) int {
 	return max(db.Nodes()-db.WordLen()*len(f.Nodes), 0)
 }
 
+// withinBound reports whether f is within the paper's f ≤ n bound on a
+// De Bruijn network, past which Absorb re-embeds to re-balance the
+// ring; other topologies have no such bound.
+func withinBound(net topology.Network, f topology.FaultSet) bool {
+	db, ok := net.(*topology.DeBruijn)
+	return !ok || len(f.Nodes) <= db.WordLen()
+}
+
 // RingLen returns the owned ring's length.
 func (p *Patcher) RingLen() int { return p.ring.k }
 
@@ -96,19 +105,71 @@ func (p *Patcher) RingHash() uint64 { return p.ring.hash }
 // Faults returns the cumulative canonical fault set the ring avoids.
 func (p *Patcher) Faults() topology.FaultSet { return p.faults }
 
-// Diff reports the nodes the most recent Step or Embed removed from the
-// ring and added to it (empty when that call left the ring unchanged).
+// Diff reports the nodes the most recent Absorb, Step or Embed removed
+// from the ring and added to it (empty when that call left the ring
+// unchanged).
 func (p *Patcher) Diff() Diff { return p.diff }
 
-// LastTrace returns the tier steps of the most recent Step, in descent
-// order.  The slice is owned by the Patcher and valid until its next
-// call.
+// LastTrace returns the tier steps of the most recent Absorb or Step,
+// in descent order.  The slice is owned by the Patcher and valid until
+// its next call.
 func (p *Patcher) LastTrace() []TierStep { return p.trace }
 
-// traceStep appends one tier attempt to the current call's trace.
-func (p *Patcher) traceStep(tier string, o Outcome, touched int, start time.Time) {
+// traceStep appends one rung's attempt to the current call's trace.
+func (p *Patcher) traceStep(tier, outcome string, touched int, start time.Time) {
 	//ringlint:allow time trace-only timing; Elapsed is diagnostic, never replayed or hashed
-	p.trace = append(p.trace, TierStep{Tier: tier, Outcome: o, Touched: touched, Elapsed: time.Since(start)})
+	p.trace = append(p.trace, TierStep{Tier: tier, Outcome: outcome, Touched: touched, Elapsed: time.Since(start)})
+}
+
+// resolutions maps the ladder's Outcome to the event's Resolution.
+var resolutions = [...]Resolution{Unsupported: ResReembed, Noop: ResNoop, Patched: ResLocal,
+	Reordered: ResLocal, Readmitted: ResLocal, Spliced: ResSplice}
+
+// Absorbed reports how Absorb served one batch: the canonical Batch,
+// and Next, the fault set it asked for (Faults() with Batch added, or
+// for a heal removed), which every resolution but ResRejected installs.
+type Absorbed struct {
+	Resolution  Resolution
+	Batch, Next topology.FaultSet
+}
+
+// Absorb runs the whole ladder for one fault (heal false) or heal
+// batch.  A batch that moves no fault is ResNoop with an empty trace.
+// Within the f ≤ n bound the local tiers get the first try (Step);
+// whatever they decline, and every batch past the bound, is re-embedded
+// (Embed), traced as a "reembed" step.  If the re-embed fails too, the
+// batch is ResRejected with its error, and the ring and fault set stay
+// as they were.  Decisions are deterministic, so journal
+// replay, calling Absorb with each journaled batch, retraces the live
+// rings exactly.
+func (p *Patcher) Absorb(heal bool, batch topology.FaultSet) (Absorbed, error) {
+	p.trace, p.diff = p.trace[:0], Diff{}
+	a := Absorbed{Resolution: ResNoop, Batch: batch.Canonical()}
+	var changed topology.FaultSet // the part of the batch that moves the fault set
+	if heal {
+		a.Next = p.faults.Minus(a.Batch)
+		changed = p.faults.Minus(a.Next)
+	} else {
+		a.Next, changed = p.faults.Union(a.Batch), a.Batch.Minus(p.faults)
+	}
+	if changed.IsEmpty() {
+		return a, nil
+	}
+	if withinBound(p.net, a.Next) {
+		if o := p.step(heal, changed, a.Next); o != Unsupported {
+			a.Resolution = resolutions[o]
+			return a, nil
+		}
+	}
+	start := time.Now() //ringlint:allow time trace-only timing
+	_, _, err := p.Embed(a.Next)
+	outcome := "ok"
+	a.Resolution = ResReembed
+	if err != nil {
+		a.Resolution, outcome = ResRejected, "error"
+	}
+	p.traceStep("reembed", outcome, 0, start)
+	return a, err
 }
 
 // Embed performs a full re-embed for the cumulative fault set f and
@@ -161,17 +222,21 @@ func (p *Patcher) stepCopy(heal bool, batch, next topology.FaultSet) ([]int, Out
 	return p.ring.ints(), o
 }
 
-// Step runs the ladder for one fault (heal false) or heal batch.  next
-// is the cumulative fault set after it: Faults() plus batch for a fault,
-// minus batch for a heal.  On a ring-changing outcome the ring was
-// changed in place and Diff reports how; on Noop only the fault set
-// moved to next; on Unsupported nothing changed and the caller must
-// Embed(next).  A batch with out-of-range coordinates is Unsupported
-// before any tier sees it, so bad input never poisons tier state.
+// Step runs the local tiers of the ladder for one fault (heal false) or
+// heal batch, with no f ≤ n gate and no re-embed.  next is the
+// cumulative fault set after it: Faults() plus batch for a fault, minus
+// batch for a heal.  On a ring-changing outcome the ring was changed in
+// place and Diff reports how; on Noop only the fault set moved to next;
+// on Unsupported nothing changed and the caller must Embed(next).  A
+// batch with out-of-range coordinates is Unsupported before any tier
+// sees it, so bad input never poisons tier state.
 func (p *Patcher) Step(heal bool, batch, next topology.FaultSet) Outcome {
-	p.trace = p.trace[:0]
-	p.diff = Diff{}
-	batch = batch.Canonical()
+	p.trace, p.diff = p.trace[:0], Diff{}
+	return p.step(heal, batch.Canonical(), next)
+}
+
+// step is Step for a canonical batch, appending to the current trace.
+func (p *Patcher) step(heal bool, batch, next topology.FaultSet) Outcome {
 	if !p.validBatch(batch) {
 		return Unsupported
 	}
@@ -215,7 +280,7 @@ func (p *Patcher) ladder(heal bool, batch, next, fresh topology.FaultSet) Outcom
 		} else {
 			o = p.ffc.patch(batch, p.faults, next)
 		}
-		p.traceStep("ffc", o, p.ffc.touched, start)
+		p.traceStep("ffc", o.String(), p.ffc.touched, start)
 		switch o {
 		case Noop:
 			return Noop
@@ -250,7 +315,7 @@ func (p *Patcher) ladder(heal bool, batch, next, fresh topology.FaultSet) Outcom
 	} else {
 		o = sp.patch(&p.ring, next)
 	}
-	p.traceStep("splice", o, sp.touched, start)
+	p.traceStep("splice", o.String(), sp.touched, start)
 	if p.ffc != nil {
 		o = p.chainOutcome(heal, o)
 	}

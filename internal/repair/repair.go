@@ -52,13 +52,14 @@
 // O(pieces + delta · log pieces) in the ring, never a pass over dⁿ
 // nodes (the ring is flattened back to one piece now and then); a
 // splice repair still reads and scans the whole ring.  A rejected delta
-// leaves the ring untouched.  Step is the session's entry point; Patch
-// and Unpatch are Step plus a copy of the ring; Embed and Restore
-// install a full ring, and re-embeds report their Removed/Added through
-// a bitset diff.
+// leaves the ring untouched.  Absorb is the session's entry point, live
+// and on replay: the f ≤ n gate, the local tiers (Step) and the
+// re-embed, naming the event's Resolution.  Patch and Unpatch are Step
+// plus a copy of the ring; Embed and Restore install a full ring, and
+// re-embeds report their Removed/Added through a bitset diff.
 //
-// Any Unsupported outcome must be followed by Embed to re-synchronize
-// the ladder with a full re-embed.
+// Any Unsupported outcome of Step must be followed by Embed to
+// re-synchronize the ladder with a full re-embed, as Absorb does.
 package repair
 
 import (
@@ -69,15 +70,16 @@ import (
 	"debruijnring/topology"
 )
 
-// TierStep records one repair tier's attempt during a single Step: which
-// tier ran, how it answered, how much structure it touched (stars
-// re-closed for the FFC tier, arcs/insertions spliced for the splice
-// tier) and how long it took.
+// TierStep records one rung's attempt during a single Absorb or Step:
+// which rung of the FFC → splice → re-embed ladder ran, how it
+// answered, how much structure it touched (stars re-closed for the FFC
+// tier, arcs/insertions spliced for the splice tier) and how long it
+// took, in the form journal and watch events carry it.
 type TierStep struct {
-	Tier    string // "ffc" or "splice"
-	Outcome Outcome
-	Touched int
-	Elapsed time.Duration
+	Tier    string        `json:"tier"`    // "ffc", "splice" or "reembed"
+	Outcome string        `json:"outcome"` // Outcome.String, or "ok"/"error" for the re-embed
+	Touched int           `json:"touched,omitempty"`
+	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
 // Outcome classifies one Step.
@@ -107,7 +109,7 @@ const (
 	Spliced
 )
 
-// String renders the outcome for stats and journal events.
+// String renders the outcome for tier traces.
 func (o Outcome) String() string {
 	switch o {
 	case Noop:
@@ -123,6 +125,27 @@ func (o Outcome) String() string {
 	}
 	return "unsupported"
 }
+
+// Resolution names how one fault or heal event was served: the rung of
+// the ladder that resolved it.  Its String is the journal's repair
+// value and the tier label of the session metrics.  The values count
+// from 0, the ring-changing rungs first in ladder order, so callers
+// index arrays by them.
+type Resolution uint8
+
+const (
+	ResLocal    Resolution = iota // the FFC tier, or off De Bruijn the splice tier alone
+	ResSplice                     // the splice tier, after the FFC tier declined
+	ResReembed                    // a full re-embed, after the local tiers or the f ≤ n bound
+	ResNoop                       // the ring did not change
+	ResRejected                   // nothing, re-embed included, absorbed the batch
+	NumResolutions
+)
+
+var resolutionNames = [NumResolutions]string{"local", "splice", "reembed", "noop", "rejected"}
+
+// String returns the journal's repair value for r.
+func (r Resolution) String() string { return resolutionNames[r] }
 
 // genericPatcher repairs rings on any unit-dilation topology by cutting
 // out the faulted components and re-splicing the surviving arcs.  Bypass

@@ -128,7 +128,7 @@ func deltaStream(t *testing.T, st stream, visit func(a applied)) (ffcDeltas, spl
 				if last.Tier == "ffc" {
 					length = p.ffc.nodes
 				}
-				if last.Outcome != Noop && last.Outcome != Unsupported && (last.Tier == "ffc" || !p.splice.valid) &&
+				if last.Outcome != Noop.String() && last.Outcome != Unsupported.String() && (last.Tier == "ffc" || !p.splice.valid) &&
 					length >= LowerBound(st.net, next) {
 					t.Fatalf("%s event %d: apply rejected a %v delta of the %s tier", st.net.Name(), i, last.Outcome, last.Tier)
 				}

@@ -343,7 +343,7 @@ type oraclePatcher struct {
 // traceStep appends one tier attempt to the current call's trace.
 func (p *oraclePatcher) traceStep(tier string, o Outcome, touched int, start time.Time) {
 	//ringlint:allow time trace-only timing; Elapsed is diagnostic, never replayed or hashed
-	p.trace = append(p.trace, TierStep{Tier: tier, Outcome: o, Touched: touched, Elapsed: time.Since(start)})
+	p.trace = append(p.trace, TierStep{Tier: tier, Outcome: o.String(), Touched: touched, Elapsed: time.Since(start)})
 }
 
 // Embed performs a full re-embed for the cumulative fault set f and

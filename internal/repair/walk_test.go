@@ -5,14 +5,14 @@ import "debruijnring/topology"
 // Patch and Unpatch drive the FFC tier alone, where faults is the
 // cumulative fault set before the batch, and read the ring off its
 // successor rule: the walk oracle the Patcher's delta path is checked
-// against.
+// against.  Like the Patcher, they hand the tier a canonical batch.
 func (p *ffcPatcher) Patch(faults, add topology.FaultSet) ([]int, Outcome) {
-	faults = faults.Canonical()
+	faults, add = faults.Canonical(), add.Canonical()
 	return p.materialize(p.patch(add, faults, faults.Union(add)))
 }
 
 func (p *ffcPatcher) Unpatch(faults, remove topology.FaultSet) ([]int, Outcome) {
-	faults = faults.Canonical()
+	faults, remove = faults.Canonical(), remove.Canonical()
 	return p.materialize(p.unpatch(remove, faults, faults.Minus(remove)))
 }
 

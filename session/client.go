@@ -264,10 +264,10 @@ func (c *Client) List(ctx context.Context) ([]StateJSON, error) {
 }
 
 // AddFaults streams one fault batch into the session.  The returned
-// event's Repair field names the repair-ladder tier that served the
-// batch ("local", "splice", "reembed", "noop").  A rejected batch (the
-// server kept its last good ring) returns the journaled rejection
-// event alongside the error.
+// event's Repair field names the repair-ladder rung that served the
+// batch ("local", "splice", "reembed", "noop" or "rejected").  A
+// rejected batch (the server kept its last good ring) returns the
+// journaled rejection event alongside the error.
 func (c *Client) AddFaults(ctx context.Context, name string, req FaultsRequest) (*FaultsResponse, error) {
 	return c.applyFaults(ctx, http.MethodPost, name, req)
 }

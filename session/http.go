@@ -26,10 +26,11 @@ import (
 //	GET    /v1/sessions/{name}/trace   recent repair traces (?limit=N), newest-bounded
 //
 // Fault and heal responses carry the event's "repair" field naming the
-// ladder tier that served it: "local" (structural surgery), "splice"
-// (generic bypass repair after the structural tier declined), "reembed"
-// (full recompute), "noop" or "rejected".  The session's Stats block
-// counts the same tiers cumulatively.
+// ladder rung that served it (repair.Resolution): "local" (structural
+// surgery, or the splice tier where it runs alone), "splice" (generic
+// bypass repair after the structural tier declined), "reembed" (full
+// recompute), "noop" or "rejected".  The session's Stats block counts
+// the same resolutions cumulatively.
 func Handler(m *Manager) http.Handler {
 	h := &handler{m: m}
 	mux := http.NewServeMux()

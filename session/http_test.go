@@ -2,7 +2,9 @@ package session
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -377,8 +379,8 @@ func TestHTTPTraceEndpoint(t *testing.T) {
 }
 
 // TestHTTPTraceAfterRestore: a session restored from its journal serves
-// no trace records for the events its replay re-ran, only for the live
-// events that follow.
+// the trace records of the events before the restore, byte for byte as
+// the live session served them, and the live events that follow.
 func TestHTTPTraceAfterRestore(t *testing.T) {
 	ts, m := newTestServer(t, Options{Dir: t.TempDir(), SnapshotEvery: 2})
 	c := &Client{Base: ts.URL}
@@ -400,6 +402,20 @@ func TestHTTPTraceAfterRestore(t *testing.T) {
 	if tr, err := c.Trace(ctx, "rt", 0); err != nil || len(tr.Records) != 3 {
 		t.Fatalf("live trace = %+v, %v; want 3 records", tr, err)
 	}
+	traceBody := func() []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/sessions/rt/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace: HTTP %d, %v", resp.StatusCode, err)
+		}
+		return b
+	}
+	live := traceBody()
 
 	if err := m.Release("rt"); err != nil {
 		t.Fatal(err)
@@ -407,17 +423,16 @@ func TestHTTPTraceAfterRestore(t *testing.T) {
 	if _, err := m.RestoreNamed("rt"); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := c.Trace(ctx, "rt", 0)
-	if err != nil || len(tr.Records) != 0 {
-		t.Fatalf("trace after restore = %+v, %v; want 0 records", tr, err)
+	if restored := traceBody(); !bytes.Equal(restored, live) {
+		t.Fatalf("trace after restore\n got %s\nwant %s", restored, live)
 	}
 
 	res, err := c.AddFaults(ctx, "rt", FaultsRequest{NodeFaults: []string{st.Ring[9]}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err = c.Trace(ctx, "rt", 0)
-	if err != nil || len(tr.Records) != 1 || tr.Records[0].Seq != res.Event.Seq {
-		t.Fatalf("trace after one live event = %+v, %v; want 1 record at seq %d", tr, err, res.Event.Seq)
+	tr, err := c.Trace(ctx, "rt", 0)
+	if err != nil || len(tr.Records) != 4 || tr.Records[3].Seq != res.Event.Seq {
+		t.Fatalf("trace after one live event = %+v, %v; want 4 records, the last at seq %d", tr, err, res.Event.Seq)
 	}
 }

@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -321,6 +322,10 @@ func (m *Manager) Restore() (restored []*Session, errs []error) {
 	return restored, errs
 }
 
+// restoreOne rebuilds the named session from its journal: the latest
+// snapshot that restores, then every later batch through the patcher's
+// ladder (absorbLocked), each ring hash checked.  Replay journals,
+// publishes and meters nothing; the watch buffer starts as watchable.
 func (m *Manager) restoreOne(name string) (*Session, error) {
 	events, err := m.store.Load(name)
 	if err != nil {
@@ -393,27 +398,41 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			if err := batch.Validate(net); err != nil {
 				return nil, fmt.Errorf("seq %d: corrupt %s batch: %w", ev.Seq, ev.Kind, err)
 			}
-			got, err := s.applyLocked(dir, batch, false)
+			a, err := s.absorbLocked(dir, batch)
 			if ev.Repair == "rejected" {
 				if err == nil {
-					return nil, fmt.Errorf("seq %d: journaled rejection replayed as %s%s", ev.Seq, got.Repair, semHint)
+					return nil, fmt.Errorf("seq %d: journaled rejection replayed as %s%s", ev.Seq, a.Resolution, semHint)
 				}
 			} else if err != nil {
 				return nil, fmt.Errorf("seq %d: replay failed%s: %w", ev.Seq, semHint, err)
 			}
-			if got != nil && ev.RingHash != "" && got.RingHash != ev.RingHash {
-				return nil, fmt.Errorf("seq %d: replayed ring hash %s != journaled %s%s", ev.Seq, got.RingHash, ev.RingHash, semHint)
+			if ev.RingHash != "" && s.hash != ev.RingHash {
+				return nil, fmt.Errorf("seq %d: replayed ring hash %s != journaled %s%s", ev.Seq, s.hash, ev.RingHash, semHint)
 			}
 			s.seq = ev.Seq // keep the original numbering even across gaps
 		case "snapshot":
 			// Stale snapshot before the resume point, or one we skipped.
 		}
 	}
-	s.replayedSeq = s.seq
+	s.events = watchable(events)
 
 	s.journal, err = m.store.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// watchable returns the newest eventBuffer embed, fault and heal events
+// of a journal, oldest first: what a live session's watch buffer would
+// hold, exactly as journaled.
+func watchable(journal []Event) []Event {
+	var out []Event
+	for i := len(journal) - 1; i >= 0 && len(out) < eventBuffer; i-- {
+		if k := journal[i].Kind; k == "embed" || k == "fault" || k == "heal" {
+			out = append(out, journal[i])
+		}
+	}
+	slices.Reverse(out)
+	return out
 }

@@ -1,6 +1,9 @@
 package session
 
-import "debruijnring/obs"
+import (
+	"debruijnring/internal/repair"
+	"debruijnring/obs"
+)
 
 // direction is what one lifecycle event does to a session's fault set.
 type direction uint8
@@ -14,52 +17,27 @@ const (
 // dirNames are the "dir" metric labels, which double as Event.Kind.
 var dirNames = [numDirs]string{"fault", "heal"}
 
-// tier is the rung of the repair ladder that resolved an event.
-type tier uint8
-
-const (
-	tierLocal    tier = iota // the structural (FFC) tier
-	tierSplice               // the generic splice tier, after the structural tier declined
-	tierReembed              // a full re-embed, after every local tier declined
-	tierNoop                 // the batch left the ring unchanged
-	tierRejected             // nothing, re-embed included, absorbed the batch
-	numTiers
-)
-
-// tierNames are the "tier" metric labels and the Event.Repair strings.
-var tierNames = [numTiers]string{"local", "splice", "reembed", "noop", "rejected"}
-
-// outcome is how one fault or heal event was served.
-type outcome struct {
-	dir  direction
-	tier tier
-}
-
-// String returns the journal's Event.Repair string; the direction is
-// carried by Event.Kind.
-func (o outcome) String() string { return tierNames[o.tier] }
-
-// count returns the counter of o in st.  Noops and rejections are
-// counted across both directions.
-func (st *Stats) count(o outcome) *int64 {
-	switch o.tier {
-	case tierNoop:
+// count returns the counter in st of a dir event resolved as r.  Noops
+// and rejections are counted across both directions.
+func (st *Stats) count(dir direction, r repair.Resolution) *int64 {
+	switch r {
+	case repair.ResNoop:
 		return &st.Noops
-	case tierRejected:
+	case repair.ResRejected:
 		return &st.Rejected
 	}
-	if o.dir == dirHeal {
-		return [...]*int64{&st.LocalHeals, &st.SpliceHeals, &st.HealReembeds}[o.tier]
+	if dir == dirHeal {
+		return [...]*int64{&st.LocalHeals, &st.SpliceHeals, &st.HealReembeds}[r]
 	}
-	return [...]*int64{&st.LocalRepairs, &st.SpliceRepairs, &st.Reembeds}[o.tier]
+	return [...]*int64{&st.LocalRepairs, &st.SpliceRepairs, &st.Reembeds}[r]
 }
 
 // repairMetrics are a Manager's per-outcome metrics, resolved once so
 // the per-event path never builds a metric key.
 type repairMetrics struct {
-	ns          [numDirs][numTiers]*obs.Histogram // session_repair_ns{dir,tier}
-	total       [numDirs][numTiers]*obs.Counter   // session_repair_total{dir,tier}
-	journalErrs *obs.Counter                      // session_journal_errors_total
+	ns          [numDirs][repair.NumResolutions]*obs.Histogram // session_repair_ns{dir,tier}
+	total       [numDirs][repair.NumResolutions]*obs.Counter   // session_repair_total{dir,tier}
+	journalErrs *obs.Counter                                   // session_journal_errors_total
 	// auditFailures counts snapshots skipped because the ring failed
 	// the full VerifyRing audit: session_ring_audit_failures_total.
 	auditFailures *obs.Counter
@@ -77,9 +55,9 @@ func newRepairMetrics(reg *obs.Registry) repairMetrics {
 	reg.SetHelp("session_journal_errors_total", "session journal appends that failed (session degraded to memory-only durability)")
 	var m repairMetrics
 	for d := range numDirs {
-		for t := range numTiers {
-			m.ns[d][t] = reg.Histogram("session_repair_ns", "dir", dirNames[d], "tier", tierNames[t])
-			m.total[d][t] = reg.Counter("session_repair_total", "dir", dirNames[d], "tier", tierNames[t])
+		for r := range repair.NumResolutions {
+			m.ns[d][r] = reg.Histogram("session_repair_ns", "dir", dirNames[d], "tier", r.String())
+			m.total[d][r] = reg.Counter("session_repair_total", "dir", dirNames[d], "tier", r.String())
 		}
 	}
 	reg.SetHelp("session_ring_audit_failures_total", "session snapshots skipped because the ring failed the full VerifyRing audit")
@@ -90,12 +68,13 @@ func newRepairMetrics(reg *obs.Registry) repairMetrics {
 	return m
 }
 
-// record accounts one live event's outcome and end-to-end latency.
+// record accounts one live dir event resolved as r, with its
+// end-to-end latency.
 //
 //ringlint:noalloc
-func (m *repairMetrics) record(o outcome, elapsedNs int64) {
-	m.ns[o.dir][o.tier].Observe(elapsedNs)
-	m.total[o.dir][o.tier].Inc()
+func (m *repairMetrics) record(dir direction, r repair.Resolution, elapsedNs int64) {
+	m.ns[dir][r].Observe(elapsedNs)
+	m.total[dir][r].Inc()
 }
 
 // RepairTotals aggregates the fault and heal outcomes of every session
@@ -143,22 +122,22 @@ type RepairTotals struct {
 // TotalsFrom computes the repair totals from a registry snapshot's
 // session_repair_total{dir,tier} and fleet_replica_* counters.
 func TotalsFrom(snap obs.Snapshot) RepairTotals {
-	var n [numDirs][numTiers]int64
+	var n [numDirs][repair.NumResolutions]int64
 	for d := range numDirs {
-		for t := range numTiers {
-			n[d][t] = snap.Counters[obs.Key("session_repair_total", "dir", dirNames[d], "tier", tierNames[t])]
+		for r := range repair.NumResolutions {
+			n[d][r] = snap.Counters[obs.Key("session_repair_total", "dir", dirNames[d], "tier", r.String())]
 		}
 	}
 	fault, heal := n[dirFault], n[dirHeal]
 	s := RepairTotals{
-		LocalRepairs:   fault[tierLocal],
-		Reembeds:       fault[tierReembed],
-		Noops:          fault[tierNoop] + heal[tierNoop],
-		Rejected:       fault[tierRejected] + heal[tierRejected],
-		LocalHeals:     heal[tierLocal],
-		HealReembeds:   heal[tierReembed],
-		SpliceRepairs:  fault[tierSplice],
-		SpliceHeals:    heal[tierSplice],
+		LocalRepairs:   fault[repair.ResLocal],
+		Reembeds:       fault[repair.ResReembed],
+		Noops:          fault[repair.ResNoop] + heal[repair.ResNoop],
+		Rejected:       fault[repair.ResRejected] + heal[repair.ResRejected],
+		LocalHeals:     heal[repair.ResLocal],
+		HealReembeds:   heal[repair.ResReembed],
+		SpliceRepairs:  fault[repair.ResSplice],
+		SpliceHeals:    heal[repair.ResSplice],
 		ReplicaAppends: snap.Counters["fleet_replica_appends_total"],
 		ReplicaErrors:  snap.Counters["fleet_replica_errors_total"],
 	}

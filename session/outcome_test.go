@@ -3,8 +3,15 @@ package session
 import (
 	"testing"
 
+	"debruijnring/internal/repair"
 	"debruijnring/obs"
 )
+
+// outcome is one event's (direction, resolution) pair.
+type outcome struct {
+	dir direction
+	res repair.Resolution
+}
 
 // TestRepairTotals feeds (direction, tier) outcome mixes through a
 // Manager's per-event accounting and checks what GET /v1/stats reports
@@ -14,16 +21,16 @@ import (
 // same outcomes.
 func TestRepairTotals(t *testing.T) {
 	var (
-		faultLocal    = outcome{dirFault, tierLocal}
-		faultSplice   = outcome{dirFault, tierSplice}
-		faultReembed  = outcome{dirFault, tierReembed}
-		faultNoop     = outcome{dirFault, tierNoop}
-		faultRejected = outcome{dirFault, tierRejected}
-		healLocal     = outcome{dirHeal, tierLocal}
-		healSplice    = outcome{dirHeal, tierSplice}
-		healReembed   = outcome{dirHeal, tierReembed}
-		healNoop      = outcome{dirHeal, tierNoop}
-		healRejected  = outcome{dirHeal, tierRejected}
+		faultLocal    = outcome{dirFault, repair.ResLocal}
+		faultSplice   = outcome{dirFault, repair.ResSplice}
+		faultReembed  = outcome{dirFault, repair.ResReembed}
+		faultNoop     = outcome{dirFault, repair.ResNoop}
+		faultRejected = outcome{dirFault, repair.ResRejected}
+		healLocal     = outcome{dirHeal, repair.ResLocal}
+		healSplice    = outcome{dirHeal, repair.ResSplice}
+		healReembed   = outcome{dirHeal, repair.ResReembed}
+		healNoop      = outcome{dirHeal, repair.ResNoop}
+		healRejected  = outcome{dirHeal, repair.ResRejected}
 	)
 	cases := []struct {
 		name     string
@@ -69,11 +76,11 @@ func TestRepairTotals(t *testing.T) {
 			reg.Counter("fleet_replica_appends_total").Add(tc.appends)
 			reg.Counter("fleet_replica_errors_total").Add(tc.failures)
 			var st Stats
-			var want [numDirs][numTiers]int64
+			var want [numDirs][repair.NumResolutions]int64
 			for _, o := range tc.events {
-				m.metrics.record(o, 1000)
-				*st.count(o)++
-				want[o.dir][o.tier]++
+				m.metrics.record(o.dir, o.res, 1000)
+				*st.count(o.dir, o.res)++
+				want[o.dir][o.res]++
 			}
 			snap := reg.Snapshot()
 			if got := TotalsFrom(snap); got != tc.want {
@@ -91,8 +98,8 @@ func TestRepairTotals(t *testing.T) {
 				t.Errorf("session stats = %+v, want %+v", st, wantCounts)
 			}
 			for d := range numDirs {
-				for tr := range numTiers {
-					labels := []string{"dir", dirNames[d], "tier", tierNames[tr]}
+				for tr := range repair.NumResolutions {
+					labels := []string{"dir", dirNames[d], "tier", tr.String()}
 					if got := snap.Histograms[obs.Key("session_repair_ns", labels...)].Count; got != want[d][tr] {
 						t.Errorf("session_repair_ns%v count = %d, want %d", labels, got, want[d][tr])
 					}
@@ -106,7 +113,7 @@ func TestRepairTotals(t *testing.T) {
 
 	// The label shape is part of the exposition contract.
 	reg := obs.NewRegistry()
-	NewManager(reg, Options{}).metrics.record(outcome{dirHeal, tierSplice}, 1000)
+	NewManager(reg, Options{}).metrics.record(dirHeal, repair.ResSplice, 1000)
 	if got := reg.Snapshot().Counters[`session_repair_total{dir="heal",tier="splice"}`]; got != 1 {
 		t.Errorf(`session_repair_total{dir="heal",tier="splice"} = %d, want 1`, got)
 	}
@@ -116,8 +123,7 @@ func TestRepairTotals(t *testing.T) {
 // the per-event accounting with a measurement.
 func TestRepairMetricsRecordNoAlloc(t *testing.T) {
 	m := NewManager(obs.NewRegistry(), Options{})
-	o := outcome{dirHeal, tierReembed}
-	if allocs := testing.AllocsPerRun(100, func() { m.metrics.record(o, 12345) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { m.metrics.record(dirHeal, repair.ResReembed, 12345) }); allocs != 0 {
 		t.Errorf("record allocates %.1f times per event", allocs)
 	}
 }

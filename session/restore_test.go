@@ -445,3 +445,82 @@ func TestRestoreChainDeclinedSpliceSnapshot(t *testing.T) {
 		})
 	}
 }
+
+// restoreWatch drives events through a journaled session, then checks
+// that RestoreNamed seeds the watch buffer with exactly what the live
+// session's buffer held before Release: the same events, byte for
+// byte, and the same truncated flag.  It returns the restored events.
+func restoreWatch(t *testing.T, spec string, drive func(s *Session)) ([]Event, bool) {
+	t.Helper()
+	m := NewManager(nil, Options{Dir: t.TempDir(), SnapshotEvery: 8})
+	defer m.Close()
+	s, err := m.Create("w", spec, topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(s)
+	liveEvs, liveTrunc := s.EventsSince(0, 0, nil)
+	live, err := json.Marshal(liveEvs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Release("w"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.RestoreNamed("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, trunc := r.EventsSince(0, 0, nil)
+	got, err := json.Marshal(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, live) || trunc != liveTrunc {
+		t.Fatalf("restored watch buffer (truncated %v)\n got %s\nwant %s (truncated %v)", trunc, got, live, liveTrunc)
+	}
+	return evs, trunc
+}
+
+// TestRestoreSeedsWatchBuffer: a watcher that resumes from seq 0 after
+// a restore gets the embed, fault and heal events exactly as the live
+// session published and journaled them, with nothing evicted.
+func TestRestoreSeedsWatchBuffer(t *testing.T) {
+	evs, trunc := restoreWatch(t, "debruijn(2,6)", func(s *Session) {
+		for _, v := range []int{1, 9, 22} {
+			if _, err := s.AddFaults(topology.NodeFaults(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.RemoveFaults(topology.NodeFaults(9)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if trunc || len(evs) != 5 || evs[0].Kind != "embed" || evs[4].Kind != "heal" {
+		t.Fatalf("restored watch buffer: %d events (truncated %v), want embed, 3 faults, heal", len(evs), trunc)
+	}
+}
+
+// TestRestoreSeedsWatchBufferBound: a journal of more than eventBuffer
+// events restores exactly its newest eventBuffer.
+func TestRestoreSeedsWatchBufferBound(t *testing.T) {
+	const events = eventBuffer + 44
+	evs, trunc := restoreWatch(t, "debruijn(2,5)", func(s *Session) {
+		for i := range events {
+			var err error
+			if i%2 == 0 {
+				_, err = s.AddFaults(topology.NodeFaults(3))
+			} else {
+				_, err = s.RemoveFaults(topology.NodeFaults(3))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// seq 1 is the embed; the events follow it.
+	if last := uint64(events + 1); !trunc || len(evs) != eventBuffer || evs[0].Seq != last-eventBuffer+1 || evs[len(evs)-1].Seq != last {
+		t.Fatalf("restored %d events, seqs %d..%d (truncated %v), want the newest %d",
+			len(evs), evs[0].Seq, evs[len(evs)-1].Seq, trunc, eventBuffer)
+	}
+}

@@ -7,19 +7,20 @@
 //
 // The fault lifecycle is bidirectional.  AddFaults absorbs newly
 // failed components and RemoveFaults re-admits repaired ones; both run
-// the layered repair ladder of package internal/repair — structural
-// FFC surgery first (cut faulted necklaces out along surviving
-// shift-edge labels, reorder star windows around faulted ring links,
-// re-expand healed necklaces back into the tree), then the generic
-// splice tier (local bypass surgery on the live ring, for the fault
-// sets the FFC machinery rejects) — falling back to a full re-embed
-// only when every tier declines or the paper's f ≤ n fault bound is
-// exceeded.  Every transition appends an event to the session's
-// journal — fault or heal batch, repair kind, ring delta, ring hash —
-// before watchers see it, and periodic snapshots capture the state, so
-// a Manager pointed at the same directory after a crash resumes every
-// session with an identical ring.  Replay is deterministic and verified
-// hash by hash.  A journal v4 snapshot holds the patcher state, the
+// the layered repair ladder of package internal/repair (Patcher.Absorb)
+// — structural FFC surgery first (cut faulted necklaces out along
+// surviving shift-edge labels, reorder star windows around faulted ring
+// links, re-expand healed necklaces back into the tree), then the
+// generic splice tier (local bypass surgery on the live ring, for the
+// fault sets the FFC machinery rejects) — falling back to a full
+// re-embed only when every tier declines or the paper's f ≤ n fault
+// bound is exceeded.  Every transition appends an event to the
+// session's journal — fault or heal batch, repair kind, ring delta,
+// ring hash — before watchers see it, and periodic snapshots capture
+// the state, so a Manager pointed at the same directory after a crash
+// resumes every session with an identical ring.  Replay runs the same
+// ladder, verified hash by hash, and seeds the watch buffer with the
+// journal's newest events as journaled.  A journal v4 snapshot holds the patcher state, the
 // ring hash, the faults and the stats, and the ring itself only when
 // the patcher state cannot regenerate it (the FFC tier's successor rule
 // is the ring; splice-owned rings and other topologies store it).  A
@@ -56,6 +57,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -196,10 +198,6 @@ type Session struct {
 	// trace endpoint; notify is closed and replaced on every publish.
 	events []Event
 	notify chan struct{}
-	// replayedSeq is the seq at which journal replay finished (0 for a
-	// created session): events at or below it were re-run by replay,
-	// not served live, and yield no trace record.
-	replayedSeq uint64
 }
 
 // Name returns the session's unique name.
@@ -290,18 +288,6 @@ func (s *Session) Faults() topology.FaultSet {
 	return s.patcher.Faults()
 }
 
-// withinToleranceLocked gates local repair on the paper's f ≤ n bound
-// for De Bruijn sessions (beyond it the dⁿ − nf guarantee degrades and
-// the full algorithm should re-balance the ring); other topologies
-// always try the patch.
-func (s *Session) withinToleranceLocked(combined topology.FaultSet) bool {
-	db, ok := s.net.(*topology.DeBruijn)
-	if !ok {
-		return true
-	}
-	return len(combined.Nodes) <= db.WordLen()
-}
-
 // AddFaults absorbs one batch of newly failed components (the fault set
 // can shrink again later via RemoveFaults).  It attempts a local repair
 // of the current ring, falls back to a full re-embed, journals the
@@ -325,8 +311,13 @@ func (s *Session) RemoveFaults(remove topology.FaultSet) (*Event, error) {
 	return s.apply(dirHeal, remove)
 }
 
-// apply validates and runs one live batch, then writes a journal
-// snapshot when the event cadence is due.
+// apply validates and serves one live fault or heal batch: the
+// patcher's ladder resolves it (absorbLocked), then the event is
+// sequenced, stamped, journaled, metered and published, so no watcher
+// sees an event the journal does not hold yet, and a journal snapshot
+// follows when the event cadence is due.  A rejected batch leaves the
+// session's state as it was and is still journaled, so replay takes
+// the same path.
 func (s *Session) apply(dir direction, batch topology.FaultSet) (*Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,109 +327,53 @@ func (s *Session) apply(dir direction, batch topology.FaultSet) (*Event, error) 
 	if err := batch.Validate(s.net); err != nil {
 		return nil, err
 	}
-	ev, err := s.applyLocked(dir, batch, true)
+	start := time.Now()
+	a, err := s.absorbLocked(dir, batch)
+	d := s.patcher.Diff() // empty unless the ring changed
+	ev := &Event{
+		Kind: dirNames[dir], Repair: a.Resolution.String(),
+		RingLength: s.patcher.RingLen(), FaultCount: len(a.Next.Nodes) + len(a.Next.Edges), RingHash: s.hash,
+		Removed: d.Removed, Added: d.Added, DeltaTruncated: d.Truncated,
+	}
+	if dir == dirFault {
+		ev.AddNodes, ev.AddEdges = a.Batch.Nodes, encodeEdges(a.Batch.Edges)
+	} else {
+		ev.RemoveNodes, ev.RemoveEdges = a.Batch.Nodes, encodeEdges(a.Batch.Edges)
+	}
+	if tr := s.patcher.LastTrace(); len(tr) > 0 {
+		ev.Tiers = slices.Clone(tr)
+	}
+	if err != nil {
+		ev.Error = err.Error()
+	} else {
+		ev.LowerBound = repair.LowerBound(s.net, a.Next)
+	}
+	s.seq++
+	ev.Seq = s.seq
+	ev.Time = time.Now().UTC()
+	ev.ElapsedNs = time.Since(start).Nanoseconds()
+	s.appendJournal(*ev)
+	s.mgr.metrics.record(dir, a.Resolution, ev.ElapsedNs)
+	s.publishLocked(*ev)
 	if s.journal != nil && s.sinceSnap >= s.mgr.opts.SnapshotEvery {
 		s.writeSnapshotLocked()
 	}
 	return ev, err
 }
 
-// applyLocked runs the repair ladder for one validated fault or heal
-// batch: a batch that changes no fault is a noop; otherwise, within
-// tolerance, the patcher's local tiers (Patcher.Step) get the first
-// try, and a full re-embed serves whatever they decline.  If the
-// re-embed fails too the event is a rejection and the session keeps its
-// state.  With record=false (journal replay) nothing is journaled and no
-// metric moves; the decision path is deterministic, so replay
-// reproduces the live rings exactly.
-func (s *Session) applyLocked(dir direction, batch topology.FaultSet, record bool) (*Event, error) {
-	start := time.Now()
-	batch = batch.Canonical()
-	ev := &Event{Kind: dirNames[dir]}
-	// next is the fault set after the event; changed is the part of the
-	// batch that actually moves it.
-	faults := s.patcher.Faults()
-	var next, changed topology.FaultSet
-	if dir == dirFault {
-		next, changed = faults.Union(batch), batch.Minus(faults)
-		ev.AddNodes, ev.AddEdges = append([]int(nil), batch.Nodes...), encodeEdges(batch.Edges)
-	} else {
-		next = faults.Minus(batch)
-		changed = faults.Minus(next)
-		ev.RemoveNodes, ev.RemoveEdges = append([]int(nil), batch.Nodes...), encodeEdges(batch.Edges)
-	}
-	ev.FaultCount = len(next.Nodes) + len(next.Edges)
-
-	o := outcome{dir: dir, tier: tierNoop}
-	var embedErr error
-	if !changed.IsEmpty() {
-		o.tier = tierReembed
-		if s.withinToleranceLocked(next) {
-			out := s.patcher.Step(dir == dirHeal, changed, next)
-			ev.Tiers = tierTraces(s.patcher.LastTrace())
-			switch out {
-			case repair.Noop:
-				o.tier = tierNoop
-			case repair.Spliced:
-				o.tier = tierSplice
-			case repair.Unsupported:
-			default:
-				o.tier = tierLocal
-			}
-		}
-		if o.tier == tierReembed {
-			embedStart := time.Now()
-			_, _, err := s.patcher.Embed(next)
-			step := TierTrace{Tier: "reembed", Outcome: "ok", ElapsedNs: time.Since(embedStart).Nanoseconds()}
-			if err != nil {
-				embedErr = err
-				step.Outcome = "error"
-				o.tier = tierRejected
-			}
-			ev.Tiers = append(ev.Tiers, step)
-		}
-	}
-	ev.Repair = o.String()
-
-	if embedErr != nil {
-		// Nothing absorbed the batch: keep the old state, journal the
-		// rejection (replay must take the same path).
-		ev.Error = embedErr.Error()
-		ev.RingLength = s.patcher.RingLen()
-		ev.RingHash = s.hash
-		s.finishEventLocked(ev, start, record, o)
-		return ev, embedErr
-	}
-
-	if o.tier != tierNoop {
-		d := s.patcher.Diff()
-		ev.Removed, ev.Added, ev.DeltaTruncated = d.Removed, d.Added, d.Truncated
+// absorbLocked runs one fault or heal batch, live or replayed, through
+// the patcher's ladder (repair.Patcher.Absorb), rehashes a ring it
+// changed, and counts the event in the session's stats and toward the
+// snapshot cadence.
+func (s *Session) absorbLocked(dir direction, batch topology.FaultSet) (repair.Absorbed, error) {
+	a, err := s.patcher.Absorb(dir == dirHeal, batch)
+	if err == nil && a.Resolution != repair.ResNoop {
 		s.rehashLocked()
 	}
-	ev.RingLength = s.patcher.RingLen()
-	ev.LowerBound = repair.LowerBound(s.net, next)
-	ev.RingHash = s.hash
-	s.finishEventLocked(ev, start, record, o)
-	return ev, nil
-}
-
-// finishEventLocked stamps, sequences and counts one event, journals it
-// when record is set, and then publishes it, so no watcher sees an
-// event the journal does not hold yet.  With record set it also feeds
-// the manager's per-outcome metrics.
-func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, o outcome) {
-	s.seq++
-	ev.Seq = s.seq
-	ev.Time = time.Now().UTC()
-	ev.ElapsedNs = time.Since(start).Nanoseconds()
 	s.stats.Events++
-	*s.stats.count(o)++
+	*s.stats.count(dir, a.Resolution)++
 	s.sinceSnap++
-	if record {
-		s.appendJournal(*ev)
-		s.mgr.metrics.record(o, ev.ElapsedNs)
-	}
-	s.publishLocked(*ev)
+	return a, err
 }
 
 // appendJournal writes one event through the store's journal writer.

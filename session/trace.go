@@ -7,40 +7,13 @@ import (
 	"debruijnring/internal/repair"
 )
 
-// TierTrace is one repair tier's attempt inside a fault/heal event:
-// which rung of the FFC → splice → re-embed ladder ran, how it
-// answered, how much structure it touched (stars re-closed for the
-// structural tier, arcs/insertions for the splice tier) and how long
-// it took.  Events carry the full descent, so a re-embed event still
-// shows which tiers declined first (and how much time they burned).
-type TierTrace struct {
-	Tier      string `json:"tier"`    // "ffc", "splice" or "reembed"
-	Outcome   string `json:"outcome"` // repair.Outcome string; "ok"/"error" for reembed
-	Touched   int    `json:"touched,omitempty"`
-	ElapsedNs int64  `json:"elapsed_ns"`
-}
-
-// tierTraces converts the patcher's last tier ladder.  steps is
-// Patcher.LastTrace, which the next patcher call invalidates.
-func tierTraces(steps []repair.TierStep) []TierTrace {
-	if len(steps) == 0 {
-		return nil
-	}
-	out := make([]TierTrace, len(steps))
-	for i, st := range steps {
-		out[i] = TierTrace{
-			Tier:      st.Tier,
-			Outcome:   st.Outcome.String(),
-			Touched:   st.Touched,
-			ElapsedNs: st.Elapsed.Nanoseconds(),
-		}
-	}
-	return out
-}
+// TierTrace is one rung of a fault/heal event's repair-ladder descent,
+// as journal lines, watch payloads and trace records carry it.
+type TierTrace = repair.TierStep
 
 // TraceRecord is one per-session repair trace: the journal outcome of
-// a live fault/heal event plus its tier descent, served by
-// GET /v1/sessions/{name}/trace for the newest traceRecords live
+// a fault/heal event plus its tier descent, served by
+// GET /v1/sessions/{name}/trace for the newest traceRecords fault/heal
 // events of the session's watch buffer.
 type TraceRecord struct {
 	Seq        uint64      `json:"seq"`
@@ -57,10 +30,11 @@ type TraceRecord struct {
 // traceRecords bounds the records Traces returns.
 const traceRecords = 128
 
-// Traces returns the trace records of the newest live fault/heal events
-// in the watch buffer, at most traceRecords of them, oldest first.
-// limit > 0 bounds the result to the limit newest records.  Events that
-// journal replay re-ran are not live and yield no record.
+// Traces returns the trace records of the newest fault/heal events in
+// the watch buffer, at most traceRecords of them, oldest first.  limit
+// > 0 bounds the result to the limit newest records.  A restored
+// session's buffer starts with the journal's newest events, so their
+// records are served as the journal holds them.
 func (s *Session) Traces(limit int) []TraceRecord {
 	if limit <= 0 || limit > traceRecords {
 		limit = traceRecords
@@ -70,9 +44,6 @@ func (s *Session) Traces(limit int) []TraceRecord {
 	var recs []TraceRecord
 	for i := len(s.events) - 1; i >= 0 && len(recs) < limit; i-- {
 		ev := &s.events[i]
-		if ev.Seq <= s.replayedSeq {
-			break
-		}
 		if ev.Kind != "fault" && ev.Kind != "heal" {
 			continue
 		}
