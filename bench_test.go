@@ -6,8 +6,10 @@
 package debruijnring
 
 import (
+	"context"
 	"testing"
 
+	"debruijnring/engine"
 	"debruijnring/internal/broadcast"
 	"debruijnring/internal/butterfly"
 	"debruijnring/internal/debruijn"
@@ -148,6 +150,40 @@ func benchmarkEmbed(b *testing.B, faults []int) {
 		if err != nil || len(res.Cycle) < g.Size-(g.N+1) {
 			b.Fatal("bound violated")
 		}
+	}
+}
+
+// BenchmarkEngineEmbed serves one B(2,16) embed through the engine, the
+// cold-embed request path: miss runs with the cache disabled, so every
+// request embeds (the adapter's ring-only FFC embed, handed out
+// uncopied), and hit repeats one cached fault set, which costs the
+// request bookkeeping alone, with no ring copy.
+func BenchmarkEngineEmbed(b *testing.B) {
+	net, err := topology.NewDeBruijn(2, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := engine.Request{Network: net, Faults: topology.NodeFaults(12345)}
+	for _, c := range []struct {
+		name  string
+		cache int
+	}{{"miss", -1}, {"hit", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			eng := engine.New(engine.Options{CacheSize: c.cache})
+			ctx := context.Background()
+			// Build the base and warm the pool (and, for hit, the cache).
+			if _, err := eng.EmbedRing(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := eng.EmbedRing(ctx, req)
+				if err != nil || len(res.Ring) < net.Nodes()-(net.WordLen()+1) || res.Stats.CacheHit != (c.cache == 0) {
+					b.Fatal("bound violated or cache misbehaved")
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,11 @@
 // duplicate in-flight computations, runs batches across a worker pool
 // and reports per-request statistics (cache hit, rounds, ring length
 // against the dⁿ − nf bound).
+//
+// The engine copies no ring: the one the adapter returns on a miss is
+// the one it caches, and every request for the same key, hit or
+// collapsed in-flight waiter, shares it.  Result.Ring is therefore
+// read-only.
 package engine
 
 import (
@@ -136,6 +141,9 @@ type Stats struct {
 // Result is one embedded ring with its statistics.  In batch responses a
 // failed request carries Err and a nil Ring.
 type Result struct {
+	// Ring is read-only: it is the engine's cached slice, shared with
+	// the cache and with every caller of the same (topology, fault
+	// set).  A caller that wants to modify it copies it first.
 	Ring  []int
 	Stats Stats
 	Err   error
@@ -155,13 +163,14 @@ func (e *Engine) EmbedRing(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	key := net.Name() + "|" + req.Faults.Key()
+	name := net.Name()
+	key := name + "|" + req.Faults.Key()
 
 	e.mu.Lock()
 	if ent, ok := e.cache.get(key); ok {
 		e.mu.Unlock()
 		e.hits.Inc()
-		return e.result(net, ent.ring, ent.info, true, start), nil
+		return e.result(name, ent.ring, ent.info, true, start), nil
 	}
 	if fl, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
@@ -174,7 +183,7 @@ func (e *Engine) EmbedRing(ctx context.Context, req Request) (*Result, error) {
 				return nil, fl.err
 			}
 			e.hits.Inc()
-			return e.result(net, fl.ring, fl.info, true, start), nil
+			return e.result(name, fl.ring, fl.info, true, start), nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -202,7 +211,7 @@ func (e *Engine) EmbedRing(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.result(net, fl.ring, fl.info, false, start), nil
+	return e.result(name, fl.ring, fl.info, false, start), nil
 }
 
 // EmbedBatch serves the requests across the worker pool, returning one
@@ -326,15 +335,16 @@ func (e *Engine) resolve(req Request) (topology.RingEmbedder, error) {
 	return net, nil
 }
 
-// result assembles a Result, copying the ring so cached slices cannot be
-// mutated by callers, and feeds the latency histogram.
-func (e *Engine) result(net topology.Network, ring []int, info topologyInfo, hit bool, start time.Time) *Result {
+// result assembles a Result for the topology named name, handing out
+// ring itself (the cached slice; see Result.Ring), and feeds the
+// latency histogram.
+func (e *Engine) result(name string, ring []int, info topologyInfo, hit bool, start time.Time) *Result {
 	elapsed := time.Since(start)
 	e.latHist.Observe(int64(elapsed))
 	return &Result{
-		Ring: append([]int(nil), ring...),
+		Ring: ring,
 		Stats: Stats{
-			Topology:   net.Name(),
+			Topology:   name,
 			CacheHit:   hit,
 			RingLength: info.RingLength,
 			LowerBound: info.LowerBound,

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"debruijnring/topology"
 )
@@ -43,15 +45,94 @@ func TestEmbedRingCacheHit(t *testing.T) {
 		t.Errorf("cache stats = %+v", cs)
 	}
 
-	// Mutating a returned ring must not corrupt the cache.
-	second.Ring[0] = -99
-	third, err := eng.EmbedRing(ctx, req)
+	// The engine copies no ring: a hit hands out the miss's own
+	// backing array, read-only and shared.
+	if &second.Ring[0] != &first.Ring[0] {
+		t.Error("cache hit copied the ring")
+	}
+}
+
+// TestEmbedRingSharesRing pins the Result.Ring contract on B(2,16): an
+// in-flight waiter and a later hit return the miss's backing array, a
+// hit allocates a small constant with no dⁿ-sized copy, and concurrent
+// readers of the one shared ring are race-free.
+func TestEmbedRingSharesRing(t *testing.T) {
+	db, err := topology.NewDeBruijn(2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if third.Ring[0] == -99 {
-		t.Error("caller mutation reached the cache")
+	blocker := &blockingNet{RingEmbedder: db, started: make(chan struct{}), release: make(chan struct{})}
+	eng := New(Options{})
+	ctx := context.Background()
+	faults := topology.NodeFaults(5, 1234, 40000)
+	req := Request{Network: blocker, Faults: faults}
+
+	missc, waitc := make(chan *Result, 1), make(chan *Result, 1)
+	embed := func(out chan<- *Result) {
+		res, err := eng.EmbedRing(ctx, req)
+		if err != nil {
+			t.Error(err)
+		}
+		out <- res
 	}
+	go embed(missc)
+	<-blocker.started
+	go embed(waitc)
+	// The embed stays blocked while the waiter finds its flight; one
+	// scheduled late finds the cache instead, and must share just as well.
+	time.Sleep(20 * time.Millisecond)
+	close(blocker.release)
+	miss, waiter := <-missc, <-waitc
+	if miss == nil || waiter == nil {
+		t.FailNow()
+	}
+	if miss.Stats.CacheHit || !waiter.Stats.CacheHit {
+		t.Fatalf("miss hit=%v, waiter hit=%v", miss.Stats.CacheHit, waiter.Stats.CacheHit)
+	}
+	if &waiter.Ring[0] != &miss.Ring[0] {
+		t.Error("in-flight waiter got a copy of the ring")
+	}
+
+	hitReq := Request{Network: db, Faults: faults} // the blocker's key: same name, same faults
+	hit, err := eng.EmbedRing(ctx, hitReq)
+	if err != nil || !hit.Stats.CacheHit {
+		t.Fatalf("hit: %v, %+v", err, hit)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := eng.EmbedRing(ctx, hitReq); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("a B(2,16) cache hit made %v allocations, want at most 8", allocs)
+	}
+	const hits = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits; i++ {
+		eng.EmbedRing(ctx, hitReq)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / hits; per > 1024 {
+		t.Errorf("a B(2,16) cache hit allocated %d bytes, want at most 1 KiB (the ring is %d KiB)", per, 8*len(hit.Ring)>>10)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := eng.EmbedRing(ctx, hitReq)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if &res.Ring[0] != &hit.Ring[0] || !topology.VerifyRing(db, res.Ring, faults) {
+				t.Error("a concurrent reader saw another or a broken ring")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEmbedRingDifferentTopologiesDoNotCollide(t *testing.T) {

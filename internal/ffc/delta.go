@@ -216,8 +216,10 @@ func (e *Embedder) topLevel() int {
 // embedDelta derives the Result from the base after relevel: Step 1.2
 // only for the necklaces whose representative moved, Step 2 only for
 // the stars whose edge set changed, Step 3 as base-cycle runs between
-// the nodes whose successor may have changed.
-func (e *Embedder) embedDelta(res *Result) (*Result, error) {
+// the nodes whose successor may have changed.  Without tree it skips
+// assembling Result.Tree and Result.Overrides: the walk reads only the
+// changed stars' closures.
+func (e *Embedder) embedDelta(res *Result, tree bool) (*Result, error) {
 	s, b := &e.s, e.b
 	d, pivot, size := e.g.D, s.div.p, e.g.Size
 	moved := s.order[:e.relevelled]
@@ -282,30 +284,10 @@ func (e *Embedder) embedDelta(res *Result) (*Result, error) {
 		}
 	}
 
-	// The tree: the base's, less the dead and the touched necklaces, with
-	// the touched ones in B* (e.stars) re-hung.  All three lists ascend.
 	dead := res.FaultyNecklaces
-	res.Tree = make([]TreeLink, 0, len(b.tree)-len(dead)-len(e.touched)+len(e.stars))
-	from, i, j, k := 0, 0, 0, 0
-	for i < len(dead) || j < len(e.touched) {
-		var r int32
-		if j == len(e.touched) || i < len(dead) && int32(dead[i]) < e.touched[j] {
-			r = int32(dead[i])
-			i++
-		} else {
-			r = e.touched[j]
-			j++
-		}
-		at := b.treeIndex(r)
-		res.Tree = append(res.Tree, b.tree[from:at]...)
-		from = at + 1
-		if k < len(e.stars) && e.stars[k].child == r {
-			st := e.stars[k]
-			res.Tree = append(res.Tree, TreeLink{Child: st.child, Parent: st.parent, W: st.w})
-			k++
-		}
+	if tree {
+		res.Tree = e.deltaTree(dead)
 	}
-	res.Tree = append(res.Tree, b.tree[from:]...)
 
 	// Step 2 for the changed stars: the base label r/d of every dead or
 	// touched necklace r and the new label of every re-hung one.  Any
@@ -366,23 +348,9 @@ func (e *Embedder) embedDelta(res *Result) (*Result, error) {
 	}
 	nOv += len(e.newOv)
 	slices.Sort(e.marks)
-
-	// The overrides: the base's star runs, each changed star's replaced.
-	res.Overrides = make([]Override, 0, nOv)
-	from = 0
-	for li, w := range e.labels {
-		at, ok := b.starIndex(w)
-		res.Overrides = append(res.Overrides, b.ov[from:b.starOff[at]]...)
-		if from = int(b.starOff[at]); ok {
-			from = int(b.starOff[at+1])
-		}
-		lo := int32(0)
-		if li > 0 {
-			lo = e.newEnd[li-1]
-		}
-		res.Overrides = append(res.Overrides, e.newOv[lo:e.newEnd[li]]...)
+	if tree {
+		res.Overrides = e.deltaOverrides(nOv)
 	}
-	res.Overrides = append(res.Overrides, b.ov[from:]...)
 
 	// Step 3: the walk follows the base cycle from 0ⁿ, copying it run by
 	// run up to the next breakpoint, whose successor the new overrides
@@ -396,6 +364,55 @@ func (e *Embedder) embedDelta(res *Result) (*Result, error) {
 	}
 	res.Cycle = cycle
 	return res, nil
+}
+
+// deltaTree returns the base tree less the dead and the touched
+// necklaces, with the touched ones in B* (e.stars, still in child
+// order) re-hung.  All three lists ascend.
+func (e *Embedder) deltaTree(dead []int) []TreeLink {
+	b := e.b
+	tree := make([]TreeLink, 0, len(b.tree)-len(dead)-len(e.touched)+len(e.stars))
+	from, i, j, k := 0, 0, 0, 0
+	for i < len(dead) || j < len(e.touched) {
+		var r int32
+		if j == len(e.touched) || i < len(dead) && int32(dead[i]) < e.touched[j] {
+			r = int32(dead[i])
+			i++
+		} else {
+			r = e.touched[j]
+			j++
+		}
+		at := b.treeIndex(r)
+		tree = append(tree, b.tree[from:at]...)
+		from = at + 1
+		if k < len(e.stars) && e.stars[k].child == r {
+			st := e.stars[k]
+			tree = append(tree, TreeLink{Child: st.child, Parent: st.parent, W: st.w})
+			k++
+		}
+	}
+	return append(tree, b.tree[from:]...)
+}
+
+// deltaOverrides returns the n overrides of the embed: the base's star
+// runs, each changed star's (e.labels) replaced by its new closure.
+func (e *Embedder) deltaOverrides(n int) []Override {
+	b := e.b
+	ov := make([]Override, 0, n)
+	from := 0
+	for li, w := range e.labels {
+		at, ok := b.starIndex(w)
+		ov = append(ov, b.ov[from:b.starOff[at]]...)
+		if from = int(b.starOff[at]); ok {
+			from = int(b.starOff[at+1])
+		}
+		lo := int32(0)
+		if li > 0 {
+			lo = e.newEnd[li-1]
+		}
+		ov = append(ov, e.newOv[lo:e.newEnd[li]]...)
+	}
+	return append(ov, b.ov[from:]...)
 }
 
 // walkRuns is walk over the base cycle: between breakpoints (e.marks)

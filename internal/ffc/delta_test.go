@@ -109,22 +109,12 @@ func TestDeltaMatchesFullNecklaceSets(t *testing.T) {
 // and with manyFaultSets, whose splits send most embeds down the full
 // path on both embedders.
 func TestDeltaMatchesFullRandom(t *testing.T) {
-	grids := []struct{ d, n int }{{2, 6}, {2, 9}, {2, 12}, {3, 5}, {3, 7}, {4, 4}, {5, 3}, {7, 2}}
-	for _, gr := range grids {
+	for _, gr := range randomGrid {
 		g := debruijn.New(gr.d, gr.n)
 		p := newPair(g)
-		rng := rand.New(rand.NewPCG(uint64(gr.d), uint64(gr.n)))
-		trials := 60
-		if g.Size > 2000 {
-			trials = 20
-		}
 		deltas := 0
-		for trial := 0; trial < trials; trial++ {
-			f := 1 + rng.IntN(g.Size/2)
-			if trial%2 == 0 {
-				f = 1 + rng.IntN(min(2*g.N, g.Size/2))
-			}
-			if p.check(t, randomFaults(rng, g.Size, f)) {
+		for _, faults := range randomTrials(g) {
+			if p.check(t, faults) {
 				deltas++
 			}
 		}
@@ -148,6 +138,74 @@ func TestDeltaMatchesFullRandom(t *testing.T) {
 			pairs[c.g] = p
 		}
 		p.check(t, c.faults)
+	}
+}
+
+// randomGrid is the graphs the seeded random fault sets are drawn on.
+var randomGrid = []struct{ d, n int }{{2, 6}, {2, 9}, {2, 12}, {3, 5}, {3, 7}, {4, 4}, {5, 3}, {7, 2}}
+
+// randomTrials returns g's seeded random node sets: every size up to
+// dⁿ/2, every other one at most 2n.
+func randomTrials(g *debruijn.Graph) [][]int {
+	rng := rand.New(rand.NewPCG(uint64(g.D), uint64(g.N)))
+	trials := 60
+	if g.Size > 2000 {
+		trials = 20
+	}
+	sets := make([][]int, trials)
+	for trial := range sets {
+		f := 1 + rng.IntN(g.Size/2)
+		if trial%2 == 0 {
+			f = 1 + rng.IntN(min(2*g.N, g.Size/2))
+		}
+		sets[trial] = randomFaults(rng, g.Size, f)
+	}
+	return sets
+}
+
+// TestEmbedCycleMatchesEmbed runs EmbedCycle and Embed on one embedder
+// per path over the seeded random sets, alternating which runs first:
+// the ring-only embed must return Embed's Cycle and scalars (and
+// errors), with nil Tree and Overrides, on both paths.
+func TestEmbedCycleMatchesEmbed(t *testing.T) {
+	for _, gr := range randomGrid {
+		g := debruijn.New(gr.d, gr.n)
+		for _, full := range []bool{false, true} {
+			em := NewEmbedder(g)
+			em.forceFull = full
+			deltas := 0
+			for i, faults := range randomTrials(g) {
+				var want, got *Result
+				var wantErr, err error
+				if i%2 == 0 {
+					want, wantErr = em.Embed(faults)
+					got, err = em.EmbedCycle(faults)
+				} else {
+					got, err = em.EmbedCycle(faults)
+					want, wantErr = em.Embed(faults)
+				}
+				if em.delta {
+					deltas++
+				}
+				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("B(%d,%d) faults %v: EmbedCycle err %v, Embed err %v", g.D, g.N, faults, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if got.Tree != nil || got.Overrides != nil {
+					t.Fatalf("B(%d,%d) faults %v (full %v): EmbedCycle built %d links and %d overrides",
+						g.D, g.N, faults, full, len(got.Tree), len(got.Overrides))
+				}
+				got.Tree, got.Overrides = want.Tree, want.Overrides
+				if diff := diffResults(got, want); diff != "" {
+					t.Fatalf("B(%d,%d) faults %v (full %v): %s", g.D, g.N, faults, full, diff)
+				}
+			}
+			if !full && deltas == 0 {
+				t.Fatalf("B(%d,%d): no random set took the delta path", gr.d, gr.n)
+			}
+		}
 	}
 }
 

@@ -31,8 +31,8 @@ import (
 // (debruijn.Graph.NecklaceReps).
 //
 // An Embedder is NOT safe for concurrent use; give each goroutine its
-// own (topology.DeBruijn keeps a sync.Pool of them).  The one-shot Embed
-// function remains the convenience front-end.
+// own.  The one-shot Embed and EmbedCycle functions draw one from a
+// pool kept per graph.
 type Embedder struct {
 	g *debruijn.Graph
 	s survivors
@@ -54,7 +54,7 @@ type Embedder struct {
 	touched []int32    // representatives of the re-levelled necklaces, ascending
 	labels  []int32    // labels of the stars whose edge set changed, ascending
 	starBuf []starEdge // one changed star's edges, ascending child order
-	newOv   []Override // the changed stars' closures, back to back
+	newOv   []Override // the changed stars' closures, back to back (a full EmbedCycle's overrides)
 	newEnd  []int32    // newOv[newEnd[i-1]:newEnd[i]] closes star labels[i]
 	marks   []int32    // base-cycle positions of the nodes whose successor may change
 
@@ -104,7 +104,16 @@ func (e *Embedder) Rep(x int) int { return int(e.s.reps[x]) }
 
 // Embed runs the FFC algorithm for the given faulty nodes, equivalent to
 // the package-level Embed but reusing the receiver's scratch arrays.
-func (e *Embedder) Embed(faults []int) (*Result, error) {
+func (e *Embedder) Embed(faults []int) (*Result, error) { return e.embed(faults, true) }
+
+// EmbedCycle is Embed without the Step 1–2 record: its Result carries
+// the same Cycle and scalars, and nil Tree and Overrides.  Callers that
+// read only the ring use it and skip allocating the rest.
+func (e *Embedder) EmbedCycle(faults []int) (*Result, error) { return e.embed(faults, false) }
+
+// embed runs Embed, filling Result.Tree and Result.Overrides when tree
+// is set.
+func (e *Embedder) embed(faults []int, tree bool) (*Result, error) {
 	g := e.g
 	s := &e.s
 	if s.reps == nil {
@@ -135,16 +144,17 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 			e.b = baseOf(g)
 		}
 		if e.delta = e.relevel(res.FaultyNodeCount); e.delta {
-			res, err := e.embedDelta(res)
+			res, err := e.embedDelta(res, tree)
 			e.unmark()
 			return res, err
 		}
 	}
-	return e.embedFull(res)
+	return e.embedFull(res, tree)
 }
 
-// embedFull runs Steps 1.1–3 over the whole surviving graph.
-func (e *Embedder) embedFull(res *Result) (*Result, error) {
+// embedFull runs Steps 1.1–3 over the whole surviving graph.  Without
+// tree, the overrides the walk follows live in scratch (newOv).
+func (e *Embedder) embedFull(res *Result, tree bool) (*Result, error) {
 	g := e.g
 	s := &e.s
 	e.growFull()
@@ -211,9 +221,11 @@ func (e *Embedder) embedFull(res *Result) (*Result, error) {
 			return nil, err
 		}
 	}
-	res.Tree = make([]TreeLink, len(e.stars))
-	for i, st := range e.stars {
-		res.Tree[i] = TreeLink{Child: st.child, Parent: st.parent, W: st.w}
+	if tree {
+		res.Tree = make([]TreeLink, len(e.stars))
+		for i, st := range e.stars {
+			res.Tree[i] = TreeLink{Child: st.child, Parent: st.parent, W: st.w}
+		}
 	}
 
 	// Step 2: close each star T_w into a w-cycle ordered by necklace
@@ -226,23 +238,31 @@ func (e *Embedder) embedFull(res *Result) (*Result, error) {
 			nOverrides++
 		}
 	}
-	res.Overrides = make([]Override, 0, nOverrides)
+	ov := e.newOv[:0]
+	if tree {
+		ov = make([]Override, 0, nOverrides)
+	}
 	for i := 0; i < len(e.stars); {
 		k := 1
 		for i+k < len(e.stars) && e.stars[i+k].w == e.stars[i].w {
 			k++
 		}
-		res.Overrides = e.closeStar(e.stars[i:i+k], res.Overrides)
+		ov = e.closeStar(e.stars[i:i+k], ov)
 		i += k
+	}
+	if tree {
+		res.Overrides = ov
+	} else {
+		e.newOv = ov
 	}
 
 	// Step 3: read off the cycle from the dense successor rule.
-	for _, o := range res.Overrides {
+	for _, o := range ov {
 		e.ovSet[o.Out>>6] |= 1 << (o.Out & 63)
 		e.ovTo[o.Out] = o.In
 	}
 	cycle, err := e.walk(root, want)
-	for _, o := range res.Overrides {
+	for _, o := range ov {
 		e.ovSet[o.Out>>6] &^= 1 << (o.Out & 63)
 	}
 	if err != nil {

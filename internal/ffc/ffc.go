@@ -59,6 +59,7 @@ package ffc
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"debruijnring/internal/debruijn"
 )
@@ -75,7 +76,8 @@ type Result struct {
 	FaultyNodeCount int   // total nodes in faulty necklaces (N_F of §2.5)
 
 	// Tree is the spanning tree T of N* built in Step 1: one edge per
-	// non-root necklace of B*, in ascending Child order.
+	// non-root necklace of B*, in ascending Child order.  Tree and
+	// Overrides are nil in a Result from EmbedCycle.
 	Tree []TreeLink
 	// Overrides is the Step-3 successor rule derived from the modified
 	// tree D: for every outgoing node Out, the entry node In of the next
@@ -102,18 +104,44 @@ type Override struct{ Out, In int32 }
 // on one graph reuse warm scratch; a caller that wants its own scratch
 // constructs an Embedder.
 func Embed(g *debruijn.Graph, faults []int) (*Result, error) {
-	pool := g.Memo(poolKey{}, func() any { return new(sync.Pool) }).(*sync.Pool)
+	return pooled(g, faults, true)
+}
+
+// EmbedCycle is Embed for callers that read only the ring and the
+// scalars: the Result's Tree and Overrides are nil, and neither is
+// built.  It draws from the same per-graph pool as Embed.
+func EmbedCycle(g *debruijn.Graph, faults []int) (*Result, error) {
+	return pooled(g, faults, false)
+}
+
+// pooled runs one embed on an Embedder from g's pool.
+func pooled(g *debruijn.Graph, faults []int, tree bool) (*Result, error) {
+	pool := poolOf(g)
+	pool.draws.Add(1)
 	em, _ := pool.Get().(*Embedder)
 	if em == nil {
 		em = NewEmbedder(g)
 	}
-	res, err := em.Embed(faults)
+	res, err := em.embed(faults, tree)
 	pool.Put(em)
 	return res, err
 }
 
-// poolKey is the debruijn.Graph.Memo key of Embed's embedder pool.
+// embedderPool is a graph's pool of Embedders, shared by Embed and
+// EmbedCycle.  draws counts the embeds served from it; tests read it to
+// show every one-shot caller on a graph shares the one pool.
+type embedderPool struct {
+	sync.Pool
+	draws atomic.Int64
+}
+
+// poolKey is the debruijn.Graph.Memo key of the embedder pool.
 type poolKey struct{}
+
+// poolOf returns g's embedder pool, made on first use.
+func poolOf(g *debruijn.Graph) *embedderPool {
+	return g.Memo(poolKey{}, func() any { return new(embedderPool) }).(*embedderPool)
+}
 
 // FaultyNecklaces returns the set of necklace representatives containing at
 // least one of the given faulty nodes.

@@ -79,7 +79,8 @@ func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
 }
 
 // TestEmbedAllocs pins a warm Embed, on either path, to its
-// Result: the Result itself, Cycle, Tree, Overrides and FaultyNecklaces.
+// Result: the Result itself, Cycle, Tree, Overrides and FaultyNecklaces
+// (a warm EmbedCycle to the three of them it fills).
 // Every other structure is pooled scratch, so a map or a per-run buffer
 // creeping back into the kernel fails here before any benchmark gate.
 // The per-node bitsets and arrays are sized on the first run and reused,
@@ -109,6 +110,15 @@ func TestEmbedAllocs(t *testing.T) {
 		})
 		if allocs > 5 {
 			t.Fatalf("warm %s Embed made %v allocations, want at most 5", c.path, allocs)
+		}
+		// EmbedCycle skips the Tree and the Overrides.
+		allocs = testing.AllocsPerRun(20, func() {
+			if _, err := em.EmbedCycle(c.faults); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Fatalf("warm %s EmbedCycle made %v allocations, want at most 3", c.path, allocs)
 		}
 	}
 	full := []any{&em.earliest[0], &em.repSeen[0]}

@@ -4,23 +4,28 @@ import (
 	"sync"
 	"testing"
 
+	"debruijnring"
 	"debruijnring/internal/debruijn"
 	"debruijnring/internal/ffc"
 	"debruijnring/internal/repair"
 	"debruijnring/topology"
 )
 
-// TestEmbeddersShareBase pins the fault-free base to one per graph:
-// the topology adapter's pooled embedders, a session's patcher, the
-// one-shot Embed and directly built embedders all derive from the
-// graph's one base instead of building their own.
+// TestEmbeddersShareBase pins the fault-free base to one per graph and
+// the ring-only callers to one embedder pool per graph: the topology
+// adapter, the root API (EmbedRing, and EmbedRingDistributed, which
+// embeds for its root) and the one-shot Embed and EmbedCycle all draw
+// from the graph's pool, and they, a session's patcher and directly
+// built embedders all derive from the graph's one base instead of
+// building their own.
 func TestEmbeddersShareBase(t *testing.T) {
-	net, err := topology.NewDeBruijn(2, 9)
+	root, err := debruijnring.New(2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := root.Network()
 	g := net.Graph()
-	before := ffc.BaseBuilds()
+	before, draws := ffc.BaseBuilds(), ffc.PoolDraws(g)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ { // concurrent calls draw distinct pooled embedders
 		wg.Add(1)
@@ -32,10 +37,22 @@ func TestEmbeddersShareBase(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if _, _, err := repair.For(net).Embed(topology.NodeFaults(7)); err != nil {
+	if _, _, err := root.EmbedRing([]int{3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := root.EmbedRingDistributed([]int{3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ffc.Embed(g, []int{9}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ffc.EmbedCycle(g, []int{9}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ffc.PoolDraws(g) - draws; got != 8 {
+		t.Fatalf("the graph's embedder pool served %d of 8 one-shot embeds", got)
+	}
+	if _, _, err := repair.For(net).Embed(topology.NodeFaults(7)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {

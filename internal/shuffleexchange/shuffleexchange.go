@@ -145,7 +145,7 @@ func (e *Embedding) Dilation() int {
 // tables on g's De Bruijn graph, so repeated calls on one Graph share
 // them.
 func (g *Graph) EmbedRing(faults []int) (*Embedding, error) {
-	res, err := ffc.Embed(g.db, faults)
+	res, err := ffc.EmbedCycle(g.db, faults)
 	if err != nil {
 		return nil, err
 	}

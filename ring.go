@@ -84,7 +84,7 @@ func (g *Graph) EmbedRing(faults []int) (*Ring, *EmbedStats, error) {
 	if err := g.checkNodes(faults); err != nil {
 		return nil, nil, err
 	}
-	res, err := ffc.Embed(g.g, faults)
+	res, err := ffc.EmbedCycle(g.g, faults)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -112,7 +112,7 @@ func (g *Graph) EmbedRingDistributed(faults []int) (*Ring, *DistributedStats, er
 	if err := g.checkNodes(faults); err != nil {
 		return nil, nil, err
 	}
-	seq, err := ffc.Embed(g.g, faults)
+	seq, err := ffc.EmbedCycle(g.g, faults)
 	if err != nil {
 		return nil, nil, err
 	}

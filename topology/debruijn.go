@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"sync"
 
 	"debruijnring/internal/debruijn"
 	"debruijnring/internal/ffc"
@@ -13,14 +12,13 @@ import (
 // interface.  It embeds rings under node faults (the Chapter 2 FFC
 // algorithm), link faults (the Chapter 3 edge-disjoint Hamiltonian
 // family machinery), and — best-effort — mixed fault sets.
+//
+// Node-fault embeds draw their dense FFC scratch from the graph's one
+// embedder pool (ffc.EmbedCycle), so the engine's workers reuse
+// traversal buffers instead of reallocating them per request.
 type DeBruijn struct {
 	d, n int
 	g    *debruijn.Graph
-
-	// embedders pools dense FFC scratch (ffc.Embedder) across concurrent
-	// EmbedRing calls, so the engine's worker loop reuses traversal
-	// buffers instead of reallocating them per request.
-	embedders sync.Pool
 }
 
 // NewDeBruijn returns the B(d,n) adapter; d ≥ 2, n ≥ 1.
@@ -81,12 +79,7 @@ func (t *DeBruijn) EmbedRing(f FaultSet) ([]int, *EmbedInfo, error) {
 	if err := f.Validate(t); err != nil {
 		return nil, nil, err
 	}
-	em, _ := t.embedders.Get().(*ffc.Embedder)
-	if em == nil {
-		em = ffc.NewEmbedder(t.g)
-	}
-	res, err := em.Embed(f.Nodes)
-	t.embedders.Put(em)
+	res, err := ffc.EmbedCycle(t.g, f.Nodes)
 	if err != nil {
 		return nil, nil, err
 	}

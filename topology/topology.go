@@ -83,7 +83,10 @@ type RingEmbedder interface {
 	Network
 	// EmbedRing returns a ring (cycle, or closed walk for dilation-2
 	// embeddings) of the network avoiding every fault in f, together
-	// with embedding statistics.
+	// with embedding statistics.  The adapter neither retains nor
+	// modifies the ring it returns, so a caller may keep it and share
+	// it (the engine caches it and hands it to every later request for
+	// the same fault set).
 	EmbedRing(f FaultSet) ([]int, *EmbedInfo, error)
 }
 
