@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -302,6 +303,55 @@ func benchSessionEvents(b *testing.B, n int) {
 	}
 	b.StopTimer() // the closing snapshot is not an event
 	m.Close()
+}
+
+// BenchmarkSessionFootprint prices what a B(2,16) session holds: one
+// op creates eight journal-less sessions with one node fault each, on a
+// manager whose first session has already built the per-graph tables
+// they share, and reports the heap they hold after GC as bytes/session.
+// ns/op and B/op price the creations themselves.
+func BenchmarkSessionFootprint(b *testing.B) {
+	const sessions = 8
+	heap := func() uint64 {
+		// Two cycles: the second empties the embedder pool's victim cache.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	m := session.NewManager(nil, session.Options{})
+	defer m.Close()
+	create := func(name string, fault int) {
+		s, err := m.Create(name, "debruijn(2,16)", topology.FaultSet{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.AddFaults(topology.NodeFaults(fault)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	create("warm", 1000)
+	var held uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := heap()
+		b.StartTimer()
+		for j := 0; j < sessions; j++ {
+			create(fmt.Sprintf("s%d", j), 1000+7919*(j+1))
+		}
+		b.StopTimer()
+		held += max(heap(), before) - before
+		for j := 0; j < sessions; j++ {
+			if err := m.Delete(fmt.Sprintf("s%d", j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(held)/float64(b.N*sessions), "bytes/session")
 }
 
 // BenchmarkSessionStateRead prices one ring read of a B(2,16) session

@@ -132,14 +132,25 @@ func (m *Sparse) Reset() {
 // find returns the slot holding k, or the empty slot where k belongs.
 //
 //ringlint:noalloc
-func (m *Sparse) find(k int) *sparseSlot {
+func (m *Sparse) find(k int) *sparseSlot { return &m.slots[m.index(k)] }
+
+// index returns the index of the slot holding k, or of the empty slot
+// where k belongs.
+//
+//ringlint:noalloc
+func (m *Sparse) index(k int) int {
 	mask := len(m.slots) - 1
-	for i := (k * 0x9E3779B1) & mask; ; i = (i + 1) & mask {
+	for i := m.home(k); ; i = (i + 1) & mask {
 		if s := &m.slots[i]; s.key1 == 0 || s.key1 == k+1 {
-			return s
+			return i
 		}
 	}
 }
+
+// home returns the slot index k's probe starts at.
+//
+//ringlint:noalloc
+func (m *Sparse) home(k int) int { return (k * 0x9E3779B1) & (len(m.slots) - 1) }
 
 // Get returns the value at k and whether it is present.
 //
@@ -178,6 +189,31 @@ func (m *Sparse) Set(k int, v int32) bool {
 	return added
 }
 
+// Delete removes k if present.  The entries after it in its probe run
+// shift back over the hole, so no tombstone is left behind.
+//
+//ringlint:noalloc
+func (m *Sparse) Delete(k int) {
+	if m.n == 0 {
+		return
+	}
+	i := m.index(k)
+	if m.slots[i].key1 == 0 {
+		return
+	}
+	mask := len(m.slots) - 1
+	for j := (i + 1) & mask; m.slots[j].key1 != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its probe starts
+		// cyclically within (i, j].
+		if h := m.home(m.slots[j].key1 - 1); (j-h)&mask >= (j-i)&mask {
+			m.slots[i] = m.slots[j]
+			i = j
+		}
+	}
+	m.slots[i] = sparseSlot{}
+	m.n--
+}
+
 // grow doubles the table (at least 16 slots) and reinserts every entry.
 //
 //ringlint:noalloc
@@ -189,4 +225,24 @@ func (m *Sparse) grow() {
 			*m.find(s.key1 - 1) = s
 		}
 	}
+}
+
+// Len returns the number of keys present.
+//
+//ringlint:noalloc
+func (m *Sparse) Len() int { return m.n }
+
+// AppendKeys appends every key present to dst, in table order (which
+// depends on the insertion history, not on the keys alone), and
+// returns the extended slice.
+func (m *Sparse) AppendKeys(dst []int) []int {
+	if m.n == 0 {
+		return dst
+	}
+	for _, s := range m.slots {
+		if s.key1 != 0 {
+			dst = append(dst, s.key1-1)
+		}
+	}
+	return dst
 }

@@ -98,10 +98,37 @@ func TestSparseMatchesMap(t *testing.T) {
 				t.Fatalf("round %d: Get(%d) = %d, %v; want %d", round, k, got, ok, v)
 			}
 		}
+		keys := s.AppendKeys(nil)
+		if s.Len() != len(ref) || len(keys) != len(ref) {
+			t.Fatalf("round %d: Len %d, %d keys, want %d", round, s.Len(), len(keys), len(ref))
+		}
+		for _, k := range keys {
+			if _, ok := ref[k]; !ok {
+				t.Fatalf("round %d: AppendKeys lists absent key %d", round, k)
+			}
+		}
 		for i := 0; i < 100; i++ {
 			k := rng.Intn(1 << 28)
 			if _, want := ref[k]; s.Has(k) != want {
 				t.Fatalf("round %d: Has(%d) = %v", round, k, !want)
+			}
+		}
+		// Delete about half the keys, some twice, and a few absent ones.
+		for _, k := range keys {
+			if rng.Intn(2) == 0 {
+				s.Delete(k)
+				s.Delete(k)
+				delete(ref, k)
+			}
+			s.Delete(1<<29 + rng.Intn(1<<20)) // never inserted
+		}
+		if s.Len() != len(ref) {
+			t.Fatalf("round %d: Len %d after deletes, want %d", round, s.Len(), len(ref))
+		}
+		for _, k := range keys {
+			v, want := ref[k]
+			if got, ok := s.Get(k); ok != want || ok && got != v {
+				t.Fatalf("round %d: after deletes Get(%d) = %d, %v; want %d, %v", round, k, got, ok, v, want)
 			}
 		}
 	}

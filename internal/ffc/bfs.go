@@ -47,7 +47,7 @@ type component struct {
 // necklace-representative table, with its per-node arrays sized once.
 // Node codes are int32 here, so g may have at most 2³¹ nodes.
 func newSurvivors(g *debruijn.Graph) survivors {
-	if g.Size > maxNodes {
+	if g.Size > MaxNodes {
 		panic(fmt.Sprintf("ffc: B(%d,%d) has more than 2³¹ nodes", g.D, g.N))
 	}
 	words := (g.Size + 63) / 64
@@ -59,9 +59,9 @@ func newSurvivors(g *debruijn.Graph) survivors {
 	}
 }
 
-// maxNodes bounds the graphs the dense kernels index: node codes are
+// MaxNodes bounds the graphs the dense kernels index: node codes are
 // int32.
-const maxNodes = 1 << 31
+const MaxNodes = 1 << 31
 
 func (s *survivors) alive(x int) bool { return s.dead[x>>6]&(1<<(x&63)) == 0 }
 

@@ -216,10 +216,11 @@ func (e *Embedder) topLevel() int {
 // embedDelta derives the Result from the base after relevel: Step 1.2
 // only for the necklaces whose representative moved, Step 2 only for
 // the stars whose edge set changed, Step 3 as base-cycle runs between
-// the nodes whose successor may have changed.  Without tree it skips
-// assembling Result.Tree and Result.Overrides: the walk reads only the
-// changed stars' closures.
-func (e *Embedder) embedDelta(res *Result, tree bool) (*Result, error) {
+// the nodes whose successor may have changed.  Unless rec asks for
+// Tree it skips assembling Result.Tree and Result.Overrides: the walk
+// reads only the changed stars' closures.
+func (e *Embedder) embedDelta(res *Result, rec record) (*Result, error) {
+	tree := rec == recordTree
 	s, b := &e.s, e.b
 	d, pivot, size := e.g.D, s.div.p, e.g.Size
 	moved := s.order[:e.relevelled]
@@ -287,6 +288,9 @@ func (e *Embedder) embedDelta(res *Result, tree bool) (*Result, error) {
 	dead := res.FaultyNecklaces
 	if tree {
 		res.Tree = e.deltaTree(dead)
+	}
+	if rec == recordDiff {
+		res.TreeDiff = e.deltaTreeDiff(dead)
 	}
 
 	// Step 2 for the changed stars: the base label r/d of every dead or

@@ -62,7 +62,79 @@ func (p pair) check(t testing.TB, faults []int) bool {
 			t.Fatalf("B(%d,%d) faults %v (delta path %v): %s", g.D, g.N, faults, p.delta.delta, diff)
 		}
 	}
-	return p.delta.delta
+	delta := p.delta.delta
+	for _, em := range []*Embedder{p.delta, p.full} {
+		got, err := em.EmbedDiff(faults)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("B(%d,%d) faults %v: EmbedDiff err %v, Embed err %v", g.D, g.N, faults, err, wantErr)
+		}
+		if err == nil {
+			if diff := diffBaseEdits(g, got, want); diff != "" {
+				t.Fatalf("B(%d,%d) faults %v: EmbedDiff (delta path %v): %s", g.D, g.N, faults, em.delta, diff)
+			}
+		}
+	}
+	return delta
+}
+
+// diffBaseEdits names the first way an EmbedDiff Result got differs
+// from the Embed Result want: its scalars and cycle, its TreeDiff
+// applied to the base against want's Tree, or want's Overrides against
+// the ascending closure of every star of that tree.  An edit must
+// change what it names, and the edits must ascend.
+func diffBaseEdits(g *debruijn.Graph, got, want *Result) string {
+	if got.Tree != nil || got.Overrides != nil {
+		return "EmbedDiff built Tree or Overrides"
+	}
+	scalars := *got
+	scalars.Tree, scalars.Overrides = want.Tree, want.Overrides
+	if diff := diffResults(&scalars, want); diff != "" {
+		return diff
+	}
+	byChild := map[int32]TreeLink{}
+	for _, l := range baseOf(g).tree {
+		byChild[l.Child] = l
+	}
+	for i, l := range got.TreeDiff {
+		if i > 0 && got.TreeDiff[i-1].Child >= l.Child {
+			return fmt.Sprintf("TreeDiff does not ascend at %d", i)
+		}
+		if old, ok := byChild[l.Child]; ok && old == l || !ok && l.W < 0 {
+			return fmt.Sprintf("TreeDiff entry %v changes nothing", l)
+		}
+		if l.W < 0 {
+			delete(byChild, l.Child)
+		} else {
+			byChild[l.Child] = l
+		}
+	}
+	if len(byChild) != len(want.Tree) {
+		return fmt.Sprintf("base + TreeDiff has %d links, Tree %d", len(byChild), len(want.Tree))
+	}
+	members := map[int32][]int32{} // label → the star's children, then its centre
+	for _, l := range want.Tree {
+		if byChild[l.Child] != l {
+			return fmt.Sprintf("base + TreeDiff hangs [%d] by %v, Tree by %v", l.Child, byChild[l.Child], l)
+		}
+		if members[l.W] == nil {
+			members[l.W] = []int32{l.Parent}
+		}
+		members[l.W] = append(members[l.W], l.Child)
+	}
+	var ascending []Override
+	for w, m := range members {
+		slices.Sort(m)
+		for i, c := range m {
+			next := m[(i+1)%len(m)]
+			ascending = append(ascending, Override{Out: int32(SuffixNode(g, int(c), int(w))), In: int32(PrefixNode(g, int(next), int(w)))})
+		}
+	}
+	byOut := func(a, b Override) int { return int(a.Out) - int(b.Out) }
+	slices.SortFunc(ascending, byOut)
+	if ov := slices.SortedFunc(slices.Values(want.Overrides), byOut); !slices.Equal(ov, ascending) {
+		return "Overrides are not every star's ascending closure"
+	}
+	return ""
 }
 
 // deltaGrid is the graphs every single and double faulty-necklace set
@@ -339,4 +411,45 @@ func FuzzDeltaMatchesFull(f *testing.F) {
 		}
 		p.check(t, faults)
 	})
+}
+
+// TestBaseOfMatchesFaultFreeEmbed checks Base's lookups against the
+// fault-free embed they stand for, every necklace's label and every
+// star's centre in its tree, and that the embed's overrides are its
+// stars' ascending closures.
+func TestBaseOfMatchesFaultFreeEmbed(t *testing.T) {
+	for _, gr := range []struct{ d, n int }{{2, 1}, {2, 6}, {2, 9}, {3, 4}, {4, 3}, {5, 2}} {
+		g := debruijn.New(gr.d, gr.n)
+		res, err := Embed(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff, err := EmbedDiff(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffBaseEdits(g, diff, res); d != "" || len(diff.TreeDiff) != 0 {
+			t.Fatalf("B(%d,%d): fault-free EmbedDiff: %s, %d edits", gr.d, gr.n, d, len(diff.TreeDiff))
+		}
+		b := BaseOf(g)
+		label, centre := make([]int32, g.Size), make([]int32, g.Pow(g.N-1))
+		for _, tab := range [][]int32{label, centre} {
+			for i := range tab {
+				tab[i] = -1
+			}
+		}
+		for _, l := range res.Tree {
+			label[l.Child], centre[l.W] = l.W, l.Parent
+		}
+		for x := range label {
+			if b.Label(x) != label[x] {
+				t.Fatalf("B(%d,%d) necklace %d: Base label %d, embed %d", gr.d, gr.n, x, b.Label(x), label[x])
+			}
+		}
+		for w := range centre {
+			if b.Centre(w) != centre[w] {
+				t.Fatalf("B(%d,%d) label %d: Base centre %d, embed %d", gr.d, gr.n, w, b.Centre(w), centre[w])
+			}
+		}
+	}
 }

@@ -1,0 +1,95 @@
+package ffc
+
+import "debruijnring/internal/debruijn"
+
+// Base is g's fault-free tree, the one Embed(g, nil) builds, as the
+// lookups a caller keeping an embed as edits to it needs (EmbedDiff).
+// Every necklace r ≠ [0ⁿ] hangs by label r/d from the necklace of r/d
+// (see base), so the tree follows from the necklace representatives;
+// and Step 2 closes every star in ascending member order, so the
+// overrides follow from the tree.  Only graphs the kernel embeds (at
+// most 2³¹ nodes) have one.
+type Base struct {
+	d    int
+	reps []int32
+}
+
+// BaseOf returns g's Base.  It shares g's necklace-representative
+// table, built on first use.
+func BaseOf(g *debruijn.Graph) Base { return Base{d: g.D, reps: g.NecklaceReps()} }
+
+// Label returns the label by which necklace r hangs in the base tree,
+// −1 when r is not a necklace representative or is [0ⁿ], the root.
+func (b Base) Label(r int) int32 {
+	if r == 0 || int(b.reps[r]) != r {
+		return -1
+	}
+	return int32(r / b.d)
+}
+
+// Centre returns the centre of the base star labelled w, −1 when no
+// base tree link carries label w.  Its children are the necklaces
+// r = w·d + α with Label(r) = w, and it is the necklace of w.
+func (b Base) Centre(w int) int32 {
+	for r := w * b.d; r < (w+1)*b.d; r++ {
+		if b.Label(r) >= 0 {
+			return b.reps[w]
+		}
+	}
+	return -1
+}
+
+// fullTreeDiff returns the full path's tree (e.stars, in ascending
+// child order) as edits to the base tree, which also ascends.
+func (e *Embedder) fullTreeDiff() []TreeLink {
+	base := baseOf(e.g).tree
+	var diff []TreeLink
+	i := 0
+	for _, st := range e.stars {
+		for ; i < len(base) && base[i].Child < st.child; i++ {
+			diff = append(diff, TreeLink{Child: base[i].Child, Parent: -1, W: -1})
+		}
+		link := TreeLink{Child: st.child, Parent: st.parent, W: st.w}
+		if i < len(base) && base[i].Child == st.child {
+			i++
+			if base[i-1] == link {
+				continue
+			}
+		}
+		diff = append(diff, link)
+	}
+	for ; i < len(base); i++ {
+		diff = append(diff, TreeLink{Child: base[i].Child, Parent: -1, W: -1})
+	}
+	return diff
+}
+
+// deltaTreeDiff returns the delta path's tree as edits to the base: the
+// dead and the touched necklaces, with the touched ones in B* (e.stars,
+// still in child order) re-hung.  Every one of them hangs in the base.
+func (e *Embedder) deltaTreeDiff(dead []int) []TreeLink {
+	t := BaseOf(e.g)
+	diff := make([]TreeLink, 0, len(dead)+len(e.touched))
+	i, j, k := 0, 0, 0
+	for i < len(dead) || j < len(e.touched) {
+		var r int32
+		if j == len(e.touched) || i < len(dead) && int32(dead[i]) < e.touched[j] {
+			r = int32(dead[i])
+			i++
+		} else {
+			r = e.touched[j]
+			j++
+		}
+		link := TreeLink{Child: r, Parent: -1, W: -1}
+		if k < len(e.stars) && e.stars[k].child == r {
+			st := e.stars[k]
+			k++
+			if w := t.Label(int(r)); st.w == w && st.parent == t.reps[w] {
+				continue // re-hung where the base hangs it
+			}
+			link.Parent, link.W = st.parent, st.w
+		}
+		diff = append(diff, link)
+	}
+	return diff
+}

@@ -31,8 +31,8 @@ import (
 // (debruijn.Graph.NecklaceReps).
 //
 // An Embedder is NOT safe for concurrent use; give each goroutine its
-// own.  The one-shot Embed and EmbedCycle functions draw one from a
-// pool kept per graph.
+// own.  The one-shot Embed, EmbedCycle and EmbedDiff functions draw one
+// from a pool kept per graph.
 type Embedder struct {
 	g *debruijn.Graph
 	s survivors
@@ -87,7 +87,7 @@ type closure struct{ out, in int32 }
 // int32.
 func NewEmbedder(g *debruijn.Graph) *Embedder {
 	e := &Embedder{g: g}
-	if g.Size <= maxNodes {
+	if g.Size <= MaxNodes {
 		words := (g.Size + 63) / 64
 		e.s = newSurvivors(g)
 		e.ovSet = make([]uint64, words)
@@ -104,16 +104,29 @@ func (e *Embedder) Rep(x int) int { return int(e.s.reps[x]) }
 
 // Embed runs the FFC algorithm for the given faulty nodes, equivalent to
 // the package-level Embed but reusing the receiver's scratch arrays.
-func (e *Embedder) Embed(faults []int) (*Result, error) { return e.embed(faults, true) }
+func (e *Embedder) Embed(faults []int) (*Result, error) { return e.embed(faults, recordTree) }
 
 // EmbedCycle is Embed without the Step 1–2 record: its Result carries
 // the same Cycle and scalars, and nil Tree and Overrides.  Callers that
 // read only the ring use it and skip allocating the rest.
-func (e *Embedder) EmbedCycle(faults []int) (*Result, error) { return e.embed(faults, false) }
+func (e *Embedder) EmbedCycle(faults []int) (*Result, error) { return e.embed(faults, recordCycle) }
 
-// embed runs Embed, filling Result.Tree and Result.Overrides when tree
-// is set.
-func (e *Embedder) embed(faults []int, tree bool) (*Result, error) {
+// EmbedDiff is Embed with the Step 1 record as edits to the graph's
+// fault-free base: its Result carries TreeDiff in place of Tree and
+// Overrides (see Base).
+func (e *Embedder) EmbedDiff(faults []int) (*Result, error) { return e.embed(faults, recordDiff) }
+
+// record selects what an embed returns beside the cycle and scalars.
+type record uint8
+
+const (
+	recordCycle record = iota // nothing (EmbedCycle)
+	recordTree                // Tree and Overrides (Embed)
+	recordDiff                // TreeDiff (EmbedDiff)
+)
+
+// embed runs Embed, filling in what rec asks for.
+func (e *Embedder) embed(faults []int, rec record) (*Result, error) {
 	g := e.g
 	s := &e.s
 	if s.reps == nil {
@@ -144,17 +157,18 @@ func (e *Embedder) embed(faults []int, tree bool) (*Result, error) {
 			e.b = baseOf(g)
 		}
 		if e.delta = e.relevel(res.FaultyNodeCount); e.delta {
-			res, err := e.embedDelta(res, tree)
+			res, err := e.embedDelta(res, rec)
 			e.unmark()
 			return res, err
 		}
 	}
-	return e.embedFull(res, tree)
+	return e.embedFull(res, rec)
 }
 
-// embedFull runs Steps 1.1–3 over the whole surviving graph.  Without
-// tree, the overrides the walk follows live in scratch (newOv).
-func (e *Embedder) embedFull(res *Result, tree bool) (*Result, error) {
+// embedFull runs Steps 1.1–3 over the whole surviving graph.  Unless rec
+// asks for Tree, the overrides the walk follows live in scratch (newOv).
+func (e *Embedder) embedFull(res *Result, rec record) (*Result, error) {
+	tree := rec == recordTree
 	g := e.g
 	s := &e.s
 	e.growFull()
@@ -226,6 +240,9 @@ func (e *Embedder) embedFull(res *Result, tree bool) (*Result, error) {
 		for i, st := range e.stars {
 			res.Tree[i] = TreeLink{Child: st.child, Parent: st.parent, W: st.w}
 		}
+	}
+	if rec == recordDiff {
+		res.TreeDiff = e.fullTreeDiff()
 	}
 
 	// Step 2: close each star T_w into a w-cycle ordered by necklace

@@ -36,7 +36,10 @@
 // their new depths.  Step 1.2 is rerun only for the necklaces whose
 // representative moved, Step 2 only for the stars whose edge set
 // changed, and the Step 3 ring is copied from the base ring run by run
-// between the nodes whose successor changed.  When 0ⁿ is faulty or
+// between the nodes whose successor changed.  EmbedDiff hands the
+// tree back as the same kind of delta, the links that differ from the
+// base's (Base answers the rest), which is how the incremental repair
+// of internal/repair keeps a session's tree.  When 0ⁿ is faulty or
 // stranded, or its component might not be the largest, the embed runs
 // the full algorithm instead: because whole necklaces are removed,
 // weak and strong connectivity coincide in the surviving graph, so one
@@ -85,6 +88,13 @@ type Result struct {
 	// Nodes without an override follow their necklace successor (left
 	// rotation).
 	Overrides []Override
+
+	// TreeDiff is Tree as edits to the graph's fault-free base, set only
+	// in a Result from EmbedDiff (see Base): the tree link of every
+	// necklace whose link differs from the base's, ascending by Child,
+	// with Parent = W = −1 for a necklace off the tree.  The overrides
+	// follow from it: each star closes in ascending member order.
+	TreeDiff []TreeLink
 }
 
 // TreeLink is one record of Result.Tree: necklace Child hangs from
@@ -104,32 +114,42 @@ type Override struct{ Out, In int32 }
 // on one graph reuse warm scratch; a caller that wants its own scratch
 // constructs an Embedder.
 func Embed(g *debruijn.Graph, faults []int) (*Result, error) {
-	return pooled(g, faults, true)
+	return pooled(g, faults, recordTree)
 }
 
 // EmbedCycle is Embed for callers that read only the ring and the
 // scalars: the Result's Tree and Overrides are nil, and neither is
 // built.  It draws from the same per-graph pool as Embed.
 func EmbedCycle(g *debruijn.Graph, faults []int) (*Result, error) {
-	return pooled(g, faults, false)
+	return pooled(g, faults, recordCycle)
+}
+
+// EmbedDiff is Embed for callers that keep the tree as edits to g's
+// fault-free base (Base): the Result carries TreeDiff instead of Tree
+// and Overrides, and its cost follows what the faults touch when the
+// delta path serves it.  It draws from the same per-graph pool as
+// Embed.
+func EmbedDiff(g *debruijn.Graph, faults []int) (*Result, error) {
+	return pooled(g, faults, recordDiff)
 }
 
 // pooled runs one embed on an Embedder from g's pool.
-func pooled(g *debruijn.Graph, faults []int, tree bool) (*Result, error) {
+func pooled(g *debruijn.Graph, faults []int, rec record) (*Result, error) {
 	pool := poolOf(g)
 	pool.draws.Add(1)
 	em, _ := pool.Get().(*Embedder)
 	if em == nil {
 		em = NewEmbedder(g)
 	}
-	res, err := em.embed(faults, tree)
+	res, err := em.embed(faults, rec)
 	pool.Put(em)
 	return res, err
 }
 
-// embedderPool is a graph's pool of Embedders, shared by Embed and
-// EmbedCycle.  draws counts the embeds served from it; tests read it to
-// show every one-shot caller on a graph shares the one pool.
+// embedderPool is a graph's pool of Embedders, shared by Embed,
+// EmbedCycle and EmbedDiff.  draws counts the embeds served from it;
+// tests read it to show every one-shot caller on a graph shares the one
+// pool.
 type embedderPool struct {
 	sync.Pool
 	draws atomic.Int64

@@ -12,12 +12,12 @@ import (
 )
 
 // TestEmbeddersShareBase pins the fault-free base to one per graph and
-// the ring-only callers to one embedder pool per graph: the topology
+// the one-shot callers to one embedder pool per graph: the topology
 // adapter, the root API (EmbedRing, and EmbedRingDistributed, which
-// embeds for its root) and the one-shot Embed and EmbedCycle all draw
-// from the graph's pool, and they, a session's patcher and directly
-// built embedders all derive from the graph's one base instead of
-// building their own.
+// embeds for its root), the one-shot Embed and EmbedCycle and a
+// session's patcher (EmbedDiff) all draw from the graph's pool, and
+// they and directly built embedders all derive from the graph's one
+// base instead of building their own.
 func TestEmbeddersShareBase(t *testing.T) {
 	root, err := debruijnring.New(2, 9)
 	if err != nil {
@@ -54,6 +54,9 @@ func TestEmbeddersShareBase(t *testing.T) {
 	}
 	if _, _, err := repair.For(net).Embed(topology.NodeFaults(7)); err != nil {
 		t.Fatal(err)
+	}
+	if got := ffc.PoolDraws(g) - draws; got != 9 {
+		t.Fatalf("a session's patcher did not draw its embedder from the pool (%d draws)", got)
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := ffc.NewEmbedder(g).Embed([]int{11}); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"debruijnring/internal/debruijn"
 	"debruijnring/internal/dense"
@@ -44,16 +45,29 @@ import (
 // faulty wire.
 //
 // The tier's state is the tree and its overrides, nothing else.  The
-// tree is two dense tables: every member of a star T_w owns one of the d
-// nodes αw, so the label each necklace hangs by and the centre of each
-// star determine every star's members, and a necklace's own stars lie
-// among its ≤ n windows.  The faults are the Patcher's: each call reads
-// its canonical fault sets, and a necklace is faulty exactly when it is
-// off the tree and not the root's.
+// tree is two tables: every member of a star T_w owns one of the d nodes
+// αw, so the label each necklace hangs by and the centre of each star
+// determine every star's members, and a necklace's own stars lie among
+// its ≤ n windows.  The faults are the Patcher's: each call reads its
+// canonical fault sets, and a necklace is faulty exactly when it is off
+// the tree and not the root's.
+//
+// Both tables are overlays on the graph's fault-free tree (ffc.Base),
+// which every patcher and embedder on the graph shares, and the Step-3
+// overrides follow from the tree.  An embed differs from the base only
+// where the faulty necklaces reach (ffc.EmbedDiff), and each local
+// repair changes only the links it touches, so a patcher holds
+// O(touched) state beside its ring, and a snapshot lists only the links
+// that differ from the base.
 type ffcPatcher struct {
-	t  *topology.DeBruijn
-	g  *debruijn.Graph
-	em *ffc.Embedder
+	t *topology.DeBruijn
+	g *debruijn.Graph
+	// base and reps (the graph's necklace representatives) are shared per
+	// graph and fetched on the first Embed or Restore that reaches the
+	// FFC kernel, so a graph past its reach allocates nothing dⁿ-sized.
+	base   ffc.Base
+	reps   []int32
+	labels int // dⁿ⁻¹, the number of (n−1)-digit labels
 
 	valid bool
 	// spanning records that the tree covered every surviving necklace at
@@ -66,16 +80,19 @@ type ffcPatcher struct {
 	root     int // distinguished node R; also its necklace representative
 	nodes    int // node count of the ring (Σ tree member periods)
 
-	// label[c] is the label w by which non-root necklace c hangs from its
-	// parent, −1 off the tree; centre[w] is the centre of star T_w, −1
-	// when no tree edge is labelled w.  The parent of c is
-	// centre[label[c]].  Both are allocated once per patcher, like succ.
-	label  []int32
-	centre []int32
-	// succ holds the Step-3 successor overrides densely, one slot per
-	// node: succ[x] ≥ 0 redirects x's ring successor, −1 means "follow
-	// the left rotation".  The ring walk reads it once per hop.
-	succ []int32
+	// label holds, for the necklaces whose entry differs from the base's,
+	// the label w by which non-root necklace c hangs from its parent, −1
+	// off the tree; centre likewise the centre of star T_w, −1 when no
+	// tree edge is labelled w.  The parent of c is centre[label[c]].  Read
+	// them through labelOf and centreOf.
+	label  dense.Sparse
+	centre dense.Sparse
+	// The Step-3 overrides follow from the tree: each star closes its
+	// members into one w-cycle in ascending order, Step 2's own, unless
+	// planStar took another order to keep an override off a faulty wire.
+	// reordered holds the overrides (out → in) of the stars so closed;
+	// succOf derives every other one.
+	reordered dense.Sparse
 
 	// avoid is the canonical list of link faults the current call's star
 	// plans keep off: a slice of the Patcher's fault set, never modified.
@@ -87,8 +104,8 @@ type ffcPatcher struct {
 	touched int
 
 	// The edit log of the current patch/unpatch call, from which emit
-	// builds the call's delta.  Every override write goes through
-	// setSucc, which records the node once (edited marks, edits lists);
+	// builds the call's delta.  Every star closure and clearance logs its
+	// members' out-nodes once (logEdit: edited marks, edits lists);
 	// leave and join collect the members of the necklaces the call
 	// drops from or re-admits to the ring.  All pooled across calls.
 	edited dense.Sparse
@@ -100,7 +117,104 @@ type ffcPatcher struct {
 
 func newFFCPatcher(t *topology.DeBruijn) *ffcPatcher {
 	g := t.Graph()
-	return &ffcPatcher{t: t, g: g, em: ffc.NewEmbedder(g)}
+	return &ffcPatcher{t: t, g: g, labels: g.Pow(g.N - 1)}
+}
+
+// attach fetches the graph's shared base and necklace representatives
+// on first use.  The graph must be within the FFC kernel's reach.
+func (p *ffcPatcher) attach() {
+	if p.reps == nil {
+		p.base = ffc.BaseOf(p.g)
+		p.reps = p.g.NecklaceReps()
+	}
+}
+
+// rep returns the necklace representative of node x.
+//
+//ringlint:noalloc
+func (p *ffcPatcher) rep(x int) int { return int(p.reps[x]) }
+
+// labelOf returns the label necklace c hangs by, −1 off the tree.
+//
+//ringlint:noalloc
+func (p *ffcPatcher) labelOf(c int) int32 {
+	if w, ok := p.label.Get(c); ok {
+		return w
+	}
+	return p.base.Label(c)
+}
+
+// centreOf returns the centre of star T_w, −1 when there is none.
+//
+//ringlint:noalloc
+func (p *ffcPatcher) centreOf(w int) int32 {
+	if q, ok := p.centre.Get(w); ok {
+		return q
+	}
+	return p.base.Centre(w)
+}
+
+// succOf returns x's successor override, −1 to follow the rotation.
+// Unless x's star is reordered, it is the in-node wβ of the member after
+// x's necklace in the ascending order of star T_w, w = Suffix(x), when
+// that necklace is a member: the star's members own the d nodes αw, and
+// its in-nodes are among the d nodes wβ.
+//
+//ringlint:noalloc
+func (p *ffcPatcher) succOf(x int) int32 {
+	if y, ok := p.reordered.Get(x); ok {
+		return y
+	}
+	w := p.g.Suffix(x)
+	centre := p.centreOf(w)
+	if centre < 0 {
+		return -1
+	}
+	m := p.rep(x)
+	member, first, next := false, -1, -1 // next: the least member above m
+	for a := 0; a < p.g.D; a++ {
+		q := p.rep(a*p.labels + w)
+		if q != int(centre) && p.labelOf(q) != int32(w) {
+			continue
+		}
+		member = member || q == m
+		if first < 0 || q < first {
+			first = q
+		}
+		if q > m && (next < 0 || q < next) {
+			next = q
+		}
+	}
+	if !member {
+		return -1
+	}
+	if next < 0 {
+		next = first
+	}
+	for y := w * p.g.D; y < (w+1)*p.g.D; y++ {
+		if p.rep(y) == next {
+			return int32(y)
+		}
+	}
+	return -1 // defensive: a member lacks the window
+}
+
+// setLabel hangs necklace c by label w (−1: off the tree).
+func (p *ffcPatcher) setLabel(c int, w int32) { setOverlay(&p.label, c, w, p.base.Label(c)) }
+
+// setCentre makes q the centre of star T_w (−1: no star).
+func (p *ffcPatcher) setCentre(w int, q int32) { setOverlay(&p.centre, w, q, p.base.Centre(w)) }
+
+// setOverlay writes v at slot k of an overlay whose base holds base
+// there, keeping in it only what differs from the base.
+//
+//ringlint:noalloc
+func setOverlay(m *dense.Sparse, k int, v, base int32) {
+	if v == base {
+		m.Delete(k)
+	} else {
+		m.Set(k, v)
+	}
 }
 
 func (p *ffcPatcher) Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo, error) {
@@ -130,21 +244,17 @@ func (p *ffcPatcher) Embed(f topology.FaultSet) ([]int, *topology.EmbedInfo, err
 // ring off any faulty link it traverses by star surgery.
 func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.EmbedInfo, error) {
 	p.valid = false
-	res, err := p.em.Embed(f.Nodes)
+	res, err := ffc.EmbedDiff(p.g, f.Nodes)
 	if err != nil {
 		return nil, nil, err
 	}
 
+	p.attach()
 	p.root = res.Root
 	p.nodes = res.BStarSize
 	p.spanning = res.BStarSize == p.g.Size-res.FaultyNodeCount
-	p.resetTables()
-	for _, l := range res.Tree {
-		p.label[l.Child] = l.W
-		p.centre[l.W] = l.Parent
-	}
-	for _, o := range res.Overrides {
-		p.succ[o.Out] = o.In
+	if err := p.install(res.TreeDiff); err != nil {
+		return nil, nil, err
 	}
 
 	ring := res.Cycle
@@ -177,32 +287,21 @@ func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.Embe
 
 // member reports whether necklace rep is part of the embedded component
 // (and hence of the ring).
+//
+//ringlint:noalloc
 func (p *ffcPatcher) member(rep int) bool {
-	return rep == p.root || p.label[rep] >= 0
+	return rep == p.root || p.labelOf(rep) >= 0
 }
 
 // ringSuccessor is the Step-3 rule: the override if one exists, the left
 // rotation otherwise.
+//
+//ringlint:noalloc
 func (p *ffcPatcher) ringSuccessor(x int) int {
-	if nx := p.succ[x]; nx >= 0 {
+	if nx := p.succOf(x); nx >= 0 {
 		return int(nx)
 	}
 	return p.g.RotL(x)
-}
-
-// resetTables empties the tree and clears every successor override,
-// allocating the tables on first use.
-func (p *ffcPatcher) resetTables() {
-	if p.succ == nil {
-		p.succ = make([]int32, p.g.Size)
-		p.label = make([]int32, p.g.Size)
-		p.centre = make([]int32, p.g.Pow(p.g.N-1))
-	}
-	for _, t := range [][]int32{p.succ, p.label, p.centre} {
-		for i := range t {
-			t[i] = -1
-		}
-	}
 }
 
 // resetLog empties the edit log; patch and unpatch start with it.
@@ -213,14 +312,11 @@ func (p *ffcPatcher) resetLog() {
 	p.edits, p.leave, p.join = p.edits[:0], p.leave[:0], p.join[:0]
 }
 
-// setSucc writes x's successor override (−1 = follow the rotation) and
-// logs x as edited.  Every surgery write goes through it; only the
-// table's initialization (resetTables and the Embed/Restore fills) does
-// not.
+// logEdit logs x as a node whose successor the current call may have
+// changed.
 //
 //ringlint:noalloc
-func (p *ffcPatcher) setSucc(x int, v int32) {
-	p.succ[x] = v
+func (p *ffcPatcher) logEdit(x int) {
 	if p.edited.Set(x, 0) {
 		p.edits = append(p.edits, int32(x)) //ringlint:allow alloc pooled edit log; growth amortizes to zero
 	}
@@ -257,7 +353,7 @@ func (p *ffcPatcher) emit() *delta {
 	d.Nodes, d.Succ = d.Nodes[:0], d.Succ[:0]
 	for _, x32 := range p.edits {
 		x := int(x32)
-		if !p.member(p.em.Rep(x)) {
+		if !p.member(p.rep(x)) {
 			continue
 		}
 		d.Nodes = append(d.Nodes, x)                //ringlint:allow alloc pooled delta; growth amortizes to zero
@@ -287,7 +383,7 @@ func (p *ffcPatcher) patch(add, old, next topology.FaultSet) Outcome {
 		// turns a splice noop that heals a processor into a re-embed
 		// (chainOutcome).
 		for _, x := range add.Nodes {
-			if !p.faultyIn(p.em.Rep(x), old.Nodes) {
+			if !p.faultyIn(p.rep(x), old.Nodes) {
 				p.valid = false
 			}
 		}
@@ -302,14 +398,14 @@ func (p *ffcPatcher) patch(add, old, next topology.FaultSet) Outcome {
 		if has(old.Nodes, x) {
 			continue // duplicate fault
 		}
-		rep := p.em.Rep(x)
+		rep := p.rep(x)
 		if rep == p.root {
 			// Losing the distinguished node's necklace needs a new root
 			// and broadcast; fall back to the full algorithm.
 			p.valid = false
 			return Unsupported
 		}
-		if p.label[rep] < 0 {
+		if p.labelOf(rep) < 0 {
 			continue // necklace already removed
 		}
 		if !p.removeNecklace(rep) {
@@ -360,7 +456,7 @@ func (p *ffcPatcher) unpatch(remove, old, next topology.FaultSet) Outcome {
 		if !has(old.Nodes, x) {
 			continue // healing a non-fault is bookkeeping only
 		}
-		rep := p.em.Rep(x)
+		rep := p.rep(x)
 		if p.keepsFault(rep, x, old.Nodes, next.Nodes) {
 			continue // another processor of the necklace is still down
 		}
@@ -423,16 +519,16 @@ func (p *ffcPatcher) keepsFault(rep, x int, old, next []int) bool {
 // cannot be re-parented — the surviving component may have split, which
 // only the full algorithm can resolve.
 func (p *ffcPatcher) removeNecklace(rep int) bool {
-	w := int(p.label[rep])
+	w := int(p.labelOf(rep))
 	p.nodes -= p.g.Period(rep)
 	p.leave = p.logNecklace(p.leave, rep)
 
 	// 1. Detach rep from its parent star and re-close the w-cycle.
 	members := p.starMembers(w)
 	p.clearStar(members, w)
-	p.label[rep] = -1
+	p.setLabel(rep, -1)
 	if members = removeSorted(members, rep); len(members) == 1 {
-		p.centre[w] = -1
+		p.setCentre(w, -1)
 	} else if !p.closeStar(members, w) {
 		return false
 	}
@@ -440,15 +536,15 @@ func (p *ffcPatcher) removeNecklace(rep int) bool {
 	// 2. Dissolve every star rep centres, collecting the orphans.
 	var orphans []int
 	for _, w := range p.windows(rep) {
-		if int(p.centre[w]) != rep {
+		if int(p.centreOf(w)) != rep {
 			continue
 		}
 		members := p.starMembers(w)
 		p.clearStar(members, w)
-		p.centre[w] = -1
+		p.setCentre(w, -1)
 		for _, c := range members {
 			if c != rep {
-				p.label[c] = -1 // detach now; reattach below
+				p.setLabel(c, -1) // detach now; reattach below
 				orphans = append(orphans, c)
 			}
 		}
@@ -473,28 +569,28 @@ func (p *ffcPatcher) removeNecklace(rep int) bool {
 // the window.
 func (p *ffcPatcher) reattach(c int) bool {
 	for _, w := range p.windows(c) {
-		if q := int(p.centre[w]); q >= 0 {
+		if q := int(p.centreOf(w)); q >= 0 {
 			if q == c || !p.connectedToRoot(q, c) {
 				continue
 			}
 			members := p.starMembers(w)
 			p.clearStar(members, w)
-			p.label[c] = int32(w)
+			p.setLabel(c, int32(w))
 			return p.closeStar(insertSorted(members, c), w)
 		}
 		// Candidate centres are the necklaces owning a node with suffix
 		// w: the d nodes {αw : α ∈ Z_d}.  A faulty one is off the tree,
 		// so not connected to the root.
 		for a := 0; a < p.g.D; a++ {
-			q := p.em.Rep(a*len(p.centre) + w)
+			q := p.rep(a*p.labels + w)
 			if q == c || !p.connectedToRoot(q, c) {
 				continue
 			}
 			if !p.closeStar(insertSorted([]int{q}, c), w) {
 				continue
 			}
-			p.centre[w] = int32(q)
-			p.label[c] = int32(w)
+			p.setCentre(w, int32(q))
+			p.setLabel(c, int32(w))
 			return true
 		}
 	}
@@ -524,18 +620,18 @@ func (p *ffcPatcher) windows(rep int) []int {
 // A chain without a cycle meets each label at most once, which bounds
 // the walk.
 func (p *ffcPatcher) connectedToRoot(q, c int) bool {
-	for steps := 0; steps <= len(p.centre); steps++ {
+	for steps := 0; steps <= p.labels; steps++ {
 		if q == c {
 			return false
 		}
 		if q == p.root {
 			return true
 		}
-		w := p.label[q]
+		w := p.labelOf(q)
 		if w < 0 {
 			return false
 		}
-		q = int(p.centre[w])
+		q = int(p.centreOf(int(w)))
 	}
 	return false // defensive: cycle in the tree
 }
@@ -547,9 +643,10 @@ func (p *ffcPatcher) connectedToRoot(q, c int) bool {
 // so the members are read off those owners.
 func (p *ffcPatcher) starMembers(w int) []int {
 	members := make([]int, 0, p.g.D)
+	centre := int(p.centreOf(w))
 	for a := 0; a < p.g.D; a++ {
-		q := p.em.Rep(a*len(p.centre) + w)
-		if q == int(p.centre[w]) || int(p.label[q]) == w {
+		q := p.rep(a*p.labels + w)
+		if q == centre || int(p.labelOf(q)) == w {
 			members = append(members, q)
 		}
 	}
@@ -557,11 +654,13 @@ func (p *ffcPatcher) starMembers(w int) []int {
 	return members
 }
 
-// clearStar deletes the overrides of a star's members (one per member).
+// clearStar readies a star's members for a change of membership or
+// order: their out-nodes are logged and lose any reordered override.
 func (p *ffcPatcher) clearStar(members []int, w int) {
 	for _, m := range members {
 		if out := ffc.SuffixNode(p.g, m, w); out >= 0 {
-			p.setSucc(out, -1)
+			p.reordered.Delete(out)
+			p.logEdit(out)
 		}
 	}
 }
@@ -571,19 +670,26 @@ func (p *ffcPatcher) clearStar(members []int, w int) {
 // closure leaves the successor table untouched (reattach retries other
 // labels after a failure).
 func (p *ffcPatcher) closeStar(members []int, w int) bool {
-	pairs := p.planStar(members, w)
+	pairs, ascending := p.planStar(members, w)
 	if pairs == nil {
 		return false
 	}
-	p.setPairs(pairs)
+	p.setStar(pairs, ascending)
 	p.touched++
 	return true
 }
 
-// setPairs writes a star plan's overrides.
-func (p *ffcPatcher) setPairs(pairs [][2]int) {
+// setStar adopts a plan closing a star: its out-nodes are logged, and
+// its overrides kept when it departs from ascending order (otherwise
+// succOf derives them once the tree holds the star's members).
+func (p *ffcPatcher) setStar(pairs [][2]int, ascending bool) {
 	for _, pr := range pairs {
-		p.setSucc(pr[0], int32(pr[1]))
+		if ascending {
+			p.reordered.Delete(pr[0])
+		} else {
+			p.reordered.Set(pr[0], int32(pr[1]))
+		}
+		p.logEdit(pr[0])
 	}
 }
 
@@ -595,12 +701,13 @@ func (p *ffcPatcher) setPairs(pairs [][2]int) {
 // — the Step-2 canonical choice — is explored first, so fault-free
 // stars close exactly as ffc.Embedder does and rings stay bit-identical
 // with the batch path; the deterministic backtracking departs from it
-// only when a faulty wire forces another order.  Returns nil when a
-// member lacks the window or no single-cycle order avoids the faults.
-func (p *ffcPatcher) planStar(members []int, w int) [][2]int {
+// only when a faulty wire forces another order, which ascending
+// reports.  Returns nil when a member lacks the window or no
+// single-cycle order avoids the faults.
+func (p *ffcPatcher) planStar(members []int, w int) (pairs [][2]int, ascending bool) {
 	k := len(members)
 	if k < 2 {
-		return nil
+		return nil, false
 	}
 	outs := make([]int, k)
 	ins := make([]int, k)
@@ -608,7 +715,7 @@ func (p *ffcPatcher) planStar(members []int, w int) [][2]int {
 		outs[i] = ffc.SuffixNode(p.g, m, w)
 		ins[i] = ffc.PrefixNode(p.g, m, w)
 		if outs[i] < 0 || ins[i] < 0 {
-			return nil
+			return nil, false
 		}
 	}
 	order := cycleOrder(k, func(i, j int) bool {
@@ -616,13 +723,15 @@ func (p *ffcPatcher) planStar(members []int, w int) [][2]int {
 		return !faulty
 	})
 	if order == nil {
-		return nil
+		return nil, false
 	}
-	pairs := make([][2]int, k)
+	pairs = make([][2]int, k)
+	ascending = true
 	for idx, i := range order {
 		pairs[idx] = [2]int{outs[i], ins[order[(idx+1)%k]]}
+		ascending = ascending && i == idx
 	}
-	return pairs
+	return pairs, ascending
 }
 
 // cycleOrder finds a cyclic order of 0..k-1 whose adjacencies (last
@@ -671,7 +780,7 @@ func (p *ffcPatcher) absorbTraversed() (changed, ok bool) {
 	for pass := 0; pass <= len(p.avoid); pass++ {
 		again := false
 		for _, e := range p.avoid {
-			if !p.member(p.em.Rep(e.From)) || p.ringSuccessor(e.From) != e.To {
+			if !p.member(p.rep(e.From)) || p.ringSuccessor(e.From) != e.To {
 				continue
 			}
 			if !p.absorbEdge(e) {
@@ -697,14 +806,14 @@ func (p *ffcPatcher) absorbTraversed() (changed, ok bool) {
 // the only option when the necklace is the root's.
 func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 	w := p.g.Suffix(e.From)
-	if next := p.succ[e.From]; next >= 0 {
-		if int(next) != e.To || p.centre[w] < 0 {
+	if next := p.succOf(e.From); next >= 0 {
+		if int(next) != e.To || p.centreOf(w) < 0 {
 			return false // defensive: the caller checked the ring hop, and overrides belong to stars
 		}
 		members := p.starMembers(w)
-		if pairs := p.planStar(members, w); pairs != nil {
+		if pairs, ascending := p.planStar(members, w); pairs != nil {
 			p.clearStar(members, w)
-			p.setPairs(pairs)
+			p.setStar(pairs, ascending)
 			return true
 		}
 		// No single-cycle order avoids the wire — for d = 2 every star
@@ -712,20 +821,20 @@ func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 		// star instead: re-hang one of its children along another
 		// window, deleting the faulty pair outright.
 		for _, c := range members {
-			if c != int(p.centre[w]) && p.rehangAnywhere(c, w) {
+			if c != int(p.centreOf(w)) && p.rehangAnywhere(c, w) {
 				return true
 			}
 		}
 		return false
 	}
 
-	rep := p.em.Rep(e.From)
+	rep := p.rep(e.From)
 	if ffc.SuffixNode(p.g, rep, w) != e.From {
 		// Another node of the necklace owns this window; an override
 		// would attach there, not at e.From.
 		return false
 	}
-	if q := int(p.centre[w]); q >= 0 {
+	if q := int(p.centreOf(w)); q >= 0 {
 		if q == rep {
 			return false // defensive: a centre's w-node is overridden
 		}
@@ -734,7 +843,7 @@ func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 	// No star labelled w yet: the candidate partners are the other
 	// owners of the window, the necklaces of {αw : α ∈ Z_d}.
 	for a := 0; a < p.g.D; a++ {
-		q := p.em.Rep(a*len(p.centre) + w)
+		q := p.rep(a*p.labels + w)
 		if q == rep || !p.member(q) {
 			continue
 		}
@@ -758,14 +867,14 @@ func (p *ffcPatcher) rehangAnywhere(c, except int) bool {
 		if w == except {
 			continue
 		}
-		if q := int(p.centre[w]); q >= 0 {
+		if q := int(p.centreOf(w)); q >= 0 {
 			if p.rehang(c, w, q) {
 				return true
 			}
 			continue
 		}
 		for a := 0; a < p.g.D; a++ {
-			q := p.em.Rep(a*len(p.centre) + w)
+			q := p.rep(a*p.labels + w)
 			if q != c && p.member(q) && p.rehang(c, w, q) {
 				return true
 			}
@@ -783,11 +892,11 @@ func (p *ffcPatcher) rehang(c, w, centre int) bool {
 	if c == centre || c == p.root {
 		return false
 	}
-	old := int(p.label[c])
+	old := int(p.labelOf(c))
 	if old < 0 || old == w {
 		return false
 	}
-	if q := p.centre[w]; q >= 0 && int(q) != centre {
+	if q := p.centreOf(w); q >= 0 && int(q) != centre {
 		return false // the height-one property fixes the centre
 	}
 	if !p.connectedToRoot(centre, c) {
@@ -797,24 +906,25 @@ func (p *ffcPatcher) rehang(c, w, centre int) bool {
 	// Plan both closures up front.
 	oldMembers := p.starMembers(old)
 	var planOld [][2]int
+	var oldAscending bool
 	dissolveOld := len(oldMembers) == 2
-	if dissolveOld && int(p.centre[old]) == p.root && !p.centresAnother(p.root, old) {
+	if dissolveOld && int(p.centreOf(old)) == p.root && !p.centresAnother(p.root, old) {
 		// The root's necklace has no tree edge of its own: it is glued
 		// into the ring only by the stars it centres.  Dissolving its
 		// last one would orphan it from every w-cycle.
 		return false
 	}
 	if !dissolveOld {
-		planOld = p.planStar(removeSorted(slices.Clone(oldMembers), c), old)
+		planOld, oldAscending = p.planStar(removeSorted(slices.Clone(oldMembers), c), old)
 		if planOld == nil {
 			return false
 		}
 	}
 	newMembers := []int{centre}
-	if p.centre[w] >= 0 {
+	if p.centreOf(w) >= 0 {
 		newMembers = p.starMembers(w)
 	}
-	planNew := p.planStar(insertSorted(slices.Clone(newMembers), c), w)
+	planNew, newAscending := p.planStar(insertSorted(slices.Clone(newMembers), c), w)
 	if planNew == nil {
 		return false
 	}
@@ -822,17 +932,17 @@ func (p *ffcPatcher) rehang(c, w, centre int) bool {
 	// Commit.
 	p.clearStar(oldMembers, old)
 	if dissolveOld {
-		p.centre[old] = -1
+		p.setCentre(old, -1)
 	} else {
-		p.setPairs(planOld)
+		p.setStar(planOld, oldAscending)
 	}
-	if p.centre[w] < 0 {
-		p.centre[w] = int32(centre)
+	if p.centreOf(w) < 0 {
+		p.setCentre(w, int32(centre))
 	} else {
 		p.clearStar(newMembers, w)
 	}
-	p.label[c] = int32(w)
-	p.setPairs(planNew)
+	p.setLabel(c, int32(w))
+	p.setStar(planNew, newAscending)
 	return true
 }
 
@@ -840,7 +950,7 @@ func (p *ffcPatcher) rehang(c, w, centre int) bool {
 // T_except.  The stars q centres carry windows of q.
 func (p *ffcPatcher) centresAnother(q, except int) bool {
 	for _, w := range p.windows(q) {
-		if w != except && int(p.centre[w]) == q {
+		if w != except && int(p.centreOf(w)) == q {
 			return true
 		}
 	}
@@ -874,33 +984,223 @@ func (p *ffcPatcher) walk() ([]int, bool) {
 }
 
 // FFCState is the FFC tier's snapshot: the distinguished node, the
-// ring length, the faulty necklaces, the necklace tree and the Step-3
+// ring length, the faulty necklaces and the tree with its Step-3
 // successor overrides.  The successor rule they define is the ring
 // (Proposition 2.1), so a snapshot regenerates its ring.
+//
+// Since journal v5 the tree and overrides are Diff, edits to the
+// graph's fault-free embedding, whose size follows what the faults
+// touched; Tree and Overrides, the whole tree and every override, are
+// how journal v4 and older wrote them, and restore still reads them.
 type FFCState struct {
 	Root      int      `json:"root"`
 	Nodes     int      `json:"nodes"`
 	Faulty    []int    `json:"faulty,omitempty"`
 	Tree      [][3]int `json:"tree,omitempty"`      // [child, parent, w]
 	Overrides [][2]int `json:"overrides,omitempty"` // [out, in]
+	Diff      *FFCDiff `json:"diff,omitempty"`
+}
+
+// ffcDiffVersion is the format version FFCDiff carries.
+const ffcDiffVersion = 5
+
+// FFCDiff is the FFC tier's tree and overrides as edits to the graph's
+// fault-free embedding (ffc.Base).  Tree holds [child, parent, w] for
+// every necklace whose tree link differs from the fault-free tree's,
+// [child, −1, −1] for one off the tree, ascending by child; a star's
+// centre is its children's parent, and a label no child hangs by has no
+// star.  Every star closes in ascending member order, Step 2's own,
+// except those the tier reordered around a faulty wire: Overrides holds
+// [out, in] for each member of those, ascending by out.  V is the
+// format version, 5.
+type FFCDiff struct {
+	V         int      `json:"v"`
+	Tree      [][3]int `json:"tree,omitempty"`
+	Overrides [][2]int `json:"overrides,omitempty"`
+}
+
+// MarshalJSON writes the diff as encoding/json would, one append per
+// number, without reflection.
+func (d *FFCDiff) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 32+24*len(d.Tree)+16*len(d.Overrides))
+	b = append(b, `{"v":`...)
+	b = strconv.AppendInt(b, int64(d.V), 10)
+	if len(d.Tree) > 0 {
+		b = append(b, `,"tree":[`...)
+		for i, e := range d.Tree {
+			b = appendInts(b, i, e[:])
+		}
+		b = append(b, ']')
+	}
+	if len(d.Overrides) > 0 {
+		b = append(b, `,"overrides":[`...)
+		for i, o := range d.Overrides {
+			b = appendInts(b, i, o[:])
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendInts appends the JSON array of vs, after a comma unless it is
+// element 0 of its list.
+func appendInts(b []byte, i int, vs []int) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, '[')
+	for j, v := range vs {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 // snapshot returns the tier's state at the canonical cumulative fault
-// set f, nil when it is stale.
+// set f, nil when it is stale.  It reads only the overlays, never the
+// dⁿ base, so it costs what the faults touched.
 func (p *ffcPatcher) snapshot(f topology.FaultSet) *FFCState {
 	if !p.valid {
 		return nil
 	}
-	st := &FFCState{Root: p.root, Nodes: p.nodes, Faulty: p.faultyNecklaces(f.Nodes)}
-	for x, w := range p.label {
-		if w >= 0 {
-			st.Tree = append(st.Tree, [3]int{x, int(p.centre[w]), int(w)})
-		}
-		if in := p.succ[x]; in >= 0 {
-			st.Overrides = append(st.Overrides, [2]int{x, int(in)})
+	return &FFCState{Root: p.root, Nodes: p.nodes, Faulty: p.faultyNecklaces(f.Nodes),
+		Diff: &FFCDiff{V: ffcDiffVersion, Tree: p.treeDiff(), Overrides: p.reorderedOverrides()}}
+}
+
+// treeDiff lists the tree links that differ from the base's.  A link
+// changes when its label does (a label overlay entry) or when its
+// label's centre does (a centre overlay entry, whose base children are
+// read off the base), so only those necklaces are compared.
+func (p *ffcPatcher) treeDiff() [][3]int {
+	cand := p.label.AppendKeys(nil)
+	for _, w := range p.centre.AppendKeys(nil) {
+		for r := w * p.g.D; r < (w+1)*p.g.D; r++ {
+			if p.base.Label(r) >= 0 {
+				cand = append(cand, r)
+			}
 		}
 	}
-	return st
+	slices.Sort(cand)
+	var diff [][3]int
+	for i, c := range cand {
+		if i > 0 && cand[i-1] == c {
+			continue
+		}
+		w, parent := p.link(c)
+		bw, bp := p.base.Label(c), int32(-1)
+		if bw >= 0 {
+			bp = p.base.Centre(int(bw))
+		}
+		if w != bw || parent != bp {
+			diff = append(diff, [3]int{c, int(parent), int(w)})
+		}
+	}
+	return diff
+}
+
+// link returns necklace c's label and parent, both −1 off the tree.
+func (p *ffcPatcher) link(c int) (w, parent int32) {
+	if w = p.labelOf(c); w < 0 {
+		return -1, -1
+	}
+	return w, p.centreOf(int(w))
+}
+
+// reorderedOverrides lists the overrides of the stars closed out of
+// ascending order.
+func (p *ffcPatcher) reorderedOverrides() [][2]int {
+	keys := p.reordered.AppendKeys(nil)
+	slices.Sort(keys)
+	ov := make([][2]int, len(keys))
+	for i, x := range keys {
+		ov[i] = [2]int{x, int(p.succOf(x))}
+	}
+	return ov
+}
+
+// install makes the tree the base edited by tree, in the form
+// ffc.EmbedDiff and FFCDiff give it (see FFCDiff), with every star
+// closed in ascending order.  It checks what the form requires — each
+// necklace listed once, in ascending order, and one centre per label: a
+// re-hung link's parent must be every other child's — leaving the
+// tree's shape to audit.
+func (p *ffcPatcher) install(tree []ffc.TreeLink) error {
+	p.label.Reset()
+	p.centre.Reset()
+	p.reordered.Reset()
+	var touched []int // labels whose members may differ from the base's
+	for i, l := range tree {
+		if i > 0 && l.Child <= tree[i-1].Child {
+			if l.Child == tree[i-1].Child {
+				return fmt.Errorf("repair: snapshot tree hangs necklace [%s] twice", p.g.String(int(l.Child)))
+			}
+			return fmt.Errorf("repair: snapshot tree diff is not in necklace order at [%s]", p.g.String(int(l.Child)))
+		}
+		p.label.Set(int(l.Child), l.W)
+		if w := p.base.Label(int(l.Child)); w >= 0 && w != l.W {
+			touched = append(touched, int(w))
+		}
+		if l.W < 0 {
+			continue
+		}
+		touched = append(touched, int(l.W))
+		if q, ok := p.centre.Get(int(l.W)); ok && q != l.Parent {
+			return p.twoCentres(int(l.W), q, l.Parent)
+		}
+		p.centre.Set(int(l.W), l.Parent)
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	for _, w := range touched {
+		if err := p.settleCentre(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settleCentre fixes the centre of a label w that install's tree edits
+// touched.  A base child the edits leave in place keeps the base centre,
+// which any re-hung link labelled w must then name too; a label that
+// kept no base child is centred where its re-hung links say, or has no
+// star when it has none.
+func (p *ffcPatcher) settleCentre(w int) error {
+	q, claimed := p.centre.Get(w)
+	for r := w * p.g.D; r < (w+1)*p.g.D; r++ {
+		if p.base.Label(r) >= 0 && !p.label.Has(r) {
+			if bq := p.base.Centre(w); claimed && q != bq {
+				return p.twoCentres(w, bq, q)
+			}
+			return nil
+		}
+	}
+	if !claimed {
+		p.centre.Set(w, -1)
+	}
+	return nil
+}
+
+// twoCentres is restore's error for label w's links naming centres a
+// and b.
+func (p *ffcPatcher) twoCentres(w int, a, b int32) error {
+	return fmt.Errorf("repair: label %d edges have two centres [%s] and [%s]", w, p.g.String(int(a)), p.g.String(int(b)))
+}
+
+// reorder installs the overrides of the stars closed out of ascending
+// order, as FFCDiff.Overrides lists them: each slot once, ascending.
+func (p *ffcPatcher) reorder(ov []ffc.Override) error {
+	for i, o := range ov {
+		if i > 0 && o.Out <= ov[i-1].Out {
+			if o.Out == ov[i-1].Out {
+				return fmt.Errorf("repair: snapshot override slot %d repeated", o.Out)
+			}
+			return fmt.Errorf("repair: snapshot overrides are not in node order at %d", o.Out)
+		}
+		p.reordered.Set(int(o.Out), o.In)
+	}
+	return nil
 }
 
 // faultyNecklaces returns the representatives of the necklaces holding
@@ -908,7 +1208,7 @@ func (p *ffcPatcher) snapshot(f topology.FaultSet) *FFCState {
 func (p *ffcPatcher) faultyNecklaces(faults []int) []int {
 	var reps []int
 	for _, x := range faults {
-		reps = append(reps, p.em.Rep(x))
+		reps = append(reps, p.rep(x))
 	}
 	slices.Sort(reps)
 	return slices.Compact(reps)
@@ -919,12 +1219,15 @@ func (p *ffcPatcher) faultyNecklaces(faults []int) []int {
 // unless ring is empty.  A nil st leaves the tier stale (it declines
 // until the next Embed) and returns ring as it is.  The snapshot is
 // input from outside the program: it must name f's faulty necklaces,
-// keep every label in range and give each star one centre, and then
-// pass audit.
+// keep every slot and label in range, list each once and give each star
+// one centre, and then pass audit.
 func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]int, error) {
 	p.valid = false
 	if st == nil {
 		return ring, nil
+	}
+	if p.g.Size > ffc.MaxNodes {
+		return nil, fmt.Errorf("repair: snapshot holds FFC state for %s, past the FFC kernel's %d nodes", p.t.Name(), ffc.MaxNodes)
 	}
 	if st.Root < 0 || st.Root >= p.g.Size {
 		return nil, fmt.Errorf("repair: snapshot root %d out of range", st.Root)
@@ -937,9 +1240,19 @@ func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]i
 			return nil, fmt.Errorf("repair: snapshot fault node %d out of range", x)
 		}
 	}
+	p.attach()
 	faulty := p.faultyNecklaces(f.Nodes)
 	if !slices.Equal(st.Faulty, faulty) {
 		return nil, fmt.Errorf("repair: snapshot faulty necklaces %v are not the fault set's %v", st.Faulty, faulty)
+	}
+	var err error
+	if st.Diff != nil {
+		err = p.restoreDiff(st)
+	} else {
+		err = p.restoreWhole(st)
+	}
+	if err != nil {
+		return nil, err
 	}
 	p.root = st.Root
 	p.nodes = st.Nodes
@@ -948,30 +1261,6 @@ func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]i
 		survivors -= p.g.Period(rep)
 	}
 	p.spanning = p.nodes == survivors
-	p.resetTables()
-	for _, e := range st.Tree {
-		c, parent, w := e[0], e[1], e[2]
-		if c < 0 || c >= p.g.Size || parent < 0 || parent >= p.g.Size {
-			return nil, fmt.Errorf("repair: snapshot tree edge %v out of range", e)
-		}
-		if w < 0 || w >= len(p.centre) {
-			return nil, fmt.Errorf("repair: snapshot tree edge %v has label out of range", e)
-		}
-		if p.label[c] >= 0 {
-			return nil, fmt.Errorf("repair: snapshot tree hangs necklace [%s] twice", p.g.String(c))
-		}
-		if q := p.centre[w]; q >= 0 && int(q) != parent {
-			return nil, fmt.Errorf("repair: label %d edges have two centres [%s] and [%s]",
-				w, p.g.String(int(q)), p.g.String(parent))
-		}
-		p.label[c], p.centre[w] = int32(w), int32(parent)
-	}
-	for _, o := range st.Overrides {
-		if o[0] < 0 || o[0] >= p.g.Size || o[1] < 0 || o[1] >= p.g.Size {
-			return nil, fmt.Errorf("repair: snapshot override %v out of range", o)
-		}
-		p.succ[o[0]] = int32(o[1])
-	}
 	if err := p.audit(faulty); err != nil {
 		return nil, err
 	}
@@ -981,6 +1270,117 @@ func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]i
 	}
 	p.valid = true
 	return got, nil
+}
+
+// restoreDiff range-checks a v5 snapshot's diff and installs it.
+func (p *ffcPatcher) restoreDiff(st *FFCState) error {
+	d := st.Diff
+	if d.V != ffcDiffVersion {
+		return fmt.Errorf("repair: snapshot diff has unknown format version %d", d.V)
+	}
+	if len(st.Tree) > 0 || len(st.Overrides) > 0 {
+		return fmt.Errorf("repair: snapshot holds both a diff and a whole tree")
+	}
+	tree := make([]ffc.TreeLink, len(d.Tree))
+	for i, e := range d.Tree {
+		c, parent, w := e[0], e[1], e[2]
+		off := parent == -1 && w == -1
+		if c < 0 || c >= p.g.Size || !off && (parent < 0 || parent >= p.g.Size) {
+			return fmt.Errorf("repair: snapshot tree edge %v out of range", e)
+		}
+		if !off && (w < 0 || w >= p.labels) {
+			return fmt.Errorf("repair: snapshot tree edge %v has label out of range", e)
+		}
+		tree[i] = ffc.TreeLink{Child: int32(c), Parent: int32(parent), W: int32(w)}
+	}
+	ov := make([]ffc.Override, len(d.Overrides))
+	for i, o := range d.Overrides {
+		if o[0] < 0 || o[0] >= p.g.Size || o[1] < 0 || o[1] >= p.g.Size {
+			return fmt.Errorf("repair: snapshot override %v out of range", o)
+		}
+		ov[i] = ffc.Override{Out: int32(o[0]), In: int32(o[1])}
+	}
+	if err := p.install(tree); err != nil {
+		return err
+	}
+	return p.reorder(ov)
+}
+
+// restoreWhole installs a snapshot of journal v4 or older, whose tree
+// and overrides are whole, as edits to the base.  It holds whole tables
+// while it works.
+func (p *ffcPatcher) restoreWhole(st *FFCState) error {
+	label := filled(p.g.Size)
+	centre := filled(p.labels)
+	succ := filled(p.g.Size)
+	for _, e := range st.Tree {
+		c, parent, w := e[0], e[1], e[2]
+		if c < 0 || c >= p.g.Size || parent < 0 || parent >= p.g.Size {
+			return fmt.Errorf("repair: snapshot tree edge %v out of range", e)
+		}
+		if w < 0 || w >= p.labels {
+			return fmt.Errorf("repair: snapshot tree edge %v has label out of range", e)
+		}
+		if label[c] >= 0 {
+			return fmt.Errorf("repair: snapshot tree hangs necklace [%s] twice", p.g.String(c))
+		}
+		if q := centre[w]; q >= 0 && int(q) != parent {
+			return p.twoCentres(w, q, int32(parent))
+		}
+		label[c], centre[w] = int32(w), int32(parent)
+	}
+	for _, o := range st.Overrides {
+		if o[0] < 0 || o[0] >= p.g.Size || o[1] < 0 || o[1] >= p.g.Size {
+			return fmt.Errorf("repair: snapshot override %v out of range", o)
+		}
+		succ[o[0]] = int32(o[1])
+	}
+	var tree []ffc.TreeLink
+	for c, w := range label {
+		parent := int32(-1)
+		if w >= 0 {
+			parent = centre[w]
+		}
+		bw, bp := p.base.Label(c), int32(-1)
+		if bw >= 0 {
+			bp = p.base.Centre(int(bw))
+		}
+		if w != bw || parent != bp {
+			tree = append(tree, ffc.TreeLink{Child: int32(c), Parent: parent, W: w})
+		}
+	}
+	if err := p.install(tree); err != nil {
+		return err
+	}
+	// The overrides that differ from the tree's ascending closures name
+	// the reordered stars, and reorder takes every member of those.
+	var ov []ffc.Override
+	stars := map[int]bool{}
+	for x, y := range succ {
+		if y == p.succOf(x) {
+			continue
+		}
+		ov = append(ov, ffc.Override{Out: int32(x), In: y})
+		if w := p.g.Suffix(x); !stars[w] {
+			stars[w] = true
+			for _, m := range p.starMembers(w) {
+				out := ffc.SuffixNode(p.g, m, w)
+				ov = append(ov, ffc.Override{Out: int32(out), In: succ[out]})
+			}
+		}
+	}
+	slices.SortFunc(ov, func(a, b ffc.Override) int { return cmp.Compare(a.Out, b.Out) })
+	ov = slices.Compact(ov)
+	return p.reorder(ov)
+}
+
+// filled returns n slots of −1.
+func filled(n int) []int32 {
+	t := make([]int32, n)
+	for i := range t {
+		t[i] = -1
+	}
+	return t
 }
 
 // audit checks that the restored tree and overrides are one FFC
@@ -994,19 +1394,20 @@ func (p *ffcPatcher) restore(st *FFCState, ring []int, f topology.FaultSet) ([]i
 // one whenever the overrides still close; later surgery would.
 func (p *ffcPatcher) audit(faulty []int) error {
 	bad := func(what string) error { return fmt.Errorf("repair: snapshot %s", what) }
-	if p.root != p.em.Rep(p.root) || has(faulty, p.root) {
+	if p.root != p.rep(p.root) || has(faulty, p.root) {
 		return bad("root is not a live necklace representative")
 	}
 	total := p.g.Period(p.root)
 	overrides := 0
-	for c, w := range p.label {
-		if p.succ[c] >= 0 {
+	for c := 0; c < p.g.Size; c++ {
+		if p.succOf(c) >= 0 {
 			overrides++
 		}
+		w := p.labelOf(c)
 		if w < 0 {
 			continue
 		}
-		if c == p.root || c != p.em.Rep(c) || has(faulty, c) ||
+		if c == p.root || c != p.rep(c) || has(faulty, c) ||
 			ffc.SuffixNode(p.g, c, int(w)) < 0 || !p.connectedToRoot(c, -1) {
 			return bad("tree does not hang live necklaces from the root")
 		}
@@ -1015,7 +1416,8 @@ func (p *ffcPatcher) audit(faulty []int) error {
 	if total != p.nodes {
 		return bad("node count is not the tree's")
 	}
-	for w, centre := range p.centre {
+	for w := 0; w < p.labels; w++ {
+		centre := p.centreOf(w)
 		if centre < 0 {
 			continue
 		}
@@ -1026,11 +1428,11 @@ func (p *ffcPatcher) audit(faulty []int) error {
 		cur := members[0]
 		for step := 1; step <= len(members); step++ {
 			out := ffc.SuffixNode(p.g, cur, w)
-			if out < 0 || p.succ[out] < 0 {
+			if out < 0 || p.succOf(out) < 0 {
 				return bad("star member lacks its override")
 			}
-			in := int(p.succ[out])
-			cur = p.em.Rep(in)
+			in := int(p.succOf(out))
+			cur = p.rep(in)
 			if !slices.Contains(members, cur) || ffc.PrefixNode(p.g, cur, w) != in ||
 				(cur == members[0]) != (step == len(members)) {
 				return bad("star overrides do not close one cycle of its members")

@@ -416,7 +416,10 @@ func (p *Patcher) Restore(st *State, ring []int, f topology.FaultSet) error {
 	nodes := p.net.Nodes()
 	splicable := st.tier().splicable()
 	simple := splicable || p.ffc != nil
-	seen := make([]uint64, (nodes+63)/64)
+	var seen []uint64
+	if len(ring) > 0 {
+		seen = make([]uint64, (nodes+63)/64)
+	}
 	for _, v := range ring {
 		if v < 0 || v >= nodes {
 			return fmt.Errorf("repair: restored ring node %d out of range", v)

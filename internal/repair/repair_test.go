@@ -2,6 +2,7 @@ package repair
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -348,5 +349,37 @@ func TestHugeDeBruijnRefusesNodeFaultEmbed(t *testing.T) {
 		if _, _, err := p.Embed(f); err == nil {
 			t.Fatalf("patcher embed of %v on B(2,32) succeeded", f)
 		}
+	}
+}
+
+// TestHugeDeBruijnPatcherAllocatesNoTable: a patcher on B(2,32), past
+// the FFC kernel's 2³¹ nodes, fetches the per-graph tables (necklace
+// representatives, the fault-free embedding) only once an embed
+// succeeds, so building it, its failed embeds, its stale snapshot and a
+// refused FFC restore together allocate nothing near dⁿ — a 2³²-entry
+// table would not fit the test's memory at all.
+func TestHugeDeBruijnPatcherAllocatesNoTable(t *testing.T) {
+	net, err := topology.NewDeBruijn(2, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := For(net)
+	for _, f := range []topology.FaultSet{{}, topology.NodeFaults(1)} {
+		if _, _, err := p.Embed(f); err == nil {
+			t.Fatalf("patcher embed of %v on B(2,32) succeeded", f)
+		}
+	}
+	if st, _ := p.Snapshot(); st != nil {
+		t.Fatalf("a patcher that never embedded snapshots %+v", st)
+	}
+	st := &State{Tier: "ffc", State: &TierState{FFCState: &FFCState{Root: 0, Nodes: 1, Diff: &FFCDiff{V: ffcDiffVersion}}}}
+	if err := p.Restore(st, nil, topology.FaultSet{}); err == nil {
+		t.Fatal("B(2,32) restored an FFC state")
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("the B(2,32) patcher allocated %d KiB", n>>10)
 	}
 }

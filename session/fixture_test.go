@@ -27,6 +27,8 @@ const fixtureSnapshotEvery = 8
 // hypercube embedder takes no link faults), and no f ≤ n gate applies.
 // Each <name>.journal has a <name>.state.json holding the JSON of
 // the live session's StateSnapshot(true) at the end of the stream.
+// b28-seed107-v5 replays b28-seed107's batches once more under journal
+// v5, whose FFC snapshots hold the tree as a diff over the base.
 func fixtureJournals(t *testing.T) []string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("testdata", "journals", "*"+journalExt))
@@ -95,11 +97,13 @@ func TestFixtureJournalsReplay(t *testing.T) {
 // again, line for line, up to timestamps and latencies — the repair
 // decisions, ring hashes, deltas, snapshots and the journal line format
 // are all unchanged — and ends in the recorded state.  A fixture older
-// than this build's journal version is compared without the three
-// fields journal v4 is defined to change: ring_hash, repair_ver and the
-// snapshot payload (ring and patcher).  Its repair tiers, batches,
-// deltas, ring lengths, lower bounds and fault counts stay pinned line
-// for line, and its final ring array byte for byte.
+// than this build's journal version is compared without the fields the
+// journal versions since its own are defined to change: for v4, the
+// repair_ver stamp and an FFC snapshot's patcher state (v5 writes it as
+// a diff); for v3 also ring_hash and every snapshot's ring and patcher.
+// Its repair tiers, batches, deltas, ring lengths, lower bounds and
+// fault counts stay pinned line for line, and its final ring array byte
+// for byte.
 func TestFixtureJournalsRedrive(t *testing.T) {
 	for _, path := range fixtureJournals(t) {
 		name := strings.TrimSuffix(filepath.Base(path), journalExt)
@@ -108,7 +112,11 @@ func TestFixtureJournalsRedrive(t *testing.T) {
 			t.Fatal(err)
 		}
 		normalize := normalizeJournal
-		if events[0].RepairVer != repairSemVer {
+		switch events[0].RepairVer {
+		case repairSemVer:
+		case edgeHashSemVer:
+			normalize = normalizeV4Journal
+		default:
 			normalize = normalizeV3Journal
 		}
 		dir := t.TempDir()
@@ -166,18 +174,39 @@ func normalizeJournal(b []byte) string {
 // and repair_ver, and a snapshot line's ring and patcher.  Each line is
 // re-encoded with its keys sorted.
 func normalizeV3Journal(b []byte) string {
-	lines := strings.Split(normalizeJournal(b), "\n")
-	for i, line := range lines {
-		var fields map[string]json.RawMessage
-		if json.Unmarshal([]byte(line), &fields) != nil {
-			continue
-		}
+	return normalizeFields(b, func(fields map[string]json.RawMessage) {
 		delete(fields, "ring_hash")
 		delete(fields, "repair_ver")
 		if string(fields["kind"]) == `"snapshot"` {
 			delete(fields, "ring")
 			delete(fields, "patcher")
 		}
+	})
+}
+
+// normalizeV4Journal is normalizeJournal for comparing a v4 journal with
+// this build's: it also drops each line's repair_ver and an FFC-owned
+// snapshot's patcher state, the one payload journal v5 writes
+// differently.  Each line is re-encoded with its keys sorted.
+func normalizeV4Journal(b []byte) string {
+	return normalizeFields(b, func(fields map[string]json.RawMessage) {
+		delete(fields, "repair_ver")
+		if bytes.HasPrefix(fields["patcher"], []byte(`{"tier":"ffc",`)) {
+			delete(fields, "patcher")
+		}
+	})
+}
+
+// normalizeFields applies drop to the fields of each normalized journal
+// line and re-encodes the line with its keys sorted.
+func normalizeFields(b []byte, drop func(map[string]json.RawMessage)) string {
+	lines := strings.Split(normalizeJournal(b), "\n")
+	for i, line := range lines {
+		var fields map[string]json.RawMessage
+		if json.Unmarshal([]byte(line), &fields) != nil {
+			continue
+		}
+		drop(fields)
 		out, _ := json.Marshal(fields)
 		lines[i] = string(out)
 	}

@@ -55,8 +55,9 @@ func fuzzJournalBytes(tb testing.TB) []byte {
 // either reproduces a consistent session — the replayed ring passes
 // VerifyRing against the replayed fault set, hash chain verified — or
 // rejects the journal cleanly.  It must never panic and never accept a
-// corrupted ring.  The corpus holds both journal formats: a fresh v4
-// journal and the v3 fixture journals, renamed to the session the fuzz
+// corrupted ring.  The corpus holds every journal format: a fresh v5
+// journal, whose FFC snapshots are diffs over the base, the v3 fixture
+// journals, and the v4 and v5 fixtures, renamed to the session the fuzz
 // body restores.
 func FuzzJournalReplay(f *testing.F) {
 	seed := fuzzJournalBytes(f)
@@ -78,6 +79,13 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flip)
 	f.Add([]byte("{\"seq\":1,\"kind\":\"created\",\"name\":\"fz\",\"spec\":\"debruijn(2,6)\"}\n"))
 	f.Add([]byte("not json at all\n"))
+	for _, path := range []string{"b28-seed107-v4", "b28-seed107-v5"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "journals", path+journalExt))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.ReplaceAll(raw, []byte(`"name":"`+path+`"`), []byte(`"name":"fz"`)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -223,13 +223,15 @@ func snapshotFallbacks(reg *obs.Registry) int64 {
 }
 
 // TestRestoreSnapshotFallbacks pins when Restore gives up on a snapshot.
-// Clean restores — every fixture journal, v3 and v4, and a fresh v4
+// Clean restores — every fixture journal, v3 to v5, and a fresh v5
 // journal whose final snapshot holds only the FFC state — adopt it,
 // reproduce the live state JSON byte for byte (ring array and rotation
 // included) and leave session_restore_snapshot_fallbacks_total at 0.
-// A v4 snapshot tampered in its overrides, its tree, its faulty
-// necklaces or its hash must fall back to replay from creation, reach
-// the same state and bump the counter.
+// The v4 fixture's whole-tree snapshot tampered in its overrides, its
+// tree, its faulty necklaces or its hash, and the fresh journal's v5
+// diff tampered in a slot, a label's centre, a necklace's link or its
+// version, must fall back to replay from creation, reach the same state
+// and bump the counter.
 func TestRestoreSnapshotFallbacks(t *testing.T) {
 	restore := func(t *testing.T, path, name string, mutate func(ev *Event)) (*Session, int64) {
 		t.Helper()
@@ -276,33 +278,7 @@ func TestRestoreSnapshotFallbacks(t *testing.T) {
 		}
 	}
 
-	src := t.TempDir()
-	m := NewManager(nil, Options{Dir: src, SnapshotEvery: 4})
-	live, err := m.Create("v4", "debruijn(2,8)", topology.FaultSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []int{87, 229, 52, 140, 101} {
-		if _, err := live.AddFaults(topology.NodeFaults(x)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := live.RemoveFaults(topology.NodeFaults(229)); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	want := stateJSON(t, live)
-	path := journalPath(src, "v4")
-
-	s, n := restore(t, path, "v4", func(ev *Event) {
-		if ev.Ring != nil || ev.Patcher == nil || ev.Patcher.Tier != "ffc" {
-			t.Fatalf("final snapshot is not an FFC state without a ring: ring %d nodes, patcher %+v", len(ev.Ring), ev.Patcher)
-		}
-	})
-	if got := stateJSON(t, s); n != 0 || !bytes.Equal(got, want) {
-		t.Fatalf("clean v4 restore: %d snapshot fallbacks, state\n got %s\nwant %s", n, got, want)
-	}
-
+	v4 := filepath.Join("testdata", "journals", "b28-seed107-v4"+journalExt)
 	for _, tc := range []struct {
 		name   string
 		tamper func(st *repair.FFCState, ev *Event)
@@ -342,7 +318,91 @@ func TestRestoreSnapshotFallbacks(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, n := restore(t, path, "v4", func(ev *Event) { tc.tamper(ev.Patcher.State.FFCState, ev) })
+			s, n := restore(t, v4, "b28-seed107-v4", func(ev *Event) {
+				if ev.Patcher == nil || ev.Patcher.Tier != "ffc" || ev.Patcher.State.FFCState.Diff != nil {
+					t.Fatalf("final v4 snapshot is not a whole FFC state: %+v", ev.Patcher)
+				}
+				tc.tamper(ev.Patcher.State.FFCState, ev)
+			})
+			if got, want := stateJSON(t, s), readFixtureState(t, v4); n != 1 || !bytes.Equal(got, want) {
+				t.Fatalf("%d snapshot fallbacks, restored state\n got %s\nwant %s", n, got, want)
+			}
+		})
+	}
+
+	src := t.TempDir()
+	m := NewManager(nil, Options{Dir: src, SnapshotEvery: 4})
+	live, err := m.Create("v5", "debruijn(2,8)", topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []int{87, 229, 52, 140, 101} {
+		if _, err := live.AddFaults(topology.NodeFaults(x)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := live.RemoveFaults(topology.NodeFaults(229)); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	want := stateJSON(t, live)
+	path := journalPath(src, "v5")
+
+	s, n := restore(t, path, "v5", func(ev *Event) {
+		if ev.Ring != nil || ev.Patcher == nil || ev.Patcher.Tier != "ffc" || ev.Patcher.State.FFCState.Diff == nil {
+			t.Fatalf("final snapshot is not an FFC diff without a ring: ring %d nodes, patcher %+v", len(ev.Ring), ev.Patcher)
+		}
+		if d := ev.Patcher.State.FFCState.Diff; len(d.Overrides) != 0 || !slices.ContainsFunc(d.Tree, func(e [3]int) bool { return e[2] >= 0 }) {
+			t.Fatalf("final snapshot's diff re-hangs no necklace or lists a reordered star: %+v", d)
+		}
+	})
+	if got := stateJSON(t, s); n != 0 || !bytes.Equal(got, want) {
+		t.Fatalf("clean v5 restore: %d snapshot fallbacks, state\n got %s\nwant %s", n, got, want)
+	}
+
+	// rehung returns the index of a diff link that hangs its necklace.
+	rehung := func(d *repair.FFCDiff) int {
+		i := slices.IndexFunc(d.Tree, func(e [3]int) bool { return e[2] >= 0 })
+		if i < 0 {
+			t.Fatal("the diff re-hangs no necklace")
+		}
+		return i
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func(d *repair.FFCDiff)
+	}{
+		// Every star of B(2,8) has two members, so the tier never closes
+		// one out of ascending order and the diff lists no override.
+		{"v5 override", func(d *repair.FFCDiff) {
+			d.Overrides = [][2]int{{100, 200}}
+		}},
+		{"v5 slot out of range", func(d *repair.FFCDiff) {
+			d.Overrides = [][2]int{{256, 0}} // B(2,8) has 256 nodes
+		}},
+		{"v5 repeated slot", func(d *repair.FFCDiff) {
+			d.Overrides = [][2]int{{100, 200}, {100, 200}}
+		}},
+		{"v5 label with two centres", func(d *repair.FFCDiff) {
+			// A second link by the same label, hanging a necklace the diff
+			// did not list from another parent.
+			e := d.Tree[rehung(d)]
+			c := 1
+			for slices.ContainsFunc(d.Tree, func(f [3]int) bool { return f[0] == c }) {
+				c++
+			}
+			i, _ := slices.BinarySearchFunc(d.Tree, c, func(f [3]int, c int) int { return f[0] - c })
+			d.Tree = slices.Insert(d.Tree, i, [3]int{c, (e[1] + 1) % 256, e[2]})
+		}},
+		{"v5 necklace hung twice", func(d *repair.FFCDiff) {
+			i := rehung(d)
+			e := d.Tree[i]
+			d.Tree = slices.Insert(d.Tree, i+1, [3]int{e[0], e[1], (e[2] + 1) % 128})
+		}},
+		{"v5 unknown version", func(d *repair.FFCDiff) { d.V = 6 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, n := restore(t, path, "v5", func(ev *Event) { tc.tamper(ev.Patcher.State.FFCState.Diff) })
 			if got := stateJSON(t, s); n != 1 || !bytes.Equal(got, want) {
 				t.Fatalf("%d snapshot fallbacks, restored state\n got %s\nwant %s", n, got, want)
 			}

@@ -20,15 +20,36 @@
 // the state, so a Manager pointed at the same directory after a crash
 // resumes every session with an identical ring.  Replay runs the same
 // ladder, verified hash by hash, and seeds the watch buffer with the
-// journal's newest events as journaled.  A journal v4 snapshot holds the patcher state, the
-// ring hash, the faults and the stats, and the ring itself only when
-// the patcher state cannot regenerate it (the FFC tier's successor rule
-// is the ring; splice-owned rings and other topologies store it).  A
-// snapshot is adopted only when its ring matches its hash and passes
-// topology.VerifyRing; otherwise replay starts from creation and
-// session_restore_snapshot_fallbacks_total counts it.  Watchers stream
-// the same events over long-poll or SSE via the HTTP handler in this
-// package.
+// journal's newest events as journaled.  A snapshot holds the patcher
+// state, the ring hash, the faults and the stats, and the ring itself
+// only when the patcher state cannot regenerate it (the FFC tier's
+// successor rule is the ring; splice-owned rings and other topologies
+// store it).  A snapshot is adopted only when its ring matches its hash
+// and passes topology.VerifyRing; otherwise replay starts from creation
+// and session_restore_snapshot_fallbacks_total counts it.  Watchers
+// stream the same events over long-poll or SSE via the HTTP handler in
+// this package.
+//
+// # Journal v5 snapshots
+//
+// Journal v5 (repair_ver 5) writes the FFC tier's state as a diff over
+// the graph's fault-free embedding, which every session on the graph
+// shares, so a snapshot's size follows what the faults touched, not dⁿ:
+//
+//	"patcher":{"tier":"ffc","state":{"root":R,"nodes":N,"faulty":[...],
+//	  "diff":{"v":5,"tree":[[child,parent,w],...],"overrides":[[out,in],...]}}}
+//
+// tree lists, ascending by child, every necklace whose tree link differs
+// from the fault-free tree's, as [child, −1, −1] when it is off the tree;
+// overrides lists, ascending by out, every node whose Step-3 successor
+// override differs, as [out, −1] when it has none.  A star's centre is
+// its children's parent.  Restore applies the diff to the fault-free
+// tree, checks that no necklace or slot is listed twice and that each
+// label has one centre, audits the whole tree, and walks the ring it
+// defines, which must hash to the snapshot's hash and pass VerifyRing.
+// v4 snapshots list the whole tree and every override in the same
+// [child, parent, w] and [out, in] forms under "tree" and "overrides";
+// they still restore, as do v3 journals.
 //
 // Per event, the work follows what the repair touched.  The session's
 // repair.Patcher owns the ring and the cumulative fault set: every
@@ -139,9 +160,11 @@ type Event struct {
 // absorption; 3 = the layered repair chain (splice tier between
 // structural repair and re-embed, multi-hop bypass heal); 4 = journal
 // v4, the same decisions as 3 with the edge-sum ring hash and snapshots
-// that omit a ring the patcher state regenerates.  Journals without a
-// stamp predate the versioning.
-const repairSemVer = 4
+// that omit a ring the patcher state regenerates; 5 = journal v5, the
+// same decisions and hash as 4 with the FFC tier's snapshot state as a
+// diff over the fault-free embedding.  Journals without a stamp predate
+// the versioning.
+const repairSemVer = 5
 
 // decisionSemVer is the repairSemVer that last changed repair
 // decisions: journals stamped from it up to repairSemVer replay exactly.

@@ -16,6 +16,7 @@ import (
 type Butterfly struct {
 	d, n int
 	b    *butterfly.Graph
+	name string // rendered once: the engine asks for it on every request
 }
 
 // NewButterfly returns the F(d,n) adapter; d ≥ 2, n ≥ 1.
@@ -23,14 +24,14 @@ func NewButterfly(d, n int) (*Butterfly, error) {
 	if d < 2 || n < 1 || !powFits(d, n+1, maxWordSize) {
 		return nil, fmt.Errorf("topology: invalid butterfly dimensions d=%d, n=%d", d, n)
 	}
-	return &Butterfly{d: d, n: n, b: butterfly.New(d, n)}, nil
+	return &Butterfly{d: d, n: n, b: butterfly.New(d, n), name: fmt.Sprintf("butterfly(%d,%d)", d, n)}, nil
 }
 
 // Graph exposes the underlying butterfly model.
 func (t *Butterfly) Graph() *butterfly.Graph { return t.b }
 
 // Name implements Network.
-func (t *Butterfly) Name() string { return fmt.Sprintf("butterfly(%d,%d)", t.d, t.n) }
+func (t *Butterfly) Name() string { return t.name }
 
 // Nodes implements Network.
 func (t *Butterfly) Nodes() int { return t.b.Size }

@@ -19,6 +19,7 @@ import (
 type DeBruijn struct {
 	d, n int
 	g    *debruijn.Graph
+	name string // rendered once: the engine asks for it on every request
 }
 
 // NewDeBruijn returns the B(d,n) adapter; d ≥ 2, n ≥ 1.
@@ -26,7 +27,7 @@ func NewDeBruijn(d, n int) (*DeBruijn, error) {
 	if d < 2 || n < 1 || !powFits(d, n+1, maxWordSize) {
 		return nil, fmt.Errorf("topology: invalid De Bruijn dimensions d=%d, n=%d", d, n)
 	}
-	return &DeBruijn{d: d, n: n, g: debruijn.New(d, n)}, nil
+	return &DeBruijn{d: d, n: n, g: debruijn.New(d, n), name: fmt.Sprintf("debruijn(%d,%d)", d, n)}, nil
 }
 
 // D returns the arity d.
@@ -45,7 +46,7 @@ func (t *DeBruijn) Graph() *debruijn.Graph { return t.g }
 func (t *DeBruijn) SetEmbedWorkers(int) {}
 
 // Name implements Network.
-func (t *DeBruijn) Name() string { return fmt.Sprintf("debruijn(%d,%d)", t.d, t.n) }
+func (t *DeBruijn) Name() string { return t.name }
 
 // Nodes implements Network.
 func (t *DeBruijn) Nodes() int { return t.g.Size }

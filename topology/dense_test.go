@@ -183,3 +183,103 @@ func TestFromSpecMemoizes(t *testing.T) {
 		t.Error("invalid spec accepted")
 	}
 }
+
+// verifyRingPerNode is VerifyRing as it was before the fault check moved
+// onto the simple-cycle pass: the structural test, then every ring node
+// looked up in the fault set.
+func verifyRingPerNode(net Network, cycle []int, f FaultSet) bool {
+	if !IsRing(net, cycle) {
+		return false
+	}
+	badNode := makeNodeLookup(f.Nodes, net.Nodes())
+	defer badNode.release()
+	badEdge := makeEdgeLookup(f.Edges)
+	_, undirected := net.(undirectedNetwork)
+	k := len(cycle)
+	for i, v := range cycle {
+		if badNode.has(v) {
+			return false
+		}
+		if len(f.Edges) > 0 {
+			w := cycle[(i+1)%k]
+			if badEdge.has(Edge{From: v, To: w}) || undirected && badEdge.has(Edge{From: w, To: v}) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestVerifyRingMatchesPerNodeScan pins VerifyRing to the per-node scan
+// it replaced, on rings longer and shorter than smallCycle and on the
+// adapters with their own cycle test: embedded rings, shuffled and
+// truncated ones, rings with an out-of-range or a repeated node, and
+// fault sets on and off the ring, out of range, repeated, and larger
+// than smallFaultCutoff.
+func TestVerifyRingMatchesPerNodeScan(t *testing.T) {
+	var nets []RingEmbedder
+	for _, mk := range []func() (RingEmbedder, error){
+		func() (RingEmbedder, error) { return NewDeBruijn(2, 8) },
+		func() (RingEmbedder, error) { return NewDeBruijn(3, 3) },
+		func() (RingEmbedder, error) { return NewHypercube(7) },
+		func() (RingEmbedder, error) { return NewShuffleExchange(2, 5) },
+	} {
+		net, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
+	}
+	rng := rand.New(rand.NewPCG(29, 5))
+	agree := map[bool]int{}
+	for _, net := range nets {
+		ring, _, err := net.EmbedRing(FaultSet{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := net.Nodes()
+		for trial := 0; trial < 400; trial++ {
+			cycle := append([]int(nil), ring...)
+			switch trial % 6 {
+			case 1: // a stretch of the ring, usually not closed
+				cycle = cycle[:1+rng.IntN(len(cycle))]
+			case 2:
+				cycle[rng.IntN(len(cycle))] = size + rng.IntN(3) - 1 // maybe out of range
+			case 3:
+				cycle[rng.IntN(len(cycle))] = cycle[rng.IntN(len(cycle))] // maybe repeated
+			case 4:
+				rng.Shuffle(len(cycle), func(i, j int) { cycle[i], cycle[j] = cycle[j], cycle[i] })
+			}
+			var f FaultSet
+			for j := rng.IntN(3 * smallFaultCutoff / (1 + trial%3*4)); j > 0; j-- {
+				switch rng.IntN(4) {
+				case 0: // on the ring
+					f.Nodes = append(f.Nodes, cycle[rng.IntN(len(cycle))])
+				case 1: // out of range
+					f.Nodes = append(f.Nodes, []int{-1, size, size + 7}[rng.IntN(3)])
+				default: // anywhere, sometimes repeated
+					f.Nodes = append(f.Nodes, rng.IntN(size))
+				}
+				if rng.IntN(8) == 0 {
+					f.Nodes = append(f.Nodes, f.Nodes[len(f.Nodes)-1])
+				}
+			}
+			if trial%5 == 0 {
+				f.Nodes = nil // only off-ring faults, if any
+			}
+			for j := rng.IntN(4); j > 0; j-- {
+				i := rng.IntN(len(cycle))
+				f.Edges = append(f.Edges, Edge{cycle[i], cycle[(i+1)%len(cycle)]})
+			}
+			got, want := VerifyRing(net, cycle, f), verifyRingPerNode(net, cycle, f)
+			if got != want {
+				t.Fatalf("%s trial %d: VerifyRing = %v, per-node scan = %v (ring of %d, faults %+v)",
+					net.Name(), trial, got, want, len(cycle), f)
+			}
+			agree[got]++
+		}
+	}
+	if agree[true] == 0 || agree[false] == 0 {
+		t.Fatalf("every case verified %v: the cases pin nothing", agree[true] > 0)
+	}
+}

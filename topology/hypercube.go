@@ -15,6 +15,7 @@ import (
 type Hypercube struct {
 	n    int
 	size int
+	name string // rendered once: the engine asks for it on every request
 }
 
 // NewHypercube returns the Q_n adapter; n ≥ 2.
@@ -22,14 +23,14 @@ func NewHypercube(n int) (*Hypercube, error) {
 	if n < 2 || n > 30 {
 		return nil, fmt.Errorf("topology: invalid hypercube dimension n=%d", n)
 	}
-	return &Hypercube{n: n, size: 1 << n}, nil
+	return &Hypercube{n: n, size: 1 << n, name: fmt.Sprintf("hypercube(%d)", n)}, nil
 }
 
 // Dim returns the cube dimension n.
 func (t *Hypercube) Dim() int { return t.n }
 
 // Name implements Network.
-func (t *Hypercube) Name() string { return fmt.Sprintf("hypercube(%d)", t.n) }
+func (t *Hypercube) Name() string { return t.name }
 
 // Nodes implements Network.
 func (t *Hypercube) Nodes() int { return t.size }

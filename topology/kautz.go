@@ -18,6 +18,7 @@ const maxKautzSearch = 120
 type Kautz struct {
 	d, n int
 	g    *kautz.Graph
+	name string // rendered once: the engine asks for it on every request
 }
 
 // NewKautz returns the K(d,n) adapter; d ≥ 2, n ≥ 1.
@@ -27,11 +28,11 @@ func NewKautz(d, n int) (*Kautz, error) {
 	if d < 2 || n < 1 || !powFits(d+1, n, maxMaterializedNodes) {
 		return nil, fmt.Errorf("topology: invalid Kautz dimensions d=%d, n=%d", d, n)
 	}
-	return &Kautz{d: d, n: n, g: kautz.New(d, n)}, nil
+	return &Kautz{d: d, n: n, g: kautz.New(d, n), name: fmt.Sprintf("kautz(%d,%d)", d, n)}, nil
 }
 
 // Name implements Network.
-func (t *Kautz) Name() string { return fmt.Sprintf("kautz(%d,%d)", t.d, t.n) }
+func (t *Kautz) Name() string { return t.name }
 
 // Nodes implements Network.
 func (t *Kautz) Nodes() int { return t.g.Size }

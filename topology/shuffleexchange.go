@@ -15,6 +15,7 @@ import (
 type ShuffleExchange struct {
 	d, n int
 	g    *shuffleexchange.Graph
+	name string // rendered once: the engine asks for it on every request
 }
 
 // NewShuffleExchange returns the SE(d,n) adapter; d ≥ 2, n ≥ 1.
@@ -22,11 +23,11 @@ func NewShuffleExchange(d, n int) (*ShuffleExchange, error) {
 	if d < 2 || n < 1 || !powFits(d, n+1, maxWordSize) {
 		return nil, fmt.Errorf("topology: invalid shuffle-exchange dimensions d=%d, n=%d", d, n)
 	}
-	return &ShuffleExchange{d: d, n: n, g: shuffleexchange.New(d, n)}, nil
+	return &ShuffleExchange{d: d, n: n, g: shuffleexchange.New(d, n), name: fmt.Sprintf("shuffleexchange(%d,%d)", d, n)}, nil
 }
 
 // Name implements Network.
-func (t *ShuffleExchange) Name() string { return fmt.Sprintf("shuffleexchange(%d,%d)", t.d, t.n) }
+func (t *ShuffleExchange) Name() string { return t.name }
 
 // Nodes implements Network.
 func (t *ShuffleExchange) Nodes() int { return t.g.Size }

@@ -137,9 +137,9 @@ func isSimpleCycle(net Network, cycle []int) bool {
 	if k == 0 {
 		return false
 	}
-	size := net.Nodes()
-	if k <= 64 {
+	if k <= smallCycle {
 		// Small rings: a quadratic scan avoids touching scratch at all.
+		size := net.Nodes()
 		for i, x := range cycle {
 			if x < 0 || x >= size {
 				return false
@@ -155,8 +155,20 @@ func isSimpleCycle(net Network, cycle []int) bool {
 		}
 		return true
 	}
-	seen := getScratchSet(size)
+	seen := getScratchSet(net.Nodes())
 	defer putScratchSet(seen)
+	return markSimpleCycle(net, cycle, seen)
+}
+
+// smallCycle is the ring length up to which isSimpleCycle scans for
+// repeats instead of marking nodes in a scratch set.
+const smallCycle = 64
+
+// markSimpleCycle is isSimpleCycle's marking pass: it adds every node of
+// cycle to seen, a fresh set over the network's nodes, and reports
+// whether the nodes are in range and distinct and every hop is a link.
+func markSimpleCycle(net Network, cycle []int, seen *dense.Set) bool {
+	size, k := net.Nodes(), len(cycle)
 	for i, x := range cycle {
 		if x < 0 || x >= size || !seen.Add(x) {
 			return false
@@ -185,31 +197,62 @@ func putScratchSet(s *dense.Set) { scratchSets.Put(s) }
 // VerifyRing reports whether cycle is a valid embedded ring of net that
 // avoids every fault in f — the single shared implementation of the
 // fault-avoidance loops previously duplicated across the De Bruijn,
-// edge-fault and butterfly APIs.  Fault membership runs on dense lookups
-// with a small-set fallback instead of per-call maps.
+// edge-fault and butterfly APIs.  On the generic simple-cycle test of a
+// ring longer than smallCycle, the pass that checks the nodes are
+// distinct marks them, and each faulty node is then looked up in the
+// marks: O(k + f) for a ring of k nodes and f faults.  Otherwise fault
+// membership runs on dense lookups with a small-set fallback instead of
+// per-call maps.
 func VerifyRing(net Network, cycle []int, f FaultSet) bool {
-	if !IsRing(net, cycle) {
-		return false
+	if _, custom := net.(cycleChecker); custom || len(cycle) <= smallCycle {
+		if !IsRing(net, cycle) || !avoidsNodes(net, cycle, f.Nodes) {
+			return false
+		}
+	} else {
+		size := net.Nodes()
+		seen := getScratchSet(size)
+		defer putScratchSet(seen)
+		if !markSimpleCycle(net, cycle, seen) {
+			return false
+		}
+		for _, v := range f.Nodes {
+			if v >= 0 && v < size && seen.Has(v) {
+				return false
+			}
+		}
 	}
-	badNode := makeNodeLookup(f.Nodes, net.Nodes())
-	defer badNode.release()
-	badEdge := makeEdgeLookup(f.Edges)
+	return avoidsLinks(net, cycle, f.Edges)
+}
+
+// avoidsNodes reports whether no node of cycle is in faults.
+func avoidsNodes(net Network, cycle, faults []int) bool {
+	bad := makeNodeLookup(faults, net.Nodes())
+	defer bad.release()
+	for _, v := range cycle {
+		if bad.has(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// avoidsLinks reports whether no hop of cycle crosses a faulty link.
+func avoidsLinks(net Network, cycle []int, faults []Edge) bool {
+	if len(faults) == 0 {
+		return true
+	}
+	bad := makeEdgeLookup(faults)
 	_, undirected := net.(undirectedNetwork)
 	k := len(cycle)
 	for i, v := range cycle {
-		if badNode.has(v) {
+		w := cycle[(i+1)%k]
+		if bad.has(Edge{From: v, To: w}) {
 			return false
 		}
-		if len(f.Edges) > 0 {
-			w := cycle[(i+1)%k]
-			if badEdge.has(Edge{From: v, To: w}) {
-				return false
-			}
-			// On undirected topologies the failed wire blocks both
-			// orientations.
-			if undirected && badEdge.has(Edge{From: w, To: v}) {
-				return false
-			}
+		// On undirected topologies the failed wire blocks both
+		// orientations.
+		if undirected && bad.has(Edge{From: w, To: v}) {
+			return false
 		}
 	}
 	return true
