@@ -86,7 +86,7 @@ func BenchmarkFig23FFC(b *testing.B) {
 	faults := []int{f1, f2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ffc.Embed(g, faults)
+		res, err := ffc.EmbedDiff(g, faults)
 		if err != nil || len(res.Cycle) != 21 {
 			b.Fatal("wrong cycle")
 		}
@@ -100,7 +100,7 @@ func BenchmarkProp22(b *testing.B) {
 	faults := ffc.WorstCaseFaults(g, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ffc.Embed(g, faults)
+		res, err := ffc.EmbedDiff(g, faults)
 		if err != nil || len(res.Cycle) < ffc.UpperBound(g, 2) {
 			b.Fatal("bound violated")
 		}
@@ -112,7 +112,7 @@ func BenchmarkProp23(b *testing.B) {
 	g := debruijn.New(2, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ffc.Embed(g, []int{i % g.Size})
+		res, err := ffc.EmbedDiff(g, []int{i % g.Size})
 		if err != nil || len(res.Cycle) < g.Size-(g.N+1) {
 			b.Fatal("bound violated")
 		}
@@ -141,12 +141,12 @@ func benchmarkEmbed(b *testing.B, faults []int) {
 	// Warm the scratch and build the graph's base (one-time costs) so
 	// B/op and allocs/op reflect the steady-state embed at the CI job's
 	// tiny -benchtime, matching the repair benchmarks below.
-	if _, err := em.Embed(faults); err != nil {
+	if _, err := em.EmbedDiff(faults); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := em.Embed(faults)
+		res, err := em.EmbedDiff(faults)
 		if err != nil || len(res.Cycle) < g.Size-(g.N+1) {
 			b.Fatal("bound violated")
 		}
@@ -345,7 +345,7 @@ func BenchmarkHypercubeBaseline(b *testing.B) {
 	b.Run("B46", func(b *testing.B) {
 		g := debruijn.New(4, 6)
 		for i := 0; i < b.N; i++ {
-			res, err := ffc.Embed(g, []int{100, 2000})
+			res, err := ffc.EmbedDiff(g, []int{100, 2000})
 			if err != nil || len(res.Cycle) < 4084 {
 				b.Fatal("bound violated")
 			}
@@ -438,7 +438,7 @@ func BenchmarkAblationFFCVsSearch(b *testing.B) {
 	fm := map[int]bool{faults[0]: true}
 	b.Run("FFC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ffc.Embed(g, faults); err != nil {
+			if _, err := ffc.EmbedDiff(g, faults); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -24,10 +24,6 @@ import (
 	"debruijnring/internal/ffc"
 )
 
-// maxNodes is the largest B(d,n) the FFC kernels index: their node
-// codes are int32.
-const maxNodes = 1 << 31
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -84,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *d < 2 || *n < 1 {
 			return usage("B(%d,%d) needs d ≥ 2 and n ≥ 1", *d, *n)
 		}
-		if !exceedsNodes(maxNodes+1, *d, *n) { // dⁿ > maxNodes
+		if !exceedsNodes(ffc.MaxNodes+1, *d, *n) { // dⁿ > ffc.MaxNodes
 			return usage("B(%d,%d) has more than the 2^31 nodes the FFC kernels index", *d, *n)
 		}
 		configs = []config{{*d, *n, fmt.Sprintf("B(%d,%d) simulation", *d, *n)}}

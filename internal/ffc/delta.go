@@ -7,86 +7,46 @@ import (
 	"debruijnring/internal/debruijn"
 )
 
-// base is a graph's fault-free embedding: the full path's Result for no
+// baseRing is a graph's fault-free ring: the full path's for no
 // faults, kept once per graph (debruijn.Graph.Memo) and shared by every
-// Embedder on it.  Its shape is fixed by the graph.  The root is 0ⁿ.  A
-// walk of length L ≤ n from 0ⁿ shifts in L digits, so a node's
-// broadcast depth is its digit count, and every node x ≥ 1 has exactly
-// one predecessor one level up, its leading-digit prefix x/d.  Each
-// necklace r ≠ 0ⁿ therefore hangs from rep(r/d) with Y = r and
-// p = w = r/d, and since r/d grows with r, the tree in ascending child
-// order is grouped by ascending label, star by star.
-type base struct {
-	cycle   []int      // the fault-free ring, from 0ⁿ
-	pos     []int32    // node → its index in cycle
-	tree    []TreeLink // every necklace but [0ⁿ], ascending
-	ov      []Override // grouped by star, ascending label
-	starW   []int32    // the labels that have a star, ascending
-	starOff []int32    // star starW[i] closes with ov[starOff[i]:starOff[i+1]]
-	pow     []int      // pow[k] = dᵏ for k ≤ n: depth L holds [d^(L−1), d^L)
+// Embedder on it.  Its root is 0ⁿ, and its tree is Base's.  A walk of
+// length L ≤ n from 0ⁿ shifts in L digits, so a node's broadcast depth
+// is its digit count, and every node x ≥ 1 has exactly one predecessor
+// one level up, its leading-digit prefix x/d.
+type baseRing struct {
+	cycle []int   // the fault-free ring, from 0ⁿ
+	pos   []int32 // node → its index in cycle
+	pow   []int   // pow[k] = dᵏ for k ≤ n: depth L holds [d^(L−1), d^L)
 }
 
-// baseKey is the debruijn.Graph.Memo key of the base.
+// baseKey is the debruijn.Graph.Memo key of the base ring.
 type baseKey struct{}
 
-// baseBuilds counts base constructions; tests pin it to one per graph.
+// baseBuilds counts base-ring constructions; tests pin it to one per
+// graph.
 var baseBuilds atomic.Int64
 
-// baseOf returns g's base, built on first use.
-func baseOf(g *debruijn.Graph) *base {
-	return g.Memo(baseKey{}, func() any { return newBase(g) }).(*base)
+// baseOf returns g's base ring, built on first use.
+func baseOf(g *debruijn.Graph) *baseRing {
+	return g.Memo(baseKey{}, func() any { return newBase(g) }).(*baseRing)
 }
 
-func newBase(g *debruijn.Graph) *base {
+func newBase(g *debruijn.Graph) *baseRing {
 	baseBuilds.Add(1)
 	em := NewEmbedder(g)
 	em.forceFull = true
-	res, err := em.Embed(nil)
+	res, err := em.EmbedCycle(nil)
 	if err != nil {
 		panic("ffc: fault-free embed failed: " + err.Error())
 	}
-	b := &base{cycle: res.Cycle, pos: make([]int32, g.Size), tree: res.Tree, ov: res.Overrides, pow: make([]int, g.N+1),
-		starW: make([]int32, 0, len(res.Tree)), starOff: make([]int32, 0, len(res.Tree)+1)}
+	b := &baseRing{cycle: res.Cycle, pos: make([]int32, g.Size), pow: make([]int, g.N+1)}
 	for i, x := range b.cycle {
 		b.pos[x] = int32(i)
 	}
-	// A star has at least one link, and its k children close k+1 members.
-	off := int32(0)
-	for i := 0; i < len(b.tree); {
-		k := 1
-		for i+k < len(b.tree) && b.tree[i+k].W == b.tree[i].W {
-			k++
-		}
-		b.starW = append(b.starW, b.tree[i].W)
-		b.starOff = append(b.starOff, off)
-		off += int32(k + 1)
-		i += k
-	}
-	b.starOff = append(b.starOff, off)
 	for k := range b.pow {
 		b.pow[k] = g.Pow(k)
 	}
 	return b
-}
-
-// treeIndex returns the index of necklace rep's link in the base tree.
-func (b *base) treeIndex(rep int32) int {
-	lo, hi := 0, len(b.tree)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if b.tree[m].Child < rep {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// starIndex returns the index of label w in starW, or where it would
-// go, and whether w has a base star.
-func (b *base) starIndex(w int32) (int, bool) {
-	return slices.BinarySearch(b.starW, w)
 }
 
 // stranded reports whether every successor of 0ⁿ but 0ⁿ itself, the
@@ -216,11 +176,8 @@ func (e *Embedder) topLevel() int {
 // embedDelta derives the Result from the base after relevel: Step 1.2
 // only for the necklaces whose representative moved, Step 2 only for
 // the stars whose edge set changed, Step 3 as base-cycle runs between
-// the nodes whose successor may have changed.  Unless rec asks for
-// Tree it skips assembling Result.Tree and Result.Overrides: the walk
-// reads only the changed stars' closures.
-func (e *Embedder) embedDelta(res *Result, rec record) (*Result, error) {
-	tree := rec == recordTree
+// the nodes whose successor may have changed.
+func (e *Embedder) embedDelta(res *Result, diff bool) (*Result, error) {
 	s, b := &e.s, e.b
 	d, pivot, size := e.g.D, s.div.p, e.g.Size
 	moved := s.order[:e.relevelled]
@@ -229,7 +186,7 @@ func (e *Embedder) embedDelta(res *Result, rec record) (*Result, error) {
 	// Step 1.2 for the touched necklaces: those whose representative
 	// moved.  Any other alive necklace r keeps Y = r, the least and
 	// shallowest of its nodes, and its least predecessor p = r/d one
-	// level up, so its tree edge is the base's.
+	// level up, so its tree edge is the base's (Base).
 	e.touched = e.touched[:0]
 	for _, x := range moved {
 		if s.reps[x] == x {
@@ -286,10 +243,7 @@ func (e *Embedder) embedDelta(res *Result, rec record) (*Result, error) {
 	}
 
 	dead := res.FaultyNecklaces
-	if tree {
-		res.Tree = e.deltaTree(dead)
-	}
-	if rec == recordDiff {
+	if diff {
 		res.TreeDiff = e.deltaTreeDiff(dead)
 	}
 
@@ -309,10 +263,10 @@ func (e *Embedder) embedDelta(res *Result, rec record) (*Result, error) {
 	slices.Sort(e.labels)
 	e.labels = slices.Compact(e.labels)
 	e.sortStars()
-	// Every out-node of a changed star, old or new, is a node whose
-	// successor may have changed: a walk breakpoint.
-	e.newOv, e.newEnd, e.marks = e.newOv[:0], e.newEnd[:0], e.marks[:0]
-	nOv := len(b.ov)
+	// A star w's out-nodes, old or new, are among the d nodes αw, so
+	// these are the nodes whose successor may have changed: the walk's
+	// breakpoints.
+	e.newOv, e.marks = e.newOv[:0], e.marks[:0]
 	rehung := e.stars
 	for _, w := range e.labels {
 		// Its edges: the base children r = wα still alive and unmoved,
@@ -333,28 +287,17 @@ func (e *Embedder) embedDelta(res *Result, rec record) (*Result, error) {
 			rehung = rehung[1:]
 		}
 		if len(e.starBuf) > 0 {
-			first := len(e.newOv)
 			e.newOv = e.closeStar(e.starBuf, e.newOv)
-			for _, o := range e.newOv[first:] {
-				e.ovSet[o.Out>>6] |= 1 << (o.Out & 63)
-				e.ovTo[o.Out] = o.In
-				e.marks = append(e.marks, b.pos[o.Out])
-			}
 		}
-		e.newEnd = append(e.newEnd, int32(len(e.newOv)))
-		if at, ok := b.starIndex(w); ok {
-			old := b.ov[b.starOff[at]:b.starOff[at+1]]
-			for _, o := range old {
-				e.marks = append(e.marks, b.pos[o.Out])
-			}
-			nOv -= len(old)
+		for x := int(w); x < size; x += pivot {
+			e.marks = append(e.marks, b.pos[x])
 		}
 	}
-	nOv += len(e.newOv)
+	for _, o := range e.newOv {
+		e.ovSet[o.Out>>6] |= 1 << (o.Out & 63)
+		e.ovTo[o.Out] = o.In
+	}
 	slices.Sort(e.marks)
-	if tree {
-		res.Overrides = e.deltaOverrides(nOv)
-	}
 
 	// Step 3: the walk follows the base cycle from 0ⁿ, copying it run by
 	// run up to the next breakpoint, whose successor the new overrides
@@ -368,55 +311,6 @@ func (e *Embedder) embedDelta(res *Result, rec record) (*Result, error) {
 	}
 	res.Cycle = cycle
 	return res, nil
-}
-
-// deltaTree returns the base tree less the dead and the touched
-// necklaces, with the touched ones in B* (e.stars, still in child
-// order) re-hung.  All three lists ascend.
-func (e *Embedder) deltaTree(dead []int) []TreeLink {
-	b := e.b
-	tree := make([]TreeLink, 0, len(b.tree)-len(dead)-len(e.touched)+len(e.stars))
-	from, i, j, k := 0, 0, 0, 0
-	for i < len(dead) || j < len(e.touched) {
-		var r int32
-		if j == len(e.touched) || i < len(dead) && int32(dead[i]) < e.touched[j] {
-			r = int32(dead[i])
-			i++
-		} else {
-			r = e.touched[j]
-			j++
-		}
-		at := b.treeIndex(r)
-		tree = append(tree, b.tree[from:at]...)
-		from = at + 1
-		if k < len(e.stars) && e.stars[k].child == r {
-			st := e.stars[k]
-			tree = append(tree, TreeLink{Child: st.child, Parent: st.parent, W: st.w})
-			k++
-		}
-	}
-	return append(tree, b.tree[from:]...)
-}
-
-// deltaOverrides returns the n overrides of the embed: the base's star
-// runs, each changed star's (e.labels) replaced by its new closure.
-func (e *Embedder) deltaOverrides(n int) []Override {
-	b := e.b
-	ov := make([]Override, 0, n)
-	from := 0
-	for li, w := range e.labels {
-		at, ok := b.starIndex(w)
-		ov = append(ov, b.ov[from:b.starOff[at]]...)
-		if from = int(b.starOff[at]); ok {
-			from = int(b.starOff[at+1])
-		}
-		lo := int32(0)
-		if li > 0 {
-			lo = e.newEnd[li-1]
-		}
-		ov = append(ov, e.newOv[lo:e.newEnd[li]]...)
-	}
-	return append(ov, b.ov[from:]...)
 }
 
 // walkRuns is walk over the base cycle: between breakpoints (e.marks)

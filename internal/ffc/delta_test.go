@@ -6,6 +6,7 @@ package ffc
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -26,16 +27,57 @@ func diffResults(a, b *Result) string {
 		return fmt.Sprintf("FaultyNodeCount %d vs %d", a.FaultyNodeCount, b.FaultyNodeCount)
 	case !slices.Equal(a.FaultyNecklaces, b.FaultyNecklaces):
 		return fmt.Sprintf("FaultyNecklaces %v vs %v", a.FaultyNecklaces, b.FaultyNecklaces)
-	case !slices.Equal(a.Tree, b.Tree):
-		return fmt.Sprintf("Tree (%d vs %d links)", len(a.Tree), len(b.Tree))
-	case !slices.Equal(a.Overrides, b.Overrides):
-		return fmt.Sprintf("Overrides (%d vs %d)", len(a.Overrides), len(b.Overrides))
+	case !slices.Equal(a.TreeDiff, b.TreeDiff):
+		return fmt.Sprintf("TreeDiff (%d vs %d edits)", len(a.TreeDiff), len(b.TreeDiff))
 	case !slices.Equal(a.Cycle, b.Cycle):
 		return fmt.Sprintf("Cycle (%d vs %d nodes)", len(a.Cycle), len(b.Cycle))
-	case (a.Tree == nil) != (b.Tree == nil) || (a.Overrides == nil) != (b.Overrides == nil):
-		return "nil-ness of Tree or Overrides"
 	}
 	return ""
+}
+
+// wholeTree expands an EmbedDiff Result's TreeDiff over g's Base into
+// the whole tree T, ascending by child, and the Step-3 overrides it
+// gives: every star closed in ascending member order, the stars by
+// ascending label.  bad names the first edit that is out of order,
+// changes nothing or names a necklace the base does not hang, or is "".
+func wholeTree(g *debruijn.Graph, res *Result) (tree []TreeLink, ov []Override, bad string) {
+	b := BaseOf(g)
+	edits := res.TreeDiff
+	for r := 1; r < g.Size; r++ {
+		w := b.Label(r)
+		if w < 0 {
+			continue
+		}
+		l := TreeLink{Child: int32(r), Parent: b.Centre(int(w)), W: w}
+		if len(edits) > 0 && edits[0].Child == int32(r) {
+			if edits[0] == l {
+				return nil, nil, fmt.Sprintf("TreeDiff entry %v changes nothing", l)
+			}
+			l, edits = edits[0], edits[1:]
+		}
+		if l.W >= 0 {
+			tree = append(tree, l)
+		}
+	}
+	if len(edits) > 0 {
+		return nil, nil, fmt.Sprintf("TreeDiff entry %v is out of order or off the base tree", edits[0])
+	}
+	members := map[int32][]int32{} // label → the star's centre and children
+	for _, l := range tree {
+		if members[l.W] == nil {
+			members[l.W] = []int32{l.Parent}
+		}
+		members[l.W] = append(members[l.W], l.Child)
+	}
+	for _, w := range slices.Sorted(maps.Keys(members)) {
+		m := members[w]
+		slices.Sort(m)
+		for i, c := range m {
+			next := m[(i+1)%len(m)]
+			ov = append(ov, Override{Out: int32(SuffixNode(g, int(c), int(w))), In: int32(PrefixNode(g, int(next), int(w)))})
+		}
+	}
+	return tree, ov, ""
 }
 
 // pair is a delta embedder and a full one on the same graph.
@@ -48,12 +90,14 @@ func newPair(g *debruijn.Graph) pair {
 }
 
 // check embeds faults on both paths, fails on any difference and
-// reports whether the delta path served the embed.
+// reports whether the delta path served the embed.  The full path's
+// overrides, left in its scratch, must be every star's ascending
+// closure in the tree its TreeDiff expands to.
 func (p pair) check(t testing.TB, faults []int) bool {
 	t.Helper()
 	g := p.full.g
-	want, wantErr := p.full.Embed(faults)
-	got, err := p.delta.Embed(faults)
+	want, wantErr := p.full.EmbedDiff(faults)
+	got, err := p.delta.EmbedDiff(faults)
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("B(%d,%d) faults %v: delta err %v, full err %v", g.D, g.N, faults, err, wantErr)
 	}
@@ -61,80 +105,15 @@ func (p pair) check(t testing.TB, faults []int) bool {
 		if diff := diffResults(got, want); diff != "" {
 			t.Fatalf("B(%d,%d) faults %v (delta path %v): %s", g.D, g.N, faults, p.delta.delta, diff)
 		}
-	}
-	delta := p.delta.delta
-	for _, em := range []*Embedder{p.delta, p.full} {
-		got, err := em.EmbedDiff(faults)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("B(%d,%d) faults %v: EmbedDiff err %v, Embed err %v", g.D, g.N, faults, err, wantErr)
+		_, ov, bad := wholeTree(g, want)
+		if bad != "" {
+			t.Fatalf("B(%d,%d) faults %v: %s", g.D, g.N, faults, bad)
 		}
-		if err == nil {
-			if diff := diffBaseEdits(g, got, want); diff != "" {
-				t.Fatalf("B(%d,%d) faults %v: EmbedDiff (delta path %v): %s", g.D, g.N, faults, em.delta, diff)
-			}
+		if !slices.Equal(p.full.newOv, ov) {
+			t.Fatalf("B(%d,%d) faults %v: the full path's overrides are not every star's ascending closure", g.D, g.N, faults)
 		}
 	}
-	return delta
-}
-
-// diffBaseEdits names the first way an EmbedDiff Result got differs
-// from the Embed Result want: its scalars and cycle, its TreeDiff
-// applied to the base against want's Tree, or want's Overrides against
-// the ascending closure of every star of that tree.  An edit must
-// change what it names, and the edits must ascend.
-func diffBaseEdits(g *debruijn.Graph, got, want *Result) string {
-	if got.Tree != nil || got.Overrides != nil {
-		return "EmbedDiff built Tree or Overrides"
-	}
-	scalars := *got
-	scalars.Tree, scalars.Overrides = want.Tree, want.Overrides
-	if diff := diffResults(&scalars, want); diff != "" {
-		return diff
-	}
-	byChild := map[int32]TreeLink{}
-	for _, l := range baseOf(g).tree {
-		byChild[l.Child] = l
-	}
-	for i, l := range got.TreeDiff {
-		if i > 0 && got.TreeDiff[i-1].Child >= l.Child {
-			return fmt.Sprintf("TreeDiff does not ascend at %d", i)
-		}
-		if old, ok := byChild[l.Child]; ok && old == l || !ok && l.W < 0 {
-			return fmt.Sprintf("TreeDiff entry %v changes nothing", l)
-		}
-		if l.W < 0 {
-			delete(byChild, l.Child)
-		} else {
-			byChild[l.Child] = l
-		}
-	}
-	if len(byChild) != len(want.Tree) {
-		return fmt.Sprintf("base + TreeDiff has %d links, Tree %d", len(byChild), len(want.Tree))
-	}
-	members := map[int32][]int32{} // label → the star's children, then its centre
-	for _, l := range want.Tree {
-		if byChild[l.Child] != l {
-			return fmt.Sprintf("base + TreeDiff hangs [%d] by %v, Tree by %v", l.Child, byChild[l.Child], l)
-		}
-		if members[l.W] == nil {
-			members[l.W] = []int32{l.Parent}
-		}
-		members[l.W] = append(members[l.W], l.Child)
-	}
-	var ascending []Override
-	for w, m := range members {
-		slices.Sort(m)
-		for i, c := range m {
-			next := m[(i+1)%len(m)]
-			ascending = append(ascending, Override{Out: int32(SuffixNode(g, int(c), int(w))), In: int32(PrefixNode(g, int(next), int(w)))})
-		}
-	}
-	byOut := func(a, b Override) int { return int(a.Out) - int(b.Out) }
-	slices.SortFunc(ascending, byOut)
-	if ov := slices.SortedFunc(slices.Values(want.Overrides), byOut); !slices.Equal(ov, ascending) {
-		return "Overrides are not every star's ascending closure"
-	}
-	return ""
+	return p.delta.delta
 }
 
 // deltaGrid is the graphs every single and double faulty-necklace set
@@ -235,11 +214,11 @@ func randomTrials(g *debruijn.Graph) [][]int {
 	return sets
 }
 
-// TestEmbedCycleMatchesEmbed runs EmbedCycle and Embed on one embedder
-// per path over the seeded random sets, alternating which runs first:
-// the ring-only embed must return Embed's Cycle and scalars (and
-// errors), with nil Tree and Overrides, on both paths.
-func TestEmbedCycleMatchesEmbed(t *testing.T) {
+// TestEmbedCycleMatchesEmbedDiff runs EmbedCycle and EmbedDiff on one
+// embedder per path over the seeded random sets, alternating which runs
+// first: the ring-only embed must return EmbedDiff's Cycle and scalars
+// (and errors), with a nil TreeDiff, on both paths.
+func TestEmbedCycleMatchesEmbedDiff(t *testing.T) {
 	for _, gr := range randomGrid {
 		g := debruijn.New(gr.d, gr.n)
 		for _, full := range []bool{false, true} {
@@ -250,26 +229,26 @@ func TestEmbedCycleMatchesEmbed(t *testing.T) {
 				var want, got *Result
 				var wantErr, err error
 				if i%2 == 0 {
-					want, wantErr = em.Embed(faults)
+					want, wantErr = em.EmbedDiff(faults)
 					got, err = em.EmbedCycle(faults)
 				} else {
 					got, err = em.EmbedCycle(faults)
-					want, wantErr = em.Embed(faults)
+					want, wantErr = em.EmbedDiff(faults)
 				}
 				if em.delta {
 					deltas++
 				}
 				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-					t.Fatalf("B(%d,%d) faults %v: EmbedCycle err %v, Embed err %v", g.D, g.N, faults, err, wantErr)
+					t.Fatalf("B(%d,%d) faults %v: EmbedCycle err %v, EmbedDiff err %v", g.D, g.N, faults, err, wantErr)
 				}
 				if err != nil {
 					continue
 				}
-				if got.Tree != nil || got.Overrides != nil {
-					t.Fatalf("B(%d,%d) faults %v (full %v): EmbedCycle built %d links and %d overrides",
-						g.D, g.N, faults, full, len(got.Tree), len(got.Overrides))
+				if got.TreeDiff != nil {
+					t.Fatalf("B(%d,%d) faults %v (full %v): EmbedCycle built %d edits",
+						g.D, g.N, faults, full, len(got.TreeDiff))
 				}
-				got.Tree, got.Overrides = want.Tree, want.Overrides
+				got.TreeDiff = want.TreeDiff
 				if diff := diffResults(got, want); diff != "" {
 					t.Fatalf("B(%d,%d) faults %v (full %v): %s", g.D, g.N, faults, full, diff)
 				}
@@ -335,7 +314,7 @@ func TestDeltaNamedCases(t *testing.T) {
 			t.Errorf("%s: delta path %v, want %v", c.name, got, c.delta)
 		}
 		if c.check != nil {
-			res, err := p.delta.Embed(c.faults)
+			res, err := p.delta.EmbedDiff(c.faults)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -344,14 +323,14 @@ func TestDeltaNamedCases(t *testing.T) {
 			}
 		}
 	}
-	if _, err := newPair(debruijn.New(2, 5)).delta.Embed(allReps(debruijn.New(2, 5))); err == nil {
+	if _, err := newPair(debruijn.New(2, 5)).delta.EmbedDiff(allReps(debruijn.New(2, 5))); err == nil {
 		t.Error("every necklace faulty: no error")
 	}
 }
 
-// TestBaseShape pins the base to the shape the delta path relies on:
-// the fault-free ring from 0ⁿ, every depth the digit count, and every
-// necklace r hung from rep(r/d) by label r/d.
+// TestBaseShape pins the base ring to the shape the delta path relies
+// on: the fault-free ring from 0ⁿ with its position index, every depth
+// the digit count, and depth L holding [d^(L−1), d^L).
 func TestBaseShape(t *testing.T) {
 	for _, gr := range []struct{ d, n int }{{2, 1}, {2, 7}, {2, 12}, {3, 1}, {3, 5}, {4, 4}, {5, 3}, {6, 3}} {
 		g := debruijn.New(gr.d, gr.n)
@@ -359,7 +338,6 @@ func TestBaseShape(t *testing.T) {
 		em := NewEmbedder(g)
 		em.s.resetFaults()
 		em.s.label()
-		reps := g.NecklaceReps()
 		for x := 0; x < g.Size; x++ {
 			digits := 0
 			for y := x; y > 0; y /= g.D {
@@ -372,16 +350,13 @@ func TestBaseShape(t *testing.T) {
 				t.Fatalf("B(%d,%d): position index wrong at node %d", g.D, g.N, x)
 			}
 		}
-		if b.cycle[0] != 0 || len(b.cycle) != g.Size {
+		if b.cycle[0] != 0 || len(b.cycle) != g.Size || !g.IsHamiltonian(b.cycle) {
 			t.Fatalf("B(%d,%d): base ring starts at %d with %d nodes", g.D, g.N, b.cycle[0], len(b.cycle))
 		}
-		for _, l := range b.tree {
-			if w := int(l.Child) / g.D; int(l.W) != w || l.Parent != reps[w] {
-				t.Fatalf("B(%d,%d): necklace %d hangs from %d by %d", g.D, g.N, l.Child, l.Parent, l.W)
+		for k, p := range b.pow {
+			if p != g.Pow(k) {
+				t.Fatalf("B(%d,%d): pow[%d] = %d", g.D, g.N, k, p)
 			}
-		}
-		if int(b.starOff[len(b.starW)]) != len(b.ov) {
-			t.Fatalf("B(%d,%d): star runs cover %d of %d overrides", g.D, g.N, b.starOff[len(b.starW)], len(b.ov))
 		}
 	}
 }
@@ -413,23 +388,21 @@ func FuzzDeltaMatchesFull(f *testing.F) {
 	})
 }
 
-// TestBaseOfMatchesFaultFreeEmbed checks Base's lookups against the
-// fault-free embed they stand for, every necklace's label and every
-// star's centre in its tree, and that the embed's overrides are its
-// stars' ascending closures.
+// TestBaseOfMatchesFaultFreeEmbed pins Base to the tree the full path
+// builds for no faults: a forced-full fault-free EmbedDiff has no edits
+// and returns the base ring, and the full path's own tree (its stars)
+// hangs every necklace by Base's label from Base's centre.
 func TestBaseOfMatchesFaultFreeEmbed(t *testing.T) {
-	for _, gr := range []struct{ d, n int }{{2, 1}, {2, 6}, {2, 9}, {3, 4}, {4, 3}, {5, 2}} {
+	for _, gr := range []struct{ d, n int }{{2, 1}, {2, 6}, {2, 9}, {3, 4}, {4, 3}, {5, 2}, {6, 3}} {
 		g := debruijn.New(gr.d, gr.n)
-		res, err := Embed(g, nil)
+		p := newPair(g)
+		p.check(t, nil)
+		res, err := p.full.EmbedDiff(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diff, err := EmbedDiff(g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := diffBaseEdits(g, diff, res); d != "" || len(diff.TreeDiff) != 0 {
-			t.Fatalf("B(%d,%d): fault-free EmbedDiff: %s, %d edits", gr.d, gr.n, d, len(diff.TreeDiff))
+		if len(res.TreeDiff) != 0 || !slices.Equal(res.Cycle, baseOf(g).cycle) {
+			t.Fatalf("B(%d,%d): fault-free full embed has %d edits, base ring %v", gr.d, gr.n, len(res.TreeDiff), slices.Equal(res.Cycle, baseOf(g).cycle))
 		}
 		b := BaseOf(g)
 		label, centre := make([]int32, g.Size), make([]int32, g.Pow(g.N-1))
@@ -438,8 +411,8 @@ func TestBaseOfMatchesFaultFreeEmbed(t *testing.T) {
 				tab[i] = -1
 			}
 		}
-		for _, l := range res.Tree {
-			label[l.Child], centre[l.W] = l.W, l.Parent
+		for _, st := range p.full.stars {
+			label[st.child], centre[st.w] = st.w, st.parent
 		}
 		for x := range label {
 			if b.Label(x) != label[x] {

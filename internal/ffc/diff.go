@@ -2,13 +2,14 @@ package ffc
 
 import "debruijnring/internal/debruijn"
 
-// Base is g's fault-free tree, the one Embed(g, nil) builds, as the
-// lookups a caller keeping an embed as edits to it needs (EmbedDiff).
-// Every necklace r ≠ [0ⁿ] hangs by label r/d from the necklace of r/d
-// (see base), so the tree follows from the necklace representatives;
-// and Step 2 closes every star in ascending member order, so the
-// overrides follow from the tree.  Only graphs the kernel embeds (at
-// most 2³¹ nodes) have one.
+// Base is g's fault-free tree, the one the full path builds for no
+// faults, as the lookups a caller keeping an embed as edits to it needs
+// (EmbedDiff).  In the fault-free graph a node's broadcast depth is its
+// digit count, so every necklace r ≠ [0ⁿ] hangs by label r/d from the
+// necklace of r/d: the tree follows from the necklace representatives.
+// Step 2 closes every star in ascending member order, so the overrides
+// follow from the tree.  Only graphs the kernel embeds (at most 2³¹
+// nodes) have one.
 type Base struct {
 	d    int
 	reps []int32
@@ -39,27 +40,38 @@ func (b Base) Centre(w int) int32 {
 	return -1
 }
 
-// fullTreeDiff returns the full path's tree (e.stars, in ascending
-// child order) as edits to the base tree, which also ascends.
-func (e *Embedder) fullTreeDiff() []TreeLink {
-	base := baseOf(e.g).tree
-	var diff []TreeLink
-	i := 0
-	for _, st := range e.stars {
-		for ; i < len(base) && base[i].Child < st.child; i++ {
-			diff = append(diff, TreeLink{Child: base[i].Child, Parent: -1, W: -1})
+// edit returns necklace r's tree link as an edit to the base, given the
+// star edge st that hangs it (nil for a necklace off the tree), and
+// false when st hangs it where the base does.  r hangs in the base.
+func (b Base) edit(r int32, st *starEdge) (TreeLink, bool) {
+	link := TreeLink{Child: r, Parent: -1, W: -1}
+	if st != nil {
+		if w := b.Label(int(r)); st.w == w && st.parent == b.reps[w] {
+			return link, false
 		}
-		link := TreeLink{Child: st.child, Parent: st.parent, W: st.w}
-		if i < len(base) && base[i].Child == st.child {
-			i++
-			if base[i-1] == link {
-				continue
-			}
-		}
-		diff = append(diff, link)
+		link.Parent, link.W = st.parent, st.w
 	}
-	for ; i < len(base); i++ {
-		diff = append(diff, TreeLink{Child: base[i].Child, Parent: -1, W: -1})
+	return link, true
+}
+
+// fullTreeDiff returns the full path's tree (e.stars, in ascending
+// child order) as edits to the base tree, which hangs every necklace
+// but [0ⁿ].  [0ⁿ] is never a child: when it is in B* it is the root.
+func (e *Embedder) fullTreeDiff() []TreeLink {
+	t := BaseOf(e.g)
+	var diff []TreeLink
+	stars := e.stars
+	for r := int32(1); int(r) < e.g.Size; r++ {
+		if t.reps[r] != r {
+			continue
+		}
+		var st *starEdge
+		if len(stars) > 0 && stars[0].child == r {
+			st, stars = &stars[0], stars[1:]
+		}
+		if link, ok := t.edit(r, st); ok {
+			diff = append(diff, link)
+		}
 	}
 	return diff
 }
@@ -80,16 +92,14 @@ func (e *Embedder) deltaTreeDiff(dead []int) []TreeLink {
 			r = e.touched[j]
 			j++
 		}
-		link := TreeLink{Child: r, Parent: -1, W: -1}
+		var st *starEdge
 		if k < len(e.stars) && e.stars[k].child == r {
-			st := e.stars[k]
+			st = &e.stars[k]
 			k++
-			if w := t.Label(int(r)); st.w == w && st.parent == t.reps[w] {
-				continue // re-hung where the base hangs it
-			}
-			link.Parent, link.W = st.parent, st.w
 		}
-		diff = append(diff, link)
+		if link, ok := t.edit(r, st); ok {
+			diff = append(diff, link)
+		}
 	}
 	return diff
 }

@@ -26,7 +26,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	for _, tc := range cases {
 		g := debruijn.New(tc.d, tc.n)
 		faults := parseAll(t, g, tc.faults...)
-		seq, err := Embed(g, faults)
+		seq, err := EmbedCycle(g, faults)
 		if err != nil {
 			t.Fatalf("B(%d,%d) %v: sequential: %v", tc.d, tc.n, tc.faults, err)
 		}
@@ -60,7 +60,7 @@ func TestDistributedRandom(t *testing.T) {
 		for i := range faults {
 			faults[i] = rng.IntN(g.Size)
 		}
-		seq, err := Embed(g, faults)
+		seq, err := EmbedCycle(g, faults)
 		if err != nil {
 			continue
 		}

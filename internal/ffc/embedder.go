@@ -13,16 +13,16 @@ import (
 // scratch, so repeated embeddings allocate only their Result.
 //
 // A cold embed does not rerun Steps 1.1–3 over all dⁿ nodes.  It
-// starts from the graph's fault-free embedding (its base, built once
-// per graph and shared by every Embedder on it) and recomputes only
-// what the faulty necklaces touch: the nodes whose broadcast depth
-// grows, the necklaces whose earliest-informed node moves with them,
-// the stars whose edge set changes, and the ring between the nodes
-// whose successor changes (see delta.go).  When 0ⁿ is faulty, or its
-// component might not be the largest, it runs the full algorithm
-// instead: one component BFS per survivor component, whose run from R
-// is the Step 1.1 broadcast, then Steps 1.2–3 over B*.  Both produce
-// the same Result, bit for bit.
+// starts from the graph's fault-free ring (its base ring, built once
+// per graph and shared by every Embedder on it) and tree (Base), and
+// recomputes only what the faulty necklaces touch: the nodes whose
+// broadcast depth grows, the necklaces whose earliest-informed node
+// moves with them, the stars whose edge set changes, and the ring
+// between the nodes whose successor changes (see delta.go).  When 0ⁿ
+// is faulty, or its component might not be the largest, it runs the
+// full algorithm instead: one component BFS per survivor component,
+// whose run from R is the Step 1.1 broadcast, then Steps 1.2–3 over
+// B*.  Both produce the same Result, bit for bit.
 //
 // Every per-node step is O(1) with no integer division: the
 // faulty-necklace, re-levelled, visited and override tests are bit
@@ -31,12 +31,12 @@ import (
 // (debruijn.Graph.NecklaceReps).
 //
 // An Embedder is NOT safe for concurrent use; give each goroutine its
-// own.  The one-shot Embed, EmbedCycle and EmbedDiff functions draw one
-// from a pool kept per graph.
+// own.  The one-shot EmbedCycle and EmbedDiff functions draw one from a
+// pool kept per graph.
 type Embedder struct {
 	g *debruijn.Graph
 	s survivors
-	b *base // the graph's fault-free base, fetched on the first delta embed
+	b *baseRing // the graph's fault-free ring, fetched on the first delta embed
 
 	ovSet    []uint64 // bit x: Step 3 overrides x's successor; emptied after the walk
 	ovTo     []int32  // the overriding successor, valid where ovSet
@@ -54,8 +54,7 @@ type Embedder struct {
 	touched []int32    // representatives of the re-levelled necklaces, ascending
 	labels  []int32    // labels of the stars whose edge set changed, ascending
 	starBuf []starEdge // one changed star's edges, ascending child order
-	newOv   []Override // the changed stars' closures, back to back (a full EmbedCycle's overrides)
-	newEnd  []int32    // newOv[newEnd[i-1]:newEnd[i]] closes star labels[i]
+	newOv   []Override // the changed stars' closures, back to back (a full embed's overrides)
 	marks   []int32    // base-cycle positions of the nodes whose successor may change
 
 	byD divisor // by d: a node's prefix x/d
@@ -82,8 +81,8 @@ type starEdge struct{ w, child, parent, y, p int32 }
 type closure struct{ out, in int32 }
 
 // NewEmbedder returns an Embedder for g, its per-node scratch sized
-// once.  A graph of more than 2³¹ nodes gets an Embedder whose Embed
-// fails, with nothing dⁿ-sized allocated: the kernels' node codes are
+// once.  A graph of more than 2³¹ nodes gets an Embedder whose embeds
+// fail, with nothing dⁿ-sized allocated: the kernels' node codes are
 // int32.
 func NewEmbedder(g *debruijn.Graph) *Embedder {
 	e := &Embedder{g: g}
@@ -102,31 +101,17 @@ func NewEmbedder(g *debruijn.Graph) *Embedder {
 // table.
 func (e *Embedder) Rep(x int) int { return int(e.s.reps[x]) }
 
-// Embed runs the FFC algorithm for the given faulty nodes, equivalent to
-// the package-level Embed but reusing the receiver's scratch arrays.
-func (e *Embedder) Embed(faults []int) (*Result, error) { return e.embed(faults, recordTree) }
+// EmbedCycle runs the FFC algorithm for the given faulty nodes,
+// equivalent to the package-level EmbedCycle but reusing the receiver's
+// scratch arrays.
+func (e *Embedder) EmbedCycle(faults []int) (*Result, error) { return e.embed(faults, false) }
 
-// EmbedCycle is Embed without the Step 1–2 record: its Result carries
-// the same Cycle and scalars, and nil Tree and Overrides.  Callers that
-// read only the ring use it and skip allocating the rest.
-func (e *Embedder) EmbedCycle(faults []int) (*Result, error) { return e.embed(faults, recordCycle) }
+// EmbedDiff is EmbedCycle with the Step 1 tree as edits to the graph's
+// fault-free tree: its Result also carries TreeDiff (see Base).
+func (e *Embedder) EmbedDiff(faults []int) (*Result, error) { return e.embed(faults, true) }
 
-// EmbedDiff is Embed with the Step 1 record as edits to the graph's
-// fault-free base: its Result carries TreeDiff in place of Tree and
-// Overrides (see Base).
-func (e *Embedder) EmbedDiff(faults []int) (*Result, error) { return e.embed(faults, recordDiff) }
-
-// record selects what an embed returns beside the cycle and scalars.
-type record uint8
-
-const (
-	recordCycle record = iota // nothing (EmbedCycle)
-	recordTree                // Tree and Overrides (Embed)
-	recordDiff                // TreeDiff (EmbedDiff)
-)
-
-// embed runs Embed, filling in what rec asks for.
-func (e *Embedder) embed(faults []int, rec record) (*Result, error) {
+// embed runs one embed, filling in TreeDiff when diff is set.
+func (e *Embedder) embed(faults []int, diff bool) (*Result, error) {
 	g := e.g
 	s := &e.s
 	if s.reps == nil {
@@ -157,18 +142,17 @@ func (e *Embedder) embed(faults []int, rec record) (*Result, error) {
 			e.b = baseOf(g)
 		}
 		if e.delta = e.relevel(res.FaultyNodeCount); e.delta {
-			res, err := e.embedDelta(res, rec)
+			res, err := e.embedDelta(res, diff)
 			e.unmark()
 			return res, err
 		}
 	}
-	return e.embedFull(res, rec)
+	return e.embedFull(res, diff)
 }
 
-// embedFull runs Steps 1.1–3 over the whole surviving graph.  Unless rec
-// asks for Tree, the overrides the walk follows live in scratch (newOv).
-func (e *Embedder) embedFull(res *Result, rec record) (*Result, error) {
-	tree := rec == recordTree
+// embedFull runs Steps 1.1–3 over the whole surviving graph.  The
+// overrides the walk follows live in scratch (newOv).
+func (e *Embedder) embedFull(res *Result, diff bool) (*Result, error) {
 	g := e.g
 	s := &e.s
 	e.growFull()
@@ -235,30 +219,14 @@ func (e *Embedder) embedFull(res *Result, rec record) (*Result, error) {
 			return nil, err
 		}
 	}
-	if tree {
-		res.Tree = make([]TreeLink, len(e.stars))
-		for i, st := range e.stars {
-			res.Tree[i] = TreeLink{Child: st.child, Parent: st.parent, W: st.w}
-		}
-	}
-	if rec == recordDiff {
+	if diff {
 		res.TreeDiff = e.fullTreeDiff()
 	}
 
 	// Step 2: close each star T_w into a w-cycle ordered by necklace
-	// representative.  A star of k children closes k+1 members, so the
-	// overrides number len(stars) plus the star count.
+	// representative.
 	e.sortStars()
-	nOverrides := len(e.stars)
-	for i := range e.stars {
-		if i == 0 || e.stars[i].w != e.stars[i-1].w {
-			nOverrides++
-		}
-	}
 	ov := e.newOv[:0]
-	if tree {
-		ov = make([]Override, 0, nOverrides)
-	}
 	for i := 0; i < len(e.stars); {
 		k := 1
 		for i+k < len(e.stars) && e.stars[i+k].w == e.stars[i].w {
@@ -267,11 +235,7 @@ func (e *Embedder) embedFull(res *Result, rec record) (*Result, error) {
 		ov = e.closeStar(e.stars[i:i+k], ov)
 		i += k
 	}
-	if tree {
-		res.Overrides = ov
-	} else {
-		e.newOv = ov
-	}
+	e.newOv = ov
 
 	// Step 3: read off the cycle from the dense successor rule.
 	for _, o := range ov {

@@ -23,10 +23,14 @@
 // kernels (see PERF.md at the repo root).  An Embedder carries flat
 // scratch sized once per graph and shares two per-graph tables: the
 // necklace-representative table (debruijn.Graph.NecklaceReps) and the
-// fault-free embedding, its base (kept in debruijn.Graph.Memo).  Every
+// fault-free ring, its base ring (kept in debruijn.Graph.Memo).  Every
 // per-node step is O(1) with no integer division: the faulty-necklace,
 // re-levelled, visited and override tests are bit tests, and suffixes
 // and rotations divide by dⁿ⁻¹ with a multiply and a shift.
+//
+// The fault-free tree is not stored: Base derives it from the necklace
+// table.  An embed hands its tree back, if at all, as edits to it
+// (EmbedDiff); EmbedCycle returns only the ring and the scalars.
 //
 // A cold embed is a delta from the base.  Removing necklaces only
 // lengthens broadcast distances (the decremental case of Even &
@@ -36,12 +40,11 @@
 // their new depths.  Step 1.2 is rerun only for the necklaces whose
 // representative moved, Step 2 only for the stars whose edge set
 // changed, and the Step 3 ring is copied from the base ring run by run
-// between the nodes whose successor changed.  EmbedDiff hands the
-// tree back as the same kind of delta, the links that differ from the
-// base's (Base answers the rest), which is how the incremental repair
-// of internal/repair keeps a session's tree.  When 0ⁿ is faulty or
-// stranded, or its component might not be the largest, the embed runs
-// the full algorithm instead: because whole necklaces are removed,
+// between the nodes whose successor may have changed.  The tree edits
+// are the dead and the re-hung necklaces, which is how the incremental
+// repair of internal/repair keeps a session's tree.  When 0ⁿ is faulty
+// or stranded, or its component might not be the largest, the embed
+// runs the full algorithm instead: because whole necklaces are removed,
 // weak and strong connectivity coincide in the surviving graph, so one
 // forward level-order BFS per component both labels the components
 // and, for the largest, is the Step 1.1 broadcast from R; Step 1.2
@@ -67,9 +70,9 @@ import (
 	"debruijnring/internal/debruijn"
 )
 
-// Result reports an embedding produced by Embed.  Its collections are
-// flat slices in canonical orders, so a Result compares and hashes
-// directly.
+// Result reports an embedding produced by EmbedCycle or EmbedDiff.  Its
+// collections are flat slices in canonical orders, so a Result compares
+// and hashes directly.
 type Result struct {
 	Cycle           []int // Hamiltonian cycle of B*, starting at Root
 	Root            int   // the distinguished node R (minimal node of B*)
@@ -78,78 +81,59 @@ type Result struct {
 	FaultyNecklaces []int // representatives of removed necklaces, ascending
 	FaultyNodeCount int   // total nodes in faulty necklaces (N_F of §2.5)
 
-	// Tree is the spanning tree T of N* built in Step 1: one edge per
-	// non-root necklace of B*, in ascending Child order.  Tree and
-	// Overrides are nil in a Result from EmbedCycle.
-	Tree []TreeLink
-	// Overrides is the Step-3 successor rule derived from the modified
-	// tree D: for every outgoing node Out, the entry node In of the next
-	// necklace on its w-cycle, grouped by star in ascending label order.
-	// Nodes without an override follow their necklace successor (left
-	// rotation).
-	Overrides []Override
-
-	// TreeDiff is Tree as edits to the graph's fault-free base, set only
-	// in a Result from EmbedDiff (see Base): the tree link of every
-	// necklace whose link differs from the base's, ascending by Child,
-	// with Parent = W = −1 for a necklace off the tree.  The overrides
-	// follow from it: each star closes in ascending member order.
+	// TreeDiff is the spanning tree T of N* built in Step 1, as edits to
+	// the graph's fault-free tree (see Base), set only in a Result from
+	// EmbedDiff: the tree link of every necklace whose link differs from
+	// the base's, ascending by Child, with Parent = W = −1 for a necklace
+	// off the tree.  The Step-3 overrides follow from the tree: each star
+	// closes in ascending member order.
 	TreeDiff []TreeLink
 }
 
-// TreeLink is one record of Result.Tree: necklace Child hangs from
+// TreeLink is one record of Result.TreeDiff: necklace Child hangs from
 // Parent with label W.  Node codes are int32 like the dense kernels'
-// (every graph they index has fewer than 2³¹ nodes), which halves the
-// tree and override records a cold embed hands back.
+// (every graph they index has fewer than 2³¹ nodes).
 type TreeLink struct{ Child, Parent, W int32 }
 
 // Override redirects the ring successor of node Out to node In.
 type Override struct{ Out, In int32 }
 
-// Embed runs the FFC algorithm on B(d,n) with the given faulty nodes and
-// returns the fault-free ring.  It fails only when no nonfaulty necklace
-// survives, or when B(d,n) has more than 2³¹ nodes.
+// EmbedCycle runs the FFC algorithm on B(d,n) with the given faulty
+// nodes and returns the fault-free ring and the scalars.  It fails only
+// when no nonfaulty necklace survives, or when B(d,n) has more than 2³¹
+// nodes.
 //
-// Embed draws its Embedder from a pool kept per graph, so repeated calls
-// on one graph reuse warm scratch; a caller that wants its own scratch
-// constructs an Embedder.
-func Embed(g *debruijn.Graph, faults []int) (*Result, error) {
-	return pooled(g, faults, recordTree)
-}
-
-// EmbedCycle is Embed for callers that read only the ring and the
-// scalars: the Result's Tree and Overrides are nil, and neither is
-// built.  It draws from the same per-graph pool as Embed.
+// EmbedCycle draws its Embedder from a pool kept per graph, so repeated
+// calls on one graph reuse warm scratch; a caller that wants its own
+// scratch constructs an Embedder.
 func EmbedCycle(g *debruijn.Graph, faults []int) (*Result, error) {
-	return pooled(g, faults, recordCycle)
+	return pooled(g, faults, false)
 }
 
-// EmbedDiff is Embed for callers that keep the tree as edits to g's
-// fault-free base (Base): the Result carries TreeDiff instead of Tree
-// and Overrides, and its cost follows what the faults touch when the
-// delta path serves it.  It draws from the same per-graph pool as
-// Embed.
+// EmbedDiff is EmbedCycle for callers that keep the tree as edits to
+// g's fault-free tree (Base): the Result also carries TreeDiff, and its
+// cost follows what the faults touch when the delta path serves it.  It
+// draws from the same per-graph pool as EmbedCycle.
 func EmbedDiff(g *debruijn.Graph, faults []int) (*Result, error) {
-	return pooled(g, faults, recordDiff)
+	return pooled(g, faults, true)
 }
 
 // pooled runs one embed on an Embedder from g's pool.
-func pooled(g *debruijn.Graph, faults []int, rec record) (*Result, error) {
+func pooled(g *debruijn.Graph, faults []int, diff bool) (*Result, error) {
 	pool := poolOf(g)
 	pool.draws.Add(1)
 	em, _ := pool.Get().(*Embedder)
 	if em == nil {
 		em = NewEmbedder(g)
 	}
-	res, err := em.embed(faults, rec)
+	res, err := em.embed(faults, diff)
 	pool.Put(em)
 	return res, err
 }
 
-// embedderPool is a graph's pool of Embedders, shared by Embed,
-// EmbedCycle and EmbedDiff.  draws counts the embeds served from it;
-// tests read it to show every one-shot caller on a graph shares the one
-// pool.
+// embedderPool is a graph's pool of Embedders, shared by EmbedCycle and
+// EmbedDiff.  draws counts the embeds served from it; tests read it to
+// show every one-shot caller on a graph shares the one pool.
 type embedderPool struct {
 	sync.Pool
 	draws atomic.Int64
@@ -178,8 +162,8 @@ func FaultyNecklaces(g *debruijn.Graph, faults []int) map[int]bool {
 
 // SuffixNode returns the unique node of the necklace [rep] whose
 // trailing n−1 digits equal w (the outgoing node αw of a star labeled
-// w), or −1 if the necklace carries no such window.  Embed reads these
-// nodes off its tree edges; the incremental ring repair of
+// w), or −1 if the necklace carries no such window.  The Embedder reads
+// these nodes off its tree edges; the incremental ring repair of
 // internal/repair, which re-closes individual stars without rerunning
 // the full algorithm, scans for them here.
 func SuffixNode(g *debruijn.Graph, rep, w int) int {

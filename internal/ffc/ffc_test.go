@@ -38,7 +38,7 @@ func parseAll(t *testing.T, g *debruijn.Graph, ss ...string) []int {
 func TestExample21(t *testing.T) {
 	g := debruijn.New(3, 3)
 	faults := parseAll(t, g, "020", "112")
-	res, err := Embed(g, faults)
+	res, err := EmbedCycle(g, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,13 @@ func TestExample21(t *testing.T) {
 // label.
 func TestExample21Tree(t *testing.T) {
 	g := debruijn.New(3, 3)
-	res, err := Embed(g, parseAll(t, g, "020", "112"))
+	res, err := EmbedDiff(g, parseAll(t, g, "020", "112"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	links, _, bad := wholeTree(g, res)
+	if bad != "" {
+		t.Fatal(bad)
 	}
 	want := map[string]struct{ parent, w string }{
 		"001": {"000", "00"},
@@ -84,11 +88,11 @@ func TestExample21Tree(t *testing.T) {
 		"021": {"001", "10"},
 		"022": {"021", "02"},
 	}
-	if len(res.Tree) != len(want) {
-		t.Fatalf("tree has %d edges, want %d", len(res.Tree), len(want))
+	if len(links) != len(want) {
+		t.Fatalf("tree has %d edges, want %d", len(links), len(want))
 	}
-	tree := make(map[int]TreeEdge, len(res.Tree))
-	for _, l := range res.Tree {
+	tree := make(map[int]TreeEdge, len(links))
+	for _, l := range links {
 		tree[int(l.Child)] = TreeEdge{Parent: int(l.Parent), W: int(l.W)}
 	}
 	wspace := debruijn.New(3, 2)
@@ -262,7 +266,7 @@ func TestProp22Guarantee(t *testing.T) {
 				t.Fatalf("test case exceeds d−2 faults")
 			}
 			faults := parseAll(t, g, fs...)
-			res, err := Embed(g, faults)
+			res, err := EmbedCycle(g, faults)
 			if err != nil {
 				t.Fatalf("B(%d,%d) faults %v: %v", tc.d, tc.n, fs, err)
 			}
@@ -297,7 +301,7 @@ func TestEmbedManyRandomFaults(t *testing.T) {
 		for i := range faults {
 			faults[i] = rng.IntN(g.Size)
 		}
-		res, err := Embed(g, faults)
+		res, err := EmbedCycle(g, faults)
 		if err != nil {
 			continue // all necklaces dead is acceptable at this fault rate
 		}
@@ -326,7 +330,7 @@ func TestProp23BinarySingleFault(t *testing.T) {
 	for n := 4; n <= 10; n++ {
 		g := debruijn.New(2, n)
 		for fault := 0; fault < g.Size; fault++ {
-			res, err := Embed(g, []int{fault})
+			res, err := EmbedCycle(g, []int{fault})
 			if err != nil {
 				t.Fatalf("B(2,%d) fault %s: %v", n, g.String(fault), err)
 			}
@@ -366,7 +370,7 @@ func TestWorstCaseOptimality(t *testing.T) {
 				tc.d, tc.n, tc.f, len(longest), bound)
 		}
 		if tc.f > 0 {
-			res, err := Embed(g, faults)
+			res, err := EmbedCycle(g, faults)
 			if err != nil {
 				t.Fatalf("B(%d,%d) f=%d: %v", tc.d, tc.n, tc.f, err)
 			}
@@ -472,7 +476,7 @@ func TestComparisonHypercubeParagraph(t *testing.T) {
 	rng := newTestRNG(42)
 	for trial := 0; trial < 10; trial++ {
 		faults := []int{rng.IntN(g.Size), rng.IntN(g.Size)}
-		res, err := Embed(g, faults)
+		res, err := EmbedCycle(g, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +492,7 @@ func TestComparisonHypercubeParagraph(t *testing.T) {
 func TestEmbedAllNecklacesFaulty(t *testing.T) {
 	g := debruijn.New(2, 2)
 	// Faults covering every necklace: 00, 01, 11 kill [00], [01], [11].
-	if _, err := Embed(g, parseAll(t, g, "00", "01", "11")); err == nil {
+	if _, err := EmbedCycle(g, parseAll(t, g, "00", "01", "11")); err == nil {
 		t.Error("expected error when every necklace is faulty")
 	}
 }
@@ -498,7 +502,7 @@ func TestEmbedNoFaults(t *testing.T) {
 	// De Bruijn sequence.
 	for _, tc := range []struct{ d, n int }{{2, 4}, {2, 6}, {3, 3}, {4, 3}, {5, 2}} {
 		g := debruijn.New(tc.d, tc.n)
-		res, err := Embed(g, nil)
+		res, err := EmbedCycle(g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +538,7 @@ func BenchmarkEmbedB46TwoFaults(b *testing.B) {
 	faults := []int{123, 3456}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Embed(g, faults); err != nil {
+		if _, err := EmbedCycle(g, faults); err != nil {
 			b.Fatal(err)
 		}
 	}

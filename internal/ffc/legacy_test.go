@@ -445,11 +445,13 @@ func simulateLegacy(d, n int, faultCounts []int, trials int, seed uint64) []SimR
 	return rows
 }
 
-// equalResults compares every field of a legacy and a dense embedding,
-// converting the dense slices to the legacy maps.  The dense slices must
-// also be canonical: FaultyNecklaces and Tree ascending without repeats,
-// and Overrides naming each outgoing node once.
-func equalResults(a *legacyResult, b *Result) bool {
+// equalResults compares every field of a legacy and a dense EmbedDiff
+// embedding on g, converting the dense slices, with the tree and
+// overrides expanded from TreeDiff (wholeTree), to the legacy maps.  The
+// dense slices must also be canonical: FaultyNecklaces ascending without
+// repeats, TreeDiff a well-formed edit list, and the overrides naming
+// each outgoing node once.
+func equalResults(g *debruijn.Graph, a *legacyResult, b *Result) bool {
 	if a.Root != b.Root || a.BStarSize != b.BStarSize || a.Eccentricity != b.Eccentricity ||
 		a.FaultyNodeCount != b.FaultyNodeCount {
 		return false
@@ -469,18 +471,19 @@ func equalResults(a *legacyResult, b *Result) bool {
 		}
 		faulty[rep] = true
 	}
-	tree := make(map[int]TreeEdge, len(b.Tree))
-	for i, l := range b.Tree {
-		if i > 0 && l.Child <= b.Tree[i-1].Child {
-			return false
-		}
+	links, ov, bad := wholeTree(g, b)
+	if bad != "" {
+		return false
+	}
+	tree := make(map[int]TreeEdge, len(links))
+	for _, l := range links {
 		tree[int(l.Child)] = TreeEdge{Parent: int(l.Parent), W: int(l.W)}
 	}
-	overrides := make(map[int]int, len(b.Overrides))
-	for _, o := range b.Overrides {
+	overrides := make(map[int]int, len(ov))
+	for _, o := range ov {
 		overrides[int(o.Out)] = int(o.In)
 	}
-	if len(overrides) != len(b.Overrides) {
+	if len(overrides) != len(ov) {
 		return false
 	}
 	return maps.Equal(a.FaultyNecklaces, faulty) && maps.Equal(a.Tree, tree) &&
@@ -525,7 +528,7 @@ func TestDenseEmbedMatchesLegacy(t *testing.T) {
 			ems[g] = em
 		}
 		want, wantErr := embedLegacy(g, faults)
-		got, gotErr := em.Embed(faults)
+		got, gotErr := em.EmbedDiff(faults)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("B(%d,%d) faults %v: legacy err %v, dense err %v",
 				g.D, g.N, faults, wantErr, gotErr)
@@ -537,7 +540,7 @@ func TestDenseEmbedMatchesLegacy(t *testing.T) {
 			}
 			continue
 		}
-		if !equalResults(want, got) {
+		if !equalResults(g, want, got) {
 			t.Fatalf("B(%d,%d) faults %v: dense result diverges\nlegacy: %+v\ndense:  %+v",
 				g.D, g.N, faults, want, got)
 		}
@@ -561,7 +564,7 @@ func TestEmbedBStarSegmentNotFirst(t *testing.T) {
 		{debruijn.New(3, 4), []int{1, 2}},
 	} {
 		em := NewEmbedder(c.g)
-		got, err := em.Embed(c.faults)
+		got, err := em.EmbedDiff(c.faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,7 +574,7 @@ func TestEmbedBStarSegmentNotFirst(t *testing.T) {
 				c.g.D, c.g.N, c.faults, best, em.s.comps[best].start)
 		}
 		want, err := embedLegacy(c.g, c.faults)
-		if err != nil || !equalResults(want, got) {
+		if err != nil || !equalResults(c.g, want, got) {
 			t.Fatalf("B(%d,%d) faults %v: dense result diverges from legacy (legacy err %v)", c.g.D, c.g.N, c.faults, err)
 		}
 	}

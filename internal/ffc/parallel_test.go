@@ -32,8 +32,8 @@ func TestEmbedScratchReuse(t *testing.T) {
 		faults := randomFaults(rng, g.Size, trial%3)
 		fresh := NewEmbedder(g)
 		fresh.forceFull = true
-		want, wantErr := fresh.Embed(faults)
-		got, err := em.Embed(faults)
+		want, wantErr := fresh.EmbedDiff(faults)
+		got, err := em.EmbedDiff(faults)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("trial %d faults=%v: err=%v, fresh err=%v", trial, faults, err, wantErr)
 		}
@@ -65,7 +65,7 @@ func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
 			for _, full := range []bool{false, true} { // the delta path's depths, and the BFS's
 				em := NewEmbedder(g)
 				em.forceFull = full
-				res, err := em.Embed(faults)
+				res, err := em.EmbedCycle(faults)
 				if err != nil {
 					t.Fatalf("B(%d,%d) faults=%v: %v", tc.d, tc.n, faults, err)
 				}
@@ -78,9 +78,9 @@ func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestEmbedAllocs pins a warm Embed, on either path, to its
-// Result: the Result itself, Cycle, Tree, Overrides and FaultyNecklaces
-// (a warm EmbedCycle to the three of them it fills).
+// TestEmbedAllocs pins a warm EmbedCycle, on either path, to its
+// Result: the Result itself, Cycle and FaultyNecklaces (a warm delta
+// EmbedDiff to those and its TreeDiff).
 // Every other structure is pooled scratch, so a map or a per-run buffer
 // creeping back into the kernel fails here before any benchmark gate.
 // The per-node bitsets and arrays are sized on the first run and reused,
@@ -100,18 +100,17 @@ func TestEmbedAllocs(t *testing.T) {
 		{"delta", []int{5, 1234, 4000}, true},
 		{"full", []int{1, 1234, 4000}, false}, // N(0…01) strands 0ⁿ
 	} {
-		if _, err := em.Embed(c.faults); err != nil || em.delta != c.delta {
+		if _, err := em.EmbedDiff(c.faults); err != nil || em.delta != c.delta {
 			t.Fatalf("%s path: err %v, delta %v", c.path, err, em.delta)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := em.Embed(c.faults); err != nil {
+			if _, err := em.EmbedDiff(c.faults); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 5 {
-			t.Fatalf("warm %s Embed made %v allocations, want at most 5", c.path, allocs)
+		if c.delta && allocs > 4 {
+			t.Fatalf("warm %s EmbedDiff made %v allocations, want at most 4", c.path, allocs)
 		}
-		// EmbedCycle skips the Tree and the Overrides.
 		allocs = testing.AllocsPerRun(20, func() {
 			if _, err := em.EmbedCycle(c.faults); err != nil {
 				t.Fatal(err)
@@ -123,13 +122,13 @@ func TestEmbedAllocs(t *testing.T) {
 	}
 	full := []any{&em.earliest[0], &em.repSeen[0]}
 	for _, f := range [][]int{nil, {0}, {1}, {3}, {1, 2, 3, 700, 2047, 4095}, {77, 78, 79, 80, 81, 82, 83}} {
-		if _, err := em.Embed(f); err != nil {
+		if _, err := em.EmbedDiff(f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, p := range append(scratch(), &em.earliest[0], &em.repSeen[0]) {
 		if p != append(grown, full...)[i] {
-			t.Fatalf("a warm Embed regrew per-node scratch array %d", i)
+			t.Fatalf("a warm embed regrew per-node scratch array %d", i)
 		}
 	}
 }

@@ -19,7 +19,7 @@ func TestPropertyEmbedInvariants(t *testing.T) {
 		for i := range faults {
 			faults[i] = rng.IntN(g.Size)
 		}
-		res, err := Embed(g, faults)
+		res, err := EmbedCycle(g, faults)
 		if err != nil {
 			return f > 0 // only a fully dead graph may fail, needs faults
 		}
@@ -51,7 +51,7 @@ func TestPropertyDistributedEquivalence(t *testing.T) {
 		for i := range faults {
 			faults[i] = rng.IntN(g.Size)
 		}
-		seq, err := Embed(g, faults)
+		seq, err := EmbedCycle(g, faults)
 		if err != nil {
 			return true
 		}

@@ -14,7 +14,7 @@ import (
 // TestEmbeddersShareBase pins the fault-free base to one per graph and
 // the one-shot callers to one embedder pool per graph: the topology
 // adapter, the root API (EmbedRing, and EmbedRingDistributed, which
-// embeds for its root), the one-shot Embed and EmbedCycle and a
+// embeds for its root), the one-shot EmbedDiff and EmbedCycle and a
 // session's patcher (EmbedDiff) all draw from the graph's pool, and
 // they and directly built embedders all derive from the graph's one
 // base instead of building their own.
@@ -43,7 +43,7 @@ func TestEmbeddersShareBase(t *testing.T) {
 	if _, _, err := root.EmbedRingDistributed([]int{3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ffc.Embed(g, []int{9}); err != nil {
+	if _, err := ffc.EmbedDiff(g, []int{9}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ffc.EmbedCycle(g, []int{9}); err != nil {
@@ -59,14 +59,14 @@ func TestEmbeddersShareBase(t *testing.T) {
 		t.Fatalf("a session's patcher did not draw its embedder from the pool (%d draws)", got)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := ffc.NewEmbedder(g).Embed([]int{11}); err != nil {
+		if _, err := ffc.NewEmbedder(g).EmbedCycle([]int{11}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if built := ffc.BaseBuilds() - before; built != 1 {
 		t.Fatalf("embedders on one graph built %d bases, want 1", built)
 	}
-	if _, err := ffc.Embed(debruijn.New(2, 9), []int{9}); err != nil {
+	if _, err := ffc.EmbedCycle(debruijn.New(2, 9), []int{9}); err != nil {
 		t.Fatal(err)
 	}
 	if built := ffc.BaseBuilds() - before; built != 2 {
