@@ -50,6 +50,16 @@
 //     against the source, then flips routing and deletes the source
 //     copies.  Sessions that stay put never see a retry.
 //
+// An event's hops allocate in proportion to the event, not to the copy
+// machinery around it.  The router's proxies share one pool of 32 KiB
+// copy buffers (proxyBufPool) instead of allocating one per proxied
+// request, and each group keeps its active URL parsed behind an atomic
+// pointer, so routing a request parses nothing and takes no lock.  A
+// replication append is built by appending each event's
+// session.Event.AppendJSON into a pooled buffer, the bytes json.Marshal
+// would write, and the standby journals what it decodes with the same
+// encoder, so its journal lines match the primary's byte for byte.
+//
 // The paper's thesis — lose a processor, keep the ring — applied one
 // level up: lose a shard, keep every session.
 package fleet

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -47,14 +48,11 @@ func NewReplica(store session.Store, mgr *session.Manager, logf func(string, ...
 }
 
 // appendRequest is the replication wire format: one session's events,
-// in journal order.
+// in journal order.  ReplicaClient.Append writes it by hand, as
+// json.Marshal would.
 type appendRequest struct {
 	Name   string          `json:"name"`
 	Events []session.Event `json:"events"`
-}
-
-type appendResponse struct {
-	Appended int `json:"appended"`
 }
 
 // promoteRequest carries the (optional) epoch of the router issuing the
@@ -116,7 +114,10 @@ func (rp *Replica) handleAppend(w http.ResponseWriter, r *http.Request) {
 		replicaError(w, status, err)
 		return
 	}
-	writeReplicaJSON(w, appendResponse{Appended: n})
+	// {"appended":n}, as writeReplicaJSON would encode it.
+	body := strconv.AppendInt([]byte(`{"appended":`), int64(n), 10)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(body, "}\n"...))
 }
 
 // errPromoted refuses ingest after promotion: the journals now back
@@ -323,13 +324,48 @@ func (e *PeerError) Error() string {
 	return fmt.Sprintf("%s (HTTP %d)", e.Msg, e.Status)
 }
 
-// Append ships one batch of journal events for the named session.
+// appendBufs pools the buffers Append encodes its bodies in.
+var appendBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Append ships one batch of journal events for the named session.  The
+// body is byte for byte json.Marshal's encoding of the appendRequest,
+// built by appending each event's AppendJSON into a pooled buffer and
+// then copied once into the request: the transport may still read a
+// request body after Do returns, so the pooled buffer cannot be the
+// body itself.  The replica refuses an invalid name or an empty batch,
+// so neither is sent.
 func (c *ReplicaClient) Append(name string, events []session.Event) error {
-	body, err := json.Marshal(appendRequest{Name: name, Events: events})
-	if err != nil {
-		return err
+	if !session.ValidName(name) || len(events) == 0 {
+		return fmt.Errorf("fleet: replicate %q: append needs a valid session name and at least one event", name)
 	}
+	bp := appendBufs.Get().(*[]byte)
+	b := append((*bp)[:0], `{"name":"`...)
+	b = append(b, name...) // a valid name needs no escaping
+	b = append(b, `","events":[`...)
+	for i := range events {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		start := len(b)
+		b = htmlEscapeFrom(events[i].AppendJSON(b), start)
+	}
+	b = append(b, ']', '}')
+	body := bytes.Clone(b)
+	*bp = b
+	appendBufs.Put(bp)
 	return markPromoted(c.post("/v1/replica/append", body, nil))
+}
+
+// htmlEscapeFrom rewrites '<', '>' and '&' in b[start:] the way
+// json.Marshal escapes them (\u003c, \u003e, \u0026); in JSON text they
+// occur only inside strings.
+func htmlEscapeFrom(b []byte, start int) []byte {
+	if !bytes.ContainsAny(b[start:], "<>&") {
+		return b
+	}
+	var esc bytes.Buffer
+	json.HTMLEscape(&esc, b[start:])
+	return append(b[:start], esc.Bytes()...)
 }
 
 // Remove drops the named session's replicated journal.

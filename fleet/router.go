@@ -66,6 +66,10 @@ type group struct {
 	fails    int  // consecutive health-check failures of active
 	down     bool // active failed FailAfter times and no promotion is possible
 
+	// target is active parsed, set with it (setActiveLocked) and read
+	// lock-free by the proxy on every request; nil if it did not parse.
+	target atomic.Pointer[url.URL]
+
 	requests   *obs.Counter // fleet_router_requests_total{group}
 	promotions *obs.Counter // fleet_router_promotions_total{group}; survives full-strength resets
 }
@@ -73,12 +77,21 @@ type group struct {
 // newGroup returns the routing state of a group serving its primary,
 // with its counters resolved in the router's registry.
 func (rt *Router) newGroup(cfg ShardGroup) *group {
-	return &group{
+	g := &group{
 		cfg:        cfg,
-		active:     cfg.Primary,
 		requests:   rt.metrics.Counter("fleet_router_requests_total", "group", cfg.Name),
 		promotions: rt.metrics.Counter("fleet_router_promotions_total", "group", cfg.Name),
 	}
+	g.setActiveLocked(cfg.Primary)
+	return g
+}
+
+// setActiveLocked points the group's keyspace at base, the active URL
+// and the proxy's parsed target together.
+func (g *group) setActiveLocked(base string) {
+	g.active = base
+	target, _ := url.Parse(base) // nil when base does not parse
+	g.target.Store(target)
 }
 
 func (g *group) activeURL() string {
@@ -120,6 +133,11 @@ type drainView struct {
 // replicas of dead primaries (then re-replicates the survivor to a
 // spare), and grows the shard set at runtime via POST /v1/fleet/shards
 // with a drain + journal-handoff + hash-verify + flip sequence.
+//
+// A proxied request costs the router no per-request buffer or URL
+// parse: every group's proxy copies bodies through one shared pool of
+// 32 KiB buffers, and reads the group's target, parsed once whenever
+// the active shard changes, through an atomic pointer.
 //
 // Two routers may front the same fleet with no coordination protocol:
 // both converge on the same failure decisions through health checks
@@ -257,21 +275,43 @@ func (rt *Router) nextEpoch() uint64 {
 	return e
 }
 
-// newProxy builds the group's reverse proxy.  The target resolves per
-// request from the group's active URL, so a promotion re-targets every
-// subsequent request without touching the proxy.  FlushInterval -1
-// streams SSE watch frames through unbuffered.
+// proxyBufSize is the size of the buffers proxies copy bodies through,
+// httputil.ReverseProxy's own default.
+const proxyBufSize = 32 << 10
+
+// proxyBufs is the one BufferPool every group's proxy shares.  It pools
+// array pointers, so Get and Put allocate nothing: the slice a proxy
+// hands back converts to the array it was cut from.
+type proxyBufs struct{ pool sync.Pool }
+
+var proxyBufPool = &proxyBufs{pool: sync.Pool{New: func() any { return new([proxyBufSize]byte) }}}
+
+func (p *proxyBufs) Get() []byte { return p.pool.Get().(*[proxyBufSize]byte)[:] }
+
+func (p *proxyBufs) Put(b []byte) {
+	if len(b) == proxyBufSize {
+		p.pool.Put((*[proxyBufSize]byte)(b))
+	}
+}
+
+// newProxy builds the group's reverse proxy.  The target is the group's
+// parsed active URL, loaded per request without a lock or a parse, so a
+// promotion re-targets every subsequent request without touching the
+// proxy.  Bodies are copied through the shared proxyBufPool rather than
+// a fresh 32 KiB buffer per request.  FlushInterval -1 streams SSE
+// watch frames through unbuffered.
 func (rt *Router) newProxy(g *group) *httputil.ReverseProxy {
 	return &httputil.ReverseProxy{
 		Transport: fleetTransport,
 		Rewrite: func(pr *httputil.ProxyRequest) {
-			target, err := url.Parse(g.activeURL())
-			if err != nil {
+			target := g.target.Load()
+			if target == nil {
 				return
 			}
 			pr.SetURL(target)
 			pr.Out.Host = target.Host
 		},
+		BufferPool:    proxyBufPool,
 		FlushInterval: -1,
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
 			// A proxy error is an early fault signal: wake the health
@@ -599,7 +639,7 @@ func (rt *Router) checkGroup(g *group) {
 		g.mu.Unlock()
 		return
 	}
-	g.active = replica
+	g.setActiveLocked(replica)
 	g.promoted = true
 	g.promotions.Inc()
 	g.fails = 0

@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -287,4 +290,72 @@ func TestRouterCreateValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("nameless create through router = HTTP %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestRouterProxiesLargeBodiesConcurrently drives state bodies several
+// pool buffers long (B(2,13): 8192 labels, ~130 KiB) through the router
+// from concurrent goroutines: every proxied body must byte-equal the
+// owning shard's direct answer, so no two requests share a copy buffer.
+func TestRouterProxiesLargeBodiesConcurrently(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { proxyBufPool.Put(proxyBufPool.Get()) }); n != 0 {
+		t.Fatalf("proxy buffer Get/Put made %v allocations, want 0", n)
+	}
+	groups := make([]ShardGroup, 0, 2)
+	for i := range 2 {
+		_, ts := newTestShard(t, "", false)
+		groups = append(groups, ShardGroup{Name: fmt.Sprintf("g%d", i), Primary: ts.URL})
+	}
+	rt, rts := newTestRouter(t, groups, RouterOptions{CheckInterval: time.Hour})
+	ctx := context.Background()
+	c := &session.Client{Base: rts.URL}
+	get := func(base, name string) ([]byte, error) {
+		resp, err := http.Get(base + "/v1/sessions/" + name)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("GET %s: HTTP %d", name, resp.StatusCode)
+		}
+		return body, err
+	}
+	direct := map[string][]byte{}
+	for i := range 4 {
+		name := fmt.Sprintf("big-%d", i)
+		if _, err := c.Create(ctx, session.CreateRequest{Name: name, Topology: "debruijn(2,13)"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AddFaults(ctx, name, session.FaultsRequest{NodeFaults: []string{fmt.Sprintf("%013b", 100+977*i)}}); err != nil {
+			t.Fatal(err)
+		}
+		body, err := get(rt.Lookup(name).Primary, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) <= 3*proxyBufSize {
+			t.Fatalf("state body of %s is %d bytes, want more than three proxy buffers", name, len(body))
+		}
+		direct[name] = body
+	}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 6 {
+				name := fmt.Sprintf("big-%d", (w+i)%4)
+				body, err := get(rts.URL, name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(body, direct[name]) {
+					t.Errorf("worker %d: proxied body of %s (%d bytes) differs from the shard's (%d bytes)", w, name, len(body), len(direct[name]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,6 +1,10 @@
 package ffc
 
-import "debruijnring/internal/debruijn"
+import (
+	"slices"
+
+	"debruijnring/internal/debruijn"
+)
 
 // Base is g's fault-free tree, the one the full path builds for no
 // faults, as the lookups a caller keeping an embed as edits to it needs
@@ -57,9 +61,11 @@ func (b Base) edit(r int32, st *starEdge) (TreeLink, bool) {
 // fullTreeDiff returns the full path's tree (e.stars, in ascending
 // child order) as edits to the base tree, which hangs every necklace
 // but [0ⁿ].  [0ⁿ] is never a child: when it is in B* it is the root.
+// The edits are gathered in the Embedder's diffBuf and returned as one
+// exact-size copy (nil when there are none).
 func (e *Embedder) fullTreeDiff() []TreeLink {
 	t := BaseOf(e.g)
-	var diff []TreeLink
+	diff := e.diffBuf[:0]
 	stars := e.stars
 	for r := int32(1); int(r) < e.g.Size; r++ {
 		if t.reps[r] != r {
@@ -73,7 +79,11 @@ func (e *Embedder) fullTreeDiff() []TreeLink {
 			diff = append(diff, link)
 		}
 	}
-	return diff
+	e.diffBuf = diff
+	if len(diff) == 0 {
+		return nil
+	}
+	return slices.Clone(diff)
 }
 
 // deltaTreeDiff returns the delta path's tree as edits to the base: the

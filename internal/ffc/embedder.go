@@ -45,9 +45,10 @@ type Embedder struct {
 	members  []closure
 
 	// The full path's Step 1.2 scratch, sized on its first run.
-	earliest []int32  // necklace rep → its earliest-informed node Y
-	repSeen  []uint64 // bit rep: met in B*'s segment; emptied as repList is read off
-	repList  []int32  // necklaces of B*, ascending
+	earliest []int32    // necklace rep → its earliest-informed node Y
+	repSeen  []uint64   // bit rep: met in B*'s segment; emptied as repList is read off
+	repList  []int32    // necklaces of B*, ascending
+	diffBuf  []TreeLink // the full path's TreeDiff, copied out exact-size
 
 	// The delta path's scratch (see delta.go).
 	moved   []uint64   // bit x: x is alive and deeper than in the base; emptied after each embed

@@ -7,6 +7,7 @@ package ffc
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"debruijnring/internal/debruijn"
@@ -79,8 +80,8 @@ func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
 }
 
 // TestEmbedAllocs pins a warm EmbedCycle, on either path, to its
-// Result: the Result itself, Cycle and FaultyNecklaces (a warm delta
-// EmbedDiff to those and its TreeDiff).
+// Result: the Result itself, Cycle and FaultyNecklaces (a warm
+// EmbedDiff, on either path, to those and its TreeDiff).
 // Every other structure is pooled scratch, so a map or a per-run buffer
 // creeping back into the kernel fails here before any benchmark gate.
 // The per-node bitsets and arrays are sized on the first run and reused,
@@ -108,7 +109,7 @@ func TestEmbedAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if c.delta && allocs > 4 {
+		if allocs > 4 {
 			t.Fatalf("warm %s EmbedDiff made %v allocations, want at most 4", c.path, allocs)
 		}
 		allocs = testing.AllocsPerRun(20, func() {
@@ -119,6 +120,19 @@ func TestEmbedAllocs(t *testing.T) {
 		if allocs > 3 {
 			t.Fatalf("warm %s EmbedCycle made %v allocations, want at most 3", c.path, allocs)
 		}
+	}
+	// A full path's TreeDiff belongs to its Result: the next embed
+	// reuses the scratch it was gathered in, not the returned slice.
+	first, err := em.EmbedDiff([]int{1, 1234, 4000})
+	if err != nil || em.delta || len(first.TreeDiff) == 0 {
+		t.Fatalf("full-path EmbedDiff: err %v, delta %v, %d edits", err, em.delta, len(first.TreeDiff))
+	}
+	keep := slices.Clone(first.TreeDiff)
+	if _, err := em.EmbedDiff([]int{1, 77, 3000}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(first.TreeDiff, keep) {
+		t.Fatal("a later full-path EmbedDiff rewrote an earlier Result's TreeDiff")
 	}
 	full := []any{&em.earliest[0], &em.repSeen[0]}
 	for _, f := range [][]int{nil, {0}, {1}, {3}, {1, 2, 3, 700, 2047, 4095}, {77, 78, 79, 80, 81, 82, 83}} {

@@ -367,8 +367,8 @@ func (p *Patcher) apply(d *delta, next, fresh topology.FaultSet, minLen int) boo
 // names the tier that owns the ring, "ffc" or "splice", and nests that
 // tier's state under State; the splice tier alone (off De Bruijn) is
 // stored bare, as were FFC snapshots from before the chain.  State has
-// no MarshalJSON, so a journal line encodes it in the same pass as the
-// rest of its event.
+// no MarshalJSON: a journal line's encoder (session.Event.AppendJSON)
+// hands it to encoding/json.
 type State struct {
 	Tier  string     `json:"tier,omitempty"`
 	State *TierState `json:"state,omitempty"`

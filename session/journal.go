@@ -21,13 +21,20 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 func ValidName(name string) bool { return nameRE.MatchString(name) }
 
 // journalWriter appends JSON-lines events to a session's journal file —
-// the JournalWriter of DirStore.  Each append is a single buffered write
-// flushed before returning, so a killed process loses at most the event
-// being written — never a previously acknowledged one.
+// the JournalWriter of DirStore.  Each append encodes its line with
+// Event.AppendJSON into the writer's own buffer, reused across appends,
+// and hands it to the file in one write before returning, so a killed
+// process loses at most the event being written — never a previously
+// acknowledged one.
 type journalWriter struct {
-	f  *os.File
-	bw *bufio.Writer
+	f    *os.File
+	line []byte
 }
+
+// maxKeptLine bounds the line buffer a journalWriter keeps between
+// appends: a snapshot carrying a large ring is encoded into a buffer
+// dropped afterwards, not held for the session's lifetime.
+const maxKeptLine = 64 << 10
 
 func journalPath(dir, name string) string {
 	return filepath.Join(dir, name+journalExt)
@@ -51,7 +58,7 @@ func createJournal(dir, name string) (*journalWriter, error) {
 		}
 		return nil, err
 	}
-	return &journalWriter{f: f, bw: bufio.NewWriter(f)}, nil
+	return &journalWriter{f: f}, nil
 }
 
 // openJournal reopens an existing journal for appending (after Restore).
@@ -60,36 +67,30 @@ func openJournal(dir, name string) (*journalWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &journalWriter{f: f, bw: bufio.NewWriter(f)}, nil
+	return &journalWriter{f: f}, nil
 }
 
-// Append encodes one event line and flushes it to the file.
+// Append encodes one event line and writes it to the file.
 func (w *journalWriter) Append(ev Event) error {
-	enc := json.NewEncoder(w.bw)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(ev); err != nil {
+	if err := checkTime(ev.Time); err != nil {
 		return err
 	}
-	return w.bw.Flush()
+	w.line = append(ev.AppendJSON(w.line[:0]), '\n')
+	_, err := w.f.Write(w.line)
+	if cap(w.line) > maxKeptLine {
+		w.line = nil
+	}
+	return err
 }
 
 // Sync forces the journal to stable storage.
-func (w *journalWriter) Sync() error {
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	return w.f.Sync()
-}
+func (w *journalWriter) Sync() error { return w.f.Sync() }
 
-// Close flushes, syncs and releases the file handle, so a cleanly
-// closed journal survives host death, not just process death.
+// Close syncs and releases the file handle, so a cleanly closed
+// journal survives host death, not just process death.
 func (w *journalWriter) Close() error {
-	ferr := w.bw.Flush()
 	serr := w.f.Sync()
 	cerr := w.f.Close()
-	if ferr != nil {
-		return ferr
-	}
 	if serr != nil {
 		return serr
 	}

@@ -65,7 +65,14 @@
 // event verifies the whole ring, every journal snapshot first audits it
 // with the full topology.VerifyRing; a ring that fails is not
 // snapshotted (Restore replays from an older point) and the failure is
-// counted in session_ring_audit_failures_total.
+// counted in session_ring_audit_failures_total.  An event is encoded
+// by one hand-written encoder, Event.AppendJSON, which writes exactly
+// the bytes encoding/json would: the journal appends each line into
+// its writer's reused buffer, replication bodies are built from it,
+// and Event.MarshalJSON returns it to every encoding/json caller (fault
+// responses, watch frames), so no event field is encoded by
+// reflection.  The watch buffer is a ring of the newest eventBuffer
+// events, so publishing moves none of them.
 //
 // A ring read costs about one pass over its body at each end of the
 // wire.  The handler copies only the int32 ring under the session lock
@@ -217,9 +224,12 @@ type Session struct {
 	sinceSnap int
 	closed    bool
 
-	// events is a bounded buffer of recent events for watchers and the
-	// trace endpoint; notify is closed and replaced on every publish.
+	// events is the watch buffer of recent events for watchers and the
+	// trace endpoint: it grows to eventBuffer, then wraps as a ring
+	// whose oldest event is events[head] (see watchedLocked).  notify is
+	// closed and replaced on every publish.
 	events []Event
+	head   int
 	notify chan struct{}
 }
 
@@ -418,15 +428,22 @@ func (s *Session) appendJournal(ev Event) {
 // watchers and the trace endpoint.
 const eventBuffer = 256
 
-// publishLocked appends the event to the watch buffer and wakes every
-// waiting watcher.
+// publishLocked adds the event to the watch buffer, over the oldest
+// once the buffer is full, and wakes every waiting watcher.
 func (s *Session) publishLocked(ev Event) {
-	if len(s.events) >= eventBuffer {
-		s.events = append(s.events[:0], s.events[len(s.events)-eventBuffer+1:]...)
+	if len(s.events) < eventBuffer {
+		s.events = append(s.events, ev)
+	} else {
+		s.events[s.head] = ev
+		s.head = (s.head + 1) % eventBuffer
 	}
-	s.events = append(s.events, ev)
 	close(s.notify)
 	s.notify = make(chan struct{})
+}
+
+// watchedLocked returns the watch buffer's i-th oldest event.
+func (s *Session) watchedLocked(i int) *Event {
+	return &s.events[(s.head+i)%len(s.events)]
 }
 
 // EventsSince returns buffered events with Seq > after.  When none are
@@ -464,12 +481,12 @@ func (s *Session) EventsSince(after uint64, wait time.Duration, cancel <-chan st
 // eventsSinceLocked returns the buffered events with Seq > after, and
 // whether older events have been evicted from the buffer.
 func (s *Session) eventsSinceLocked(after uint64) (evs []Event, truncated bool) {
-	if len(s.events) > 0 && s.events[0].Seq > after+1 {
+	if len(s.events) > 0 && s.watchedLocked(0).Seq > after+1 {
 		truncated = true
 	}
-	for _, ev := range s.events {
-		if ev.Seq > after {
-			evs = append(evs, ev)
+	for i := range s.events {
+		if ev := s.watchedLocked(i); ev.Seq > after {
+			evs = append(evs, *ev)
 		}
 	}
 	return evs, truncated

@@ -347,3 +347,41 @@ func TestSessionEdgeFaultNoopAndReembed(t *testing.T) {
 		t.Errorf("fault set has %d link faults after heal, want 1 (the off-ring one)", len(s.Faults().Edges))
 	}
 }
+
+// TestWatchBufferWraps publishes more than two buffers' worth of events:
+// the watch ring keeps exactly the newest eventBuffer, oldest first,
+// flags the eviction, and a watcher one event behind gets exactly one.
+func TestWatchBufferWraps(t *testing.T) {
+	m := NewManager(nil, Options{})
+	s, err := m.Create("wrap", "debruijn(2,5)", topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 600 {
+		apply := s.AddFaults
+		if i%2 == 1 {
+			apply = s.RemoveFaults
+		}
+		if _, err := apply(topology.NodeFaults(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := s.StateSnapshot(false).Seq
+	evs, truncated := s.EventsSince(0, 0, nil)
+	if !truncated || len(evs) != eventBuffer {
+		t.Fatalf("EventsSince(0): %d events, truncated %v; want %d, true", len(evs), truncated, eventBuffer)
+	}
+	for i, ev := range evs {
+		if want := last - eventBuffer + 1 + uint64(i); ev.Seq != want {
+			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+	evs, truncated = s.EventsSince(last-1, 0, nil)
+	if truncated || len(evs) != 1 || evs[0].Seq != last {
+		t.Fatalf("EventsSince(last-1): %d events, truncated %v; want the one event %d", len(evs), truncated, last)
+	}
+	recs := s.Traces(0)
+	if len(recs) != traceRecords || recs[0].Seq != last-traceRecords+1 || recs[len(recs)-1].Seq != last {
+		t.Fatalf("Traces: %d records %d..%d, want %d ending at %d", len(recs), recs[0].Seq, recs[len(recs)-1].Seq, traceRecords, last)
+	}
+}

@@ -43,7 +43,7 @@ func (s *Session) Traces(limit int) []TraceRecord {
 	defer s.mu.Unlock()
 	var recs []TraceRecord
 	for i := len(s.events) - 1; i >= 0 && len(recs) < limit; i-- {
-		ev := &s.events[i]
+		ev := s.watchedLocked(i)
 		if ev.Kind != "fault" && ev.Kind != "heal" {
 			continue
 		}
