@@ -3,6 +3,8 @@ package debruijnring
 import (
 	"math/big"
 	"testing"
+
+	"debruijnring/topology"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -64,6 +66,34 @@ func TestEmbedRingExample21(t *testing.T) {
 	}
 	if _, _, err := g.EmbedRing([]int{-1}); err == nil {
 		t.Error("out-of-range fault should fail")
+	}
+}
+
+// TestEmbedRingLowerBound pins EmbedStats.LowerBound to the network
+// adapter's: dⁿ − nf over the distinct faults, clamped at 0.
+func TestEmbedRingLowerBound(t *testing.T) {
+	g, _ := New(2, 3)
+	for _, tc := range []struct {
+		faults []int
+		want   int
+	}{
+		{nil, 8},
+		{[]int{5}, 5},
+		{[]int{5, 5}, 5},
+		{[]int{5, 1}, 2},
+		{[]int{1, 2, 5}, 0},
+		{[]int{1, 2, 3, 5}, 0},
+	} {
+		_, stats, err := g.EmbedRing(tc.faults)
+		if err != nil {
+			t.Fatalf("faults %v: %v", tc.faults, err)
+		}
+		if stats.LowerBound != tc.want {
+			t.Errorf("faults %v: LowerBound %d, want %d", tc.faults, stats.LowerBound, tc.want)
+		}
+		if _, info, err := g.Network().EmbedRing(topology.NodeFaults(tc.faults...)); err == nil && info.LowerBound != tc.want {
+			t.Errorf("faults %v: adapter LowerBound %d, want %d", tc.faults, info.LowerBound, tc.want)
+		}
 	}
 }
 

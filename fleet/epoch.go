@@ -1,6 +1,10 @@
 package fleet
 
-import "sync"
+import (
+	"fmt"
+	"net/http"
+	"sync"
+)
 
 // EpochGate serializes control-plane operations (promotion,
 // replication re-targeting, rebalance hand-offs) issued by possibly
@@ -33,6 +37,18 @@ func (g *EpochGate) Admit(epoch uint64) (current uint64, ok bool) {
 	}
 	g.current = epoch
 	return g.current, true
+}
+
+// admit is Admit for a control endpoint: a stale epoch is answered 409
+// with the gate's epoch, target (the winner's replication target, where
+// the operation has one) and "<stale> epoch e (current c)", and reported
+// false.
+func (g *EpochGate) admit(w http.ResponseWriter, epoch uint64, target, stale string) bool {
+	current, ok := g.Admit(epoch)
+	if !ok {
+		replicaReject(w, current, target, fmt.Errorf("%s epoch %d (current %d)", stale, epoch, current))
+	}
+	return ok
 }
 
 // Current returns the last admitted epoch.

@@ -60,6 +60,14 @@
 // would write, and the standby journals what it decodes with the same
 // encoder, so its journal lines match the primary's byte for byte.
 //
+// Every peer RPC takes one path.  The replication stream, the router's
+// control calls and health probes, and its session-listing and metrics
+// fan-outs are each a ReplicaClient call: one request to the peer's
+// endpoint, parsed once per client, with a JSON body and a JSON reply
+// or a *PeerError.  On the serving side every fleet request body is read
+// by one bounded decoder into a pooled buffer, and every error reply is
+// {"error":…}, plus the winning epoch and target on a stale-epoch 409.
+//
 // The paper's thesis — lose a processor, keep the ring — applied one
 // level up: lose a shard, keep every session.
 package fleet

@@ -1,9 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -68,7 +65,8 @@ func (rt *Router) FleetMetrics() (obs.Snapshot, []string, error) {
 		}
 		n++
 		go func(name, base string) {
-			snap, err := rt.fetchMetrics(base)
+			var snap obs.Snapshot
+			err := (&ReplicaClient{Base: base, HTTP: rt.fanout}).call(http.MethodGet, "/v1/metrics", nil, &snap)
 			results <- result{name: name, snap: snap, err: err}
 		}(name, g.activeURL())
 	}
@@ -91,30 +89,12 @@ func (rt *Router) FleetMetrics() (obs.Snapshot, []string, error) {
 	return merged, partial, nil
 }
 
-// fetchMetrics pulls one shard's JSON metrics snapshot.
-func (rt *Router) fetchMetrics(base string) (obs.Snapshot, error) {
-	var snap obs.Snapshot
-	resp, err := rt.fanout.Get(base + "/v1/metrics")
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		return snap, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return snap, err
-	}
-	return snap, nil
-}
-
 // serveMetrics answers GET /metrics (Prometheus text) and
 // GET /v1/metrics (JSON snapshot) with the fleet-wide merged view.
 func (rt *Router) serveMetrics(w http.ResponseWriter, text bool) {
 	snap, partial, err := rt.FleetMetrics()
 	if err != nil {
-		routerError(w, http.StatusInternalServerError, err)
+		replicaError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if len(partial) > 0 {
@@ -125,6 +105,5 @@ func (rt *Router) serveMetrics(w http.ResponseWriter, text bool) {
 		snap.WriteText(w)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(snap)
+	writeReplicaJSON(w, snap)
 }

@@ -8,8 +8,10 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"debruijnring/session"
@@ -24,13 +26,8 @@ import (
 type Replica struct {
 	store session.Store    // local store the events are appended to
 	mgr   *session.Manager // promotion target; its Restore goes hot
+	gate  *EpochGate       // epoch-guards promotion; shared with the shard's control endpoints
 	logf  func(string, ...any)
-
-	// Gate (optional) epoch-guards promotion so two routers racing the
-	// same failover converge on one winner; nil leaves promotion
-	// unguarded.  The shard shares one gate across all its control
-	// endpoints.
-	Gate *EpochGate
 
 	mu       sync.Mutex
 	writers  map[string]session.JournalWriter
@@ -39,12 +36,14 @@ type Replica struct {
 
 // NewReplica returns a Replica appending into store and promoting into
 // mgr.  store must be the process-local store (not a ReplicatedStore):
-// ingested events are already someone else's replication stream.
-func NewReplica(store session.Store, mgr *session.Manager, logf func(string, ...any)) *Replica {
+// ingested events are already someone else's replication stream.  gate
+// guards promotion, so two routers racing the same failover converge on
+// one winner; the shard passes the gate of its control endpoints.
+func NewReplica(store session.Store, mgr *session.Manager, gate *EpochGate, logf func(string, ...any)) *Replica {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Replica{store: store, mgr: mgr, logf: logf, writers: make(map[string]session.JournalWriter)}
+	return &Replica{store: store, mgr: mgr, gate: gate, logf: logf, writers: make(map[string]session.JournalWriter)}
 }
 
 // appendRequest is the replication wire format: one session's events,
@@ -96,9 +95,7 @@ func (rp *Replica) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req appendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&req); err != nil {
-		replicaError(w, http.StatusBadRequest, fmt.Errorf("bad append body: %w", err))
+	if !decodeBody(w, r, 64<<20, "append", &req) {
 		return
 	}
 	if !session.ValidName(req.Name) || len(req.Events) == 0 {
@@ -212,22 +209,18 @@ func (rp *Replica) handleRemove(w http.ResponseWriter, r *http.Request) {
 // one promotion instead of the loser seeing a rejection.
 func (rp *Replica) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req promoteRequest
-	if r.Body != nil {
-		// The body is optional (legacy and manual promotions send none).
-		json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req)
-	}
+	// The body is optional (legacy and manual promotions send none): one
+	// that does not decode leaves the promotion unguarded.
+	readJSON(w, r, 1<<16, &req)
 	rp.mu.Lock()
 	if rp.promoted {
 		rp.mu.Unlock()
 		writeReplicaJSON(w, promoteResponse{Already: true})
 		return
 	}
-	if rp.Gate != nil {
-		if current, ok := rp.Gate.Admit(req.Epoch); !ok {
-			rp.mu.Unlock()
-			replicaReject(w, current, "", fmt.Errorf("replica: stale promotion epoch %d (current %d)", req.Epoch, current))
-			return
-		}
+	if !rp.gate.admit(w, req.Epoch, "", "replica: stale promotion") {
+		rp.mu.Unlock()
+		return
 	}
 	rp.promoted = true
 	//ringlint:allow maporder close order across journal writers is immaterial
@@ -280,28 +273,28 @@ func (rp *Replica) Close() {
 	}
 }
 
-// ReplicaClient is the shard side of the replication stream: a thin
-// client for a peer's /v1/replica endpoints.
+// ReplicaClient is one peer's client, for both the replication stream
+// (Append, Remove, Status and Promote on the peer's /v1/replica
+// endpoints) and the shard control plane a router drives (SetTarget,
+// Replication, Handoff, Adopt and Forget on /v1/replication).  Every
+// method is one call: a request to the peer's endpoint, Base parsed on
+// first use, plus the method's path; a JSON body; a JSON reply, or a
+// *PeerError for an error status.
 type ReplicaClient struct {
-	// Base is the replica's server root, e.g. "http://replica1:8080".
+	// Base is the peer's server root, e.g. "http://replica1:8080".
 	Base string
 	// HTTP is the underlying client; nil uses a keep-alive client with
 	// a 10s timeout (replication is synchronous on the ack path — a
 	// bounded timeout keeps a hung replica from wedging the shard).
 	HTTP *http.Client
+
+	endpoint atomic.Pointer[url.URL] // Base, parsed by the first call
 }
 
 // replicaHTTP is the shared default client: replication sits on the ack
 // path of every event, so it runs on the fleet transport's deep
 // keep-alive pool.
 var replicaHTTP = &http.Client{Timeout: 10 * time.Second, Transport: fleetTransport}
-
-func (c *ReplicaClient) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return replicaHTTP
-}
 
 // ErrPeerPromoted reports that the peer refused a replication write
 // because it has been promoted: the caller is a stale ex-primary whose
@@ -322,6 +315,78 @@ type PeerError struct {
 
 func (e *PeerError) Error() string {
 	return fmt.Sprintf("%s (HTTP %d)", e.Msg, e.Status)
+}
+
+// call is every peer RPC: method on path under the peer's endpoint,
+// with in as the JSON body — a []byte is sent as it is, any other
+// non-nil value is marshalled — and a 2xx reply decoded into out (nil
+// discards it).  An error status comes back as a *PeerError.
+func (c *ReplicaClient) call(method, path string, in, out any) error {
+	base := c.endpoint.Load()
+	if base == nil {
+		u, err := url.Parse(c.Base)
+		if err != nil {
+			return err
+		}
+		c.endpoint.Store(u)
+		base = u
+	}
+	u := *base
+	u.Path += path
+	req := &http.Request{Method: method, URL: &u, Header: make(http.Header)}
+	if in != nil {
+		body, ok := in.([]byte)
+		if !ok {
+			var err error
+			if body, err = json.Marshal(in); err != nil {
+				return err
+			}
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.ContentLength = int64(len(body))
+		req.Header.Set("Content-Type", "application/json")
+	}
+	hc := c.HTTP
+	if hc == nil {
+		hc = replicaHTTP
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 400 {
+		var e struct {
+			Error  string `json:"error"`
+			Epoch  uint64 `json:"epoch,omitempty"`
+			Target string `json:"target,omitempty"`
+		}
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		if json.Unmarshal(data, &e) == nil && e.Error != "" {
+			return &PeerError{
+				Status: resp.StatusCode,
+				Msg:    fmt.Sprintf("replica %s: %s", u.Path, e.Error),
+				Epoch:  e.Epoch,
+				Target: e.Target,
+			}
+		}
+		return &PeerError{Status: resp.StatusCode, Msg: fmt.Sprintf("replica %s: HTTP %d", u.Path, resp.StatusCode)}
+	}
+	if out == nil {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// fetch makes one call and returns its decoded reply.
+func fetch[T any](c *ReplicaClient, method, path string, in any) (*T, error) {
+	out := new(T)
+	if err := c.call(method, path, in, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // appendBufs pools the buffers Append encodes its bodies in.
@@ -353,7 +418,7 @@ func (c *ReplicaClient) Append(name string, events []session.Event) error {
 	body := bytes.Clone(b)
 	*bp = b
 	appendBufs.Put(bp)
-	return markPromoted(c.post("/v1/replica/append", body, nil))
+	return markPromoted(c.call(http.MethodPost, "/v1/replica/append", body, nil))
 }
 
 // htmlEscapeFrom rewrites '<', '>' and '&' in b[start:] the way
@@ -368,13 +433,25 @@ func htmlEscapeFrom(b []byte, start int) []byte {
 	return append(b[:start], esc.Bytes()...)
 }
 
+// catchupBatch bounds the events in one append of a stream.
+const catchupBatch = 512
+
+// stream ships a whole journal in appends of at most catchupBatch
+// events: a rebalance hand-off and a catch-up re-stream.  A journal
+// starting with its created event replaces the peer's copy, so a
+// half-shipped stream is simply replaced by the next.
+func (c *ReplicaClient) stream(name string, events []session.Event) error {
+	for start := 0; start < len(events); start += catchupBatch {
+		if err := c.Append(name, events[start:min(start+catchupBatch, len(events))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Remove drops the named session's replicated journal.
 func (c *ReplicaClient) Remove(name string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.Base+"/v1/replica/sessions/"+name, nil)
-	if err != nil {
-		return err
-	}
-	return markPromoted(c.roundTrip(req, nil))
+	return markPromoted(c.call(http.MethodDelete, "/v1/replica/sessions/"+name, nil, nil))
 }
 
 // markPromoted wraps a 409 from the replication write path in
@@ -391,75 +468,41 @@ func markPromoted(err error) error {
 // asks this before restoring, so a promotion that happened while it was
 // dead fences it immediately instead of on its first stale append.
 func (c *ReplicaClient) Status() (*statusResponse, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/v1/replica/status", nil)
-	if err != nil {
-		return nil, err
-	}
-	var st statusResponse
-	if err := c.roundTrip(req, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return fetch[statusResponse](c, http.MethodGet, "/v1/replica/status", nil)
 }
 
 // Promote flips the replica hot, returning the restore report.  epoch
 // guards against dueling routers (0 is unguarded); a stale epoch is
 // rejected with a *PeerError carrying the winning epoch.
 func (c *ReplicaClient) Promote(epoch uint64) (*promoteResponse, error) {
-	body, err := json.Marshal(promoteRequest{Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	var resp promoteResponse
-	if err := c.post("/v1/replica/promote", body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return fetch[promoteResponse](c, http.MethodPost, "/v1/replica/promote", promoteRequest{Epoch: epoch})
 }
 
-func (c *ReplicaClient) post(path string, body []byte, dst any) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// bodyBufs pools the buffers request bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readJSON is the fleet's one request-body decoder: it reads r's body,
+// at most limit bytes, into a pooled buffer and unmarshals it into v.
+// Unmarshal copies what it keeps, so the buffer goes straight back.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
 	}
-	req, err := http.NewRequest(http.MethodPost, c.Base+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	return c.roundTrip(req, dst)
+	bodyBufs.Put(buf)
+	return err
 }
 
-func (c *ReplicaClient) roundTrip(req *http.Request, dst any) error {
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
+// decodeBody reads a required request body into v, answering 400 with
+// "bad <what> body: …" and reporting false when it does not decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	if err := readJSON(w, r, limit, v); err != nil {
+		replicaError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", what, err))
+		return false
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var e struct {
-			Error  string `json:"error"`
-			Epoch  uint64 `json:"epoch,omitempty"`
-			Target string `json:"target,omitempty"`
-		}
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return &PeerError{
-				Status: resp.StatusCode,
-				Msg:    fmt.Sprintf("replica %s: %s", req.URL.Path, e.Error),
-				Epoch:  e.Epoch,
-				Target: e.Target,
-			}
-		}
-		return &PeerError{Status: resp.StatusCode, Msg: fmt.Sprintf("replica %s: HTTP %d", req.URL.Path, resp.StatusCode)}
-	}
-	if dst == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(dst)
+	return true
 }
 
 func writeReplicaJSON(w http.ResponseWriter, v any) {

@@ -26,7 +26,7 @@ func TestReplicaAppendBody(t *testing.T) {
 	var mu sync.Mutex // the handler runs on the server's goroutines
 	var bodies [][]byte
 	var answers []string
-	rp := NewReplica(session.NewDirStore(t.TempDir()), nil, t.Logf)
+	rp := NewReplica(session.NewDirStore(t.TempDir()), nil, &EpochGate{}, t.Logf)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {

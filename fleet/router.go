@@ -49,10 +49,6 @@ type RouterOptions struct {
 	// full strength — one failure from safe again — without an operator.
 	// With an empty pool a promoted group runs un-replicated (logged).
 	Spares []string
-	// Client is used for health checks; nil uses a client bounded by
-	// CheckInterval.  Promotions use a separate 60s-bounded client
-	// (restores replay journals and can take a while).
-	Client *http.Client
 	// Logf receives failover decisions; nil discards them.
 	Logf func(string, ...any)
 }
@@ -157,8 +153,8 @@ type Router struct {
 	epochMu   sync.Mutex
 	lastEpoch uint64
 
-	health  *http.Client
-	promote *http.Client
+	health  *http.Client // health checks and status scrapes, bounded by CheckInterval
+	promote *http.Client // control calls: restores replay journals and can take a while
 	fanout  *http.Client // list-merge fan-out; health's timeout is too tight
 	logf    func(string, ...any)
 
@@ -189,14 +185,10 @@ func NewRouter(groups []ShardGroup, opts RouterOptions) (*Router, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	health := opts.Client
-	if health == nil {
-		health = &http.Client{Timeout: opts.CheckInterval, Transport: fleetTransport}
-	}
 	rt := &Router{
 		opts:    opts,
 		spares:  append([]string(nil), opts.Spares...),
-		health:  health,
+		health:  &http.Client{Timeout: opts.CheckInterval, Transport: fleetTransport},
 		promote: &http.Client{Timeout: 60 * time.Second, Transport: fleetTransport},
 		fanout:  &http.Client{Timeout: 15 * time.Second, Transport: fleetTransport},
 		logf:    logf,
@@ -321,7 +313,7 @@ func (rt *Router) newProxy(g *group) *httputil.ReverseProxy {
 			case rt.kick <- g:
 			default:
 			}
-			routerError(w, http.StatusBadGateway,
+			replicaError(w, http.StatusBadGateway,
 				fmt.Errorf("fleet: shard %s unreachable: %w", g.cfg.Name, err))
 		},
 	}
@@ -343,7 +335,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.serveMetrics(w, false)
 	case path == "/v1/fleet/shards":
 		if r.Method != http.MethodPost {
-			routerError(w, http.StatusMethodNotAllowed, errors.New("POST a shard group to add it"))
+			replicaError(w, http.StatusMethodNotAllowed, errors.New("POST a shard group to add it"))
 			return
 		}
 		rt.handleAddShard(w, r)
@@ -357,7 +349,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		seg := strings.SplitN(strings.TrimPrefix(path, "/v1/sessions/"), "/", 2)[0]
 		name, err := url.PathUnescape(seg)
 		if err != nil || name == "" {
-			routerError(w, http.StatusBadRequest, fmt.Errorf("bad session name %q", seg))
+			replicaError(w, http.StatusBadRequest, fmt.Errorf("bad session name %q", seg))
 			return
 		}
 		if d := rt.drain.Load(); d != nil && d.moved[name] {
@@ -382,7 +374,7 @@ func (rt *Router) routerDraining(w http.ResponseWriter, name string) {
 	rt.drainCount.Inc()
 	w.Header().Set("Retry-After", "1")
 	w.Header().Set("X-Fleet-Draining", "1")
-	routerError(w, http.StatusServiceUnavailable,
+	replicaError(w, http.StatusServiceUnavailable,
 		fmt.Errorf("fleet: session %q is draining (rebalance in progress)", name))
 }
 
@@ -392,14 +384,14 @@ func (rt *Router) routerDraining(w http.ResponseWriter, name string) {
 func (rt *Router) routeCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		routerError(w, http.StatusBadRequest, fmt.Errorf("reading create body: %w", err))
+		replicaError(w, http.StatusBadRequest, fmt.Errorf("reading create body: %w", err))
 		return
 	}
 	var req struct {
 		Name string `json:"name"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil || req.Name == "" {
-		routerError(w, http.StatusBadRequest, errors.New("create payload names no session"))
+		replicaError(w, http.StatusBadRequest, errors.New("create payload names no session"))
 		return
 	}
 	view := rt.view.Load()
@@ -429,7 +421,7 @@ func (rt *Router) serveList(w http.ResponseWriter, r *http.Request) {
 	for _, name := range view.order {
 		g := view.groups[name]
 		go func() {
-			sessions, err := rt.fetchSessions(r, g.activeURL())
+			sessions, err := rt.listSessions(g.activeURL())
 			results <- result{name: name, sessions: sessions, err: err}
 		}()
 	}
@@ -448,42 +440,24 @@ func (rt *Router) serveList(w http.ResponseWriter, r *http.Request) {
 		sort.Strings(partial)
 		w.Header().Set("X-Fleet-Partial", strings.Join(partial, ","))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(merged)
+	writeReplicaJSON(w, merged)
 }
 
-// fetchSessions lists one shard's sessions.
-func (rt *Router) fetchSessions(r *http.Request, base string) ([]session.StateJSON, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/sessions", nil)
-	if err != nil {
-		return nil, err
-	}
-	if r != nil {
-		req = req.WithContext(r.Context())
-	}
-	resp, err := rt.fanout.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
+// listSessions lists one shard's sessions.
+func (rt *Router) listSessions(base string) ([]session.StateJSON, error) {
 	var sessions []session.StateJSON
-	if err := json.NewDecoder(resp.Body).Decode(&sessions); err != nil {
-		return nil, err
-	}
-	return sessions, nil
+	err := (&ReplicaClient{Base: base, HTTP: rt.fanout}).call(http.MethodGet, "/v1/sessions", nil, &sessions)
+	return sessions, err
 }
 
 func (rt *Router) proxyTo(view *routing, groupName string, w http.ResponseWriter, r *http.Request) {
 	g, ok := view.groups[groupName]
 	if !ok {
-		routerError(w, http.StatusInternalServerError, fmt.Errorf("no group %q", groupName))
+		replicaError(w, http.StatusInternalServerError, fmt.Errorf("no group %q", groupName))
 		return
 	}
 	if g.isDown() {
-		routerError(w, http.StatusServiceUnavailable,
+		replicaError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("fleet: shard group %s is down (no replica to promote)", groupName))
 		return
 	}
@@ -567,8 +541,7 @@ func (rt *Router) Status() []GroupStatus {
 }
 
 func (rt *Router) serveFleetStatus(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rt.Status())
+	writeReplicaJSON(w, rt.Status())
 }
 
 // healthLoop drives the failure detector: every CheckInterval (or
@@ -779,7 +752,7 @@ func (rt *Router) AddShard(cfg ShardGroup) error {
 	var moved []movedSession
 	for _, gname := range view.order {
 		g := view.groups[gname]
-		sessions, err := rt.fetchSessions(nil, g.activeURL())
+		sessions, err := rt.listSessions(g.activeURL())
 		if err != nil {
 			return fmt.Errorf("fleet: listing sessions on group %s: %w", gname, err)
 		}
@@ -872,12 +845,11 @@ func (rt *Router) AddShard(cfg ShardGroup) error {
 // handleAddShard is POST /v1/fleet/shards: the HTTP face of AddShard.
 func (rt *Router) handleAddShard(w http.ResponseWriter, r *http.Request) {
 	var cfg ShardGroup
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&cfg); err != nil {
-		routerError(w, http.StatusBadRequest, fmt.Errorf("bad shard group body: %w", err))
+	if !decodeBody(w, r, 1<<16, "shard group", &cfg) {
 		return
 	}
 	if err := rt.AddShard(cfg); err != nil {
-		routerError(w, http.StatusConflict, err)
+		replicaError(w, http.StatusConflict, err)
 		return
 	}
 	rt.serveFleetStatus(w)
@@ -885,17 +857,5 @@ func (rt *Router) handleAddShard(w http.ResponseWriter, r *http.Request) {
 
 // probe reports whether the shard's health endpoint answers.
 func (rt *Router) probe(base string) bool {
-	resp, err := rt.health.Get(base + "/healthz")
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-func routerError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	return (&ReplicaClient{Base: base, HTTP: rt.health}).call(http.MethodGet, "/healthz", nil, nil) == nil
 }

@@ -16,6 +16,7 @@ import (
 
 	"debruijnring/obs"
 	"debruijnring/session"
+	"debruijnring/topology"
 )
 
 // waitGroupStatus polls the router's fleet status until the single
@@ -267,6 +268,45 @@ func TestStalePrimaryFencesAndDemotes(t *testing.T) {
 	}
 }
 
+// TestHandoffOfReleasedSession re-hands-off a session its shard has
+// already released, as a retried rebalance step does: the release's
+// session.ErrNoSession is no failure, and the second hand-off streams the
+// same journal and reports the same final seq and ring hash, which the
+// new owner's adoption then matches.
+func TestHandoffOfReleasedSession(t *testing.T) {
+	a, ats := newTestShard(t, "", false)
+	_, bts := newTestShard(t, "", false)
+	sess, err := a.Sessions.Create("s1", "debruijn(2,5)", topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.AddFaults(topology.NodeFaults(3)); err != nil {
+		t.Fatal(err)
+	}
+	ac := &ReplicaClient{Base: ats.URL}
+	first, err := ac.Handoff("s1", bts.URL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, live := a.Sessions.Get("s1"); live {
+		t.Fatal("handed-off session is still live on its source")
+	}
+	again, err := ac.Handoff("s1", bts.URL, 0)
+	if err != nil {
+		t.Fatalf("hand-off of a released session: %v", err)
+	}
+	if *again != *first {
+		t.Fatalf("second hand-off reported %+v, first %+v", again, first)
+	}
+	ad, err := (&ReplicaClient{Base: bts.URL}).Adopt("s1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ad.Seq != first.Seq || ad.RingHash != first.RingHash {
+		t.Fatalf("adopted seq %d hash %s, journal seq %d hash %s", ad.Seq, ad.RingHash, first.Seq, first.RingHash)
+	}
+}
+
 // TestFleetRebalanceMovesOnlyStolenKeyspace grows a two-group fleet to
 // three at runtime under live write traffic.  Sessions in the moved
 // keyspace ride the drain's 503-retry choreography (counted separately
@@ -454,8 +494,8 @@ func TestReplicationCatchupReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	primary.repl.RetryBase = 2 * time.Millisecond
-	primary.repl.RetryCap = 20 * time.Millisecond
+	primary.repl.retryBase = 2 * time.Millisecond
+	primary.repl.retryCap = 20 * time.Millisecond
 	pts := httptest.NewServer(primary.Handler())
 	defer pts.Close()
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -104,11 +103,12 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	reg.SetHelp("fleet_shard_demotions_total", "Times this shard fenced itself and demoted to a clean standby.")
 	reg.SetHelp("fleet_replica_lag", "Events acked locally but not yet on the replica (catch-up backlog).")
 	reg.SetHelp("fleet_replica_state", "Shards currently in each replication state (1 per shard).")
+	gate := &EpochGate{}
 	s := &Shard{
 		Engine:    eng,
 		Sessions:  mgr,
-		Replica:   NewReplica(local, mgr, logf),
-		Gate:      &EpochGate{},
+		Replica:   NewReplica(local, mgr, gate, logf),
+		Gate:      gate,
 		local:     local,
 		repl:      repl,
 		logf:      logf,
@@ -116,7 +116,6 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		demotions: reg.Counter("fleet_shard_demotions_total"),
 		handedOff: make(map[string]bool),
 	}
-	s.Replica.Gate = s.Gate
 	if repl != nil {
 		repl.OnFenced = s.demote
 	}
@@ -419,7 +418,9 @@ type replicationStatusResponse struct {
 // target, handoff and adopt are epoch-guarded (see EpochGate).
 func (s *Shard) ReplicationHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/replication", s.handleReplicationStatus)
+	mux.HandleFunc("GET /v1/replication", func(w http.ResponseWriter, r *http.Request) {
+		writeReplicaJSON(w, s.replicationStatus())
+	})
 	mux.HandleFunc("POST /v1/replication/target", s.handleTarget)
 	mux.HandleFunc("POST /v1/replication/handoff", s.handleHandoff)
 	mux.HandleFunc("POST /v1/replication/adopt", s.handleAdopt)
@@ -427,12 +428,13 @@ func (s *Shard) ReplicationHandler() http.Handler {
 	return mux
 }
 
-func (s *Shard) handleReplicationStatus(w http.ResponseWriter, r *http.Request) {
-	writeReplicaJSON(w, replicationStatusResponse{
+// replicationStatus is the GET /v1/replication payload.
+func (s *Shard) replicationStatus() replicationStatusResponse {
+	return replicationStatusResponse{
 		ReplicationStatus: s.Replication(),
 		Epoch:             s.Gate.Current(),
 		Demotions:         s.demotions.Value(),
-	})
+	}
 }
 
 func (s *Shard) handleTarget(w http.ResponseWriter, r *http.Request) {
@@ -441,13 +443,8 @@ func (s *Shard) handleTarget(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req targetRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		replicaError(w, http.StatusBadRequest, fmt.Errorf("bad target body: %w", err))
-		return
-	}
-	if current, ok := s.Gate.Admit(req.Epoch); !ok {
-		replicaReject(w, current, s.repl.Status().Target,
-			fmt.Errorf("fleet: stale replication-target epoch %d (current %d)", req.Epoch, current))
+	if !decodeBody(w, r, 1<<16, "target", &req) ||
+		!s.Gate.admit(w, req.Epoch, s.repl.Status().Target, "fleet: stale replication-target") {
 		return
 	}
 	if err := s.repl.SetTarget(req.Target); err != nil {
@@ -457,11 +454,7 @@ func (s *Shard) handleTarget(w http.ResponseWriter, r *http.Request) {
 	if req.Target != "" {
 		s.logf("fleet: replication re-targeted to %s (epoch %d); bootstrapping", req.Target, req.Epoch)
 	}
-	writeReplicaJSON(w, replicationStatusResponse{
-		ReplicationStatus: s.repl.Status(),
-		Epoch:             s.Gate.Current(),
-		Demotions:         s.demotions.Value(),
-	})
+	writeReplicaJSON(w, s.replicationStatus())
 }
 
 // handleHandoff is the sending half of a rebalance: release the live
@@ -475,16 +468,14 @@ func (s *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req handoffRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		replicaError(w, http.StatusBadRequest, fmt.Errorf("bad handoff body: %w", err))
+	if !decodeBody(w, r, 1<<16, "handoff", &req) {
 		return
 	}
 	if !session.ValidName(req.Name) || req.Target == "" {
 		replicaError(w, http.StatusBadRequest, errors.New("handoff needs a valid session name and a target URL"))
 		return
 	}
-	if current, ok := s.Gate.Admit(req.Epoch); !ok {
-		replicaReject(w, current, "", fmt.Errorf("fleet: stale handoff epoch %d (current %d)", req.Epoch, current))
+	if !s.Gate.admit(w, req.Epoch, "", "fleet: stale handoff") {
 		return
 	}
 	// Mark before releasing: a request that raced past the router's
@@ -493,7 +484,7 @@ func (s *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	s.setHandedOff(req.Name, true)
 	// Release so the journal is final; "no session" is fine (a previous
 	// attempt already released it, or it was never restored).
-	if err := s.Sessions.Release(req.Name); err != nil && !strings.Contains(err.Error(), "no session") {
+	if err := s.Sessions.Release(req.Name); err != nil && !errors.Is(err, session.ErrNoSession) {
 		s.setHandedOff(req.Name, false)
 		replicaError(w, http.StatusInternalServerError, err)
 		return
@@ -510,13 +501,9 @@ func (s *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		replicaError(w, http.StatusInternalServerError, err)
 		return
 	}
-	rc := &ReplicaClient{Base: req.Target}
-	for start := 0; start < len(events); start += catchupBatch {
-		end := min(start+catchupBatch, len(events))
-		if err := rc.Append(req.Name, events[start:end]); err != nil {
-			replicaError(w, http.StatusBadGateway, fmt.Errorf("fleet: streaming %s to %s: %w", req.Name, req.Target, err))
-			return
-		}
+	if err := (&ReplicaClient{Base: req.Target}).stream(req.Name, events); err != nil {
+		replicaError(w, http.StatusBadGateway, fmt.Errorf("fleet: streaming %s to %s: %w", req.Name, req.Target, err))
+		return
 	}
 	seq, hash := journalSummary(events)
 	writeReplicaJSON(w, handoffResponse{Name: req.Name, Events: len(events), Seq: seq, RingHash: hash})
@@ -529,16 +516,14 @@ func (s *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 // for the router's end-to-end check.
 func (s *Shard) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	var req adoptRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		replicaError(w, http.StatusBadRequest, fmt.Errorf("bad adopt body: %w", err))
+	if !decodeBody(w, r, 1<<16, "adopt", &req) {
 		return
 	}
 	if !session.ValidName(req.Name) {
 		replicaError(w, http.StatusBadRequest, errors.New("adopt needs a valid session name"))
 		return
 	}
-	if current, ok := s.Gate.Admit(req.Epoch); !ok {
-		replicaReject(w, current, "", fmt.Errorf("fleet: stale adopt epoch %d (current %d)", req.Epoch, current))
+	if !s.Gate.admit(w, req.Epoch, "", "fleet: stale adopt") {
 		return
 	}
 	sess, err := s.Sessions.RestoreNamed(req.Name)
@@ -564,8 +549,7 @@ func (s *Shard) handleForget(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req forgetRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		replicaError(w, http.StatusBadRequest, fmt.Errorf("bad forget body: %w", err))
+	if !decodeBody(w, r, 1<<16, "forget", &req) {
 		return
 	}
 	if _, live := s.Sessions.Get(req.Name); live {
@@ -589,64 +573,28 @@ func (s *Shard) handleForget(w http.ResponseWriter, r *http.Request) {
 
 // SetTarget points the peer's replicated store at a (new) replica.
 func (c *ReplicaClient) SetTarget(target string, epoch uint64) (*replicationStatusResponse, error) {
-	body, err := json.Marshal(targetRequest{Target: target, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	var resp replicationStatusResponse
-	if err := c.post("/v1/replication/target", body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return fetch[replicationStatusResponse](c, http.MethodPost, "/v1/replication/target", targetRequest{Target: target, Epoch: epoch})
 }
 
 // Replication fetches the peer's replication status.
 func (c *ReplicaClient) Replication() (*replicationStatusResponse, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/v1/replication", nil)
-	if err != nil {
-		return nil, err
-	}
-	var resp replicationStatusResponse
-	if err := c.roundTrip(req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return fetch[replicationStatusResponse](c, http.MethodGet, "/v1/replication", nil)
 }
 
 // Handoff asks the peer to release one session and stream its journal
 // to target.
 func (c *ReplicaClient) Handoff(name, target string, epoch uint64) (*handoffResponse, error) {
-	body, err := json.Marshal(handoffRequest{Name: name, Target: target, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	var resp handoffResponse
-	if err := c.post("/v1/replication/handoff", body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return fetch[handoffResponse](c, http.MethodPost, "/v1/replication/handoff", handoffRequest{Name: name, Target: target, Epoch: epoch})
 }
 
 // Adopt asks the peer to restore a streamed-in journal hot.
 func (c *ReplicaClient) Adopt(name string, epoch uint64) (*adoptResponse, error) {
-	body, err := json.Marshal(adoptRequest{Name: name, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	var resp adoptResponse
-	if err := c.post("/v1/replication/adopt", body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return fetch[adoptResponse](c, http.MethodPost, "/v1/replication/adopt", adoptRequest{Name: name, Epoch: epoch})
 }
 
 // Forget asks the peer to drop a handed-off journal.
 func (c *ReplicaClient) Forget(name string) error {
-	body, err := json.Marshal(forgetRequest{Name: name})
-	if err != nil {
-		return err
-	}
-	return c.post("/v1/replication/forget", body, nil)
+	return c.call(http.MethodPost, "/v1/replication/forget", forgetRequest{Name: name}, nil)
 }
 
 // journalSummary extracts the last sequence number and the most recent

@@ -78,10 +78,9 @@ type ReplicatedStore struct {
 	// refuses ingest because it has been promoted.  Set before use.
 	OnFenced func()
 
-	// RetryBase / RetryCap tune the catch-up loop's jittered exponential
-	// backoff (defaults 100ms / 5s); tests shorten them.
-	RetryBase time.Duration
-	RetryCap  time.Duration
+	// retryBase / retryCap bound the catch-up loop's jittered exponential
+	// backoff.
+	retryBase, retryCap time.Duration
 
 	mu     sync.Mutex
 	target string
@@ -104,13 +103,15 @@ func NewReplicatedStore(local session.Store, target string, reg *obs.Registry, l
 		logf = func(string, ...any) {}
 	}
 	s := &ReplicatedStore{
-		local:   local,
-		appends: reg.Counter("fleet_replica_appends_total"),
-		errs:    reg.Counter("fleet_replica_errors_total"),
-		logf:    logf,
-		state:   ReplicaOff,
-		dirty:   make(map[string]bool),
-		stopc:   make(chan struct{}),
+		local:     local,
+		appends:   reg.Counter("fleet_replica_appends_total"),
+		errs:      reg.Counter("fleet_replica_errors_total"),
+		logf:      logf,
+		retryBase: 100 * time.Millisecond,
+		retryCap:  5 * time.Second,
+		state:     ReplicaOff,
+		dirty:     make(map[string]bool),
+		stopc:     make(chan struct{}),
 	}
 	if target != "" {
 		s.target = target
@@ -305,14 +306,7 @@ func (s *ReplicatedStore) startLoopLocked() {
 // backoff until none remain (then synchronous replication resumes) or
 // the store is closed, re-targeted away, or fenced.
 func (s *ReplicatedStore) catchupLoop() {
-	base, cap := s.RetryBase, s.RetryCap
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	backoff := base
+	backoff := s.retryBase
 	for {
 		s.mu.Lock()
 		if s.closed || s.state != ReplicaCatchup || s.target == "" {
@@ -346,7 +340,7 @@ func (s *ReplicatedStore) catchupLoop() {
 		err := s.streamJournal(client, name)
 		switch {
 		case err == nil:
-			backoff = base
+			backoff = s.retryBase
 			continue
 		case errors.Is(err, ErrPeerPromoted):
 			s.fence()
@@ -364,9 +358,7 @@ func (s *ReplicatedStore) catchupLoop() {
 			// ±50% jitter decorrelates shards retrying into a recovering
 			// replica.
 			d := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
-			if backoff *= 2; backoff > cap {
-				backoff = cap
-			}
+			backoff = min(2*backoff, s.retryCap)
 			select {
 			case <-time.After(d):
 			case <-s.stopc:
@@ -379,13 +371,10 @@ func (s *ReplicatedStore) catchupLoop() {
 	}
 }
 
-// catchupBatch bounds one catch-up append request.
-const catchupBatch = 512
-
 // streamJournal re-streams one session's full local journal to the
-// replica.  The first batch starts with the created event, which the
-// replica treats as a replacing stream, so re-streaming is idempotent:
-// a half-shipped journal is simply replaced on the next attempt.
+// replica (ReplicaClient.stream): the first batch starts with the
+// created event, which the replica treats as a replacing stream, so
+// re-streaming is idempotent.
 func (s *ReplicatedStore) streamJournal(client *ReplicaClient, name string) error {
 	events, err := s.local.Load(name)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -398,16 +387,7 @@ func (s *ReplicatedStore) streamJournal(client *ReplicaClient, name string) erro
 	if err != nil {
 		return err
 	}
-	for start := 0; start < len(events); start += catchupBatch {
-		end := start + catchupBatch
-		if end > len(events) {
-			end = len(events)
-		}
-		if err := client.Append(name, events[start:end]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return client.stream(name, events)
 }
 
 // replicatedWriter is one session's teeing journal handle.

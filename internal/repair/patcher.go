@@ -65,16 +65,16 @@ func For(net topology.RingEmbedder) *Patcher {
 	return p
 }
 
-// LowerBound is the paper's dⁿ − nf guarantee for a De Bruijn network
-// under the canonical fault set f (f counts deduplicated node faults),
-// clamped at 0 when vacuous.  Other topologies guarantee no length here
-// (their bounds live on their own embed info), so it is 0 for them.
+// LowerBound is the length the repair ladder guarantees under the fault
+// set f: topology.NodeFaultBound's dⁿ − nf on a De Bruijn network, 0 on
+// the others, whose splice tier keeps no length (their bounds live on
+// their own embed info).
 func LowerBound(net topology.Network, f topology.FaultSet) int {
 	db, ok := net.(*topology.DeBruijn)
 	if !ok {
 		return 0
 	}
-	return max(db.Nodes()-db.WordLen()*len(f.Nodes), 0)
+	return topology.NodeFaultBound(db.Nodes(), db.WordLen(), f)
 }
 
 // withinBound reports whether f is within the paper's f ≤ n bound on a

@@ -73,7 +73,7 @@ type EmbedStats struct {
 	BStarSize           int // processors in the surviving component B*
 	FaultyNecklaceNodes int // processors sacrificed with faulty necklaces (≤ nf)
 	Eccentricity        int // broadcast rounds from the ring's root (Step 1.1)
-	LowerBound          int // dⁿ − nf, guaranteed when f ≤ d−2 (Prop 2.2)
+	LowerBound          int // dⁿ − nf over the distinct faults, clamped at 0; guaranteed when f ≤ d−2 (Prop 2.2)
 }
 
 // EmbedRing finds a ring through every processor of the largest component
@@ -92,7 +92,7 @@ func (g *Graph) EmbedRing(faults []int) (*Ring, *EmbedStats, error) {
 		BStarSize:           res.BStarSize,
 		FaultyNecklaceNodes: res.FaultyNodeCount,
 		Eccentricity:        res.Eccentricity,
-		LowerBound:          ffc.UpperBound(g.g, len(faults)),
+		LowerBound:          topology.NodeFaultBound(g.g.Size, g.n, topology.NodeFaults(faults...)),
 	}
 	return &Ring{Nodes: res.Cycle}, stats, nil
 }

@@ -186,7 +186,7 @@ func (m *Manager) Delete(name string) error {
 	}
 	m.mu.Unlock()
 	if !ok || s == nil {
-		return fmt.Errorf("session: no session %q", name)
+		return fmt.Errorf("%w %q", ErrNoSession, name)
 	}
 	s.mu.Lock()
 	s.closeLocked(false)
@@ -216,7 +216,7 @@ func (m *Manager) Release(name string) error {
 	}
 	m.mu.Unlock()
 	if !ok || s == nil {
-		return fmt.Errorf("session: no session %q", name)
+		return fmt.Errorf("%w %q", ErrNoSession, name)
 	}
 	s.mu.Lock()
 	s.closeLocked(false)

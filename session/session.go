@@ -642,3 +642,8 @@ var errSessionExists = errors.New("session: name already in use")
 // journal writer is released at close, so post-Close traffic is refused
 // instead of racing it.  Check with errors.Is(err, session.ErrClosed).
 var ErrClosed = errors.New("session: closed")
+
+// ErrNoSession is the sentinel wrapped by Manager.Delete and
+// Manager.Release when no session of that name is live; check with
+// errors.Is(err, session.ErrNoSession).
+var ErrNoSession = errors.New("session: no session")

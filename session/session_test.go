@@ -1,6 +1,7 @@
 package session
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -269,12 +270,18 @@ func TestManagerLifecycle(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "s1.journal")); !os.IsNotExist(err) {
 		t.Error("journal survived deletion")
 	}
-	if err := m.Delete("s1"); err == nil {
-		t.Error("double delete succeeded")
+	if err := m.Delete("s1"); !errors.Is(err, ErrNoSession) || err.Error() != `session: no session "s1"` {
+		t.Errorf("double delete = %v, want ErrNoSession", err)
 	}
 	// The name is reusable after deletion.
 	if _, err := m.Create("s1", "debruijn(2,4)", topology.FaultSet{}); err != nil {
 		t.Errorf("recreate after delete: %v", err)
+	}
+	if err := m.Release("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Release("s1"); !errors.Is(err, ErrNoSession) || err.Error() != `session: no session "s1"` {
+		t.Errorf("double release = %v, want ErrNoSession", err)
 	}
 }
 

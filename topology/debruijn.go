@@ -86,7 +86,7 @@ func (t *DeBruijn) EmbedRing(f FaultSet) ([]int, *EmbedInfo, error) {
 	}
 	info := &EmbedInfo{
 		RingLength: len(res.Cycle),
-		LowerBound: nodeFaultBound(t.g.Size, t.n, f),
+		LowerBound: NodeFaultBound(t.g.Size, t.n, f),
 		Rounds:     res.Eccentricity,
 		Survivors:  res.BStarSize,
 		Dilation:   1,

@@ -73,7 +73,7 @@ func (t *ShuffleExchange) EmbedRing(f FaultSet) ([]int, *EmbedInfo, error) {
 	}
 	return walk, &EmbedInfo{
 		RingLength: len(walk),
-		LowerBound: nodeFaultBound(t.g.Size, t.n, f), // dⁿ − nf for the carried ring
+		LowerBound: NodeFaultBound(t.g.Size, t.n, f), // dⁿ − nf for the carried ring
 		Survivors:  len(ring),
 		Dilation:   dilation,
 	}, nil

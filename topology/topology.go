@@ -15,6 +15,7 @@
 package topology
 
 import (
+	"slices"
 	"sync"
 
 	"debruijnring/internal/dense"
@@ -63,16 +64,26 @@ type EmbedInfo struct {
 	Dilation   int // longest network path realizing one ring hop (≥ 1)
 }
 
-// nodeFaultBound returns the dⁿ − nf guarantee on the length of a
-// successful necklace-removal embedding (every faulty necklace has at
-// most n nodes), computed from the deduplicated fault count and clamped
-// at 0 when the fault load makes it vacuous.
-func nodeFaultBound(size, n int, f FaultSet) int {
-	b := size - n*len(f.Canonical().Nodes)
-	if b < 0 {
-		return 0
+// NodeFaultBound is the paper's dⁿ − nf guarantee on the length of a
+// ring that avoids the necklaces of f's faulty nodes, in a network of
+// size = dⁿ processors named by n-letter words: a necklace holds at most
+// n nodes.  It counts f's distinct faulty nodes (a sorted list is
+// counted in place) and is clamped at 0 when the fault load makes it
+// vacuous.  It is the one copy of the formula: the De Bruijn and
+// shuffle-exchange adapters, the repair ladder (repair.LowerBound) and
+// the root API report it.
+func NodeFaultBound(size, n int, f FaultSet) int {
+	nodes := f.Nodes
+	if !slices.IsSorted(nodes) {
+		nodes = f.Canonical().Nodes
 	}
-	return b
+	distinct := 0
+	for i, v := range nodes {
+		if i == 0 || v != nodes[i-1] {
+			distinct++
+		}
+	}
+	return max(size-n*distinct, 0)
 }
 
 // RingEmbedder is a Network that can embed a fault-free ring around a

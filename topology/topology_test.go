@@ -355,7 +355,7 @@ func TestNodeFaultBoundDedupAndClamp(t *testing.T) {
 	if _, info, err := net.EmbedRing(NodeFaults(many...)); err == nil && info.LowerBound < 0 {
 		t.Errorf("negative bound %d", info.LowerBound)
 	}
-	if b := nodeFaultBound(27, 3, NodeFaults(many...)); b != 0 {
+	if b := NodeFaultBound(27, 3, NodeFaults(many...)); b != 0 {
 		t.Errorf("vacuous bound = %d, want 0", b)
 	}
 }
