@@ -1,7 +1,10 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -160,6 +163,127 @@ func TestFaultSetKeyStableAcrossAddOrder(t *testing.T) {
 		}
 		if got := acc.Key(); got != want {
 			t.Fatalf("trial %d: key %q, want %q", trial, got, want)
+		}
+	}
+}
+
+// TestFaultSetInputContract pins how Minus, Key and VerifyRing treat
+// fault lists straight from outside callers, which may be unsorted and
+// repeated, name negative or out-of-range ids (math.MinInt and
+// math.MaxInt included: Canonical runs before Validate), and list a link
+// fault in the reverse orientation of a ring hop on an undirected net.
+func TestFaultSetInputContract(t *testing.T) {
+	const lo, hi = math.MinInt, math.MaxInt
+	mn, mx := strconv.Itoa(lo), strconv.Itoa(hi)
+
+	for _, c := range []struct {
+		f    FaultSet
+		want string
+	}{
+		{FaultSet{}, "n:;e:"},
+		{FaultSet{Nodes: []int{5, -3, 5, 2, -3}}, "n:-3,2,5;e:"},
+		{FaultSet{Nodes: []int{hi, 0, lo, hi, -1}}, "n:" + mn + ",-1,0," + mx + ";e:"},
+		{FaultSet{Edges: []Edge{{hi, lo}, {lo, hi}, {lo, lo}, {hi, lo}, {0, -1}}},
+			"n:;e:" + mn + "-" + mn + "," + mn + "-" + mx + ",0--1," + mx + "-" + mn},
+		{FaultSet{Edges: []Edge{{2, 1}, {1, 2}, {2, 1}}}, "n:;e:1-2,2-1"},
+		{FaultSet{Nodes: []int{hi, lo}, Edges: []Edge{{hi, hi}, {lo, 0}}}, "n:" + mn + "," + mx + ";e:" + mn + "-0," + mx + "-" + mx},
+	} {
+		if got := c.f.Key(); got != c.want {
+			t.Errorf("Key(%+v) = %q, want %q", c.f, got, c.want)
+		}
+	}
+
+	for _, c := range []struct {
+		f, g  FaultSet
+		nodes []int
+		edges []Edge
+	}{
+		{FaultSet{Nodes: []int{9, -1, 9, hi, lo, 4}}, FaultSet{Nodes: []int{4, lo, 4, 100, -7}},
+			[]int{-1, 9, hi}, nil},
+		{FaultSet{Edges: []Edge{{1, 2}, {2, 1}, {hi, lo}, {1, 2}}}, FaultSet{Edges: []Edge{{2, 1}, {hi, lo}, {2, 1}, {-5, -5}}},
+			nil, []Edge{{1, 2}}},
+		{FaultSet{Nodes: []int{lo, hi}}, FaultSet{Nodes: []int{hi, lo, hi}}, nil, nil},
+		{FaultSet{Nodes: []int{3, 1, 3}, Edges: []Edge{{lo, hi}, {hi, lo}}}, FaultSet{},
+			[]int{1, 3}, []Edge{{lo, hi}, {hi, lo}}},
+		// A reversed link is another fault: Minus keeps the orientation
+		// on every net, and node faults subsume no link.
+		{FaultSet{Nodes: []int{1}, Edges: []Edge{{1, 2}, {0, 1}}}, FaultSet{Nodes: []int{2, 0}, Edges: []Edge{{2, 1}, {0, 1}}},
+			[]int{1}, []Edge{{1, 2}}},
+	} {
+		got := c.f.Minus(c.g)
+		if !slices.Equal(got.Nodes, c.nodes) || !slices.Equal(got.Edges, c.edges) {
+			t.Errorf("%+v.Minus(%+v) = %+v, want nodes %v edges %v", c.f, c.g, got, c.nodes, c.edges)
+		}
+	}
+
+	type verifyCase struct {
+		name   string
+		faults func(ring []int, size int) FaultSet
+		want   bool // on an undirected net; reversed cases flip on a directed one
+		flips  bool
+	}
+	hop := func(ring []int, i int) Edge { return Edge{ring[i], ring[(i+1)%len(ring)]} }
+	cases := []verifyCase{
+		{"none", func([]int, int) FaultSet { return FaultSet{} }, true, false},
+		{"out of range nodes", func(_ []int, size int) FaultSet {
+			return NodeFaults(size, -1, hi, lo, size+3, -1, size)
+		}, true, false},
+		{"many out of range nodes", func(_ []int, size int) FaultSet {
+			var f FaultSet
+			for i := 0; i < 40; i++ {
+				f.Nodes = append(f.Nodes, []int{size + i%7, -1 - i%5, hi - i%3, lo + i%3}[i%4])
+			}
+			return f
+		}, true, false},
+		{"ring node among junk", func(ring []int, size int) FaultSet {
+			return NodeFaults(hi, ring[3], lo, size, ring[3])
+		}, false, false},
+		{"forward ring link", func(ring []int, _ int) FaultSet {
+			return EdgeFaults(Edge{lo, hi}, hop(ring, 0), hop(ring, 0))
+		}, false, false},
+		{"reversed ring link", func(ring []int, _ int) FaultSet {
+			e := hop(ring, 1)
+			return EdgeFaults(Edge{e.To, e.From}, Edge{hi, lo})
+		}, false, true},
+		{"every ring link reversed", func(ring []int, _ int) FaultSet {
+			var f FaultSet
+			for i := len(ring) - 1; i >= 0; i-- {
+				e := hop(ring, i)
+				f.Edges = append(f.Edges, Edge{e.To, e.From})
+			}
+			return f
+		}, false, true},
+		{"extreme links", func(_ []int, size int) FaultSet {
+			return EdgeFaults(Edge{lo, hi}, Edge{hi, lo}, Edge{-1, 0}, Edge{0, size}, Edge{lo, lo})
+		}, true, false},
+	}
+	nets := []RingEmbedder{}
+	for _, mk := range []func() (RingEmbedder, error){
+		func() (RingEmbedder, error) { return NewHypercube(3) },          // ring of 8: the small-ring scans
+		func() (RingEmbedder, error) { return NewHypercube(7) },          // ring of 128: the marking pass
+		func() (RingEmbedder, error) { return NewShuffleExchange(2, 4) }, // its own closed-walk test
+		func() (RingEmbedder, error) { return NewDeBruijn(2, 7) },        // directed
+	} {
+		net, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
+	}
+	for _, net := range nets {
+		ring, _, err := net.EmbedRing(FaultSet{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			want := c.want
+			if c.flips && !Undirected(net) {
+				want = !want
+			}
+			f := c.faults(ring, net.Nodes())
+			if got := VerifyRing(net, ring, f); got != want {
+				t.Errorf("%s, %s: VerifyRing = %v, want %v", net.Name(), c.name, got, want)
+			}
 		}
 	}
 }
