@@ -30,6 +30,13 @@
 // runs amortize one-time pool growth over fewer iterations, so B/op
 // needs more headroom than allocs/op — the gate still catches the
 // order-of-magnitude map-rebuild regressions it exists for).
+//
+// -compare also names stale baselines, one "stale:" line per entry,
+// without changing the exit status: an entry whose allocs/op is below
+// its baseline, or whose ns/op beats its baseline by more than
+// -tolerance, or bytes/op by more than -bytes-tolerance.  Against such
+// a baseline a regression back to the old cost would still pass, so the
+// change that wins should re-record the entry from paired samples.
 package main
 
 import (
@@ -182,10 +189,13 @@ func main() {
 	}
 
 	if *compare != "" {
-		regressions, err := compareBaseline(*compare, report, *tolerance, *bytesTolerance)
+		regressions, stale, err := compareBaseline(*compare, report, *tolerance, *bytesTolerance)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
+		}
+		for _, s := range stale {
+			fmt.Fprintln(os.Stderr, "stale: "+s)
 		}
 		if len(regressions) > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) beyond %.0f%% or missing baselines vs %s:\n",
@@ -230,21 +240,22 @@ func bestOf(samples []Benchmark) []Benchmark {
 // (looser) bytesTolerance fraction.  A benchmark the run measured but
 // the baseline lacks is a failure too, named in the result, so a gated
 // run can never pass a benchmark silently: record its baseline first.
-// Baseline entries the run did not measure are ignored.
-func compareBaseline(path string, report Report, tolerance, bytesTolerance float64) ([]string, error) {
+// Baseline entries the run did not measure are ignored.  stale names,
+// one line per entry, the baselines the run beat: fewer allocs/op, or
+// ns/op or bytes/op below the baseline by more than the same fractions.
+func compareBaseline(path string, report Report, tolerance, bytesTolerance float64) (regressions, stale []string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var base Report
 	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
+		return nil, nil, fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
 	baseline := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
 	}
-	var regressions []string
 	matched := 0
 	for _, b := range report.Benchmarks {
 		ref, ok := baseline[b.Name]
@@ -270,9 +281,24 @@ func compareBaseline(path string, report Report, tolerance, bytesTolerance float
 				b.Name, b.BytesPerOp, ref.BytesPerOp,
 				100*(float64(b.BytesPerOp)/float64(ref.BytesPerOp)-1)))
 		}
+		var won []string
+		if b.AllocsPerOp < ref.AllocsPerOp {
+			won = append(won, fmt.Sprintf("%d allocs/op vs baseline %d", b.AllocsPerOp, ref.AllocsPerOp))
+		}
+		if b.NsPerOp < ref.NsPerOp*(1-tolerance) {
+			won = append(won, fmt.Sprintf("%.0f ns/op vs baseline %.0f (%+.0f%%)",
+				b.NsPerOp, ref.NsPerOp, 100*(b.NsPerOp/ref.NsPerOp-1)))
+		}
+		if float64(b.BytesPerOp) < float64(ref.BytesPerOp)*(1-bytesTolerance) {
+			won = append(won, fmt.Sprintf("%d B/op vs baseline %d (%+.0f%%)",
+				b.BytesPerOp, ref.BytesPerOp, 100*(float64(b.BytesPerOp)/float64(ref.BytesPerOp)-1)))
+		}
+		if len(won) > 0 {
+			stale = append(stale, b.Name+": "+strings.Join(won, ", "))
+		}
 	}
 	if matched == 0 {
-		return nil, fmt.Errorf("baseline %s shares no benchmarks with this run (bench %q)", path, report.Bench)
+		return nil, nil, fmt.Errorf("baseline %s shares no benchmarks with this run (bench %q)", path, report.Bench)
 	}
-	return regressions, nil
+	return regressions, stale, nil
 }

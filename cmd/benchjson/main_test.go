@@ -31,7 +31,7 @@ func TestCompareBaselineNamesMissingEntries(t *testing.T) {
 		{Name: "New", NsPerOp: 5},
 		{Name: "Scaling/n=10", NsPerOp: 5},
 	}}
-	got, err := compareBaseline(path, run, 0.25, 0.5)
+	got, _, err := compareBaseline(path, run, 0.25, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +42,54 @@ func TestCompareBaselineNamesMissingEntries(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("compareBaseline =\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestCompareBaselineNamesStaleEntries: an entry with fewer allocs/op
+// than its baseline, or ns/op or B/op below it by more than that
+// column's tolerance, is named stale once, all its won columns on one
+// line; wins inside the tolerance and regressions are not.
+func TestCompareBaselineNamesStaleEntries(t *testing.T) {
+	base := Report{Benchmarks: []Benchmark{
+		{Name: "Flat", NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 10},
+		{Name: "FewerAllocs", NsPerOp: 100, AllocsPerOp: 10},
+		{Name: "Faster", NsPerOp: 100},
+		{Name: "Leaner", NsPerOp: 100, BytesPerOp: 1000},
+		{Name: "AllWon", NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 3},
+		{Name: "Slower", NsPerOp: 100, AllocsPerOp: 2},
+	}}
+	data, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := Report{Benchmarks: []Benchmark{
+		{Name: "Flat", NsPerOp: 76, BytesPerOp: 501, AllocsPerOp: 10},
+		{Name: "FewerAllocs", NsPerOp: 100, AllocsPerOp: 9},
+		{Name: "Faster", NsPerOp: 74},
+		{Name: "Leaner", NsPerOp: 100, BytesPerOp: 499},
+		{Name: "AllWon", NsPerOp: 50, BytesPerOp: 100},
+		{Name: "Slower", NsPerOp: 200, AllocsPerOp: 1},
+	}}
+	regressions, stale, err := compareBaseline(path, run, 0.25, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"Slower: 200 ns/op vs baseline 100 (+100%)"}; !slices.Equal(regressions, want) {
+		t.Fatalf("regressions =\n%q\nwant\n%q", regressions, want)
+	}
+	want := []string{
+		"FewerAllocs: 9 allocs/op vs baseline 10",
+		"Faster: 74 ns/op vs baseline 100 (-26%)",
+		"Leaner: 499 B/op vs baseline 1000 (-50%)",
+		"AllWon: 0 allocs/op vs baseline 3, 50 ns/op vs baseline 100 (-50%), 100 B/op vs baseline 1000 (-90%)",
+		"Slower: 1 allocs/op vs baseline 2",
+	}
+	if !slices.Equal(stale, want) {
+		t.Fatalf("stale =\n%q\nwant\n%q", stale, want)
 	}
 }
 

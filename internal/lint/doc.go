@@ -23,7 +23,7 @@
 //     &-taken composite literals, append growth, string concatenation,
 //     fmt.*, interface boxing, dynamic calls, and calls into stdlib
 //     packages not on the known-clean allowlist (sync/atomic, math,
-//     math/bits).  Guards: the ~24ns/0-alloc Observe path and the
+//     math/bits, cmp).  Guards: the ~24ns/0-alloc Observe path and the
 //     bytes/op CI gates (PR 8/9).
 //
 //   - atomics — an object whose address is passed to a sync/atomic

@@ -21,7 +21,7 @@ import (
 //     interface
 //   - dynamic calls (interface methods, func values, closures) and
 //     calls into stdlib packages outside the known-clean allowlist
-//     (sync/atomic, math, math/bits) — not provably allocation-free
+//     (sync/atomic, math, math/bits, cmp) — not provably allocation-free
 //   - go statements and defers
 //
 // It returns the findings plus the sorted names of the marked roots
@@ -75,8 +75,11 @@ type noallocWalker struct {
 }
 
 // allocCleanStdlib are stdlib packages whose exported call surface is
-// known not to allocate on the paths this repo uses.
+// known not to allocate on the paths this repo uses.  cmp's Compare,
+// Less and Or are inlined comparisons of ordered values (the variadic
+// Or's argument slice stays on the stack).
 var allocCleanStdlib = map[string]bool{
+	"cmp":         true,
 	"sync/atomic": true,
 	"math":        true,
 	"math/bits":   true,

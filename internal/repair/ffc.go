@@ -94,9 +94,9 @@ type ffcPatcher struct {
 	// succOf derives every other one.
 	reordered dense.Sparse
 
-	// avoid is the canonical list of link faults the current call's star
-	// plans keep off: a slice of the Patcher's fault set, never modified.
-	avoid []topology.Edge
+	// avoid is the canonical fault set whose link faults the current
+	// call's star plans keep off: one of the Patcher's, never modified.
+	avoid topology.FaultSet
 
 	// touched counts star re-closures performed by the most recent
 	// patch/unpatch call — the "O(touched stars)" of the structural
@@ -259,7 +259,7 @@ func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.Embe
 
 	ring := res.Cycle
 	if len(f.Edges) > 0 {
-		p.avoid = f.Edges
+		p.avoid = f
 		if _, ok := p.absorbTraversed(); !ok {
 			return nil, nil, fmt.Errorf(
 				"repair: %s: FFC ring around %d node faults traverses a faulty link no star reorder avoids",
@@ -383,7 +383,7 @@ func (p *ffcPatcher) patch(add, old, next topology.FaultSet) Outcome {
 		// turns a splice noop that heals a processor into a re-embed
 		// (chainOutcome).
 		for _, x := range add.Nodes {
-			if !p.faultyIn(p.rep(x), old.Nodes) {
+			if !p.faultyIn(p.rep(x), old) {
 				p.valid = false
 			}
 		}
@@ -392,10 +392,10 @@ func (p *ffcPatcher) patch(add, old, next topology.FaultSet) Outcome {
 
 	// Star plans of the node loop avoid the links that were already
 	// faulty; the batch's own links join from the absorption pass on.
-	p.avoid = old.Edges
+	p.avoid = old
 	removed := false
 	for _, x := range add.Nodes {
-		if has(old.Nodes, x) {
+		if old.HasNode(x) {
 			continue // duplicate fault
 		}
 		rep := p.rep(x)
@@ -419,7 +419,7 @@ func (p *ffcPatcher) patch(add, old, next topology.FaultSet) Outcome {
 	// it does traverse is rerouted by reordering window choices within
 	// the touched stars (node removal above can also re-expose an older
 	// link fault, which the same pass absorbs).
-	p.avoid = next.Edges
+	p.avoid = next
 	reordered, ok := p.absorbTraversed()
 	if !ok {
 		p.valid = false
@@ -450,14 +450,14 @@ func (p *ffcPatcher) unpatch(remove, old, next topology.FaultSet) Outcome {
 	if !p.valid || !p.spanning {
 		return Unsupported
 	}
-	p.avoid = next.Edges
+	p.avoid = next
 	changed := false
 	for _, x := range remove.Nodes {
-		if !has(old.Nodes, x) {
+		if !old.HasNode(x) {
 			continue // healing a non-fault is bookkeeping only
 		}
 		rep := p.rep(x)
-		if p.keepsFault(rep, x, old.Nodes, next.Nodes) {
+		if p.keepsFault(rep, x, old, next) {
 			continue // another processor of the necklace is still down
 		}
 		if rep == p.root {
@@ -488,10 +488,10 @@ func (p *ffcPatcher) unpatch(remove, old, next topology.FaultSet) Outcome {
 }
 
 // faultyIn reports whether a node of necklace rep is in the canonical
-// node list faults.
-func (p *ffcPatcher) faultyIn(rep int, faults []int) bool {
+// fault set f.
+func (p *ffcPatcher) faultyIn(rep int, f topology.FaultSet) bool {
 	for y := rep; ; {
-		if has(faults, y) {
+		if f.HasNode(y) {
 			return true
 		}
 		if y = p.g.RotL(y); y == rep {
@@ -503,9 +503,9 @@ func (p *ffcPatcher) faultyIn(rep int, faults []int) bool {
 // keepsFault reports whether necklace rep is still faulty once a heal
 // going from old to next has reached its node x: a node of it stays
 // faulty, or is healed later in the batch.
-func (p *ffcPatcher) keepsFault(rep, x int, old, next []int) bool {
+func (p *ffcPatcher) keepsFault(rep, x int, old, next topology.FaultSet) bool {
 	for y := rep; ; {
-		if has(old, y) && (y > x || has(next, y)) {
+		if old.HasNode(y) && (y > x || next.HasNode(y)) {
 			return true
 		}
 		if y = p.g.RotL(y); y == rep {
@@ -719,8 +719,7 @@ func (p *ffcPatcher) planStar(members []int, w int) (pairs [][2]int, ascending b
 		}
 	}
 	order := cycleOrder(k, func(i, j int) bool {
-		_, faulty := slices.BinarySearchFunc(p.avoid, topology.Edge{From: outs[i], To: ins[j]}, compareEdges)
-		return !faulty
+		return !p.avoid.HasEdge(outs[i], ins[j])
 	})
 	if order == nil {
 		return nil, false
@@ -777,9 +776,9 @@ func cycleOrder(k int, allowed func(i, j int) bool) []int {
 // reroutes at least one wire, and a pass that reroutes nothing
 // terminates the loop.
 func (p *ffcPatcher) absorbTraversed() (changed, ok bool) {
-	for pass := 0; pass <= len(p.avoid); pass++ {
+	for pass := 0; pass <= len(p.avoid.Edges); pass++ {
 		again := false
-		for _, e := range p.avoid {
+		for _, e := range p.avoid.Edges {
 			if !p.member(p.rep(e.From)) || p.ringSuccessor(e.From) != e.To {
 				continue
 			}
@@ -1450,11 +1449,6 @@ func (p *ffcPatcher) audit(faulty []int) error {
 func has(s []int, v int) bool {
 	_, ok := slices.BinarySearch(s, v)
 	return ok
-}
-
-// compareEdges orders edges as FaultSet.Canonical does.
-func compareEdges(a, b topology.Edge) int {
-	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }
 
 // removeSorted deletes v from the sorted slice s (if present).

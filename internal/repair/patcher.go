@@ -224,12 +224,13 @@ func (p *Patcher) stepCopy(heal bool, batch, next topology.FaultSet) ([]int, Out
 
 // Step runs the local tiers of the ladder for one fault (heal false) or
 // heal batch, with no f ≤ n gate and no re-embed.  next is the
-// cumulative fault set after it: Faults() plus batch for a fault, minus
-// batch for a heal.  On a ring-changing outcome the ring was changed in
-// place and Diff reports how; on Noop only the fault set moved to next;
-// on Unsupported nothing changed and the caller must Embed(next).  A
-// batch with out-of-range coordinates is Unsupported before any tier
-// sees it, so bad input never poisons tier state.
+// cumulative fault set after it, canonical: Faults().Union(batch) for a
+// fault, Faults().Minus(batch) for a heal.  On a ring-changing outcome
+// the ring was changed in place and Diff reports how; on Noop only the
+// fault set moved to next; on Unsupported nothing changed and the
+// caller must Embed(next).  A batch with out-of-range coordinates is
+// Unsupported before any tier sees it, so bad input never poisons tier
+// state.
 func (p *Patcher) Step(heal bool, batch, next topology.FaultSet) Outcome {
 	p.trace, p.diff = p.trace[:0], Diff{}
 	return p.step(heal, batch.Canonical(), next)

@@ -27,7 +27,11 @@
 // path on one side.  Neither tier keeps a fault set of its own, and the
 // splice tier keeps no ring: each call reads the Patcher's cumulative
 // fault sets before and after the batch (and the splice tier its ring),
-// and both answer in the same change format.
+// and both answer in the same change format.  Both tiers and the ring's
+// seam checks ask those canonical sets the one membership test — is a
+// processor faulty, does a hop cross a failed link, in either
+// orientation on an undirected network (topology.FaultSet's HasNode,
+// HasEdge and Severs) — by binary search, building no map per call.
 //
 // For(net) is the one entry point.  It returns a Patcher that owns the
 // ring and its cumulative fault set and runs the per-topology ladder:
@@ -156,9 +160,10 @@ func (r Resolution) String() string { return resolutionNames[r] }
 //
 // The tier keeps no ring and no fault set.  Each patch or unpatch reads
 // the ring the Patcher owns, materialized once into pooled scratch, and
-// the fault sets Step hands it, and reports the ring change as a delta
-// against that ring (emit), which the Patcher applies.  Between calls it
-// keeps only the splicable bit.
+// the canonical fault sets Step hands it, whose HasNode and Severs
+// screen every ring node, hop and bypass candidate, and reports the ring
+// change as a delta against that ring (emit), which the Patcher applies.
+// Between calls it keeps only the splicable bit.
 type genericPatcher struct {
 	net topology.RingEmbedder
 
@@ -270,19 +275,6 @@ func (p *genericPatcher) emit() *delta {
 	return d
 }
 
-// edgeCut returns the link test for the fault set f: whether u→v is a
-// faulty link, in either orientation on an undirected network.
-func (p *genericPatcher) edgeCut(f topology.FaultSet) func(u, v int) bool {
-	undirected := topology.Undirected(p.net)
-	badEdge := f.EdgeSet()
-	return func(u, v int) bool {
-		if badEdge[topology.Edge{From: u, To: v}] {
-			return true
-		}
-		return undirected && badEdge[topology.Edge{From: v, To: u}]
-	}
-}
-
 // patch cuts a fault batch out of the Patcher's ring r, where next is
 // the fault set after the batch, reconnecting the surviving arcs, and
 // logs the cut for emit: each arc tail and bypass interior with its new
@@ -293,15 +285,14 @@ func (p *genericPatcher) patch(r *Ring, next topology.FaultSet) Outcome {
 	if !p.valid || r.k == 0 {
 		return Unsupported
 	}
-	badNode := next.NodeSet()
-	edgeCut := p.edgeCut(next)
+	undirected := topology.Undirected(p.net)
 
 	ring := r.appendTo(p.cur[:0])
 	p.cur = ring
 	k := len(ring)
 	hit := false
 	for i, v := range ring {
-		if badNode[int(v)] || edgeCut(int(v), int(ring[(i+1)%k])) {
+		if next.HasNode(int(v)) || next.Severs(undirected, int(v), int(ring[(i+1)%k])) {
 			hit = true
 			break
 		}
@@ -316,7 +307,7 @@ func (p *genericPatcher) patch(r *Ring, next topology.FaultSet) Outcome {
 	s := 0
 	for i := 0; i < k; i++ {
 		prev := int(ring[(i-1+k)%k])
-		if badNode[prev] || edgeCut(prev, int(ring[i])) {
+		if next.HasNode(prev) || next.Severs(undirected, prev, int(ring[i])) {
 			s = i
 			break
 		}
@@ -326,7 +317,7 @@ func (p *genericPatcher) patch(r *Ring, next topology.FaultSet) Outcome {
 	for j := 0; j < k; j++ {
 		i := (s + j) % k
 		v := int(ring[i])
-		if badNode[v] {
+		if next.HasNode(v) {
 			p.leave = append(p.leave, v)
 			if first >= 0 {
 				p.arcs = append(p.arcs, first, (i-1+k)%k)
@@ -337,7 +328,7 @@ func (p *genericPatcher) patch(r *Ring, next topology.FaultSet) Outcome {
 		if first < 0 {
 			first = i
 		}
-		if w := int(ring[(i+1)%k]); !badNode[w] && edgeCut(v, w) {
+		if w := int(ring[(i+1)%k]); !next.HasNode(w) && next.Severs(undirected, v, w) {
 			p.arcs = append(p.arcs, first, i)
 			first = -1
 		}
@@ -357,7 +348,7 @@ func (p *genericPatcher) patch(r *Ring, next topology.FaultSet) Outcome {
 	// edge cannot shrink the search space of the next.
 	for a := 0; a < len(p.arcs); a += 2 {
 		tail, head := int(ring[p.arcs[a+1]]), int(ring[p.arcs[(a+2)%len(p.arcs)]])
-		path, ok := p.bypass(r, tail, head, badNode, edgeCut)
+		path, ok := p.bypass(r, tail, head, next)
 		if !ok {
 			p.valid = false
 			return Unsupported
@@ -396,9 +387,6 @@ func (p *genericPatcher) unpatch(r *Ring, old, next topology.FaultSet) Outcome {
 	if len(p.healed) == 0 {
 		return Noop
 	}
-	badNode := next.NodeSet()
-	edgeCut := p.edgeCut(next)
-
 	p.cur = r.appendTo(p.cur[:0])
 	changed := false
 	for _, v := range p.healed {
@@ -406,7 +394,7 @@ func (p *genericPatcher) unpatch(r *Ring, old, next topology.FaultSet) Outcome {
 			// Defensive: a faulty node is never on the ring.
 			continue
 		}
-		if p.insertHealed(r, v, badNode, edgeCut) {
+		if p.insertHealed(r, v, next) {
 			changed = true
 			p.touched++
 		}
@@ -424,12 +412,13 @@ func (p *genericPatcher) unpatch(r *Ring, old, next topology.FaultSet) Outcome {
 // that, the multi-hop heal opens one ring hop u→w into u → v → … → w
 // (or u → … → v → w) with the longer side running through off-ring
 // fault-free survivors found by the same bounded BFS the fault
-// direction uses for bypasses.
-func (p *genericPatcher) insertHealed(r *Ring, v int, badNode map[int]bool, edgeCut func(int, int) bool) bool {
+// direction uses for bypasses.  f is the fault set after the heal.
+func (p *genericPatcher) insertHealed(r *Ring, v int, f topology.FaultSet) bool {
+	undirected := topology.Undirected(p.net)
 	k := len(p.cur)
 	for i, u32 := range p.cur {
 		u, w := int(u32), int(p.cur[(i+1)%k])
-		if p.net.IsEdge(u, v) && p.net.IsEdge(v, w) && !edgeCut(u, v) && !edgeCut(v, w) {
+		if p.net.IsEdge(u, v) && p.net.IsEdge(v, w) && !f.Severs(undirected, u, v) && !f.Severs(undirected, v, w) {
 			p.seqBuf = append(p.seqBuf[:0], v)
 			p.insertAfter(i, p.seqBuf)
 			return true
@@ -437,16 +426,16 @@ func (p *genericPatcher) insertHealed(r *Ring, v int, badNode map[int]bool, edge
 	}
 	for i, u32 := range p.cur {
 		u, w := int(u32), int(p.cur[(i+1)%k])
-		if p.net.IsEdge(u, v) && !edgeCut(u, v) {
-			if path, ok := p.bypass(r, v, w, badNode, edgeCut); ok {
+		if p.net.IsEdge(u, v) && !f.Severs(undirected, u, v) {
+			if path, ok := p.bypass(r, v, w, f); ok {
 				p.seqBuf = append(p.seqBuf[:0], v)
 				p.seqBuf = append(p.seqBuf, path...)
 				p.insertAfter(i, p.seqBuf)
 				return true
 			}
 		}
-		if p.net.IsEdge(v, w) && !edgeCut(v, w) {
-			if path, ok := p.bypass(r, u, v, badNode, edgeCut); ok {
+		if p.net.IsEdge(v, w) && !f.Severs(undirected, v, w) {
+			if path, ok := p.bypass(r, u, v, f); ok {
 				p.seqBuf = append(p.seqBuf[:0], path...)
 				p.seqBuf = append(p.seqBuf, v)
 				p.insertAfter(i, p.seqBuf)
@@ -478,22 +467,23 @@ func (p *genericPatcher) insertAfter(i int, seq []int) {
 	p.join = append(p.join, seq...) //ringlint:allow alloc pooled edit log; growth amortizes to zero
 }
 
-// bypass finds a path from tail to head whose interior avoids faulty and
-// taken nodes, shorter than maxBypassLen hops.  It returns the interior
-// nodes (empty for a direct link), valid only until the next bypass
-// call.  The search runs entirely on pooled epoch-stamped scratch, reset
+// bypass finds a path from tail to head whose interior avoids taken
+// nodes and the faults of f, shorter than maxBypassLen hops.  It
+// returns the interior nodes (empty for a direct link), valid only
+// until the next bypass call.  The search runs entirely on pooled epoch-stamped scratch, reset
 // per attempt, and marks nothing taken — the caller commits accepted
 // paths, so one attempt's candidate marks cannot leak into the next.
 //
 //ringlint:noalloc
-func (p *genericPatcher) bypass(r *Ring, tail, head int, badNode map[int]bool, edgeCut func(int, int) bool) ([]int, bool) {
+func (p *genericPatcher) bypass(r *Ring, tail, head int, f topology.FaultSet) ([]int, bool) {
 	if tail == head {
 		// A single one-node segment closing on itself needs a self-loop,
 		// which no adapter's verification accepts as a ring.
 		return nil, false
 	}
-	//ringlint:allow alloc adapter IsEdge and the edgeCut closure are arithmetic on every in-tree topology
-	if p.net.IsEdge(tail, head) && !edgeCut(tail, head) {
+	undirected := topology.Undirected(p.net)
+	//ringlint:allow alloc adapter IsEdge is arithmetic on every in-tree topology
+	if p.net.IsEdge(tail, head) && !f.Severs(undirected, tail, head) {
 		return nil, true
 	}
 	limit := p.maxBypassLen()
@@ -506,7 +496,7 @@ func (p *genericPatcher) bypass(r *Ring, tail, head int, badNode map[int]bool, e
 			u := int(u32)
 			p.succBuf = p.net.Successors(u, p.succBuf) //ringlint:allow alloc adapter contract: Successors fills the caller's buffer in place
 			for _, w := range p.succBuf {
-				if w == u || edgeCut(u, w) { //ringlint:allow alloc edgeCut closures are arithmetic over captured fault sets
+				if w == u || f.Severs(undirected, u, w) {
 					continue
 				}
 				if w == head {
@@ -524,7 +514,7 @@ func (p *genericPatcher) bypass(r *Ring, tail, head int, badNode map[int]bool, e
 					p.pathBuf = path
 					return path, true
 				}
-				if badNode[w] || p.taken(r, w) || p.prev.Has(w) {
+				if f.HasNode(w) || p.taken(r, w) || p.prev.Has(w) {
 					continue
 				}
 				p.prev.Set(w, int32(u))

@@ -355,7 +355,7 @@ func (r *Ring) build(net topology.Network, d *delta, f, fresh topology.FaultSet,
 			return false
 		}
 		//ringlint:allow alloc adapter IsEdge is arithmetic on every in-tree topology
-		if !net.IsEdge(x, s) || hasNode(f, x) || hasNode(f, s) || hasEdge(f, x, s) || (undirected && hasEdge(f, s, x)) {
+		if !net.IsEdge(x, s) || f.HasNode(x) || f.HasNode(s) || f.Severs(undirected, x, s) {
 			return false
 		}
 		r.succ.Set(x, int32(s))
@@ -633,39 +633,6 @@ func (r *Ring) cut(x int) {
 		r.cuts = append(r.cuts, uint64(i)<<32|uint64(x)) //ringlint:allow alloc pooled cut list; growth amortizes to zero
 		r.next -= edgeHash(int32(x), int32(r.after(p, int(r.loc[x]))))
 	}
-}
-
-// hasNode reports whether the canonical (sorted) fault set f lists v.
-//
-//ringlint:noalloc
-func hasNode(f topology.FaultSet, v int) bool {
-	lo, hi := 0, len(f.Nodes)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if f.Nodes[m] < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo < len(f.Nodes) && f.Nodes[lo] == v
-}
-
-// hasEdge reports whether the canonical (sorted) fault set f lists the
-// link u→w.
-//
-//ringlint:noalloc
-func hasEdge(f topology.FaultSet, u, w int) bool {
-	lo, hi := 0, len(f.Edges)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if e := f.Edges[m]; e.From < u || (e.From == u && e.To < w) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo < len(f.Edges) && f.Edges[lo] == topology.Edge{From: u, To: w}
 }
 
 // ringDiff holds the two node-membership bitsets replace diffs the old

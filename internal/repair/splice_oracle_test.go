@@ -2,8 +2,8 @@ package repair
 
 // The splice oracle: the splice tier and the ladder around it as they
 // stood while the tier kept its own copy of the ring, copied verbatim
-// (only the type names differ), the way walk_test.go keeps the FFC
-// walk.  That tier held a private ring, its fault set and an
+// (only the type names and the membership maps' constructors differ),
+// the way walk_test.go keeps the FFC walk.  That tier held a private ring, its fault set and an
 // incremental membership set, and on the De Bruijn chain resynced them
 // from the owned ring before every splice attempt.  TestSpliceMatchesOracle
 // drives the same seeded fault/heal streams through it and through the
@@ -22,6 +22,24 @@ import (
 	"debruijnring/internal/dense"
 	"debruijnring/topology"
 )
+
+// nodeSet and edgeSet are the membership maps the oracle's tier built
+// per call (they were FaultSet.NodeSet and FaultSet.EdgeSet).
+func nodeSet(f topology.FaultSet) map[int]bool {
+	m := make(map[int]bool, len(f.Nodes))
+	for _, v := range f.Nodes {
+		m[v] = true
+	}
+	return m
+}
+
+func edgeSet(f topology.FaultSet) map[topology.Edge]bool {
+	m := make(map[topology.Edge]bool, len(f.Edges))
+	for _, e := range f.Edges {
+		m[e] = true
+	}
+	return m
+}
 
 // newOraclePatcher is For over the oracle tiers.
 func newOraclePatcher(net topology.RingEmbedder) *oraclePatcher {
@@ -794,8 +812,8 @@ func (p *oracleSplice) patch(add topology.FaultSet) Outcome {
 	}
 	combined := p.faults.Union(add)
 	undirected := topology.Undirected(p.net)
-	badNode := combined.NodeSet()
-	badEdge := combined.EdgeSet()
+	badNode := nodeSet(combined)
+	badEdge := edgeSet(combined)
 	edgeCut := func(u, v int) bool {
 		if badEdge[topology.Edge{From: u, To: v}] {
 			return true
@@ -933,14 +951,14 @@ func (p *oracleSplice) unpatch(remove topology.FaultSet) Outcome {
 	}
 
 	undirected := topology.Undirected(p.net)
-	badEdge := reduced.EdgeSet()
+	badEdge := edgeSet(reduced)
 	edgeCut := func(u, v int) bool {
 		if badEdge[topology.Edge{From: u, To: v}] {
 			return true
 		}
 		return undirected && badEdge[topology.Edge{From: v, To: u}]
 	}
-	badNode := reduced.NodeSet()
+	badNode := nodeSet(reduced)
 	// The pooled membership set survives from the last event when the
 	// ring has not been replaced since; otherwise one rebuild here.
 	p.ensureOnRing()

@@ -6,6 +6,7 @@ package topology
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,8 +63,14 @@ func verifyRingReference(net Network, cycle []int, f FaultSet) bool {
 	if !IsRing(net, cycle) {
 		return false
 	}
-	badNode := f.NodeSet()
-	badEdge := f.EdgeSet()
+	badNode := make(map[int]bool, len(f.Nodes))
+	for _, v := range f.Nodes {
+		badNode[v] = true
+	}
+	badEdge := make(map[Edge]bool, len(f.Edges))
+	for _, e := range f.Edges {
+		badEdge[e] = true
+	}
 	_, undirected := net.(undirectedNetwork)
 	k := len(cycle)
 	for i, v := range cycle {
@@ -83,10 +90,10 @@ func verifyRingReference(net Network, cycle []int, f FaultSet) bool {
 	return true
 }
 
-// TestVerifyRingMatchesReference exercises both the small-set linear
-// scans and the pooled-set / sorted-edge paths (fault sets larger than
-// smallFaultCutoff) against the map implementation, on a ring long
-// enough to trigger the dense cycle-dedup path as well.
+// TestVerifyRingMatchesReference checks VerifyRing against the map
+// implementation on unsorted fault lists of up to 31 nodes and links
+// (mostly misses, some out of range), on a ring long enough to trigger
+// the dense cycle-dedup path as well.
 func TestVerifyRingMatchesReference(t *testing.T) {
 	net, err := NewDeBruijn(2, 8) // 256 nodes, ring length > 64
 	if err != nil {
@@ -99,12 +106,12 @@ func TestVerifyRingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for trial := 0; trial < 200; trial++ {
 		var f FaultSet
-		nNodes := rng.IntN(2 * smallFaultCutoff)
+		nNodes := rng.IntN(32)
 		for j := 0; j < nNodes; j++ {
 			// Mostly misses, occasionally out of range.
 			f.Nodes = append(f.Nodes, rng.IntN(net.Nodes()+10)-5)
 		}
-		nEdges := rng.IntN(2 * smallFaultCutoff)
+		nEdges := rng.IntN(32)
 		for j := 0; j < nEdges; j++ {
 			u := rng.IntN(net.Nodes())
 			f.Edges = append(f.Edges, Edge{u, (u*2 + rng.IntN(2)) % net.Nodes()})
@@ -136,7 +143,7 @@ func TestVerifyRingLargeFaultSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A large all-miss node set exercises the pooled dense set.
+	// Fault every node the fault-free ring misses: there is none.
 	var f FaultSet
 	for v := 0; v < net.Nodes(); v++ {
 		off := false
@@ -186,25 +193,18 @@ func TestFromSpecMemoizes(t *testing.T) {
 
 // verifyRingPerNode is VerifyRing as it was before the fault check moved
 // onto the simple-cycle pass: the structural test, then every ring node
-// looked up in the fault set.
+// and hop looked up in the raw fault lists.
 func verifyRingPerNode(net Network, cycle []int, f FaultSet) bool {
 	if !IsRing(net, cycle) {
 		return false
 	}
-	badNode := makeNodeLookup(f.Nodes, net.Nodes())
-	defer badNode.release()
-	badEdge := makeEdgeLookup(f.Edges)
 	_, undirected := net.(undirectedNetwork)
 	k := len(cycle)
 	for i, v := range cycle {
-		if badNode.has(v) {
+		w := cycle[(i+1)%k]
+		if slices.Contains(f.Nodes, v) || slices.Contains(f.Edges, Edge{From: v, To: w}) ||
+			undirected && slices.Contains(f.Edges, Edge{From: w, To: v}) {
 			return false
-		}
-		if len(f.Edges) > 0 {
-			w := cycle[(i+1)%k]
-			if badEdge.has(Edge{From: v, To: w}) || undirected && badEdge.has(Edge{From: w, To: v}) {
-				return false
-			}
 		}
 	}
 	return true
@@ -214,8 +214,8 @@ func verifyRingPerNode(net Network, cycle []int, f FaultSet) bool {
 // it replaced, on rings longer and shorter than smallCycle and on the
 // adapters with their own cycle test: embedded rings, shuffled and
 // truncated ones, rings with an out-of-range or a repeated node, and
-// fault sets on and off the ring, out of range, repeated, and larger
-// than smallFaultCutoff.
+// fault sets on and off the ring, out of range, repeated, and up to 47
+// nodes long.
 func TestVerifyRingMatchesPerNodeScan(t *testing.T) {
 	var nets []RingEmbedder
 	for _, mk := range []func() (RingEmbedder, error){
@@ -251,7 +251,7 @@ func TestVerifyRingMatchesPerNodeScan(t *testing.T) {
 				rng.Shuffle(len(cycle), func(i, j int) { cycle[i], cycle[j] = cycle[j], cycle[i] })
 			}
 			var f FaultSet
-			for j := rng.IntN(3 * smallFaultCutoff / (1 + trial%3*4)); j > 0; j-- {
+			for j := rng.IntN(48 / (1 + trial%3*4)); j > 0; j-- {
 				switch rng.IntN(4) {
 				case 0: // on the ring
 					f.Nodes = append(f.Nodes, cycle[rng.IntN(len(cycle))])

@@ -1,11 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-
-	"debruijnring/internal/dense"
 )
 
 // Edge is a directed network link from one processor to another.
@@ -17,6 +16,15 @@ type Edge struct {
 // (Nodes) and links (Edges) together, replacing the ad-hoc []int / []Edge
 // split of the original per-topology APIs.  The zero value is the empty
 // fault set.  FaultSet values are treated as immutable by this package.
+//
+// A set is canonical when Nodes is ascending and Edges ascending by
+// CompareEdges, neither repeating an entry: what Canonical, Union and
+// Minus return.  HasNode, HasEdge and Severs, the one membership test
+// every ring producer and checker asks, binary-search the lists and so
+// need a canonical set.  Every other method, and VerifyRing and
+// NodeFaultBound, take any set; Minus, Key, VerifyRing and
+// NodeFaultBound read it through a view that copies and sorts only a
+// set that is not canonical already.
 type FaultSet struct {
 	Nodes []int
 	Edges []Edge
@@ -31,26 +39,92 @@ func EdgeFaults(edges ...Edge) FaultSet { return FaultSet{Edges: edges} }
 // IsEmpty reports whether no component has failed.
 func (f FaultSet) IsEmpty() bool { return len(f.Nodes) == 0 && len(f.Edges) == 0 }
 
+// CompareEdges orders links by source, then target: the order of a
+// canonical fault set's Edges.  It compares ids rather than subtracting
+// them, so math.MinInt and math.MaxInt from outside input order
+// correctly.
+func CompareEdges(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+}
+
 // Canonical returns a copy with nodes and edges sorted and deduplicated.
 // Two fault sets describing the same failures canonicalize identically.
 func (f FaultSet) Canonical() FaultSet {
 	var out FaultSet
 	if len(f.Nodes) > 0 {
-		out.Nodes = append([]int(nil), f.Nodes...)
-		sort.Ints(out.Nodes)
-		out.Nodes = dedupInts(out.Nodes)
+		out.Nodes = slices.Clone(f.Nodes)
+		slices.Sort(out.Nodes)
+		out.Nodes = slices.Compact(out.Nodes)
 	}
 	if len(f.Edges) > 0 {
-		out.Edges = append([]Edge(nil), f.Edges...)
-		sort.Slice(out.Edges, func(i, j int) bool {
-			if out.Edges[i].From != out.Edges[j].From {
-				return out.Edges[i].From < out.Edges[j].From
-			}
-			return out.Edges[i].To < out.Edges[j].To
-		})
-		out.Edges = dedupEdges(out.Edges)
+		out.Edges = slices.Clone(f.Edges)
+		slices.SortFunc(out.Edges, CompareEdges)
+		out.Edges = slices.Compact(out.Edges)
 	}
 	return out
+}
+
+// canonical is the no-copy view of outside input: f itself when it is
+// canonical already, else f.Canonical().
+func (f FaultSet) canonical() FaultSet {
+	if strictlyAscending(f.Nodes, cmp.Compare[int]) && strictlyAscending(f.Edges, CompareEdges) {
+		return f
+	}
+	return f.Canonical()
+}
+
+// strictlyAscending reports whether every element of s orders after the
+// one before it.
+func strictlyAscending[T any](s []T, compare func(a, b T) int) bool {
+	for i := 1; i < len(s); i++ {
+		if compare(s[i-1], s[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// HasNode reports whether the canonical set f lists processor v.
+//
+//ringlint:noalloc
+func (f FaultSet) HasNode(v int) bool {
+	lo, hi := 0, len(f.Nodes)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if f.Nodes[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(f.Nodes) && f.Nodes[lo] == v
+}
+
+// HasEdge reports whether the canonical set f lists the link u→w.
+//
+//ringlint:noalloc
+func (f FaultSet) HasEdge(u, w int) bool {
+	e := Edge{From: u, To: w}
+	lo, hi := 0, len(f.Edges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if CompareEdges(f.Edges[m], e) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(f.Edges) && f.Edges[lo] == e
+}
+
+// Severs reports whether a link fault of the canonical set f cuts the
+// hop u→w: the link itself, or on an undirected network (see
+// Undirected), where a failed wire carries traffic neither way, the
+// link w→u.
+//
+//ringlint:noalloc
+func (f FaultSet) Severs(undirected bool, u, w int) bool {
+	return f.HasEdge(u, w) || undirected && f.HasEdge(w, u)
 }
 
 // Union returns the canonical union of f and g — the merge operation
@@ -78,28 +152,28 @@ func (f FaultSet) Union(g FaultSet) FaultSet {
 // avoid the link in a direction the node removal alone would not cover;
 // callers that want subsumption filter explicitly).
 func (f FaultSet) Minus(g FaultSet) FaultSet {
-	seen := g.NodeSet()
-	seenE := g.EdgeSet()
+	f, g = f.canonical(), g.canonical()
 	var out FaultSet
 	for _, v := range f.Nodes {
-		if !seen[v] {
+		if !g.HasNode(v) {
 			out.Nodes = append(out.Nodes, v)
 		}
 	}
 	for _, e := range f.Edges {
-		if !seenE[e] {
+		if !g.HasEdge(e.From, e.To) {
 			out.Edges = append(out.Edges, e)
 		}
 	}
-	return out.Canonical()
+	return out
 }
 
 // Key renders the canonicalized fault set as a deterministic string,
 // suitable for memoization keyed by (topology, fault set).  It is
 // computed on every engine cache lookup, so the digits are appended with
-// strconv onto one preallocated buffer instead of through fmt.
+// strconv onto one preallocated buffer instead of through fmt, and a
+// set that is canonical already is not copied.
 func (f FaultSet) Key() string {
-	c := f.Canonical()
+	c := f.canonical()
 	// "n:" + ";e:" + per-fault digits (≤ 20 each) and separators.
 	buf := make([]byte, 0, 8+21*len(c.Nodes)+42*len(c.Edges))
 	buf = append(buf, 'n', ':')
@@ -119,109 +193,6 @@ func (f FaultSet) Key() string {
 		buf = strconv.AppendInt(buf, int64(e.To), 10)
 	}
 	return string(buf)
-}
-
-// smallFaultCutoff is the fault-set size under which a linear scan of
-// the slice beats preparing an indexed lookup.
-const smallFaultCutoff = 16
-
-// nodeLookup is an allocation-light membership test over failed
-// processors: a linear scan for small sets, a pooled epoch-stamped dense
-// set for large ones (see VerifyRing).
-type nodeLookup struct {
-	nodes []int
-	set   *dense.Set // nil for small sets
-}
-
-// makeNodeLookup indexes the failed processors of a size-node network.
-// When it returns a pooled set, release must be called after use.
-func makeNodeLookup(nodes []int, size int) nodeLookup {
-	l := nodeLookup{nodes: nodes}
-	if len(nodes) > smallFaultCutoff {
-		l.set = getScratchSet(size)
-		for _, v := range nodes {
-			if v >= 0 && v < size { // out-of-range faults match nothing
-				l.set.Add(v)
-			}
-		}
-	}
-	return l
-}
-
-func (l nodeLookup) has(v int) bool {
-	if l.set != nil {
-		return l.set.Has(v)
-	}
-	for _, x := range l.nodes {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func (l nodeLookup) release() {
-	if l.set != nil {
-		putScratchSet(l.set)
-	}
-}
-
-// edgeLookup is the link-fault analogue: linear scan for small sets, a
-// sorted copy with binary search for large ones.
-type edgeLookup struct {
-	edges  []Edge
-	sorted bool
-}
-
-func makeEdgeLookup(edges []Edge) edgeLookup {
-	l := edgeLookup{edges: edges}
-	if len(edges) > smallFaultCutoff {
-		l.edges = append([]Edge(nil), edges...)
-		sort.Slice(l.edges, func(i, j int) bool {
-			if l.edges[i].From != l.edges[j].From {
-				return l.edges[i].From < l.edges[j].From
-			}
-			return l.edges[i].To < l.edges[j].To
-		})
-		l.sorted = true
-	}
-	return l
-}
-
-func (l edgeLookup) has(e Edge) bool {
-	if !l.sorted {
-		for _, x := range l.edges {
-			if x == e {
-				return true
-			}
-		}
-		return false
-	}
-	i := sort.Search(len(l.edges), func(i int) bool {
-		if l.edges[i].From != e.From {
-			return l.edges[i].From > e.From
-		}
-		return l.edges[i].To >= e.To
-	})
-	return i < len(l.edges) && l.edges[i] == e
-}
-
-// NodeSet returns the failed processors as a membership map.
-func (f FaultSet) NodeSet() map[int]bool {
-	m := make(map[int]bool, len(f.Nodes))
-	for _, v := range f.Nodes {
-		m[v] = true
-	}
-	return m
-}
-
-// EdgeSet returns the failed links as a membership map.
-func (f FaultSet) EdgeSet() map[Edge]bool {
-	m := make(map[Edge]bool, len(f.Edges))
-	for _, e := range f.Edges {
-		m[e] = true
-	}
-	return m
 }
 
 // Validate checks every fault against the network: node ids in range and
@@ -269,24 +240,4 @@ func ParseFaults(net Network, nodeLabels []string, edgeLabels [][2]string) (Faul
 		fs.Edges = append(fs.Edges, Edge{From: from, To: to})
 	}
 	return fs, nil
-}
-
-func dedupInts(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupEdges(s []Edge) []Edge {
-	out := s[:0]
-	for i, e := range s {
-		if i == 0 || e != s[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
 }

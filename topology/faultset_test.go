@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -286,4 +287,102 @@ func TestFaultSetInputContract(t *testing.T) {
 			}
 		}
 	}
+}
+
+// faultsFromBytes decodes fuzz input into a raw fault list: the first
+// half of data names nodes, the rest pairs into links.  Each byte is a
+// small signed id, so lists repeat and overlap, except 0x7f and 0x80,
+// which stand for math.MaxInt and math.MinInt.
+func faultsFromBytes(data []byte) FaultSet {
+	id := func(b byte) int {
+		switch b {
+		case 0x7f:
+			return math.MaxInt
+		case 0x80:
+			return math.MinInt
+		}
+		return int(int8(b))
+	}
+	var f FaultSet
+	half := len(data) / 2
+	for _, b := range data[:half] {
+		f.Nodes = append(f.Nodes, id(b))
+	}
+	for i := half; i+1 < len(data); i += 2 {
+		f.Edges = append(f.Edges, Edge{id(data[i]), id(data[i+1])})
+	}
+	return f
+}
+
+// FuzzFaultSetMembership takes random node and link lists through
+// Canonical and holds HasNode, HasEdge, Severs, Minus and Key to map
+// references built from the raw lists.
+func FuzzFaultSetMembership(f *testing.F) {
+	f.Add([]byte{3, 1, 3, 2, 1, 2, 2, 1}, []byte{1, 9, 2, 1})
+	f.Add([]byte{0x7f, 0x80, 0x7f, 0x80, 0x7f, 0x80, 0x80, 0x7f}, []byte{0x80, 0, 0x80, 0x7f})
+	f.Add([]byte{0xff, 0, 0x7f, 0x80, 0x7f, 0x7f, 0x80, 0x80, 0, 0xff}, []byte{0x7f, 0x80, 0x7f, 0x80, 0x80, 0x7f})
+	f.Add([]byte{}, []byte{5, 5, 5, 6, 6, 5})
+	f.Fuzz(func(t *testing.T, fb, gb []byte) {
+		fs, gs := faultsFromBytes(fb), faultsFromBytes(gb)
+		inF, inG := map[int]bool{}, map[int]bool{}
+		linkF, linkG := map[Edge]bool{}, map[Edge]bool{}
+		for _, v := range fs.Nodes {
+			inF[v] = true
+		}
+		for _, v := range gs.Nodes {
+			inG[v] = true
+		}
+		for _, e := range fs.Edges {
+			linkF[e] = true
+		}
+		for _, e := range gs.Edges {
+			linkG[e] = true
+		}
+
+		c := fs.Canonical()
+		if len(c.Nodes) != len(inF) || len(c.Edges) != len(linkF) ||
+			!strictlyAscending(c.Nodes, cmp.Compare[int]) || !strictlyAscending(c.Edges, CompareEdges) {
+			t.Fatalf("Canonical(%+v) = %+v: not the sorted distinct faults", fs, c)
+		}
+		probes := append(append([]int{math.MinInt, math.MinInt + 1, -1, 0, 1, math.MaxInt - 1, math.MaxInt}, fs.Nodes...), gs.Nodes...)
+		for _, v := range probes {
+			if c.HasNode(v) != inF[v] {
+				t.Fatalf("%+v.HasNode(%d) = %v, want %v", c, v, !inF[v], inF[v])
+			}
+		}
+		for _, e := range append(append([]Edge{{math.MinInt, math.MaxInt}, {math.MaxInt, math.MinInt}}, fs.Edges...), gs.Edges...) {
+			for _, h := range []Edge{e, {e.To, e.From}, {e.From, e.From}} {
+				if c.HasEdge(h.From, h.To) != linkF[h] {
+					t.Fatalf("%+v.HasEdge(%d, %d) = %v, want %v", c, h.From, h.To, !linkF[h], linkF[h])
+				}
+				if got := c.Severs(false, h.From, h.To); got != linkF[h] {
+					t.Fatalf("%+v.Severs(directed, %d, %d) = %v, want %v", c, h.From, h.To, got, linkF[h])
+				}
+				want := linkF[h] || linkF[Edge{h.To, h.From}]
+				if got := c.Severs(true, h.From, h.To); got != want {
+					t.Fatalf("%+v.Severs(undirected, %d, %d) = %v, want %v", c, h.From, h.To, got, want)
+				}
+			}
+		}
+
+		var want FaultSet
+		for _, v := range c.Nodes {
+			if !inG[v] {
+				want.Nodes = append(want.Nodes, v)
+			}
+		}
+		for _, e := range c.Edges {
+			if !linkG[e] {
+				want.Edges = append(want.Edges, e)
+			}
+		}
+		for _, got := range []FaultSet{fs.Minus(gs), c.Minus(gs.Canonical()), fs.Minus(gs.Canonical())} {
+			if !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Edges, want.Edges) {
+				t.Fatalf("%+v.Minus(%+v) = %+v, want %+v", fs, gs, got, want)
+			}
+		}
+		if got, ref := fs.Key(), keyReference(fs); got != ref || c.Key() != ref {
+			t.Fatalf("Key(%+v) = %q, canonical %q, reference %q", fs, got, c.Key(), ref)
+		}
+	})
 }

@@ -15,7 +15,6 @@
 package topology
 
 import (
-	"slices"
 	"sync"
 
 	"debruijnring/internal/dense"
@@ -67,23 +66,13 @@ type EmbedInfo struct {
 // NodeFaultBound is the paper's dⁿ − nf guarantee on the length of a
 // ring that avoids the necklaces of f's faulty nodes, in a network of
 // size = dⁿ processors named by n-letter words: a necklace holds at most
-// n nodes.  It counts f's distinct faulty nodes (a sorted list is
+// n nodes.  It counts f's distinct faulty nodes (a canonical set is
 // counted in place) and is clamped at 0 when the fault load makes it
 // vacuous.  It is the one copy of the formula: the De Bruijn and
 // shuffle-exchange adapters, the repair ladder (repair.LowerBound) and
 // the root API report it.
 func NodeFaultBound(size, n int, f FaultSet) int {
-	nodes := f.Nodes
-	if !slices.IsSorted(nodes) {
-		nodes = f.Canonical().Nodes
-	}
-	distinct := 0
-	for i, v := range nodes {
-		if i == 0 || v != nodes[i-1] {
-			distinct++
-		}
-	}
-	return max(size-n*distinct, 0)
+	return max(size-n*len(f.canonical().Nodes), 0)
 }
 
 // RingEmbedder is a Network that can embed a fault-free ring around a
@@ -211,13 +200,19 @@ func putScratchSet(s *dense.Set) { scratchSets.Put(s) }
 // edge-fault and butterfly APIs.  On the generic simple-cycle test of a
 // ring longer than smallCycle, the pass that checks the nodes are
 // distinct marks them, and each faulty node is then looked up in the
-// marks: O(k + f) for a ring of k nodes and f faults.  Otherwise fault
-// membership runs on dense lookups with a small-set fallback instead of
-// per-call maps.
+// marks: O(k + f) for a ring of k nodes and f faults.  Otherwise, and
+// for every hop's link faults, the ring asks f's membership test
+// (HasNode, Severs): O(k log f), with no copy of a canonical f.
 func VerifyRing(net Network, cycle []int, f FaultSet) bool {
+	f = f.canonical()
 	if _, custom := net.(cycleChecker); custom || len(cycle) <= smallCycle {
-		if !IsRing(net, cycle) || !avoidsNodes(net, cycle, f.Nodes) {
+		if !IsRing(net, cycle) {
 			return false
+		}
+		for _, v := range cycle {
+			if f.HasNode(v) {
+				return false
+			}
 		}
 	} else {
 		size := net.Nodes()
@@ -232,37 +227,12 @@ func VerifyRing(net Network, cycle []int, f FaultSet) bool {
 			}
 		}
 	}
-	return avoidsLinks(net, cycle, f.Edges)
-}
-
-// avoidsNodes reports whether no node of cycle is in faults.
-func avoidsNodes(net Network, cycle, faults []int) bool {
-	bad := makeNodeLookup(faults, net.Nodes())
-	defer bad.release()
-	for _, v := range cycle {
-		if bad.has(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// avoidsLinks reports whether no hop of cycle crosses a faulty link.
-func avoidsLinks(net Network, cycle []int, faults []Edge) bool {
-	if len(faults) == 0 {
+	if len(f.Edges) == 0 {
 		return true
 	}
-	bad := makeEdgeLookup(faults)
-	_, undirected := net.(undirectedNetwork)
-	k := len(cycle)
+	undirected, k := Undirected(net), len(cycle)
 	for i, v := range cycle {
-		w := cycle[(i+1)%k]
-		if bad.has(Edge{From: v, To: w}) {
-			return false
-		}
-		// On undirected topologies the failed wire blocks both
-		// orientations.
-		if undirected && bad.has(Edge{From: w, To: v}) {
+		if f.Severs(undirected, v, cycle[(i+1)%k]) {
 			return false
 		}
 	}
