@@ -23,8 +23,8 @@ type Edge struct {
 // every ring producer and checker asks, binary-search the lists and so
 // need a canonical set.  Every other method, and VerifyRing and
 // NodeFaultBound, take any set; Minus, Key, VerifyRing and
-// NodeFaultBound read it through a view that copies and sorts only a
-// set that is not canonical already.
+// NodeFaultBound read the lists they search through a view that copies
+// and sorts only a list that is not canonical already.
 type FaultSet struct {
 	Nodes []int
 	Edges []Edge
@@ -64,13 +64,27 @@ func (f FaultSet) Canonical() FaultSet {
 	return out
 }
 
-// canonical is the no-copy view of outside input: f itself when it is
-// canonical already, else f.Canonical().
+// canonical is the no-copy view of outside input: each list of f as it
+// is when it is canonical already, else its sorted, deduplicated copy.
 func (f FaultSet) canonical() FaultSet {
-	if strictlyAscending(f.Nodes, cmp.Compare[int]) && strictlyAscending(f.Edges, CompareEdges) {
-		return f
+	return FaultSet{Nodes: canonicalNodes(f.Nodes), Edges: canonicalEdges(f.Edges)}
+}
+
+// canonicalNodes is the no-copy view of one node list: nodes itself when
+// it is strictly ascending, else the Nodes of its Canonical copy.
+func canonicalNodes(nodes []int) []int {
+	if strictlyAscending(nodes, cmp.Compare[int]) {
+		return nodes
 	}
-	return f.Canonical()
+	return FaultSet{Nodes: nodes}.Canonical().Nodes
+}
+
+// canonicalEdges is canonicalNodes for a link list.
+func canonicalEdges(edges []Edge) []Edge {
+	if strictlyAscending(edges, CompareEdges) {
+		return edges
+	}
+	return FaultSet{Edges: edges}.Canonical().Edges
 }
 
 // strictlyAscending reports whether every element of s orders after the

@@ -289,6 +289,60 @@ func TestFaultSetInputContract(t *testing.T) {
 	}
 }
 
+// TestVerifyRingCopiesNoFaultList checks that VerifyRing copies none of
+// the lists it is given on a long De Bruijn ring when the link list is
+// canonical: the marking pass reads the node faults in any order, as a
+// session's fault list arrives, and only a list that a binary search
+// reads is ever sorted.
+func TestVerifyRingCopiesNoFaultList(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops the pooled marks")
+	}
+	net, err := NewDeBruijn(2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, _, err := net.EmbedRing(FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Off-ring ids, unsorted and repeated, and links the ring never takes.
+	f := FaultSet{
+		Nodes: []int{net.Nodes() + 2, -1, net.Nodes(), -1},
+		Edges: []Edge{{-1, 0}, {0, net.Nodes()}},
+	}
+	if !VerifyRing(net, ring, f) {
+		t.Fatal("VerifyRing rejects a ring that avoids every fault")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { VerifyRing(net, ring, f) }); allocs != 0 {
+		t.Errorf("VerifyRing: %v allocs per call, want 0", allocs)
+	}
+}
+
+// TestNodeFaultBoundCountsNodesOnly checks that NodeFaultBound counts
+// distinct faulty nodes in any order and copies nothing when the node
+// list is strictly ascending, whatever the order of the links.
+func TestNodeFaultBoundCountsNodesOnly(t *testing.T) {
+	unsortedLinks := []Edge{{5, 1}, {1, 5}, {5, 1}}
+	for _, c := range []struct {
+		nodes []int
+		want  int
+	}{
+		{nil, 64},
+		{[]int{7, 3, 7, 3, 9}, 64 - 3*6},
+		{[]int{3, 3, 7}, 64 - 2*6},
+		{[]int{3, 7, 9, 20, 21, 40, 41, 50, 60, 63, 62}, 0},
+	} {
+		if got := NodeFaultBound(64, 6, FaultSet{Nodes: c.nodes, Edges: unsortedLinks}); got != c.want {
+			t.Errorf("NodeFaultBound(64, 6, %v) = %d, want %d", c.nodes, got, c.want)
+		}
+	}
+	f := FaultSet{Nodes: []int{3, 7, 9}, Edges: unsortedLinks}
+	if allocs := testing.AllocsPerRun(20, func() { NodeFaultBound(64, 6, f) }); allocs != 0 {
+		t.Errorf("NodeFaultBound on ascending nodes: %v allocs per call, want 0", allocs)
+	}
+}
+
 // faultsFromBytes decodes fuzz input into a raw fault list: the first
 // half of data names nodes, the rest pairs into links.  Each byte is a
 // small signed id, so lists repeat and overlap, except 0x7f and 0x80,

@@ -66,13 +66,13 @@ type EmbedInfo struct {
 // NodeFaultBound is the paper's dⁿ − nf guarantee on the length of a
 // ring that avoids the necklaces of f's faulty nodes, in a network of
 // size = dⁿ processors named by n-letter words: a necklace holds at most
-// n nodes.  It counts f's distinct faulty nodes (a canonical set is
-// counted in place) and is clamped at 0 when the fault load makes it
-// vacuous.  It is the one copy of the formula: the De Bruijn and
+// n nodes.  It counts f's distinct faulty nodes (a strictly ascending
+// list is counted in place) and is clamped at 0 when the fault load
+// makes it vacuous.  It is the one copy of the formula: the De Bruijn and
 // shuffle-exchange adapters, the repair ladder (repair.LowerBound) and
 // the root API report it.
 func NodeFaultBound(size, n int, f FaultSet) int {
-	return max(size-n*len(f.canonical().Nodes), 0)
+	return max(size-n*len(canonicalNodes(f.Nodes)), 0)
 }
 
 // RingEmbedder is a Network that can embed a fault-free ring around a
@@ -200,17 +200,18 @@ func putScratchSet(s *dense.Set) { scratchSets.Put(s) }
 // edge-fault and butterfly APIs.  On the generic simple-cycle test of a
 // ring longer than smallCycle, the pass that checks the nodes are
 // distinct marks them, and each faulty node is then looked up in the
-// marks: O(k + f) for a ring of k nodes and f faults.  Otherwise, and
-// for every hop's link faults, the ring asks f's membership test
-// (HasNode, Severs): O(k log f), with no copy of a canonical f.
+// marks: O(k + f) for a ring of k nodes and f faults, in any order.
+// Otherwise, and for every hop's link faults, the ring asks the
+// membership test (HasNode, Severs) of the list's canonical view:
+// O(k log f), with no copy of a list that is canonical already.
 func VerifyRing(net Network, cycle []int, f FaultSet) bool {
-	f = f.canonical()
 	if _, custom := net.(cycleChecker); custom || len(cycle) <= smallCycle {
 		if !IsRing(net, cycle) {
 			return false
 		}
+		nodes := FaultSet{Nodes: canonicalNodes(f.Nodes)}
 		for _, v := range cycle {
-			if f.HasNode(v) {
+			if nodes.HasNode(v) {
 				return false
 			}
 		}
@@ -230,9 +231,10 @@ func VerifyRing(net Network, cycle []int, f FaultSet) bool {
 	if len(f.Edges) == 0 {
 		return true
 	}
+	links := FaultSet{Edges: canonicalEdges(f.Edges)}
 	undirected, k := Undirected(net), len(cycle)
 	for i, v := range cycle {
-		if f.Severs(undirected, v, cycle[(i+1)%k]) {
+		if links.Severs(undirected, v, cycle[(i+1)%k]) {
 			return false
 		}
 	}
