@@ -82,7 +82,7 @@ func (f *faultsJSON) resolve() (topology.RingEmbedder, topology.FaultSet, error)
 	return net, fs, nil
 }
 
-// handleEmbed answers {"ring":[labels…],"stats":{…}}, the ring written
+// handleEmbed answers {"ring":[labels…],"stats":{…}}, the ring streamed
 // label by label through session.WriteRing.
 func (s *server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	var req faultsJSON

@@ -2,6 +2,7 @@ package repair
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"debruijnring/topology"
@@ -94,6 +95,12 @@ func (p *Patcher) AppendRing(dst []int32) []int32 { return p.ring.appendTo(dst) 
 
 // RingInts returns a copy of the owned ring as []int.
 func (p *Patcher) RingInts() []int { return p.ring.ints() }
+
+// Runs yields the owned ring in ring order, one piece of its piece
+// table at a time, without copying it (topology.VerifyRuns audits it
+// so).  The runs are read-only and valid until the next call that
+// changes the ring.
+func (p *Patcher) Runs() iter.Seq[[]int32] { return p.ring.runs }
 
 // RingHash returns the owned ring's hash: the sum mod 2⁶⁴ of a
 // SplitMix64-mixed hash of each directed hop v → succ(v).  It does not

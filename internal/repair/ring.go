@@ -192,6 +192,15 @@ func (r *Ring) run(i int) []int32 {
 	return r.buf[s : s+end-int(r.pieces[i].rank)]
 }
 
+// runs yields the ring's pieces' runs in ring order.
+func (r *Ring) runs(yield func([]int32) bool) {
+	for i := range r.pieces {
+		if !yield(r.run(i)) {
+			return
+		}
+	}
+}
+
 // appendTo appends the ring, from rank 0, to dst: one copy per piece.
 //
 //ringlint:noalloc

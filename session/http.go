@@ -125,7 +125,7 @@ var ringKey = []byte(`,"ring_length":`)
 // json.Encoder output of its StateJSON, ring included when includeRing.
 // Only the int32 ring and the small fields are copied under the session
 // lock; the summary is encoded by encoding/json, and the ring is
-// spliced in label by label through AppendLabels.
+// streamed in label by label between its halves through WriteRing.
 func writeState(w http.ResponseWriter, status int, s *Session, includeRing bool) {
 	st, ring := s.stateRing(includeRing)
 	net := s.Network()

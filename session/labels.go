@@ -2,9 +2,12 @@ package session
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"debruijnring/topology"
 )
@@ -74,22 +77,79 @@ func plainLabels(data []byte) (Labels, bool) {
 // encoding/json would rewrite (built-in topologies have them only past
 // 41 letters, e.g. debruijn(50,2)) is quoted by encoding/json itself.
 func AppendLabels[T int | int32](dst []byte, net topology.Network, ring []T) []byte {
-	dst = append(dst, '[')
-	for i, v := range ring {
-		if i > 0 {
-			dst = append(dst, ',')
+	_, plain := topology.LabelShape(net)
+	out := labelSink{buf: dst, limit: math.MaxInt}
+	renderLabels(&out, net, ring, plain)
+	return out.buf
+}
+
+// labelSink is where renderLabels writes: into buf, and once buf reaches
+// limit, flush passes it to w and starts it over.  n counts the bytes
+// passed on.  With w nil they are only counted, as they are after a
+// write to w fails (the client is gone: the rest is dropped).
+type labelSink struct {
+	w     io.Writer
+	buf   []byte
+	limit int
+	n     int
+}
+
+// flush passes buf on and empties it.
+func (s *labelSink) flush() {
+	s.pass(s.buf)
+	s.buf = s.buf[:0]
+}
+
+// write adds p to the output, through buf when it fits.
+func (s *labelSink) write(p []byte) {
+	if len(s.buf)+len(p) <= s.limit {
+		s.buf = append(s.buf, p...)
+		return
+	}
+	s.flush()
+	s.pass(p)
+}
+
+// pass writes p to w and counts it.
+func (s *labelSink) pass(p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	if s.w != nil {
+		if _, err := s.w.Write(p); err != nil {
+			s.w = nil
 		}
-		dst = append(dst, '"')
-		start := len(dst)
-		dst = net.AppendLabel(dst, int(v))
-		if !plainJSON(dst[start:]) {
-			q, _ := json.Marshal(string(dst[start:]))
-			dst = append(dst[:start-1], q...)
+	}
+	s.n += len(p)
+}
+
+// renderLabels writes ring as a JSON array of net's labels to out, the
+// one loop behind AppendLabels and WriteRing.  plain says every label is
+// known to need no escaping (topology.LabelShape); otherwise each is
+// checked, and one holding a byte encoding/json would rewrite is quoted
+// by encoding/json.
+func renderLabels[T int | int32](out *labelSink, net topology.Network, ring []T, plain bool) {
+	buf := append(out.buf, '[') // a local, so no append pays a write barrier
+	for i, v := range ring {
+		if len(buf) >= out.limit {
+			out.buf = buf
+			out.flush()
+			buf = out.buf
+		}
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '"')
+		start := len(buf)
+		buf = net.AppendLabel(buf, int(v))
+		if !plain && !plainJSON(buf[start:]) {
+			q, _ := json.Marshal(string(buf[start:]))
+			buf = append(buf[:start-1], q...)
 			continue
 		}
-		dst = append(dst, '"')
+		buf = append(buf, '"')
 	}
-	return append(dst, ']')
+	out.buf = append(buf, ']')
 }
 
 // plainJSON reports whether encoding/json, with HTML escaping on,
@@ -113,31 +173,58 @@ var plainByte = func() (t [256]bool) {
 	return t
 }()
 
-// labelsLen is the room AppendLabels takes for a ring of n labels of
-// net, sized from the widest label (the last node's, in every built-in
-// topology): exact when all labels are that wide.
-func labelsLen(net topology.Network, n int) int {
-	if n == 0 {
-		return 2
-	}
-	w := len(net.AppendLabel(nil, net.Nodes()-1))
-	return n*(w+3) + 1 // quotes and a separator per label, plus the brackets
-}
+// chunkSize is the capacity of the pooled chunk WriteRing streams a body
+// through, and chunkSlack the room it keeps for the label that crosses
+// the flush point, so a body of any length costs one chunk.
+const (
+	chunkSize  = 64 << 10
+	chunkSlack = 1 << 10
+)
+
+// chunks pools WriteRing's chunks.
+var chunks = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteRing writes under status, with Content-Length, the JSON body
-// made of head, ring as an array of net's labels, and tail.  The body
-// is built in one buffer sized from the ring length.
+// made of head, ring as an array of net's labels, and tail.  The body is
+// streamed to w through one pooled chunk of at most chunkSize bytes, so
+// no buffer grows with the ring.  The length is exact: for labels of one
+// shape (topology.LabelShape) it is known from the ring length, and
+// otherwise a counting pass renders the labels once more without
+// writing them.
 func WriteRing[T int | int32](w http.ResponseWriter, status int, head []byte, net topology.Network, ring []T, tail []byte) {
-	body := make([]byte, 0, len(head)+labelsLen(net, len(ring))+len(tail))
-	body = append(body, head...)
-	body = AppendLabels(body, net, ring)
-	writeBody(w, status, append(body, tail...))
+	chunk := chunks.Get().(*[]byte)
+	if *chunk == nil {
+		*chunk = make([]byte, 0, chunkSize)
+	}
+	width, plain := topology.LabelShape(net)
+	n := 2 // the brackets
+	if plain && len(ring) > 0 {
+		n = len(ring)*(width+3) + 1 // quotes and a separator per label, but the last
+	} else if !plain {
+		count := labelSink{buf: (*chunk)[:0], limit: chunkSize - chunkSlack}
+		renderLabels(&count, net, ring, false)
+		count.flush()
+		n = count.n
+	}
+	writeHeader(w, status, len(head)+n+len(tail))
+	out := labelSink{w: w, buf: (*chunk)[:0], limit: chunkSize - chunkSlack}
+	out.write(head)
+	renderLabels(&out, net, ring, plain)
+	out.write(tail)
+	out.flush()
+	*chunk = out.buf
+	chunks.Put(chunk)
 }
 
 // writeBody writes a complete JSON body with its Content-Length.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
+	writeHeader(w, status, len(body))
 	w.Write(body)
+}
+
+// writeHeader writes the header of a JSON body of n bytes.
+func writeHeader(w http.ResponseWriter, status, n int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(status)
 }

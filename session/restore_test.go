@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -194,6 +195,118 @@ func TestSnapshotAuditSkipsCorruptRing(t *testing.T) {
 	}
 	if st := restored[0].StateSnapshot(true); st.RingHash != ev.RingHash || !topology.VerifyRing(s.Network(), st.Ring, topology.NodeFaults(21)) {
 		t.Fatal("restore did not come back to the last audited ring")
+	}
+}
+
+// severedNet is a De Bruijn network that denies one of its links: a
+// ring through that hop fails the audit while the session's patcher,
+// which holds the real network, still regenerates it.
+type severedNet struct {
+	*topology.DeBruijn
+	cut topology.Edge
+}
+
+func (n severedNet) IsEdge(u, v int) bool {
+	return (topology.Edge{From: u, To: v}) != n.cut && n.DeBruijn.IsEdge(u, v)
+}
+
+// snapshotCount is the number of snapshot events in a journal, and the
+// seq of the last.
+func snapshotCount(t *testing.T, path string) (n int, lastSeq uint64) {
+	t.Helper()
+	events, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Kind == "snapshot" {
+			n, lastSeq = n+1, e.Seq
+		}
+	}
+	return n, lastSeq
+}
+
+// TestSnapshotAuditOverRunsSkipsBadRing: a snapshot whose ring the FFC
+// tier regenerates is audited over the patcher's runs, and a ring that
+// fails that audit (here, a hop the network denies) is counted in
+// session_ring_audit_failures_total and not snapshotted.
+func TestSnapshotAuditOverRunsSkipsBadRing(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	m := NewManager(reg, Options{Dir: dir, SnapshotEvery: 1})
+	defer m.Close()
+	s, err := m.Create("runs", "debruijn(2,6)", topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := s.AddFaults(topology.NodeFaults(21))
+	if err != nil || ev.Repair != "local" {
+		t.Fatalf("fault: %+v, %v; want a local repair", ev, err)
+	}
+	path := journalPath(dir, "runs")
+	if n, seq := snapshotCount(t, path); n != 1 || seq != ev.Seq {
+		t.Fatalf("valid ring: %d snapshots, last at seq %d, want 1 at %d", n, seq, ev.Seq)
+	}
+
+	s.mu.Lock()
+	if _, regenerates := s.patcher.Snapshot(); !regenerates {
+		s.mu.Unlock()
+		t.Fatal("the FFC tier does not regenerate the ring: the run-walking audit is not reached")
+	}
+	ring := s.patcher.RingInts()
+	net := s.net
+	s.net = severedNet{net.(*topology.DeBruijn), topology.Edge{From: ring[5], To: ring[6]}}
+	s.seq++
+	s.writeSnapshotLocked()
+	s.net = net
+	s.mu.Unlock()
+	if n, _ := snapshotCount(t, path); n != 1 {
+		t.Fatalf("a ring failing the audit was snapshotted: %d snapshots", n)
+	}
+	if got := reg.Snapshot().Counters["session_ring_audit_failures_total"]; got != 1 {
+		t.Fatalf("session_ring_audit_failures_total = %d, want 1", got)
+	}
+}
+
+// discardJournal is a JournalWriter that keeps nothing.
+type discardJournal struct{}
+
+func (discardJournal) Append(Event) error { return nil }
+func (discardJournal) Sync() error        { return nil }
+func (discardJournal) Close() error       { return nil }
+
+// TestSnapshotCopiesNoRing: a snapshot whose ring the FFC tier
+// regenerates allocates far less than one copy of the ring (a B(2,14)
+// ring is 64 KiB as int32 and 128 KiB as []int): it is audited over
+// the patcher's runs, in place, with a 2 KiB node set (pooled, and
+// remade when the pool drops it).
+func TestSnapshotCopiesNoRing(t *testing.T) {
+	m := NewManager(nil, Options{})
+	defer m.Close()
+	s, err := m.Create("nocopy", "debruijn(2,14)", topology.NodeFaults(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, regenerates := s.patcher.Snapshot(); !regenerates {
+		t.Fatal("the FFC tier does not regenerate the ring")
+	}
+	s.journal = discardJournal{}
+	s.writeSnapshotLocked() // fill the pool
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		s.writeSnapshotLocked()
+	}
+	runtime.ReadMemStats(&after)
+	s.journal = nil
+	if perSnap, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(s.patcher.RingLen()); perSnap > limit {
+		t.Errorf("a B(2,14) snapshot allocates %d bytes, past a quarter of its int32 ring (%d)", perSnap, limit)
+	}
+	if got := m.metrics.auditFailures.Value(); got != 0 {
+		t.Fatalf("%d audit failures on a valid ring", got)
 	}
 }
 

@@ -25,7 +25,7 @@
 // only when the patcher state cannot regenerate it (the FFC tier's
 // successor rule is the ring; splice-owned rings and other topologies
 // store it).  A snapshot is adopted only when its ring matches its hash
-// and passes topology.VerifyRing; otherwise replay starts from creation
+// and passes the full topology check; otherwise replay starts from creation
 // and session_restore_snapshot_fallbacks_total counts it.  Watchers
 // stream the same events over long-poll or SSE via the HTTP handler in
 // this package.
@@ -63,7 +63,8 @@
 // whole ring; a session restored from an older journal keeps that
 // journal's FNV hash of the node sequence.  Since no
 // event verifies the whole ring, every journal snapshot first audits it
-// with the full topology.VerifyRing; a ring that fails is not
+// with the full topology check (VerifyRing, or VerifyRuns over the
+// patcher's runs when the snapshot omits the ring); a ring that fails is not
 // snapshotted (Restore replays from an older point) and the failure is
 // counted in session_ring_audit_failures_total.  An event is encoded
 // by one hand-written encoder, Event.AppendJSON, which writes exactly
@@ -76,16 +77,18 @@
 //
 // A ring read costs about one pass over its body at each end of the
 // wire.  The handler copies only the int32 ring under the session lock
-// and appends the labels into one buffer through
-// topology.Network.AppendLabel (WriteRing); the client decodes the
-// array as Labels, one string sliced into every label.  The bytes are
-// exactly those encoding/json writes for StateJSON.
+// and streams the labels to the connection through one pooled chunk,
+// label by label through topology.Network.AppendLabel (WriteRing); the
+// client decodes the array as Labels, one string sliced into every
+// label.  The bytes are exactly those encoding/json writes for
+// StateJSON.
 package session
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -478,16 +481,23 @@ func (s *Session) EventsSince(after uint64, wait time.Duration, cancel <-chan st
 	}
 }
 
-// eventsSinceLocked returns the buffered events with Seq > after, and
-// whether older events have been evicted from the buffer.
+// eventsSinceLocked returns the buffered events with Seq > after, in a
+// slice of exactly their number (nil when there are none), and whether
+// older events have been evicted from the buffer.  The buffer is
+// ascending by Seq, so the first event to return is a binary search
+// away: a caught-up watcher costs O(log eventBuffer).
 func (s *Session) eventsSinceLocked(after uint64) (evs []Event, truncated bool) {
-	if len(s.events) > 0 && s.watchedLocked(0).Seq > after+1 {
+	n := len(s.events)
+	if n > 0 && s.watchedLocked(0).Seq > after+1 {
 		truncated = true
 	}
-	for i := range s.events {
-		if ev := s.watchedLocked(i); ev.Seq > after {
-			evs = append(evs, *ev)
-		}
+	i := sort.Search(n, func(i int) bool { return s.watchedLocked(i).Seq > after })
+	if i == n {
+		return nil, truncated
+	}
+	evs = make([]Event, 0, n-i)
+	for ; i < n; i++ {
+		evs = append(evs, *s.watchedLocked(i))
 	}
 	return evs, truncated
 }
@@ -496,46 +506,58 @@ func (s *Session) eventsSinceLocked(after uint64) (evs []Event, truncated bool) 
 // the session state (patcher state, ring hash, faults, stats), resetting
 // the replay horizon.  The ring itself is written only when the patcher
 // state cannot regenerate it.  It first audits the ring with the full
-// topology.VerifyRing — events check only the seams they touch — and
-// writes no snapshot of a ring that fails, so Restore replays from an
-// older point; the failure is counted in
-// session_ring_audit_failures_total.
+// topology check — events check only the seams they touch — and writes
+// no snapshot of a ring that fails, so Restore replays from an older
+// point; the failure is counted in session_ring_audit_failures_total.
+// A ring the snapshot carries is copied once and audited as written;
+// one it omits is audited in place, over the patcher's runs
+// (topology.VerifyRuns), so no copy of it is made.
 func (s *Session) writeSnapshotLocked() {
 	if s.journal == nil {
 		return
 	}
-	ring := s.patcher.RingInts()
 	faults := s.patcher.Faults()
-	if !topology.VerifyRing(s.net, ring, faults) {
+	state, regenerates := s.patcher.Snapshot()
+	var ring []int
+	if !regenerates {
+		ring = s.patcher.RingInts()
+	}
+	if !s.auditLocked(ring, faults) {
 		s.mgr.metrics.auditFailures.Inc()
 		s.sinceSnap = 0
 		return
 	}
-	state, regenerates := s.patcher.Snapshot()
 	stats := s.stats
-	ev := Event{
+	s.appendJournal(Event{
 		Seq:        s.seq,
 		Time:       time.Now().UTC(),
 		Kind:       "snapshot",
 		RingHash:   s.hash,
-		RingLength: len(ring),
+		RingLength: s.patcher.RingLen(),
+		Ring:       ring,
 		FaultNodes: faults.Nodes,
 		FaultEdges: encodeEdges(faults.Edges),
 		Patcher:    state,
 		Stats:      &stats,
-	}
-	if !regenerates {
-		ev.Ring = ring
-	}
-	s.appendJournal(ev)
+	})
 	s.sinceSnap = 0
+}
+
+// auditLocked reports whether the patcher's ring passes the full
+// topology check around faults: ring itself when the caller copied it,
+// else the patcher's runs in place.
+func (s *Session) auditLocked(ring []int, faults topology.FaultSet) bool {
+	if ring != nil {
+		return topology.VerifyRing(s.net, ring, faults)
+	}
+	return topology.VerifyRuns(s.net, s.patcher.RingLen(), s.patcher.Runs(), faults)
 }
 
 // restoreSnapshotLocked adopts a journal snapshot event: the patcher
 // state with the snapshot's ring, or with the ring the FFC tier
 // regenerates when the snapshot omits it, plus the faults, sequence and
 // stats.  The ring is adopted only if it hashes to the snapshot's hash
-// and passes the full topology.VerifyRing around the snapshot's faults;
+// and passes the full topology audit around the snapshot's faults;
 // on false the session must be rebuilt, its patcher is spent.
 func (s *Session) restoreSnapshotLocked(ev Event) bool {
 	faults := topology.FaultSet{Nodes: ev.FaultNodes, Edges: decodeEdges(ev.FaultEdges)}.Canonical()
@@ -543,7 +565,7 @@ func (s *Session) restoreSnapshotLocked(ev Event) bool {
 		return false
 	}
 	s.rehashLocked()
-	if s.hash != ev.RingHash || !topology.VerifyRing(s.net, s.patcher.RingInts(), faults) {
+	if s.hash != ev.RingHash || !s.auditLocked(nil, faults) {
 		return false
 	}
 	s.seq = ev.Seq

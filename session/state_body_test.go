@@ -11,7 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -162,12 +162,14 @@ func stateJSONOracle(s *Session, includeRing bool) StateJSON {
 
 // TestWriteStateMatchesEncoder drives seeded fault/heal streams on
 // several topologies and, after every event, compares writeState's body
-// (with and without the ring) against json.NewEncoder over the oracle
-// StateJSON, and its Content-Length against the body.
+// (with and without the ring, which is then omitted) as streamed, write
+// by write, against json.NewEncoder over the oracle StateJSON, and its
+// Content-Length against the body.  The B(2,13) ring spans several
+// chunks, and butterfly labels are counted rather than shaped.
 func TestWriteStateMatchesEncoder(t *testing.T) {
 	m := NewManager(nil, Options{})
 	defer m.Close()
-	for k, spec := range []string{"debruijn(2,8)", "debruijn(3,4)", "debruijn(5,3)", "shuffleexchange(2,6)", "hypercube(6)"} {
+	for k, spec := range []string{"debruijn(2,8)", "debruijn(3,4)", "debruijn(5,3)", "debruijn(2,13)", "shuffleexchange(2,6)", "hypercube(6)", "butterfly(3,2)"} {
 		s, err := m.Create(fmt.Sprintf("diff-%d", k), spec, topology.FaultSet{})
 		if err != nil {
 			t.Fatal(err)
@@ -192,18 +194,13 @@ func TestWriteStateMatchesEncoder(t *testing.T) {
 				s.AddFaults(topology.NodeFaults(rng.Intn(net.Nodes())))
 			}
 			for _, includeRing := range []bool{true, false} {
-				rec := httptest.NewRecorder()
-				writeState(rec, http.StatusOK, s, includeRing)
+				w := newRecordWriter()
+				writeState(w, http.StatusOK, s, includeRing)
 				var want bytes.Buffer
 				if err := json.NewEncoder(&want).Encode(stateJSONOracle(s, includeRing)); err != nil {
 					t.Fatal(err)
 				}
-				if got := rec.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
-					t.Fatalf("%s step %d ring=%v:\n got %.400s\nwant %.400s", spec, step, includeRing, got, want.Bytes())
-				}
-				if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(want.Len()) {
-					t.Fatalf("%s step %d: Content-Length %s for a %d-byte body", spec, step, cl, want.Len())
-				}
+				checkRingBody(t, fmt.Sprintf("%s step %d ring=%v", spec, step, includeRing), w, http.StatusOK, want.Bytes(), nil, nil)
 			}
 		}
 	}
@@ -216,9 +213,12 @@ func (w discardWriter) Header() http.Header         { return w.header }
 func (w discardWriter) WriteHeader(int)             {}
 func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestWriteStateAllocsFlat: a state body costs no allocation per label.
-// B(2,12) has 3,840 more nodes than B(2,8); the few allocations of
-// slack absorb the sync.Pool drops of race-detector builds.
+// TestWriteStateAllocsFlat: a state body costs no allocation per label,
+// and no buffer sized by the ring but the int32 copy that leaves the
+// session lock.  B(2,12) has 3,840 more nodes than B(2,8); the few
+// allocations of slack absorb the sync.Pool drops of race-detector
+// builds.  A B(2,16) GET allocates at most its int32 ring copy, one
+// chunk (a pool drop) and 16 KiB for the summary.
 func TestWriteStateAllocsFlat(t *testing.T) {
 	m := NewManager(nil, Options{})
 	defer m.Close()
@@ -233,5 +233,23 @@ func TestWriteStateAllocsFlat(t *testing.T) {
 	}
 	if allocs[1] > allocs[0]+8 {
 		t.Errorf("writeState allocations grow with the ring: %v at B(2,8), %v at B(2,12)", allocs[0], allocs[1])
+	}
+
+	s, err := m.Create("bytes-16", "debruijn(2,16)", topology.NodeFaults(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := discardWriter{http.Header{}}
+	writeState(w, http.StatusOK, s, true) // fill the chunk pool
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		writeState(w, http.StatusOK, s, true)
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(4*s.StateSnapshot(false).RingLength + chunkSize + 16<<10); perRead > limit {
+		t.Errorf("a B(2,16) state body allocates %d bytes, past the int32 ring copy and one chunk (%d)", perRead, limit)
 	}
 }

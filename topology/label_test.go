@@ -50,3 +50,44 @@ func TestAppendLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelShape checks LabelShape against every label: a network that
+// reports a shape has every label that wide and written verbatim by
+// encoding/json, and on the word and hypercube adapters the shape is
+// reported exactly when that holds — the alphabet of 41 letters ends on
+// DEL, the 42nd letter is past ASCII.  Butterfly labels report none.
+func TestLabelShape(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		shape bool
+	}{
+		{"debruijn(2,5)", true}, {"debruijn(41,2)", true}, {"debruijn(42,2)", false}, {"debruijn(50,1)", false},
+		{"shuffleexchange(3,3)", true}, {"shuffleexchange(41,1)", true}, {"shuffleexchange(42,1)", false},
+		{"kautz(2,3)", true}, {"kautz(40,2)", true}, {"kautz(41,2)", false},
+		{"hypercube(5)", true}, {"butterfly(3,2)", false},
+	} {
+		net, err := FromSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		width, ok := LabelShape(net)
+		if ok != tc.shape {
+			t.Errorf("%s: LabelShape ok = %v, want %v", tc.spec, ok, tc.shape)
+		}
+		verbatim := true
+		for x := 0; x < net.Nodes(); x++ {
+			label := net.Label(x)
+			enc, _ := json.Marshal(label)
+			if ok && len(label) != width {
+				t.Fatalf("%s node %d: label %q is not %d bytes wide", tc.spec, x, label, width)
+			}
+			verbatim = verbatim && string(enc) == `"`+label+`"`
+		}
+		if ok && !verbatim {
+			t.Errorf("%s: LabelShape reports a shape, but encoding/json rewrites a label", tc.spec)
+		}
+		if _, butterfly := net.(*Butterfly); !ok && verbatim && !butterfly {
+			t.Errorf("%s: every label is written verbatim, but LabelShape reports no shape", tc.spec)
+		}
+	}
+}

@@ -15,9 +15,9 @@
 package topology
 
 import (
+	"iter"
+	"slices"
 	"sync"
-
-	"debruijnring/internal/dense"
 )
 
 // Network is a processor interconnection topology.  Implementations are
@@ -123,7 +123,7 @@ type cycleChecker interface {
 // nodes in range and pairwise distinct, every consecutive pair (including
 // the wrap-around) a network link.  Adapters with a refined notion of
 // ring (closed walks, undirected degeneracies) override the structural
-// test; fault avoidance is always checked by the shared loop in
+// test; fault avoidance is always checked by the shared audit in
 // VerifyRing.
 func IsRing(net Network, cycle []int) bool {
 	if cc, ok := net.(cycleChecker); ok {
@@ -133,116 +133,206 @@ func IsRing(net Network, cycle []int) bool {
 }
 
 func isSimpleCycle(net Network, cycle []int) bool {
-	k := len(cycle)
-	if k == 0 {
-		return false
-	}
-	if k <= smallCycle {
-		// Small rings: a quadratic scan avoids touching scratch at all.
-		size := net.Nodes()
-		for i, x := range cycle {
-			if x < 0 || x >= size {
-				return false
-			}
-			for _, y := range cycle[:i] {
-				if y == x {
-					return false
-				}
-			}
-			if !net.IsEdge(x, cycle[(i+1)%k]) {
-				return false
-			}
-		}
-		return true
-	}
-	seen := getScratchSet(net.Nodes())
-	defer putScratchSet(seen)
-	return markSimpleCycle(net, cycle, seen)
+	return auditCycle(net, cycle, FaultSet{}, true)
 }
 
-// smallCycle is the ring length up to which isSimpleCycle scans for
-// repeats instead of marking nodes in a scratch set.
+// smallCycle is the ring length up to which the audit keeps the nodes it
+// has walked in a list it scans, instead of marking them in a set over
+// the whole network.
 const smallCycle = 64
 
-// markSimpleCycle is isSimpleCycle's marking pass: it adds every node of
-// cycle to seen, a fresh set over the network's nodes, and reports
-// whether the nodes are in range and distinct and every hop is a link.
-func markSimpleCycle(net Network, cycle []int, seen *dense.Set) bool {
-	size, k := net.Nodes(), len(cycle)
-	for i, x := range cycle {
-		if x < 0 || x >= size || !seen.Add(x) {
+// ringAudit is the one audit of a ring given as a node sequence:
+// VerifyRing feeds it the ring whole, VerifyRuns run by run.  auditRun
+// checks each node as it is walked: in range, no more than k walked,
+// and, on the generic simple-cycle test, not walked before and reached
+// by a link; every hop must also avoid the link faults.  done then
+// checks the wrap-around hop the same way, that exactly k ≥ 1 nodes
+// were walked, and that no faulty node was: O(k + f) for a ring of k
+// nodes and f node faults in any order, plus O(k log e) for e link
+// faults.
+type ringAudit struct {
+	net         Network
+	size, k, n  int  // network size, the ring's length, nodes walked
+	simple      bool // nodes must be distinct and hops links (no adapter test ran)
+	undirected  bool
+	links       FaultSet // the link faults, canonical
+	first, prev int      // the first node walked, and the last
+
+	// The nodes walked: the first n of small while k ≤ smallCycle, else
+	// one bit each in bits, a pooled set cleared per audit.
+	small [smallCycle]int
+	bits  *[]uint64
+}
+
+// markSets pools the audit's node sets: one bit per node, so 8 KiB at
+// B(2,16), cleared by each audit that takes one.
+var markSets = sync.Pool{New: func() any { return new([]uint64) }}
+
+// start readies a for a ring of k nodes of net around f; simple asks for
+// the generic simple-cycle test.  An audit that started must be ended.
+func (a *ringAudit) start(net Network, k int, f FaultSet, simple bool) {
+	a.net, a.size, a.k, a.n, a.simple = net, net.Nodes(), k, 0, simple
+	a.undirected = Undirected(net)
+	a.links = FaultSet{Edges: canonicalEdges(f.Edges)}
+	if k > smallCycle {
+		a.bits = markSets.Get().(*[]uint64)
+		words := (a.size + 63) / 64
+		if cap(*a.bits) < words {
+			*a.bits = make([]uint64, words)
+		}
+		*a.bits = (*a.bits)[:words]
+		clear(*a.bits)
+	}
+}
+
+// end returns the audit's pooled set.
+func (a *ringAudit) end() {
+	if a.bits != nil {
+		markSets.Put(a.bits)
+		a.bits = nil
+	}
+}
+
+// mark records v as walked and reports whether it was not before.
+func (a *ringAudit) mark(v int) bool {
+	if a.bits == nil {
+		for _, u := range a.small[:a.n] {
+			if u == v {
+				return false
+			}
+		}
+		a.small[a.n] = v
+		return true
+	}
+	w, b := (*a.bits)[v>>6], uint64(1)<<(v&63)
+	(*a.bits)[v>>6] = w | b
+	return w&b == 0
+}
+
+// walked reports whether v was walked.
+func (a *ringAudit) walked(v int) bool {
+	if a.bits == nil {
+		return slices.Contains(a.small[:a.n], v)
+	}
+	return (*a.bits)[v>>6]&(1<<(v&63)) != 0
+}
+
+// hop reports whether the ring may step u→w: a link, on the simple-cycle
+// test, that no link fault severs.
+func (a *ringAudit) hop(u, w int) bool {
+	return (!a.simple || a.net.IsEdge(u, w)) && (len(a.links.Edges) == 0 || !a.links.Severs(a.undirected, u, w))
+}
+
+// auditRun walks the next run of a's ring and reports whether it passed.
+func auditRun[T int | int32](a *ringAudit, run []T) bool {
+	for _, x := range run {
+		v := int(x)
+		if a.n == a.k || v < 0 || v >= a.size || !a.mark(v) && a.simple {
 			return false
 		}
-		if !net.IsEdge(x, cycle[(i+1)%k]) {
+		if a.n == 0 {
+			a.first = v
+		} else if !a.hop(a.prev, v) {
+			return false
+		}
+		a.prev = v
+		a.n++
+	}
+	return true
+}
+
+// done reports whether the walked ring, every run of it passed, is
+// exactly k ≥ 1 nodes long, closes with a valid wrap-around hop and
+// walks no node of f.
+func (a *ringAudit) done(f FaultSet) bool {
+	if a.n == 0 || a.n != a.k || !a.hop(a.prev, a.first) {
+		return false
+	}
+	for _, v := range f.Nodes {
+		if v >= 0 && v < a.size && a.walked(v) {
 			return false
 		}
 	}
 	return true
 }
 
-// scratchSets pools the epoch-stamped node sets behind verification so a
-// steady request stream stops allocating O(size) bookkeeping per call —
-// a pooled set's O(1) epoch reset replaces the per-call map of the
-// original implementation.
-var scratchSets = sync.Pool{New: func() any { return new(dense.Set) }}
-
-func getScratchSet(size int) *dense.Set {
-	s := scratchSets.Get().(*dense.Set)
-	s.Reset(size)
-	return s
+// auditCycle runs one ringAudit over cycle whole.
+func auditCycle(net Network, cycle []int, f FaultSet, simple bool) bool {
+	var a ringAudit
+	a.start(net, len(cycle), f, simple)
+	defer a.end()
+	return auditRun(&a, cycle) && a.done(f)
 }
-
-func putScratchSet(s *dense.Set) { scratchSets.Put(s) }
 
 // VerifyRing reports whether cycle is a valid embedded ring of net that
 // avoids every fault in f — the single shared implementation of the
 // fault-avoidance loops previously duplicated across the De Bruijn,
-// edge-fault and butterfly APIs.  On the generic simple-cycle test of a
-// ring longer than smallCycle, the pass that checks the nodes are
-// distinct marks them, and each faulty node is then looked up in the
-// marks: O(k + f) for a ring of k nodes and f faults, in any order.
-// Otherwise, and for every hop's link faults, the ring asks the
-// membership test (HasNode, Severs) of the list's canonical view:
-// O(k log f), with no copy of a list that is canonical already.
+// edge-fault and butterfly APIs.  An adapter with its own cycle test
+// runs it first; then the ring audit (ringAudit) checks, in one pass,
+// the generic simple-cycle test where no adapter test ran, and the
+// faults: O(k + f) for a ring of k nodes and f node faults, in any
+// order, plus O(k log e) for e link faults, with no copy of a link list
+// that is canonical already.
 func VerifyRing(net Network, cycle []int, f FaultSet) bool {
-	if _, custom := net.(cycleChecker); custom || len(cycle) <= smallCycle {
-		if !IsRing(net, cycle) {
-			return false
-		}
-		nodes := FaultSet{Nodes: canonicalNodes(f.Nodes)}
-		for _, v := range cycle {
-			if nodes.HasNode(v) {
-				return false
+	cc, custom := net.(cycleChecker)
+	if custom && !cc.isValidCycle(cycle) {
+		return false
+	}
+	return auditCycle(net, cycle, f, !custom)
+}
+
+// VerifyRuns is VerifyRing for a ring of k nodes read as consecutive
+// runs — the pieces of a piece table, say — and audits them in place:
+// the ring is checked exactly as VerifyRing checks it whole, its length
+// included, without a copy, except on an adapter with its own cycle
+// test, which is handed the ring materialized.
+func VerifyRuns(net Network, k int, runs iter.Seq[[]int32], f FaultSet) bool {
+	if _, custom := net.(cycleChecker); custom {
+		cycle := make([]int, 0, k)
+		for run := range runs {
+			for _, v := range run {
+				cycle = append(cycle, int(v))
 			}
 		}
-	} else {
-		size := net.Nodes()
-		seen := getScratchSet(size)
-		defer putScratchSet(seen)
-		if !markSimpleCycle(net, cycle, seen) {
-			return false
-		}
-		for _, v := range f.Nodes {
-			if v >= 0 && v < size && seen.Has(v) {
-				return false
-			}
-		}
+		return len(cycle) == k && VerifyRing(net, cycle, f)
 	}
-	if len(f.Edges) == 0 {
-		return true
-	}
-	links := FaultSet{Edges: canonicalEdges(f.Edges)}
-	undirected, k := Undirected(net), len(cycle)
-	for i, v := range cycle {
-		if links.Severs(undirected, v, cycle[(i+1)%k]) {
+	var a ringAudit
+	a.start(net, k, f, true)
+	defer a.end()
+	for run := range runs {
+		if !auditRun(&a, run) {
 			return false
 		}
 	}
-	return true
+	return a.done(f)
 }
 
 // VerifyHamiltonian reports whether cycle is a Hamiltonian ring of net
 // avoiding every fault in f.
 func VerifyHamiltonian(net Network, cycle []int, f FaultSet) bool {
 	return len(cycle) == net.Nodes() && VerifyRing(net, cycle, f)
+}
+
+// LabelShape reports whether every label of net is width bytes drawn
+// from '0'–'9', 'a'–'z', '{', '|', '}', '~' and DEL: bytes that need no
+// escaping in a JSON string.  It holds for the hypercube's bit strings
+// and, while the alphabet's digits stay within ASCII (word.DigitChar:
+// at most 41 letters), for the De Bruijn, shuffle-exchange and Kautz
+// words; a writer of label arrays can then size one from its length
+// alone.  Every other network reports ok false.
+func LabelShape(net Network) (width int, ok bool) {
+	// The largest alphabet whose word.DigitChar digits are all ASCII:
+	// its last digit is DEL.
+	const asciiAlphabet = 0x7f - 'a' + 11
+	switch t := net.(type) {
+	case *DeBruijn:
+		return t.n, t.d <= asciiAlphabet
+	case *ShuffleExchange:
+		return t.n, t.d <= asciiAlphabet
+	case *Kautz:
+		return t.n, t.d+1 <= asciiAlphabet
+	case *Hypercube:
+		return t.n, true
+	}
+	return 0, false
 }
