@@ -169,6 +169,10 @@ func (s *Space) buildChunks() {
 	}
 }
 
+// ASCIIAlphabet is the largest alphabet whose DigitChar digits are all
+// ASCII: its last digit, 40, renders as DEL.
+const ASCIIAlphabet int = 0x7f - 'a' + 11
+
 // DigitChar renders one digit: '0'–'9', then 'a'–'z' for 10–35.
 func DigitChar(v int) byte {
 	if v < 10 {

@@ -53,6 +53,19 @@ func TestStringLargeAlphabet(t *testing.T) {
 	}
 }
 
+// TestASCIIAlphabet pins the bound to DigitChar: every digit of an
+// ASCIIAlphabet-letter alphabet is ASCII, the next one is not.
+func TestASCIIAlphabet(t *testing.T) {
+	for v := range ASCIIAlphabet {
+		if DigitChar(v) > 0x7f {
+			t.Fatalf("DigitChar(%d) = %#x, not ASCII", v, DigitChar(v))
+		}
+	}
+	if c := DigitChar(ASCIIAlphabet); c <= 0x7f {
+		t.Fatalf("DigitChar(%d) = %#x is ASCII: the bound is too low", ASCIIAlphabet, c)
+	}
+}
+
 // TestAppendStringMatchesDigits checks the table-driven AppendString
 // against the digits read off one by one, after a prefix it must keep,
 // for chunk sizes from 8 digits (d = 2) down to no table (d > 256) and

@@ -137,9 +137,11 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotAuditSkipsCorruptRing injects a corrupt ring into a live
-// session: the periodic full-VerifyRing audit must refuse to snapshot
-// it, count the failure, and leave the journal's older snapshot as the
+// TestSnapshotAuditSkipsCorruptRing feeds the periodic audit two bad
+// rings in a live session: one the FFC tier regenerates, audited over
+// the patcher's runs, with a hop the network denies; then a corrupt ring
+// restored into the patcher.  The audit must refuse to snapshot either,
+// count each failure, and leave the journal's older snapshot as the
 // restore point.
 func TestSnapshotAuditSkipsCorruptRing(t *testing.T) {
 	dir := t.TempDir()
@@ -150,30 +152,37 @@ func TestSnapshotAuditSkipsCorruptRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, err := s.AddFaults(topology.NodeFaults(21))
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || ev.Repair != "local" {
+		t.Fatalf("fault: %+v, %v; want a local repair", ev, err)
 	}
 	failures := func() int64 {
 		return reg.Snapshot().Counters["session_ring_audit_failures_total"]
 	}
-	snapshots := func() (n int, lastSeq uint64) {
-		events, err := readJournal(journalPath(dir, "audit"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range events {
-			if e.Kind == "snapshot" {
-				n, lastSeq = n+1, e.Seq
-			}
-		}
-		return n, lastSeq
-	}
-	if n, seq := snapshots(); n != 1 || seq != ev.Seq || failures() != 0 {
+	path := journalPath(dir, "audit")
+	if n, seq := snapshotCount(t, path); n != 1 || seq != ev.Seq || failures() != 0 {
 		t.Fatalf("valid ring: %d snapshots (last at seq %d, want %d), %d audit failures", n, seq, ev.Seq, failures())
 	}
 
 	s.mu.Lock()
+	if _, regenerates := s.patcher.Snapshot(); !regenerates {
+		s.mu.Unlock()
+		t.Fatal("the FFC tier does not regenerate the ring: the run-walking audit is not reached")
+	}
 	ring := s.patcher.RingInts()
+	net := s.net
+	s.net = severedNet{net.(*topology.DeBruijn), topology.Edge{From: ring[5], To: ring[6]}}
+	s.seq++
+	s.writeSnapshotLocked()
+	s.net = net
+	s.mu.Unlock()
+	if n, seq := snapshotCount(t, path); n != 1 || seq != ev.Seq {
+		t.Fatalf("a ring failing the run-walking audit was snapshotted: %d snapshots, last at seq %d", n, seq)
+	}
+	if got := failures(); got != 1 {
+		t.Fatalf("session_ring_audit_failures_total = %d, want 1", got)
+	}
+
+	s.mu.Lock()
 	ring[1], ring[len(ring)/2] = ring[len(ring)/2], ring[1]
 	if err := s.patcher.Restore(nil, ring, s.patcher.Faults()); err != nil {
 		t.Fatal(err)
@@ -182,11 +191,11 @@ func TestSnapshotAuditSkipsCorruptRing(t *testing.T) {
 	s.seq++ // as if an event had produced the corrupt ring
 	s.writeSnapshotLocked()
 	s.mu.Unlock()
-	if n, seq := snapshots(); n != 1 || seq != ev.Seq {
+	if n, seq := snapshotCount(t, path); n != 1 || seq != ev.Seq {
 		t.Fatalf("corrupt ring was snapshotted: %d snapshots, last at seq %d", n, seq)
 	}
-	if got := failures(); got != 1 {
-		t.Fatalf("session_ring_audit_failures_total = %d, want 1", got)
+	if got := failures(); got != 2 {
+		t.Fatalf("session_ring_audit_failures_total = %d, want 2", got)
 	}
 	m.Close()
 	restored, errs := NewManager(nil, Options{Dir: dir}).Restore()
@@ -224,48 +233,6 @@ func snapshotCount(t *testing.T, path string) (n int, lastSeq uint64) {
 		}
 	}
 	return n, lastSeq
-}
-
-// TestSnapshotAuditOverRunsSkipsBadRing: a snapshot whose ring the FFC
-// tier regenerates is audited over the patcher's runs, and a ring that
-// fails that audit (here, a hop the network denies) is counted in
-// session_ring_audit_failures_total and not snapshotted.
-func TestSnapshotAuditOverRunsSkipsBadRing(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	m := NewManager(reg, Options{Dir: dir, SnapshotEvery: 1})
-	defer m.Close()
-	s, err := m.Create("runs", "debruijn(2,6)", topology.FaultSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := s.AddFaults(topology.NodeFaults(21))
-	if err != nil || ev.Repair != "local" {
-		t.Fatalf("fault: %+v, %v; want a local repair", ev, err)
-	}
-	path := journalPath(dir, "runs")
-	if n, seq := snapshotCount(t, path); n != 1 || seq != ev.Seq {
-		t.Fatalf("valid ring: %d snapshots, last at seq %d, want 1 at %d", n, seq, ev.Seq)
-	}
-
-	s.mu.Lock()
-	if _, regenerates := s.patcher.Snapshot(); !regenerates {
-		s.mu.Unlock()
-		t.Fatal("the FFC tier does not regenerate the ring: the run-walking audit is not reached")
-	}
-	ring := s.patcher.RingInts()
-	net := s.net
-	s.net = severedNet{net.(*topology.DeBruijn), topology.Edge{From: ring[5], To: ring[6]}}
-	s.seq++
-	s.writeSnapshotLocked()
-	s.net = net
-	s.mu.Unlock()
-	if n, _ := snapshotCount(t, path); n != 1 {
-		t.Fatalf("a ring failing the audit was snapshotted: %d snapshots", n)
-	}
-	if got := reg.Snapshot().Counters["session_ring_audit_failures_total"]; got != 1 {
-		t.Fatalf("session_ring_audit_failures_total = %d, want 1", got)
-	}
 }
 
 // discardJournal is a JournalWriter that keeps nothing.

@@ -18,6 +18,8 @@ import (
 	"iter"
 	"slices"
 	"sync"
+
+	"debruijnring/internal/word"
 )
 
 // Network is a processor interconnection topology.  Implementations are
@@ -193,16 +195,14 @@ func (a *ringAudit) end() {
 	}
 }
 
-// mark records v as walked and reports whether it was not before.
+// mark records v as walked and reports whether it was not before.  The
+// list keeps every node walked, repeats too, so that small[:n] is
+// exactly the walk even on an adapter's closed walk.
 func (a *ringAudit) mark(v int) bool {
 	if a.bits == nil {
-		for _, u := range a.small[:a.n] {
-			if u == v {
-				return false
-			}
-		}
+		fresh := !slices.Contains(a.small[:a.n], v)
 		a.small[a.n] = v
-		return true
+		return fresh
 	}
 	w, b := (*a.bits)[v>>6], uint64(1)<<(v&63)
 	(*a.bits)[v>>6] = w | b
@@ -316,21 +316,18 @@ func VerifyHamiltonian(net Network, cycle []int, f FaultSet) bool {
 // LabelShape reports whether every label of net is width bytes drawn
 // from '0'–'9', 'a'–'z', '{', '|', '}', '~' and DEL: bytes that need no
 // escaping in a JSON string.  It holds for the hypercube's bit strings
-// and, while the alphabet's digits stay within ASCII (word.DigitChar:
-// at most 41 letters), for the De Bruijn, shuffle-exchange and Kautz
+// and, while the alphabet's digits stay within ASCII
+// (word.ASCIIAlphabet), for the De Bruijn, shuffle-exchange and Kautz
 // words; a writer of label arrays can then size one from its length
 // alone.  Every other network reports ok false.
 func LabelShape(net Network) (width int, ok bool) {
-	// The largest alphabet whose word.DigitChar digits are all ASCII:
-	// its last digit is DEL.
-	const asciiAlphabet = 0x7f - 'a' + 11
 	switch t := net.(type) {
 	case *DeBruijn:
-		return t.n, t.d <= asciiAlphabet
+		return t.n, t.d <= word.ASCIIAlphabet
 	case *ShuffleExchange:
-		return t.n, t.d <= asciiAlphabet
+		return t.n, t.d <= word.ASCIIAlphabet
 	case *Kautz:
-		return t.n, t.d+1 <= asciiAlphabet
+		return t.n, t.d+1 <= word.ASCIIAlphabet
 	case *Hypercube:
 		return t.n, true
 	}

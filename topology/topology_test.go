@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -236,6 +237,11 @@ func TestHypercubeDegenerateCycleRejected(t *testing.T) {
 	}
 }
 
+// TestShuffleExchangeWalkVerification checks a dilation-2 SE walk, then
+// audits short SE walks, which repeat nodes, around each single node
+// fault: VerifyRing and VerifyRuns (whole and in runs of three) accept
+// the walk, which avoids the fault, and reject it once a node it visits
+// is faulty too.
 func TestShuffleExchangeWalkVerification(t *testing.T) {
 	net, _ := NewShuffleExchange(3, 3)
 	walk, info, err := net.EmbedRing(NodeFaults(6, 14))
@@ -255,6 +261,51 @@ func TestShuffleExchangeWalkVerification(t *testing.T) {
 	bad := append(append([]int(nil), walk...), walk...)
 	if VerifyRing(net, bad, FaultSet{}) {
 		t.Error("doubled walk accepted")
+	}
+
+	repeats := 0
+	for _, dn := range [][2]int{{2, 4}, {2, 5}, {3, 3}} {
+		net, err := NewShuffleExchange(dn[0], dn[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range net.Nodes() {
+			f := NodeFaults(v)
+			walk, _, err := net.EmbedRing(f)
+			if err != nil {
+				continue
+			}
+			if len(walk) > smallCycle {
+				t.Fatalf("%s: walk of %d nodes exceeds the small-ring audit", net.Name(), len(walk))
+			}
+			if len(slices.Compact(slices.Sorted(slices.Values(walk)))) < len(walk) {
+				repeats++
+			}
+			if slices.Contains(walk, v) {
+				t.Fatalf("%s: walk visits its fault %d", net.Name(), v)
+			}
+			runs := func(yield func([]int32) bool) {
+				for i := 0; i < len(walk); i += 3 {
+					var run []int32
+					for _, x := range walk[i:min(i+3, len(walk))] {
+						run = append(run, int32(x))
+					}
+					if !yield(run) {
+						return
+					}
+				}
+			}
+			if !VerifyRing(net, walk, f) || !VerifyRuns(net, len(walk), runs, f) {
+				t.Errorf("%s: walk avoiding node %d rejected", net.Name(), v)
+			}
+			g := NodeFaults(v, walk[len(walk)/2])
+			if VerifyRing(net, walk, g) || VerifyRuns(net, len(walk), runs, g) {
+				t.Errorf("%s: walk through faulty node %d accepted", net.Name(), walk[len(walk)/2])
+			}
+		}
+	}
+	if repeats == 0 {
+		t.Fatal("no walk repeats a node")
 	}
 }
 
